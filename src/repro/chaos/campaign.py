@@ -6,9 +6,9 @@ The campaign pipeline:
    of scenarios from a :class:`~repro.chaos.scenario.ScenarioSpace`;
 2. :func:`run_scenario` executes each one under the invariant checker,
    the progress watchdog, and a wall-clock budget, then applies the
-   differential oracles (fused-vs-legacy parity, array-vs-object
-   engine parity, health-monitoring no-op, accounting conservation) —
-   the verdict is a plain JSON dict, never an exception;
+   differential oracles (fused-vs-legacy parity, health-monitoring
+   no-op, accounting conservation) — the verdict is a plain JSON dict,
+   never an exception;
 3. failing scenarios are :func:`shrink`-ed by greedy delta debugging —
    a candidate simplification is kept only when it still fails under
    the *same* oracle — and written as replayable repro files;
@@ -31,6 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.chaos.oracles import (
     canonical_metrics,
+    canonical_run,
     check_accounting,
     classify_error,
     metrics_digest,
@@ -90,24 +91,6 @@ def _execute_legacy(scenario: Scenario):
         if saved is None:
             os.environ.pop("REPRO_LEGACY_LOOP", None)
         else:
-            os.environ["REPRO_LEGACY_LOOP"] = saved
-
-
-def _execute_array(scenario: Scenario):
-    """The same simulation under the array engine.
-
-    ``REPRO_LEGACY_LOOP`` is cleared around the run: the array engine
-    refuses to coexist with the legacy scan (`EngineError`), and a
-    replay of this scenario on the legacy loop must still be able to
-    run its engine-parity twin.
-    """
-    saved = os.environ.pop("REPRO_LEGACY_LOOP", None)
-    try:
-        return _RUNNERS[scenario.topology](
-            dataclasses.replace(scenario.to_experiment(), engine="array")
-        )
-    finally:
-        if saved is not None:
             os.environ["REPRO_LEGACY_LOOP"] = saved
 
 
@@ -181,33 +164,32 @@ def _differential(
 ) -> Tuple[Optional[str], Optional[str]]:
     """Twin-run oracles; ``(detail, oracle)`` or ``(None, None)``.
 
-    The twins need a genuinely unperturbed baseline, so they apply
-    only to zero-fault, sabotage-free scenarios under oracle routing
-    (adaptive mode reserves an escape VC per class partition and
-    legitimately changes metrics even on a healthy fabric).
+    The parity twin re-runs the scenario on the legacy full-scan loop.
+    Faulted, traced and adaptive scenarios are eligible: fault fates
+    draw from per-link substreams in delivery order, which the loops
+    share, so both are deterministic there — and those scenarios are
+    what exercises the cycle loop's per-component call-outs.  Only a
+    sabotaged scenario gets no twin; it is expected to fail on its own.
+
+    The health-noop twin needs a genuinely unperturbed baseline, so it
+    applies only to zero-fault scenarios under oracle routing (adaptive
+    mode reserves an escape VC per class partition and legitimately
+    changes metrics even on a healthy fabric).
     """
-    if (
-        not scenario.is_zero_fault
-        or scenario.sabotage is not None
-        or scenario.routing_mode != RoutingMode.ORACLE
-    ):
+    if scenario.sabotage is not None:
         return None, None
-    reference = canonical_metrics(result)
-    legacy = _execute_legacy(scenario)
-    if canonical_metrics(legacy) != reference:
+    if canonical_run(_execute_legacy(scenario)) != canonical_run(result):
         return (
-            "fused and legacy run loops disagree on zero-fault metrics",
+            "cycle loop and legacy full-scan loop disagree on metrics",
             "parity",
         )
-    array_twin = _execute_array(scenario)
-    if canonical_metrics(array_twin) != reference:
-        return (
-            "array and object engines disagree on zero-fault metrics",
-            "engine-parity",
-        )
-    if scenario.health is not None:
+    if (
+        scenario.health is not None
+        and scenario.is_zero_fault
+        and scenario.routing_mode == RoutingMode.ORACLE
+    ):
         bare = _execute(dataclasses.replace(scenario, health=None))
-        if canonical_metrics(bare) != reference:
+        if canonical_metrics(bare) != canonical_metrics(result):
             return (
                 "passive health monitoring changed zero-fault metrics",
                 "health-noop",

@@ -20,8 +20,8 @@ oracle          what it caught
 ``crash``       an exception outside the simulator's taxonomy
 ``conservation`` result-level accounting broke (flits, transport or
                 degradation bookkeeping) without tripping a checker
-``parity``      fused vs legacy run-loop metrics diverged on a
-                zero-fault scenario
+``parity``      cycle-loop vs legacy full-scan metrics (or fault
+                accounting) diverged
 ``health-noop`` passive health monitoring changed zero-fault metrics
 ============== =====================================================
 
@@ -84,10 +84,16 @@ def classify_error(exc: BaseException) -> str:
 def canonical_metrics(result) -> dict:
     """The full metrics record in NaN-safe comparable form.
 
-    This is the bit-identity surface for the parity and health-no-op
-    oracles: two runs agree exactly when these dicts are equal.
+    This is the bit-identity surface for the health-no-op oracle (and,
+    with the fault accounting, for parity): two runs agree exactly when
+    these dicts are equal.
     """
     return _canon(dataclasses.asdict(result.metrics))
+
+
+def canonical_run(result) -> tuple:
+    """Metrics plus fault/recovery accounting: the parity surface."""
+    return canonical_metrics(result), _canon(result.fault_stats)
 
 
 def metrics_digest(result) -> dict:

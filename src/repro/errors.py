@@ -18,16 +18,6 @@ class FaultConfigError(ConfigurationError):
     """A fault-injection plan is inconsistent or names unknown hardware."""
 
 
-class EngineError(ConfigurationError):
-    """An unknown or incompatible simulation engine was requested.
-
-    Raised at :class:`repro.network.network.Network` construction for
-    engine names outside :data:`repro.sim.engine.ENGINES` and for
-    contradictory selections (the array engine together with
-    ``REPRO_LEGACY_LOOP=1``, which pins the legacy full-scan loop).
-    """
-
-
 class PortCountError(ConfigurationError):
     """RouterConfig.num_ports disagrees with the topology's port count.
 

@@ -1,35 +1,33 @@
-"""Core-engine benchmark: active-set loop and parallel sweep scaling.
+"""Core-engine benchmark: the cycle loop and parallel sweep scaling.
 
 Measures the two performance claims this repo's simulation core makes,
 writes them to ``BENCH_core.json`` for CI to archive, and appends every
 run (with provenance) to ``BENCH_history.jsonl`` so the perf trajectory
 is tracked across commits:
 
-* **loop comparison** — a three-point workload run three times
-  in-process: with the active-set object loop, with the fused array
-  engine (``engine="array"``), and with the legacy full-scan loop
-  (``REPRO_LEGACY_LOOP=1``).  The points bracket the loops' operating
-  envelope: a *dense* fig3 single-switch at load 0.8 (every component
-  busy — the active set machinery must roughly tie, and the array
-  engine's fused kernels must win outright), a *sparse* 16x16 fat mesh
-  at one stream per host (hundreds of mostly idle components — where
-  skipping the full scan is the whole point), and a *sparse* 128-host
-  3-level fat tree (the compiled-route-program topology class the
-  scale campaign runs at 1024 hosts).
-  The combined speedups are ``sum(legacy_s) / sum(active_s)`` and
-  ``sum(legacy_s) / sum(array_s)``.  The dense point is timed over
-  ``DENSE_POINT_REPS`` interleaved repetitions and each engine scores
-  its minimum — the standard noise-rejecting estimator — because the
-  dense floor (``--min-speedup-dense``) gates on that single point.
-  Metrics must be bit-identical per point and per engine; this doubles
-  as a golden-run check on real workloads.
+* **loop comparison** — a three-point workload run twice in-process:
+  with the default cycle loop (``repro.sim.fused``) and with the legacy
+  full-scan loop (``REPRO_LEGACY_LOOP=1``).  The points bracket the
+  loop's operating envelope: a *dense* fig3 single-switch at load 0.8
+  (every component busy — the fused kernels must win outright), a
+  *sparse* 16x16 fat mesh at one stream per host (hundreds of mostly
+  idle components — where skipping the full scan is the whole point),
+  and a *sparse* 128-host 3-level fat tree (the compiled-route-program
+  topology class the scale campaign runs at 1024 hosts).
+  The combined speedup is ``sum(legacy_s) / sum(default_s)``.  The
+  dense point is timed over ``DENSE_POINT_REPS`` interleaved
+  repetitions and each loop scores its minimum — the standard
+  noise-rejecting estimator — because the dense floor
+  (``--min-speedup-dense``) gates on that single point.
+  Metrics must be bit-identical per point; this doubles as a golden-run
+  check on real workloads.
 * **sweep scaling** — the fig3 load sweep executed serially and with a
   process pool (``--jobs N``).  Per-point metrics must again be
   bit-identical; the speedup is recorded and is the number the
   acceptance bar (>= 1.5x on 4 cores) reads.
 
 Any metric mismatch exits non-zero, as does a combined loop speedup
-below ``--min-speedup`` or a dense-point array speedup below
+below ``--min-speedup`` or a dense-point speedup below
 ``--min-speedup-dense`` (the CI regression gates).  The combined floor
 alone would let a dense regression hide behind the sparse points'
 margin, which is exactly what the per-point floor exists to catch.
@@ -66,23 +64,22 @@ from repro.experiments.figures import (
     get_profile,
 )
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
-from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ARRAY, ENGINE_OBJECT
 from repro.experiments.runner import (
     simulate_fat_mesh,
     simulate_fat_tree3,
     simulate_single_switch,
 )
 
-FORMAT = "bench-core-v3"
+FORMAT = "bench-core-v4"
 
 #: the dense loop point: fig3's Virtual Clock router at load 0.8
 DENSE_POINT_LOAD = 0.8
 #: the dense point runs at the default benchmark scale regardless of
 #: profile: the quick profile's scale-40 shrink halves the workload,
 #: and fixed per-run costs (network setup, injection events) then mask
-#: the dense-phase engine throughput the floor is meant to guard
+#: the dense-phase loop throughput the floor is meant to guard
 DENSE_POINT_SCALE = 20.0
-#: interleaved repetitions for the dense point; each engine scores its
+#: interleaved repetitions for the dense point; each loop scores its
 #: minimum across reps (scheduler noise only ever adds time, so the
 #: minimum is the least-perturbed observation — five reps keep the
 #: dense floor from tripping on a transiently loaded runner)
@@ -132,7 +129,9 @@ def _loop_points(profile):
                 vcs_per_pc=16,
                 scale=DENSE_POINT_SCALE,
                 warmup_frames=1,
-                measure_frames=1,
+                # two measured frames: one leaves no delivery interval,
+                # and the point would be timed with d/sigma_d = NaN
+                measure_frames=2,
                 seed=profile.seed,
             ),
             DENSE_POINT_REPS,
@@ -176,40 +175,30 @@ def _loop_points(profile):
 
 
 def _loop_compare(profile) -> Dict:
-    """Object loop vs array engine vs legacy loop, per bracket point.
+    """Default cycle loop vs legacy full scan, per bracket point.
 
     The legacy choice is read from ``REPRO_LEGACY_LOOP`` when the
     Network is constructed, so toggling the variable between runner
-    calls selects the loop per run; the array engine is selected per
-    run through the experiment's ``engine`` field.  Each point runs
-    ``reps`` interleaved repetitions and every engine scores its
-    minimum, so the dense floor compares best-case against best-case
-    rather than whichever run a scheduler hiccup happened to hit.
+    calls selects the loop per run.  Each point runs ``reps``
+    interleaved repetitions and each loop scores its minimum, so the
+    dense floor compares best-case against best-case rather than
+    whichever run a scheduler hiccup happened to hit.
     """
     saved = os.environ.pop("REPRO_LEGACY_LOOP", None)
     points = []
-    total_active = 0.0
+    total_default = 0.0
     total_legacy = 0.0
-    total_array = 0.0
     identical = True
     try:
         for name, runner, experiment, reps in _loop_points(profile):
-            array_experiment = dataclasses.replace(
-                experiment, engine=ENGINE_ARRAY
-            )
-            active_s = legacy_s = array_s = math.inf
-            active_m = legacy_m = array_m = None
+            default_s = legacy_s = math.inf
+            default_m = legacy_m = None
             for _ in range(reps):
                 os.environ.pop("REPRO_LEGACY_LOOP", None)
                 started = time.perf_counter()
                 result = runner(experiment)
-                active_s = min(active_s, time.perf_counter() - started)
-                active_m = _metrics_dict(result)
-
-                started = time.perf_counter()
-                result = runner(array_experiment)
-                array_s = min(array_s, time.perf_counter() - started)
-                array_m = _metrics_dict(result)
+                default_s = min(default_s, time.perf_counter() - started)
+                default_m = _metrics_dict(result)
 
                 os.environ["REPRO_LEGACY_LOOP"] = "1"
                 started = time.perf_counter()
@@ -217,27 +206,22 @@ def _loop_compare(profile) -> Dict:
                 legacy_s = min(legacy_s, time.perf_counter() - started)
                 legacy_m = _metrics_dict(result)
 
-            point_identical = active_m == legacy_m
-            array_identical = array_m == legacy_m
-            identical = identical and point_identical and array_identical
-            total_active += active_s
+            point_identical = default_m == legacy_m
+            identical = identical and point_identical
+            total_default += default_s
             total_legacy += legacy_s
-            total_array += array_s
             points.append(
                 {
                     "name": name,
                     "reps": reps,
-                    "active_s": round(active_s, 3),
+                    "default_s": round(default_s, 3),
                     "legacy_s": round(legacy_s, 3),
-                    "array_s": round(array_s, 3),
                     "speedup": (
-                        round(legacy_s / active_s, 3) if active_s else None
-                    ),
-                    "array_speedup": (
-                        round(legacy_s / array_s, 3) if array_s else None
+                        round(legacy_s / default_s, 3) if default_s else None
                     ),
                     "identical": point_identical,
-                    "array_identical": array_identical,
+                    "d_ms": default_m["mean_delivery_interval_ms"],
+                    "sigma_d_ms": default_m["std_delivery_interval_ms"],
                 }
             )
     finally:
@@ -247,15 +231,11 @@ def _loop_compare(profile) -> Dict:
             os.environ["REPRO_LEGACY_LOOP"] = saved
     return {
         "points": points,
-        "engines": [ENGINE_OBJECT, ENGINE_ARRAY, "legacy"],
-        "active_s": round(total_active, 3),
+        "loops": ["default", "legacy"],
+        "default_s": round(total_default, 3),
         "legacy_s": round(total_legacy, 3),
-        "array_s": round(total_array, 3),
         "speedup": (
-            round(total_legacy / total_active, 3) if total_active else None
-        ),
-        "array_speedup": (
-            round(total_legacy / total_array, 3) if total_array else None
+            round(total_legacy / total_default, 3) if total_default else None
         ),
         "identical": identical,
     }
@@ -332,7 +312,7 @@ def _append_history(path: str, record: Dict) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_core",
-        description="Benchmark the active-set loop and parallel sweeps.",
+        description="Benchmark the cycle loop and parallel sweeps.",
     )
     parser.add_argument("--profile", default="quick")
     parser.add_argument(
@@ -345,17 +325,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--min-speedup",
         type=float,
         default=1.0,
-        help="fail (exit non-zero) when the combined active/legacy loop "
+        help="fail (exit non-zero) when the combined default/legacy loop "
         "speedup drops below this floor (0 disables the gate)",
     )
     parser.add_argument(
         "--min-speedup-dense",
         type=float,
         default=0.0,
-        help="fail when the fig3_dense array-engine speedup over the "
-        "legacy loop drops below this floor or its metrics diverge "
-        "(0 disables the gate); catches dense regressions the combined "
-        "floor would absorb in the sparse points' margin",
+        help="fail when the fig3_dense speedup over the legacy loop "
+        "drops below this floor (0 disables the gate); catches dense "
+        "regressions the combined floor would absorb in the sparse "
+        "points' margin",
     )
     parser.add_argument("--out", default="BENCH_core.json")
     parser.add_argument(
@@ -372,16 +352,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     loop = _loop_compare(profile)
     for point in loop["points"]:
         print(
-            f"[bench_core]   {point['name']}: active {point['active_s']}s "
-            f"(x{point['speedup']}), array {point['array_s']}s "
-            f"(x{point['array_speedup']}), legacy {point['legacy_s']}s "
-            f"[reps={point['reps']}, identical={point['identical']}, "
-            f"array_identical={point['array_identical']}]"
+            f"[bench_core]   {point['name']}: default {point['default_s']}s "
+            f"(x{point['speedup']}), legacy {point['legacy_s']}s "
+            f"[reps={point['reps']}, identical={point['identical']}]"
         )
     print(
-        f"[bench_core] combined: active {loop['active_s']}s "
-        f"(x{loop['speedup']}), array {loop['array_s']}s "
-        f"(x{loop['array_speedup']}), legacy {loop['legacy_s']}s "
+        f"[bench_core] combined: default {loop['default_s']}s "
+        f"(x{loop['speedup']}), legacy {loop['legacy_s']}s "
         f"(identical={loop['identical']})"
     )
     print(f"[bench_core] fig3 sweep, --jobs {args.jobs} ...")
@@ -402,10 +379,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "format": FORMAT,
         "profile": profile.name,
         "cpu_count": cpus,
-        "engines": {
-            "default": DEFAULT_ENGINE,
-            "compared": loop["engines"],
-        },
         "provenance": _provenance(),
         "loop": loop,
         "sweep": sweep,
@@ -420,7 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not loop["identical"]:
         print(
-            "[bench_core] FAIL: active-set metrics diverge from the "
+            "[bench_core] FAIL: default-loop metrics diverge from the "
             "legacy loop",
             file=sys.stderr,
         )
@@ -442,24 +415,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 1
     if args.min_speedup_dense:
-        dense = next(
-            (p for p in loop["points"] if p["name"] == "fig3_dense"), None
-        )
-        if dense is None or not dense["array_identical"]:
-            print(
-                "[bench_core] FAIL: fig3_dense array metrics unavailable "
-                "or diverging; the dense floor requires identical metrics",
-                file=sys.stderr,
-            )
-            return 1
+        dense = next(p for p in loop["points"] if p["name"] == "fig3_dense")
         if (
-            dense["array_speedup"] is None
-            or dense["array_speedup"] < args.min_speedup_dense
+            dense["speedup"] is None
+            or dense["speedup"] < args.min_speedup_dense
         ):
             print(
-                f"[bench_core] FAIL: fig3_dense array speedup "
-                f"{dense['array_speedup']} below the --min-speedup-dense "
-                f"floor {args.min_speedup_dense}",
+                f"[bench_core] FAIL: fig3_dense speedup {dense['speedup']} "
+                f"below the --min-speedup-dense floor "
+                f"{args.min_speedup_dense}",
                 file=sys.stderr,
             )
             return 1

@@ -32,7 +32,6 @@ from repro.experiments.report import (
 )
 from repro.experiments.resilience import RESEED_STEP, SweepCheckpoint
 from repro.experiments.tables import TABLES, run_table2, run_table3
-from repro.sim.engine import ENGINES
 
 _DESCRIPTIONS = {
     "fig3": "Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
@@ -482,15 +481,6 @@ def _add_sweep_args(parser) -> None:
         help="wall-clock budget per sweep point; a point exceeding it "
         "fails (and retries reseeded) instead of hanging the sweep",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="simulation engine for every run of the sweep: 'object' "
-        "(reference component loop) or 'array' (fused dense datapath; "
-        "bit-identical metrics, falls back to the object loop for cold "
-        "features)",
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -853,8 +843,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.watchdog < 1:
             raise SystemExit(f"--watchdog must be >= 1, got {args.watchdog}")
         profile = replace(profile, watchdog_window=args.watchdog)
-    if getattr(args, "engine", None) is not None:
-        profile = replace(profile, engine=args.engine)
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     if args.point_timeout is not None and args.point_timeout <= 0:

@@ -78,9 +78,6 @@ class _BaseExperiment:
     #: profile the simulation loop per phase into ``RunMetrics.profile``
     #: (wall time only; the simulation itself stays bit-identical)
     profile_loop: bool = False
-    #: simulation engine: "object" (reference) or "array" (fused dense
-    #: datapath; bit-identical, falls back to object for cold features)
-    engine: str = "object"
 
     def __post_init__(self) -> None:
         if self.warmup_frames < 1 or self.measure_frames < 1:

@@ -50,9 +50,6 @@ class RunProfile:
     #: progress watchdog applied to every experiment of the sweep
     #: (None = each sweep's own default; ``mediaworm --watchdog`` sets it)
     watchdog_window: Optional[int] = None
-    #: simulation engine applied to every experiment of the sweep
-    #: (None = the experiment default; ``mediaworm --engine`` sets it)
-    engine: Optional[str] = None
 
 
 PROFILES: Dict[str, RunProfile] = {
@@ -136,8 +133,6 @@ def _base_kwargs(profile: RunProfile) -> Dict:
     )
     if profile.watchdog_window is not None:
         kwargs["watchdog_window"] = profile.watchdog_window
-    if profile.engine is not None:
-        kwargs["engine"] = profile.engine
     return kwargs
 
 

@@ -88,6 +88,10 @@ class ExperimentResult:
     #: tracing accounting (event counts, records written, invariant
     #: checks run), present only when the experiment carried a TraceSpec
     trace_summary: Optional[Dict[str, object]] = None
+    #: cycles the loop executed; ``cycles_run - cycles_executed`` is
+    #: how many it jumped over (None on results recorded before the
+    #: field existed; host-independent but kept out of run digests)
+    cycles_executed: Optional[int] = None
 
     @property
     def achieved_load(self) -> float:
@@ -305,7 +309,6 @@ def _simulate_wormhole(experiment, topology) -> ExperimentResult:
         config,
         on_message=collector.on_message,
         watchdog_window=getattr(experiment, "watchdog_window", None),
-        engine=getattr(experiment, "engine", "object"),
     )
     rngs = RngStreams(experiment.seed)
     _install_extras(experiment, network, rngs)
@@ -343,6 +346,7 @@ def _simulate_wormhole(experiment, topology) -> ExperimentResult:
         wall_seconds=wall,
         fault_stats=_fault_stats(network),
         trace_summary=None if harness is None else harness.finish(),
+        cycles_executed=network.cycles_executed,
     )
 
 

@@ -49,7 +49,7 @@ class NIDatapathView(NamedTuple):
     """Hot-path state view of one host interface.
 
     The containers (``vcs``, ``active``) are stable for the network's
-    lifetime and mutated in place by both engines, so binding them once
+    lifetime and mutated in place by both code paths, so binding them once
     is safe; per-VC scalars (``credits``, ``sent``, ``head_stamp``) are
     read through the :class:`_NIVC` objects — the one source of truth.
     """
@@ -235,7 +235,7 @@ class HostInterface:
         return removed
 
     def datapath_view(self) -> NIDatapathView:
-        """The hot state both engines share (fused-engine binding hook)."""
+        """The hot state the fused cycle loop binds (see ``repro.sim.fused``)."""
         return NIDatapathView(
             interface=self,
             vcs=self.vcs,

@@ -23,12 +23,13 @@ DEFAULT_LINK_LATENCY = 2
 class LinkDatapathView(NamedTuple):
     """Hot-path state view of one link (see :meth:`Link.datapath_view`).
 
-    Everything a fused engine needs to inline ``send``/``deliver_due``:
-    the consumer (exactly one of ``dest_router``/``sink`` is set) and
-    the pipeline latency.  The ``pending`` deque is deliberately *not*
-    included — :meth:`Link.purge_message` rebuilds it, so engines must
-    read ``link.pending`` through the object to stay on the one source
-    of truth.
+    Everything the fused cycle loop needs to inline
+    ``send``/``deliver_due``: the consumer (exactly one of
+    ``dest_router``/``sink`` is set) and the pipeline latency.  The
+    ``pending`` deque is deliberately *not* included —
+    :meth:`Link.purge_message` rebuilds it, so the loop must read
+    ``link.pending`` through the object to stay on the one source of
+    truth.
     """
 
     link: "Link"
@@ -92,11 +93,12 @@ class Link:
         self.src_port = -1
         #: in-flight flits: (arrival_cycle, msg, flit_index, vc_index)
         self.pending: Deque[Tuple[int, Message, int, int]] = deque()
-        #: no-argument activation hook fired when the wire transitions
-        #: from empty to non-empty; installed by the network so the
-        #: dispatch loop starts stepping this link (None when the link
-        #: is driven manually).  Firing only on the transition — not per
-        #: flit — keeps a streaming worm's sends hook-free.
+        #: hook(arrival) fired when the wire transitions from empty to
+        #: non-empty, with the arrival cycle of that first flit;
+        #: installed by the cycle loop so it starts visiting this link
+        #: and knows its head arrival (None when the link is driven
+        #: manually).  Firing only on the transition — not per flit —
+        #: keeps a streaming worm's sends hook-free.
         self.on_wake = None
         #: trace sink installed by repro.obs.install_tracing
         self.trace = None
@@ -106,7 +108,7 @@ class Link:
         arrival = clock + self.latency
         pending = self.pending
         if not pending and self.on_wake is not None:
-            self.on_wake()
+            self.on_wake(arrival)
         pending.append((arrival, msg, flit_index, vc_index))
         if self.trace is not None:
             self.trace.on_event(
@@ -280,7 +282,7 @@ class Link:
         return dropped_vcs
 
     def datapath_view(self) -> LinkDatapathView:
-        """The hot state both engines share (fused-engine binding hook)."""
+        """The hot state the fused cycle loop binds (see ``repro.sim.fused``)."""
         return LinkDatapathView(
             link=self,
             dest_router=self.dest_router,

@@ -2,21 +2,21 @@
 
 ``Network`` owns everything that moves flits: routers, links, host
 interfaces and sinks, the injection event heap, and the global cycle
-counter.  The loop visits only the *active* set each cycle — links with
-in-flight flits due, NIs with backlog, routers with busy stages — and
-jumps the clock to the next component wake time (or injection event)
-whenever nothing is runnable, so simulation cost tracks activity, not
-topology size or wall-clock span.
+counter.  The cycle loop (:class:`repro.sim.fused.FusedLoop`) visits
+only the *active* set each cycle — links with in-flight flits due, NIs
+with backlog, routers with busy stages — and jumps the clock to the
+next component wake time (or injection event) whenever nothing is
+runnable, so simulation cost tracks activity, not topology size or
+wall-clock span.
 
 Setting ``REPRO_LEGACY_LOOP=1`` in the environment (read at network
 construction) selects the original full-scan loop instead; the two are
 bit-identical by contract (see ``docs/simulator-internals.md`` and the
-golden-run test in ``tests/test_activation.py``).
+parity suite in ``tests/test_engine.py``).
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from functools import partial
 from time import perf_counter
@@ -35,10 +35,8 @@ from repro.router.config import RouterConfig
 from repro.router.flit import Message
 from repro.router.router import WormholeRouter
 from repro.sim.activation import ActivationScheduler
-from repro.sim.engine import ENGINE_ARRAY, ENGINE_OBJECT, resolve_engine
 from repro.sim.events import EventHeap
-
-logger = logging.getLogger(__name__)
+from repro.sim.fused import FusedLoop
 
 
 class Network:
@@ -51,7 +49,6 @@ class Network:
         link_latency: int = DEFAULT_LINK_LATENCY,
         on_message: Optional[Callable[[Message, int], None]] = None,
         watchdog_window: Optional[int] = None,
-        engine: str = ENGINE_OBJECT,
     ) -> None:
         self.topology = topology
         if config.num_ports != topology.ports_per_router:
@@ -63,6 +60,9 @@ class Network:
             )
         self.config = config
         self.clock = 0
+        #: cycles the loop actually executed; ``clock - cycles_executed``
+        #: is the number it jumped over
+        self.cycles_executed = 0
         self.events = EventHeap()
         self._flits_in_flight = 0
         self.flits_injected = 0
@@ -123,28 +123,26 @@ class Network:
 
         #: original full-scan loop fallback (read once, at construction)
         self._legacy_loop = os.environ.get("REPRO_LEGACY_LOOP", "") == "1"
-        #: selected simulation engine (validated here so a bad name or a
-        #: contradictory array+legacy selection fails before any state
-        #: exists); the array engine itself is built lazily on first run
-        #: so object-engine networks never import numpy
-        self._engine_name = resolve_engine(engine, self._legacy_loop)
-        self._engine_impl = None
+        #: the fused cycle loop's bindings, built at the first
+        #: :meth:`run` so construction cost stays out of setup and
+        #: legacy-loop networks never pay it
+        self._loop: Optional[FusedLoop] = None
         # Activation schedulers, one per component kind — kept separate
         # because the dispatch order (links, then NIs, then routers)
         # must let a link delivery activate its destination router
         # within the same cycle.  Registration ids follow the legacy
         # loop's iteration order (link list index, NI wiring order,
         # router id) so sorted active subsets replay the legacy order
-        # exactly — the bit-identical contract.  Every component's
-        # activation hook is a bound ``activate`` call; sinks are
-        # passive and never register (see repro.sim.component).
+        # exactly — the bit-identical contract.  NI and router
+        # activation hooks are bound ``activate`` calls; link wake hooks
+        # also feed the cycle loop's head mirror, so it installs them;
+        # sinks are passive and never register (see repro.sim.component).
         self._link_sched = ActivationScheduler()
         self._ni_sched = ActivationScheduler()
         self._router_sched = ActivationScheduler()
         self._ni_list: List[HostInterface] = list(self.interfaces.values())
         for link in self.links:
-            cid = self._link_sched.register(link)
-            link.on_wake = partial(self._link_sched.activate, cid)
+            self._link_sched.register(link)
         for ni in self._ni_list:
             cid = self._ni_sched.register(ni)
             ni.on_activated = partial(self._ni_sched.activate, cid)
@@ -316,7 +314,11 @@ class Network:
         return dropped
 
     def _resync_activity(self) -> None:
-        """Re-derive every activation record from component state."""
+        """Re-derive every activation record from component state.
+
+        NIs and routers here; the link active set belongs with the
+        cycle loop's head mirror and is rebuilt by its ``resync``.
+        """
         for index, ni in enumerate(self._ni_list):
             if ni.has_backlog:
                 self._ni_sched.activate(index)
@@ -327,15 +329,10 @@ class Network:
                 self._router_sched.deactivate(router.router_id)
             else:
                 self._router_sched.activate(router.router_id)
-        for index, link in enumerate(self.links):
-            if link.pending:
-                self._link_sched.activate(index)
-            else:
-                self._link_sched.deactivate(index)
-        if self._engine_impl is not None:
-            # A purge rebuilt Link.pending deques behind the array
-            # engine's head-arrival mirror; rebuild it from the objects.
-            self._engine_impl.resync()
+        if self._loop is not None:
+            # A purge rebuilt Link.pending deques behind the cycle
+            # loop's head-arrival mirror and link active set.
+            self._loop.resync()
 
     def _preempt(self, victim: Message) -> None:
         """Router hook: kill ``victim`` and schedule its retransmission."""
@@ -426,37 +423,13 @@ class Network:
     def run(self, until: int) -> None:
         """Advance the simulation to cycle ``until``.
 
-        Dispatches to the selected engine: the object active-set loop
-        (:meth:`_run_object`, the default), the legacy full scan
-        (``REPRO_LEGACY_LOOP=1``), or the fused array engine
-        (``engine="array"``), which itself falls back to the object
-        loop for runs using cold features (faults, tracing, adaptive
-        routing — see :mod:`repro.sim.engine.array`).  All three are
-        bit-identical by contract.
-        """
-        if self._legacy_loop:
-            return self._run_legacy(until)
-        if self._engine_name == ENGINE_ARRAY:
-            impl = self._engine_impl
-            if impl is None:
-                from repro.sim.engine.array import ArrayEngine
-
-                impl = self._engine_impl = ArrayEngine(self)
-            return impl.run(until)
-        return self._run_object(until)
-
-    def _run_object(self, until: int) -> None:
-        """The per-component active-set loop (the object engine).
-
         Visits, per executed cycle, only the links with a delivery due,
         the NIs with backlog, and the routers with busy stages — in the
         legacy full-scan order, so results are bit-identical to
-        :meth:`_run_legacy`.  When nothing is runnable it jumps the
-        clock to the earliest wake time (link arrival or scheduled
-        event); with flits in flight and the watchdog armed, the jump
-        is capped at ``stall_clock + watchdog_window`` so a
-        :class:`DeadlockError` fires at exactly the cycle the legacy
-        loop would have raised it.
+        :meth:`_run_legacy` (``REPRO_LEGACY_LOOP=1``).  When nothing is
+        runnable the clock jumps to the earliest wake time (link
+        arrival or scheduled event); :attr:`cycles_executed` counts the
+        cycles that were not jumped over.
 
         With :attr:`watchdog_window` set, the loop tracks delivery
         progress (flits handed over by links) and raises
@@ -464,114 +437,15 @@ class Network:
         been delivered for a full window — a wedged network (credit
         starvation, a worm broken by a link fault, a routing cycle)
         fails fast with a diagnostic dump instead of spinning to the
-        horizon.
+        horizon.  Clock jumps are capped at ``stall_clock +
+        watchdog_window`` so the error fires at exactly the cycle the
+        legacy loop would have raised it.
         """
-        clock = self.clock
-        events = self.events
-        link_sched = self._link_sched
-        ni_sched = self._ni_sched
-        router_sched = self._router_sched
-        links = link_sched.components
-        interfaces = ni_sched.components
-        routers = router_sched.components
-        # Hot-path friend access: the jump predicate reads the raw
-        # active sets directly to avoid method-call overhead; all
-        # *mutations* still go through the scheduler API so its
-        # memoised order stays valid.
-        ni_active = ni_sched._active
-        router_active = router_sched._active
-        watchdog = self.watchdog_window
-        profiler = self.profiler
-        stall_clock = max(self._stall_clock, clock - 1)
-        while clock < until:
-            if not (ni_active or router_active):
-                # Nothing is runnable every-cycle; jump to the earliest
-                # timed activity.  Active links know their next arrival
-                # exactly (the head of their in-flight deque), so the
-                # jump target is the min over those and the event heap.
-                nxt = events.next_time()
-                for index in link_sched.active_ids():
-                    pending = links[index].pending
-                    if pending:
-                        arrival = pending[0][0]
-                        if nxt is None or arrival < nxt:
-                            nxt = arrival
-                if nxt is None:
-                    if self._flits_in_flight == 0:
-                        clock = until
-                        break
-                    # Defensive backstop: flits are alive but no wake is
-                    # armed — activity tracking must have been bypassed
-                    # (e.g. hand-driven components).  Degrade this
-                    # network to the legacy full scan permanently
-                    # rather than mis-simulating.
-                    logger.warning(
-                        "active-set tracking lost %d in-flight flits at "
-                        "cycle %d; falling back to the legacy loop",
-                        self._flits_in_flight,
-                        clock,
-                    )
-                    self._legacy_loop = True
-                    self._stall_clock = stall_clock
-                    self.clock = clock
-                    return self._run_legacy(until)
-                if nxt > clock:
-                    if watchdog is not None and self._flits_in_flight:
-                        # Never jump past the cycle the legacy loop
-                        # would raise the watchdog at.
-                        nxt = min(nxt, stall_clock + watchdog)
-                    clock = min(nxt, until)
-                    if self._flits_in_flight == 0:
-                        stall_clock = clock
-                    if clock >= until:
-                        break
-            self.clock = clock
-            if profiler is not None:
-                t0 = perf_counter()
-            events.fire_due(clock)
-            if profiler is not None:
-                t1 = perf_counter()
-                profiler.events_s += t1 - t0
-            progress = 0
-            # Phase 1: links.  A delivery that gives an idle router work
-            # fires router.on_activated, so the router phase below sees
-            # it this same cycle — the reason the three kinds keep
-            # separate schedulers instead of one fused due list.
-            for index in link_sched.due(clock):
-                link = links[index]
-                pending = link.pending
-                if not pending:
-                    # Emptied behind our back (purge); drop from the set.
-                    link_sched.deactivate(index)
-                elif pending[0][0] <= clock:
-                    progress += link.deliver_due(clock)
-                    if not link.pending:
-                        link_sched.deactivate(index)
-            if profiler is not None:
-                t2 = perf_counter()
-                profiler.links_s += t2 - t1
-            # Phase 2: host interfaces.
-            for index in ni_sched.due(clock):
-                if not interfaces[index].step(clock):
-                    ni_sched.deactivate(index)
-            if profiler is not None:
-                t3 = perf_counter()
-                profiler.nis_s += t3 - t2
-            # Phase 3: routers.
-            for rid in router_sched.due(clock):
-                if not routers[rid].step(clock):
-                    router_sched.deactivate(rid)
-            if profiler is not None:
-                profiler.routers_s += perf_counter() - t3
-                profiler.cycles += 1
-            if watchdog is not None:
-                if progress or not self._flits_in_flight:
-                    stall_clock = clock
-                elif clock - stall_clock >= watchdog:
-                    self._watchdog_fire(clock, stall_clock, watchdog)
-            clock += 1
-        self._stall_clock = stall_clock
-        self.clock = clock
+        if self._legacy_loop:
+            return self._run_legacy(until)
+        if self._loop is None:
+            self._loop = FusedLoop(self)
+        self._loop.run(until)
 
     def _watchdog_fire(self, clock: int, stall_clock: int, watchdog: int):
         """Persist loop state and raise the no-progress DeadlockError."""
@@ -590,9 +464,10 @@ class Network:
         Thin parity shim: visits every link, NI, and router each
         executed cycle in wiring order (ignoring the activity sets the
         components still maintain) and jumps the clock only when the
-        network is empty.  The active-set loop in :meth:`run` is
-        validated bit-identical against this reference by the golden
-        runs in ``tests/test_activation.py``.
+        network is empty.  The cycle loop behind :meth:`run` is
+        validated bit-identical against this reference by
+        ``tests/test_engine.py`` and the golden runs in
+        ``tests/test_activation.py``.
         """
         clock = self.clock
         events = self.events
@@ -602,14 +477,19 @@ class Network:
         watchdog = self.watchdog_window
         profiler = self.profiler
         stall_clock = max(self._stall_clock, clock - 1)
+        start = clock
+        jumped = 0
         while clock < until:
             if self._flits_in_flight == 0:
                 nxt = events.next_time()
                 if nxt is None:
+                    jumped += until - clock
                     clock = until
                     break
                 if nxt > clock:
-                    clock = min(nxt, until)
+                    nxt = min(nxt, until)
+                    jumped += nxt - clock
+                    clock = nxt
                     stall_clock = clock
                     if clock >= until:
                         break
@@ -641,10 +521,12 @@ class Network:
                 if progress or not self._flits_in_flight:
                     stall_clock = clock
                 elif clock - stall_clock >= watchdog:
+                    self.cycles_executed += clock + 1 - start - jumped
                     self._watchdog_fire(clock, stall_clock, watchdog)
             clock += 1
         self._stall_clock = stall_clock
         self.clock = clock
+        self.cycles_executed += clock - start - jumped
 
     def run_until_drained(
         self, max_extra: int = 10_000_000, drain_events: bool = False

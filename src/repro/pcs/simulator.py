@@ -91,7 +91,6 @@ class PCSSimulator:
             topology,
             config,
             on_message=collector.on_message,
-            engine=getattr(experiment, "engine", "object"),
         )
         self._host_router = {node: rid for node, rid, _ in topology.hosts}
         self._channel_dest = {

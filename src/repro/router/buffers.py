@@ -55,9 +55,10 @@ _record_pool: list = []
 def acquire_record(msg: Message, header_time: int) -> _MessageRecord:
     """A fresh or recycled record, fully reinitialised.
 
-    Public because both engines share the pool: the object path calls
-    it from :meth:`InputVC.accept_new_message`, the array engine from
-    its inlined header-arrival kernel — one freelist either way.
+    Public because both code paths share the pool: the object path
+    calls it from :meth:`InputVC.accept_new_message`, the fused cycle
+    loop from its inlined header-arrival kernel — one freelist either
+    way.
     """
     if _record_pool:
         record = _record_pool.pop()

@@ -44,14 +44,14 @@ from repro.router.routing import RoutingFunction
 
 
 class RouterDatapathView(NamedTuple):
-    """Hot-path state view of one router (fused-engine binding hook).
+    """Hot-path state view of one router (fused-loop binding hook).
 
-    Exposes the stable containers and immutable lookup tables a fused
-    engine binds once per run: buffer grids, activity sets (mutated in
+    Exposes the stable containers and immutable lookup tables the fused
+    cycle loop binds once: buffer grids, activity sets (mutated in
     place), the precomputed class partitions, and the per-port mux
     selectors.  Scalars that are *reassigned* by the object path
     (``_work``, ``_pending_arb``, ``_arb_rotate``) are deliberately
-    absent — engines must read/write them through the router attribute
+    absent — the loop must read/write them through the router attribute
     so both paths see one source of truth.
     """
 
@@ -208,7 +208,7 @@ class WormholeRouter:
         return tuple(entry)
 
     def datapath_view(self) -> RouterDatapathView:
-        """The hot state both engines share (fused-engine binding hook)."""
+        """The hot state the fused cycle loop binds (see ``repro.sim.fused``)."""
         return RouterDatapathView(
             router=self,
             inputs=self.inputs,
@@ -548,18 +548,7 @@ class WormholeRouter:
             return False
         if vc.route_port < 0:
             if self._adaptive:
-                ports, flavor = self._route_view.route_adaptive(
-                    msg.dst_node, msg.detoured
-                )
-                if flavor != msg.detoured:
-                    # Entering a detour needs an escape VC; a partition
-                    # with a single VC cannot spare one, so the worm
-                    # stays on the (masked) primary route and the
-                    # recovery layer owns its fate.
-                    if not self._multi_vc[msg.is_real_time]:
-                        ports = self._route_view.candidates(msg.dst_node)
-                    else:
-                        msg.detoured = flavor
+                ports = self._adaptive_candidates(msg)
             else:
                 ports = self._route_view.candidates(msg.dst_node)
             vc.route_port = self._select_output_port(clock, ports)
@@ -604,6 +593,27 @@ class WormholeRouter:
                 self._work += 1
         self._work -= 1  # leaves pending_arb
         return True
+
+    def _adaptive_candidates(self, msg: Message):
+        """Mask-aware candidate ports for ``msg`` (adaptive routing).
+
+        Marks the message detoured when the symptom mask forces it off
+        its primary route.  Shared by :meth:`step` and the fused cycle
+        loop's stage 2/3, so the detour rule has one implementation.
+        """
+        ports, flavor = self._route_view.route_adaptive(
+            msg.dst_node, msg.detoured
+        )
+        if flavor != msg.detoured:
+            # Entering a detour needs an escape VC; a partition with a
+            # single VC cannot spare one, so the worm stays on the
+            # (masked) primary route and the recovery layer owns its
+            # fate.
+            if not self._multi_vc[msg.is_real_time]:
+                ports = self._route_view.candidates(msg.dst_node)
+            else:
+                msg.detoured = flavor
+        return ports
 
     def _select_output_port(self, clock: int, ports) -> int:
         """Pick among fat-link candidates by current load (section 3.4).

@@ -18,7 +18,7 @@ Two activation styles cover every component kind:
   harvesting N wakes costs one heap pop per distinct cycle instead of
   one per wake.
 
-The fused dispatch loop (``Network.run``) keeps links persistently
+The cycle loop (``Network.run``) keeps links persistently
 active while they hold in-flight flits, so in the steady state this
 scheduler does no heap traffic at all — the per-cycle cost is returning
 the memoised sorted active list.

@@ -23,10 +23,12 @@ part of the working set.  The per-kind meaning of the value is:
 
 Spurious steps are harmless by contract: a component stepped with
 nothing to do no-ops and reports itself idle, exactly as it would under
-a full scan.  That property is what lets the active-set loop and the
-legacy full-scan loop share one datapath: the legacy loop is simply
-``step`` applied to *every* component every executed cycle, while the
-active-set loop applies it to the registered active subset (see
+a full scan.  That property is what lets the cycle loop and the legacy
+full-scan loop share one datapath: the legacy loop is simply ``step``
+applied to *every* component every executed cycle, while the cycle
+loop (:mod:`repro.sim.fused`) visits the registered active subset —
+running an inlined copy of ``step`` on its hot path and calling the
+method itself for components that use a cold feature (see
 :class:`repro.sim.activation.ActivationScheduler` and
 ``docs/simulator-internals.md``).
 

@@ -1,45 +1,46 @@
-"""The fused dense-datapath engine (``engine="array"``).
+"""The cycle loop: one fused interpreter frame per ``Network.run`` call.
 
-The object engine spends the dense operating points (every VC busy every
-cycle) almost entirely on Python call dispatch: one ``step()`` per
-component plus one method call per flit per pipeline stage.  This engine
-replaces the per-object dispatch with **one interpreter frame per run**
-that executes the same four phases per cycle — events, link delivery,
-NI injection, router stages 5 → 4 → 2/3 — with every per-flit helper
+Stepping every component through its own ``step()`` spends the dense
+operating points (every VC busy every cycle) almost entirely on Python
+call dispatch: one call per component plus one method call per flit
+per pipeline stage.  :class:`FusedLoop` executes the same four phases
+per cycle — events, link delivery, NI injection, router stages
+5 → 4 → 2/3 — in **one frame**, with every per-flit helper
 (``Link.send``/``deliver_due``, ``HostInterface.step``,
 ``WormholeRouter.accept_flit``, the mux stamp/select methods, the
 buffer push/pop methods) inlined over the components' *shared* state
-views (``datapath_view()`` on routers, links, and NIs).
+views (``datapath_view()`` on routers, links, and NIs).  It is what
+:meth:`repro.network.network.Network.run` executes for every run; the
+legacy full scan (``REPRO_LEGACY_LOOP=1``) is the parity reference.
 
 State layout
 ------------
 
-The engine does not fork the simulation state.  All authoritative
+The loop does not fork the simulation state.  All authoritative
 datapath state — VC occupancy and head-flit cursors, credit counters,
 NI queues, activity sets — stays in the slotted component objects, so
 cold paths (message kills, transport timeouts, conservation audits)
-observe exactly what the object engine would.  What the engine *does*
-extract is the link pipeline's derived hot state: ``_link_head[i]``
-mirrors ``links[i].pending[0][0]`` (or a far sentinel when the wire is
-idle), maintained by the inlined send/deliver kernels.  The mirror's
-representation is size-adaptive: small fabrics (≤ 128 links) use a
-plain Python list — indexed loads stay unboxed-cheap and a drained
-link may *lazily* keep its active-list slot holding the sentinel,
-saving two copy-on-write edits per drain/refill pair — while larger
-fabrics switch to a preallocated ``int64`` numpy vector whose
-idle-phase clock jumps reduce in C over one contiguous buffer instead
-of touching every active link object (the term that grows with
-topology size on the 1024-host fabrics; there, drained links
-deactivate eagerly because boxed scalar reads make stale entries
-expensive).  ``Network._resync_activity`` (the purge/kill path) calls
-:meth:`ArrayEngine.resync` to rebuild the mirror whenever a cold path
-edits ``pending`` behind the kernels' back.
+observe exactly what the per-object methods would.  The one piece of
+derived hot state is the *head mirror*: ``_link_head[i]`` equals
+``links[i].pending[0][0]``, or the far sentinel while the wire is
+empty.  Whoever puts the first flit on an empty wire stores its
+arrival — the inlined send kernels directly, object code through the
+``Link.on_wake(arrival)`` hook this class installs — and whoever drains
+a wire stores the new head.  ``Network._resync_activity`` (the
+purge/kill path) calls :meth:`FusedLoop.resync` to rebuild the mirror
+whenever a cold path edits ``pending`` wholesale.
 
-Kernel ordering
----------------
+A drained link is deactivated one delivery-phase visit late — by the
+first visit that finds its slot still holding the sentinel — because
+dense traffic refills a wire within the cycle, and the
+deactivate/activate pair that would cost is two copy-on-write edits of
+the active list.
+
+Phase order
+-----------
 
 Per executed cycle, in this exact order (the bit-identical contract
-with the object loop):
+with the legacy loop):
 
 1. event heap (``fire_due``) — injections, transport timeouts;
 2. link delivery, ascending link id — inlined ``accept_flit`` into
@@ -59,29 +60,38 @@ input ports unsorted but *defers* its one order-observable side effect
 worklist — into a buffer flushed in sorted-port order before stages
 2/3 consume it.
 
-Cold-path fallback rules
-------------------------
+Call-outs
+---------
 
-The fused kernels implement the dense fault-free datapath only.  A run
-with any of the following delegates, for the *whole* ``run()`` call, to
-the object loop (``Network._run_object``) — same results, object-path
-speed: an installed fault injector, health monitor, trace sink, or
-loop profiler; adaptive routing; preemption; or a router
-``on_crossbar`` hook.  The check re-runs on every ``run()`` call, so a
-network that gains tracing between runs simply stops using the fused
-kernels.  Inside a fused run, rare events stay on object code by
-construction: event callbacks (injection, transport teardown) run the
-ordinary network API, and purges resynchronise the engine through
-:meth:`resync`.
+The inlined kernels implement the fault-free, untraced datapath.  A
+component using a cold feature is instead driven through its own
+object method, *that component only*, decided once per ``run()`` call
+(so tracing installed between two runs takes effect at the next one):
+
+* a link with ``faults``, ``health`` or ``trace`` set (or a traced
+  sink) delivers through ``Link.deliver_due`` — ``_deliver_due_faulty``
+  stays the single fault-delivery implementation;
+* an NI with a trace sink, or feeding a traced link, goes through
+  ``HostInterface.step``;
+* a router with a trace sink, an ``on_crossbar`` hook, a traced
+  outgoing link, preemption enabled, or a method overridden on the
+  instance or in a subclass goes through its ``step``;
+* adaptive routing stays inline: stage 2/3 asks the router's
+  mask-aware ``_adaptive_candidates`` for the port group and applies
+  the escape-VC partition rule;
+* ``LoopProfiler`` timers sit in the loop skeleton behind an
+  ``is None`` guard.
+
+Rare events stay on object code by construction: event callbacks
+(injection, transport teardown) run the ordinary network API, and
+purges resynchronise the loop through :meth:`resync`.
 """
 
 from __future__ import annotations
 
 import logging
 from operator import itemgetter
-from typing import List, Optional
-
-import numpy as np
+from time import perf_counter
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
@@ -89,21 +99,25 @@ from repro.errors import FlowControlError
 from repro.router.buffers import acquire_record, release_record
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
+from repro.router.router import WormholeRouter
 
 logger = logging.getLogger(__name__)
 
-#: sentinel arrival for idle links — far beyond any simulated horizon,
-#: and small enough that int64 arithmetic can never overflow on it
+#: sentinel arrival for idle links — far beyond any simulated horizon
 _FAR = 1 << 62
 
 #: sort key for the crossbar's deferred ``_pending_arb`` appends
 _by_port = itemgetter(0)
 
+#: the router methods the loop inlines or calls; a router instance that
+#: shadows one (a test spy, a subclass) must run through its own step()
+_ROUTER_METHODS = frozenset(
+    name for name, value in vars(WormholeRouter).items() if callable(value)
+)
 
-class ArrayEngine:
+
+class FusedLoop:
     """Fused per-cycle interpreter over the network's shared hot state."""
-
-    name = "array"
 
     def __init__(self, network) -> None:
         self._net = network
@@ -126,6 +140,7 @@ class ArrayEngine:
             self._arb_delay = view.arb_delay
         self._dyn_part = config.dynamic_partitioning
         self._be_bind = config.be_dst_vc_binding
+        self._adaptive = config.routing_mode == RoutingMode.ADAPTIVE
         #: one RouterConfig serves every router, so the output staging
         #: capacity is a network-wide constant the kernels can hoist
         self._out_cap = config.output_buffer_depth
@@ -168,7 +183,6 @@ class ArrayEngine:
                     )
                 )
         self._link_info = info
-        self._link_index = link_index
 
         #: per-NI bindings, indexed by NI scheduler id:
         #: (ni, vcs, active_set, scheduler, stateless, link, link_id,
@@ -193,53 +207,28 @@ class ArrayEngine:
             )
         self._ni_info = ni_info
 
-        #: per-router per-port outgoing link ids (−1 where unwired) and
-        #: latencies, for the inlined stage-5 send
-        self._router_link_ids: List[List[int]] = []
-        self._router_latency: List[List[int]] = []
-        self._router_links: List[list] = []
-        for router in network.routers:
-            ids, lats = [], []
-            for link in router.out_links:
-                if link is None:
-                    ids.append(-1)
-                    lats.append(0)
-                else:
-                    ids.append(link_index[id(link)])
-                    lats.append(link.latency)
-            self._router_link_ids.append(ids)
-            self._router_latency.append(lats)
-            self._router_links.append(list(router.out_links))
-
-        #: mirror of every link's head arrival (the array-backed hot
-        #: state; see the module docstring's state-layout section).
-        #: Representation is size-adaptive: a numpy ``int64`` vector
-        #: only pays off once the idle-jump reduction spans enough
-        #: links (~1 µs fixed call cost vs ~11 ns per element for a
-        #: Python-list ``min``); below the crossover a plain list is
-        #: faster on both the per-flit stores (no scalar boxing) and
-        #: the reduction itself.
-        self._head_is_array = len(network.links) > 128
-        if self._head_is_array:
-            self._link_head = np.full(
-                len(network.links), _FAR, dtype=np.int64
-            )
-        else:
-            self._link_head = [_FAR] * len(network.links)
+        #: mirror of every link's head arrival (see the module
+        #: docstring's state-layout section), kept exact across object
+        #: code by the wake hooks installed here
+        self._link_head = [_FAR] * len(network.links)
+        for idx, link in enumerate(network.links):
+            link.on_wake = self._wake_hook(idx)
 
         #: per-router per-port count of unowned output VCs.  When a
         #: port has none, every arbitration attempt on it resolves to
         #: still-waiting (the bound-VC and both partition scans can
         #: only find owned VCs), so stages 2/3 skip the O(VCs) scans.
-        #: Rebuilt on every fused-run entry and by :meth:`resync`;
-        #: maintained inline at grant (stage 2/3) and release (stage 5).
+        #: Rebuilt on every run entry and by :meth:`resync`; maintained
+        #: inline at grant (stage 2/3) and release (stage 5).
         self._free_out = [
             [0] * len(view.outputs) for view in self._router_views
         ]
 
         #: everything the router phases touch, one tuple per router —
         #: a single index + unpack per router per cycle instead of a
-        #: dozen attribute loads on the view
+        #: dozen attribute loads on the view.  The last three entries
+        #: serve the inlined stage-5 send: per-port outgoing link ids
+        #: (−1 where unwired), latencies, and the links themselves.
         self._router_hot = [
             (
                 view.router,
@@ -255,27 +244,53 @@ class ArrayEngine:
                 view.part,
                 view.is_host_port,
                 view.route_view.candidates,
-                self._router_link_ids[rid],
-                self._router_latency[rid],
-                self._router_links[rid],
+                [
+                    -1 if link is None else link_index[id(link)]
+                    for link in view.out_links
+                ],
+                [
+                    0 if link is None else link.latency
+                    for link in view.out_links
+                ],
+                list(view.out_links),
             )
-            for rid, view in enumerate(self._router_views)
+            for view in self._router_views
         ]
+
+    def _wake_hook(self, idx: int):
+        """``Link.on_wake`` for link ``idx``: first flit on an empty wire."""
+        head = self._link_head
+        activate = self._net._link_sched.activate
+
+        def wake(arrival: int) -> None:
+            head[idx] = arrival
+            activate(idx)
+
+        return wake
 
     # ------------------------------------------------------------------
     # consistency hooks
 
     def resync(self) -> None:
-        """Rebuild the link head-arrival mirror from the object state.
+        """Rebuild the derived hot state from the component objects.
 
-        Called by ``Network._resync_activity`` after a purge rebuilt
-        ``Link.pending`` deques, and at the start of every fused run in
-        case a fallback (object-loop) run moved flits in between.
+        That is the head mirror with the link active set (exactly the
+        links whose wire holds flits) and the free output-VC counts.
+        Called at the start of every run (object code may have moved
+        flits since the last one) and by ``Network._resync_activity``
+        after a purge rebuilt ``Link.pending`` deques and released
+        output VCs behind the kernels' back.
         """
         head = self._link_head
+        link_sched = self._net._link_sched
         for idx, entry in enumerate(self._link_info):
             pending = entry[0].pending
-            head[idx] = pending[0][0] if pending else _FAR
+            if pending:
+                head[idx] = pending[0][0]
+                link_sched.activate(idx)
+            else:
+                head[idx] = _FAR
+                link_sched.deactivate(idx)
         for rid, view in enumerate(self._router_views):
             counts = self._free_out[rid]
             for port, ovcs in enumerate(view.outputs):
@@ -285,43 +300,55 @@ class ArrayEngine:
                         free += 1
                 counts[port] = free
 
-    def fallback_reason(self) -> Optional[str]:
-        """Why this run cannot use the fused kernels (None = it can)."""
+    def _call_outs(self):
+        """Which components this run drives through their object methods.
+
+        Returns ``(links, nis, routers)`` as sets of scheduler ids; see
+        the module docstring's call-out rules.  A traced link makes its
+        sender cold too, because ``link_tx`` is emitted by ``Link.send``.
+        """
         net = self._net
-        if net.trace is not None:
-            return "tracing installed"
-        if net.fault_injector is not None:
-            return "fault injection installed"
-        if net.health_monitor is not None:
-            return "health monitoring installed"
-        if net.profiler is not None:
-            return "loop profiler attached"
-        config = net.config
-        if config.routing_mode == RoutingMode.ADAPTIVE:
-            return "adaptive routing"
-        if config.preemption:
-            return "preemption enabled"
-        for router in net.routers:
-            if router.on_crossbar is not None or router.trace is not None:
-                return "router hook installed"
-        return None
+        links = set()
+        for idx, entry in enumerate(self._link_info):
+            link, sink = entry[0], entry[4]
+            if (
+                link.faults is not None
+                or link.health is not None
+                or link.trace is not None
+                or (sink is not None and sink.trace is not None)
+            ):
+                links.add(idx)
+        nis = set()
+        for idx, entry in enumerate(self._ni_info):
+            ni, host_link = entry[0], entry[5]
+            if ni.trace is not None or host_link.trace is not None:
+                nis.add(idx)
+        preemption = net.config.preemption
+        routers = set()
+        for rid, entry in enumerate(self._router_hot):
+            router, out_links = entry[0], entry[15]
+            if (
+                preemption
+                or router.trace is not None
+                or router.on_crossbar is not None
+                or type(router) is not WormholeRouter
+                or not _ROUTER_METHODS.isdisjoint(vars(router))
+                or any(
+                    link is not None and link.trace is not None
+                    for link in out_links
+                )
+            ):
+                routers.add(rid)
+        return links, nis, routers
 
     # ------------------------------------------------------------------
-    # the fused run loop
+    # the run loop
 
     def run(self, until: int) -> None:
-        """Advance the network to ``until`` (dispatch target of Network.run)."""
-        reason = self.fallback_reason()
-        if reason is not None:
-            logger.debug(
-                "array engine: %s; delegating run to the object loop", reason
-            )
-            return self._net._run_object(until)
-        self.resync()
-        return self._run_fused(until)
-
-    def _run_fused(self, until: int) -> None:
+        """Advance the network to cycle ``until`` (body of ``Network.run``)."""
         net = self._net
+        self.resync()
+        cold_links, cold_nis, cold_routers = self._call_outs()
         clock = net.clock
         events = net.events
         heap = events._heap
@@ -345,12 +372,11 @@ class ArrayEngine:
         ni_info = self._ni_info
         router_hot = self._router_hot
         link_head = self._link_head
-        head_is_array = self._head_is_array
-        link_count = len(link_head)
         free_out = self._free_out
         out_cap = self._out_cap
         watchdog = net.watchdog_window
         transport = net.transport
+        profiler = net.profiler
 
         in_vc = self._in_vc
         out_vc = self._out_vc
@@ -364,36 +390,42 @@ class ArrayEngine:
         arb_delay = self._arb_delay
         dyn_part = self._dyn_part
         be_bind = self._be_bind
+        adaptive = self._adaptive
         ni_vc = self._ni_vc
         record_pool_append = release_record
         #: Message.is_real_time inlined: membership in the RT classes
         rt_classes = TrafficClass.REAL_TIME
 
         stall_clock = max(net._stall_clock, clock - 1)
+        #: executed cycles = clock advance minus the cycles jumped over
+        start = clock
+        jumped = 0
         while clock < until:
             if not (ni_active_set or router_active_set):
                 # Idle-phase jump: earliest scheduled event or link head
-                # arrival.  The head mirror covers *all* links (idle
-                # ones hold the far sentinel), so the reduction is one
-                # contiguous vector min instead of a per-active-link
-                # object walk.
+                # arrival.  The head mirror holds every active link's
+                # next arrival (the sentinel for one that just
+                # drained), so the walk touches no link object.
                 nxt = heap[0][0] if heap else None
-                if link_count:
-                    if head_is_array:
-                        arrival = int(link_head.min())
-                    else:
-                        arrival = min(link_head)
-                    if arrival < _FAR and (nxt is None or arrival < nxt):
-                        nxt = arrival
+                arrival = _FAR
+                for index in link_sched._list:
+                    head_val = link_head[index]
+                    if head_val < arrival:
+                        arrival = head_val
+                if arrival < _FAR and (nxt is None or arrival < nxt):
+                    nxt = arrival
                 if nxt is None:
                     if net._flits_in_flight == 0:
+                        jumped += until - clock
                         clock = until
                         break
-                    # Defensive backstop, same contract as the object
-                    # loop: flits alive but no wake armed — degrade the
-                    # network to the legacy full scan permanently.
+                    # Defensive backstop: flits are alive but no wake is
+                    # armed — activity tracking must have been bypassed
+                    # (e.g. hand-driven components).  Degrade this
+                    # network to the legacy full scan permanently
+                    # rather than mis-simulating.
                     logger.warning(
-                        "array engine lost track of %d in-flight flits at "
+                        "active-set tracking lost %d in-flight flits at "
                         "cycle %d; falling back to the legacy loop",
                         net._flits_in_flight,
                         clock,
@@ -401,20 +433,31 @@ class ArrayEngine:
                     net._legacy_loop = True
                     net._stall_clock = stall_clock
                     net.clock = clock
+                    net.cycles_executed += clock - start - jumped
                     return net._run_legacy(until)
                 if nxt > clock:
                     if watchdog is not None and net._flits_in_flight:
+                        # Never jump past the cycle the legacy loop
+                        # would raise the watchdog at.
                         cap = stall_clock + watchdog
                         if cap < nxt:
                             nxt = cap
-                    clock = nxt if nxt < until else until
+                    if nxt > until:
+                        nxt = until
+                    jumped += nxt - clock
+                    clock = nxt
                     if net._flits_in_flight == 0:
                         stall_clock = clock
                     if clock >= until:
                         break
             net.clock = clock
+            if profiler is not None:
+                t0 = perf_counter()
             if heap and heap[0][0] <= clock:
                 events.fire_due(clock)
+            if profiler is not None:
+                t1 = perf_counter()
+                profiler.events_s += t1 - t0
             progress = 0
 
             # -- phase 1: link delivery (inlined Link.deliver_due) ------
@@ -426,10 +469,23 @@ class ArrayEngine:
                 link_sched._loaned = True
                 due_ids = link_sched._list
             for index in due_ids:
-                # The head mirror is maintained at every send/deliver,
-                # so active links with nothing due this cycle cost one
-                # list index instead of an unpack plus a deque peek.
-                if link_head[index] > clock:
+                # The head mirror is exact (module docstring), so an
+                # active link with nothing due this cycle costs one list
+                # index instead of an unpack plus a deque peek, and one
+                # that passes is known to hold a due flit.
+                head_val = link_head[index]
+                if head_val > clock:
+                    if head_val == _FAR:
+                        # drained on an earlier visit and not refilled
+                        link_deactivate(index)
+                    continue
+                if cold_links and index in cold_links:
+                    link = link_info[index][0]
+                    progress += link.deliver_due(clock)
+                    # re-read: a loss teardown inside may have purged
+                    # this link and rebuilt its deque
+                    pending = link.pending
+                    link_head[index] = pending[0][0] if pending else _FAR
                     continue
                 (
                     link,
@@ -441,15 +497,6 @@ class ArrayEngine:
                     msg_inline,
                 ) = link_info[index]
                 pending = link.pending
-                if not pending:
-                    # Emptied behind our back (purge); drop from the set.
-                    link_deactivate(index)
-                    link_head[index] = _FAR
-                    continue
-                if pending[0][0] > clock:
-                    # Stale-due mirror entry (cold-path edit): repair it.
-                    link_head[index] = pending[0][0]
-                    continue
                 if ivcs is not None:
                     port = ivcs[0].port
                     popleft = pending.popleft
@@ -577,22 +624,10 @@ class ArrayEngine:
                         net._flits_in_flight -= ejected
                         net.flits_ejected += ejected
                         progress += ejected
-                # With the list-backed mirror a drained link stays in
-                # the active list holding the far sentinel (lazy
-                # deactivation): dense traffic refills links within a
-                # few cycles, an eager deactivate/activate pair costs
-                # two copy-on-write list edits per drain while the
-                # list is loaned, and a stale entry costs one cheap
-                # list-index check per cycle.  Links are safe to treat
-                # lazily because (unlike NIs and routers) they never
-                # gate the idle jump, and both loops skip-or-heal
-                # stale entries.  The numpy mirror keeps the eager
-                # deactivate: its scalar reads box on every access, so
-                # stale entries are ~3x dearer per cycle and big
-                # topologies accumulate far more of them.
                 link_head[index] = head_val
-                if head_val == _FAR and head_is_array:
-                    link_deactivate(index)
+            if profiler is not None:
+                t2 = perf_counter()
+                profiler.links_s += t2 - t1
 
             # -- phase 2: NI injection (inlined HostInterface.step) -----
             if ni_times and ni_times[0] <= clock:
@@ -611,6 +646,10 @@ class ArrayEngine:
                     link_id,
                     latency,
                 ) = ni_info[index]
+                if cold_nis and index in cold_nis:
+                    if not ni.step(clock):
+                        ni_deactivate(index)
+                    continue
                 if not active:
                     ni_deactivate(index)
                     continue
@@ -720,6 +759,10 @@ class ArrayEngine:
                         if not active:
                             ni_deactivate(index)
 
+            if profiler is not None:
+                t3 = perf_counter()
+                profiler.nis_s += t3 - t2
+
             # -- phases 3-5: routers, stages 5 -> 4 -> 2/3 --------------
             if router_times and router_times[0] <= clock:
                 due_ids = router_due(clock)
@@ -745,6 +788,10 @@ class ArrayEngine:
                     latencies,
                     links_of,
                 ) = router_hot[rid]
+                if cold_routers and rid in cold_routers:
+                    if not router.step(clock):
+                        router_deactivate(rid)
+                    continue
                 if not router._work:
                     router_deactivate(rid)
                     continue
@@ -1006,7 +1053,12 @@ class ArrayEngine:
                         msg = messages[0].msg
                         port = vc.route_port
                         if port < 0:
-                            route_ports = candidates_of(msg.dst_node)
+                            if adaptive:
+                                route_ports = router._adaptive_candidates(
+                                    msg
+                                )
+                            else:
+                                route_ports = candidates_of(msg.dst_node)
                             if len(route_ports) == 1:
                                 port = route_ports[0]
                             else:
@@ -1023,21 +1075,26 @@ class ArrayEngine:
                         real_time = msg.traffic_class in rt_classes
                         ovcs = outputs[port]
                         ovc = None
-                        if is_host_port[port] and msg.dst_vc is not None:
-                            bound = ovcs[msg.dst_vc]
-                            if bound.owner is None:
-                                ovc = bound
-                            elif real_time or be_bind:
-                                still_waiting.append(vc)
-                                continue
+                        #: a detoured worm may claim only the escape VC
+                        escape = False
+                        if is_host_port[port]:
+                            if msg.dst_vc is not None:
+                                bound = ovcs[msg.dst_vc]
+                                if bound.owner is None:
+                                    ovc = bound
+                                elif real_time or be_bind:
+                                    still_waiting.append(vc)
+                                    continue
+                        elif adaptive and msg.detoured is not None:
+                            escape = True
                         if ovc is None:
-                            for vc_index in part[port][real_time][0]:
+                            for vc_index in part[port][real_time][escape]:
                                 candidate = ovcs[vc_index]
                                 if candidate.owner is None:
                                     ovc = candidate
                                     break
                             else:
-                                if dyn_part and not real_time:
+                                if dyn_part and not (real_time or escape):
                                     for vc_index in part[port][True][0]:
                                         candidate = ovcs[vc_index]
                                         if candidate.owner is None:
@@ -1067,12 +1124,17 @@ class ArrayEngine:
 
                 if not router._work:
                     router_deactivate(rid)
+            if profiler is not None:
+                profiler.routers_s += perf_counter() - t3
+                profiler.cycles += 1
 
             if watchdog is not None:
                 if progress or not net._flits_in_flight:
                     stall_clock = clock
                 elif clock - stall_clock >= watchdog:
+                    net.cycles_executed += clock + 1 - start - jumped
                     net._watchdog_fire(clock, stall_clock, watchdog)
             clock += 1
         net._stall_clock = stall_clock
         net.clock = clock
+        net.cycles_executed += clock - start - jumped

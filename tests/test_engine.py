@@ -1,18 +1,20 @@
-"""Engine selection and the array/object bit-identity contract.
+"""The cycle loop's bit-identity contract with the legacy full scan.
 
-The array engine's correctness contract is *bit-identical metrics*:
-every workload family of the tier-1 suite must produce the same
-``RunMetrics`` (and fault stats, where present) under
-``engine="array"`` as under the default object engine — whether the
-run actually uses the fused kernels or transparently falls back to the
-object loop for a cold feature.
+``Network.run`` executes one loop, the fused cycle loop of
+``repro.sim.fused``; ``REPRO_LEGACY_LOOP=1`` selects the legacy full
+scan, the parity reference.  Every workload family of the tier-1 suite
+must produce the same ``RunMetrics`` (and fault stats, where present)
+on both — whether a component runs through the loop's inlined kernels
+or, for a cold feature, is called out to its own object method.
 """
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, EngineError
 from repro.experiments.config import (
     ButterflyExperiment,
     FatMeshExperiment,
@@ -25,20 +27,15 @@ from repro.experiments.runner import (
     simulate_fat_tree3,
     simulate_single_switch,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
 from repro.network.network import Network
 from repro.network.topology import single_switch
+from repro.obs import RingBufferSink, install_tracing
 from repro.router.config import RouterConfig, RoutingMode
-from repro.sim.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_ARRAY,
-    ENGINE_OBJECT,
-    ENGINES,
-    resolve_engine,
-)
+from conftest import TINY, attach_workload, make_mesh_network, make_message
 
-TINY = dict(scale=100.0, warmup_frames=1, measure_frames=2, seed=7)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _metrics(result):
@@ -47,86 +44,56 @@ def _metrics(result):
     return repr(dataclasses.asdict(result.metrics))
 
 
-class TestEngineErrors:
-    def test_registry_and_default(self):
-        assert ENGINES == (ENGINE_OBJECT, ENGINE_ARRAY)
-        assert DEFAULT_ENGINE == ENGINE_OBJECT
-
-    def test_engine_error_is_a_configuration_error(self):
-        assert issubclass(EngineError, ConfigurationError)
-
-    def test_unknown_engine_name_is_rejected(self):
-        with pytest.raises(EngineError, match="unknown simulation engine"):
-            resolve_engine("vector")
-
-    def test_array_engine_rejects_legacy_loop(self):
-        with pytest.raises(EngineError, match="REPRO_LEGACY_LOOP"):
-            resolve_engine(ENGINE_ARRAY, legacy_loop=True)
-
-    def test_object_engine_allows_legacy_loop(self):
-        assert resolve_engine(ENGINE_OBJECT, legacy_loop=True) == ENGINE_OBJECT
-
-    def test_network_validates_engine_at_construction(self):
-        topology = single_switch(4)
-        config = RouterConfig(num_ports=topology.ports_per_router)
-        with pytest.raises(EngineError):
-            Network(topology, config, engine="simd")
-
-    def test_network_rejects_array_under_legacy_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        topology = single_switch(4)
-        config = RouterConfig(num_ports=topology.ports_per_router)
-        with pytest.raises(EngineError, match="REPRO_LEGACY_LOOP"):
-            Network(topology, config, engine=ENGINE_ARRAY)
-
-    def test_experiment_carries_engine_to_simulation(self, monkeypatch):
-        """A bad engine on the experiment fails before any cycles run."""
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-        experiment = SingleSwitchExperiment(engine="warp", **TINY)
-        with pytest.raises(EngineError):
-            simulate_single_switch(experiment)
+def _both_loops(monkeypatch, build):
+    """``build()`` once per loop: (default-loop value, legacy-loop value)."""
+    monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+    default = build()
+    monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
+    legacy = build()
+    monkeypatch.delenv("REPRO_LEGACY_LOOP")
+    return default, legacy
 
 
 class TestArrayEngineParity:
-    """``engine="array"`` is bit-identical on every workload family."""
+    """The default loop is bit-identical to the legacy scan on every
+    workload family (the class keeps its name from when the fused loop
+    was the opt-in "array engine")."""
 
-    @pytest.fixture(autouse=True)
-    def _default_loop(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-
-    def _pair(self, simulate, experiment):
-        reference = simulate(experiment)
-        array = simulate(
-            dataclasses.replace(experiment, engine=ENGINE_ARRAY)
-        )
-        return reference, array
+    def _pair(self, monkeypatch, simulate, experiment):
+        return _both_loops(monkeypatch, lambda: simulate(experiment))
 
     @pytest.mark.parametrize("scheduler", ["virtual_clock", "fifo"])
-    def test_single_switch_schedulers(self, scheduler):
+    def test_single_switch_schedulers(self, monkeypatch, scheduler):
         experiment = SingleSwitchExperiment(
             load=0.8, mix=(80, 20), scheduler=scheduler, **TINY
         )
-        reference, array = self._pair(simulate_single_switch, experiment)
-        assert _metrics(array) == _metrics(reference)
+        default, legacy = self._pair(
+            monkeypatch, simulate_single_switch, experiment
+        )
+        assert _metrics(default) == _metrics(legacy)
 
-    def test_fat_mesh(self):
+    def test_fat_mesh(self, monkeypatch):
         experiment = FatMeshExperiment(load=0.7, mix=(80, 20), **TINY)
-        reference, array = self._pair(simulate_fat_mesh, experiment)
-        assert _metrics(array) == _metrics(reference)
+        default, legacy = self._pair(monkeypatch, simulate_fat_mesh, experiment)
+        assert _metrics(default) == _metrics(legacy)
 
-    def test_fat_tree3(self):
+    def test_fat_tree3(self, monkeypatch):
         experiment = FatTree3Experiment(load=0.7, mix=(80, 20), **TINY)
-        reference, array = self._pair(simulate_fat_tree3, experiment)
-        assert _metrics(array) == _metrics(reference)
+        default, legacy = self._pair(
+            monkeypatch, simulate_fat_tree3, experiment
+        )
+        assert _metrics(default) == _metrics(legacy)
 
-    def test_butterfly(self):
+    def test_butterfly(self, monkeypatch):
         experiment = ButterflyExperiment(load=0.7, mix=(80, 20), **TINY)
-        reference, array = self._pair(simulate_butterfly, experiment)
-        assert _metrics(array) == _metrics(reference)
+        default, legacy = self._pair(
+            monkeypatch, simulate_butterfly, experiment
+        )
+        assert _metrics(default) == _metrics(legacy)
 
-    def test_faulted_run_falls_back_identically(self):
-        """Fault injection is a cold feature: the array engine must
-        delegate to the object loop and stay bit-identical."""
+    def test_faulted_run_falls_back_identically(self, monkeypatch):
+        """Every link carries fault state, so every delivery falls back
+        to ``Link.deliver_due`` while NIs and routers stay inlined."""
         experiment = FatMeshExperiment(
             load=0.7,
             mix=(80, 20),
@@ -134,11 +101,13 @@ class TestArrayEngineParity:
             watchdog_window=200_000,
             **TINY,
         )
-        reference, array = self._pair(simulate_fat_mesh, experiment)
-        assert _metrics(array) == _metrics(reference)
-        assert array.fault_stats == reference.fault_stats
+        default, legacy = self._pair(monkeypatch, simulate_fat_mesh, experiment)
+        assert _metrics(default) == _metrics(legacy)
+        assert default.fault_stats == legacy.fault_stats
 
-    def test_adaptive_failover_falls_back_identically(self):
+    def test_adaptive_failover_falls_back_identically(self, monkeypatch):
+        """Health-monitored links fall back to the object delivery;
+        adaptive routing runs inline through the mask-aware call-out."""
         experiment = FatMeshExperiment(
             load=0.7,
             mix=(80, 20),
@@ -147,36 +116,243 @@ class TestArrayEngineParity:
             watchdog_window=200_000,
             **TINY,
         )
-        reference, array = self._pair(simulate_fat_mesh, experiment)
-        assert _metrics(array) == _metrics(reference)
+        default, legacy = self._pair(monkeypatch, simulate_fat_mesh, experiment)
+        assert _metrics(default) == _metrics(legacy)
 
     def test_array_matches_legacy_golden_digest(self, monkeypatch):
-        """Three-way anchor: the array engine agrees with the legacy
-        full-scan loop, not merely with the fused object loop."""
+        """The near-saturation point: every VC contended every cycle."""
         experiment = SingleSwitchExperiment(load=0.9, mix=(80, 20), **TINY)
-        array = simulate_single_switch(
-            dataclasses.replace(experiment, engine=ENGINE_ARRAY)
+        default, legacy = self._pair(
+            monkeypatch, simulate_single_switch, experiment
         )
+        assert _metrics(default) == _metrics(legacy)
+        assert default.cycles_run == legacy.cycles_run
+        assert default.flits_ejected == legacy.flits_ejected
+
+
+class TestCallOuts:
+    """Cases a whole-run fallback used to hide: inlined kernels and
+    object call-outs sharing one run, one cycle, one link mirror."""
+
+    def test_some_links_faulty_mixes_inlined_and_call_out_delivery(
+        self, monkeypatch
+    ):
+        """Only the inter-router channels lose flits; host links stay
+        on the inlined delivery kernel in the same cycles."""
+        experiment = FatMeshExperiment(
+            load=0.7,
+            mix=(80, 20),
+            faults=FaultPlan(flit_loss_prob=0.02, links="ch:*"),
+            recovery=RecoveryConfig(timeout=4096),
+            watchdog_window=200_000,
+            **TINY,
+        )
+        default, legacy = _both_loops(
+            monkeypatch, lambda: simulate_fat_mesh(experiment)
+        )
+        assert default.fault_stats["flits_lost"] > 0
+        assert default.fault_stats["retransmissions"] > 0
+        faulted = default.fault_stats["faulted_links"]
+        assert faulted and all(label.startswith("ch:") for label in faulted)
+        assert _metrics(default) == _metrics(legacy)
+        assert default.fault_stats == legacy.fault_stats
+
+    def test_corruption_on_some_links_is_caught_at_an_inlined_sink(
+        self, monkeypatch
+    ):
+        """A flit corrupted on a faulty channel ejects through a
+        fault-free host link: the checksum path runs inline."""
+        experiment = FatMeshExperiment(
+            load=0.6,
+            mix=(80, 20),
+            faults=FaultPlan(flit_corrupt_prob=0.01, links="ch:*"),
+            recovery=RecoveryConfig(timeout=4096),
+            watchdog_window=200_000,
+            **TINY,
+        )
+        default, legacy = _both_loops(
+            monkeypatch, lambda: simulate_fat_mesh(experiment)
+        )
+        assert default.fault_stats["corrupt_detected"] > 0
+        assert _metrics(default) == _metrics(legacy)
+        assert default.fault_stats == legacy.fault_stats
+
+    def test_tracing_installed_between_two_runs(self, monkeypatch):
+        """Call-outs are decided per ``run()`` call: the first run is
+        fully inlined, the second fully traced, on one network."""
+
+        def build():
+            delivered = []
+            network, _ = make_mesh_network(
+                on_message=lambda msg, clock: delivered.append(
+                    (msg.src_node, msg.dst_node, msg.size, clock)
+                )
+            )
+            attach_workload(network, load=0.5)
+            network.run(4000)
+            sink = install_tracing(network, RingBufferSink())
+            network.run(8000)
+            network.check_invariants()
+            kinds = [(kind, cycle) for kind, cycle, _ in sink.records]
+            return delivered, kinds, network.flits_ejected
+
+        default, legacy = _both_loops(monkeypatch, build)
+        assert default[1], "the second run emitted no trace events"
+        assert min(cycle for _, cycle in default[1]) >= 4000
+        assert default == legacy
+
+    def test_mid_run_purge_resyncs_the_link_mirror(self, monkeypatch):
+        """A kill scheduled mid-run rebuilds ``Link.pending`` deques
+        under the loop; it must keep delivering everything else."""
+
+        def build():
+            delivered = []
+            network, _ = make_mesh_network(
+                on_message=lambda msg, clock: delivered.append(
+                    (msg.src_node, msg.dst_node, msg.size, clock)
+                )
+            )
+            attach_workload(network, load=0.6)
+            victim = make_message(src=0, dst=3, size=400, src_vc=1, dst_vc=1)
+            network.schedule_message(1000, victim)
+            dropped = []
+            network.schedule_call(
+                1100, lambda: dropped.append(network.kill_message(victim))
+            )
+            network.run(6000)
+            network.check_invariants()
+            return delivered, dropped, network.flits_dropped
+
+        default, legacy = _both_loops(monkeypatch, build)
+        assert 0 < default[1][0] < 400, "the victim was not caught in flight"
+        assert default == legacy
+
+    def test_mid_run_requeue_of_stuck_worms(self, monkeypatch):
+        """``requeue_stuck_worms`` (the failover kill-and-requeue) run
+        from an event while worms hold the port and its wire."""
+
+        def build():
+            delivered = []
+            network, _ = make_mesh_network(
+                on_message=lambda msg, clock: delivered.append(
+                    (msg.src_node, msg.dst_node, msg.size, clock)
+                )
+            )
+            attach_workload(network, load=0.7)
+            router = network.routers[0]
+            port = next(
+                p
+                for p, link in enumerate(router.out_links)
+                if link is not None and link.dest_router is not None
+            )
+            requeued = []
+            network.schedule_call(
+                2000,
+                lambda: requeued.append(
+                    network.requeue_stuck_worms(
+                        router, port, router.out_links[port]
+                    )
+                ),
+            )
+            network.run(8000)
+            network.check_invariants()
+            return delivered, requeued, network.flits_dropped
+
+        default, legacy = _both_loops(monkeypatch, build)
+        assert default == legacy
+
+    def test_profiled_run_stays_on_the_loop_and_counts_its_cycles(self):
+        experiment = SingleSwitchExperiment(load=0.5, mix=(80, 20), **TINY)
+        plain = simulate_single_switch(experiment)
+        profiled = simulate_single_switch(
+            dataclasses.replace(experiment, profile_loop=True)
+        )
+        profile = profiled.metrics.profile
+        assert profile["loop_cycles_executed"] == profiled.cycles_executed
+        assert profile["loop_routers_s"] > 0
+        assert profiled.cycles_executed == plain.cycles_executed
+        assert dataclasses.replace(
+            profiled.metrics, profile={}
+        ) == dataclasses.replace(plain.metrics, profile={})
+
+
+class TestCyclesExecuted:
+    def test_result_reports_executed_and_jumped_cycles(self, monkeypatch):
+        experiment = FatTree3Experiment(load=0.01, mix=(100, 0), **TINY)
+        default, legacy = _both_loops(
+            monkeypatch, lambda: simulate_fat_tree3(experiment)
+        )
+        assert 0 < default.cycles_executed < default.cycles_run
+        # the legacy scan jumps only over an empty network
+        assert default.cycles_executed <= legacy.cycles_executed
+        assert legacy.cycles_executed <= legacy.cycles_run
+
+    def test_network_counter_accumulates_across_runs(self):
+        topology = single_switch(4)
+        network = Network(
+            topology, RouterConfig(num_ports=topology.ports_per_router)
+        )
+        network.inject_now(make_message(size=6))
+        network.run(50)
+        first = network.cycles_executed
+        assert 0 < first < 50
+        network.run(100)  # idle: one jump to the horizon
+        assert network.cycles_executed == first
+        assert network.clock == 100
+
+
+class TestEngineErrors:
+    """The ``engine`` knob is gone; naming an engine anywhere is an error."""
+
+    def test_unknown_engine_name_is_rejected(self, capsys):
+        """``mediaworm --engine`` is an argparse error (exit status 2)."""
+        from repro.experiments.cli import main
+
+        for argv in (["run", "fig3"], ["all"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--engine", "array"])
+            assert excinfo.value.code == 2
+            assert "--engine" in capsys.readouterr().err
+
+    def test_network_validates_engine_at_construction(self):
+        topology = single_switch(4)
+        config = RouterConfig(num_ports=topology.ports_per_router)
+        with pytest.raises(TypeError):
+            Network(topology, config, engine="array")
+        with pytest.raises(TypeError):
+            SingleSwitchExperiment(engine="array", **TINY)
+
+
+class TestOneLoop:
+    def test_legacy_env_never_builds_the_fused_loop(self, monkeypatch):
         monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        legacy = simulate_single_switch(experiment)
-        assert _metrics(array) == _metrics(legacy)
+        topology = single_switch(4)
+        network = Network(
+            topology, RouterConfig(num_ports=topology.ports_per_router)
+        )
+        network.inject_now(make_message(size=6))
+        network.run(50)
+        assert network.flits_ejected == 6
+        assert network._loop is None
 
-
-class TestEngineCli:
-    def test_run_help_lists_engine_flag(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--engine" in out
-        assert "{object,array}" in out
-
-    def test_all_help_lists_engine_flag(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["all", "--help"])
-        assert excinfo.value.code == 0
-        assert "--engine" in capsys.readouterr().out
+    def test_run_path_never_imports_numpy(self):
+        """The loop is plain Python: numpy's ~11 MiB stays out of every
+        simulation process (fresh interpreter, so other tests' imports
+        do not count)."""
+        probe = (
+            "import sys\n"
+            "from repro.experiments.config import SingleSwitchExperiment\n"
+            "from repro.experiments.runner import simulate_single_switch\n"
+            "simulate_single_switch(SingleSwitchExperiment(\n"
+            "    load=0.5, mix=(80, 20), scale=100.0,\n"
+            "    warmup_frames=1, measure_frames=2))\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={"PYTHONPATH": str(SRC), "PATH": ""},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
