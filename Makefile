@@ -78,7 +78,7 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 	$(PYTHON) -m repro.experiments.cli chaos \
 		--replay chaos-selftest-corpus/sabotage-credit.json
 
-scale-smoke:      ## quick scale points: digests identical on both loops
+scale-smoke:      ## quick scale points: one digest on both loops, finite d
 	$(PYTHON) -m repro.experiments.cli scale --smoke --json SCALE_smoke.json
 
 scale:            ## full scale campaign incl. the 1024-host fat tree

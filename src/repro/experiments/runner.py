@@ -9,6 +9,7 @@ best-effort latency) in paper units.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace as dataclasses_replace
 from typing import Dict, Optional
 
@@ -36,6 +37,7 @@ from repro.network.topology import (
 )
 from repro.pcs.connection import ConnectionStats
 from repro.pcs.simulator import PCSSimulator
+from repro.sim.gcquiet import gc_quiet
 from repro.sim.rng import RngStreams
 from repro.traffic.mix import Workload, build_workload
 
@@ -81,6 +83,8 @@ class ExperimentResult:
     cycles_run: int
     flits_injected: int
     flits_ejected: int
+    #: host time inside ``Network.run`` plus the conservation audit;
+    #: includes the cycle loop's bindings, built lazily at the first run
     wall_seconds: float
     #: fault/recovery accounting, present only when the experiment
     #: carried a fault plan or a recovery config
@@ -92,6 +96,10 @@ class ExperimentResult:
     #: how many it jumped over (None on results recorded before the
     #: field existed; host-independent but kept out of run digests)
     cycles_executed: Optional[int] = None
+    #: host time spent building the run — network, faults/recovery/
+    #: health, workload, tracing — before the first cycle (None on
+    #: results recorded before the field existed; outside every digest)
+    setup_seconds: Optional[float] = None
 
     @property
     def achieved_load(self) -> float:
@@ -159,7 +167,27 @@ def _cached_topology(builder, **params):
     return topology
 
 
-def _run_network(experiment, network: Network, collector: MetricsCollector):
+#: virtual channels (routers x ports x VCs per port) from which a run is
+#: built with the collector paused.  The pause opens with one full
+#: collection (3-4 ms on a heap holding little but imported modules);
+#: collector passes during construction cost 0.2-2.5 ms up to 2560
+#: channels (a 128-host fat tree), 23 ms at 12288 and 60 ms at 20480,
+#: so below this size the pause would cost more than it saves — a
+#: sweep of tiny networks would pay the entry collection at every point.
+_QUIET_BUILD_MIN_VCS = 4096
+
+
+def _construction_gc(topology, config):
+    """The collector regime to build a run over ``topology`` under."""
+    channels = topology.num_routers * config.num_ports * config.vcs_per_pc
+    if channels < _QUIET_BUILD_MIN_VCS:
+        return nullcontext()
+    # collect=True: free the previous run's network before this one
+    # is allocated on top of it
+    return gc_quiet(collect=True)
+
+
+def _run_network(experiment, network: Network) -> float:
     started = time.perf_counter()
     network.run(experiment.total_cycles)
     network.check_conservation()
@@ -300,27 +328,31 @@ class _TraceHarness:
 
 def _simulate_wormhole(experiment, topology) -> ExperimentResult:
     """Shared runner body for the wormhole-network experiment types."""
+    started = time.perf_counter()
     collector = MetricsCollector(
         experiment.timebase, warmup=experiment.warmup_cycles
     )
     config = experiment.router_config(topology.ports_per_router)
-    network = Network(
-        topology,
-        config,
-        on_message=collector.on_message,
-        watchdog_window=getattr(experiment, "watchdog_window", None),
-    )
-    rngs = RngStreams(experiment.seed)
-    _install_extras(experiment, network, rngs)
-    workload = build_workload(network, experiment.workload_config(), rngs)
-    monitor = network.health_monitor
-    if monitor is not None:
-        collector.attach_health(monitor)
-        if monitor.config.shed_best_effort:
-            monitor.bind_besteffort(workload.besteffort)
-        monitor.bind_admission(_mirror_admission(network, workload))
-        # Isolated-host shedding pauses the victims' media sessions.
-        monitor.bind_streams(workload.streams)
+    with _construction_gc(topology, config):
+        network = Network(
+            topology,
+            config,
+            on_message=collector.on_message,
+            watchdog_window=getattr(experiment, "watchdog_window", None),
+        )
+        rngs = RngStreams(experiment.seed)
+        _install_extras(experiment, network, rngs)
+        workload = build_workload(
+            network, experiment.workload_config(), rngs
+        )
+        monitor = network.health_monitor
+        if monitor is not None:
+            collector.attach_health(monitor)
+            if monitor.config.shed_best_effort:
+                monitor.bind_besteffort(workload.besteffort)
+            monitor.bind_admission(_mirror_admission(network, workload))
+            # Isolated-host shedding pauses the victims' media sessions.
+            monitor.bind_streams(workload.streams)
     # Observability extras install last so every emitter (including the
     # transport and health monitor above) is wired before the first event.
     spec = getattr(experiment, "trace", None)
@@ -335,7 +367,8 @@ def _simulate_wormhole(experiment, topology) -> ExperimentResult:
         profiler = LoopProfiler()
         network.profiler = profiler
         collector.attach_profiler(profiler)
-    wall = _run_network(experiment, network, collector)
+    setup = time.perf_counter() - started
+    wall = _run_network(experiment, network)
     return ExperimentResult(
         experiment=experiment,
         metrics=collector.snapshot(),
@@ -347,6 +380,7 @@ def _simulate_wormhole(experiment, topology) -> ExperimentResult:
         fault_stats=_fault_stats(network),
         trace_summary=None if harness is None else harness.finish(),
         cycles_executed=network.cycles_executed,
+        setup_seconds=setup,
     )
 
 

@@ -25,13 +25,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.bench_core import _metrics_dict
+from repro.experiments.bench_core import _canon, _metrics_dict
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import (
     _cached_topology,
@@ -53,7 +54,9 @@ _COMMON = dict(
     mix=(100.0, 0.0),
     vcs_per_pc=4,
     warmup_frames=1,
-    measure_frames=1,
+    # two measured frames: one leaves no delivery interval, so d and
+    # sigma_d would be NaN and the digests would pin nothing
+    measure_frames=2,
     seed=11,
     scale=40.0,
 )
@@ -172,10 +175,17 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
         "topology": _topology_stats(experiment),
         "watchdog_window": experiment.watchdog_window,
         "active_s": round(active_s, 3),
+        # the part of active_s spent building the run (network,
+        # workload), before the first cycle
+        "setup_s": round(active.setup_seconds, 3),
         "repeat_s": round(repeat_s, 3),
         "legacy_s": round(legacy_s, 3),
         "flits_injected": active.flits_injected,
         "flits_ejected": active.flits_ejected,
+        # the paper's outputs, "nan" when the run measured no
+        # delivery interval (which fails the point, see _point_ok)
+        "d_ms": _canon(active.metrics.d),
+        "sigma_d_ms": _canon(active.metrics.sigma_d),
         "digest": digests[0],
         "identical": len(set(digests)) == 1,
         # at most one compile for the first run (zero on a warm cache),
@@ -187,6 +197,18 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
     return record
 
 
+def _point_ok(record: Dict[str, object]) -> bool:
+    """One digest on both loops, one compile, and outputs worth hashing."""
+    return bool(
+        record["identical"]
+        and record["compile_once"]
+        and all(
+            isinstance(record[key], float) and math.isfinite(record[key])
+            for key in ("d_ms", "sigma_d_ms")
+        )
+    )
+
+
 def run_scale_campaign(
     points: Optional[Tuple[str, ...]] = None, log=None
 ) -> Dict[str, object]:
@@ -196,7 +218,7 @@ def run_scale_campaign(
     return {
         "format": FORMAT,
         "points": records,
-        "ok": all(r["identical"] and r["compile_once"] for r in records),
+        "ok": all(_point_ok(r) for r in records),
     }
 
 
@@ -204,14 +226,16 @@ def scale_campaign_to_text(summary: Dict[str, object]) -> str:
     lines = [
         "scale campaign (active / repeat / legacy must be bit-identical)",
         f"{'point':>10s} {'hosts':>6s} {'switches':>8s} {'table ints':>10s} "
-        f"{'active':>8s} {'legacy':>8s} {'identical':>9s} {'compile':>7s}",
+        f"{'active':>8s} {'setup':>8s} {'legacy':>8s} {'d ms':>8s} "
+        f"{'identical':>9s} {'compile':>7s}",
     ]
     for r in summary["points"]:
         topo = r["topology"]
         lines.append(
             f"{r['name']:>10s} {topo['hosts']:>6d} {topo['routers']:>8d} "
             f"{topo['table_ints']:>10d} {r['active_s']:>7.1f}s "
-            f"{r['legacy_s']:>7.1f}s {str(r['identical']):>9s} "
+            f"{r['setup_s']:>7.2f}s {r['legacy_s']:>7.1f}s "
+            f"{str(r['d_ms']):>8.8s} {str(r['identical']):>9s} "
             f"{'once' if r['compile_once'] else 'LEAK':>7s}"
         )
     lines.append(f"overall: {'OK' if summary['ok'] else 'FAIL'}")

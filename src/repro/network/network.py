@@ -37,6 +37,7 @@ from repro.router.router import WormholeRouter
 from repro.sim.activation import ActivationScheduler
 from repro.sim.events import EventHeap
 from repro.sim.fused import FusedLoop
+from repro.sim.gcquiet import gc_quiet
 
 
 class Network:
@@ -444,7 +445,10 @@ class Network:
         if self._legacy_loop:
             return self._run_legacy(until)
         if self._loop is None:
-            self._loop = FusedLoop(self)
+            # The bindings live as long as the network: no collector
+            # pass over the (already large) graph while they are built.
+            with gc_quiet():
+                self._loop = FusedLoop(self)
         self._loop.run(until)
 
     def _watchdog_fire(self, clock: int, stall_clock: int, watchdog: int):

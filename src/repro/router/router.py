@@ -626,31 +626,38 @@ class WormholeRouter:
         """
         if len(ports) == 1:
             return ports[0]
-        if self._oracle:
-            # Oracle mode only: consult the ground-truth fault state.
-            # Static mode stays blind; adaptive mode already shrank the
-            # group via the symptom mask in route_adaptive.
-            usable = [p for p in ports if self._port_usable(clock, p)]
-            if usable:
-                ports = usable
-        best_port = -1
-        best_load = None
+        # Oracle mode only: consult the ground-truth fault state.
+        # Static mode stays blind; adaptive mode already shrank the
+        # group via the symptom mask in route_adaptive.
+        oracle = self._oracle
+        outputs = self.outputs
+        best_port = faulted_port = -1
+        best_load = faulted_load = 0
         for port in ports:
-            load = sum(
-                (0 if ovc.is_free else 1) + len(ovc.queue)
-                for ovc in self.outputs[port]
-            )
-            if best_load is None or load < best_load:
+            load = 0
+            for ovc in outputs[port]:
+                load += len(ovc.queue)
+                if ovc.owner is not None:
+                    load += 1
+            if oracle:
+                link = self.out_links[port]
+                if port in self.faulted_ports or (
+                    link is not None
+                    and link.faults is not None
+                    and not link.is_available(clock)
+                ):
+                    # competes only if no sibling survives
+                    if faulted_port < 0 or load < faulted_load:
+                        faulted_load = load
+                        faulted_port = port
+                    continue
+            if not load:
+                # first minimum wins ties: nothing later can beat zero
+                return port
+            if best_port < 0 or load < best_load:
                 best_load = load
                 best_port = port
-        return best_port
-
-    def _port_usable(self, clock: int, port: int) -> bool:
-        """False when the port (or its outgoing link) is faulted."""
-        if port in self.faulted_ports:
-            return False
-        link = self.out_links[port]
-        return link is None or link.is_available(clock)
+        return best_port if best_port >= 0 else faulted_port
 
     def _partition_indices(
         self, port: int, is_real_time: bool, escape_only: bool

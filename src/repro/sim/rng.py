@@ -13,13 +13,44 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Dict, List
 
 
 def _substream_seed(master_seed: int, name: str) -> int:
     """Derive a 64-bit substream seed from the master seed and a name."""
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def fast_shuffle(rng: random.Random, items: List) -> None:
+    """``rng.shuffle(items)``, draw for draw, at about half the cost.
+
+    CPython's ``Random.shuffle`` walks ``i`` from the last index down
+    to 1 and swaps ``items[i]`` with ``items[_randbelow(i + 1)]``, where
+    ``_randbelow(n)`` is ``getrandbits(n.bit_length())`` redrawn until
+    the value is below ``n``.  This is the same walk with the two
+    Python-level calls per element inlined and the bit width hoisted
+    out of the inner loop (it only changes when ``i + 1`` crosses a
+    power of two), so it leaves the same permutation *and* the same
+    generator state.  Placement seeds depend on that: the tests pin it
+    against ``Random.shuffle`` on every supported interpreter.
+
+    ``rng`` must be a plain :class:`random.Random` (as
+    :meth:`RngStreams.stream` returns); a subclass overriding
+    ``random()`` draws differently.
+    """
+    getrandbits = rng.getrandbits
+    i = len(items) - 1
+    while i > 0:
+        bits = (i + 1).bit_length()
+        #: indices above ``stop`` share this width: i + 1 >= 2**(bits-1)
+        stop = (1 << (bits - 1)) - 2
+        for i in range(i, stop, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        i = stop
 
 
 class RngStreams:

@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro.core.virtual_clock import vtick_for_fraction
 from repro.errors import ConfigurationError
 from repro.router.flit import TrafficClass
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, fast_shuffle
 from repro.sim.units import (
     MPEG2_FRAME_BYTES_MEAN,
     MPEG2_FRAME_BYTES_STD,
@@ -219,12 +219,12 @@ def build_workload(
     vtick = vtick_for_fraction(config.stream_fraction)
     model = config.frame_model()
 
-    for node in nodes:
+    for index, node in enumerate(nodes):
         node_rng = rngs.stream(f"node{node}/placement")
-        others = [n for n in nodes if n != node]
+        others = nodes[:index] + nodes[index + 1 :]
         if config.balanced_destinations:
-            rotation = list(others)
-            node_rng.shuffle(rotation)
+            rotation = others[:]
+            fast_shuffle(node_rng, rotation)
         for k in range(per_node):
             stream_rng = rngs.stream(f"node{node}/stream{k}")
             if config.balanced_destinations:

@@ -1,8 +1,13 @@
 """Traffic mixes, load accounting, VC partitioning of the workload."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.config import FatTree3Experiment
+from repro.network.network import Network
+from repro.network.topology import fat_tree3
 from repro.router.flit import TrafficClass
 from repro.sim.rng import RngStreams
 from repro.sim.units import LinkSpec, WorkloadScale
@@ -191,3 +196,71 @@ class TestBuildWorkload:
             ]
 
         assert build() == build()
+
+
+class TestPlacementGolden:
+    """Stream placement on the 1024-host fat tree is pinned.
+
+    The digests were computed on the commit *before* placement stopped
+    calling ``Random.shuffle`` (``fast_shuffle`` inlines its draws) and
+    ``others`` became a slice: same destinations, same VCs, same
+    phases, on every interpreter CI runs.
+    """
+
+    @pytest.mark.parametrize(
+        "load, mix, streams, digest",
+        [
+            # the benchmark's scale_fattree workload at seed 1
+            (
+                0.01,
+                (100, 0),
+                1024,
+                "009baabafd26271976fde008aae151ca"
+                "baea7fb417293e424d8da8359fdb87fb",
+            ),
+            # four streams a node plus best-effort: deeper into every
+            # rotation, and the phase drawn after all stream draws
+            (
+                0.05,
+                (80, 20),
+                4096,
+                "7143503c9245d545318feca491f6f97d"
+                "fbb899c22f67f6d1a02f63981007eb98",
+            ),
+        ],
+    )
+    def test_k16_seed1_placement(self, load, mix, streams, digest):
+        experiment = FatTree3Experiment(
+            k=16,
+            load=load,
+            mix=mix,
+            vcs_per_pc=4,
+            scale=320.0,
+            warmup_frames=1,
+            measure_frames=2,
+            seed=1,
+        )
+        topology = fat_tree3(k=16)
+        network = Network(
+            topology, experiment.router_config(topology.ports_per_router)
+        )
+        workload = build_workload(
+            network,
+            experiment.workload_config(),
+            RngStreams(experiment.seed),
+            start=False,
+        )
+        assert len(workload.streams) == streams
+        pinned = hashlib.sha256()
+        for stream in workload.streams:
+            cfg = stream.config
+            pinned.update(
+                f"{cfg.src_node},{cfg.dst_node},{cfg.src_vc},"
+                f"{cfg.dst_vc},{cfg.phase};".encode()
+            )
+        nodes = topology.node_ids
+        for source in workload.besteffort:
+            cfg = source.config
+            pinned.update(f"{cfg.src_node},{cfg.phase};".encode())
+            assert cfg.dst_nodes == [n for n in nodes if n != cfg.src_node]
+        assert pinned.hexdigest() == digest

@@ -1,6 +1,11 @@
 """Reproducible named RNG streams."""
 
-from repro.sim.rng import RngStreams
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.rng import RngStreams, fast_shuffle
 
 
 class TestRngStreams:
@@ -46,3 +51,55 @@ class TestRngStreams:
 
     def test_seed_attribute_preserved(self):
         assert RngStreams(123).seed == 123
+
+
+def _boundary_sizes():
+    """0..70, then every power of two up to 1024 with both neighbours."""
+    sizes = set(range(71))
+    for exponent in range(1, 11):
+        sizes.update((2**exponent - 1, 2**exponent, 2**exponent + 1))
+    return sorted(sizes)
+
+
+class TestFastShuffle:
+    """``fast_shuffle`` is ``Random.shuffle`` draw for draw.
+
+    Placement seeds (which destination every stream gets, and every
+    draw the node's generator makes afterwards) depend on both the
+    permutation and the generator state left behind, on whichever
+    CPython runs the suite.
+    """
+
+    @pytest.mark.parametrize("size", _boundary_sizes())
+    def test_matches_random_shuffle_at_boundaries(self, size):
+        for seed in (0, 1, 2**40 + 7):
+            reference, fast = random.Random(seed), random.Random(seed)
+            expected, got = list(range(size)), list(range(size))
+            reference.shuffle(expected)
+            fast_shuffle(fast, got)
+            assert got == expected
+            assert fast.getstate() == reference.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        size=st.integers(min_value=0, max_value=1025),
+    )
+    def test_matches_random_shuffle(self, seed, size):
+        reference, fast = random.Random(seed), random.Random(seed)
+        expected, got = list(range(size)), list(range(size))
+        reference.shuffle(expected)
+        fast_shuffle(fast, got)
+        assert got == expected
+        assert fast.getstate() == reference.getstate()
+
+    def test_substream_keeps_drawing_the_same_values(self):
+        """The draws placement makes after the shuffle are unchanged."""
+        reference = RngStreams(3).stream("node5/placement")
+        fast = RngStreams(3).stream("node5/placement")
+        items = list(range(1023))
+        reference.shuffle(list(items))
+        fast_shuffle(fast, items)
+        assert [fast.randrange(4096) for _ in range(8)] == [
+            reference.randrange(4096) for _ in range(8)
+        ]

@@ -1,5 +1,8 @@
 """Flit-level router behaviour on tiny single-switch networks."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.schedulers import SchedulingPolicy
@@ -309,3 +312,105 @@ class TestRouterAudit:
         router.out_links[1] = None
         with pytest.raises(FlowControlError):
             net.run(30)
+
+
+def _select_as_first_written(router, clock, ports):
+    """The section 3.4 rule in its original form: prefilter, then sum.
+
+    Kept here as the reference for the loop in
+    ``WormholeRouter._select_output_port``.
+    """
+    if len(ports) == 1:
+        return ports[0]
+    if router._oracle:
+        usable = [
+            port
+            for port in ports
+            if port not in router.faulted_ports
+            and (
+                router.out_links[port] is None
+                or router.out_links[port].is_available(clock)
+            )
+        ]
+        if usable:
+            ports = usable
+    best_port = -1
+    best_load = None
+    for port in ports:
+        load = sum(
+            (0 if ovc.is_free else 1) + len(ovc.queue)
+            for ovc in router.outputs[port]
+        )
+        if best_load is None or load < best_load:
+            best_load = load
+            best_port = port
+    return best_port
+
+
+class TestFatLinkSelection:
+    """Load-based port choice: first minimum, faulted siblings last."""
+
+    DOWN_FROM = 50
+
+    def _randomise(self, router, rng, faulty):
+        for port, ovcs in enumerate(router.outputs):
+            # a narrow load range makes ties the common case
+            busy = rng.random() < 0.6
+            for ovc in ovcs:
+                ovc.owner = object() if busy and rng.random() < 0.5 else None
+                ovc.queue.clear()
+                ovc.queue.extend(
+                    [None] * (rng.randrange(3) if busy else 0)
+                )
+            link = router.out_links[port]
+            link.faults = None
+            if faulty and rng.random() < 0.3:
+                link.faults = SimpleNamespace(
+                    down=lambda clock: clock >= self.DOWN_FROM
+                )
+        router.faulted_ports.clear()
+        if faulty:
+            router.faulted_ports.update(
+                port for port in range(len(router.outputs))
+                if rng.random() < 0.2
+            )
+
+    @pytest.mark.parametrize("mode", ["oracle", "static", "adaptive"])
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_same_port_as_the_original_rule(self, mode, faulty):
+        net = make_network(ports=8, vcs=4, routing_mode=mode)
+        router = net.routers[0]
+        rng = random.Random(f"{mode}/{faulty}")
+        ties = all_down = 0
+        for _ in range(400):
+            self._randomise(router, rng, faulty)
+            ports = tuple(rng.sample(range(8), rng.randrange(1, 6)))
+            for clock in (0, self.DOWN_FROM):
+                expected = _select_as_first_written(router, clock, ports)
+                assert router._select_output_port(clock, ports) == expected
+            loads = [
+                sum(
+                    len(ovc.queue) + (ovc.owner is not None)
+                    for ovc in router.outputs[port]
+                )
+                for port in ports
+            ]
+            ties += loads.count(min(loads)) > 1
+            all_down += faulty and all(
+                port in router.faulted_ports
+                or router.out_links[port].faults is not None
+                for port in ports
+            )
+        assert ties > 50
+        if faulty:
+            assert all_down > 5, "the every-candidate-faulted case never ran"
+
+    def test_oracle_prefers_a_loaded_survivor_to_an_idle_dead_port(self):
+        net = make_network(ports=4, vcs=2, routing_mode="oracle")
+        router = net.routers[0]
+        router.faulted_ports.add(1)
+        router.outputs[2][0].owner = object()
+        assert router._select_output_port(0, (1, 2)) == 2
+        # ... but a dead port still beats nothing at all
+        router.faulted_ports.add(2)
+        assert router._select_output_port(0, (1, 2)) == 1

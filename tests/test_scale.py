@@ -8,6 +8,7 @@ most once.
 """
 
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.scale import (
     SCALE_POINTS,
     SMOKE_POINTS,
+    _point_ok,
     run_scale_campaign,
     run_scale_point,
     scale_campaign_to_text,
@@ -41,12 +43,39 @@ class TestScalePoints:
         assert record["flits_injected"] > 0
         assert record["topology"]["hosts"] == 16
 
+    def test_point_times_finite_outputs(self):
+        """A point hashes real d / sigma_d, not NaNs, and says so."""
+        record = run_scale_point("ft3-16")
+        assert math.isfinite(record["d_ms"])
+        assert math.isfinite(record["sigma_d_ms"])
+        assert 32.0 < record["d_ms"] < 34.0
+        assert 0.0 <= record["setup_s"] <= record["active_s"]
+        assert _point_ok(record)
+
+    @pytest.mark.parametrize("field", ["d_ms", "sigma_d_ms"])
+    def test_non_finite_output_fails_the_point(self, field):
+        record = {
+            "identical": True,
+            "compile_once": True,
+            "d_ms": 33.0,
+            "sigma_d_ms": 0.1,
+        }
+        assert _point_ok(record)
+        assert not _point_ok({**record, field: "nan"})
+        assert not _point_ok({**record, field: math.inf})
+        assert not _point_ok({**record, "identical": False})
+
     def test_campaign_summary_and_text(self):
         summary = run_scale_campaign(points=("bfly-64",))
         assert summary["ok"]
         text = scale_campaign_to_text(summary)
         assert "bfly-64" in text
+        assert "setup" in text.splitlines()[1]
         assert "overall: OK" in text
+        broken = {**summary["points"][0], "d_ms": "nan"}
+        assert " nan " in scale_campaign_to_text(
+            {"points": [broken], "ok": False}
+        )
 
 
 class TestThousandHostAcceptance:
@@ -96,7 +125,10 @@ class TestTopoCommand:
         assert code == 0
         summary = json.loads(out_json.read_text())
         assert summary["ok"]
-        assert summary["points"][0]["name"] == "ft3-16"
+        point = summary["points"][0]
+        assert point["name"] == "ft3-16"
+        assert point["setup_s"] >= 0.0
+        assert math.isfinite(point["d_ms"])
 
     def test_cli_list_mentions_new_commands(self, capsys):
         assert cli_main(["list"]) == 0
