@@ -5,29 +5,34 @@ writes them to ``BENCH_core.json`` for CI to archive, and appends every
 run (with provenance) to ``BENCH_history.jsonl`` so the perf trajectory
 is tracked across commits:
 
-* **loop comparison** — a three-point workload run twice in-process:
+* **loop comparison** — a four-point workload run twice in-process:
   with the default cycle loop (``repro.sim.fused``) and with the legacy
   full-scan loop (``REPRO_LEGACY_LOOP=1``).  The points bracket the
   loop's operating envelope: a *dense* fig3 single-switch at load 0.8
   (every component busy — the fused kernels must win outright), a
   *sparse* 16x16 fat mesh at one stream per host (hundreds of mostly
   idle components — where skipping the full scan is the whole point),
-  and a *sparse* 128-host 3-level fat tree (the compiled-route-program
-  topology class the scale campaign runs at 1024 hosts).
-  The combined speedup is ``sum(legacy_s) / sum(default_s)``.  The
-  dense point is timed over ``DENSE_POINT_REPS`` interleaved
-  repetitions and each loop scores its minimum — the standard
-  noise-rejecting estimator — because the dense floor
+  a *sparse* 128-host 3-level fat tree (the compiled-route-program
+  topology class the scale campaign runs at 1024 hosts), and a
+  *faulted* 2x2 fat mesh (flit loss on every link, two dead fat-pair
+  links, health monitoring and adaptive failover — the cold path,
+  where the loop gates each flit's fate inline and calls out only for
+  the lost ones).
+  The combined speedup is ``sum(legacy_s) / sum(default_s)``.  Every
+  point is timed over interleaved repetitions and each loop scores its
+  minimum — the standard noise-rejecting estimator; the dense point
+  takes ``DENSE_POINT_REPS`` because the dense floor
   (``--min-speedup-dense``) gates on that single point.
-  Metrics must be bit-identical per point; this doubles as a golden-run
-  check on real workloads.
+  Metrics — and fault/recovery stats, where a point has them — must be
+  bit-identical per point; this doubles as a golden-run check on real
+  workloads.
 * **sweep scaling** — the fig3 load sweep executed serially and with a
   process pool (``--jobs N``).  Per-point metrics must again be
   bit-identical; the speedup is recorded and is the number the
   acceptance bar (>= 1.5x on 4 cores) reads.
 
-Any metric mismatch exits non-zero, as does a combined loop speedup
-below ``--min-speedup`` or a dense-point speedup below
+Any metric or fault-stat mismatch exits non-zero, as does a combined
+loop speedup below ``--min-speedup`` or a dense-point speedup below
 ``--min-speedup-dense`` (the CI regression gates).  The combined floor
 alone would let a dense regression hide behind the sparse points'
 margin, which is exactly what the per-point floor exists to catch.
@@ -69,8 +74,11 @@ from repro.experiments.runner import (
     simulate_fat_tree3,
     simulate_single_switch,
 )
+from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
+from repro.network.health import HealthConfig
+from repro.router.config import RoutingMode
 
-FORMAT = "bench-core-v4"
+FORMAT = "bench-core-v5"
 
 #: the dense loop point: fig3's Virtual Clock router at load 0.8
 DENSE_POINT_LOAD = 0.8
@@ -86,6 +94,14 @@ DENSE_POINT_SCALE = 20.0
 DENSE_POINT_REPS = 5
 #: the sparse loop point: one real-time stream per host on a 16x16 mesh
 SPARSE_POINT_LOAD = 0.01
+#: interleaved repetitions for the sparse and faulted points
+COLD_POINT_REPS = 3
+#: the faulted point pins its scale like the dense one: its recovery
+#: timeouts derive from the frame interval, so the point is the same
+#: scenario at every profile
+FAULTED_POINT_SCALE = 100.0
+#: per-flit loss probability on every link of the faulted point
+FAULTED_POINT_LOSS = 0.0005
 
 
 def _canon(value):
@@ -108,6 +124,46 @@ def _metrics_dict(result) -> Dict:
     return _canon(dataclasses.asdict(result.metrics))
 
 
+def _faulted_point(seed: int) -> FatMeshExperiment:
+    """The 2x2 fat mesh under a fault plan (the cold-path loop point).
+
+    The lowest-port member of fat pairs 0->1 and 1->0 dies for good at
+    the first measured cycle and every link loses a few flits, under
+    adaptive routing with health monitoring and end-to-end recovery.
+    """
+    base = FatMeshExperiment(
+        load=0.6,
+        mix=(80, 20),
+        scheduler=SchedulingPolicy.VIRTUAL_CLOCK,
+        vcs_per_pc=16,
+        scale=FAULTED_POINT_SCALE,
+        warmup_frames=1,
+        measure_frames=3,
+        seed=seed,
+    )
+    interval = base.workload_config().frame_interval_cycles
+    dead = tuple(
+        LinkDownWindow(label, start=base.warmup_cycles, end=None)
+        for label in ("ch:0.4->1.4", "ch:1.4->0.4")
+    )
+    return dataclasses.replace(
+        base,
+        faults=FaultPlan(
+            flit_loss_prob=FAULTED_POINT_LOSS, down_windows=dead
+        ),
+        recovery=RecoveryConfig(
+            timeout=max(512, interval // 2),
+            max_retries=8,
+            backoff_base=max(16, interval // 256),
+            backoff_cap=max(64, interval // 16),
+            qos_deadline=2 * interval,
+        ),
+        health=HealthConfig(),
+        routing_mode=RoutingMode.ADAPTIVE,
+        watchdog_window=4 * interval,
+    )
+
+
 def _loop_points(profile):
     """Loop-comparison points: (name, runner, experiment, reps).
 
@@ -116,7 +172,8 @@ def _loop_points(profile):
     profile still supplies the sparse points' workload scale and the
     base seed.  The dense point pins its own scale and repetition
     count (see ``DENSE_POINT_SCALE`` / ``DENSE_POINT_REPS``) because
-    the per-point floor gates on it.
+    the per-point floor gates on it; the faulted point pins its scale
+    too (``FAULTED_POINT_SCALE``).
     """
     return [
         (
@@ -153,7 +210,7 @@ def _loop_points(profile):
                 measure_frames=3,
                 seed=11,
             ),
-            1,
+            COLD_POINT_REPS,
         ),
         (
             "fattree_sparse",
@@ -169,7 +226,13 @@ def _loop_points(profile):
                 measure_frames=2,
                 seed=13,
             ),
-            1,
+            COLD_POINT_REPS,
+        ),
+        (
+            "fatmesh_faulted",
+            simulate_fat_mesh,
+            _faulted_point(profile.seed),
+            COLD_POINT_REPS,
         ),
     ]
 
@@ -182,7 +245,9 @@ def _loop_compare(profile) -> Dict:
     calls selects the loop per run.  Each point runs ``reps``
     interleaved repetitions and each loop scores its minimum, so the
     dense floor compares best-case against best-case rather than
-    whichever run a scheduler hiccup happened to hit.
+    whichever run a scheduler hiccup happened to hit.  A point is
+    ``identical`` when metrics and ``fault_stats`` (``None`` on the
+    fault-free points) both match.
     """
     saved = os.environ.pop("REPRO_LEGACY_LOOP", None)
     points = []
@@ -193,20 +258,25 @@ def _loop_compare(profile) -> Dict:
         for name, runner, experiment, reps in _loop_points(profile):
             default_s = legacy_s = math.inf
             default_m = legacy_m = None
+            default_f = legacy_f = None
             for _ in range(reps):
                 os.environ.pop("REPRO_LEGACY_LOOP", None)
                 started = time.perf_counter()
                 result = runner(experiment)
                 default_s = min(default_s, time.perf_counter() - started)
                 default_m = _metrics_dict(result)
+                default_f = _canon(result.fault_stats)
 
                 os.environ["REPRO_LEGACY_LOOP"] = "1"
                 started = time.perf_counter()
                 result = runner(experiment)
                 legacy_s = min(legacy_s, time.perf_counter() - started)
                 legacy_m = _metrics_dict(result)
+                legacy_f = _canon(result.fault_stats)
 
-            point_identical = default_m == legacy_m
+            point_identical = (
+                default_m == legacy_m and default_f == legacy_f
+            )
             identical = identical and point_identical
             total_default += default_s
             total_legacy += legacy_s
@@ -224,6 +294,8 @@ def _loop_compare(profile) -> Dict:
                     "sigma_d_ms": default_m["std_delivery_interval_ms"],
                 }
             )
+            if default_f is not None:
+                points[-1]["flits_lost"] = default_f["flits_lost"]
     finally:
         if saved is None:
             os.environ.pop("REPRO_LEGACY_LOOP", None)
@@ -348,7 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 2 (scaling needs a pool)")
 
     profile = get_profile(args.profile)
-    print("[bench_core] loop comparison (dense + sparse points) ...")
+    print("[bench_core] loop comparison (dense, sparse, faulted points) ...")
     loop = _loop_compare(profile)
     for point in loop["points"]:
         print(
@@ -392,9 +464,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[bench_core] appended to {args.history}")
 
     if not loop["identical"]:
+        diverged = [p["name"] for p in loop["points"] if not p["identical"]]
         print(
-            "[bench_core] FAIL: default-loop metrics diverge from the "
-            "legacy loop",
+            "[bench_core] FAIL: default-loop metrics or fault stats "
+            f"diverge from the legacy loop on {', '.join(diverged)}",
             file=sys.stderr,
         )
         return 1

@@ -374,7 +374,7 @@ class FaultPlan:
 
 
 class LinkFaultState:
-    """Per-link fault machinery consulted by ``Link.deliver_due``.
+    """Per-link fault machinery consulted by the link's delivery.
 
     Holds the link's effective probabilities, its down windows, its own
     RNG substream, and the "broken worm" set of messages that already
@@ -382,6 +382,18 @@ class LinkFaultState:
     Accounting is delegated to the owning network so the global
     ``flits_lost`` / ``flits_corrupted`` counters and flit conservation
     stay consistent.
+
+    Who draws: :meth:`fate` is the definition of a flit's fate and the
+    only consumer of :attr:`rng` — no draw for a flit of a broken worm
+    or inside a down window, else one loss draw when ``loss_prob > 0``,
+    then (if the flit survived) one corruption draw when
+    ``corrupt_prob > 0``.  ``Link.deliver_due`` calls it per due flit;
+    the fused cycle loop (:mod:`repro.sim.fused`) inlines the same
+    tests on the same ``rng.random`` in the same order for an untraced
+    link outside its down windows, binding ``rng``, ``broken`` and the
+    probabilities once per run — so none of them may be rebound while a
+    run is in progress.  Whoever draws, a non-OK fate is applied by
+    ``Link.apply_fate``, the one owner of loss/corruption handling.
     """
 
     __slots__ = (
@@ -414,7 +426,10 @@ class LinkFaultState:
 
     def down(self, clock: int) -> bool:
         """True while any down window covers ``clock``."""
-        for window in self.windows:
+        windows = self.windows
+        if not windows:
+            return False
+        for window in windows:
             if window.active(clock):
                 return True
         return False

@@ -14,6 +14,7 @@ from collections import deque
 from typing import Deque, NamedTuple, Optional, Tuple
 
 from repro.errors import FlowControlError
+from repro.faults import FATE_LOST, FATE_OK
 from repro.router.flit import Message
 
 #: default link pipeline latency in cycles (wire + stage-1 sync/decode)
@@ -46,6 +47,13 @@ class Link:
     ``dest_port``) or a host sink (ejection).  ``deliver_due`` is called
     once per cycle by the network loop before routers step, so a flit
     sent at cycle ``t`` becomes visible downstream at ``t + latency``.
+
+    With :attr:`faults` installed, every due flit gets a fate.  The
+    draw belongs to ``LinkFaultState.fate`` (``deliver_due`` calls it;
+    the fused cycle loop inlines the same tests, in the same order, on
+    the same RNG for an untraced link outside its down windows);
+    applying a lost or corrupted fate belongs to :meth:`apply_fate`,
+    whoever drew it.
     """
 
     __slots__ = (
@@ -176,13 +184,11 @@ class Link:
     def _deliver_due_faulty(self, clock: int) -> int:
         """Delivery loop with the installed fault state applied.
 
-        A lost flit on a router-bound wire returns its credit to the
-        sender immediately (faults lose data, not flow-control
-        capacity); a corrupted flit is delivered but taints its
-        message.  See :mod:`repro.faults` for the full semantics.
+        Draws each due flit's fate (:meth:`LinkFaultState.fate`, one
+        ``down`` lookup per call) and hands the clean ones straight to
+        the consumer; a lost or corrupted flit goes through
+        :meth:`apply_fate`.  See :mod:`repro.faults` for the semantics.
         """
-        from repro.faults import FATE_CORRUPT, FATE_LOST
-
         faults = self.faults
         health = self.health
         delivered = 0
@@ -192,65 +198,99 @@ class Link:
         while pending and pending[0][0] <= clock:
             _, msg, flit_index, vc_index = pending.popleft()
             fate = faults.fate(msg, flit_index, down)
-            if fate == FATE_LOST:
+            if fate == FATE_OK:
                 if router is not None:
-                    sender = router.inputs[self.dest_port][
-                        vc_index
-                    ].credit_sink
-                    if sender is not None:
-                        sender.credits += 1
-                faults.account_lost()
-                if self.trace is not None:
-                    self.trace.on_event(
-                        "flit_lost",
-                        clock,
-                        {
-                            "link": self.label,
-                            "msg": msg.msg_id,
-                            "flit": flit_index,
-                            "down": down,
-                        },
+                    router.accept_flit(
+                        clock, self.dest_port, vc_index, msg, flit_index
                     )
-                # The teardowns below (loss recovery, and a health
+                else:
+                    self.sink.eject(clock, msg, flit_index)
+                delivered += 1
+                if health is not None:
+                    health.on_ok(clock)
+            else:
+                delivered += self.apply_fate(
+                    clock, msg, flit_index, vc_index, fate, down
+                )
+                # The teardowns inside (loss recovery, and a health
                 # transition's kill-and-requeue) may purge this link and
                 # rebuild self.pending; re-fetch so we keep draining the
                 # live deque, not the pre-purge snapshot.
-                faults.report_loss(msg)
-                if health is not None:
-                    health.on_miss(clock)
                 pending = self.pending
-                continue
-            if fate == FATE_CORRUPT:
-                msg.corrupted = True
-                faults.account_corrupted()
+        return delivered
+
+    def apply_fate(
+        self,
+        clock: int,
+        msg: Message,
+        flit_index: int,
+        vc_index: int,
+        fate: int,
+        down: bool,
+    ) -> int:
+        """Apply a non-OK ``fate`` to one flit already popped off the wire.
+
+        The single implementation of loss and corruption handling: the
+        object delivery loop above and the fused cycle loop's inlined
+        delivery kernels (which draw the fate themselves) both call it.
+        Returns the number of flits handed to the consumer — 0 for a
+        lost flit, 1 for a corrupted one.
+
+        A lost flit on a router-bound wire returns its credit to the
+        sender immediately (faults lose data, not flow-control
+        capacity), is reported to recovery and counts as a health miss;
+        a corrupted flit is delivered but taints its message.  Either
+        can tear worms down (``report_loss``, a health transition's
+        kill-and-requeue) and rebuild :attr:`pending`, so the caller
+        must re-read it afterwards.
+        """
+        faults = self.faults
+        health = self.health
+        router = self.dest_router
+        if fate == FATE_LOST:
             if router is not None:
-                router.accept_flit(
-                    clock, self.dest_port, vc_index, msg, flit_index
-                )
-            else:
-                self.sink.eject(clock, msg, flit_index)
-            delivered += 1
-            if fate == FATE_CORRUPT and self.trace is not None:
-                # Emitted only after the flit landed: an event sink may
-                # audit credits on any event (InvariantChecker's
-                # periodic check), and between the wire pop above and
-                # accept/eject the flit is in neither ledger.
+                sender = router.inputs[self.dest_port][vc_index].credit_sink
+                if sender is not None:
+                    sender.credits += 1
+            faults.account_lost()
+            if self.trace is not None:
                 self.trace.on_event(
-                    "flit_corrupt",
+                    "flit_lost",
                     clock,
                     {
                         "link": self.label,
                         "msg": msg.msg_id,
                         "flit": flit_index,
+                        "down": down,
                     },
                 )
+            faults.report_loss(msg)
             if health is not None:
-                if fate == FATE_CORRUPT:
-                    health.on_corrupt(clock)
-                    pending = self.pending
-                else:
-                    health.on_ok(clock)
-        return delivered
+                health.on_miss(clock)
+            return 0
+        msg.corrupted = True
+        faults.account_corrupted()
+        if router is not None:
+            router.accept_flit(clock, self.dest_port, vc_index, msg, flit_index)
+        else:
+            self.sink.eject(clock, msg, flit_index)
+        if self.trace is not None:
+            # Emitted only after the flit landed: an event sink may
+            # audit credits on any event (InvariantChecker's periodic
+            # check), and between the wire pop and accept/eject the
+            # flit is in neither ledger.
+            self.trace.on_event(
+                "flit_corrupt",
+                clock,
+                {
+                    "link": self.label,
+                    "msg": msg.msg_id,
+                    "flit": flit_index,
+                },
+            )
+        if health is not None:
+            health.on_corrupt(clock)
+        return 1
 
     def is_available(self, clock: int) -> bool:
         """False while the link sits inside a fault down window."""

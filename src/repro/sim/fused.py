@@ -63,14 +63,28 @@ worklist — into a buffer flushed in sorted-port order before stages
 Call-outs
 ---------
 
-The inlined kernels implement the fault-free, untraced datapath.  A
-component using a cold feature is instead driven through its own
-object method, *that component only*, decided once per ``run()`` call
-(so tracing installed between two runs takes effect at the next one):
+The inlined kernels implement the untraced datapath.  A component
+using a cold feature is instead driven through its own object method,
+*that component only*, decided once per ``run()`` call (so tracing
+installed between two runs takes effect at the next one):
 
-* a link with ``faults``, ``health`` or ``trace`` set (or a traced
-  sink) delivers through ``Link.deliver_due`` — ``_deliver_due_faulty``
-  stays the single fault-delivery implementation;
+* a link with ``trace`` set (or a traced sink) delivers through
+  ``Link.deliver_due``;
+* an untraced link with ``faults`` set delivers inline behind a
+  per-flit *fate gate*: the delivery kernels run
+  ``LinkFaultState.fate``'s tests on each popped flit — no draw for
+  the rest of a broken worm (``fate()`` is asked), else the loss draw,
+  then the corruption draw, on the link's own RNG substream in exactly
+  that order — and a clean flit falls straight into the inlined
+  ``accept_flit`` / sink eject, followed by its health heartbeat
+  (``on_ok`` is called only while the link is not UP).  Only a lost or
+  corrupted flit leaves the frame, for ``Link.apply_fate``, the one
+  implementation of loss/corruption handling (the object loop calls
+  the same method); the kernel then re-reads ``link.pending``, which a
+  loss teardown may have rebuilt.  A visit inside one of the link's
+  down windows goes through ``Link.deliver_due`` whole — every due
+  flit is lost there.  A link with ``health`` only keeps the inlined
+  path and the object path's one batched ``on_ok`` per visit;
 * an NI with a trace sink, or feeding a traced link, goes through
   ``HostInterface.step``;
 * a router with a trace sink, an ``on_crossbar`` hook, a traced
@@ -96,6 +110,8 @@ from time import perf_counter
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
 from repro.errors import FlowControlError
+from repro.faults import FATE_CORRUPT, FATE_LOST, FATE_OK
+from repro.network.health import UP
 from repro.router.buffers import acquire_record, release_record
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
@@ -108,6 +124,10 @@ _FAR = 1 << 62
 
 #: sort key for the crossbar's deferred ``_pending_arb`` appends
 _by_port = itemgetter(0)
+
+#: per-run delivery mode of a link driven through ``Link.deliver_due``
+#: on every visit (see :meth:`FusedLoop._call_outs`)
+_CALL_OUT = object()
 
 #: the router methods the loop inlines or calls; a router instance that
 #: shadows one (a test spy, a subclass) must run through its own step()
@@ -303,21 +323,44 @@ class FusedLoop:
     def _call_outs(self):
         """Which components this run drives through their object methods.
 
-        Returns ``(links, nis, routers)`` as sets of scheduler ids; see
-        the module docstring's call-out rules.  A traced link makes its
-        sender cold too, because ``link_tx`` is emitted by ``Link.send``.
+        Returns ``(links, nis, routers)``; see the module docstring's
+        call-out rules.  ``nis`` and ``routers`` are sets of scheduler
+        ids.  ``links`` is a list parallel to ``_link_info`` holding
+        each link's delivery mode: ``None`` for a clean link (inlined
+        delivery, nothing else to do), ``_CALL_OUT`` for a traced link
+        or sink (``Link.deliver_due`` on every visit), and for an
+        untraced link carrying fault or health state the binding
+        ``(faults, health, loss_prob, corrupt_prob, draw, broken,
+        windowed)`` the inlined kernels gate each flit on (``faults``
+        is ``None``, and the rest unused, on a health-only link).  A
+        traced link makes its sender cold too, because ``link_tx`` is
+        emitted by ``Link.send``.
         """
         net = self._net
-        links = set()
-        for idx, entry in enumerate(self._link_info):
+        links = []
+        for entry in self._link_info:
             link, sink = entry[0], entry[4]
-            if (
-                link.faults is not None
-                or link.health is not None
-                or link.trace is not None
-                or (sink is not None and sink.trace is not None)
+            faults = link.faults
+            if link.trace is not None or (
+                sink is not None and sink.trace is not None
             ):
-                links.add(idx)
+                links.append(_CALL_OUT)
+            elif faults is not None:
+                links.append(
+                    (
+                        faults,
+                        link.health,
+                        faults.loss_prob,
+                        faults.corrupt_prob,
+                        faults.rng.random,
+                        faults.broken,
+                        bool(faults.windows),
+                    )
+                )
+            elif link.health is not None:
+                links.append((None, link.health, 0.0, 0.0, None, None, False))
+            else:
+                links.append(None)
         nis = set()
         for idx, entry in enumerate(self._ni_info):
             ni, host_link = entry[0], entry[5]
@@ -348,7 +391,7 @@ class FusedLoop:
         """Advance the network to cycle ``until`` (body of ``Network.run``)."""
         net = self._net
         self.resync()
-        cold_links, cold_nis, cold_routers = self._call_outs()
+        link_modes, cold_nis, cold_routers = self._call_outs()
         clock = net.clock
         events = net.events
         heap = events._heap
@@ -479,7 +522,13 @@ class FusedLoop:
                         # drained on an earlier visit and not refilled
                         link_deactivate(index)
                     continue
-                if cold_links and index in cold_links:
+                mode = link_modes[index]
+                if mode is None:
+                    faults = None
+                elif mode is _CALL_OUT or (mode[6] and mode[0].down(clock)):
+                    # Object delivery: a traced link or sink, or a
+                    # faulted link inside a down window (every due flit
+                    # is lost there — that *is* the slow path).
                     link = link_info[index][0]
                     progress += link.deliver_due(clock)
                     # re-read: a loss teardown inside may have purged
@@ -487,6 +536,16 @@ class FusedLoop:
                     pending = link.pending
                     link_head[index] = pending[0][0] if pending else _FAR
                     continue
+                else:
+                    (
+                        faults,
+                        health,
+                        loss_prob,
+                        corrupt_prob,
+                        draw,
+                        broken,
+                        _,
+                    ) = mode
                 (
                     link,
                     ivcs,
@@ -497,6 +556,7 @@ class FusedLoop:
                     msg_inline,
                 ) = link_info[index]
                 pending = link.pending
+                delivered = 0
                 if ivcs is not None:
                     port = ivcs[0].port
                     popleft = pending.popleft
@@ -506,11 +566,41 @@ class FusedLoop:
                     # after the drain replaces the per-flit transition
                     # test the object path performs inside accept_flit.
                     was_idle = not router._work
-                    delivered = 0
                     # do-while: the outer guard already proved the head
                     # flit is due, so pop before re-testing.
                     while True:
                         _, msg, flit_index, vc_index = popleft()
+                        if faults is not None:
+                            # ---- inlined LinkFaultState.fate, outside
+                            # a down window: its draws, in its order ----
+                            if broken and msg.msg_id in broken:
+                                # rest of a broken worm: no draw
+                                fate = faults.fate(msg, flit_index, False)
+                            elif loss_prob > 0.0 and draw() < loss_prob:
+                                if flit_index != msg.last_flit:
+                                    broken.add(msg.msg_id)
+                                fate = FATE_LOST
+                            elif corrupt_prob > 0.0 and draw() < corrupt_prob:
+                                fate = FATE_CORRUPT
+                            else:
+                                fate = FATE_OK
+                            if fate != FATE_OK:
+                                delivered += link.apply_fate(
+                                    clock, msg, flit_index, vc_index, fate, False
+                                )
+                                # A teardown inside may have purged this
+                                # link (new deque, resynced mirror) and
+                                # idled or re-activated the router.
+                                pending = link.pending
+                                popleft = pending.popleft
+                                was_idle = not router._work
+                                if not pending:
+                                    head_val = _FAR
+                                    break
+                                head_val = pending[0][0]
+                                if head_val > clock:
+                                    break
+                                continue
                         delivered += 1
                         # ---- inlined WormholeRouter.accept_flit ----
                         vc = ivcs[vc_index]
@@ -555,13 +645,20 @@ class FusedLoop:
                                     sendable.add(vc_index)
                                     router_in_ports.add(port)
                                     router._work += 1
+                        if (
+                            faults is not None
+                            and health is not None
+                            and health.state != UP
+                        ):
+                            # heartbeat once the flit has landed (the
+                            # object path's order); a no-op while UP
+                            health.on_ok(clock)
                         if not pending:
                             head_val = _FAR
                             break
                         head_val = pending[0][0]
                         if head_val > clock:
                             break
-                    progress += delivered
                     if was_idle and router._work:
                         router_activate(rid)
                 else:
@@ -576,12 +673,43 @@ class FusedLoop:
                     # do-while; see the router branch above.
                     while True:
                         _, msg, flit_index, vc_index = popleft()
+                        if faults is not None:
+                            # ---- inlined LinkFaultState.fate; see the
+                            # router branch above ----
+                            if broken and msg.msg_id in broken:
+                                fate = faults.fate(msg, flit_index, False)
+                            elif loss_prob > 0.0 and draw() < loss_prob:
+                                if flit_index != msg.last_flit:
+                                    broken.add(msg.msg_id)
+                                fate = FATE_LOST
+                            elif corrupt_prob > 0.0 and draw() < corrupt_prob:
+                                fate = FATE_CORRUPT
+                            else:
+                                fate = FATE_OK
+                            if fate != FATE_OK:
+                                if ejected:
+                                    sink.flits_ejected += ejected
+                                    net._flits_in_flight -= ejected
+                                    net.flits_ejected += ejected
+                                    ejected = 0
+                                delivered += link.apply_fate(
+                                    clock, msg, flit_index, vc_index, fate, False
+                                )
+                                pending = link.pending
+                                popleft = pending.popleft
+                                if not pending:
+                                    head_val = _FAR
+                                    break
+                                head_val = pending[0][0]
+                                if head_val > clock:
+                                    break
+                                continue
+                        delivered += 1
                         # ---- inlined HostSink.eject ----
                         if flit_inline:
                             ejected += 1
                         else:
                             sink.flits_ejected += 1
-                            progress += 1
                             if sink.on_flit is not None:
                                 sink.on_flit(1)
                         if flit_index == msg.last_flit:
@@ -589,7 +717,6 @@ class FusedLoop:
                                 sink.flits_ejected += ejected
                                 net._flits_in_flight -= ejected
                                 net.flits_ejected += ejected
-                                progress += ejected
                                 ejected = 0
                             if msg.dst_node != node:
                                 raise FlowControlError(
@@ -613,6 +740,12 @@ class FusedLoop:
                                         net._on_message(msg, clock)
                                 elif sink.on_message is not None:
                                     sink.on_message(msg, clock)
+                        if (
+                            faults is not None
+                            and health is not None
+                            and health.state != UP
+                        ):
+                            health.on_ok(clock)
                         if not pending:
                             head_val = _FAR
                             break
@@ -623,7 +756,11 @@ class FusedLoop:
                         sink.flits_ejected += ejected
                         net._flits_in_flight -= ejected
                         net.flits_ejected += ejected
-                        progress += ejected
+                progress += delivered
+                if mode is not None and faults is None and health.state != UP:
+                    # health-only link: the fault-free object path's
+                    # one batched heartbeat per visit
+                    health.on_ok(clock, delivered)
                 link_head[index] = head_val
             if profiler is not None:
                 t2 = perf_counter()

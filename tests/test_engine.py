@@ -27,12 +27,29 @@ from repro.experiments.runner import (
     simulate_fat_tree3,
     simulate_single_switch,
 )
-from repro.faults import FaultPlan, RecoveryConfig
-from repro.network.health import HealthConfig
+from repro.chaos.scenario import ChaosFatMeshExperiment
+from repro.faults import (
+    FATE_CORRUPT,
+    FATE_LOST,
+    FaultPlan,
+    LinkDownWindow,
+    RecoveryConfig,
+    install_faults,
+    install_recovery,
+)
+from repro.network.health import (
+    PROBATION,
+    SUSPECT,
+    UP,
+    HealthConfig,
+    install_health,
+)
+from repro.network.link import Link
 from repro.network.network import Network
 from repro.network.topology import single_switch
 from repro.obs import RingBufferSink, install_tracing
 from repro.router.config import RouterConfig, RoutingMode
+from repro.sim.rng import RngStreams
 from conftest import TINY, attach_workload, make_mesh_network, make_message
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,9 +108,9 @@ class TestArrayEngineParity:
         )
         assert _metrics(default) == _metrics(legacy)
 
-    def test_faulted_run_falls_back_identically(self, monkeypatch):
-        """Every link carries fault state, so every delivery falls back
-        to ``Link.deliver_due`` while NIs and routers stay inlined."""
+    def test_faulted_run_gates_flits_inline_identically(self, monkeypatch):
+        """Every link carries fault state, so every delivered flit
+        passes the inlined fate gate; only the lost ones leave the loop."""
         experiment = FatMeshExperiment(
             load=0.7,
             mix=(80, 20),
@@ -105,9 +122,12 @@ class TestArrayEngineParity:
         assert _metrics(default) == _metrics(legacy)
         assert default.fault_stats == legacy.fault_stats
 
-    def test_adaptive_failover_falls_back_identically(self, monkeypatch):
-        """Health-monitored links fall back to the object delivery;
-        adaptive routing runs inline through the mask-aware call-out."""
+    def test_adaptive_failover_health_only_links_identically(
+        self, monkeypatch
+    ):
+        """Health-monitored, fault-free links stay on the inlined
+        delivery; adaptive routing runs inline through the mask-aware
+        call-out."""
         experiment = FatMeshExperiment(
             load=0.7,
             mix=(80, 20),
@@ -128,6 +148,207 @@ class TestArrayEngineParity:
         assert _metrics(default) == _metrics(legacy)
         assert default.cycles_run == legacy.cycles_run
         assert default.flits_ejected == legacy.flits_ejected
+
+
+def _spy_on_links(monkeypatch):
+    """Record every ``Link.deliver_due`` / ``Link.apply_fate`` call.
+
+    Returns ``(deliveries, fates)``: ``(label, clock)`` per
+    ``deliver_due`` call and ``(label, clock, fate)`` per ``apply_fate``.
+    """
+    deliveries, fates = [], []
+    deliver_due, apply_fate = Link.deliver_due, Link.apply_fate
+
+    def spy_deliver_due(self, clock):
+        deliveries.append((self.label, clock))
+        return deliver_due(self, clock)
+
+    def spy_apply_fate(self, clock, msg, flit_index, vc_index, fate, down):
+        fates.append((self.label, clock, fate))
+        return apply_fate(self, clock, msg, flit_index, vc_index, fate, down)
+
+    monkeypatch.setattr(Link, "deliver_due", spy_deliver_due)
+    monkeypatch.setattr(Link, "apply_fate", spy_apply_fate)
+    return deliveries, fates
+
+
+class TestFaultGate:
+    """Faulted, untraced links deliver inside the loop: the fate is
+    drawn inline, and only a lost or corrupted flit calls out."""
+
+    def test_every_fault_kind_in_one_adaptive_run(self, monkeypatch):
+        """Loss and corruption on every link (host eject links
+        included), one channel severed for a window that opens and
+        closes mid-measurement, health monitoring and adaptive
+        failover: both loops end with the same metrics, fault stats and
+        per-link fault RNG states."""
+        base = FatMeshExperiment(load=0.7, mix=(80, 20), **TINY)
+        measured = base.total_cycles - base.warmup_cycles
+        window = LinkDownWindow(
+            "ch:0.4->1.4",
+            start=base.warmup_cycles + measured // 8,
+            end=base.warmup_cycles + measured // 3,
+        )
+
+        def build():
+            networks = []
+            result = simulate_fat_mesh(
+                ChaosFatMeshExperiment(
+                    load=0.7,
+                    mix=(80, 20),
+                    faults=FaultPlan(
+                        flit_loss_prob=0.002,
+                        flit_corrupt_prob=0.002,
+                        down_windows=(window,),
+                    ),
+                    recovery=RecoveryConfig(timeout=4096),
+                    health=HealthConfig(),
+                    routing_mode=RoutingMode.ADAPTIVE,
+                    watchdog_window=200_000,
+                    network_hook=networks.append,
+                    **TINY,
+                )
+            )
+            states = networks[0].fault_injector.states
+            return (
+                result,
+                {label: st.rng.getstate() for label, st in states.items()},
+                {label: set(st.broken) for label, st in states.items()},
+            )
+
+        _, fates = _spy_on_links(monkeypatch)
+        default, legacy = _both_loops(monkeypatch, build)
+        stats = default[0].fault_stats
+        assert stats["flits_lost"] > 0 and stats["flits_corrupted"] > 0
+        assert stats["health"]["link_downs"] > 0
+        assert stats["health"]["link_recoveries"] > 0, "window never closed"
+        ejects = {
+            fate for label, _, fate in fates if label.endswith(":eject")
+        }
+        assert ejects == {FATE_LOST, FATE_CORRUPT}
+        assert _metrics(default[0]) == _metrics(legacy[0])
+        assert stats == legacy[0].fault_stats
+        assert default[1] == legacy[1], "fault RNG substreams diverged"
+        assert default[2] == legacy[2]
+
+    def test_clean_flits_never_leave_the_loop(self, monkeypatch):
+        """Outside down windows an untraced faulted run makes no
+        ``deliver_due`` call, and one ``apply_fate`` call per lost or
+        corrupted flit."""
+        deliveries, fates = _spy_on_links(monkeypatch)
+        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+        result = simulate_fat_mesh(
+            FatMeshExperiment(
+                load=0.7,
+                mix=(80, 20),
+                faults=FaultPlan(
+                    flit_loss_prob=0.005, flit_corrupt_prob=0.005
+                ),
+                recovery=RecoveryConfig(timeout=4096),
+                health=HealthConfig(),
+                watchdog_window=200_000,
+                **TINY,
+            )
+        )
+        stats = result.fault_stats
+        assert stats["flits_lost"] > 0 and stats["flits_corrupted"] > 0
+        assert deliveries == []
+        assert len(fates) == stats["flits_lost"] + stats["flits_corrupted"]
+
+    def test_down_window_visits_are_the_only_call_outs(self, monkeypatch):
+        """SUSPECT and PROBATION links get their ``on_ok`` heartbeat
+        from the inlined path: a severed-then-healed channel (faults +
+        health) and a health-only link knocked to SUSPECT both return
+        to UP at the cycle the legacy loop reports, while
+        ``deliver_due`` runs only on the severed link inside its
+        window."""
+        severed, suspect = "ch:0.2->1.2", "ch:2.1->3.1"
+        window = LinkDownWindow(severed, start=1000, end=6000)
+
+        def build():
+            network, _ = make_mesh_network(
+                routing_mode=RoutingMode.ADAPTIVE
+            )
+            rngs = RngStreams(5)
+            install_faults(network, FaultPlan(down_windows=(window,)), rngs)
+            install_recovery(network, RecoveryConfig(timeout=2048))
+            monitor = install_health(network, HealthConfig(), rngs)
+            monitor.trace = RingBufferSink()
+            attach_workload(network, load=0.8)
+            health = monitor.states[suspect]
+            assert health.link.faults is None
+
+            def knock():
+                health.state = SUSPECT
+                health.misses = HealthConfig().suspect_misses
+
+            network.schedule_call(2000, knock)
+            network.run(16_000)
+            network.check_invariants()
+            return [
+                (cycle, fields["link"], fields["prev"], fields["state"])
+                for kind, cycle, fields in monitor.trace.records
+                if kind == "health" and "link" in fields
+            ]
+
+        deliveries, _ = _spy_on_links(monkeypatch)
+        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+        default = build()
+        called_out = list(deliveries)
+        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
+        legacy = build()
+        assert default == legacy
+        ups = {
+            (label, prev)
+            for cycle, label, prev, state in default
+            if state == UP
+        }
+        assert ups == {(severed, PROBATION), (suspect, SUSPECT)}
+        assert called_out
+        assert all(
+            label == severed and window.start <= clock < window.end
+            for label, clock in called_out
+        )
+
+    def test_traced_faulted_link_is_still_called_out(self, monkeypatch):
+        """A trace sink on one faulted link keeps that link (only) on
+        ``Link.deliver_due``, which emits ``flit_lost`` and
+        ``flit_corrupt``; the other faulted links stay inlined."""
+        traced = "ch:0.1->1.1"
+
+        def build():
+            network, _ = make_mesh_network()
+            install_faults(
+                network,
+                FaultPlan(flit_loss_prob=0.01, flit_corrupt_prob=0.01),
+                RngStreams(5),
+            )
+            install_recovery(network, RecoveryConfig(timeout=2048))
+            sink = RingBufferSink()
+            next(
+                link for link in network.links if link.label == traced
+            ).trace = sink
+            attach_workload(network, load=0.6)
+            network.run(8000)
+            network.check_invariants()
+            return (
+                [
+                    (kind, cycle, fields["flit"])
+                    for kind, cycle, fields in sink.records
+                ],
+                network.flits_lost,
+                network.flits_corrupted,
+                network.flits_ejected,
+            )
+
+        deliveries, _ = _spy_on_links(monkeypatch)
+        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+        default = build()
+        assert deliveries and {label for label, _ in deliveries} == {traced}
+        kinds = {kind for kind, _, _ in default[0]}
+        assert {"link_tx", "flit_lost", "flit_corrupt"} <= kinds
+        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
+        assert build() == default
 
 
 class TestCallOuts:

@@ -70,6 +70,22 @@ class _StubRouter:
         self.accepted.append((clock, port, vc_index, msg.msg_id, flit_index))
 
 
+class _StubHealth:
+    """Health record stand-in logging the events the link feeds it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_ok(self, clock, count=1):
+        self.calls.append(("ok", clock))
+
+    def on_miss(self, clock):
+        self.calls.append(("miss", clock))
+
+    def on_corrupt(self, clock):
+        self.calls.append(("corrupt", clock))
+
+
 def _state(link_label="l", loss=0.0, corrupt=0.0, windows=(), rng=None, net=None):
     return LinkFaultState(
         label=link_label,
@@ -221,6 +237,40 @@ class TestFaultyLinkDelivery:
         assert msg.corrupted
         assert net.corrupted == 1
         assert len(router.accepted) == 1
+
+    def test_apply_fate_owns_loss_and_corruption(self):
+        """The method both delivery loops call for a non-OK fate:
+        returns the flits it delivered and feeds the health record."""
+        router = _StubRouter()
+        net = _StubNetwork()
+        link = Link(dest_router=router, dest_port=0, latency=1, label="l")
+        link.faults = _state(net=net)
+        link.health = _StubHealth()
+        msg = make_message(size=3)
+        assert link.apply_fate(5, msg, 0, 2, FATE_LOST, False) == 0
+        assert router.accepted == [] and not msg.corrupted
+        assert router.inputs[0][2].credit_sink.credits == 1
+        assert link.apply_fate(6, msg, 1, 2, FATE_CORRUPT, False) == 1
+        assert [a[4] for a in router.accepted] == [1] and msg.corrupted
+        assert (net.lost, net.corrupted) == (1, 1)
+        assert link.health.calls == [("miss", 5), ("corrupt", 6)]
+
+    def test_object_loop_draws_then_delegates_non_ok_fates(self):
+        # flit 0 survives both draws, flit 1 is corrupted, flit 2 lost
+        rng = _Rng([0.9, 0.9, 0.9, 0.1, 0.1])
+        router = _StubRouter()
+        net = _StubNetwork()
+        link = Link(dest_router=router, dest_port=0, latency=1, label="l")
+        link.faults = _state(loss=0.5, corrupt=0.5, rng=rng, net=net)
+        link.health = _StubHealth()
+        msg = make_message(size=3)
+        for flit in range(3):
+            link.send(flit, msg, flit, vc_index=0)
+        assert link.deliver_due(10) == 2
+        assert rng.values == []
+        assert [a[4] for a in router.accepted] == [0, 1]
+        assert (net.lost, net.corrupted) == (1, 1)
+        assert link.health.calls == [("ok", 10), ("corrupt", 10), ("miss", 10)]
 
     def test_is_available_follows_down_windows(self):
         link = Link(sink=object(), label="l")
