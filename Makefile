@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage bench bench-default bench-smoke perf perf-test repro faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
+.PHONY: install test lint coverage bench bench-default perf perf-test repro faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
 
 # conservative floor just under the suite's measured line coverage of
 # src/repro; ratchet upward as coverage grows, never downward
@@ -32,11 +32,6 @@ bench:            ## quick-profile benchmarks (shape checks)
 bench-default:    ## the EXPERIMENTS.md setting (slow)
 	REPRO_BENCH_PROFILE=default $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-smoke:      ## core-engine bench: default vs legacy loop, serial vs pool
-	$(PYTHON) -m repro.experiments.bench_core --profile quick --jobs 2 \
-		--min-speedup 1.0 --min-speedup-dense 1.5 \
-		--out BENCH_core.json --history BENCH_history.jsonl
-
 perf:             ## the repo benchmark (BENCHMARK.json): 4 workloads, end to end
 	python3 benchmarks/perf/run.py
 
@@ -49,7 +44,8 @@ repro:            ## regenerate every figure/table at the default profile
 faults-smoke:     ## 2-point fault campaign (VC + FIFO at 0.5% loss), CI-sized
 	$(PYTHON) -m repro.experiments.cli faults --profile quick \
 		--rates 0.005 --fresh \
-		--checkpoint mediaworm-faults-smoke.checkpoint.json
+		--checkpoint mediaworm-faults-smoke.checkpoint.json \
+		--json FAULTS_smoke.json
 
 failover-smoke:   ## adaptive vs static with 2 permanent failures, CI-sized
 	$(PYTHON) -m repro.experiments.cli failover --profile quick \

@@ -81,7 +81,7 @@ def _execute_legacy(scenario: Scenario):
     The loop choice is read from ``REPRO_LEGACY_LOOP`` at Network
     construction, so toggling the variable around the call selects the
     loop for exactly this run (same save/restore discipline as
-    ``bench_core``).
+    ``repro.experiments.scale``).
     """
     saved = os.environ.get("REPRO_LEGACY_LOOP")
     os.environ["REPRO_LEGACY_LOOP"] = "1"

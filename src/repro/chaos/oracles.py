@@ -32,7 +32,6 @@ campaign a differential tester instead of a crash fuzzer.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.errors import (
@@ -44,7 +43,7 @@ from repro.errors import (
     RoutingError,
     SimulationError,
 )
-from repro.experiments.bench_core import _canon
+from repro.metrics.collector import canonical, canonical_metrics
 
 #: every oracle name a verdict may carry, for docs and validation
 ORACLES = (
@@ -81,19 +80,9 @@ def classify_error(exc: BaseException) -> str:
     return "crash"
 
 
-def canonical_metrics(result) -> dict:
-    """The full metrics record in NaN-safe comparable form.
-
-    This is the bit-identity surface for the health-no-op oracle (and,
-    with the fault accounting, for parity): two runs agree exactly when
-    these dicts are equal.
-    """
-    return _canon(dataclasses.asdict(result.metrics))
-
-
 def canonical_run(result) -> tuple:
     """Metrics plus fault/recovery accounting: the parity surface."""
-    return canonical_metrics(result), _canon(result.fault_stats)
+    return canonical_metrics(result), canonical(result.fault_stats)
 
 
 def metrics_digest(result) -> dict:
@@ -104,7 +93,7 @@ def metrics_digest(result) -> dict:
     recorded (fixed — or differently broken).
     """
     metrics = result.metrics
-    return _canon(
+    return canonical(
         {
             "cycles_run": result.cycles_run,
             "flits_injected": result.flits_injected,

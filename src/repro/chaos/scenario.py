@@ -532,12 +532,8 @@ class ScenarioSpace:
         # transport clocks scale with the frame interval, mirroring the
         # fault/failover campaigns; generous retries keep a healthy
         # fabric's losses recoverable inside the watchdog window
-        recovery = RecoveryConfig(
-            timeout=max(512, interval // 2),
-            max_retries=8,
-            backoff_base=max(16, interval // 256),
-            backoff_cap=max(64, interval // 16),
-            qos_deadline=4 * interval,
+        recovery = RecoveryConfig.scaled(
+            interval, max_retries=8, qos_deadline=4 * interval
         )
         return dataclasses.replace(
             scenario, faults=plan, recovery=recovery

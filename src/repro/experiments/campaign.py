@@ -1,0 +1,325 @@
+"""One campaign skeleton: series x axis -> experiment -> Point -> table.
+
+The paper's evaluation is nothing but sweeps, and every robustness
+study this repo adds on top of it (``mediaworm faults`` / ``failover``
+/ ``disaster``) has the same shape.  A study is a frozen
+:class:`Campaign` *spec* — its series, its swept :class:`Axis`, an
+experiment factory, a picklable point runner, and its table columns as
+data — and this module holds the single implementation of everything
+else: building the :class:`~repro.experiments.parallel.SweepTask` list,
+logging restored keys, recording (and checkpointing) points that fail
+every retry, assembling the :class:`~repro.experiments.figures
+.FigureData` and rendering the aligned table.  The CLI enumerates
+:func:`campaigns`, so a new campaign is a spec plus a
+:func:`register` call and gets ``--jobs``, checkpointing, fingerprinted
+keys, ``--json`` and the exit-1-on-failed-point rule for free.
+
+Deliberately not imported by ``repro.experiments.__init__``,
+``parallel`` or ``runner``: a pool worker running a figure sweep never
+pays for it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from importlib import import_module
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.export import point_from_dict, point_to_dict
+from repro.experiments.figures import FigureData, Point, get_profile
+from repro.experiments.parallel import (
+    ParallelSweepExecutor,
+    SweepTask,
+    sweep_fingerprint,
+)
+from repro.experiments.resilience import SweepCheckpoint
+from repro.metrics.collector import RunMetrics
+
+
+def empty_metrics() -> RunMetrics:
+    """Placeholder metrics for a point that failed every retry."""
+    return RunMetrics(
+        mean_delivery_interval_ms=0.0,
+        std_delivery_interval_ms=0.0,
+        frames_delivered=0,
+        interval_count=0,
+        be_latency_us=0.0,
+        be_latency_us_paper_equivalent=0.0,
+        be_latency_std_us=0.0,
+        be_message_count=0,
+    )
+
+
+@dataclass(frozen=True)
+class Axis:
+    """The swept parameter: its CLI flag, parsing, validation, encodings."""
+
+    #: CLI flag (``"--rates"``); its dest also names the checkpoint-meta entry
+    flag: str
+    metavar: str
+    help: str
+    defaults: tuple
+    #: one comma-separated token -> value (``ValueError`` on junk)
+    parse: Callable[[str], object]
+    #: raises a short ``ConfigurationError`` naming an unusable value
+    check: Callable[[object], None]
+    #: format spec spelling a value in point keys (``"g"`` for floats)
+    fmt: str = ""
+    #: value -> its checkpoint-meta encoding (must stay what the parent
+    #: commit wrote, or old checkpoints are discarded as mismatched)
+    meta: Callable = lambda x: x
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-")
+
+    def text(self, x) -> str:
+        return format(x, self.fmt)
+
+    def validated(self, values: Optional[Sequence]) -> tuple:
+        """``values`` (``None``: the defaults), each checked, none repeated.
+
+        Runs before any experiment is built, so a bad value is a short
+        error naming it rather than a failure deep inside the sweep.
+        """
+        values = self.defaults if values is None else tuple(values)
+        seen = set()
+        for x in values:
+            self.check(x)
+            if self.text(x) in seen:
+                raise ConfigurationError(
+                    f"{self.flag} lists {self.text(x)} more than once"
+                )
+            seen.add(self.text(x))
+        return values
+
+    def from_arg(self, arg: Optional[str]) -> tuple:
+        """The validated values of the CLI argument (absent: the defaults)."""
+        if not arg:
+            return self.validated(None)
+        try:
+            values = [
+                self.parse(token.strip())
+                for token in arg.split(",")
+                if token.strip()
+            ]
+        except ValueError:
+            raise ConfigurationError(
+                f"{self.flag} must be comma-separated "
+                f"{self.parse.__name__}s, got {arg!r}"
+            ) from None
+        return self.validated(values)
+
+
+class Column(NamedTuple):
+    """One right-aligned table column.
+
+    ``source`` is ``"x"``, ``"d"`` or ``"sigma_d"`` (the Point's own
+    values) or a dotted path into ``Point.extra``
+    (``"health.reroutes"``); an absent extra renders ``default``.
+    """
+
+    header: str
+    width: int
+    source: str
+    fmt: str = ""
+    default: object = 0
+
+    def cell(self, point: Point) -> str:
+        if self.source in ("x", "d", "sigma_d"):
+            value = getattr(point, self.source)
+        else:
+            *parents, leaf = self.source.split(".")
+            node = point.extra
+            for name in parents:
+                node = node.get(name) or {}
+            value = node.get(leaf, self.default)
+        return f"{value:>{self.width}{self.fmt}}"
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """A sweep study as data; :meth:`run` and :meth:`render` do the rest."""
+
+    #: subcommand, figure id, checkpoint ``command`` and log tag
+    name: str
+    #: one line, shown by ``mediaworm --help`` and ``mediaworm list``
+    help: str
+    #: series names, in table order
+    series: Tuple[str, ...]
+    axis: Axis
+    #: ``(profile, series, x) -> experiment`` dataclass for one point
+    experiment: Callable
+    #: worker body ``experiment -> Point``; module-level (picklable) so
+    #: the parallel executor can run points in pool workers, and
+    #: returning the Point rather than the full result keeps the
+    #: checkpoint encoding identical between serial and parallel paths
+    point: Callable
+    title: str
+    xlabel: str
+    notes: str
+    #: header and width of the left-aligned series column
+    series_column: Tuple[str, int]
+    #: the table, left to right; the first column is the axis value and
+    #: is the only one a ``FAILED`` row still shows
+    columns: Tuple[Column, ...]
+    #: which ``(series, x)`` pairs exist (the butterfly has no pods)
+    defined: Callable[[str, object], bool] = lambda series, x: True
+    #: ``x -> Point`` standing in for a point that failed every retry;
+    #: :meth:`run` adds the ``failed`` extra
+    placeholder: Callable[[object], Point] = lambda x: Point(x, empty_metrics())
+
+    def key(self, series: str, x, experiment) -> str:
+        """Checkpoint/result key for one point: ``series@x[|fingerprint]``.
+
+        The fingerprint suffix is empty for an experiment at the default
+        knobs, so fault-sweep checkpoints written before routing modes
+        and health monitoring existed keep restoring.  Failover and
+        disaster points always carry non-default knobs (routing mode,
+        health config, deadline), so theirs is always present — a
+        checkpoint resumed after any knob change recomputes rather than
+        reusing stale points.
+        """
+        key = f"{series}@{self.axis.text(x)}"
+        fingerprint = sweep_fingerprint(experiment)
+        return f"{key}|{fingerprint}" if fingerprint else key
+
+    def checkpoint_meta(self, profile_name: str, values: Sequence) -> Dict:
+        """What identifies one invocation's checkpoint file."""
+        return {
+            "command": self.name,
+            "profile": profile_name,
+            self.axis.dest: [self.axis.meta(x) for x in values],
+        }
+
+    def run(
+        self,
+        profile="default",
+        values: Optional[Sequence] = None,
+        checkpoint: Optional[SweepCheckpoint] = None,
+        log: Optional[Callable[[str], None]] = None,
+        executor: Optional[ParallelSweepExecutor] = None,
+    ) -> FigureData:
+        """Sweep ``values`` of the axis for every series.
+
+        With a ``checkpoint``, every completed point is persisted and a
+        rerun with the same metadata skips straight past it; a point
+        that keeps failing after the resilient retries records a
+        ``failed`` extra instead of aborting the campaign.  An
+        ``executor`` with ``jobs > 1`` farms the points out to a process
+        pool; results are bit-identical to the serial path (each point
+        seeds its own RNG streams).  Pairs the spec does not define are
+        skipped for that series.
+        """
+        profile = get_profile(profile)
+        values = self.axis.validated(values)
+        if executor is None:
+            executor = ParallelSweepExecutor(jobs=1, log=log)
+        say = log or (lambda message: None)
+        #: task key -> (series, x), in table order
+        where: Dict[str, tuple] = {}
+        tasks = []
+        for series in self.series:
+            for x in values:
+                if not self.defined(series, x):
+                    continue
+                experiment = self.experiment(profile, series, x)
+                key = self.key(series, x, experiment)
+                where[key] = (series, x)
+                tasks.append(
+                    SweepTask(
+                        key=key, runner=self.point, experiment=experiment
+                    )
+                )
+        if checkpoint is not None:
+            for key in where:
+                if key in checkpoint:
+                    say(f"[{self.name}] {key}: restored from checkpoint")
+
+        failed: Dict[str, Point] = {}
+
+        def on_failure(task: SweepTask, exc: SimulationError) -> None:
+            point = self.placeholder(where[task.key][1])
+            point.extra["failed"] = f"{type(exc).__name__}: {exc}"
+            failed[task.key] = point
+            if checkpoint is not None:
+                checkpoint.put(task.key, point_to_dict(point))
+            say(f"[{self.name}] {task.key}: FAILED ({type(exc).__name__})")
+
+        results = executor.run(
+            tasks,
+            checkpoint=checkpoint,
+            encode=point_to_dict,
+            decode=point_from_dict,
+            on_failure=on_failure,
+        )
+        series: Dict[str, list] = {name: [] for name in self.series}
+        for key, (name, _) in where.items():
+            series[name].append(results.get(key) or failed[key])
+        return FigureData(
+            figure_id=self.name,
+            title=self.title,
+            xlabel=self.xlabel,
+            series=series,
+            notes=self.notes,
+        )
+
+    def render(self, fig: FigureData) -> str:
+        """Render the campaign as an aligned terminal table."""
+        label, width = self.series_column
+        header = " ".join(
+            [f"{label:<{width}}"]
+            + [f"{col.header:>{col.width}}" for col in self.columns]
+        )
+        lines = [fig.title, header, "-" * len(header)]
+        for name, points in fig.series.items():
+            for point in points:
+                if "failed" in point.extra:
+                    cells = [
+                        self.columns[0].cell(point),
+                        "FAILED: " + str(point.extra["failed"]),
+                    ]
+                else:
+                    cells = [col.cell(point) for col in self.columns]
+                lines.append(" ".join([f"{name:<{width}}"] + cells))
+        if fig.notes:
+            lines.append(f"({fig.notes})")
+        return "\n".join(lines)
+
+
+def any_failed(fig: FigureData) -> bool:
+    """Whether any point of the figure is a failed-point placeholder."""
+    return any(
+        "failed" in point.extra
+        for points in fig.series.values()
+        for point in points
+    )
+
+
+#: modules whose ``CAMPAIGN`` ships with the repo, in ``mediaworm list``
+#: order (imported on demand: each of them imports this module)
+_BUILTIN = (
+    "repro.experiments.faultsweep",
+    "repro.experiments.failover",
+    "repro.experiments.disaster",
+)
+
+#: campaigns added at run time by :func:`register`
+_REGISTERED: Dict[str, Campaign] = {}
+
+
+def register(spec: Campaign) -> Campaign:
+    """Offer ``spec`` as ``mediaworm <spec.name>`` without editing the CLI."""
+    _REGISTERED[spec.name] = spec
+    return spec
+
+
+def campaigns() -> Dict[str, Campaign]:
+    """Every campaign by name: the built-ins first, then registered ones."""
+    found = {}
+    for module in _BUILTIN:
+        spec = import_module(module).CAMPAIGN
+        found[spec.name] = spec
+    found.update(_REGISTERED)
+    return found

@@ -7,17 +7,28 @@ Examples::
     mediaworm run table3
     mediaworm all --profile default
     mediaworm faults --profile quick --rates 0,0.01
+
+The subcommands are a table (:func:`_commands`): a name, the one-line
+help that ``mediaworm --help`` and ``mediaworm list`` both print, a
+``configure(parser)`` declaring its flags and a ``run(args)`` returning
+the exit status.  Campaigns come from the registry in
+:mod:`repro.experiments.campaign` through one shared handler, so a new
+campaign needs no edit here.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import replace
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import Campaign, any_failed, campaigns
+from repro.experiments.export import save_result
 from repro.experiments.figures import (
     FIGURES,
     PROFILES,
@@ -30,10 +41,11 @@ from repro.experiments.report import (
     table2_to_text,
     table3_to_text,
 )
-from repro.experiments.resilience import RESEED_STEP, SweepCheckpoint
-from repro.experiments.tables import TABLES, run_table2, run_table3
+from repro.experiments.resilience import SweepCheckpoint, run_resilient
+from repro.experiments.tables import run_table2, run_table3
 
-_DESCRIPTIONS = {
+#: what ``mediaworm run`` accepts, as ``mediaworm list`` describes it
+_EXPERIMENTS = {
     "fig3": "Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
     "fig4": "CBR vs VBR traffic (no best-effort)",
     "fig5": "Mixed traffic ratios vs load",
@@ -43,14 +55,158 @@ _DESCRIPTIONS = {
     "fig9": "2x2 fat-mesh performance",
     "table2": "Best-effort latency per mix and load",
     "table3": "PCS connection drop accounting",
-    "faults": "QoS degradation under link faults (fat mesh)",
-    "failover": "adaptive vs static routing under permanent link failures",
-    "disaster": "switch/pod failures and datacenter failover on trees",
-    "trace": "one traced run: JSONL event stream, invariants, profiling",
-    "chaos": "randomized differential fault campaign with scenario shrinking",
-    "topo": "inspect a topology and its compiled route program",
-    "scale": "datacenter-scale campaign (1024-host fat tree, Clos)",
 }
+
+#: what ``mediaworm all`` runs (fig5 prints Table 2 alongside)
+_ALL = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table3")
+
+
+class Command(NamedTuple):
+    """One ``mediaworm`` subcommand."""
+
+    name: str
+    help: str
+    configure: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+    #: ``list`` / ``run`` / ``all`` are how the experiments that
+    #: ``mediaworm list`` prints are reached, not entries of it
+    listed: bool = True
+
+
+# Flags shared between subcommands, each declared exactly once.
+
+
+def _add_sweep_args(parser, watchdog: bool = True) -> None:
+    """``--jobs`` / ``--watchdog`` / ``--point-timeout``."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        default=1,
+        help="run points (sweep points, chaos scenarios) in N worker "
+        "processes (per-point results are bit-identical to --jobs 1)",
+    )
+    if watchdog:
+        parser.add_argument(
+            "--watchdog",
+            type=int,
+            metavar="CYCLES",
+            default=None,
+            help="abort any run making no progress for CYCLES cycles "
+            "(default: each sweep's own policy)",
+        )
+    parser.add_argument(
+        "--point-timeout",
+        type=float,
+        metavar="SECONDS",
+        default=None,
+        help="wall-clock budget per point; a point exceeding it fails "
+        "(a sweep retries it reseeded, chaos files it under the 'timeout' "
+        "oracle, overriding the scenario's own budget) instead of hanging",
+    )
+
+
+def _add_run_args(
+    parser,
+    command: str,
+    profile: Optional[str] = "default",
+    json_out: bool = False,
+    checkpoint: bool = False,
+) -> None:
+    """``--profile`` / ``--json`` / ``--checkpoint`` + ``--fresh``."""
+    if profile:
+        parser.add_argument(
+            "--profile",
+            choices=sorted(PROFILES),
+            default=profile,
+            help="workload scale / horizon preset (default: %(default)s)",
+        )
+    if json_out:
+        parser.add_argument(
+            "--json",
+            metavar="PATH",
+            default=None,
+            help="also write the result as JSON",
+        )
+    if checkpoint:
+        parser.add_argument(
+            "--checkpoint",
+            metavar="PATH",
+            default=None,
+            help=f"checkpoint file (default: mediaworm-{command}-<profile>"
+            ".checkpoint.json); an interrupted run resumes from it",
+        )
+        parser.add_argument(
+            "--fresh",
+            action="store_true",
+            help="discard any existing checkpoint and recompute everything",
+        )
+
+
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
+
+
+def _sweep_setup(args):
+    """Resolve the shared sweep flags into ``(profile, executor)``."""
+    profile = get_profile(args.profile)
+    if args.watchdog is not None:
+        if args.watchdog < 1:
+            raise SystemExit(f"--watchdog must be >= 1, got {args.watchdog}")
+        profile = replace(profile, watchdog_window=args.watchdog)
+    _check_jobs(args)
+    if args.point_timeout is not None and args.point_timeout <= 0:
+        raise SystemExit(
+            f"--point-timeout must be > 0 seconds, got {args.point_timeout}"
+        )
+    # a point timeout needs the executor even at --jobs 1: the inline
+    # path is what arms the per-point wall-clock limit
+    executor = (
+        ParallelSweepExecutor(
+            jobs=args.jobs,
+            log=print,
+            point_timeout=args.point_timeout,
+        )
+        if args.jobs > 1 or args.point_timeout is not None
+        else None
+    )
+    return profile, executor
+
+
+def _checkpoint_path(args, command: str) -> str:
+    return (
+        args.checkpoint
+        or f"mediaworm-{command}-{args.profile}.checkpoint.json"
+    )
+
+
+def _open_checkpoint(args, meta) -> SweepCheckpoint:
+    """The invocation's checkpoint, emptied first under ``--fresh``."""
+    checkpoint = SweepCheckpoint(
+        _checkpoint_path(args, meta["command"]), meta=meta
+    )
+    if args.fresh:
+        checkpoint.clear()
+    return checkpoint
+
+
+def _dump_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _no_flags(parser) -> None:
+    pass
+
+
+def _run_list(args) -> int:
+    entries = dict(_EXPERIMENTS)
+    entries.update((c.name, c.help) for c in _commands() if c.listed)
+    for name, desc in entries.items():
+        print(f"{name:8s} {desc}")
+    return 0
 
 
 def _run_one(
@@ -93,8 +249,6 @@ def _run_one(
 
 def _maybe_save(json_path, result) -> None:
     if json_path:
-        from repro.experiments.export import save_result
-
         save_result(json_path, result)
 
 
@@ -110,175 +264,163 @@ def _check(fig) -> str:
     return "paper claims:\n" + claims_to_text(check_claims(fig))
 
 
-def _run_one_resilient(
-    name: str,
-    profile,
-    attempts: int = 3,
-    **kwargs,
-) -> str:
-    """Run one experiment, retrying with a reseeded profile on failure."""
-    base = get_profile(profile)
-    last_error = None
-    for attempt in range(attempts):
-        trial = (
-            base
-            if attempt == 0
-            else replace(base, seed=base.seed + attempt * RESEED_STEP)
+def _print_experiment(name: str, profile, **kwargs) -> str:
+    """Run one experiment (retrying with a reseeded profile on failure)
+    and print it with its wall time; returns the rendered text."""
+
+    def on_retry(attempt, exc) -> None:
+        print(
+            f"[{name} attempt {attempt + 1} failed "
+            f"({type(exc).__name__}); retrying with a fresh seed]",
+            file=sys.stderr,
         )
-        try:
-            return _run_one(name, trial, **kwargs)
-        except SimulationError as exc:
-            last_error = exc
-            print(
-                f"[{name} attempt {attempt + 1} failed "
-                f"({type(exc).__name__}); retrying with a fresh seed]",
-                file=sys.stderr,
-            )
-    raise last_error
 
-
-def _run_faults(args, profile, executor) -> int:
-    """The ``mediaworm faults`` subcommand: a checkpointed fault campaign."""
-    from repro.experiments.faultsweep import (
-        DEFAULT_FAULT_RATES,
-        fault_campaign_to_text,
-        run_fault_campaign,
-    )
-
-    if args.rates:
-        try:
-            rates = tuple(float(r) for r in args.rates.split(","))
-        except ValueError:
-            raise SystemExit(f"--rates must be comma-separated floats, got {args.rates!r}")
-        for rate in rates:
-            if not 0.0 <= rate <= 1.0:
-                raise SystemExit(f"fault rates must be in [0, 1], got {rate}")
-    else:
-        rates = DEFAULT_FAULT_RATES
-    path = args.checkpoint or f"mediaworm-faults-{args.profile}.checkpoint.json"
-    checkpoint = SweepCheckpoint(
-        path,
-        meta={
-            "command": "faults",
-            "profile": args.profile,
-            "rates": [f"{r:g}" for r in rates],
-        },
-    )
-    if args.fresh:
-        checkpoint.clear()
     started = time.perf_counter()
-    fig = run_fault_campaign(
-        profile, rates, checkpoint=checkpoint, log=print, executor=executor
-    )
-    _maybe_save(args.json, fig)
-    print(fault_campaign_to_text(fig))
-    print(f"[faults completed in {time.perf_counter() - started:.1f}s]")
-    checkpoint.clear()
-    return 0
-
-
-def _run_failover(args, profile, executor) -> int:
-    """The ``mediaworm failover`` subcommand: adaptive vs static routing."""
-    from repro.experiments.failover import (
-        DEFAULT_SEVERITIES,
-        failover_campaign_to_text,
-        run_failover_campaign,
-    )
-
-    if args.severities:
-        try:
-            severities = tuple(int(s) for s in args.severities.split(","))
-        except ValueError:
-            raise SystemExit(
-                f"--severities must be comma-separated ints, got "
-                f"{args.severities!r}"
-            )
-        for severity in severities:
-            if severity < 0:
-                raise SystemExit(
-                    f"severities must be >= 0, got {severity}"
-                )
-    else:
-        severities = DEFAULT_SEVERITIES
-    path = (
-        args.checkpoint
-        or f"mediaworm-failover-{args.profile}.checkpoint.json"
-    )
-    checkpoint = SweepCheckpoint(
-        path,
-        meta={
-            "command": "failover",
-            "profile": args.profile,
-            "severities": list(severities),
-        },
-    )
-    if args.fresh:
-        checkpoint.clear()
-    started = time.perf_counter()
-    fig = run_failover_campaign(
+    text = run_resilient(
+        lambda trial: _run_one(name, trial, **kwargs),
         profile,
-        severities,
-        checkpoint=checkpoint,
-        log=print,
+        on_retry=on_retry,
+    )
+    print(text)
+    print(f"[{name} completed in {time.perf_counter() - started:.1f}s]\n")
+    return text
+
+
+def _configure_run(parser) -> None:
+    parser.add_argument("experiment", help="fig3..fig9, table2, table3")
+    _add_run_args(parser, "run", json_out=True)
+    _add_sweep_args(parser)
+    parser.add_argument(
+        "--plot",
+        action="store_true",
+        help="append a terminal plot of sigma_d",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="verify the paper's qualitative claims against the result",
+    )
+
+
+def _run_run(args) -> int:
+    profile, executor = _sweep_setup(args)
+    _print_experiment(
+        args.experiment,
+        profile,
+        plot=args.plot,
+        json_path=args.json,
+        check=args.check,
         executor=executor,
     )
-    _maybe_save(args.json, fig)
-    print(failover_campaign_to_text(fig))
-    print(f"[failover completed in {time.perf_counter() - started:.1f}s]")
-    checkpoint.clear()
     return 0
 
 
-def _run_disaster(args, profile, executor) -> int:
-    """The ``mediaworm disaster`` subcommand: datacenter failover."""
-    from repro.experiments.disaster import (
-        DEFAULT_SEVERITIES,
-        disaster_campaign_to_text,
-        run_disaster_campaign,
-    )
+def _configure_all(parser) -> None:
+    _add_run_args(parser, "all", checkpoint=True)
+    _add_sweep_args(parser)
 
-    if args.severities:
-        severities = tuple(
-            s.strip() for s in args.severities.split(",") if s.strip()
+
+def _run_all(args) -> int:
+    profile, executor = _sweep_setup(args)
+    checkpoint = _open_checkpoint(
+        args, {"command": "all", "profile": args.profile}
+    )
+    restored = [name for name in _ALL if name in checkpoint]
+    if restored:
+        print(
+            f"[resuming from {checkpoint.path}: "
+            f"{', '.join(restored)} already done]\n"
         )
-        for severity in severities:
-            if severity not in DEFAULT_SEVERITIES:
-                raise SystemExit(
-                    f"unknown severity {severity!r} (choose from "
-                    f"{', '.join(DEFAULT_SEVERITIES)})"
-                )
-    else:
-        severities = DEFAULT_SEVERITIES
-    path = (
-        args.checkpoint
-        or f"mediaworm-disaster-{args.profile}.checkpoint.json"
-    )
-    checkpoint = SweepCheckpoint(
-        path,
-        meta={
-            "command": "disaster",
-            "profile": args.profile,
-            "severities": list(severities),
-        },
-    )
-    if args.fresh:
-        checkpoint.clear()
-    started = time.perf_counter()
-    fig = run_disaster_campaign(
-        profile,
-        severities,
-        checkpoint=checkpoint,
-        log=print,
-        executor=executor,
-    )
-    _maybe_save(args.json, fig)
-    print(disaster_campaign_to_text(fig))
-    print(f"[disaster completed in {time.perf_counter() - started:.1f}s]")
+    for name in _ALL:
+        if name in checkpoint:
+            print(checkpoint.get(name))
+            print(f"[{name} restored from checkpoint]\n")
+            continue
+        checkpoint.put(
+            name, _print_experiment(name, profile, executor=executor)
+        )
     checkpoint.clear()
     return 0
 
 
-def _run_trace(args, profile) -> int:
+def _configure_campaign(spec: Campaign, parser) -> None:
+    _add_run_args(parser, spec.name, json_out=True, checkpoint=True)
+    _add_sweep_args(parser)
+    axis = spec.axis
+    parser.add_argument(
+        axis.flag, metavar=axis.metavar, default=None, help=axis.help
+    )
+
+
+def _run_campaign(spec: Campaign, args) -> int:
+    """A checkpointed campaign; exits 1 when any point is a FAILED row."""
+    profile, executor = _sweep_setup(args)
+    try:
+        values = spec.axis.from_arg(getattr(args, spec.axis.dest))
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc))
+    checkpoint = _open_checkpoint(
+        args, spec.checkpoint_meta(args.profile, values)
+    )
+    started = time.perf_counter()
+    fig = spec.run(
+        profile, values, checkpoint=checkpoint, log=print, executor=executor
+    )
+    _maybe_save(args.json, fig)
+    print(spec.render(fig))
+    print(f"[{spec.name} completed in {time.perf_counter() - started:.1f}s]")
+    checkpoint.clear()
+    return 1 if any_failed(fig) else 0
+
+
+def _configure_trace(parser) -> None:
+    parser.add_argument(
+        "--preset",
+        choices=sorted(PROFILES),
+        default="quick",
+        help="workload scale / horizon preset (default: quick)",
+    )
+    parser.add_argument(
+        "--load",
+        type=float,
+        default=0.8,
+        metavar="F",
+        help="offered input-link load (default: 0.8)",
+    )
+    parser.add_argument(
+        "--trace-out",
+        metavar="PATH",
+        default="mediaworm-trace.jsonl",
+        help="JSONL event-stream destination "
+        "(default: mediaworm-trace.jsonl)",
+    )
+    parser.add_argument(
+        "--trace-events",
+        metavar="K1,K2,...",
+        default=None,
+        help="record only these event kinds (default: all; see "
+        "repro.obs.ALL_EVENTS)",
+    )
+    parser.add_argument(
+        "--chrome",
+        metavar="PATH",
+        default=None,
+        help="also export a Chrome-trace/Perfetto JSON timeline",
+    )
+    parser.add_argument(
+        "--no-check",
+        action="store_true",
+        help="skip the invariant checker (tracing only)",
+    )
+    # not the workload preset (that is --preset here): the loop profiler
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="profile the simulation loop per phase (wall time)",
+    )
+
+
+def _run_trace(args) -> int:
     """The ``mediaworm trace`` subcommand: one fully observed run.
 
     Runs the paper's default single-switch workload once with the
@@ -287,7 +429,6 @@ def _run_trace(args, profile) -> int:
     and credit consistency, and — with ``--profile`` — per-phase
     simulation-loop wall-time profiling.
     """
-    from repro.errors import ConfigurationError
     from repro.experiments.config import SingleSwitchExperiment
     from repro.experiments.figures import _base_kwargs
     from repro.experiments.runner import simulate_single_switch
@@ -311,7 +452,7 @@ def _run_trace(args, profile) -> int:
         load=args.load,
         trace=spec,
         profile_loop=args.profile,
-        **_base_kwargs(profile),
+        **_base_kwargs(get_profile(args.preset)),
     )
     started = time.perf_counter()
     result = simulate_single_switch(experiment)
@@ -346,6 +487,55 @@ def _run_trace(args, profile) -> int:
     return 0
 
 
+def _configure_chaos(parser) -> None:
+    _add_run_args(
+        parser, "chaos", profile="smoke", json_out=True, checkpoint=True
+    )
+    # scenarios carry their own watchdog windows
+    _add_sweep_args(parser, watchdog=False)
+    parser.add_argument(
+        "--count",
+        type=int,
+        metavar="N",
+        default=25,
+        help="scenarios to draw and run (default: 25)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=7,
+        help="campaign seed; the scenario stream and every verdict are "
+        "a pure function of it (default: 7)",
+    )
+    parser.add_argument(
+        "--corpus",
+        metavar="DIR",
+        default="chaos-corpus",
+        help="directory for shrunk failing-scenario repros "
+        "(default: chaos-corpus)",
+    )
+    parser.add_argument(
+        "--shrink-budget",
+        type=int,
+        metavar="N",
+        default=40,
+        help="max re-runs spent shrinking one failure (default: 40)",
+    )
+    parser.add_argument(
+        "--replay",
+        metavar="FILE",
+        default=None,
+        help="re-run one repro file and verify its recorded verdict",
+    )
+    parser.add_argument(
+        "--selftest",
+        metavar="KIND",
+        default=None,
+        help="sabotage a run (e.g. 'credit') and assert the pipeline "
+        "catches, shrinks, and replays it",
+    )
+
+
 def _run_chaos(args) -> int:
     """The ``mediaworm chaos`` subcommand: differential fault campaigns.
 
@@ -358,7 +548,11 @@ def _run_chaos(args) -> int:
     import os
 
     from repro.chaos import ScenarioSpace, replay, run_campaign, selftest
-    from repro.errors import ChaosFailure, ConfigurationError
+    from repro.errors import ChaosFailure
+
+    _check_jobs(args)
+    if args.count < 1:
+        raise SystemExit(f"--count must be >= 1, got {args.count}")
 
     if args.replay:
         try:
@@ -386,7 +580,7 @@ def _run_chaos(args) -> int:
 
     profile = get_profile(args.profile)
     space = ScenarioSpace(scale=profile.scale)
-    path = args.checkpoint or f"mediaworm-chaos-{args.profile}.checkpoint.json"
+    path = _checkpoint_path(args, "chaos")
     if args.fresh:
         for stale in (path, f"{path}.tmp"):
             try:
@@ -406,11 +600,7 @@ def _run_chaos(args) -> int:
         log=print,
     )
     if args.json:
-        import json as _json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(args.json, summary)
     print(
         f"chaos campaign: {summary['passed']}/{summary['scenarios']} "
         f"scenarios passed (seed {summary['seed']})"
@@ -425,26 +615,27 @@ def _run_chaos(args) -> int:
     return 1 if summary["failed"] else 0
 
 
+def _configure_topo(parser) -> None:
+    from repro.experiments.topo import SHAPE_FLAGS, TOPOLOGY_KINDS
+
+    parser.add_argument("kind", help=", ".join(TOPOLOGY_KINDS))
+    for name in SHAPE_FLAGS:
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=int, default=None
+        )
+
+
 def _run_topo(args) -> int:
     """The ``mediaworm topo`` subcommand: build + describe one topology."""
-    from repro.errors import ConfigurationError
-    from repro.experiments.topo import TOPOLOGY_KINDS, build_topology, describe_topology
+    from repro.experiments.topo import (
+        SHAPE_FLAGS,
+        build_topology,
+        describe_topology,
+    )
 
     params = {
         name: getattr(args, name)
-        for name in (
-            "num_ports",
-            "rows",
-            "cols",
-            "hosts_per_router",
-            "leaves",
-            "spines",
-            "hosts_per_leaf",
-            "k",
-            "arity",
-            "levels",
-            "fat_width",
-        )
+        for name in SHAPE_FLAGS
         if getattr(args, name) is not None
     }
     try:
@@ -455,32 +646,95 @@ def _run_topo(args) -> int:
     return 0
 
 
-def _add_sweep_args(parser) -> None:
-    """Flags shared by every sweep-running subcommand."""
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=1,
-        help="run sweep points in N worker processes (per-point results "
-        "are bit-identical to --jobs 1)",
-    )
-    parser.add_argument(
-        "--watchdog",
-        type=int,
-        metavar="CYCLES",
+def _scale_points(text: str) -> tuple:
+    """``--points`` value -> known point names (an argparse ``type``)."""
+    from repro.experiments.scale import SCALE_POINTS
+
+    points = tuple(p.strip() for p in text.split(",") if p.strip())
+    for point in points:
+        if point not in SCALE_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"unknown point {point!r}; known: {', '.join(SCALE_POINTS)}"
+            )
+    return points
+
+
+def _configure_scale(parser) -> None:
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument(
+        "--points",
+        type=_scale_points,
+        metavar="P1,P2,...",
         default=None,
-        help="abort any run making no progress for CYCLES cycles "
-        "(default: each sweep's own policy)",
+        help="comma-separated point names (default: all)",
     )
-    parser.add_argument(
-        "--point-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="wall-clock budget per sweep point; a point exceeding it "
-        "fails (and retries reseeded) instead of hanging the sweep",
+    which.add_argument(
+        "--smoke",
+        action="store_true",
+        help="run only the quick smoke subset",
     )
+    _add_run_args(parser, "scale", profile=None, json_out=True)
+
+
+def _run_scale(args) -> int:
+    """The ``mediaworm scale`` subcommand; exits 1 unless every point is ok."""
+    from repro.experiments.scale import (
+        SMOKE_POINTS,
+        run_scale_campaign,
+        scale_campaign_to_text,
+    )
+
+    started = time.perf_counter()
+    summary = run_scale_campaign(
+        SMOKE_POINTS if args.smoke else args.points, log=print
+    )
+    if args.json:
+        _dump_json(args.json, summary)
+    print(scale_campaign_to_text(summary))
+    print(f"[scale completed in {time.perf_counter() - started:.1f}s]")
+    return 0 if summary["ok"] else 1
+
+
+def _commands() -> List[Command]:
+    """The subcommand table, in ``mediaworm --help`` / ``list`` order."""
+    return [
+        Command("list", "list available experiments", _no_flags, _run_list, listed=False),
+        Command("run", "run one experiment", _configure_run, _run_run, listed=False),
+        Command("all", "run every figure and table", _configure_all, _run_all, listed=False),
+        *(
+            Command(
+                spec.name,
+                spec.help,
+                partial(_configure_campaign, spec),
+                partial(_run_campaign, spec),
+            )
+            for spec in campaigns().values()
+        ),
+        Command(
+            "trace",
+            "one traced run: JSONL event stream, invariants, profiling",
+            _configure_trace,
+            _run_trace,
+        ),
+        Command(
+            "chaos",
+            "randomized differential fault campaign with scenario shrinking",
+            _configure_chaos,
+            _run_chaos,
+        ),
+        Command(
+            "topo",
+            "inspect a topology and its compiled route program",
+            _configure_topo,
+            _run_topo,
+        ),
+        Command(
+            "scale",
+            "datacenter-scale campaign (1024-host fat tree, Clos)",
+            _configure_scale,
+            _run_scale,
+        ),
+    ]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -490,431 +744,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Reproduce the MediaWorm (HPCA 2000) evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments")
-
-    run_parser = sub.add_parser("run", help="run one experiment")
-    run_parser.add_argument("experiment", help="fig3..fig9, table2, table3")
-    run_parser.add_argument(
-        "--profile",
-        choices=sorted(PROFILES),
-        default="default",
-        help="workload scale / horizon preset",
-    )
-    _add_sweep_args(run_parser)
-    run_parser.add_argument(
-        "--plot",
-        action="store_true",
-        help="append a terminal plot of sigma_d",
-    )
-    run_parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the result as JSON",
-    )
-    run_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="verify the paper's qualitative claims against the result",
-    )
-
-    all_parser = sub.add_parser("all", help="run every figure and table")
-    all_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(all_parser)
-    all_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-all-<profile>"
-        ".checkpoint.json); an interrupted run resumes from it",
-    )
-    all_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-
-    faults_parser = sub.add_parser(
-        "faults", help="fault-injection campaign (delivered fraction, jitter)"
-    )
-    faults_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(faults_parser)
-    faults_parser.add_argument(
-        "--rates",
-        metavar="R1,R2,...",
-        default=None,
-        help="comma-separated per-flit loss probabilities",
-    )
-    faults_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    faults_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-faults-<profile>"
-        ".checkpoint.json)",
-    )
-    faults_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-
-    failover_parser = sub.add_parser(
-        "failover",
-        help="permanent-failure campaign (adaptive vs static routing)",
-    )
-    failover_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(failover_parser)
-    failover_parser.add_argument(
-        "--severities",
-        metavar="S1,S2,...",
-        default=None,
-        help="comma-separated failed fat-pair counts (0..8 on the 2x2 mesh)",
-    )
-    failover_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    failover_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-failover-<profile>"
-        ".checkpoint.json)",
-    )
-    failover_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-
-    disaster_parser = sub.add_parser(
-        "disaster",
-        help="switch/pod failure campaign on tree fabrics "
-        "(adaptive vs static)",
-    )
-    disaster_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(disaster_parser)
-    disaster_parser.add_argument(
-        "--severities",
-        metavar="S1,S2,...",
-        default=None,
-        help="comma-separated severity names from none,link,switch,pod "
-        "(default: all; pod is skipped on the butterfly)",
-    )
-    disaster_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    disaster_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-disaster-<profile>"
-        ".checkpoint.json)",
-    )
-    disaster_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-
-    trace_parser = sub.add_parser(
-        "trace",
-        help="run once with structured tracing + invariant checking",
-    )
-    trace_parser.add_argument(
-        "--preset",
-        choices=sorted(PROFILES),
-        default="quick",
-        help="workload scale / horizon preset (default: quick)",
-    )
-    trace_parser.add_argument(
-        "--load",
-        type=float,
-        default=0.8,
-        metavar="F",
-        help="offered input-link load (default: 0.8)",
-    )
-    trace_parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default="mediaworm-trace.jsonl",
-        help="JSONL event-stream destination "
-        "(default: mediaworm-trace.jsonl)",
-    )
-    trace_parser.add_argument(
-        "--trace-events",
-        metavar="K1,K2,...",
-        default=None,
-        help="record only these event kinds (default: all; see "
-        "repro.obs.ALL_EVENTS)",
-    )
-    trace_parser.add_argument(
-        "--chrome",
-        metavar="PATH",
-        default=None,
-        help="also export a Chrome-trace/Perfetto JSON timeline",
-    )
-    trace_parser.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the invariant checker (tracing only)",
-    )
-    trace_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the simulation loop per phase (wall time)",
-    )
-
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="randomized differential fault campaign (auto-shrinks "
-        "failures to replayable repros)",
-    )
-    chaos_parser.add_argument(
-        "--profile",
-        choices=sorted(PROFILES),
-        default="smoke",
-        help="workload scale for generated scenarios (default: smoke)",
-    )
-    chaos_parser.add_argument(
-        "--count",
-        type=int,
-        metavar="N",
-        default=25,
-        help="scenarios to draw and run (default: 25)",
-    )
-    chaos_parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="campaign seed; the scenario stream and every verdict are "
-        "a pure function of it (default: 7)",
-    )
-    chaos_parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=1,
-        help="run scenarios in N isolated worker processes",
-    )
-    chaos_parser.add_argument(
-        "--point-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="override each scenario's wall-clock budget (a scenario "
-        "exceeding it fails under the 'timeout' oracle)",
-    )
-    chaos_parser.add_argument(
-        "--corpus",
-        metavar="DIR",
-        default="chaos-corpus",
-        help="directory for shrunk failing-scenario repros "
-        "(default: chaos-corpus)",
-    )
-    chaos_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="campaign checkpoint (default: mediaworm-chaos-<profile>"
-        ".checkpoint.json); an interrupted campaign resumes from it",
-    )
-    chaos_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-    chaos_parser.add_argument(
-        "--shrink-budget",
-        type=int,
-        metavar="N",
-        default=40,
-        help="max re-runs spent shrinking one failure (default: 40)",
-    )
-    chaos_parser.add_argument(
-        "--replay",
-        metavar="FILE",
-        default=None,
-        help="re-run one repro file and verify its recorded verdict",
-    )
-    chaos_parser.add_argument(
-        "--selftest",
-        metavar="KIND",
-        default=None,
-        help="sabotage a run (e.g. 'credit') and assert the pipeline "
-        "catches, shrinks, and replays it",
-    )
-    chaos_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-
-    topo_parser = sub.add_parser(
-        "topo",
-        help="inspect a topology and its compiled route program",
-    )
-    topo_parser.add_argument(
-        "kind",
-        help="single, mesh, fat_tree, fat_tree3, or butterfly",
-    )
-    for flag, kind in (
-        ("--num-ports", int),
-        ("--rows", int),
-        ("--cols", int),
-        ("--hosts-per-router", int),
-        ("--leaves", int),
-        ("--spines", int),
-        ("--hosts-per-leaf", int),
-        ("--k", int),
-        ("--arity", int),
-        ("--levels", int),
-        ("--fat-width", int),
-    ):
-        topo_parser.add_argument(flag, type=kind, default=None)
-
-    scale_parser = sub.add_parser(
-        "scale",
-        help="datacenter-scale campaign: bit-identical repeat + legacy "
-        "digests on 1024-host fat trees and Clos networks",
-    )
-    scale_parser.add_argument(
-        "--points",
-        metavar="P1,P2,...",
-        default=None,
-        help="comma-separated point names (default: all)",
-    )
-    scale_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run only the quick smoke subset",
-    )
-    scale_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-
+    table = {command.name: command for command in _commands()}
+    for command in table.values():
+        command.configure(sub.add_parser(command.name, help=command.help))
     args = parser.parse_args(argv)
-
-    if args.command == "topo":
-        return _run_topo(args)
-
-    if args.command == "scale":
-        from repro.experiments.scale import main as scale_main
-
-        scale_argv = []
-        if args.points:
-            scale_argv += ["--points", args.points]
-        if args.smoke:
-            scale_argv.append("--smoke")
-        if args.json:
-            scale_argv += ["--json", args.json]
-        return scale_main(scale_argv)
-
-    if args.command == "list":
-        for name, desc in _DESCRIPTIONS.items():
-            print(f"{name:8s} {desc}")
-        return 0
-
-    if args.command == "trace":
-        # its --profile is the loop profiler; the workload preset is
-        # --preset, so resolve before the shared --profile handling
-        return _run_trace(args, get_profile(args.preset))
-
-    if args.command == "chaos":
-        # scenarios carry their own watchdog and wall-clock budgets, so
-        # chaos skips the shared sweep-flag handling below
-        if args.jobs < 1:
-            raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-        if args.count < 1:
-            raise SystemExit(f"--count must be >= 1, got {args.count}")
-        return _run_chaos(args)
-
-    profile = get_profile(args.profile)
-    if args.watchdog is not None:
-        if args.watchdog < 1:
-            raise SystemExit(f"--watchdog must be >= 1, got {args.watchdog}")
-        profile = replace(profile, watchdog_window=args.watchdog)
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.point_timeout is not None and args.point_timeout <= 0:
-        raise SystemExit(
-            f"--point-timeout must be > 0 seconds, got {args.point_timeout}"
-        )
-    # a point timeout needs the executor even at --jobs 1: the inline
-    # path is what arms the per-point wall-clock limit
-    executor = (
-        ParallelSweepExecutor(
-            jobs=args.jobs,
-            log=print,
-            point_timeout=args.point_timeout,
-        )
-        if args.jobs > 1 or args.point_timeout is not None
-        else None
-    )
-
-    if args.command == "faults":
-        return _run_faults(args, profile, executor)
-    if args.command == "failover":
-        return _run_failover(args, profile, executor)
-    if args.command == "disaster":
-        return _run_disaster(args, profile, executor)
-
-    names = (
-        [args.experiment]
-        if args.command == "run"
-        else ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table3"]
-    )
-    plot = getattr(args, "plot", False)
-    json_path = getattr(args, "json", None)
-    check = getattr(args, "check", False)
-    checkpoint = None
-    if args.command == "all":
-        path = (
-            args.checkpoint
-            or f"mediaworm-all-{args.profile}.checkpoint.json"
-        )
-        checkpoint = SweepCheckpoint(
-            path, meta={"command": "all", "profile": args.profile}
-        )
-        if args.fresh:
-            checkpoint.clear()
-        restored = [name for name in names if name in checkpoint]
-        if restored:
-            print(
-                f"[resuming from {path}: "
-                f"{', '.join(restored)} already done]\n"
-            )
-    for name in names:
-        started = time.perf_counter()
-        if checkpoint is not None and name in checkpoint:
-            print(checkpoint.get(name))
-            print(f"[{name} restored from checkpoint]\n")
-            continue
-        text = _run_one_resilient(
-            name,
-            profile,
-            plot=plot,
-            json_path=json_path,
-            check=check,
-            executor=executor,
-        )
-        elapsed = time.perf_counter() - started
-        print(text)
-        print(f"[{name} completed in {elapsed:.1f}s]\n")
-        if checkpoint is not None:
-            checkpoint.put(name, text)
-    if checkpoint is not None:
-        checkpoint.clear()
-    return 0
+    return table[args.command].run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

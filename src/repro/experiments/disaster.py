@@ -37,27 +37,12 @@ Points are checkpointed with fingerprinted keys through
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import Axis, Campaign, Column, empty_metrics
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
-from repro.experiments.faultsweep import (
-    _empty_metrics,
-    _point_from_dict,
-    _point_to_dict,
-)
-from repro.experiments.figures import (
-    FigureData,
-    Point,
-    _base_kwargs,
-    get_profile,
-)
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    SweepTask,
-    sweep_fingerprint,
-)
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.figures import Point, _base_kwargs
 from repro.experiments.runner import simulate_butterfly, simulate_fat_tree3
 from repro.faults import DomainDownWindow, FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
@@ -174,18 +159,12 @@ def _campaign_experiment(profile, kind: str, mode: str, severity: str):
     # The disaster lands at the end of warmup: detection, failover and
     # every recovery interval sit inside the measurement window.
     onset = base.warmup_cycles
-    timeout = max(512, interval // 2)
-    recovery = RecoveryConfig(
-        timeout=timeout,
-        max_retries=8,
-        backoff_base=max(16, interval // 256),
-        backoff_cap=max(64, interval // 16),
-        qos_deadline=2 * interval,
-    )
     return dataclasses.replace(
         base,
         faults=_severity_plan(kind, severity, onset),
-        recovery=recovery,
+        recovery=RecoveryConfig.scaled(
+            interval, max_retries=8, qos_deadline=2 * interval
+        ),
         health=HealthConfig(),
         routing_mode=mode,
         # a crashed switch stalls progress until detection converges;
@@ -197,8 +176,7 @@ def _campaign_experiment(profile, kind: str, mode: str, severity: str):
 def _campaign_point(experiment) -> Point:
     """Worker body: run one point, reduced to its figure Point.
 
-    Module-level (picklable) so the parallel executor can farm points
-    out; ``x`` is the severity's rung on the escalation ladder.
+    ``x`` is the severity's rung on the escalation ladder.
     """
     if isinstance(experiment, FatTree3Experiment):
         result = simulate_fat_tree3(experiment)
@@ -225,146 +203,76 @@ def _experiment_severity(experiment) -> str:
     return "pod"
 
 
-def _point_key(kind: str, mode: str, severity: str, experiment) -> str:
-    """Fingerprinted checkpoint/result key for one point."""
-    return f"{kind}/{mode}@{severity}|{sweep_fingerprint(experiment)}"
-
-
-def run_disaster_campaign(
-    profile="default",
-    severities: Optional[Sequence[str]] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    log=None,
-    executor: Optional[ParallelSweepExecutor] = None,
-) -> FigureData:
-    """Sweep failure severity for adaptive vs static on tree fabrics.
-
-    Semantics mirror :func:`~repro.experiments.failover
-    .run_failover_campaign`: completed points persist to the checkpoint
-    and are skipped on rerun, a point that fails every resilient retry
-    records a ``failed`` extra instead of aborting, and an executor
-    with ``jobs > 1`` runs points in a process pool bit-identically to
-    the serial path.  Severities a topology does not define (``pod`` on
-    the butterfly) are skipped for that topology.
-    """
-    profile = get_profile(profile)
-    severities = (
-        DEFAULT_SEVERITIES if severities is None else tuple(severities)
+def _placeholder(severity: str) -> Point:
+    """The stand-in for a failed point: same ``x`` and name, no metrics."""
+    return Point(
+        DEFAULT_SEVERITIES.index(severity),
+        empty_metrics(),
+        extra={"severity": severity},
     )
-    for severity in severities:
-        if severity not in DEFAULT_SEVERITIES:
-            raise ConfigurationError(
-                f"unknown severity {severity!r} (choose from "
-                f"{', '.join(DEFAULT_SEVERITIES)})"
-            )
-    if executor is None:
-        executor = ParallelSweepExecutor(jobs=1, log=log)
-    points = [
-        (kind, mode, severity)
+
+
+def _check_severity(severity: str) -> None:
+    if severity not in DEFAULT_SEVERITIES:
+        raise ConfigurationError(
+            f"unknown severity {severity!r} (choose from "
+            f"{', '.join(DEFAULT_SEVERITIES)})"
+        )
+
+
+def _series_experiment(profile, series: str, severity: str):
+    kind, mode = series.split("/")
+    return _campaign_experiment(profile, kind, mode, severity)
+
+
+def _defined(series: str, severity: str) -> bool:
+    """Severities a topology does not define (``pod`` on the butterfly)
+    are skipped for its series."""
+    return severity in CAMPAIGN_TOPOLOGIES[series.split("/")[0]]
+
+
+CAMPAIGN = Campaign(
+    name="disaster",
+    help="switch/pod failures and datacenter failover on trees",
+    series=tuple(
+        f"{kind}/{mode}"
         for kind in CAMPAIGN_TOPOLOGIES
         for mode in CAMPAIGN_MODES
-        for severity in severities
-        if severity in CAMPAIGN_TOPOLOGIES[kind]
-    ]
-    experiments = {
-        point: _campaign_experiment(profile, *point) for point in points
-    }
-    keys = {
-        point: _point_key(*point, experiments[point]) for point in points
-    }
-    tasks = [
-        SweepTask(
-            key=keys[point],
-            runner=_campaign_point,
-            experiment=experiments[point],
-        )
-        for point in points
-    ]
-    if checkpoint is not None and log is not None:
-        for task in tasks:
-            if task.key in checkpoint:
-                log(f"[disaster] {task.key}: restored from checkpoint")
-
-    failed: Dict[str, Point] = {}
-
-    def on_failure(task: SweepTask, exc: SimulationError) -> None:
-        severity = _experiment_severity(task.experiment)
-        point = Point(
-            DEFAULT_SEVERITIES.index(severity),
-            _empty_metrics(),
-            extra={
-                "failed": f"{type(exc).__name__}: {exc}",
-                "severity": severity,
-            },
-        )
-        failed[task.key] = point
-        if checkpoint is not None:
-            checkpoint.put(task.key, _point_to_dict(point))
-        if log is not None:
-            log(f"[disaster] {task.key}: FAILED ({type(exc).__name__})")
-
-    results = executor.run(
-        tasks,
-        checkpoint=checkpoint,
-        encode=_point_to_dict,
-        decode=_point_from_dict,
-        on_failure=on_failure,
-    )
-    series: Dict[str, List[Point]] = {
-        f"{kind}/{mode}": [
-            results.get(keys[(kind, mode, severity)])
-            or failed[keys[(kind, mode, severity)]]
-            for severity in severities
-            if severity in CAMPAIGN_TOPOLOGIES[kind]
-        ]
-        for kind in CAMPAIGN_TOPOLOGIES
-        for mode in CAMPAIGN_MODES
-    }
-    return FigureData(
-        figure_id="disaster",
-        title=(
-            "Datacenter failover under switch/domain failures "
-            f"(fat_tree3 k={CAMPAIGN_K} + butterfly, 80:20 mix, "
-            f"load {CAMPAIGN_LOAD})"
+    ),
+    axis=Axis(
+        flag="--severities",
+        metavar="S1,S2,...",
+        help="comma-separated severity names from none,link,switch,pod "
+        "(default: all; pod is skipped on the butterfly)",
+        defaults=DEFAULT_SEVERITIES,
+        parse=str,
+        check=_check_severity,
+    ),
+    experiment=_series_experiment,
+    point=_campaign_point,
+    title=(
+        "Datacenter failover under switch/domain failures "
+        f"(fat_tree3 k={CAMPAIGN_K} + butterfly, 80:20 mix, "
+        f"load {CAMPAIGN_LOAD})"
+    ),
+    xlabel="failure severity (none < link < switch < pod)",
+    notes="disaster at end of warmup; health monitoring on in both "
+    "modes, switch-level failover (overlay masks + session "
+    "shedding) only in adaptive",
+    series_column=("series", 19),
+    columns=(
+        Column("severity", 8, "severity", default="?"),
+        Column("reach frac", 10, "qos_reachable_fraction", ".4f", 1.0),
+        Column("qos frac", 9, "qos_delivered_fraction", ".4f", 1.0),
+        Column("isolated", 8, "health.hosts_isolated"),
+        Column("downtime", 9, "health.host_downtime_cycles"),
+        Column("sw downs", 8, "health.switch_downs"),
+        Column(
+            "ttr", 8, "health.mean_switch_time_to_recover_cycles", ".0f", 0.0
         ),
-        xlabel="failure severity (none < link < switch < pod)",
-        series=series,
-        notes="disaster at end of warmup; health monitoring on in both "
-        "modes, switch-level failover (overlay masks + session "
-        "shedding) only in adaptive",
-    )
-
-
-def disaster_campaign_to_text(fig: FigureData) -> str:
-    """Render the campaign as an aligned terminal table."""
-    header = (
-        f"{'series':<19} {'severity':>8} {'reach frac':>10} "
-        f"{'qos frac':>9} {'isolated':>8} {'downtime':>9} "
-        f"{'sw downs':>8} {'ttr':>8} {'shed':>5} {'abandoned':>9}"
-    )
-    lines = [fig.title, header, "-" * len(header)]
-    for name, points in fig.series.items():
-        for point in points:
-            extra = point.extra
-            severity = extra.get("severity", str(point.x))
-            if "failed" in extra:
-                lines.append(
-                    f"{name:<19} {severity:>8} "
-                    f"{'FAILED: ' + str(extra['failed'])}"
-                )
-                continue
-            health = extra.get("health") or {}
-            lines.append(
-                f"{name:<19} {severity:>8} "
-                f"{extra.get('qos_reachable_fraction', 1.0):>10.4f} "
-                f"{extra.get('qos_delivered_fraction', 1.0):>9.4f} "
-                f"{health.get('hosts_isolated', 0):>8} "
-                f"{health.get('host_downtime_cycles', 0):>9} "
-                f"{health.get('switch_downs', 0):>8} "
-                f"{health.get('mean_switch_time_to_recover_cycles', 0.0):>8.0f} "
-                f"{health.get('streams_shed', 0):>5} "
-                f"{extra.get('qos_abandoned', 0):>9}"
-            )
-    if fig.notes:
-        lines.append(f"({fig.notes})")
-    return "\n".join(lines)
+        Column("shed", 5, "health.streams_shed"),
+        Column("abandoned", 9, "qos_abandoned"),
+    ),
+    defined=_defined,
+    placeholder=_placeholder,
+)

@@ -18,6 +18,24 @@ from repro.experiments.tables import Table2Data, Table3Data, Table3Row
 from repro.metrics.collector import RunMetrics
 
 
+def point_to_dict(point: Point) -> Dict:
+    """Flatten one sweep point (also the campaigns' checkpoint encoding)."""
+    return {
+        "x": point.x,
+        "metrics": dataclasses.asdict(point.metrics),
+        "extra": point.extra,
+    }
+
+
+def point_from_dict(data: Dict) -> Point:
+    """Rebuild a Point flattened by :func:`point_to_dict`."""
+    return Point(
+        x=data["x"],
+        metrics=RunMetrics(**data["metrics"]),
+        extra=dict(data.get("extra") or {}),
+    )
+
+
 def figure_to_dict(fig: FigureData) -> Dict:
     """Flatten a FigureData into JSON-serialisable primitives."""
     return {
@@ -27,14 +45,7 @@ def figure_to_dict(fig: FigureData) -> Dict:
         "xlabel": fig.xlabel,
         "notes": fig.notes,
         "series": {
-            name: [
-                {
-                    "x": point.x,
-                    "metrics": dataclasses.asdict(point.metrics),
-                    "extra": point.extra,
-                }
-                for point in points
-            ]
+            name: [point_to_dict(point) for point in points]
             for name, points in fig.series.items()
         },
     }
@@ -47,14 +58,7 @@ def figure_from_dict(data: Dict) -> FigureData:
             f"expected kind='figure', got {data.get('kind')!r}"
         )
     series = {
-        name: [
-            Point(
-                x=entry["x"],
-                metrics=RunMetrics(**entry["metrics"]),
-                extra=dict(entry.get("extra") or {}),
-            )
-            for entry in points
-        ]
+        name: [point_from_dict(entry) for entry in points]
         for name, points in data["series"].items()
     }
     return FigureData(

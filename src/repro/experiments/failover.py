@@ -28,27 +28,12 @@ with changed failover knobs recomputes instead of serving stale points.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import Axis, Campaign, Column
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.faultsweep import (
-    _empty_metrics,
-    _point_from_dict,
-    _point_to_dict,
-)
-from repro.experiments.figures import (
-    FigureData,
-    Point,
-    _base_kwargs,
-    get_profile,
-)
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    SweepTask,
-    sweep_fingerprint,
-)
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.figures import Point, _base_kwargs
 from repro.experiments.runner import simulate_fat_mesh
 from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
 from repro.network.health import HealthConfig
@@ -118,22 +103,16 @@ def _campaign_experiment(
     # entirely inside the measurement window and time-to-recovery is
     # comparable across profiles.
     onset = base.warmup_cycles
-    # Transport clocks scale as in the fault sweep; the QoS deadline
-    # gives each guaranteed message two frame intervals door-to-door,
-    # enough for a couple of retransmissions but strict enough that
-    # static routing's head-of-line stalls register as misses.
-    timeout = max(512, interval // 2)
-    recovery = RecoveryConfig(
-        timeout=timeout,
-        max_retries=8,
-        backoff_base=max(16, interval // 256),
-        backoff_cap=max(64, interval // 16),
-        qos_deadline=2 * interval,
-    )
     return dataclasses.replace(
         base,
         faults=FaultPlan(down_windows=_fat_pair_windows(base, severity, onset)),
-        recovery=recovery,
+        # Transport clocks scale as in the fault sweep; the QoS deadline
+        # gives each guaranteed message two frame intervals door-to-door,
+        # enough for a couple of retransmissions but strict enough that
+        # static routing's head-of-line stalls register as misses.
+        recovery=RecoveryConfig.scaled(
+            interval, max_retries=8, qos_deadline=2 * interval
+        ),
         health=HealthConfig(),
         routing_mode=mode,
         # permanent failures stall progress longer than transient loss;
@@ -145,8 +124,7 @@ def _campaign_experiment(
 def _campaign_point(experiment: FatMeshExperiment) -> Point:
     """Worker body: run one point, reduced to its figure Point.
 
-    Module-level (picklable) so the parallel executor can farm points
-    out; ``x`` is the severity (number of failed fat-pair members).
+    ``x`` is the severity (number of failed fat-pair members).
     """
     result = simulate_fat_mesh(experiment)
     return Point(
@@ -156,134 +134,46 @@ def _campaign_point(experiment: FatMeshExperiment) -> Point:
     )
 
 
-def _point_key(mode: str, severity: int, experiment) -> str:
-    """Fingerprinted checkpoint/result key for one point.
-
-    Unlike the fault sweep, failover points always carry non-default
-    knobs (routing mode, health config, deadline), so the fingerprint
-    is always present — a checkpoint resumed after any knob change
-    recomputes rather than reusing stale points.
-    """
-    return f"{mode}@{severity}|{sweep_fingerprint(experiment)}"
+def _check_severity(severity: int) -> None:
+    if severity < 0:
+        raise ConfigurationError(f"severities must be >= 0, got {severity}")
+    # the campaign mesh is the default one; rejects more than its pairs
+    _fat_pair_windows(FatMeshExperiment(), severity, onset=0)
 
 
-def run_failover_campaign(
-    profile="default",
-    severities: Optional[Sequence[int]] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    log=None,
-    executor: Optional[ParallelSweepExecutor] = None,
-) -> FigureData:
-    """Sweep permanent-failure severity for adaptive vs static routing.
-
-    Semantics mirror :func:`~repro.experiments.faultsweep
-    .run_fault_campaign`: completed points persist to the checkpoint
-    and are skipped on rerun, a point that fails every resilient retry
-    records a ``failed`` extra instead of aborting, and an executor
-    with ``jobs > 1`` runs points in a process pool bit-identically to
-    the serial path.
-    """
-    profile = get_profile(profile)
-    severities = (
-        DEFAULT_SEVERITIES if severities is None else tuple(severities)
-    )
-    if executor is None:
-        executor = ParallelSweepExecutor(jobs=1, log=log)
-    experiments = {
-        (mode, severity): _campaign_experiment(profile, mode, severity)
-        for mode in CAMPAIGN_MODES
-        for severity in severities
-    }
-    keys = {
-        point: _point_key(point[0], point[1], experiment)
-        for point, experiment in experiments.items()
-    }
-    tasks = [
-        SweepTask(
-            key=keys[(mode, severity)],
-            runner=_campaign_point,
-            experiment=experiments[(mode, severity)],
-        )
-        for mode in CAMPAIGN_MODES
-        for severity in severities
-    ]
-    if checkpoint is not None and log is not None:
-        for task in tasks:
-            if task.key in checkpoint:
-                log(f"[failover] {task.key}: restored from checkpoint")
-
-    failed: Dict[str, Point] = {}
-
-    def on_failure(task: SweepTask, exc: SimulationError) -> None:
-        point = Point(
-            len(task.experiment.faults.down_windows),
-            _empty_metrics(),
-            extra={"failed": f"{type(exc).__name__}: {exc}"},
-        )
-        failed[task.key] = point
-        if checkpoint is not None:
-            checkpoint.put(task.key, _point_to_dict(point))
-        if log is not None:
-            log(f"[failover] {task.key}: FAILED ({type(exc).__name__})")
-
-    results = executor.run(
-        tasks,
-        checkpoint=checkpoint,
-        encode=_point_to_dict,
-        decode=_point_from_dict,
-        on_failure=on_failure,
-    )
-    series: Dict[str, List[Point]] = {
-        mode: [
-            results.get(keys[(mode, severity)])
-            or failed[keys[(mode, severity)]]
-            for severity in severities
-        ]
-        for mode in CAMPAIGN_MODES
-    }
-    return FigureData(
-        figure_id="failover",
-        title=(
-            "QoS failover under permanent link failures "
-            "(2x2 fat mesh, 80:20 mix, load 0.6)"
-        ),
-        xlabel="failed fat-pair members",
-        series=series,
-        notes="one permanent member failure per fat pair at end of "
-        "warmup; health monitoring on in both modes, failover actions "
-        "only in adaptive",
-    )
-
-
-def failover_campaign_to_text(fig: FigureData) -> str:
-    """Render the campaign as an aligned terminal table."""
-    header = (
-        f"{'routing':<9} {'failed':>6} {'qos frac':>9} {'misses':>7} "
-        f"{'d (ms)':>8} {'sigma_d':>8} {'reroute':>8} {'detour':>7} "
-        f"{'requeue':>8} {'shed':>5} {'abandoned':>9}"
-    )
-    lines = [fig.title, header, "-" * len(header)]
-    for name, points in fig.series.items():
-        for point in points:
-            extra = point.extra
-            if "failed" in extra:
-                lines.append(
-                    f"{name:<9} {point.x:>6} "
-                    f"{'FAILED: ' + str(extra['failed'])}"
-                )
-                continue
-            health = extra.get("health") or {}
-            lines.append(
-                f"{name:<9} {point.x:>6} "
-                f"{extra.get('qos_delivered_fraction', 1.0):>9.4f} "
-                f"{extra.get('qos_deadline_misses', 0):>7} "
-                f"{point.d:>8.3f} {point.sigma_d:>8.3f} "
-                f"{health.get('reroutes', 0):>8} "
-                f"{health.get('detours', 0):>7} "
-                f"{health.get('worms_requeued', 0):>8} "
-                f"{health.get('streams_shed', 0):>5} "
-                f"{extra.get('qos_abandoned', 0):>9}"
-            )
-    if fig.notes:
-        lines.append(f"({fig.notes})")
-    return "\n".join(lines)
+CAMPAIGN = Campaign(
+    name="failover",
+    help="adaptive vs static routing under permanent link failures",
+    series=CAMPAIGN_MODES,
+    axis=Axis(
+        flag="--severities",
+        metavar="S1,S2,...",
+        help="comma-separated failed fat-pair counts (0..8 on the 2x2 mesh)",
+        defaults=DEFAULT_SEVERITIES,
+        parse=int,
+        check=_check_severity,
+    ),
+    experiment=_campaign_experiment,
+    point=_campaign_point,
+    title=(
+        "QoS failover under permanent link failures "
+        "(2x2 fat mesh, 80:20 mix, load 0.6)"
+    ),
+    xlabel="failed fat-pair members",
+    notes="one permanent member failure per fat pair at end of "
+    "warmup; health monitoring on in both modes, failover actions "
+    "only in adaptive",
+    series_column=("routing", 9),
+    columns=(
+        Column("failed", 6, "x"),
+        Column("qos frac", 9, "qos_delivered_fraction", ".4f", 1.0),
+        Column("misses", 7, "qos_deadline_misses"),
+        Column("d (ms)", 8, "d", ".3f"),
+        Column("sigma_d", 8, "sigma_d", ".3f"),
+        Column("reroute", 8, "health.reroutes"),
+        Column("detour", 7, "health.detours"),
+        Column("requeue", 8, "health.worms_requeued"),
+        Column("shed", 5, "health.streams_shed"),
+        Column("abandoned", 9, "qos_abandoned"),
+    ),
+)

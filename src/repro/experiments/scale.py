@@ -14,31 +14,30 @@ must hit the runner's topology cache, so the route-program compile
 counter may move at most once per point (and not at all when an
 earlier point already cached the shape).
 
-Usage::
+Usage (flags and exit status live with the other subcommands, in
+:mod:`repro.experiments.cli`)::
 
-    python -m repro.experiments.scale --points ft3-1024 --json scale.json
+    mediaworm scale --points ft3-1024 --json scale.json
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
 import math
 import os
-import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.bench_core import _canon, _metrics_dict
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import (
     _cached_topology,
     simulate_butterfly,
     simulate_fat_tree3,
 )
+from repro.metrics.collector import canonical, canonical_metrics
 from repro.network.topology import butterfly, fat_tree3
 from repro.router import routeprog
 
@@ -90,7 +89,7 @@ def _armed(experiment):
 def run_digest(result) -> str:
     """Canonical digest of one run: metrics + conservation counters."""
     payload = {
-        "metrics": _metrics_dict(result),
+        "metrics": canonical_metrics(result),
         "cycles": result.cycles_run,
         "injected": result.flits_injected,
         "ejected": result.flits_ejected,
@@ -184,8 +183,8 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
         "flits_ejected": active.flits_ejected,
         # the paper's outputs, "nan" when the run measured no
         # delivery interval (which fails the point, see _point_ok)
-        "d_ms": _canon(active.metrics.d),
-        "sigma_d_ms": _canon(active.metrics.sigma_d),
+        "d_ms": canonical(active.metrics.d),
+        "sigma_d_ms": canonical(active.metrics.sigma_d),
         "digest": digests[0],
         "identical": len(set(digests)) == 1,
         # at most one compile for the first run (zero on a warm cache),
@@ -240,54 +239,3 @@ def scale_campaign_to_text(summary: Dict[str, object]) -> str:
         )
     lines.append(f"overall: {'OK' if summary['ok'] else 'FAIL'}")
     return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="scale",
-        description="Prove compiled routing at 1024+ hosts.",
-    )
-    parser.add_argument(
-        "--points",
-        metavar="P1,P2,...",
-        default=None,
-        help=f"comma-separated point names (default: all; "
-        f"known: {', '.join(SCALE_POINTS)})",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=f"run only the quick smoke subset ({', '.join(SMOKE_POINTS)})",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    args = parser.parse_args(argv)
-
-    if args.points and args.smoke:
-        parser.error("--points and --smoke are mutually exclusive")
-    points: Optional[Tuple[str, ...]] = None
-    if args.smoke:
-        points = SMOKE_POINTS
-    elif args.points:
-        points = tuple(p.strip() for p in args.points.split(",") if p.strip())
-        for point in points:
-            if point not in SCALE_POINTS:
-                parser.error(
-                    f"unknown point {point!r}; "
-                    f"known: {', '.join(SCALE_POINTS)}"
-                )
-
-    started = time.perf_counter()
-    summary = run_scale_campaign(points, log=print)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    print(scale_campaign_to_text(summary))
-    print(f"[scale completed in {time.perf_counter() - started:.1f}s]")
-    return 0 if summary["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

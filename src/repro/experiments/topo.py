@@ -39,6 +39,14 @@ TOPOLOGY_KINDS: Dict[str, tuple] = {
     ),
 }
 
+#: every shape flag some generator accepts (``mediaworm topo`` offers
+#: exactly these), first mention first
+SHAPE_FLAGS = tuple(
+    dict.fromkeys(
+        flag for _, accepted in TOPOLOGY_KINDS.values() for flag in accepted
+    )
+)
+
 
 def build_topology(kind: str, **params) -> Topology:
     """Build one topology by generator name; unknown flags are errors."""

@@ -782,6 +782,27 @@ class RecoveryConfig:
                 f"{self.backoff_base}/{self.backoff_cap}"
             )
 
+    @classmethod
+    def scaled(
+        cls, interval: int, max_retries: int, qos_deadline: Optional[int] = None
+    ) -> "RecoveryConfig":
+        """Transport clocks scaled to the workload's frame interval.
+
+        What every campaign and chaos scenario uses, so a study is the
+        same scenario at every workload scale.  The timeout must cover
+        the message's own rate pacing (~message_size * vtick, a fifth
+        of a frame interval at the campaigns' operating points) plus
+        transit and contention; half an interval leaves ample slack
+        without delaying loss detection much.
+        """
+        return cls(
+            timeout=max(512, interval // 2),
+            max_retries=max_retries,
+            backoff_base=max(16, interval // 256),
+            backoff_cap=max(64, interval // 16),
+            qos_deadline=qos_deadline,
+        )
+
     def to_dict(self) -> dict:
         """JSON-plain form (chaos scenarios, repro files)."""
         return {

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from repro.metrics.delivery import FrameDeliveryTracker
@@ -162,3 +163,30 @@ class RunMetrics:
             abs(self.mean_delivery_interval_ms - nominal_ms) <= d_tolerance_ms
             and self.std_delivery_interval_ms <= sigma_tolerance_ms
         )
+
+
+def canonical(value):
+    """Make metrics comparable: NaN != NaN, so map it to a sentinel.
+
+    Latency stats are NaN when a class saw no traffic (e.g. a 100/0 mix
+    has no best-effort frames); two runs that both produce that NaN
+    must count as identical.
+    """
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    if isinstance(value, dict):
+        return {key: canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    return value
+
+
+def canonical_metrics(result) -> dict:
+    """A result's full metrics record in NaN-safe comparable form.
+
+    This is the bit-identity surface of the scale campaign's digests
+    and of the chaos harness's health-no-op oracle (and, with the fault
+    accounting, of its parity oracle): two runs agree exactly when
+    these dicts are equal.
+    """
+    return canonical(asdict(result.metrics))

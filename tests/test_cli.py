@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
 import repro.experiments.cli as cli
@@ -46,3 +48,97 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+#: ``mediaworm list`` as the hand-wired CLI printed it, before the
+#: subcommands became a table
+LIST_OUTPUT = """\
+fig3     Virtual Clock vs FIFO (16 VCs, 80:20 mix)
+fig4     CBR vs VBR traffic (no best-effort)
+fig5     Mixed traffic ratios vs load
+fig6     VC count and crossbar capability
+fig7     Effect of message size on jitter
+fig8     MediaWorm vs PCS router
+fig9     2x2 fat-mesh performance
+table2   Best-effort latency per mix and load
+table3   PCS connection drop accounting
+faults   QoS degradation under link faults (fat mesh)
+failover adaptive vs static routing under permanent link failures
+disaster switch/pod failures and datacenter failover on trees
+trace    one traced run: JSONL event stream, invariants, profiling
+chaos    randomized differential fault campaign with scenario shrinking
+topo     inspect a topology and its compiled route program
+scale    datacenter-scale campaign (1024-host fat tree, Clos)
+"""
+
+
+class TestCommandTable:
+    def test_list_output_is_unchanged(self, capsys):
+        assert cli.main(["list"]) == 0
+        assert capsys.readouterr().out == LIST_OUTPUT
+
+    def test_every_listed_command_is_in_list_with_its_help(self, capsys):
+        cli.main(["list"])
+        lines = capsys.readouterr().out.splitlines()
+        commands = cli._commands()
+        assert len({c.name for c in commands}) == len(commands)
+        for command in commands:
+            assert (f"{command.name:8s} {command.help}" in lines) == (
+                command.listed
+            )
+        # only the three that reach the experiments ``list`` prints
+        assert [c.name for c in commands if not c.listed] == [
+            "list",
+            "run",
+            "all",
+        ]
+
+    def test_every_command_has_help(self, capsys):
+        for command in cli._commands():
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([command.name, "--help"])
+            assert excinfo.value.code == 0
+            assert f"usage: mediaworm {command.name}" in capsys.readouterr().out
+
+    def test_shared_flags_keep_their_defaults(self):
+        """One declaration each, same defaults wherever they appear."""
+        parser_defaults = {
+            "run": dict(experiment="fig3", profile="default", jobs=1,
+                        watchdog=None, point_timeout=None, json=None,
+                        plot=False, check=False),
+            "all": dict(profile="default", jobs=1, watchdog=None,
+                        point_timeout=None, checkpoint=None, fresh=False),
+            "faults": dict(profile="default", jobs=1, watchdog=None,
+                           point_timeout=None, json=None, checkpoint=None,
+                           fresh=False, rates=None),
+            "failover": dict(profile="default", jobs=1, watchdog=None,
+                             point_timeout=None, json=None, checkpoint=None,
+                             fresh=False, severities=None),
+            "disaster": dict(profile="default", jobs=1, watchdog=None,
+                             point_timeout=None, json=None, checkpoint=None,
+                             fresh=False, severities=None),
+            "chaos": dict(profile="smoke", jobs=1, point_timeout=None,
+                          json=None, checkpoint=None, fresh=False, count=25,
+                          seed=7, corpus="chaos-corpus", shrink_budget=40,
+                          replay=None, selftest=None),
+            "scale": dict(points=None, smoke=False, json=None),
+            "trace": dict(preset="quick", profile=False, load=0.8,
+                          trace_out="mediaworm-trace.jsonl",
+                          trace_events=None, chrome=None, no_check=False),
+        }
+        table = {c.name: c for c in cli._commands()}
+        for name, expected in parser_defaults.items():
+            parser = argparse.ArgumentParser()
+            table[name].configure(parser)
+            argv = ["fig3"] if name == "run" else []
+            assert vars(parser.parse_args(argv)) == expected, name
+
+    def test_scale_flag_errors_keep_argparse_exit_status(self, capsys):
+        for argv in (
+            ["scale", "--points", "ft3-9999"],
+            ["scale", "--points", "ft3-16", "--smoke"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2
+        assert "unknown point 'ft3-9999'" in capsys.readouterr().err

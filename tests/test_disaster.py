@@ -6,16 +6,14 @@ import pytest
 
 from conftest import TINY
 
-from repro.errors import ConfigurationError, FaultConfigError, SimulationError
+from repro.errors import FaultConfigError
 from repro.experiments import disaster
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.disaster import (
+    CAMPAIGN,
     CAMPAIGN_MODES,
     CAMPAIGN_TOPOLOGIES,
     _campaign_experiment,
-    _point_key,
-    disaster_campaign_to_text,
-    run_disaster_campaign,
 )
 from repro.experiments.figures import get_profile
 from repro.experiments.runner import (
@@ -444,12 +442,13 @@ def _fake_result(experiment):
 
 
 class TestRunDisasterCampaign:
+    """What is particular to the disaster spec; the plumbing every
+    campaign shares is checked once, in tests/test_campaign.py."""
+
     def test_series_shape_and_butterfly_skips_pod(self, monkeypatch):
         monkeypatch.setattr(disaster, "simulate_fat_tree3", _fake_result)
         monkeypatch.setattr(disaster, "simulate_butterfly", _fake_result)
-        fig = run_disaster_campaign(
-            "quick", severities=("none", "switch", "pod")
-        )
+        fig = CAMPAIGN.run("quick", ("none", "switch", "pod"))
         assert fig.figure_id == "disaster"
         assert set(fig.series) == {
             f"{kind}/{mode}"
@@ -463,30 +462,7 @@ class TestRunDisasterCampaign:
         assert [
             p.extra["severity"] for p in fig.series["butterfly/static"]
         ] == ["none", "switch"]
-
-    def test_unknown_severity_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown severity"):
-            run_disaster_campaign("quick", severities=("tsunami",))
-
-    def test_failed_point_recorded_not_fatal(self, monkeypatch):
-        def flaky(experiment):
-            if experiment.routing_mode == RoutingMode.STATIC:
-                raise SimulationError("wedged")
-            return _fake_result(experiment)
-
-        monkeypatch.setattr(disaster, "simulate_fat_tree3", flaky)
-        monkeypatch.setattr(disaster, "simulate_butterfly", flaky)
-        fig = run_disaster_campaign("quick", severities=("switch",))
-        static = fig.series["fat-tree/static"][0]
-        assert "failed" in static.extra
-        assert static.extra["severity"] == "switch"
-        assert "FAILED" in disaster_campaign_to_text(fig)
-
-    def test_text_rendering(self, monkeypatch):
-        monkeypatch.setattr(disaster, "simulate_fat_tree3", _fake_result)
-        monkeypatch.setattr(disaster, "simulate_butterfly", _fake_result)
-        fig = run_disaster_campaign("quick", severities=("none", "switch"))
-        text = disaster_campaign_to_text(fig)
+        text = CAMPAIGN.render(fig)
         assert "reach frac" in text and "isolated" in text
         assert "fat-tree/adaptive" in text and "butterfly/static" in text
 
@@ -495,15 +471,10 @@ class TestRunDisasterCampaign:
         experiment = _campaign_experiment(
             profile, "fat-tree", RoutingMode.ADAPTIVE, "switch"
         )
-        key = _point_key(
-            "fat-tree", RoutingMode.ADAPTIVE, "switch", experiment
-        )
+        key = CAMPAIGN.key("fat-tree/adaptive", "switch", experiment)
         assert key.startswith("fat-tree/adaptive@switch|")
         assert "mode=adaptive" in key
         changed = dataclasses.replace(
             experiment, health=HealthConfig(probe_interval=2048)
         )
-        assert (
-            _point_key("fat-tree", RoutingMode.ADAPTIVE, "switch", changed)
-            != key
-        )
+        assert CAMPAIGN.key("fat-tree/adaptive", "switch", changed) != key

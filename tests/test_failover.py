@@ -4,21 +4,18 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.experiments import failover
 from repro.experiments.config import FatMeshExperiment
 from repro.experiments.failover import (
+    CAMPAIGN,
     CAMPAIGN_MODES,
     _campaign_experiment,
     _fat_pair_windows,
-    _point_key,
-    failover_campaign_to_text,
-    run_failover_campaign,
 )
-from repro.experiments.faultsweep import _point_key as fault_point_key
+from repro.experiments.faultsweep import CAMPAIGN as FAULTS
 from repro.experiments.figures import get_profile
 from repro.experiments.parallel import sweep_fingerprint
-from repro.experiments.resilience import SweepCheckpoint
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.collector import RunMetrics
 from repro.network.health import HealthConfig
@@ -48,12 +45,11 @@ class TestSweepFingerprint:
 
     def test_fault_sweep_keys_stay_stable_at_defaults(self):
         """Old fault-campaign checkpoints must keep restoring."""
-        assert fault_point_key("vc", 0.005) == "vc@0.005"
-        assert fault_point_key("vc", 0.005, FatMeshExperiment()) == "vc@0.005"
+        assert FAULTS.key("vc", 0.005, FatMeshExperiment()) == "vc@0.005"
 
     def test_fault_sweep_keys_change_with_non_default_knobs(self):
         experiment = FatMeshExperiment(routing_mode=RoutingMode.ADAPTIVE)
-        assert fault_point_key("vc", 0.005, experiment) == (
+        assert FAULTS.key("vc", 0.005, experiment) == (
             "vc@0.005|mode=adaptive"
         )
 
@@ -61,14 +57,14 @@ class TestSweepFingerprint:
         experiment = _campaign_experiment(
             get_profile("quick"), RoutingMode.ADAPTIVE, 2
         )
-        key = _point_key(RoutingMode.ADAPTIVE, 2, experiment)
+        key = CAMPAIGN.key(RoutingMode.ADAPTIVE, 2, experiment)
         assert key.startswith("adaptive@2|")
         assert "mode=adaptive" in key
         assert "health[" in key
         changed = dataclasses.replace(
             experiment, health=HealthConfig(probe_interval=2048)
         )
-        assert _point_key(RoutingMode.ADAPTIVE, 2, changed) != key
+        assert CAMPAIGN.key(RoutingMode.ADAPTIVE, 2, changed) != key
 
 
 class TestFatPairWindows:
@@ -134,9 +130,12 @@ def _fake_result(experiment):
 
 
 class TestRunFailoverCampaign:
+    """What is particular to the failover spec; the plumbing every
+    campaign shares is checked once, in tests/test_campaign.py."""
+
     def test_series_shape_and_extras(self, monkeypatch):
         monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
-        fig = run_failover_campaign("quick", severities=(0, 2))
+        fig = CAMPAIGN.run("quick", (0, 2))
         assert fig.figure_id == "failover"
         assert set(fig.series) == set(CAMPAIGN_MODES)
         for mode in CAMPAIGN_MODES:
@@ -145,47 +144,7 @@ class TestRunFailoverCampaign:
         static = fig.series[RoutingMode.STATIC][1]
         assert adaptive.extra["qos_delivered_fraction"] == 1.0
         assert static.extra["qos_delivered_fraction"] < 1.0
-
-    def test_checkpoint_restores_completed_points(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
-        path = tmp_path / "failover.ckpt.json"
-        meta = {"command": "failover"}
-        run_failover_campaign(
-            "quick", severities=(0,), checkpoint=SweepCheckpoint(path, meta=meta)
-        )
-
-        def boom(experiment):
-            raise AssertionError("restored points must not recompute")
-
-        monkeypatch.setattr(failover, "simulate_fat_mesh", boom)
-        logs = []
-        fig = run_failover_campaign(
-            "quick",
-            severities=(0,),
-            checkpoint=SweepCheckpoint(path, meta=meta),
-            log=logs.append,
-        )
-        assert any("restored from checkpoint" in line for line in logs)
-        assert [p.x for p in fig.series[RoutingMode.ADAPTIVE]] == [0]
-
-    def test_failed_point_recorded_not_fatal(self, monkeypatch):
-        def flaky(experiment):
-            if experiment.routing_mode == RoutingMode.STATIC:
-                raise SimulationError("wedged")
-            return _fake_result(experiment)
-
-        monkeypatch.setattr(failover, "simulate_fat_mesh", flaky)
-        fig = run_failover_campaign("quick", severities=(2,))
-        static = fig.series[RoutingMode.STATIC][0]
-        assert "failed" in static.extra
-        assert "SimulationError" in static.extra["failed"]
-        text = failover_campaign_to_text(fig)
-        assert "FAILED" in text
-
-    def test_text_rendering(self, monkeypatch):
-        monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
-        fig = run_failover_campaign("quick", severities=(0, 2))
-        text = failover_campaign_to_text(fig)
+        text = CAMPAIGN.render(fig)
         assert "qos frac" in text
         assert "adaptive" in text and "static" in text
         assert "0.9000" in text  # static @ severity 2

@@ -14,6 +14,7 @@ from conftest import TINY
 import repro.experiments.cli as cli
 import repro.experiments.faultsweep as faultsweep
 from repro.errors import DeadlockError, PointTimeoutError, SimulationError
+from repro.experiments.campaign import empty_metrics
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.figures import PROFILES, RunProfile
 from repro.experiments.parallel import CRASH_RESEED_STEP
@@ -300,7 +301,7 @@ def _fake_result(policy, rate):
     """A stand-in ExperimentResult for stubbed campaign runs."""
 
     class _Result:
-        metrics = faultsweep._empty_metrics()
+        metrics = empty_metrics()
         fault_stats = {
             "flits_lost": 7,
             "delivered_fraction": 0.995,
@@ -312,8 +313,10 @@ def _fake_result(policy, rate):
 
 
 class TestFaultCampaign:
-    @pytest.fixture
-    def stub_runner(self, monkeypatch, tiny_profile):
+    """What is particular to the fault spec; the plumbing every campaign
+    shares is checked once, in tests/test_campaign.py."""
+
+    def test_campaign_sweeps_both_schedulers(self, monkeypatch, tiny_profile):
         calls = []
 
         def fake(experiment):
@@ -323,53 +326,18 @@ class TestFaultCampaign:
             return _fake_result(experiment.scheduler, 0.0)
 
         monkeypatch.setattr(faultsweep, "simulate_fat_mesh", fake)
-        return calls
-
-    def test_campaign_sweeps_both_schedulers(self, stub_runner):
-        fig = faultsweep.run_fault_campaign("tiny", rates=(0.0, 0.01))
+        fig = faultsweep.CAMPAIGN.run("tiny", (0.0, 0.01))
         assert sorted(fig.series) == ["fifo", "virtual_clock"]
         assert [p.x for p in fig.series["fifo"]] == [0.0, 0.01]
-        assert len(stub_runner) == 4
-        text = faultsweep.fault_campaign_to_text(fig)
+        assert calls == [
+            ("virtual_clock", 0.0),
+            ("virtual_clock", 0.01),
+            ("fifo", 0.0),
+            ("fifo", 0.01),
+        ]
+        text = faultsweep.CAMPAIGN.render(fig)
         assert "scheduler" in text
         assert "0.9950" in text
-
-    def test_campaign_checkpoints_every_point(self, stub_runner, tmp_path):
-        path = tmp_path / "faults.json"
-        meta = {"rates": ["0.01"]}
-        cp = SweepCheckpoint(path, meta=meta)
-        faultsweep.run_fault_campaign("tiny", rates=(0.01,), checkpoint=cp)
-        assert sorted(cp.done_keys) == ["fifo@0.01", "virtual_clock@0.01"]
-        assert len(stub_runner) == 2
-
-        # a rerun against the same checkpoint recomputes nothing
-        logs = []
-        cp2 = SweepCheckpoint(path, meta=meta)
-        fig = faultsweep.run_fault_campaign(
-            "tiny", rates=(0.01,), checkpoint=cp2, log=logs.append
-        )
-        assert len(stub_runner) == 2  # no new simulation calls
-        assert any("restored from checkpoint" in line for line in logs)
-        point = fig.series["virtual_clock"][0]
-        assert point.extra["delivered_fraction"] == 0.995
-
-    def test_failing_point_is_recorded_not_fatal(
-        self, monkeypatch, tiny_profile, tmp_path
-    ):
-        def wedge(experiment):
-            raise DeadlockError("router 0 wedged")
-
-        monkeypatch.setattr(faultsweep, "simulate_fat_mesh", wedge)
-        cp = SweepCheckpoint(tmp_path / "faults.json", meta={})
-        fig = faultsweep.run_fault_campaign(
-            "tiny", rates=(0.02,), checkpoint=cp
-        )
-        for points in fig.series.values():
-            assert "DeadlockError" in points[0].extra["failed"]
-        text = faultsweep.fault_campaign_to_text(fig)
-        assert "FAILED" in text
-        # the failure is checkpointed too: a rerun does not retry it
-        assert sorted(cp.done_keys) == ["fifo@0.02", "virtual_clock@0.02"]
 
 
 class TestCliResilience:
