@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage bench bench-default perf perf-test repro faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
+.PHONY: install test lint loc coverage bench bench-default perf perf-test repro faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
 
 # conservative floor just under the suite's measured line coverage of
 # src/repro; ratchet upward as coverage grows, never downward
@@ -18,6 +18,15 @@ lint:             ## ruff check (lint + import sort) over src and tests
 	@command -v ruff >/dev/null 2>&1 \
 		|| { echo "ruff not installed (pip install -e .[dev]); skipping"; exit 0; } \
 		&& ruff check src tests benchmarks examples
+
+loc:              ## tracked python lines per src/repro package ("net lines removed")
+	@git ls-files 'src/repro/*.py' | xargs wc -l \
+		| awk '$$2 != "total" { n = split($$2, p, "/"); \
+			pkg = (n > 3) ? p[3] : "(top level)"; \
+			lines[pkg] += $$1; total += $$1 } \
+		END { for (pkg in lines) \
+				printf "%7d  %s\n", lines[pkg], pkg | "sort -k2"; \
+			close("sort -k2"); printf "%7d  total\n", total }'
 
 coverage:         ## tier-1 suite under the line-coverage gate
 	@$(PYTHON) -c "import pytest_cov" 2>/dev/null \

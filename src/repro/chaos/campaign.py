@@ -27,7 +27,7 @@ import dataclasses
 import json
 import os
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.chaos.oracles import (
     canonical_metrics,
@@ -54,6 +54,7 @@ from repro.experiments.runner import (
     simulate_single_switch,
 )
 from repro.router.config import RoutingMode
+from repro.sim.reference import run_reference
 
 REPRO_FORMAT = "mediaworm-chaos-repro-v1"
 
@@ -70,28 +71,9 @@ _RUNNERS = {
 }
 
 
-def _execute(scenario: Scenario):
+def _execute(scenario: Scenario, loop=None):
     """One raw simulation of the scenario (exceptions propagate)."""
-    return _RUNNERS[scenario.topology](scenario.to_experiment())
-
-
-def _execute_legacy(scenario: Scenario):
-    """The same simulation under the legacy full-scan run loop.
-
-    The loop choice is read from ``REPRO_LEGACY_LOOP`` at Network
-    construction, so toggling the variable around the call selects the
-    loop for exactly this run (same save/restore discipline as
-    ``repro.experiments.scale``).
-    """
-    saved = os.environ.get("REPRO_LEGACY_LOOP")
-    os.environ["REPRO_LEGACY_LOOP"] = "1"
-    try:
-        return _execute(scenario)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_LEGACY_LOOP", None)
-        else:
-            os.environ["REPRO_LEGACY_LOOP"] = saved
+    return _RUNNERS[scenario.topology](scenario.to_experiment(), loop=loop)
 
 
 def _verdict(
@@ -164,7 +146,8 @@ def _differential(
 ) -> Tuple[Optional[str], Optional[str]]:
     """Twin-run oracles; ``(detail, oracle)`` or ``(None, None)``.
 
-    The parity twin re-runs the scenario on the legacy full-scan loop.
+    The parity twin re-runs the scenario on the full-scan reference
+    stepper (:func:`repro.sim.reference.run_reference`).
     Faulted, traced and adaptive scenarios are eligible: fault fates
     draw from per-link substreams in delivery order, which the loops
     share, so both are deterministic there — and those scenarios are
@@ -178,7 +161,8 @@ def _differential(
     """
     if scenario.sabotage is not None:
         return None, None
-    if canonical_run(_execute_legacy(scenario)) != canonical_run(result):
+    reference = _execute(scenario, loop=run_reference)
+    if canonical_run(reference) != canonical_run(result):
         return (
             "cycle loop and legacy full-scan loop disagree on metrics",
             "parity",

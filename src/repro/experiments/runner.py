@@ -187,9 +187,19 @@ def _construction_gc(topology, config):
     return gc_quiet(collect=True)
 
 
-def _run_network(experiment, network: Network) -> float:
+def _run_network(experiment, network: Network, loop=None) -> float:
+    """Run ``network`` to the experiment's horizon; returns wall seconds.
+
+    ``loop`` is the cycle loop, a callable ``(network, until)``.  The
+    default is ``network.run``, looked up here rather than bound as a
+    default argument, because the benchmark tracer patches
+    ``Network.run`` on the class.
+    """
     started = time.perf_counter()
-    network.run(experiment.total_cycles)
+    if loop is None:
+        network.run(experiment.total_cycles)
+    else:
+        loop(network, experiment.total_cycles)
     network.check_conservation()
     return time.perf_counter() - started
 
@@ -326,8 +336,13 @@ class _TraceHarness:
         return summary
 
 
-def _simulate_wormhole(experiment, topology) -> ExperimentResult:
-    """Shared runner body for the wormhole-network experiment types."""
+def _simulate_wormhole(experiment, topology, loop=None) -> ExperimentResult:
+    """Shared runner body for the wormhole-network experiment types.
+
+    ``loop`` replaces ``Network.run`` for this one run (see
+    :func:`_run_network`); the parity suites, ``mediaworm scale`` and
+    the chaos parity twin pass the reference stepper.
+    """
     started = time.perf_counter()
     collector = MetricsCollector(
         experiment.timebase, warmup=experiment.warmup_cycles
@@ -368,7 +383,7 @@ def _simulate_wormhole(experiment, topology) -> ExperimentResult:
         network.profiler = profiler
         collector.attach_profiler(profiler)
     setup = time.perf_counter() - started
-    wall = _run_network(experiment, network)
+    wall = _run_network(experiment, network, loop)
     return ExperimentResult(
         experiment=experiment,
         metrics=collector.snapshot(),
@@ -384,15 +399,15 @@ def _simulate_wormhole(experiment, topology) -> ExperimentResult:
     )
 
 
-def simulate_single_switch(experiment) -> ExperimentResult:
+def simulate_single_switch(experiment, loop=None) -> ExperimentResult:
     """Run one single-switch configuration (sections 5.1-5.6)."""
     topology = _cached_topology(
         single_switch, num_ports=experiment.num_ports
     )
-    return _simulate_wormhole(experiment, topology)
+    return _simulate_wormhole(experiment, topology, loop)
 
 
-def simulate_fat_mesh(experiment) -> ExperimentResult:
+def simulate_fat_mesh(experiment, loop=None) -> ExperimentResult:
     """Run one fat-mesh configuration (section 5.7)."""
     topology = _cached_topology(
         fat_mesh,
@@ -401,10 +416,10 @@ def simulate_fat_mesh(experiment) -> ExperimentResult:
         hosts_per_router=experiment.hosts_per_router,
         fat_width=experiment.fat_width,
     )
-    return _simulate_wormhole(experiment, topology)
+    return _simulate_wormhole(experiment, topology, loop)
 
 
-def simulate_fat_tree(experiment) -> ExperimentResult:
+def simulate_fat_tree(experiment, loop=None) -> ExperimentResult:
     """Run one fat-tree configuration (a beyond-the-paper topology)."""
     topology = _cached_topology(
         fat_tree,
@@ -413,10 +428,10 @@ def simulate_fat_tree(experiment) -> ExperimentResult:
         hosts_per_leaf=experiment.hosts_per_leaf,
         fat_width=experiment.fat_width,
     )
-    return _simulate_wormhole(experiment, topology)
+    return _simulate_wormhole(experiment, topology, loop)
 
 
-def simulate_fat_tree3(experiment) -> ExperimentResult:
+def simulate_fat_tree3(experiment, loop=None) -> ExperimentResult:
     """Run one 3-level k-ary fat-tree configuration (scale campaign)."""
     topology = _cached_topology(
         fat_tree3,
@@ -424,10 +439,10 @@ def simulate_fat_tree3(experiment) -> ExperimentResult:
         hosts_per_leaf=experiment.hosts_per_leaf,
         fat_width=experiment.fat_width,
     )
-    return _simulate_wormhole(experiment, topology)
+    return _simulate_wormhole(experiment, topology, loop)
 
 
-def simulate_butterfly(experiment) -> ExperimentResult:
+def simulate_butterfly(experiment, loop=None) -> ExperimentResult:
     """Run one k-ary n-tree (butterfly/Clos) configuration."""
     topology = _cached_topology(
         butterfly,
@@ -436,7 +451,7 @@ def simulate_butterfly(experiment) -> ExperimentResult:
         hosts_per_leaf=experiment.hosts_per_leaf,
         fat_width=experiment.fat_width,
     )
-    return _simulate_wormhole(experiment, topology)
+    return _simulate_wormhole(experiment, topology, loop)
 
 
 def simulate_pcs(experiment) -> PCSResult:

@@ -3,7 +3,8 @@
 ``mediaworm scale`` proves the route-program refactor out at 1024+
 hosts: each campaign point builds a 3-level k-ary fat tree or a k-ary
 n-tree (butterfly/folded Clos), runs a sparse real-time workload three
-times — active-set loop, active-set repeat, legacy full-scan loop —
+times — ``Network.run``, a repeat, and the full-scan reference stepper
+(:func:`repro.sim.reference.run_reference`, the ``legacy`` column) —
 and demands all three produce bit-identical metrics digests.  A
 progress watchdog (four frame epochs) arms every run, so a routing
 cycle or a starved stream fails loudly instead of hanging the
@@ -26,7 +27,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import time
 from typing import Dict, Optional, Tuple
 
@@ -40,6 +40,7 @@ from repro.experiments.runner import (
 from repro.metrics.collector import canonical, canonical_metrics
 from repro.network.topology import butterfly, fat_tree3
 from repro.router import routeprog
+from repro.sim.reference import run_reference
 
 FORMAT = "mediaworm-scale-v1"
 
@@ -140,33 +141,25 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
         if log is not None:
             log(f"[scale] {name}: {message}")
 
-    saved = os.environ.pop("REPRO_LEGACY_LOOP", None)
-    try:
-        compiles_before = routeprog.compile_count()
-        started = time.perf_counter()
-        active = runner(experiment)
-        active_s = time.perf_counter() - started
-        compiles_first = routeprog.compile_count() - compiles_before
-        say(f"active loop {active_s:.1f}s ({active.cycles_run} cycles)")
+    compiles_before = routeprog.compile_count()
+    started = time.perf_counter()
+    active = runner(experiment)
+    active_s = time.perf_counter() - started
+    compiles_first = routeprog.compile_count() - compiles_before
+    say(f"active loop {active_s:.1f}s ({active.cycles_run} cycles)")
 
-        started = time.perf_counter()
-        repeat = runner(experiment)
-        repeat_s = time.perf_counter() - started
-        compiles_repeat = (
-            routeprog.compile_count() - compiles_before - compiles_first
-        )
-        say(f"repeat {repeat_s:.1f}s")
+    started = time.perf_counter()
+    repeat = runner(experiment)
+    repeat_s = time.perf_counter() - started
+    compiles_repeat = (
+        routeprog.compile_count() - compiles_before - compiles_first
+    )
+    say(f"repeat {repeat_s:.1f}s")
 
-        os.environ["REPRO_LEGACY_LOOP"] = "1"
-        started = time.perf_counter()
-        legacy = runner(experiment)
-        legacy_s = time.perf_counter() - started
-        say(f"legacy loop {legacy_s:.1f}s")
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_LEGACY_LOOP", None)
-        else:
-            os.environ["REPRO_LEGACY_LOOP"] = saved
+    started = time.perf_counter()
+    legacy = runner(experiment, loop=run_reference)
+    legacy_s = time.perf_counter() - started
+    say(f"legacy loop {legacy_s:.1f}s")
 
     digests = [run_digest(active), run_digest(repeat), run_digest(legacy)]
     record = {

@@ -14,7 +14,7 @@ reports message/frame completions to the metrics collector.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, NamedTuple, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.core.schedulers import MuxScheduler, make_scheduler
 from repro.core.virtual_clock import VirtualClockState
@@ -43,23 +43,6 @@ class _NIVC:
     @property
     def has_flit(self) -> bool:
         return bool(self.queue)
-
-
-class NIDatapathView(NamedTuple):
-    """Hot-path state view of one host interface.
-
-    The containers (``vcs``, ``active``) are stable for the network's
-    lifetime and mutated in place by both code paths, so binding them once
-    is safe; per-VC scalars (``credits``, ``sent``, ``head_stamp``) are
-    read through the :class:`_NIVC` objects — the one source of truth.
-    """
-
-    interface: "HostInterface"
-    vcs: List["_NIVC"]
-    active: set
-    scheduler: MuxScheduler
-    stateless: bool
-    link: Link
 
 
 class HostInterface:
@@ -150,12 +133,14 @@ class HostInterface:
         return vc.head_stamp
 
     def step(self, clock: int) -> int:
-        """Component protocol: send at most one flit onto the host link.
+        """Send at most one flit onto the host link.
 
         Returns the NI's activity — non-zero while messages remain
-        queued, zero once the backlog drained (the dispatch loop then
+        queued, zero once the backlog drained (the cycle loop then
         drops the NI from the active set until :meth:`inject` fires
-        ``on_activated`` again).
+        ``on_activated`` again).  An NI with backlog must be stepped
+        every cycle: whether it can send depends on credits, which it
+        cannot predict.
         """
         active = self._active
         if not active:
@@ -234,17 +219,6 @@ class HostInterface:
             self._active.discard(msg.src_vc)
         return removed
 
-    def datapath_view(self) -> NIDatapathView:
-        """The hot state the fused cycle loop binds (see ``repro.sim.fused``)."""
-        return NIDatapathView(
-            interface=self,
-            vcs=self.vcs,
-            active=self._active,
-            scheduler=self.scheduler,
-            stateless=self._stateless,
-            link=self.link,
-        )
-
     @property
     def backlog_flits(self) -> int:
         """Flits queued at this NI not yet put on the link (audit)."""
@@ -258,25 +232,14 @@ class HostInterface:
     def has_backlog(self) -> bool:
         return bool(self._active)
 
-    def next_due(self, clock: int) -> Optional[int]:
-        """When this NI next needs a :meth:`step`, or ``None`` when idle.
-
-        An NI with backlog must be stepped every cycle (whether it can
-        send depends on credits, which it cannot predict), so the wake
-        time is ``clock`` while busy.  This is the NI half of the
-        component wake-time contract; links report concrete future
-        arrival cycles instead (:meth:`repro.network.link.Link
-        .next_arrival`).
-        """
-        return clock if self._active else None
-
 
 class HostSink:
     """Flit consumer at a destination host.
 
     Flits are consumed at link rate (the stage-5 multiplexer upstream
     already enforces one flit per cycle); the sink only accounts for
-    them and reports tail-flit deliveries.
+    them and reports tail-flit deliveries.  It is passive — driven by
+    its ejection link's delivery, never stepped by a cycle loop.
     """
 
     __slots__ = (
@@ -308,14 +271,6 @@ class HostSink:
         self.messages_corrupt = 0
         #: trace sink installed by repro.obs.install_tracing
         self.trace = None
-
-    def step(self, clock: int) -> int:
-        """Component protocol: sinks are passive consumers, never active."""
-        return 0
-
-    def next_due(self, clock: int) -> Optional[int]:
-        """Component protocol: a sink never needs a step of its own."""
-        return None
 
     def eject(self, clock: int, msg: Message, flit_index: int) -> None:
         """Consume one flit; fire callbacks on tails."""

@@ -11,7 +11,7 @@ and arbitration).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, NamedTuple, Optional, Tuple
+from typing import Deque, Tuple
 
 from repro.errors import FlowControlError
 from repro.faults import FATE_LOST, FATE_OK
@@ -19,25 +19,6 @@ from repro.router.flit import Message
 
 #: default link pipeline latency in cycles (wire + stage-1 sync/decode)
 DEFAULT_LINK_LATENCY = 2
-
-
-class LinkDatapathView(NamedTuple):
-    """Hot-path state view of one link (see :meth:`Link.datapath_view`).
-
-    Everything the fused cycle loop needs to inline
-    ``send``/``deliver_due``: the consumer (exactly one of
-    ``dest_router``/``sink`` is set) and the pipeline latency.  The
-    ``pending`` deque is deliberately *not* included —
-    :meth:`Link.purge_message` rebuilds it, so the loop must read
-    ``link.pending`` through the object to stay on the one source of
-    truth.
-    """
-
-    link: "Link"
-    dest_router: Optional[object]
-    dest_port: int
-    sink: Optional[object]
-    latency: int
 
 
 class Link:
@@ -130,28 +111,6 @@ class Link:
                     "arrive": arrival,
                 },
             )
-
-    def step(self, clock: int) -> int:
-        """Component protocol: deliver due flits; activity = flits handed over.
-
-        A link stays in the dispatch loop's active set while
-        :attr:`pending` is non-empty (the loop checks it directly on
-        the hot path); a spurious step with nothing due is a no-op.
-        """
-        pending = self.pending
-        if pending and pending[0][0] <= clock:
-            return self.deliver_due(clock)
-        return 0
-
-    def next_due(self, clock: int) -> Optional[int]:
-        """Component protocol: earliest arrival cycle, or ``None``.
-
-        Unlike NIs and routers, a link knows its future exactly, which
-        is what lets the dispatch loop jump the clock over idle spans.
-        """
-        if not self.pending:
-            return None
-        return self.pending[0][0]
 
     def deliver_due(self, clock: int) -> int:
         """Hand over every flit whose latency has elapsed.
@@ -320,19 +279,3 @@ class Link:
                 kept.append(entry)
         self.pending = kept
         return dropped_vcs
-
-    def datapath_view(self) -> LinkDatapathView:
-        """The hot state the fused cycle loop binds (see ``repro.sim.fused``)."""
-        return LinkDatapathView(
-            link=self,
-            dest_router=self.dest_router,
-            dest_port=self.dest_port,
-            sink=self.sink,
-            latency=self.latency,
-        )
-
-    def next_arrival(self) -> Optional[int]:
-        """Cycle of the earliest pending delivery, or ``None``."""
-        if not self.pending:
-            return None
-        return self.pending[0][0]

@@ -9,17 +9,16 @@ next component wake time (or injection event) whenever nothing is
 runnable, so simulation cost tracks activity, not topology size or
 wall-clock span.
 
-Setting ``REPRO_LEGACY_LOOP=1`` in the environment (read at network
-construction) selects the original full-scan loop instead; the two are
-bit-identical by contract (see ``docs/simulator-internals.md`` and the
-parity suite in ``tests/test_engine.py``).
+That is the only loop a network owns.  The full scan it must stay
+bit-identical to lives outside, as a function of a network
+(:func:`repro.sim.reference.run_reference`; see
+``docs/simulator-internals.md`` and the parity suite in
+``tests/test_engine.py``).
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
-from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import (
@@ -122,22 +121,22 @@ class Network:
             for router in self.routers:
                 router.on_preempt = self._preempt
 
-        #: original full-scan loop fallback (read once, at construction)
-        self._legacy_loop = os.environ.get("REPRO_LEGACY_LOOP", "") == "1"
         #: the fused cycle loop's bindings, built at the first
-        #: :meth:`run` so construction cost stays out of setup and
-        #: legacy-loop networks never pay it
+        #: :meth:`run` so construction cost stays out of setup and a
+        #: network only ever driven by the reference stepper never
+        #: pays it
         self._loop: Optional[FusedLoop] = None
         # Activation schedulers, one per component kind — kept separate
         # because the dispatch order (links, then NIs, then routers)
         # must let a link delivery activate its destination router
-        # within the same cycle.  Registration ids follow the legacy
-        # loop's iteration order (link list index, NI wiring order,
-        # router id) so sorted active subsets replay the legacy order
-        # exactly — the bit-identical contract.  NI and router
+        # within the same cycle.  Registration ids follow the reference
+        # stepper's iteration order (link list index, NI wiring order,
+        # router id) so sorted active subsets replay the full scan's
+        # order exactly — the bit-identical contract.  NI and router
         # activation hooks are bound ``activate`` calls; link wake hooks
         # also feed the cycle loop's head mirror, so it installs them;
-        # sinks are passive and never register (see repro.sim.component).
+        # sinks are passive (driven by their ejection link) and never
+        # register.
         self._link_sched = ActivationScheduler()
         self._ni_sched = ActivationScheduler()
         self._router_sched = ActivationScheduler()
@@ -335,15 +334,19 @@ class Network:
             # loop's head-arrival mirror and link active set.
             self._loop.resync()
 
-    def _preempt(self, victim: Message) -> None:
-        """Router hook: kill ``victim`` and schedule its retransmission."""
-        self.kill_message(victim)
-        self.preemptions += 1
-        clone = victim.clone()
+    def _kill_and_requeue(self, msg: Message) -> None:
+        """Kill ``msg`` and schedule a clone's injection after the backoff."""
+        self.kill_message(msg)
+        clone = msg.clone()
         self.events.schedule(
             self.clock + self.preemption_backoff,
             lambda m=clone: self.inject_now(m),
         )
+
+    def _preempt(self, victim: Message) -> None:
+        """Router hook: kill ``victim`` and schedule its retransmission."""
+        self._kill_and_requeue(victim)
+        self.preemptions += 1
 
     def requeue_stuck_worms(self, router, port: int, link=None) -> int:
         """Kill-and-requeue every worm wedged on a newly masked port.
@@ -385,12 +388,7 @@ class Network:
                 # End-to-end recovery owns the retry budget and stats.
                 self.transport.on_loss(msg)
             else:
-                self.kill_message(msg)
-                clone = msg.clone()
-                self.events.schedule(
-                    self.clock + self.preemption_backoff,
-                    lambda m=clone: self.inject_now(m),
-                )
+                self._kill_and_requeue(msg)
             requeued += 1
         return requeued
 
@@ -426,8 +424,8 @@ class Network:
 
         Visits, per executed cycle, only the links with a delivery due,
         the NIs with backlog, and the routers with busy stages — in the
-        legacy full-scan order, so results are bit-identical to
-        :meth:`_run_legacy` (``REPRO_LEGACY_LOOP=1``).  When nothing is
+        full-scan order, so results are bit-identical to
+        :func:`repro.sim.reference.run_reference`.  When nothing is
         runnable the clock jumps to the earliest wake time (link
         arrival or scheduled event); :attr:`cycles_executed` counts the
         cycles that were not jumped over.
@@ -440,10 +438,8 @@ class Network:
         fails fast with a diagnostic dump instead of spinning to the
         horizon.  Clock jumps are capped at ``stall_clock +
         watchdog_window`` so the error fires at exactly the cycle the
-        legacy loop would have raised it.
+        full scan would have raised it.
         """
-        if self._legacy_loop:
-            return self._run_legacy(until)
         if self._loop is None:
             # The bindings live as long as the network: no collector
             # pass over the (already large) graph while they are built.
@@ -461,76 +457,6 @@ class Network:
             f"{self._flits_in_flight} flits in flight\n"
             + self.stall_report()
         )
-
-    def _run_legacy(self, until: int) -> None:
-        """The original full-scan cycle loop (``REPRO_LEGACY_LOOP=1``).
-
-        Thin parity shim: visits every link, NI, and router each
-        executed cycle in wiring order (ignoring the activity sets the
-        components still maintain) and jumps the clock only when the
-        network is empty.  The cycle loop behind :meth:`run` is
-        validated bit-identical against this reference by
-        ``tests/test_engine.py`` and the golden runs in
-        ``tests/test_activation.py``.
-        """
-        clock = self.clock
-        events = self.events
-        links = self.links
-        interfaces = self._ni_list
-        routers = self.routers
-        watchdog = self.watchdog_window
-        profiler = self.profiler
-        stall_clock = max(self._stall_clock, clock - 1)
-        start = clock
-        jumped = 0
-        while clock < until:
-            if self._flits_in_flight == 0:
-                nxt = events.next_time()
-                if nxt is None:
-                    jumped += until - clock
-                    clock = until
-                    break
-                if nxt > clock:
-                    nxt = min(nxt, until)
-                    jumped += nxt - clock
-                    clock = nxt
-                    stall_clock = clock
-                    if clock >= until:
-                        break
-            self.clock = clock
-            if profiler is not None:
-                t0 = perf_counter()
-            events.fire_due(clock)
-            if profiler is not None:
-                t1 = perf_counter()
-                profiler.events_s += t1 - t0
-            progress = 0
-            for link in links:
-                if link.pending:
-                    progress += link.deliver_due(clock)
-            if profiler is not None:
-                t2 = perf_counter()
-                profiler.links_s += t2 - t1
-            for ni in interfaces:
-                ni.step(clock)
-            if profiler is not None:
-                t3 = perf_counter()
-                profiler.nis_s += t3 - t2
-            for router in routers:
-                router.step(clock)
-            if profiler is not None:
-                profiler.routers_s += perf_counter() - t3
-                profiler.cycles += 1
-            if watchdog is not None:
-                if progress or not self._flits_in_flight:
-                    stall_clock = clock
-                elif clock - stall_clock >= watchdog:
-                    self.cycles_executed += clock + 1 - start - jumped
-                    self._watchdog_fire(clock, stall_clock, watchdog)
-            clock += 1
-        self._stall_clock = stall_clock
-        self.clock = clock
-        self.cycles_executed += clock - start - jumped
 
     def run_until_drained(
         self, max_extra: int = 10_000_000, drain_events: bool = False

@@ -1,13 +1,14 @@
 """Per-component wall-time profiling of the simulation loop.
 
-A :class:`LoopProfiler` installed as ``network.profiler`` makes both
-cycle loops (active-set and legacy) bracket each per-cycle phase —
-event firing, link delivery, NI steps, router steps — with
+A :class:`LoopProfiler` installed as ``network.profiler`` makes the
+cycle loop (:class:`repro.sim.fused.FusedLoop`) bracket each per-cycle
+phase — event firing, link delivery, NI steps, router steps — with
 ``perf_counter`` reads, accumulating where the wall time actually goes
 (the question PR2's active-set work kept answering by hand).  Without a
-profiler the loops pay a single ``is None`` check per phase, preserving
+profiler the loop pays a single ``is None`` check per phase, preserving
 the zero-overhead contract; with one, the *simulation* is still
-bit-identical — only wall time is observed.
+bit-identical — only wall time is observed.  The reference stepper
+carries no timers: a profiled run on it reports zeros.
 
 The totals surface as ``RunMetrics.profile`` (see
 :meth:`repro.metrics.collector.MetricsCollector.attach_profiler`).

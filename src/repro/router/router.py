@@ -30,7 +30,7 @@ router entirely until a flit arrival re-activates it.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.core.schedulers import (
     MuxScheduler,
@@ -41,41 +41,6 @@ from repro.router.buffers import InputVC, OutputVC
 from repro.router.config import CrossbarKind, RouterConfig, RoutingMode
 from repro.router.flit import Message
 from repro.router.routing import RoutingFunction
-
-
-class RouterDatapathView(NamedTuple):
-    """Hot-path state view of one router (fused-loop binding hook).
-
-    Exposes the stable containers and immutable lookup tables the fused
-    cycle loop binds once: buffer grids, activity sets (mutated in
-    place), the precomputed class partitions, and the per-port mux
-    selectors.  Scalars that are *reassigned* by the object path
-    (``_work``, ``_pending_arb``, ``_arb_rotate``) are deliberately
-    absent — the loop must read/write them through the router attribute
-    so both paths see one source of truth.
-    """
-
-    router: "WormholeRouter"
-    inputs: List[List[InputVC]]
-    outputs: List[List[OutputVC]]
-    sendable: List[Set[int]]
-    out_active: List[Set[int]]
-    in_ports: Set[int]
-    out_ports: Set[int]
-    part: list
-    in_selectors: List[MuxScheduler]
-    out_selectors: List[MuxScheduler]
-    in_policy: MuxScheduler
-    out_policy: MuxScheduler
-    in_stateless: bool
-    out_stateless: bool
-    multiplexed: bool
-    routing_delay: int
-    arb_delay: int
-    out_links: List[Optional[object]]
-    is_host_port: List[bool]
-    route_view: object
-    out_flits: List[int]
 
 
 class WormholeRouter:
@@ -174,8 +139,8 @@ class WormholeRouter:
         #: crossbar — used by tests and the conservation audit
         self.on_crossbar: Optional[Callable[[Message, int], None]] = None
         #: activation hook fired when a flit arrival gives an idle
-        #: router work; installed by the network so the dispatch loop
-        #: resumes stepping it (component protocol)
+        #: router work; installed by the network so the cycle loop
+        #: resumes stepping it
         self.on_activated: Optional[Callable[[], None]] = None
         #: trace sink installed by repro.obs.install_tracing
         self.trace = None
@@ -192,8 +157,18 @@ class WormholeRouter:
     def _build_port_partition(self, port: int):
         """Precompute the (normal, escape_only) VC tuples per class.
 
-        See :meth:`_partition_indices` for the escape-VC semantics; the
-        table just hoists that decision out of the arbitration loop.
+        In adaptive mode the last VC of every multi-VC partition on a
+        non-host port is reserved as the *escape* VC: only detoured
+        messages may claim it (``escape_only``), and they may claim
+        nothing else.  Keeping normal worms off the escape VC means a
+        detoured worm can never be blocked behind traffic that is
+        itself waiting on the dead dimension — the standard escape-
+        channel deadlock-freedom argument.  Single-VC partitions have
+        nothing to spare; detours are refused there at routing time.
+
+        The table hoists that decision out of the arbitration loop,
+        which indexes ``_part[port][is_real_time][escape_only]`` (bools
+        index as 0/1).
         """
         entry = []
         for indices in self._class_vcs:
@@ -206,32 +181,6 @@ class WormholeRouter:
             else:
                 entry.append((indices[:-1], indices[-1:]))
         return tuple(entry)
-
-    def datapath_view(self) -> RouterDatapathView:
-        """The hot state the fused cycle loop binds (see ``repro.sim.fused``)."""
-        return RouterDatapathView(
-            router=self,
-            inputs=self.inputs,
-            outputs=self.outputs,
-            sendable=self._sendable,
-            out_active=self._out_active,
-            in_ports=self._in_ports,
-            out_ports=self._out_ports,
-            part=self._part,
-            in_selectors=self._in_selectors,
-            out_selectors=self._out_selectors,
-            in_policy=self._in_policy,
-            out_policy=self._out_policy,
-            in_stateless=self._in_stateless,
-            out_stateless=self._out_stateless,
-            multiplexed=self._multiplexed,
-            routing_delay=self._routing_delay,
-            arb_delay=self._arb_delay,
-            out_links=self.out_links,
-            is_host_port=self.is_host_port,
-            route_view=self._route_view,
-            out_flits=self.out_flits,
-        )
 
     # ------------------------------------------------------------------
     # flit ingress (called by links and host interfaces)
@@ -264,10 +213,10 @@ class WormholeRouter:
     def step(self, clock: int) -> int:
         """Advance every pipeline stage by one cycle.
 
-        Component protocol: returns the router's remaining activity —
-        non-zero while any stage holds work, zero once quiescent (the
-        dispatch loop then stops stepping it until a flit arrival fires
-        :attr:`on_activated`).
+        Returns the router's remaining activity — non-zero while any
+        stage holds work, zero once quiescent (the cycle loop then
+        stops stepping it until a flit arrival fires
+        :attr:`on_activated`).  A busy router must step every cycle.
         """
         if self._work:
             self._stage5_output(clock)
@@ -275,28 +224,10 @@ class WormholeRouter:
             self._stage23_route_arbitrate(clock)
         return self._work
 
-    def next_due(self, clock: int) -> Optional[int]:
-        """Component protocol: a busy router must step every cycle."""
-        return clock if self._work else None
-
     @property
     def quiescent(self) -> bool:
         """True when no pipeline stage holds work."""
         return not self._work
-
-    def stage_quiescence(self) -> "dict[str, bool]":
-        """Per-stage quiescence report (introspection / diagnostics).
-
-        Keys follow the pipeline: ``arbitration`` (stages 2/3 — headers
-        awaiting routing or an output VC), ``crossbar`` (stage 4 —
-        granted input VCs with buffered flits), ``output`` (stage 5 —
-        output VCs with staged flits).
-        """
-        return {
-            "arbitration": not self._pending_arb,
-            "crossbar": not self._in_ports,
-            "output": not self._out_ports,
-        }
 
     # -- stage 5: output VC multiplexer + link ------------------------
 
@@ -658,26 +589,6 @@ class WormholeRouter:
                 best_load = load
                 best_port = port
         return best_port if best_port >= 0 else faulted_port
-
-    def _partition_indices(
-        self, port: int, is_real_time: bool, escape_only: bool
-    ):
-        """VC indices of the class partition, escape VC applied.
-
-        In adaptive mode the last VC of every multi-VC partition on a
-        non-host port is reserved as the *escape* VC: only detoured
-        messages may claim it (``escape_only``), and they may claim
-        nothing else.  Keeping normal worms off the escape VC means a
-        detoured worm can never be blocked behind traffic that is
-        itself waiting on the dead dimension — the standard escape-
-        channel deadlock-freedom argument.  Single-VC partitions have
-        nothing to spare; detours are refused there at routing time.
-
-        The actual partition tuples are precomputed per port by
-        :meth:`_build_port_partition`; this accessor just indexes the
-        table (bools index as 0/1).
-        """
-        return self._part[port][is_real_time][escape_only]
 
     def _arbitrate_output_vc(
         self, clock: int, port: int, msg: Message, escape_only: bool = False

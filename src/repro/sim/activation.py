@@ -1,7 +1,7 @@
 """Activation scheduling: which components may act, and when.
 
-The legacy cycle loop paid a fixed cost per cycle — every link, host
-interface, and router was visited whether or not it had anything to do.
+A full-scan cycle loop pays a fixed cost per cycle — every link, host
+interface, and router is visited whether or not it has anything to do.
 The :class:`ActivationScheduler` inverts that: components *register*
 their activity transitions and the loop visits only the active set, so
 simulation cost tracks activity instead of topology size.
@@ -26,18 +26,18 @@ the memoised sorted active list.
 Determinism contract
 --------------------
 
-Components are identified by small integer ids assigned in the same
-order the legacy loop iterated them (:meth:`register` hands them out in
+A component is identified by a small integer id assigned in the same
+order the full scan iterates them (:meth:`register` hands them out in
 registration order).  :meth:`due` returns ids in ascending order, so an
-active-set run visits components in exactly the legacy order,
+active-set run visits components in exactly the full-scan order,
 restricted to the non-no-op subset — which is what makes active-set
-runs bit-identical to the legacy full scan (the golden-run regression
+runs bit-identical to the reference stepper (the golden-run regression
 in ``tests/test_activation.py`` pins this).
 
 Spurious wakes are harmless by construction: a component stepped with
-nothing due no-ops exactly as it did under the legacy full scan (the
-:mod:`repro.sim.component` step protocol requires it).  A *missing*
-wake, by contrast, would silently change results — hence the
+nothing due no-ops exactly as it does under the full scan (the step
+contract in :func:`repro.sim.reference.run_reference` requires it).  A
+*missing* wake, by contrast, would silently change results — hence the
 conservative rule that every producer of future work (``Link.send``,
 ``HostInterface.inject``, flit arrival at a router) activates its
 component at the moment the work is created.
@@ -90,9 +90,9 @@ class ActivationScheduler:
         """Add ``component`` to this scheduler's id space; returns its id.
 
         Ids are handed out in registration order, which the fused
-        dispatch loop relies on: registering components in the legacy
-        iteration order makes every ascending-id visit a replay of the
-        legacy scan order.
+        dispatch loop relies on: registering components in the full
+        scan's iteration order makes every ascending-id visit a replay
+        of that scan's order.
         """
         cid = len(self.components)
         self.components.append(component)
@@ -120,27 +120,6 @@ class ActivationScheduler:
                 self._loaned = False
             self._list.remove(cid)
 
-    def drain_active(self) -> List[int]:
-        """Snapshot and clear every persistent activation (ascending)."""
-        out = self._list if not self._loaned else list(self._list)
-        self._active.clear()
-        self._list = []
-        self._loaned = False
-        return out
-
-    def is_active(self, cid: int) -> bool:
-        return cid in self._active
-
-    @property
-    def has_active(self) -> bool:
-        """True when any component is persistently active."""
-        return bool(self._active)
-
-    def active_ids(self) -> List[int]:
-        """The persistent active set, ascending (borrowed; do not mutate)."""
-        self._loaned = True
-        return self._list
-
     # -- timed wakes ----------------------------------------------------
 
     def wake_at(self, cid: int, time: int) -> None:
@@ -163,8 +142,8 @@ class ActivationScheduler:
     def next_time(self) -> Optional[int]:
         """Cycle of the earliest armed wake, or ``None``.
 
-        Persistent actives are due "now"; callers check
-        :attr:`has_active` before consulting this for a clock jump.
+        Persistent actives are due "now"; callers check the active
+        set before consulting this for a clock jump.
         """
         times = self._times
         buckets = self._buckets
@@ -183,7 +162,7 @@ class ActivationScheduler:
     # -- per-cycle harvest ----------------------------------------------
 
     def due(self, clock: int) -> List[int]:
-        """Ids due to step at ``clock``, in ascending (legacy) order.
+        """Ids due to step at ``clock``, in ascending (full-scan) order.
 
         Timed wakes at or before ``clock`` are consumed bucket-at-a-time;
         persistent actives are included without being consumed.  The

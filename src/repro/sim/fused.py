@@ -8,10 +8,9 @@ per cycle — events, link delivery, NI injection, router stages
 5 → 4 → 2/3 — in **one frame**, with every per-flit helper
 (``Link.send``/``deliver_due``, ``HostInterface.step``,
 ``WormholeRouter.accept_flit``, the mux stamp/select methods, the
-buffer push/pop methods) inlined over the components' *shared* state
-views (``datapath_view()`` on routers, links, and NIs).  It is what
-:meth:`repro.network.network.Network.run` executes for every run; the
-legacy full scan (``REPRO_LEGACY_LOOP=1``) is the parity reference.
+buffer push/pop methods) inlined over the components' *shared* state.
+It is what :meth:`repro.network.network.Network.run` executes for every
+run; :func:`repro.sim.reference.run_reference` is the parity reference.
 
 State layout
 ------------
@@ -40,7 +39,7 @@ Phase order
 -----------
 
 Per executed cycle, in this exact order (the bit-identical contract
-with the legacy loop):
+with the reference stepper):
 
 1. event heap (``fire_due``) — injections, transport timeouts;
 2. link delivery, ascending link id — inlined ``accept_flit`` into
@@ -103,21 +102,18 @@ purges resynchronise the loop through :meth:`resync`.
 
 from __future__ import annotations
 
-import logging
 from operator import itemgetter
 from time import perf_counter
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
-from repro.errors import FlowControlError
+from repro.errors import FlowControlError, SimulationError
 from repro.faults import FATE_CORRUPT, FATE_LOST, FATE_OK
 from repro.network.health import UP
 from repro.router.buffers import acquire_record, release_record
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
 from repro.router.router import WormholeRouter
-
-logger = logging.getLogger(__name__)
 
 #: sentinel arrival for idle links — far beyond any simulated horizon
 _FAR = 1 << 62
@@ -146,18 +142,17 @@ class FusedLoop:
         # so the stamp/select specialisation is network-wide.
         router0 = network.routers[0] if network.routers else None
         if router0 is not None:
-            view = router0.datapath_view()
             self._in_vc = (
-                view.in_policy.policy == SchedulingPolicy.VIRTUAL_CLOCK
+                router0._in_policy.policy == SchedulingPolicy.VIRTUAL_CLOCK
             )
             self._out_vc = (
-                view.out_policy.policy == SchedulingPolicy.VIRTUAL_CLOCK
+                router0._out_policy.policy == SchedulingPolicy.VIRTUAL_CLOCK
             )
-            self._in_stateless = view.in_stateless
-            self._out_stateless = view.out_stateless
-            self._multiplexed = view.multiplexed
-            self._routing_delay = view.routing_delay
-            self._arb_delay = view.arb_delay
+            self._in_stateless = router0._in_stateless
+            self._out_stateless = router0._out_stateless
+            self._multiplexed = router0._multiplexed
+            self._routing_delay = router0._routing_delay
+            self._arb_delay = router0._arb_delay
         self._dyn_part = config.dynamic_partitioning
         self._be_bind = config.be_dst_vc_binding
         self._adaptive = config.routing_mode == RoutingMode.ADAPTIVE
@@ -165,8 +160,12 @@ class FusedLoop:
         #: capacity is a network-wide constant the kernels can hoist
         self._out_cap = config.output_buffer_depth
 
-        #: per-router bound state (RouterDatapathView), indexed by id
-        self._router_views = [r.datapath_view() for r in network.routers]
+        # The tuples below bind only containers both code paths mutate
+        # in place and immutable tables.  What object code *reassigns* —
+        # a router's ``_work``, ``_pending_arb``, ``_arb_rotate``;
+        # ``link.pending`` (``Link.purge_message`` rebuilds it); an NI's
+        # per-VC scalars — :meth:`run` reads through its owner, so both
+        # paths see one source of truth.
 
         #: per-link consumer bindings, indexed by link id:
         #: (link, input_vcs, dest_router, dest_rid, sink,
@@ -175,13 +174,12 @@ class FusedLoop:
         info = []
         for idx, link in enumerate(network.links):
             link_index[id(link)] = idx
-            lview = link.datapath_view()
-            if lview.dest_router is not None:
-                dest = lview.dest_router
+            dest = link.dest_router
+            if dest is not None:
                 info.append(
                     (
                         link,
-                        dest.inputs[lview.dest_port],
+                        dest.inputs[link.dest_port],
                         dest,
                         dest.router_id,
                         None,
@@ -190,7 +188,7 @@ class FusedLoop:
                     )
                 )
             else:
-                sink = lview.sink
+                sink = link.sink
                 info.append(
                     (
                         link,
@@ -209,21 +207,20 @@ class FusedLoop:
         #:  latency)
         ni_info = []
         for ni in network._ni_list:
-            nview = ni.datapath_view()
             ni_info.append(
                 (
                     ni,
-                    nview.vcs,
-                    nview.active,
-                    nview.scheduler,
-                    nview.stateless,
-                    nview.link,
-                    link_index[id(nview.link)],
-                    nview.link.latency,
+                    ni.vcs,
+                    ni._active,
+                    ni.scheduler,
+                    ni._stateless,
+                    ni.link,
+                    link_index[id(ni.link)],
+                    ni.link.latency,
                 )
             )
             self._ni_vc = (
-                nview.scheduler.policy == SchedulingPolicy.VIRTUAL_CLOCK
+                ni.scheduler.policy == SchedulingPolicy.VIRTUAL_CLOCK
             )
         self._ni_info = ni_info
 
@@ -241,40 +238,40 @@ class FusedLoop:
         #: Rebuilt on every run entry and by :meth:`resync`; maintained
         #: inline at grant (stage 2/3) and release (stage 5).
         self._free_out = [
-            [0] * len(view.outputs) for view in self._router_views
+            [0] * len(router.outputs) for router in network.routers
         ]
 
         #: everything the router phases touch, one tuple per router —
         #: a single index + unpack per router per cycle instead of a
-        #: dozen attribute loads on the view.  The last three entries
+        #: dozen attribute loads on the router.  The last three entries
         #: serve the inlined stage-5 send: per-port outgoing link ids
         #: (−1 where unwired), latencies, and the links themselves.
         self._router_hot = [
             (
-                view.router,
-                view.inputs,
-                view.outputs,
-                view.out_active,
-                view.out_ports,
-                view.out_flits,
-                view.out_selectors,
-                view.in_ports,
-                view.sendable,
-                view.in_selectors,
-                view.part,
-                view.is_host_port,
-                view.route_view.candidates,
+                router,
+                router.inputs,
+                router.outputs,
+                router._out_active,
+                router._out_ports,
+                router.out_flits,
+                router._out_selectors,
+                router._in_ports,
+                router._sendable,
+                router._in_selectors,
+                router._part,
+                router.is_host_port,
+                router._route_view.candidates,
                 [
                     -1 if link is None else link_index[id(link)]
-                    for link in view.out_links
+                    for link in router.out_links
                 ],
                 [
                     0 if link is None else link.latency
-                    for link in view.out_links
+                    for link in router.out_links
                 ],
-                list(view.out_links),
+                list(router.out_links),
             )
-            for view in self._router_views
+            for router in network.routers
         ]
 
     def _wake_hook(self, idx: int):
@@ -311,9 +308,9 @@ class FusedLoop:
             else:
                 head[idx] = _FAR
                 link_sched.deactivate(idx)
-        for rid, view in enumerate(self._router_views):
+        for rid, router in enumerate(self._net.routers):
             counts = self._free_out[rid]
-            for port, ovcs in enumerate(view.outputs):
+            for port, ovcs in enumerate(router.outputs):
                 free = 0
                 for ovc in ovcs:
                     if ovc.owner is None:
@@ -464,23 +461,19 @@ class FusedLoop:
                         break
                     # Defensive backstop: flits are alive but no wake is
                     # armed — activity tracking must have been bypassed
-                    # (e.g. hand-driven components).  Degrade this
-                    # network to the legacy full scan permanently
-                    # rather than mis-simulating.
-                    logger.warning(
-                        "active-set tracking lost %d in-flight flits at "
-                        "cycle %d; falling back to the legacy loop",
-                        net._flits_in_flight,
-                        clock,
-                    )
-                    net._legacy_loop = True
+                    # (e.g. hand-driven components).  Fail rather than
+                    # mis-simulate.
                     net._stall_clock = stall_clock
                     net.clock = clock
                     net.cycles_executed += clock - start - jumped
-                    return net._run_legacy(until)
+                    raise SimulationError(
+                        f"active-set tracking lost {net._flits_in_flight} "
+                        f"in-flight flits at cycle {clock}: no component "
+                        f"is active and no wake is armed"
+                    )
                 if nxt > clock:
                     if watchdog is not None and net._flits_in_flight:
-                        # Never jump past the cycle the legacy loop
+                        # Never jump past the cycle the full scan
                         # would raise the watchdog at.
                         cap = stall_clock + watchdog
                         if cap < nxt:

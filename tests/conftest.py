@@ -7,14 +7,31 @@ import pytest
 from repro.core.schedulers import SchedulingPolicy
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.runner import simulate_single_switch
-from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
 from repro.network.topology import fat_mesh, single_switch
 from repro.router.config import RouterConfig
 from repro.router.flit import Message, TrafficClass
+from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
 from repro.sim.units import LinkSpec, TimeBase, WorkloadScale
 from repro.traffic.mix import build_workload
+
+
+@pytest.fixture
+def reference_loop(request, monkeypatch):
+    """Run the test on the reference stepper instead of the fused loop.
+
+    Patches ``Network.run`` for the test's duration, so code that calls
+    ``network.run`` itself (drains, the chaos replay) follows.  Under
+    ``@pytest.mark.parametrize("reference_loop", [False, True],
+    indirect=True)`` the test runs once per loop and the fixture's
+    value says which; where one test needs both loops side by side,
+    pass ``loop=run_reference`` to the runner instead.
+    """
+    enabled = getattr(request, "param", True)
+    if enabled:
+        monkeypatch.setattr(Network, "run", run_reference)
+    return enabled
 
 
 @pytest.fixture

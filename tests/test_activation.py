@@ -1,4 +1,4 @@
-"""The activation scheduler and the active-set/legacy golden runs."""
+"""The activation scheduler and the active-set/reference golden runs."""
 
 import dataclasses
 
@@ -9,6 +9,7 @@ from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
 from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.sim.activation import ActivationScheduler
+from repro.sim.reference import run_reference
 
 TINY = dict(scale=100.0, warmup_frames=1, measure_frames=2, seed=7)
 
@@ -73,40 +74,22 @@ class TestActivationScheduler:
         list(sched.due(10))
         assert sched.next_time() is None
 
-    def test_drain_active_returns_sorted_and_clears(self):
-        sched = ActivationScheduler()
-        for cid in (5, 0, 3):
-            sched.activate(cid)
-        assert sched.drain_active() == [0, 3, 5]
-        assert list(sched.due(0)) == []
-        assert sched.drain_active() == []
-
-    def test_wakes_survive_drain_active(self):
-        sched = ActivationScheduler()
-        sched.activate(1)
-        sched.wake_at(2, 8)
-        sched.drain_active()
-        assert sched.next_time() == 8
-        assert list(sched.due(8)) == [2]
-
 
 def _metrics(result):
     return dataclasses.asdict(result.metrics)
 
 
 class TestGoldenRuns:
-    """Active-set loop vs REPRO_LEGACY_LOOP=1, bit-identical."""
+    """Active-set loop vs the reference stepper, bit-identical."""
 
     @pytest.mark.parametrize("load", [0.6, 0.9])
-    def test_single_switch_matches_legacy(self, monkeypatch, load):
+    def test_single_switch_matches_legacy(self, load):
         experiment = SingleSwitchExperiment(load=load, mix=(80, 20), **TINY)
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
         active = simulate_single_switch(experiment)
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        legacy = simulate_single_switch(experiment)
+        legacy = simulate_single_switch(experiment, loop=run_reference)
         assert _metrics(active) == _metrics(legacy)
 
-    def test_fat_mesh_with_faults_matches_legacy(self, monkeypatch):
+    def test_fat_mesh_with_faults_matches_legacy(self):
         """Faults + recovery + watchdog exercise every wake path."""
         experiment = FatMeshExperiment(
             load=0.7,
@@ -116,24 +99,20 @@ class TestGoldenRuns:
             watchdog_window=200_000,
             **TINY,
         )
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
         active = simulate_fat_mesh(experiment)
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        legacy = simulate_fat_mesh(experiment)
+        legacy = simulate_fat_mesh(experiment, loop=run_reference)
         assert _metrics(active) == _metrics(legacy)
         assert active.fault_stats == legacy.fault_stats
 
-    def test_watchdog_fires_at_identical_cycle(self, monkeypatch):
+    def test_watchdog_fires_at_identical_cycle(self):
         """A too-tight watchdog must trip both loops at the same cycle."""
         experiment = SingleSwitchExperiment(
             load=0.8, mix=(80, 20), watchdog_window=1, **TINY
         )
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
         with pytest.raises(DeadlockError) as active_err:
             simulate_single_switch(experiment)
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
         with pytest.raises(DeadlockError) as legacy_err:
-            simulate_single_switch(experiment)
+            simulate_single_switch(experiment, loop=run_reference)
         active_line = str(active_err.value).splitlines()[0]
         legacy_line = str(legacy_err.value).splitlines()[0]
         assert active_line == legacy_line

@@ -307,12 +307,8 @@ def _tree_disaster(mode, k=4, severity="switch:0", **overrides):
 class TestZeroSwitchFaultParity:
     """Switch-level monitoring must not perturb a healthy tree run."""
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_fat_tree_bit_identical(self, monkeypatch, legacy):
-        if legacy:
-            monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        else:
-            monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+    @pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
+    def test_fat_tree_bit_identical(self, reference_loop):
         # adaptive mode in both twins: the monitored run has the whole
         # switch-failover machinery armed, and with zero faults it must
         # never fire

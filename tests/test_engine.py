@@ -1,20 +1,25 @@
-"""The cycle loop's bit-identity contract with the legacy full scan.
+"""The cycle loop's bit-identity contract with the reference full scan.
 
 ``Network.run`` executes one loop, the fused cycle loop of
-``repro.sim.fused``; ``REPRO_LEGACY_LOOP=1`` selects the legacy full
-scan, the parity reference.  Every workload family of the tier-1 suite
-must produce the same ``RunMetrics`` (and fault stats, where present)
-on both — whether a component runs through the loop's inlined kernels
-or, for a cold feature, is called out to its own object method.
+``repro.sim.fused``; ``repro.sim.reference.run_reference`` is the full
+scan it is checked against, passed wherever a loop is an argument.
+Every workload family of the tier-1 suite must produce the same
+``RunMetrics`` (and fault stats, where present) on both — whether a
+component runs through the loop's inlined kernels or, for a cold
+feature, is called out to its own object method.
 """
 
+import ast
 import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.chaos.scenario import ChaosFatMeshExperiment
+from repro.errors import SimulationError
 from repro.experiments.config import (
     ButterflyExperiment,
     FatMeshExperiment,
@@ -27,7 +32,6 @@ from repro.experiments.runner import (
     simulate_fat_tree3,
     simulate_single_switch,
 )
-from repro.chaos.scenario import ChaosFatMeshExperiment
 from repro.faults import (
     FATE_CORRUPT,
     FATE_LOST,
@@ -49,8 +53,15 @@ from repro.network.network import Network
 from repro.network.topology import single_switch
 from repro.obs import RingBufferSink, install_tracing
 from repro.router.config import RouterConfig, RoutingMode
+from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
-from conftest import TINY, attach_workload, make_mesh_network, make_message
+from conftest import (
+    TINY,
+    attach_workload,
+    make_mesh_network,
+    make_message,
+    make_network,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,54 +72,48 @@ def _metrics(result):
     return repr(dataclasses.asdict(result.metrics))
 
 
-def _both_loops(monkeypatch, build):
-    """``build()`` once per loop: (default-loop value, legacy-loop value)."""
-    monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-    default = build()
-    monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-    legacy = build()
-    monkeypatch.delenv("REPRO_LEGACY_LOOP")
-    return default, legacy
+def _both_loops(build):
+    """``build(run)`` once per loop: (fused-loop value, reference value).
+
+    ``run`` is the loop as a callable ``(network, until)``.
+    """
+    return build(Network.run), build(run_reference)
+
+
+def _simulate_both(simulate, experiment):
+    """One experiment on each loop: (default result, reference result)."""
+    return simulate(experiment), simulate(experiment, loop=run_reference)
 
 
 class TestArrayEngineParity:
-    """The default loop is bit-identical to the legacy scan on every
+    """The default loop is bit-identical to the reference scan on every
     workload family (the class keeps its name from when the fused loop
     was the opt-in "array engine")."""
 
-    def _pair(self, monkeypatch, simulate, experiment):
-        return _both_loops(monkeypatch, lambda: simulate(experiment))
-
     @pytest.mark.parametrize("scheduler", ["virtual_clock", "fifo"])
-    def test_single_switch_schedulers(self, monkeypatch, scheduler):
+    def test_single_switch_schedulers(self, scheduler):
         experiment = SingleSwitchExperiment(
             load=0.8, mix=(80, 20), scheduler=scheduler, **TINY
         )
-        default, legacy = self._pair(
-            monkeypatch, simulate_single_switch, experiment
-        )
+        default, legacy = _simulate_both(simulate_single_switch, experiment)
         assert _metrics(default) == _metrics(legacy)
 
-    def test_fat_mesh(self, monkeypatch):
+    def test_fat_mesh(self):
         experiment = FatMeshExperiment(load=0.7, mix=(80, 20), **TINY)
-        default, legacy = self._pair(monkeypatch, simulate_fat_mesh, experiment)
+        default, legacy = _simulate_both(simulate_fat_mesh, experiment)
         assert _metrics(default) == _metrics(legacy)
 
-    def test_fat_tree3(self, monkeypatch):
+    def test_fat_tree3(self):
         experiment = FatTree3Experiment(load=0.7, mix=(80, 20), **TINY)
-        default, legacy = self._pair(
-            monkeypatch, simulate_fat_tree3, experiment
-        )
+        default, legacy = _simulate_both(simulate_fat_tree3, experiment)
         assert _metrics(default) == _metrics(legacy)
 
-    def test_butterfly(self, monkeypatch):
+    def test_butterfly(self):
         experiment = ButterflyExperiment(load=0.7, mix=(80, 20), **TINY)
-        default, legacy = self._pair(
-            monkeypatch, simulate_butterfly, experiment
-        )
+        default, legacy = _simulate_both(simulate_butterfly, experiment)
         assert _metrics(default) == _metrics(legacy)
 
-    def test_faulted_run_gates_flits_inline_identically(self, monkeypatch):
+    def test_faulted_run_gates_flits_inline_identically(self):
         """Every link carries fault state, so every delivered flit
         passes the inlined fate gate; only the lost ones leave the loop."""
         experiment = FatMeshExperiment(
@@ -118,13 +123,11 @@ class TestArrayEngineParity:
             watchdog_window=200_000,
             **TINY,
         )
-        default, legacy = self._pair(monkeypatch, simulate_fat_mesh, experiment)
+        default, legacy = _simulate_both(simulate_fat_mesh, experiment)
         assert _metrics(default) == _metrics(legacy)
         assert default.fault_stats == legacy.fault_stats
 
-    def test_adaptive_failover_health_only_links_identically(
-        self, monkeypatch
-    ):
+    def test_adaptive_failover_health_only_links_identically(self):
         """Health-monitored, fault-free links stay on the inlined
         delivery; adaptive routing runs inline through the mask-aware
         call-out."""
@@ -136,15 +139,13 @@ class TestArrayEngineParity:
             watchdog_window=200_000,
             **TINY,
         )
-        default, legacy = self._pair(monkeypatch, simulate_fat_mesh, experiment)
+        default, legacy = _simulate_both(simulate_fat_mesh, experiment)
         assert _metrics(default) == _metrics(legacy)
 
-    def test_array_matches_legacy_golden_digest(self, monkeypatch):
+    def test_array_matches_legacy_golden_digest(self):
         """The near-saturation point: every VC contended every cycle."""
         experiment = SingleSwitchExperiment(load=0.9, mix=(80, 20), **TINY)
-        default, legacy = self._pair(
-            monkeypatch, simulate_single_switch, experiment
-        )
+        default, legacy = _simulate_both(simulate_single_switch, experiment)
         assert _metrics(default) == _metrics(legacy)
         assert default.cycles_run == legacy.cycles_run
         assert default.flits_ejected == legacy.flits_ejected
@@ -190,7 +191,7 @@ class TestFaultGate:
             end=base.warmup_cycles + measured // 3,
         )
 
-        def build():
+        def build(run):
             networks = []
             result = simulate_fat_mesh(
                 ChaosFatMeshExperiment(
@@ -207,7 +208,8 @@ class TestFaultGate:
                     watchdog_window=200_000,
                     network_hook=networks.append,
                     **TINY,
-                )
+                ),
+                loop=run,
             )
             states = networks[0].fault_injector.states
             return (
@@ -217,7 +219,7 @@ class TestFaultGate:
             )
 
         _, fates = _spy_on_links(monkeypatch)
-        default, legacy = _both_loops(monkeypatch, build)
+        default, legacy = _both_loops(build)
         stats = default[0].fault_stats
         assert stats["flits_lost"] > 0 and stats["flits_corrupted"] > 0
         assert stats["health"]["link_downs"] > 0
@@ -236,7 +238,6 @@ class TestFaultGate:
         ``deliver_due`` call, and one ``apply_fate`` call per lost or
         corrupted flit."""
         deliveries, fates = _spy_on_links(monkeypatch)
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
         result = simulate_fat_mesh(
             FatMeshExperiment(
                 load=0.7,
@@ -265,7 +266,7 @@ class TestFaultGate:
         severed, suspect = "ch:0.2->1.2", "ch:2.1->3.1"
         window = LinkDownWindow(severed, start=1000, end=6000)
 
-        def build():
+        def build(run):
             network, _ = make_mesh_network(
                 routing_mode=RoutingMode.ADAPTIVE
             )
@@ -283,7 +284,7 @@ class TestFaultGate:
                 health.misses = HealthConfig().suspect_misses
 
             network.schedule_call(2000, knock)
-            network.run(16_000)
+            run(network, 16_000)
             network.check_invariants()
             return [
                 (cycle, fields["link"], fields["prev"], fields["state"])
@@ -292,11 +293,9 @@ class TestFaultGate:
             ]
 
         deliveries, _ = _spy_on_links(monkeypatch)
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-        default = build()
+        default = build(Network.run)
         called_out = list(deliveries)
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        legacy = build()
+        legacy = build(run_reference)
         assert default == legacy
         ups = {
             (label, prev)
@@ -316,7 +315,7 @@ class TestFaultGate:
         ``flit_corrupt``; the other faulted links stay inlined."""
         traced = "ch:0.1->1.1"
 
-        def build():
+        def build(run):
             network, _ = make_mesh_network()
             install_faults(
                 network,
@@ -329,7 +328,7 @@ class TestFaultGate:
                 link for link in network.links if link.label == traced
             ).trace = sink
             attach_workload(network, load=0.6)
-            network.run(8000)
+            run(network, 8000)
             network.check_invariants()
             return (
                 [
@@ -342,22 +341,18 @@ class TestFaultGate:
             )
 
         deliveries, _ = _spy_on_links(monkeypatch)
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-        default = build()
+        default = build(Network.run)
         assert deliveries and {label for label, _ in deliveries} == {traced}
         kinds = {kind for kind, _, _ in default[0]}
         assert {"link_tx", "flit_lost", "flit_corrupt"} <= kinds
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        assert build() == default
+        assert build(run_reference) == default
 
 
 class TestCallOuts:
     """Cases a whole-run fallback used to hide: inlined kernels and
     object call-outs sharing one run, one cycle, one link mirror."""
 
-    def test_some_links_faulty_mixes_inlined_and_call_out_delivery(
-        self, monkeypatch
-    ):
+    def test_some_links_faulty_mixes_inlined_and_call_out_delivery(self):
         """Only the inter-router channels lose flits; host links stay
         on the inlined delivery kernel in the same cycles."""
         experiment = FatMeshExperiment(
@@ -368,9 +363,7 @@ class TestCallOuts:
             watchdog_window=200_000,
             **TINY,
         )
-        default, legacy = _both_loops(
-            monkeypatch, lambda: simulate_fat_mesh(experiment)
-        )
+        default, legacy = _simulate_both(simulate_fat_mesh, experiment)
         assert default.fault_stats["flits_lost"] > 0
         assert default.fault_stats["retransmissions"] > 0
         faulted = default.fault_stats["faulted_links"]
@@ -378,9 +371,7 @@ class TestCallOuts:
         assert _metrics(default) == _metrics(legacy)
         assert default.fault_stats == legacy.fault_stats
 
-    def test_corruption_on_some_links_is_caught_at_an_inlined_sink(
-        self, monkeypatch
-    ):
+    def test_corruption_on_some_links_is_caught_at_an_inlined_sink(self):
         """A flit corrupted on a faulty channel ejects through a
         fault-free host link: the checksum path runs inline."""
         experiment = FatMeshExperiment(
@@ -391,18 +382,16 @@ class TestCallOuts:
             watchdog_window=200_000,
             **TINY,
         )
-        default, legacy = _both_loops(
-            monkeypatch, lambda: simulate_fat_mesh(experiment)
-        )
+        default, legacy = _simulate_both(simulate_fat_mesh, experiment)
         assert default.fault_stats["corrupt_detected"] > 0
         assert _metrics(default) == _metrics(legacy)
         assert default.fault_stats == legacy.fault_stats
 
-    def test_tracing_installed_between_two_runs(self, monkeypatch):
+    def test_tracing_installed_between_two_runs(self):
         """Call-outs are decided per ``run()`` call: the first run is
         fully inlined, the second fully traced, on one network."""
 
-        def build():
+        def build(run):
             delivered = []
             network, _ = make_mesh_network(
                 on_message=lambda msg, clock: delivered.append(
@@ -410,23 +399,23 @@ class TestCallOuts:
                 )
             )
             attach_workload(network, load=0.5)
-            network.run(4000)
+            run(network, 4000)
             sink = install_tracing(network, RingBufferSink())
-            network.run(8000)
+            run(network, 8000)
             network.check_invariants()
             kinds = [(kind, cycle) for kind, cycle, _ in sink.records]
             return delivered, kinds, network.flits_ejected
 
-        default, legacy = _both_loops(monkeypatch, build)
+        default, legacy = _both_loops(build)
         assert default[1], "the second run emitted no trace events"
         assert min(cycle for _, cycle in default[1]) >= 4000
         assert default == legacy
 
-    def test_mid_run_purge_resyncs_the_link_mirror(self, monkeypatch):
+    def test_mid_run_purge_resyncs_the_link_mirror(self):
         """A kill scheduled mid-run rebuilds ``Link.pending`` deques
         under the loop; it must keep delivering everything else."""
 
-        def build():
+        def build(run):
             delivered = []
             network, _ = make_mesh_network(
                 on_message=lambda msg, clock: delivered.append(
@@ -440,19 +429,19 @@ class TestCallOuts:
             network.schedule_call(
                 1100, lambda: dropped.append(network.kill_message(victim))
             )
-            network.run(6000)
+            run(network, 6000)
             network.check_invariants()
             return delivered, dropped, network.flits_dropped
 
-        default, legacy = _both_loops(monkeypatch, build)
+        default, legacy = _both_loops(build)
         assert 0 < default[1][0] < 400, "the victim was not caught in flight"
         assert default == legacy
 
-    def test_mid_run_requeue_of_stuck_worms(self, monkeypatch):
+    def test_mid_run_requeue_of_stuck_worms(self):
         """``requeue_stuck_worms`` (the failover kill-and-requeue) run
         from an event while worms hold the port and its wire."""
 
-        def build():
+        def build(run):
             delivered = []
             network, _ = make_mesh_network(
                 on_message=lambda msg, clock: delivered.append(
@@ -475,11 +464,11 @@ class TestCallOuts:
                     )
                 ),
             )
-            network.run(8000)
+            run(network, 8000)
             network.check_invariants()
             return delivered, requeued, network.flits_dropped
 
-        default, legacy = _both_loops(monkeypatch, build)
+        default, legacy = _both_loops(build)
         assert default == legacy
 
     def test_profiled_run_stays_on_the_loop_and_counts_its_cycles(self):
@@ -498,13 +487,11 @@ class TestCallOuts:
 
 
 class TestCyclesExecuted:
-    def test_result_reports_executed_and_jumped_cycles(self, monkeypatch):
+    def test_result_reports_executed_and_jumped_cycles(self):
         experiment = FatTree3Experiment(load=0.01, mix=(100, 0), **TINY)
-        default, legacy = _both_loops(
-            monkeypatch, lambda: simulate_fat_tree3(experiment)
-        )
+        default, legacy = _simulate_both(simulate_fat_tree3, experiment)
         assert 0 < default.cycles_executed < default.cycles_run
-        # the legacy scan jumps only over an empty network
+        # the reference scan jumps only over an empty network
         assert default.cycles_executed <= legacy.cycles_executed
         assert legacy.cycles_executed <= legacy.cycles_run
 
@@ -544,17 +531,140 @@ class TestEngineErrors:
             SingleSwitchExperiment(engine="array", **TINY)
 
 
+def _alternating(step, first):
+    """A loop that hands the network back and forth in uneven slices.
+
+    Slice ``i`` is ``step + (i * 37) % 101`` cycles long; even slices
+    run on ``Network.run``, odd ones on the reference, starting at
+    slice number ``first``.
+    """
+
+    def loop(network, until):
+        i = first
+        while network.clock < until:
+            stop = min(until, network.clock + step + (i * 37) % 101)
+            (run_reference if i % 2 else Network.run)(network, stop)
+            i += 1
+
+    return loop
+
+
+def _outcome(result):
+    return (
+        _metrics(result),
+        result.cycles_run,
+        result.flits_injected,
+        result.flits_ejected,
+        result.fault_stats,
+    )
+
+
+_HANDOFF_CASES = {
+    "dense-switch": (
+        simulate_single_switch,
+        SingleSwitchExperiment(load=0.8, mix=(80, 20), **TINY),
+        (97, 500, 3001),
+    ),
+    "faulted-adaptive-mesh": (
+        simulate_fat_mesh,
+        FatMeshExperiment(
+            load=0.3,
+            mix=(80, 20),
+            routing_mode=RoutingMode.ADAPTIVE,
+            faults=FaultPlan(flit_loss_prob=0.01),
+            recovery=RecoveryConfig(timeout=2048, max_retries=4),
+            health=HealthConfig(),
+            watchdog_window=200_000,
+            **TINY,
+        ),
+        (97, 3001),
+    ),
+}
+
+
 class TestOneLoop:
-    def test_legacy_env_never_builds_the_fused_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
+    def test_lost_activity_raises_instead_of_changing_loops(self):
+        """Flits in flight with nothing active and no wake armed is a
+        broken activity contract: the run fails with its state saved,
+        it does not carry on under some other loop."""
+        network = make_network()
+        network.inject_now(make_message(size=4))
+        for index in range(len(network._ni_list)):
+            network._ni_sched.deactivate(index)
+        with pytest.raises(SimulationError) as excinfo:
+            network.run(200)
+        message = str(excinfo.value)
+        assert re.search(r"\b4 in-flight flits\b", message), message
+        assert "cycle 0" in message
+        assert network.clock == 0
+        assert network.cycles_executed == 0
+        assert network._loop is not None
+        network.check_conservation()
+
+    @pytest.mark.parametrize("case", sorted(_HANDOFF_CASES))
+    def test_loops_hand_a_network_back_and_forth(self, case):
+        """One network advanced by alternating loops ends where either
+        loop alone would: ``resync()`` at run entry is a full hand-off.
+        ``cycles_executed`` is not compared — the reference leaves idle
+        components in the active sets, so the fused loop executes a few
+        cycles it would otherwise jump."""
+        simulate, experiment, steps = _HANDOFF_CASES[case]
+        default, reference = _simulate_both(simulate, experiment)
+        assert _outcome(default) == _outcome(reference)
+        if experiment.faults is not None:
+            assert default.fault_stats["retransmissions"] > 0
+        for first, step in enumerate(steps):
+            mixed = simulate(experiment, loop=_alternating(step, first))
+            assert _outcome(mixed) == _outcome(default), (step, first)
+
+    def test_reference_never_builds_the_fused_loop(self):
         topology = single_switch(4)
         network = Network(
             topology, RouterConfig(num_ports=topology.ports_per_router)
         )
         network.inject_now(make_message(size=6))
-        network.run(50)
+        run_reference(network, 50)
         assert network.flits_ejected == 6
         assert network._loop is None
+
+    def test_legacy_env_var_is_ignored(self, monkeypatch, tiny_run):
+        """``REPRO_LEGACY_LOOP`` used to select the full scan; exported
+        now, a run still builds the fused loop and lands on the default
+        digest."""
+        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
+        network = make_network()
+        network.inject_now(make_message(size=6))
+        network.run(50)
+        assert network.flits_ejected == 6
+        assert network._loop is not None
+        exported = simulate_single_switch(tiny_run.experiment)
+        assert _outcome(exported) == _outcome(tiny_run)
+        assert exported.cycles_executed == tiny_run.cycles_executed
+
+    def test_no_environment_read_and_one_way_to_the_reference(self):
+        """Nothing under ``src/repro`` reads the environment, and only
+        the two campaigns that need a second opinion import the
+        reference stepper — the run path cannot reach it."""
+        package = SRC / "repro"
+        env_readers, importers = [], []
+        for path in sorted(package.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            name = path.relative_to(package).as_posix()
+            if "os.environ" in source or "os.getenv" in source:
+                env_readers.append(name)
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if "repro.sim.reference" in modules:
+                    importers.append(name)
+        assert env_readers == []
+        assert importers == ["chaos/campaign.py", "experiments/scale.py"]
 
     def test_run_path_never_imports_numpy(self):
         """The loop is plain Python: numpy's ~11 MiB stays out of every

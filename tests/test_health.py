@@ -175,12 +175,8 @@ class TestLinkHealthStateMachine:
 class TestZeroFaultParity:
     """Monitoring alone must not perturb a fault-free run, on either loop."""
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_single_switch_bit_identical(self, monkeypatch, legacy):
-        if legacy:
-            monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        else:
-            monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+    @pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
+    def test_single_switch_bit_identical(self, reference_loop):
         base = SingleSwitchExperiment(load=0.7, mix=(80, 20), **TINY)
         plain = simulate_single_switch(base)
         monitored = simulate_single_switch(

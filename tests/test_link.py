@@ -80,9 +80,9 @@ class TestLink:
 
     def test_next_arrival(self):
         link = Link(sink=_RecordingSink(), latency=2)
-        assert link.next_arrival() is None
+        assert not link.pending
         link.send(5, _msg(), 0, 0)
-        assert link.next_arrival() == 7
+        assert link.pending[0][0] == 7
 
     def test_label_defaults_empty(self):
         link = Link(sink=_RecordingSink())

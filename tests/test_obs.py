@@ -27,7 +27,6 @@ from repro.obs import (
     check_event_names,
     chrome_trace,
     counts_by_kind,
-    install_tracing,
     uninstall_tracing,
     validate_event,
     write_chrome_trace,
@@ -272,12 +271,7 @@ class TestLoopProfiler:
         assert summary["loop_total_s"] == pytest.approx(10.0)
         assert summary["loop_cycles_executed"] == 7.0
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_profiled_run_accumulates_time(self, monkeypatch, legacy):
-        if legacy:
-            monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-        else:
-            monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+    def test_profiled_run_accumulates_time(self):
         network = make_network()
         profiler = LoopProfiler()
         network.profiler = profiler

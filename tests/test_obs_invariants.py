@@ -7,7 +7,7 @@ adaptive-failover stack — is re-run here with an
 :class:`~repro.obs.InvariantChecker` riding the event stream, so flit
 conservation, monotone worm progress, and credit consistency are
 asserted on real traffic rather than toy fixtures, on both the
-active-set and the legacy loop.
+active-set loop and the reference stepper.
 
 A run passes simply by completing: the checker raises
 :class:`~repro.errors.InvariantViolation` mid-run on the first
@@ -35,15 +35,6 @@ from repro.router.flit import TrafficClass
 CHECK = TraceSpec(check=True)
 
 
-@pytest.fixture
-def loop(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-    else:
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-    return request.param
-
-
 def _checked(result):
     """The run already passed (no raise); sanity-check the audit ran."""
     summary = result.trace_summary
@@ -52,7 +43,7 @@ def _checked(result):
     return result
 
 
-@pytest.mark.parametrize("loop", [False, True], indirect=True)
+@pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestWorkloadMixesUnderChecker:
     """The paper's traffic families on the main single-switch testbed."""
 
@@ -65,7 +56,7 @@ class TestWorkloadMixesUnderChecker:
             (TrafficClass.VBR, (50, 50)),   # best-effort heavy
         ],
     )
-    def test_mix(self, loop, rt_class, mix):
+    def test_mix(self, reference_loop, rt_class, mix):
         experiment = SingleSwitchExperiment(
             load=0.7, mix=mix, rt_class=rt_class, trace=CHECK, **TINY
         )
@@ -74,13 +65,13 @@ class TestWorkloadMixesUnderChecker:
     @pytest.mark.parametrize(
         "crossbar", [CrossbarKind.MULTIPLEXED, CrossbarKind.FULL]
     )
-    def test_crossbar_kinds(self, loop, crossbar):
+    def test_crossbar_kinds(self, reference_loop, crossbar):
         experiment = SingleSwitchExperiment(
             load=0.7, mix=(80, 20), crossbar=crossbar, trace=CHECK, **TINY
         )
         _checked(simulate_single_switch(experiment))
 
-    def test_fifo_multiplexing(self, loop):
+    def test_fifo_multiplexing(self, reference_loop):
         experiment = SingleSwitchExperiment(
             load=0.7,
             mix=(80, 20),
@@ -91,9 +82,9 @@ class TestWorkloadMixesUnderChecker:
         _checked(simulate_single_switch(experiment))
 
 
-@pytest.mark.parametrize("loop", [False, True], indirect=True)
+@pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestFatMeshUnderChecker:
-    def test_fat_mesh_mix(self, loop):
+    def test_fat_mesh_mix(self, reference_loop):
         experiment = FatMeshExperiment(
             load=0.6, mix=(80, 20), trace=CHECK, **TINY
         )
@@ -137,9 +128,9 @@ def _faulted_experiment(**overrides):
     return dataclasses.replace(base, **kwargs)
 
 
-@pytest.mark.parametrize("loop", [False, True], indirect=True)
+@pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestFaultedRunsUnderChecker:
-    def test_losses_and_retransmissions_balance_the_ledger(self, loop):
+    def test_losses_and_retransmissions_balance_the_ledger(self, reference_loop):
         result = _checked(simulate_single_switch(_faulted_experiment()))
         counts = result.trace_summary["counts"]
         # the fault machinery actually fired, so the checker audited
@@ -148,7 +139,7 @@ class TestFaultedRunsUnderChecker:
         assert counts.get("retransmit", 0) > 0
         assert counts.get("purge", 0) > 0
 
-    def test_adaptive_failover_under_checker(self, loop):
+    def test_adaptive_failover_under_checker(self, reference_loop):
         """Permanent fat-pair failures + detours + requeues, audited."""
         base = FatMeshExperiment(
             load=0.6, mix=(80, 20),

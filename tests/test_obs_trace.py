@@ -44,21 +44,12 @@ def _golden_digest(tmp_dir="."):
     return stream_digest(path)
 
 
-@pytest.fixture
-def loop(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
-    else:
-        monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
-    return request.param
-
-
-@pytest.mark.parametrize("loop", [False, True], indirect=True)
+@pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestGoldenTrace:
-    def test_stream_digest_matches_committed_pin(self, tmp_path, loop):
+    def test_stream_digest_matches_committed_pin(self, tmp_path, reference_loop):
         assert _golden_digest(tmp_path) == GOLDEN_DIGEST
 
-    def test_stream_records_fit_the_schema(self, tmp_path, loop):
+    def test_stream_records_fit_the_schema(self, tmp_path, reference_loop):
         path = tmp_path / "golden.jsonl"
         result = simulate_single_switch(
             _golden_experiment(trace=TraceSpec(path=str(path)))
@@ -71,9 +62,9 @@ class TestGoldenTrace:
         assert records == result.trace_summary["jsonl_records"]
 
 
-@pytest.mark.parametrize("loop", [False, True], indirect=True)
+@pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestZeroOverhead:
-    def test_fully_observed_run_is_bit_identical(self, tmp_path, loop):
+    def test_fully_observed_run_is_bit_identical(self, tmp_path, reference_loop):
         plain = simulate_single_switch(_golden_experiment())
         spec = TraceSpec(
             path=str(tmp_path / "t.jsonl"),
@@ -93,7 +84,7 @@ class TestZeroOverhead:
         assert summary["invariant_checks"] > 0
         assert summary["chrome_events"] > 0
 
-    def test_profiled_run_changes_only_the_profile(self, loop):
+    def test_profiled_run_changes_only_the_profile(self, reference_loop):
         plain = simulate_single_switch(_golden_experiment())
         profiled = simulate_single_switch(
             _golden_experiment(profile_loop=True)
@@ -103,8 +94,13 @@ class TestZeroOverhead:
         profile = profiled_dict.pop("profile")
         plain_dict.pop("profile")
         assert plain_dict == profiled_dict
-        assert profile["loop_total_s"] > 0.0
-        assert profile["loop_cycles_executed"] > 0.0
+        if reference_loop:
+            # the reference stepper carries no timers
+            assert profile["loop_total_s"] == 0.0
+            assert profile["loop_cycles_executed"] == 0.0
+        else:
+            assert profile["loop_total_s"] > 0.0
+            assert profile["loop_cycles_executed"] > 0.0
 
 
 class TestTraceFiltering:

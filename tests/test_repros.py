@@ -8,8 +8,8 @@ this suite pins three things at once:
 
 * scenarios that passed keep passing (no behavioural regression);
 * their metrics digests are bit-stable (determinism regression);
-* both the fused active-set loop and the legacy full-scan loop
-  (``REPRO_LEGACY_LOOP=1``) reproduce the identical digest.
+* both the fused active-set loop and the full-scan reference stepper
+  (the ``reference_loop`` fixture) reproduce the identical digest.
 
 ``corrupt-credit-audit.json`` deserves a note: it is the minimal
 scenario (chaos campaign seed 7, scenario s024) that exposed the
@@ -44,16 +44,14 @@ def test_corpus_entries_ride_the_invariant_checker(path):
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=IDS)
-def test_replays_on_fused_loop(path, monkeypatch):
-    monkeypatch.delenv("REPRO_LEGACY_LOOP", raising=False)
+def test_replays_on_fused_loop(path):
     ok, message, _ = replay(path)
     assert ok, f"{path}: {message}"
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=IDS)
-def test_replays_on_legacy_loop(path, monkeypatch):
+def test_replays_on_legacy_loop(path, reference_loop):
     # the recorded digest came from the fused loop; matching it here is
-    # the fused-vs-legacy bit-identity guarantee on a faulted workload
-    monkeypatch.setenv("REPRO_LEGACY_LOOP", "1")
+    # the fused-vs-reference bit-identity guarantee on a faulted workload
     ok, message, _ = replay(path)
     assert ok, f"{path}: {message}"

@@ -3,8 +3,8 @@
 Includes the acceptance run for the datacenter scale-up: a 1024-host
 3-level fat tree completes under an armed progress watchdog with
 bit-identical digests across the active-set loop, an active repeat,
-and the legacy full-scan loop — while compiling its route program at
-most once.
+and the full-scan reference stepper — while compiling its route program
+at most once.
 """
 
 import json
@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import scale
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scale import (
     SCALE_POINTS,
@@ -23,6 +24,7 @@ from repro.experiments.scale import (
     scale_campaign_to_text,
 )
 from repro.experiments.topo import build_topology, describe_topology
+from repro.sim.reference import run_reference
 
 
 class TestScalePoints:
@@ -34,8 +36,19 @@ class TestScalePoints:
         with pytest.raises(ConfigurationError, match="unknown scale point"):
             run_scale_point("ft3-9999")
 
-    def test_small_point_identical_and_compile_once(self):
+    def test_small_point_identical_and_compile_once(self, monkeypatch):
+        reference_runs = []
+
+        def spy(network, until):
+            reference_runs.append(until)
+            run_reference(network, until)
+            # the third opinion really is the full scan, not the loop
+            # the first two runs used
+            assert network._loop is None
+
+        monkeypatch.setattr(scale, "run_reference", spy)
         record = run_scale_point("ft3-16")
+        assert len(reference_runs) == 1
         assert record["identical"]
         assert record["compile_once"]
         assert record["compiles_repeat_run"] == 0
