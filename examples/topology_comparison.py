@@ -22,9 +22,7 @@ from repro import (
     FatMeshExperiment,
     FatTreeExperiment,
     SingleSwitchExperiment,
-    simulate_fat_mesh,
-    simulate_fat_tree,
-    simulate_single_switch,
+    simulate,
 )
 from repro.experiments.report import format_table
 
@@ -40,32 +38,27 @@ def main() -> None:
     fabrics = (
         (
             "single switch (8 hosts)",
-            lambda: simulate_single_switch(
-                SingleSwitchExperiment(load=args.load, **RUN)
-            ),
+            SingleSwitchExperiment(load=args.load, **RUN),
         ),
         (
             "2x2 fat mesh (16 hosts)",
-            lambda: simulate_fat_mesh(
-                FatMeshExperiment(load=args.load, **RUN)
-            ),
+            FatMeshExperiment(load=args.load, **RUN),
         ),
         (
             "4-leaf fat tree (8 hosts)",
-            lambda: simulate_fat_tree(
-                FatTreeExperiment(
-                    load=args.load,
-                    leaves=4,
-                    spines=2,
-                    hosts_per_leaf=2,
-                    fat_width=1,
-                    **RUN,
-                )
+            FatTreeExperiment(
+                load=args.load,
+                leaves=4,
+                spines=2,
+                hosts_per_leaf=2,
+                fat_width=1,
+                **RUN,
             ),
         ),
     )
-    for name, run in fabrics:
-        result = run()
+    # the experiment's type names its topology: one call runs all three
+    for name, experiment in fabrics:
+        result = simulate(experiment)
         metrics = result.metrics
         rows.append(
             [

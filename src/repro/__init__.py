@@ -10,11 +10,9 @@ figure and table of the paper's evaluation.
 
 Quickstart::
 
-    from repro import simulate_single_switch, SingleSwitchExperiment
+    from repro import simulate, SingleSwitchExperiment
 
-    result = simulate_single_switch(
-        SingleSwitchExperiment(load=0.7, mix=(80, 20), seed=1)
-    )
+    result = simulate(SingleSwitchExperiment(load=0.7, mix=(80, 20), seed=1))
     print(result.metrics.d, result.metrics.sigma_d)
 """
 
@@ -70,6 +68,7 @@ from repro.experiments import (
     FatTreeExperiment,
     PCSExperiment,
     SingleSwitchExperiment,
+    simulate,
     simulate_butterfly,
     simulate_fat_mesh,
     simulate_fat_tree,
@@ -126,6 +125,7 @@ __all__ = [
     "install_faults",
     "install_recovery",
     "mediaworm_router_config",
+    "simulate",
     "simulate_butterfly",
     "simulate_fat_mesh",
     "simulate_fat_tree",

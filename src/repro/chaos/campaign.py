@@ -44,15 +44,10 @@ from repro.chaos.scenario import (
     scenario_topology,
 )
 from repro.errors import ChaosFailure, ConfigurationError
-from repro.faults import expand_domain
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.experiments.resilience import SweepCheckpoint, wall_clock_limit
-from repro.experiments.runner import (
-    simulate_butterfly,
-    simulate_fat_mesh,
-    simulate_fat_tree3,
-    simulate_single_switch,
-)
+from repro.experiments.runner import simulate
+from repro.faults import expand_domain
 from repro.router.config import RoutingMode
 from repro.sim.reference import run_reference
 
@@ -63,17 +58,9 @@ REPRO_FORMAT = "mediaworm-chaos-repro-v1"
 # running one scenario
 
 
-_RUNNERS = {
-    "single": simulate_single_switch,
-    "mesh": simulate_fat_mesh,
-    "tree": simulate_fat_tree3,
-    "butterfly": simulate_butterfly,
-}
-
-
 def _execute(scenario: Scenario, loop=None):
     """One raw simulation of the scenario (exceptions propagate)."""
-    return _RUNNERS[scenario.topology](scenario.to_experiment(), loop=loop)
+    return simulate(scenario.to_experiment(), loop=loop)
 
 
 def _verdict(

@@ -40,6 +40,7 @@ from repro.experiments.config import (
     FatTree3Experiment,
     SingleSwitchExperiment,
 )
+from repro.experiments.runner import topology_of
 from repro.faults import (
     DomainDownWindow,
     FaultPlan,
@@ -47,7 +48,6 @@ from repro.faults import (
     RecoveryConfig,
 )
 from repro.network.health import HealthConfig
-from repro.network.topology import butterfly, fat_mesh, fat_tree3
 from repro.obs.events import TraceSpec
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
@@ -55,32 +55,28 @@ from repro.router.flit import TrafficClass
 _FORMAT = "mediaworm-chaos-scenario-v1"
 
 
-@dataclass
-class ChaosSingleSwitchExperiment(SingleSwitchExperiment):
-    """Single-switch experiment with an optional network hook."""
-
-    network_hook: Optional[Callable] = None
-
-
-@dataclass
-class ChaosFatMeshExperiment(FatMeshExperiment):
-    """Fat-mesh experiment with an optional network hook."""
-
-    network_hook: Optional[Callable] = None
-
-
-@dataclass
-class ChaosFatTree3Experiment(FatTree3Experiment):
-    """3-level fat-tree experiment with an optional network hook."""
-
-    network_hook: Optional[Callable] = None
-
-
-@dataclass
-class ChaosButterflyExperiment(ButterflyExperiment):
-    """k-ary n-tree experiment with an optional network hook."""
-
-    network_hook: Optional[Callable] = None
+#: scenario topology name -> (experiment type, {its shape field: the
+#: Scenario attribute holding it}); chaos fabrics keep every shape field
+#: not listed (tree / butterfly ``fat_width``) at the type's default
+_TOPOLOGIES: Dict[str, tuple] = {
+    "single": (SingleSwitchExperiment, {"num_ports": "num_ports"}),
+    "mesh": (
+        FatMeshExperiment,
+        {name: name for name in FatMeshExperiment.shape_fields},
+    ),
+    "tree": (
+        FatTree3Experiment,
+        {"k": "tree_k", "hosts_per_leaf": "hosts_per_leaf"},
+    ),
+    "butterfly": (
+        ButterflyExperiment,
+        {
+            "arity": "bfly_arity",
+            "levels": "bfly_levels",
+            "hosts_per_leaf": "hosts_per_leaf",
+        },
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +164,7 @@ class Scenario:
     check: bool = True
 
     def __post_init__(self) -> None:
-        if self.topology not in ("single", "mesh", "tree", "butterfly"):
+        if self.topology not in _TOPOLOGIES:
             raise ConfigurationError(
                 f"scenario topology must be 'single', 'mesh', 'tree', or "
                 f"'butterfly', got {self.topology!r}"
@@ -200,7 +196,8 @@ class Scenario:
         frame intervals, so they stay proportionate when a shrink pass
         rescales the workload.
         """
-        kwargs = dict(
+        experiment = _shaped(
+            self,
             load=self.load,
             mix=tuple(self.mix),
             scheduler=self.scheduler,
@@ -217,31 +214,6 @@ class Scenario:
             routing_mode=self.routing_mode,
             trace=TraceSpec(check=self.check) if self.check else None,
         )
-        if self.topology == "single":
-            experiment = ChaosSingleSwitchExperiment(
-                num_ports=self.num_ports, **kwargs
-            )
-        elif self.topology == "mesh":
-            experiment = ChaosFatMeshExperiment(
-                rows=self.rows,
-                cols=self.cols,
-                hosts_per_router=self.hosts_per_router,
-                fat_width=self.fat_width,
-                **kwargs,
-            )
-        elif self.topology == "tree":
-            experiment = ChaosFatTree3Experiment(
-                k=self.tree_k,
-                hosts_per_leaf=self.hosts_per_leaf,
-                **kwargs,
-            )
-        else:
-            experiment = ChaosButterflyExperiment(
-                arity=self.bfly_arity,
-                levels=self.bfly_levels,
-                hosts_per_leaf=self.hosts_per_leaf,
-                **kwargs,
-            )
         interval = experiment.workload_config().frame_interval_cycles
         hook = None
         if self.sabotage is not None:
@@ -354,34 +326,25 @@ class Scenario:
         )
 
 
+def _shaped(scenario: Scenario, **kwargs):
+    """The scenario's experiment type at the scenario's shape."""
+    cls, shape = _TOPOLOGIES[scenario.topology]
+    shape = {name: getattr(scenario, attr) for name, attr in shape.items()}
+    return cls(**shape, **kwargs)
+
+
 def scenario_topology(scenario: Scenario):
-    """Build the concrete topology a multi-router scenario runs on.
+    """The concrete topology a multi-router scenario runs on.
 
     Used by the generator (to enumerate link labels and switch ids)
     and by the shrinker (to expand a domain fault into its constituent
-    link windows).
+    link windows); served from the runner's topology cache.
     """
-    if scenario.topology == "mesh":
-        return fat_mesh(
-            rows=scenario.rows,
-            cols=scenario.cols,
-            hosts_per_router=scenario.hosts_per_router,
-            fat_width=scenario.fat_width,
+    if scenario.topology == "single":
+        raise ConfigurationError(
+            f"scenario topology {scenario.topology!r} has no router fabric"
         )
-    if scenario.topology == "tree":
-        return fat_tree3(
-            k=scenario.tree_k,
-            hosts_per_leaf=scenario.hosts_per_leaf,
-        )
-    if scenario.topology == "butterfly":
-        return butterfly(
-            arity=scenario.bfly_arity,
-            levels=scenario.bfly_levels,
-            hosts_per_leaf=scenario.hosts_per_leaf,
-        )
-    raise ConfigurationError(
-        f"scenario topology {scenario.topology!r} has no router fabric"
-    )
+    return topology_of(_shaped(scenario))
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Experiment harness: one runner per figure/table of the paper.
 
-``simulate_single_switch`` / ``simulate_fat_mesh`` / ``simulate_pcs``
-run one configuration each; :mod:`repro.experiments.figures` and
-:mod:`repro.experiments.tables` wrap them into the sweeps that
+``simulate(experiment)`` runs one configuration on the topology the
+experiment's type names (the ``simulate_<kind>`` names are that same
+function); :mod:`repro.experiments.figures` and
+:mod:`repro.experiments.tables` wrap it into the sweeps that
 regenerate Figures 3-9 and Tables 2-3.
 """
 
@@ -23,6 +24,7 @@ from repro.experiments.runner import (
     ExperimentResult,
     PCSResult,
     WorkloadSummary,
+    simulate,
     simulate_butterfly,
     simulate_fat_mesh,
     simulate_fat_tree,
@@ -44,6 +46,7 @@ __all__ = [
     "SweepTask",
     "WorkloadSummary",
     "execute_tasks",
+    "simulate",
     "simulate_butterfly",
     "simulate_fat_mesh",
     "simulate_fat_tree",

@@ -431,7 +431,7 @@ def _run_trace(args) -> int:
     """
     from repro.experiments.config import SingleSwitchExperiment
     from repro.experiments.figures import _base_kwargs
-    from repro.experiments.runner import simulate_single_switch
+    from repro.experiments.runner import simulate
     from repro.obs import ALL_EVENTS, TraceSpec
 
     events = None
@@ -455,7 +455,7 @@ def _run_trace(args) -> int:
         **_base_kwargs(get_profile(args.preset)),
     )
     started = time.perf_counter()
-    result = simulate_single_switch(experiment)
+    result = simulate(experiment)
     elapsed = time.perf_counter() - started
     summary = result.trace_summary
     print(f"cycles run        {result.cycles_run}")

@@ -12,13 +12,20 @@ ratio.  Set ``scale=1`` for paper-faithful time constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
+from repro.network.topology import (
+    butterfly,
+    fat_mesh,
+    fat_tree,
+    fat_tree3,
+    single_switch,
+)
 from repro.obs.events import TraceSpec
 from repro.router.config import (
     CrossbarKind,
@@ -34,6 +41,11 @@ from repro.traffic.mix import TrafficMix, WorkloadConfig, rt_vc_count
 @dataclass
 class _BaseExperiment:
     """Knobs shared by every experiment type."""
+
+    #: the topology generator, and the fields (in declaration order)
+    #: that are its keyword arguments; each experiment type names both
+    generator: ClassVar[Optional[Callable]] = None
+    shape_fields: ClassVar[Tuple[str, ...]] = ()
 
     load: float = 0.8
     mix: Tuple[float, float] = (80.0, 20.0)
@@ -78,6 +90,10 @@ class _BaseExperiment:
     #: profile the simulation loop per phase into ``RunMetrics.profile``
     #: (wall time only; the simulation itself stays bit-identical)
     profile_loop: bool = False
+    #: optional ``hook(network)`` (e.g. chaos-harness sabotage): runs
+    #: after everything is wired so it can schedule mid-run calls or
+    #: perturb component state the oracles are expected to catch
+    network_hook: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.warmup_frames < 1 or self.measure_frames < 1:
@@ -86,6 +102,10 @@ class _BaseExperiment:
             raise ConfigurationError(f"mix must be (x, y), got {self.mix!r}")
 
     # -- derived objects ------------------------------------------------
+
+    def shape(self) -> Dict[str, object]:
+        """The generator's keyword arguments for this experiment."""
+        return {name: getattr(self, name) for name in self.shape_fields}
 
     @property
     def traffic_mix(self) -> TrafficMix:
@@ -144,6 +164,8 @@ class _BaseExperiment:
 class SingleSwitchExperiment(_BaseExperiment):
     """One run on the paper's main testbed: an n-port single switch."""
 
+    generator: ClassVar = staticmethod(single_switch)
+    shape_fields: ClassVar = ("num_ports",)
     num_ports: int = 8
 
 
@@ -151,6 +173,8 @@ class SingleSwitchExperiment(_BaseExperiment):
 class FatMeshExperiment(_BaseExperiment):
     """One run on a fat mesh (section 5.7; defaults are the 2x2 mesh)."""
 
+    generator: ClassVar = staticmethod(fat_mesh)
+    shape_fields: ClassVar = ("rows", "cols", "hosts_per_router", "fat_width")
     rows: int = 2
     cols: int = 2
     hosts_per_router: int = 4
@@ -161,6 +185,8 @@ class FatMeshExperiment(_BaseExperiment):
 class FatTreeExperiment(_BaseExperiment):
     """One run on a two-level fat tree (beyond the paper's topologies)."""
 
+    generator: ClassVar = staticmethod(fat_tree)
+    shape_fields: ClassVar = ("leaves", "spines", "hosts_per_leaf", "fat_width")
     leaves: int = 4
     spines: int = 2
     hosts_per_leaf: int = 2
@@ -175,6 +201,8 @@ class FatTree3Experiment(_BaseExperiment):
     1024-host configuration the scale campaign proves out.
     """
 
+    generator: ClassVar = staticmethod(fat_tree3)
+    shape_fields: ClassVar = ("k", "hosts_per_leaf", "fat_width")
     k: int = 4
     #: hosts per leaf switch; None = the full k/2 of a classic fat tree
     hosts_per_leaf: Optional[int] = None
@@ -185,6 +213,8 @@ class FatTree3Experiment(_BaseExperiment):
 class ButterflyExperiment(_BaseExperiment):
     """One run on a k-ary n-tree (folded multistage Clos/Butterfly)."""
 
+    generator: ClassVar = staticmethod(butterfly)
+    shape_fields: ClassVar = ("arity", "levels", "hosts_per_leaf", "fat_width")
     arity: int = 2
     levels: int = 3
     #: hosts per leaf switch; None = arity
@@ -202,6 +232,8 @@ class PCSExperiment(_BaseExperiment):
     connection* (Table 3: attempts = established + dropped).
     """
 
+    generator: ClassVar = staticmethod(single_switch)
+    shape_fields: ClassVar = ("num_ports",)
     bandwidth_mbps: float = 100.0
     vcs_per_pc: int = 24
     mix: Tuple[float, float] = (100.0, 0.0)

@@ -43,10 +43,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column, empty_metrics
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.figures import Point, _base_kwargs
-from repro.experiments.runner import simulate_butterfly, simulate_fat_tree3
+from repro.experiments.runner import simulate, topology_of
 from repro.faults import DomainDownWindow, FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
-from repro.network.topology import butterfly, fat_tree3
 from repro.router.config import RoutingMode
 
 #: escalation ladder swept by ``mediaworm disaster``
@@ -75,19 +74,6 @@ CAMPAIGN_ARITY = 2
 CAMPAIGN_LEVELS = 3
 
 
-def _campaign_topology(kind: str):
-    """The concrete topology a campaign point runs on."""
-    if kind == "fat-tree":
-        return fat_tree3(
-            CAMPAIGN_K, hosts_per_leaf=CAMPAIGN_HOSTS_PER_LEAF
-        )
-    return butterfly(
-        CAMPAIGN_ARITY,
-        CAMPAIGN_LEVELS,
-        hosts_per_leaf=CAMPAIGN_HOSTS_PER_LEAF,
-    )
-
-
 def _first_uplink_domain(topology, onset: int) -> DomainDownWindow:
     """A ``links:`` domain severing leaf 0's first up-adjacency.
 
@@ -108,8 +94,8 @@ def _first_uplink_domain(topology, onset: int) -> DomainDownWindow:
     )
 
 
-def _severity_plan(kind: str, severity: str, onset: int) -> FaultPlan:
-    """Lower one severity rung into a fault plan for ``kind``."""
+def _severity_plan(base, kind: str, severity: str, onset: int) -> FaultPlan:
+    """Lower one severity rung into a fault plan for ``base``, a ``kind``."""
     if severity not in CAMPAIGN_TOPOLOGIES[kind]:
         raise ConfigurationError(
             f"severity {severity!r} is not defined for {kind} "
@@ -117,9 +103,10 @@ def _severity_plan(kind: str, severity: str, onset: int) -> FaultPlan:
         )
     if severity == "none":
         return FaultPlan()
-    topology = _campaign_topology(kind)
     if severity == "link":
-        return FaultPlan(domains=(_first_uplink_domain(topology, onset),))
+        return FaultPlan(
+            domains=(_first_uplink_domain(topology_of(base), onset),)
+        )
     if severity == "switch":
         if kind == "fat-tree":
             rid = 0  # the first ToR: its hosts are a deliberate sacrifice
@@ -161,7 +148,7 @@ def _campaign_experiment(profile, kind: str, mode: str, severity: str):
     onset = base.warmup_cycles
     return dataclasses.replace(
         base,
-        faults=_severity_plan(kind, severity, onset),
+        faults=_severity_plan(base, kind, severity, onset),
         recovery=RecoveryConfig.scaled(
             interval, max_retries=8, qos_deadline=2 * interval
         ),
@@ -178,10 +165,7 @@ def _campaign_point(experiment) -> Point:
 
     ``x`` is the severity's rung on the escalation ladder.
     """
-    if isinstance(experiment, FatTree3Experiment):
-        result = simulate_fat_tree3(experiment)
-    else:
-        result = simulate_butterfly(experiment)
+    result = simulate(experiment)
     severity = _experiment_severity(experiment)
     extra = dict(result.fault_stats or {})
     extra["severity"] = severity

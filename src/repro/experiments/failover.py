@@ -34,10 +34,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column
 from repro.experiments.config import FatMeshExperiment
 from repro.experiments.figures import Point, _base_kwargs
-from repro.experiments.runner import simulate_fat_mesh
+from repro.experiments.runner import simulate, topology_of
 from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
 from repro.network.health import HealthConfig
-from repro.network.topology import fat_mesh
 from repro.router.config import RoutingMode
 
 #: failed fat pairs swept by ``mediaworm failover`` (the 2x2 fat mesh
@@ -63,14 +62,8 @@ def _fat_pair_windows(
     recovers.  Every group keeps at least one healthy sibling, so the
     fabric stays connected and adaptive routing has somewhere to go.
     """
-    topology = fat_mesh(
-        rows=experiment.rows,
-        cols=experiment.cols,
-        hosts_per_router=experiment.hosts_per_router,
-        fat_width=experiment.fat_width,
-    )
     groups: Dict[tuple, List[tuple]] = {}
-    for src, sp, dst, dp in topology.channels:
+    for src, sp, dst, dp in topology_of(experiment).channels:
         groups.setdefault((src, dst), []).append((src, sp, dst, dp))
     if severity > len(groups):
         raise ConfigurationError(
@@ -126,7 +119,7 @@ def _campaign_point(experiment: FatMeshExperiment) -> Point:
 
     ``x`` is the severity (number of failed fat-pair members).
     """
-    result = simulate_fat_mesh(experiment)
+    result = simulate(experiment)
     return Point(
         len(experiment.faults.down_windows),
         result.metrics,

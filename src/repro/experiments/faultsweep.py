@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column
 from repro.experiments.config import FatMeshExperiment
 from repro.experiments.figures import Point, _base_kwargs
-from repro.experiments.runner import simulate_fat_mesh
+from repro.experiments.runner import simulate
 from repro.faults import FaultPlan, RecoveryConfig
 
 #: per-flit loss probabilities swept by ``mediaworm faults``
@@ -55,7 +55,7 @@ def _campaign_experiment(profile, policy: str, rate: float) -> FatMeshExperiment
 
 def _campaign_point(experiment: FatMeshExperiment) -> Point:
     """Worker body: run one campaign point, reduced to its figure Point."""
-    result = simulate_fat_mesh(experiment)
+    result = simulate(experiment)
     return Point(
         experiment.faults.flit_loss_prob,
         result.metrics,

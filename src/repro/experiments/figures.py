@@ -26,13 +26,7 @@ from repro.experiments.config import (
     SingleSwitchExperiment,
 )
 from repro.experiments.parallel import SweepTask, execute_tasks
-from repro.experiments.runner import (
-    ExperimentResult,
-    PCSResult,
-    simulate_fat_mesh,
-    simulate_pcs,
-    simulate_single_switch,
-)
+from repro.experiments.runner import ExperimentResult, simulate
 from repro.metrics.collector import RunMetrics
 from repro.router.config import CrossbarKind
 from repro.router.flit import TrafficClass
@@ -157,7 +151,7 @@ def run_fig3(
     tasks = [
         SweepTask(
             key=f"{policy}@{load:g}",
-            runner=simulate_single_switch,
+            runner=simulate,
             experiment=SingleSwitchExperiment(
                 load=load,
                 mix=(80, 20),
@@ -201,7 +195,7 @@ def run_fig4(
     tasks = [
         SweepTask(
             key=f"{rt_class}@{load:g}",
-            runner=simulate_single_switch,
+            runner=simulate,
             experiment=SingleSwitchExperiment(
                 load=load,
                 mix=(100, 0),
@@ -255,7 +249,7 @@ def run_mixed_grid(
     tasks = [
         SweepTask(
             key=f"{mix[0]:g}:{mix[1]:g}@{load:g}",
-            runner=simulate_single_switch,
+            runner=simulate,
             experiment=SingleSwitchExperiment(
                 load=load,
                 mix=tuple(mix),
@@ -324,7 +318,7 @@ def run_fig6(
     tasks = [
         SweepTask(
             key=f"{label}@{load:g}",
-            runner=simulate_single_switch,
+            runner=simulate,
             experiment=SingleSwitchExperiment(
                 load=load,
                 mix=(100, 0),
@@ -381,7 +375,7 @@ def run_fig7(
     tasks = [
         SweepTask(
             key=f"load={load:g}@{size}",
-            runner=simulate_single_switch,
+            runner=simulate,
             experiment=SingleSwitchExperiment(
                 load=load,
                 mix=(100, 0),
@@ -427,7 +421,7 @@ def run_fig8(
     tasks = [
         SweepTask(
             key=f"wormhole@{load:g}",
-            runner=simulate_single_switch,
+            runner=simulate,
             experiment=SingleSwitchExperiment(
                 load=load,
                 mix=(100, 0),
@@ -440,7 +434,7 @@ def run_fig8(
     ] + [
         SweepTask(
             key=f"pcs@{load:g}",
-            runner=simulate_pcs,
+            runner=simulate,
             experiment=PCSExperiment(load=load, **_base_kwargs(profile)),
         )
         for load in loads
@@ -496,7 +490,7 @@ def run_fig9(
     tasks = [
         SweepTask(
             key=f"load={load:g}@{mix[0]:g}:{mix[1]:g}",
-            runner=simulate_fat_mesh,
+            runner=simulate,
             experiment=FatMeshExperiment(
                 load=load,
                 mix=tuple(mix),

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.resilience import (
-    RESEED_STEP,
     SweepCheckpoint,
     run_resilient,
     wall_clock_limit,
@@ -49,35 +48,16 @@ from repro.experiments.resilience import (
 CRASH_RESEED_STEP = 7919
 
 
-#: experiment fields that determine the topology shape (and hence the
-#: compiled route program); fingerprinted only when set off-default
-_TOPOLOGY_KNOBS = (
-    "num_ports",
-    "rows",
-    "cols",
-    "hosts_per_router",
-    "fat_width",
-    "leaves",
-    "spines",
-    "hosts_per_leaf",
-    "k",
-    "arity",
-    "levels",
-)
-
-
 def _topology_parts(experiment) -> List[str]:
-    """Off-default topology-shape knobs, in declaration order."""
-    if not is_dataclass(experiment):
-        return []
-    parts = []
-    for spec in fields(type(experiment)):
-        if spec.name not in _TOPOLOGY_KNOBS or spec.default is MISSING:
-            continue
-        value = getattr(experiment, spec.name)
-        if value != spec.default:
-            parts.append(f"{spec.name}={value}")
-    return parts
+    """Off-default shape fields (named by the experiment's type, in
+    declaration order; they determine the compiled route program)."""
+    cls = type(experiment)
+    # a dataclass field's default is its class attribute
+    return [
+        f"{name}={getattr(experiment, name)}"
+        for name in getattr(cls, "shape_fields", ())
+        if getattr(experiment, name) != getattr(cls, name)
+    ]
 
 
 def sweep_fingerprint(experiment) -> str:
@@ -117,8 +97,9 @@ class SweepTask:
 
     ``key`` names the point in result dicts and checkpoints (e.g.
     ``"mediaworm@0.8"``); keys must be unique within one sweep.  Both
-    ``runner`` and ``experiment`` must be picklable — in practice a
-    module-level ``simulate_*`` function plus an experiment dataclass.
+    ``runner`` and ``experiment`` must be picklable — in practice
+    ``simulate`` (or a module-level point function that calls it) plus
+    an experiment dataclass.
     """
 
     key: str
@@ -152,11 +133,7 @@ class _TimedRunner:
 
 
 def _run_task(
-    task: SweepTask,
-    attempts: int,
-    reseed_step: int,
-    cycle_budget: Optional[int],
-    point_timeout: Optional[float] = None,
+    task: SweepTask, attempts: int, point_timeout: Optional[float] = None
 ):
     """Worker body: one point, with in-worker reseed retries.
 
@@ -167,13 +144,7 @@ def _run_task(
     runner = task.runner
     if point_timeout is not None:
         runner = _TimedRunner(runner, point_timeout)
-    result = run_resilient(
-        runner,
-        task.experiment,
-        attempts=attempts,
-        reseed_step=reseed_step,
-        cycle_budget=cycle_budget,
-    )
+    result = run_resilient(runner, task.experiment, attempts=attempts)
     return _make_portable(result)
 
 
@@ -190,8 +161,6 @@ class ParallelSweepExecutor:
         self,
         jobs: int = 1,
         attempts: int = 3,
-        reseed_step: int = RESEED_STEP,
-        cycle_budget: Optional[int] = None,
         crash_retries: int = 2,
         log: Optional[Callable[[str], None]] = None,
         point_timeout: Optional[float] = None,
@@ -208,8 +177,6 @@ class ParallelSweepExecutor:
             )
         self.jobs = jobs
         self.attempts = attempts
-        self.reseed_step = reseed_step
-        self.cycle_budget = cycle_budget
         self.crash_retries = crash_retries
         self.log = log
         #: per-attempt wall-clock budget for one point, in seconds
@@ -285,13 +252,7 @@ class ParallelSweepExecutor:
     def _run_inline(self, todo, results, checkpoint, encode, on_failure) -> None:
         for task in todo:
             try:
-                result = _run_task(
-                    task,
-                    self.attempts,
-                    self.reseed_step,
-                    self.cycle_budget,
-                    self.point_timeout,
-                )
+                result = _run_task(task, self.attempts, self.point_timeout)
             except SimulationError as exc:
                 if on_failure is None:
                     raise
@@ -349,12 +310,7 @@ class ParallelSweepExecutor:
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
                 pool.submit(
-                    _run_task,
-                    task,
-                    self.attempts,
-                    self.reseed_step,
-                    self.cycle_budget,
-                    self.point_timeout,
+                    _run_task, task, self.attempts, self.point_timeout
                 ): task
                 for task in pending
             }

@@ -185,27 +185,20 @@ def run_resilient(
     runner: Callable,
     experiment,
     attempts: int = 3,
-    reseed_step: int = RESEED_STEP,
-    cycle_budget: Optional[int] = None,
     on_retry: Optional[Callable[[int, SimulationError], None]] = None,
 ):
     """Run one sweep point, retrying with a fresh seed on failure.
 
-    ``cycle_budget`` arms the progress watchdog for experiments that do
-    not set one themselves, bounding how long a wedged point can burn
-    before its :class:`~repro.errors.DeadlockError` triggers the retry.
     The last attempt's error propagates when every retry fails.
     """
     if attempts < 1:
         raise SimulationError(f"need at least one attempt, got {attempts}")
-    if cycle_budget is not None and experiment.watchdog_window is None:
-        experiment = replace(experiment, watchdog_window=cycle_budget)
     last_error: Optional[SimulationError] = None
     for attempt in range(attempts):
         trial = (
             experiment
             if attempt == 0
-            else replace(experiment, seed=experiment.seed + attempt * reseed_step)
+            else replace(experiment, seed=experiment.seed + attempt * RESEED_STEP)
         )
         try:
             return runner(trial)

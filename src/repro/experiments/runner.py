@@ -1,9 +1,11 @@
-"""Runners: one function per experiment type.
+"""The runner: one ``simulate(experiment)`` for every experiment type.
 
-Each runner assembles the network, attaches the workload and metrics,
-runs warmup + measurement, audits flit conservation, and returns a
-result record with the paper's output parameters (``d``, ``sigma_d``,
-best-effort latency) in paper units.
+The experiment names its topology (``generator`` + ``shape_fields`` in
+:mod:`repro.experiments.config`); :func:`simulate` builds it through
+the topology cache, assembles the network, attaches the workload and
+metrics, runs warmup + measurement, audits flit conservation, and
+returns a result record with the paper's output parameters (``d``,
+``sigma_d``, best-effort latency) in paper units.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import asdict, dataclass, replace as dataclasses_replace
 from typing import Dict, Optional
 
 from repro.core.admission import AdmissionController
+from repro.errors import ConfigurationError
+from repro.experiments.config import PCSExperiment
 from repro.faults import install_faults, install_recovery
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.network.health import install_health
@@ -27,13 +31,6 @@ from repro.obs import (
     RingBufferSink,
     install_tracing,
     write_chrome_trace,
-)
-from repro.network.topology import (
-    butterfly,
-    fat_mesh,
-    fat_tree,
-    fat_tree3,
-    single_switch,
 )
 from repro.pcs.connection import ConnectionStats
 from repro.pcs.simulator import PCSSimulator
@@ -165,6 +162,11 @@ def _cached_topology(builder, **params):
             _TOPOLOGY_CACHE.pop(next(iter(_TOPOLOGY_CACHE)))
         _TOPOLOGY_CACHE[key] = topology
     return topology
+
+
+def topology_of(experiment):
+    """The (cached, shared, immutable) topology ``experiment`` runs on."""
+    return _cached_topology(type(experiment).generator, **experiment.shape())
 
 
 #: virtual channels (routers x ports x VCs per port) from which a run is
@@ -372,9 +374,6 @@ def _simulate_wormhole(experiment, topology, loop=None) -> ExperimentResult:
     # transport and health monitor above) is wired before the first event.
     spec = getattr(experiment, "trace", None)
     harness = _TraceHarness(network, spec) if spec is not None else None
-    # Experiment-supplied network hook (e.g. chaos-harness sabotage):
-    # runs after everything is wired so it can schedule mid-run calls
-    # or perturb component state the oracles are expected to catch.
     hook = getattr(experiment, "network_hook", None)
     if hook is not None:
         hook(network)
@@ -399,59 +398,27 @@ def _simulate_wormhole(experiment, topology, loop=None) -> ExperimentResult:
     )
 
 
-def simulate_single_switch(experiment, loop=None) -> ExperimentResult:
-    """Run one single-switch configuration (sections 5.1-5.6)."""
-    topology = _cached_topology(
-        single_switch, num_ports=experiment.num_ports
-    )
-    return _simulate_wormhole(experiment, topology, loop)
+def simulate(experiment, loop=None):
+    """Run one experiment on the topology its type names.
+
+    ``loop`` replaces ``Network.run`` for a wormhole run (see
+    :func:`_simulate_wormhole`); the PCS simulator owns its own loop.
+    """
+    if isinstance(experiment, PCSExperiment):
+        if loop is not None:
+            raise ConfigurationError("a PCS run takes no cycle loop")
+        return simulate_pcs(experiment)
+    if getattr(type(experiment), "generator", None) is None:
+        raise ConfigurationError(
+            f"cannot simulate {type(experiment).__name__!r}: "
+            "the type names no topology generator"
+        )
+    return _simulate_wormhole(experiment, topology_of(experiment), loop)
 
 
-def simulate_fat_mesh(experiment, loop=None) -> ExperimentResult:
-    """Run one fat-mesh configuration (section 5.7)."""
-    topology = _cached_topology(
-        fat_mesh,
-        rows=experiment.rows,
-        cols=experiment.cols,
-        hosts_per_router=experiment.hosts_per_router,
-        fat_width=experiment.fat_width,
-    )
-    return _simulate_wormhole(experiment, topology, loop)
-
-
-def simulate_fat_tree(experiment, loop=None) -> ExperimentResult:
-    """Run one fat-tree configuration (a beyond-the-paper topology)."""
-    topology = _cached_topology(
-        fat_tree,
-        leaves=experiment.leaves,
-        spines=experiment.spines,
-        hosts_per_leaf=experiment.hosts_per_leaf,
-        fat_width=experiment.fat_width,
-    )
-    return _simulate_wormhole(experiment, topology, loop)
-
-
-def simulate_fat_tree3(experiment, loop=None) -> ExperimentResult:
-    """Run one 3-level k-ary fat-tree configuration (scale campaign)."""
-    topology = _cached_topology(
-        fat_tree3,
-        k=experiment.k,
-        hosts_per_leaf=experiment.hosts_per_leaf,
-        fat_width=experiment.fat_width,
-    )
-    return _simulate_wormhole(experiment, topology, loop)
-
-
-def simulate_butterfly(experiment, loop=None) -> ExperimentResult:
-    """Run one k-ary n-tree (butterfly/Clos) configuration."""
-    topology = _cached_topology(
-        butterfly,
-        arity=experiment.arity,
-        levels=experiment.levels,
-        hosts_per_leaf=experiment.hosts_per_leaf,
-        fat_width=experiment.fat_width,
-    )
-    return _simulate_wormhole(experiment, topology, loop)
+# The per-kind names are `simulate` itself: benchmarks/perf patches and
+# calls four of them on this module, and README, docs and tests use them.
+simulate_single_switch = simulate_fat_mesh = simulate_fat_tree = simulate_fat_tree3 = simulate_butterfly = simulate
 
 
 def simulate_pcs(experiment) -> PCSResult:

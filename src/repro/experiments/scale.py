@@ -32,13 +32,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
-from repro.experiments.runner import (
-    _cached_topology,
-    simulate_butterfly,
-    simulate_fat_tree3,
-)
+from repro.experiments.runner import simulate, topology_of
 from repro.metrics.collector import canonical, canonical_metrics
-from repro.network.topology import butterfly, fat_tree3
 from repro.router import routeprog
 from repro.sim.reference import run_reference
 
@@ -61,20 +56,14 @@ _COMMON = dict(
     scale=40.0,
 )
 
-#: name -> (runner, experiment); ft3-1024 is the acceptance point —
-#: a 1024-host, 320-switch classic fat tree of uniform 16-port routers
-SCALE_POINTS: Dict[str, Tuple] = {
-    "ft3-16": (simulate_fat_tree3, FatTree3Experiment(k=4, **_COMMON)),
-    "ft3-128": (simulate_fat_tree3, FatTree3Experiment(k=8, **_COMMON)),
-    "ft3-1024": (simulate_fat_tree3, FatTree3Experiment(k=16, **_COMMON)),
-    "bfly-64": (
-        simulate_butterfly,
-        ButterflyExperiment(arity=4, levels=3, **_COMMON),
-    ),
-    "bfly-512": (
-        simulate_butterfly,
-        ButterflyExperiment(arity=8, levels=3, **_COMMON),
-    ),
+#: name -> experiment; ft3-1024 is the acceptance point — a 1024-host,
+#: 320-switch classic fat tree of uniform 16-port routers
+SCALE_POINTS: Dict[str, object] = {
+    "ft3-16": FatTree3Experiment(k=4, **_COMMON),
+    "ft3-128": FatTree3Experiment(k=8, **_COMMON),
+    "ft3-1024": FatTree3Experiment(k=16, **_COMMON),
+    "bfly-64": ButterflyExperiment(arity=4, levels=3, **_COMMON),
+    "bfly-512": ButterflyExperiment(arity=8, levels=3, **_COMMON),
 }
 
 #: the quick subset exercised by ``make scale-smoke`` and CI
@@ -105,21 +94,7 @@ def _topology_stats(experiment) -> Dict[str, object]:
     Served from the runner's cache, so this never triggers an extra
     compile once the point has run.
     """
-    if isinstance(experiment, FatTree3Experiment):
-        topology = _cached_topology(
-            fat_tree3,
-            k=experiment.k,
-            hosts_per_leaf=experiment.hosts_per_leaf,
-            fat_width=experiment.fat_width,
-        )
-    else:
-        topology = _cached_topology(
-            butterfly,
-            arity=experiment.arity,
-            levels=experiment.levels,
-            hosts_per_leaf=experiment.hosts_per_leaf,
-            fat_width=experiment.fat_width,
-        )
+    topology = topology_of(experiment)
     stats = dict(topology.route_program.stats())
     stats["hosts"] = topology.num_hosts
     stats["ports_per_router"] = topology.ports_per_router
@@ -129,7 +104,7 @@ def _topology_stats(experiment) -> Dict[str, object]:
 def run_scale_point(name: str, log=None) -> Dict[str, object]:
     """Run one campaign point; returns its record (see module doc)."""
     try:
-        runner, experiment = SCALE_POINTS[name]
+        experiment = SCALE_POINTS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown scale point {name!r}; "
@@ -143,13 +118,13 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
 
     compiles_before = routeprog.compile_count()
     started = time.perf_counter()
-    active = runner(experiment)
+    active = simulate(experiment)
     active_s = time.perf_counter() - started
     compiles_first = routeprog.compile_count() - compiles_before
     say(f"active loop {active_s:.1f}s ({active.cycles_run} cycles)")
 
     started = time.perf_counter()
-    repeat = runner(experiment)
+    repeat = simulate(experiment)
     repeat_s = time.perf_counter() - started
     compiles_repeat = (
         routeprog.compile_count() - compiles_before - compiles_first
@@ -157,7 +132,7 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
     say(f"repeat {repeat_s:.1f}s")
 
     started = time.perf_counter()
-    legacy = runner(experiment, loop=run_reference)
+    legacy = simulate(experiment, loop=run_reference)
     legacy_s = time.perf_counter() - started
     say(f"legacy loop {legacy_s:.1f}s")
 

@@ -19,7 +19,7 @@ from repro.experiments.figures import (
     run_mixed_grid,
 )
 from repro.experiments.parallel import SweepTask, execute_tasks
-from repro.experiments.runner import PCSResult, simulate_pcs
+from repro.experiments.runner import PCSResult, simulate
 
 #: the paper marks saturated best-effort latencies as "Sat."
 SATURATION_LATENCY_US = 1000.0
@@ -123,7 +123,7 @@ def run_table3(
     tasks = [
         SweepTask(
             key=f"pcs@{load:g}",
-            runner=simulate_pcs,
+            runner=simulate,
             experiment=PCSExperiment(
                 load=load,
                 scale=profile.scale,

@@ -15,35 +15,30 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
-from repro.network.topology import (
-    Topology,
-    butterfly,
-    fat_mesh,
-    fat_tree,
-    fat_tree3,
-    single_switch,
+from repro.experiments.config import (
+    ButterflyExperiment,
+    FatMeshExperiment,
+    FatTree3Experiment,
+    FatTreeExperiment,
+    SingleSwitchExperiment,
 )
+from repro.network.topology import Topology
 
-#: generator name -> (builder, accepted shape flags)
-TOPOLOGY_KINDS: Dict[str, tuple] = {
-    "single": (single_switch, ("num_ports",)),
-    "mesh": (fat_mesh, ("rows", "cols", "hosts_per_router", "fat_width")),
-    "fat_tree": (
-        fat_tree,
-        ("leaves", "spines", "hosts_per_leaf", "fat_width"),
-    ),
-    "fat_tree3": (fat_tree3, ("k", "hosts_per_leaf", "fat_width")),
-    "butterfly": (
-        butterfly,
-        ("arity", "levels", "hosts_per_leaf", "fat_width"),
-    ),
+#: kind name -> the experiment type whose generator builds it and whose
+#: shape fields are the accepted flags
+TOPOLOGY_KINDS: Dict[str, type] = {
+    "single": SingleSwitchExperiment,
+    "mesh": FatMeshExperiment,
+    "fat_tree": FatTreeExperiment,
+    "fat_tree3": FatTree3Experiment,
+    "butterfly": ButterflyExperiment,
 }
 
 #: every shape flag some generator accepts (``mediaworm topo`` offers
 #: exactly these), first mention first
 SHAPE_FLAGS = tuple(
     dict.fromkeys(
-        flag for _, accepted in TOPOLOGY_KINDS.values() for flag in accepted
+        flag for cls in TOPOLOGY_KINDS.values() for flag in cls.shape_fields
     )
 )
 
@@ -51,19 +46,22 @@ SHAPE_FLAGS = tuple(
 def build_topology(kind: str, **params) -> Topology:
     """Build one topology by generator name; unknown flags are errors."""
     try:
-        builder, accepted = TOPOLOGY_KINDS[kind]
+        cls = TOPOLOGY_KINDS[kind]
     except KeyError:
         raise ConfigurationError(
             f"unknown topology kind {kind!r}; "
             f"choose from {', '.join(TOPOLOGY_KINDS)}"
         )
+    accepted = cls.shape_fields
     extra = sorted(set(params) - set(accepted))
     if extra:
         raise ConfigurationError(
             f"{kind} does not take {', '.join('--' + e.replace('_', '-') for e in extra)} "
             f"(accepted: {', '.join('--' + a.replace('_', '-') for a in accepted)})"
         )
-    return builder(**params)
+    # only the flags given: the generator's defaults apply, not the
+    # experiment type's
+    return cls.generator(**params)
 
 
 def describe_topology(topology: Topology) -> str:

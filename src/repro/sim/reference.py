@@ -5,7 +5,7 @@ events, then links, then NIs, then routers — written as a plain full
 scan over the component objects.  The production loop
 (:class:`repro.sim.fused.FusedLoop`, behind ``Network.run``) must be
 bit-identical to it; the parity suites pass it wherever a loop is an
-argument (``simulate_*(experiment, loop=run_reference)``), and
+argument (``simulate(experiment, loop=run_reference)``), and
 ``mediaworm scale`` and the chaos parity twin run it as their second
 opinion.  Nothing on the production run path imports this module.
 """

@@ -114,7 +114,7 @@ def _second_kind(experiment) -> bool:
 
 @pytest.fixture
 def simulators(monkeypatch):
-    """Stub every ``simulate_*`` a campaign's point runner calls.
+    """Stub the ``simulate`` a campaign's point runner calls.
 
     Returns ``install(spec, fail=None)`` -> the list of experiments the
     stub was called with; ``fail(experiment)`` true raises a
@@ -131,9 +131,7 @@ def simulators(monkeypatch):
             return _stub_result(experiment)
 
         module = sys.modules[spec.point.__module__]
-        for attr in dir(module):
-            if attr.startswith("simulate_"):
-                monkeypatch.setattr(module, attr, stub)
+        monkeypatch.setattr(module, "simulate", stub)
         return calls
 
     return install

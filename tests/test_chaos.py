@@ -38,6 +38,7 @@ from repro.errors import (
     RoutingError,
     SimulationError,
 )
+from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.resilience import SweepCheckpoint
 
 # small-and-fast variants for unit tests; the smoke campaign covers the
@@ -121,6 +122,8 @@ class TestGeneration:
         interval = experiment.workload_config().frame_interval_cycles
         assert experiment.watchdog_window == 4 * interval
         assert experiment.trace is not None and experiment.trace.check
+        # the plain experiment type: the hook is a field of every one
+        assert type(experiment) is SingleSwitchExperiment
         assert experiment.network_hook is None
         sabotaged = dataclasses.replace(TINY_SCENARIO, sabotage="credit")
         assert sabotaged.to_experiment().network_hook is not None

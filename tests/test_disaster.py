@@ -442,8 +442,7 @@ class TestRunDisasterCampaign:
     campaign shares is checked once, in tests/test_campaign.py."""
 
     def test_series_shape_and_butterfly_skips_pod(self, monkeypatch):
-        monkeypatch.setattr(disaster, "simulate_fat_tree3", _fake_result)
-        monkeypatch.setattr(disaster, "simulate_butterfly", _fake_result)
+        monkeypatch.setattr(disaster, "simulate", _fake_result)
         fig = CAMPAIGN.run("quick", ("none", "switch", "pod"))
         assert fig.figure_id == "disaster"
         assert set(fig.series) == {

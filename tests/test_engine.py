@@ -11,6 +11,7 @@ feature, is called out to its own object method.
 
 import ast
 import dataclasses
+import pickle
 import re
 import subprocess
 import sys
@@ -18,20 +19,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos.scenario import ChaosFatMeshExperiment
-from repro.errors import SimulationError
+import repro
+from repro import experiments
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import runner
 from repro.experiments.config import (
     ButterflyExperiment,
     FatMeshExperiment,
     FatTree3Experiment,
+    FatTreeExperiment,
+    PCSExperiment,
     SingleSwitchExperiment,
 )
 from repro.experiments.runner import (
+    simulate,
     simulate_butterfly,
     simulate_fat_mesh,
     simulate_fat_tree3,
     simulate_single_switch,
 )
+from repro.experiments.scale import run_digest
 from repro.faults import (
     FATE_CORRUPT,
     FATE_LOST,
@@ -194,7 +201,7 @@ class TestFaultGate:
         def build(run):
             networks = []
             result = simulate_fat_mesh(
-                ChaosFatMeshExperiment(
+                FatMeshExperiment(
                     load=0.7,
                     mix=(80, 20),
                     faults=FaultPlan(
@@ -687,3 +694,95 @@ class TestOneLoop:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+_PER_KIND_NAMES = (
+    "simulate_single_switch",
+    "simulate_fat_mesh",
+    "simulate_fat_tree",
+    "simulate_fat_tree3",
+    "simulate_butterfly",
+)
+_GENERATORS = {"single_switch", "fat_mesh", "fat_tree", "fat_tree3", "butterfly"}
+
+
+class TestOneSimulate:
+    """The experiment's type names its topology, so there is one
+    ``simulate(experiment)`` and no runner to mismatch it with."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            SingleSwitchExperiment,
+            FatMeshExperiment,
+            FatTreeExperiment,
+            FatTree3Experiment,
+            ButterflyExperiment,
+        ],
+    )
+    def test_every_per_kind_name_runs_every_experiment_type(self, cls):
+        """A name paired with another kind's experiment still runs it:
+        an untyped ``AttributeError`` here would escape every sweep's
+        ``on_failure`` and abort the sweep."""
+        experiment = cls(load=0.05, mix=(100, 0), vcs_per_pc=4, **TINY)
+        expected = run_digest(simulate(experiment))
+        for name in _PER_KIND_NAMES:
+            result = getattr(runner, name)(experiment)
+            assert run_digest(result) == expected, name
+
+    def test_per_kind_names_are_the_one_picklable_function(self):
+        for name in _PER_KIND_NAMES:
+            for module in (runner, experiments, repro):
+                assert getattr(module, name) is simulate, (module, name)
+        # what a pool worker receives for a task built from an old name
+        assert pickle.loads(pickle.dumps(simulate_butterfly)) is simulate
+
+    def test_what_cannot_run_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="'object'"):
+            simulate(object())
+        with pytest.raises(ConfigurationError, match="no cycle loop"):
+            simulate(PCSExperiment(**TINY), loop=run_reference)
+
+    def test_one_place_knows_generators_and_experiment_types(self):
+        """Under ``src/repro`` only ``experiments/config.py`` (and the
+        PCS simulator's own default) pairs a generator with an
+        experiment; nothing but ``simulate`` branches on an experiment's
+        type; the per-kind names live on ``runner.py``'s alias line and
+        in the two re-exporting ``__init__`` files."""
+        package = SRC / "repro"
+        per_kind = re.compile(r"\b(" + "|".join(_PER_KIND_NAMES) + r")\b")
+        importers, type_tests, alias_lines = [], [], {}
+        for path in sorted(package.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            name = path.relative_to(package).as_posix()
+            hits = [line for line in source.splitlines() if per_kind.search(line)]
+            if hits:
+                alias_lines[name] = hits
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom):
+                    if _GENERATORS & {alias.name for alias in node.names}:
+                        importers.append(name)
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and any(
+                        isinstance(leaf, ast.Name)
+                        and leaf.id.endswith("Experiment")
+                        for leaf in ast.walk(node.args[1])
+                    )
+                ):
+                    type_tests.append(name)
+        assert importers == [
+            "__init__.py",
+            "experiments/config.py",
+            "network/__init__.py",
+            "pcs/simulator.py",
+        ]
+        assert type_tests == ["experiments/runner.py"]
+        assert sorted(alias_lines) == [
+            "__init__.py",
+            "experiments/__init__.py",
+            "experiments/runner.py",
+        ]
+        assert len(alias_lines["experiments/runner.py"]) == 1

@@ -134,7 +134,7 @@ class TestRunFailoverCampaign:
     campaign shares is checked once, in tests/test_campaign.py."""
 
     def test_series_shape_and_extras(self, monkeypatch):
-        monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
+        monkeypatch.setattr(failover, "simulate", _fake_result)
         fig = CAMPAIGN.run("quick", (0, 2))
         assert fig.figure_id == "failover"
         assert set(fig.series) == set(CAMPAIGN_MODES)

@@ -277,21 +277,6 @@ class TestRunResilient:
             run_resilient(typo, self._experiment(), attempts=3)
         assert len(calls) == 1
 
-    def test_cycle_budget_arms_the_watchdog(self):
-        seen = []
-        run_resilient(
-            lambda e: seen.append(e), self._experiment(), cycle_budget=9999
-        )
-        assert seen[0].watchdog_window == 9999
-
-    def test_cycle_budget_respects_explicit_watchdog(self):
-        experiment = dataclasses.replace(
-            self._experiment(), watchdog_window=123
-        )
-        seen = []
-        run_resilient(lambda e: seen.append(e), experiment, cycle_budget=9999)
-        assert seen[0].watchdog_window == 123
-
     def test_zero_attempts_rejected(self):
         with pytest.raises(SimulationError):
             run_resilient(lambda e: e, self._experiment(), attempts=0)
@@ -325,7 +310,7 @@ class TestFaultCampaign:
             )
             return _fake_result(experiment.scheduler, 0.0)
 
-        monkeypatch.setattr(faultsweep, "simulate_fat_mesh", fake)
+        monkeypatch.setattr(faultsweep, "simulate", fake)
         fig = faultsweep.CAMPAIGN.run("tiny", (0.0, 0.01))
         assert sorted(fig.series) == ["fifo", "virtual_clock"]
         assert [p.x for p in fig.series["fifo"]] == [0.0, 0.01]
@@ -351,7 +336,7 @@ class TestCliResilience:
         self, monkeypatch, tiny_profile, tmp_path, capsys
     ):
         monkeypatch.setattr(
-            faultsweep, "simulate_fat_mesh", lambda e: _fake_result(None, 0)
+            faultsweep, "simulate", lambda e: _fake_result(None, 0)
         )
         path = tmp_path / "cp.json"
         code = cli.main(

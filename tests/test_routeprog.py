@@ -15,15 +15,25 @@ import dataclasses
 
 import pytest
 
+from repro.chaos.scenario import ScenarioSpace, generate
 from repro.errors import RoutingError
+from repro.experiments import disaster, failover, runner
 from repro.experiments.config import (
     ButterflyExperiment,
     FatMeshExperiment,
     FatTree3Experiment,
+    FatTreeExperiment,
+    PCSExperiment,
     SingleSwitchExperiment,
 )
+from repro.experiments.figures import get_profile
 from repro.experiments.parallel import sweep_fingerprint
-from repro.experiments.runner import _cached_topology, simulate_fat_tree3
+from repro.experiments.runner import (
+    _cached_topology,
+    simulate,
+    simulate_fat_tree3,
+    topology_of,
+)
 from repro.network.topology import butterfly, fat_mesh_2x2, fat_tree3
 from repro.router import routeprog
 from repro.router.routeprog import RouterRouteView, compile_routes
@@ -109,6 +119,75 @@ class TestCompileOnce:
         a = _cached_topology(fat_tree3, k=4, hosts_per_leaf=1, fat_width=1)
         b = _cached_topology(fat_tree3, k=4, hosts_per_leaf=1, fat_width=1)
         assert a is b
+
+    def test_topology_of_reads_only_the_shape(self):
+        experiment = FatTree3Experiment(k=4, hosts_per_leaf=1)
+        assert topology_of(experiment) is _cached_topology(
+            fat_tree3, k=4, hosts_per_leaf=1, fat_width=1
+        )
+        assert topology_of(experiment) is topology_of(
+            dataclasses.replace(experiment, load=0.3, seed=9)
+        )
+
+
+def _counted(build):
+    """``build()``, and how many topology builds and route compiles it cost."""
+    builds, compiles = runner.TOPOLOGY_BUILDS, routeprog.compile_count()
+    value = build()
+    return (
+        value,
+        runner.TOPOLOGY_BUILDS - builds,
+        routeprog.compile_count() - compiles,
+    )
+
+
+def _quiet_run_builds_nothing(experiment, **changes):
+    """The point's shape is the cache key its builder already filled;
+    load is cut because only the shape matters here."""
+    quiet = dataclasses.replace(experiment, load=0.05, **changes)
+    assert _counted(lambda: simulate(quiet))[1:] == (0, 0)
+
+
+class TestSharedTopologies:
+    """Campaign point builders and the chaos generator read the
+    runner's cached topology, so a whole campaign costs one build per
+    distinct shape."""
+
+    @pytest.mark.parametrize(
+        "spec, shapes",
+        [(disaster.CAMPAIGN, 2), (failover.CAMPAIGN, 1)],
+        ids=["disaster", "failover"],
+    )
+    def test_default_campaign_points_build_each_shape_once(self, spec, shapes):
+        profile = get_profile("smoke")
+        points, builds, compiles = _counted(
+            lambda: [
+                spec.experiment(profile, series, x)
+                for series in spec.series
+                for x in spec.axis.defaults
+                if spec.defined(series, x)
+            ]
+        )
+        assert builds <= shapes and compiles <= shapes
+        _quiet_run_builds_nothing(points[-1])
+
+    def test_chaos_generation_builds_each_drawn_shape_once(self):
+        scenarios, builds, compiles = _counted(
+            lambda: generate(ScenarioSpace(scale=100.0), 7, 25)
+        )
+        fabrics = [
+            scenario.to_experiment()
+            for scenario in scenarios
+            if scenario.topology != "single"
+        ]
+        shapes = {(type(e), tuple(e.shape().items())) for e in fabrics}
+        assert builds <= len(shapes) and compiles <= len(shapes)
+        windowed = next(
+            e
+            for e in fabrics
+            if e.faults is not None and e.faults.down_windows
+        )
+        _quiet_run_builds_nothing(windowed, trace=None)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +359,36 @@ class TestTopologyFingerprint:
             ButterflyExperiment(),
         ):
             assert sweep_fingerprint(experiment) == ""
+
+    @pytest.mark.parametrize(
+        "experiment, expected",
+        [
+            (SingleSwitchExperiment(), ""),
+            (SingleSwitchExperiment(num_ports=4), "num_ports=4"),
+            (FatMeshExperiment(rows=3, fat_width=1), "rows=3|fat_width=1"),
+            (
+                FatTreeExperiment(leaves=8, hosts_per_leaf=4),
+                "leaves=8|hosts_per_leaf=4",
+            ),
+            (
+                FatTree3Experiment(
+                    k=8, hosts_per_leaf=2, routing_mode="adaptive"
+                ),
+                "k=8|hosts_per_leaf=2|mode=adaptive",
+            ),
+            (
+                ButterflyExperiment(arity=4, levels=2, fat_width=2),
+                "arity=4|levels=2|fat_width=2",
+            ),
+            (PCSExperiment(num_ports=4), "num_ports=4"),
+        ],
+    )
+    def test_literals_written_into_checkpoints(self, experiment, expected):
+        """Fingerprints are checkpoint keys: a checkpoint written with
+        these literals must keep restoring, and a hook is not physics."""
+        assert sweep_fingerprint(experiment) == expected
+        hooked = dataclasses.replace(experiment, network_hook=print)
+        assert sweep_fingerprint(hooked) == expected
 
     def test_off_default_shape_is_encoded(self):
         assert "k=8" in sweep_fingerprint(FatTree3Experiment(k=8))
