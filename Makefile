@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint loc coverage bench bench-default perf perf-test repro faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
+.PHONY: install test lint loc coverage bench bench-default perf perf-test repro all-smoke faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
 
 # conservative floor just under the suite's measured line coverage of
 # src/repro; ratchet upward as coverage grows, never downward
@@ -49,6 +49,11 @@ perf-test:        ## the benchmark harness's own tests
 
 repro:            ## regenerate every figure/table at the default profile
 	$(PYTHON) -m repro.experiments.cli all --profile default
+
+all-smoke:        ## every figure + table end to end, CI-sized, with per-figure wall times
+	$(PYTHON) -m repro.experiments.cli all --profile smoke --fresh \
+		--checkpoint mediaworm-all-smoke.checkpoint.json > ALL_smoke.txt
+	@grep "completed in" ALL_smoke.txt
 
 faults-smoke:     ## 2-point fault campaign (VC + FIFO at 0.5% loss), CI-sized
 	$(PYTHON) -m repro.experiments.cli faults --profile quick \

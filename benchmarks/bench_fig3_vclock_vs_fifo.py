@@ -8,13 +8,14 @@ a link load of 0.96.
 from conftest import run_once
 
 from repro.analysis import dominates, max_jitter_free_load
-from repro.experiments.figures import run_fig3
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig3_virtual_clock_vs_fifo(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig3(profile, executor=executor))
+    spec = PAPER["fig3"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig))
     results = check_claims(fig)

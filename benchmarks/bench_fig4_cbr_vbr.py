@@ -9,13 +9,14 @@ time than normally-distributed ones.
 from conftest import run_once
 
 from repro.analysis import dominates, max_jitter_free_load
-from repro.experiments.figures import run_fig4
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig4_cbr_vs_vbr(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig4(profile, executor=executor))
+    spec = PAPER["fig4"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig))
     results = check_claims(fig)

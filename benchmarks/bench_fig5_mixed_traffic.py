@@ -8,13 +8,14 @@ dominant component, does the jitter become significant."
 
 from conftest import run_once
 
-from repro.experiments.figures import run_fig5
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig5_mixed_traffic(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig5(profile, executor=executor))
+    spec = PAPER["fig5"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig))
     results = check_claims(fig)

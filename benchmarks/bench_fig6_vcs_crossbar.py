@@ -8,13 +8,14 @@ and competitive performance compared to the 16 VC results".
 
 from conftest import run_once
 
-from repro.experiments.figures import run_fig6
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig6_vcs_and_crossbar(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig6(profile, executor=executor))
+    spec = PAPER["fig6"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig))
     results = check_claims(fig)

@@ -18,13 +18,14 @@ does.
 
 from conftest import run_once
 
-from repro.experiments.figures import run_fig7
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig7_message_size(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig7(profile, executor=executor))
+    spec = PAPER["fig7"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig))
     results = check_claims(fig)

@@ -9,13 +9,14 @@ of 0.7), while wormhole accepts every stream.
 
 from conftest import run_once
 
-from repro.experiments.figures import run_fig8
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig8_wormhole_vs_pcs(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig8(profile, executor=executor))
+    spec = PAPER["fig8"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig))
     results = check_claims(fig)

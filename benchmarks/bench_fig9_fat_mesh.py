@@ -10,13 +10,14 @@ traffic" (Fig. 9c).
 
 from conftest import run_once
 
-from repro.experiments.figures import run_fig9
+from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text
 
 
 def bench_fig9_fat_mesh(benchmark, profile, executor):
-    fig = run_once(benchmark, lambda: run_fig9(profile, executor=executor))
+    spec = PAPER["fig9"]
+    fig = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(figure_to_text(fig, show_be_latency=True))
     results = check_claims(fig)

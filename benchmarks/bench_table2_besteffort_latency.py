@@ -11,12 +11,13 @@ top loads (the 'Sat.' cells).
 from conftest import run_once
 
 from repro.analysis import monotonic_tail
+from repro.experiments.figures import PAPER
 from repro.experiments.report import table2_to_text
-from repro.experiments.tables import run_table2
 
 
 def bench_table2_besteffort_latency(benchmark, profile, executor):
-    table = run_once(benchmark, lambda: run_table2(profile, executor=executor))
+    spec = PAPER["table2"]
+    table = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(table2_to_text(table))
 

@@ -9,12 +9,13 @@ capacity; dropped counts dominate at high load.
 
 from conftest import run_once
 
+from repro.experiments.figures import PAPER
 from repro.experiments.report import table3_to_text
-from repro.experiments.tables import run_table3
 
 
 def bench_table3_pcs_connections(benchmark, profile, executor):
-    table = run_once(benchmark, lambda: run_table3(profile, executor=executor))
+    spec = PAPER["table3"]
+    table = run_once(benchmark, lambda: spec.run(profile, executor=executor))
     print()
     print(table3_to_text(table))
 

@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.experiments.figures import PROFILES
+from repro.experiments.campaign import PROFILES
 from repro.experiments.parallel import ParallelSweepExecutor
 
 
@@ -38,12 +38,10 @@ def profile():
 
 @pytest.fixture(scope="session")
 def executor():
-    """Sweep executor from REPRO_BENCH_JOBS (None = the serial path)."""
+    """Sweep executor from REPRO_BENCH_JOBS (inline at 1, the default)."""
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     if jobs < 1:
         raise pytest.UsageError(f"REPRO_BENCH_JOBS must be >= 1, got {jobs}")
-    if jobs == 1:
-        return None
     return ParallelSweepExecutor(jobs=jobs)
 
 

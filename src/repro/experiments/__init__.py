@@ -1,10 +1,11 @@
-"""Experiment harness: one runner per figure/table of the paper.
+"""Experiment harness: one point runner, one sweep skeleton, specs.
 
 ``simulate(experiment)`` runs one configuration on the topology the
 experiment's type names (the ``simulate_<kind>`` names are that same
-function); :mod:`repro.experiments.figures` and
-:mod:`repro.experiments.tables` wrap it into the sweeps that
-regenerate Figures 3-9 and Tables 2-3.
+function); every sweep is a :class:`~repro.experiments.campaign
+.Campaign` spec — :data:`repro.experiments.figures.PAPER` holds
+Figures 3-9 and Tables 2-3 — run by ``Campaign.run`` on a
+:class:`ParallelSweepExecutor`.
 """
 
 from repro.experiments.config import (
@@ -15,11 +16,7 @@ from repro.experiments.config import (
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    SweepTask,
-    execute_tasks,
-)
+from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.experiments.runner import (
     ExperimentResult,
     PCSResult,
@@ -45,7 +42,6 @@ __all__ = [
     "SingleSwitchExperiment",
     "SweepTask",
     "WorkloadSummary",
-    "execute_tasks",
     "simulate",
     "simulate_butterfly",
     "simulate_fat_mesh",

@@ -1,33 +1,35 @@
-"""One campaign skeleton: series x axis -> experiment -> Point -> table.
+"""One campaign skeleton: series x axis -> experiment -> Point -> result.
 
 The paper's evaluation is nothing but sweeps, and every robustness
 study this repo adds on top of it (``mediaworm faults`` / ``failover``
 / ``disaster``) has the same shape.  A study is a frozen
 :class:`Campaign` *spec* — its series, its swept :class:`Axis`, an
-experiment factory, a picklable point runner, and its table columns as
-data — and this module holds the single implementation of everything
+experiment factory, a picklable point runner, and how its result
+prints — and this module holds the single implementation of everything
 else: building the :class:`~repro.experiments.parallel.SweepTask` list,
 logging restored keys, recording (and checkpointing) points that fail
-every retry, assembling the :class:`~repro.experiments.figures
-.FigureData` and rendering the aligned table.  The CLI enumerates
-:func:`campaigns`, so a new campaign is a spec plus a
-:func:`register` call and gets ``--jobs``, checkpointing, fingerprinted
-keys, ``--json`` and the exit-1-on-failed-point rule for free.
+every retry, assembling the :class:`FigureData` and rendering the
+aligned table.  Figs. 3-9 and Tables 2-3 are the specs of
+:data:`repro.experiments.figures.PAPER`; the CLI enumerates
+:func:`campaigns`, so a new campaign is a spec plus a :func:`register`
+call and gets ``--jobs``, checkpointing, fingerprinted keys, ``--json``
+and the exit-1-on-failed-point rule for free.
 
-Deliberately not imported by ``repro.experiments.__init__``,
-``parallel`` or ``runner``: a pool worker running a figure sweep never
-pays for it.
+The vocabulary specs are written in (:class:`RunProfile`,
+:class:`Point`, :class:`FigureData`, the Point codec) lives here too,
+so spec modules import this one and never the reverse.  Deliberately
+not imported by ``repro.experiments.__init__``, ``parallel`` or
+``runner``: those are all a pool worker (and the benchmark's
+cold-import probe) loads, and neither pays for the spec layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import import_module
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.export import point_from_dict, point_to_dict
-from repro.experiments.figures import FigureData, Point, get_profile
 from repro.experiments.parallel import (
     ParallelSweepExecutor,
     SweepTask,
@@ -35,6 +37,120 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.resilience import SweepCheckpoint
 from repro.metrics.collector import RunMetrics
+
+
+@dataclass(frozen=True)
+class RunProfile:
+    """Workload scale and horizon for a sweep.
+
+    * ``quick``   — smallest run that still shows the shape (CI/tests);
+    * ``default`` — the benchmark setting: scale 20, a ~0.5 s simulated
+      window, minutes of wall time for the full suite;
+    * ``full``    — paper-faithful time constants (scale 1); hours.
+    """
+
+    name: str
+    scale: float
+    warmup_frames: int
+    measure_frames: int
+    seed: int = 1
+    #: progress watchdog applied to every experiment of the sweep
+    #: (None = each sweep's own default; ``mediaworm --watchdog`` sets it)
+    watchdog_window: Optional[int] = None
+
+
+PROFILES: Dict[str, RunProfile] = {
+    # CI-sized: the smallest run that still exercises warmup + measure
+    "smoke": RunProfile("smoke", scale=100.0, warmup_frames=1, measure_frames=2),
+    "quick": RunProfile("quick", scale=40.0, warmup_frames=2, measure_frames=4),
+    "default": RunProfile(
+        "default", scale=20.0, warmup_frames=3, measure_frames=8
+    ),
+    "full": RunProfile("full", scale=1.0, warmup_frames=4, measure_frames=16),
+}
+
+
+def get_profile(profile) -> RunProfile:
+    """Resolve a profile name or pass a RunProfile through."""
+    if isinstance(profile, RunProfile):
+        return profile
+    try:
+        return PROFILES[profile]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown profile {profile!r} "
+            f"(choose from {', '.join(sorted(PROFILES))})"
+        ) from None
+
+
+def _base_kwargs(profile: RunProfile) -> Dict:
+    kwargs = dict(
+        scale=profile.scale,
+        warmup_frames=profile.warmup_frames,
+        measure_frames=profile.measure_frames,
+        seed=profile.seed,
+    )
+    if profile.watchdog_window is not None:
+        kwargs["watchdog_window"] = profile.watchdog_window
+    return kwargs
+
+
+@dataclass
+class Point:
+    """One sweep point: the x value and its run metrics."""
+
+    x: object
+    metrics: RunMetrics
+    extra: Dict = field(default_factory=dict)
+
+    @property
+    def d(self) -> float:
+        return self.metrics.mean_delivery_interval_ms
+
+    @property
+    def sigma_d(self) -> float:
+        return self.metrics.std_delivery_interval_ms
+
+    @property
+    def be_latency_us(self) -> float:
+        return self.metrics.be_latency_us
+
+
+def point_to_dict(point: Point) -> Dict:
+    """Flatten one sweep point (also the campaigns' checkpoint encoding)."""
+    return {
+        "x": point.x,
+        "metrics": asdict(point.metrics),
+        "extra": point.extra,
+    }
+
+
+def point_from_dict(data: Dict) -> Point:
+    """Rebuild a Point flattened by :func:`point_to_dict`."""
+    return Point(
+        x=data["x"],
+        metrics=RunMetrics(**data["metrics"]),
+        extra=dict(data.get("extra") or {}),
+    )
+
+
+@dataclass
+class FigureData:
+    """A reproduced figure: named series of sweep points."""
+
+    figure_id: str
+    title: str
+    xlabel: str
+    series: Dict[str, List[Point]]
+    notes: str = ""
+
+    def rows(self) -> List[Tuple]:
+        """Flat (series, x, d, sigma_d, be_latency) tuples for reports."""
+        out = []
+        for name, points in self.series.items():
+            for p in points:
+                out.append((name, p.x, p.d, p.sigma_d, p.be_latency_us))
+        return out
 
 
 def empty_metrics() -> RunMetrics:
@@ -53,19 +169,22 @@ def empty_metrics() -> RunMetrics:
 
 @dataclass(frozen=True)
 class Axis:
-    """The swept parameter: its CLI flag, parsing, validation, encodings."""
+    """The swept parameter: its default sweep and, for a spec that is a
+    CLI subcommand, its flag, parsing, validation and encodings."""
 
-    #: CLI flag (``"--rates"``); its dest also names the checkpoint-meta entry
-    flag: str
-    metavar: str
-    help: str
-    defaults: tuple
-    #: one comma-separated token -> value (``ValueError`` on junk)
-    parse: Callable[[str], object]
-    #: raises a short ``ConfigurationError`` naming an unusable value
-    check: Callable[[object], None]
+    #: the default sweep, or ``profile -> sweep`` where it depends on
+    #: the workload scale
+    defaults: object
     #: format spec spelling a value in point keys (``"g"`` for floats)
     fmt: str = ""
+    #: CLI flag (``"--rates"``); its dest also names the checkpoint-meta entry
+    flag: str = ""
+    metavar: str = ""
+    help: str = ""
+    #: one comma-separated token -> value (``ValueError`` on junk)
+    parse: Callable[[str], object] = str
+    #: raises a short ``ConfigurationError`` naming an unusable value
+    check: Callable[[object], None] = lambda x: None
     #: value -> its checkpoint-meta encoding (must stay what the parent
     #: commit wrote, or old checkpoints are discarded as mismatched)
     meta: Callable = lambda x: x
@@ -89,7 +208,8 @@ class Axis:
             self.check(x)
             if self.text(x) in seen:
                 raise ConfigurationError(
-                    f"{self.flag} lists {self.text(x)} more than once"
+                    f"{self.flag or 'the sweep'} lists {self.text(x)} "
+                    "more than once"
                 )
             seen.add(self.text(x))
         return values
@@ -142,12 +262,12 @@ class Column(NamedTuple):
 class Campaign:
     """A sweep study as data; :meth:`run` and :meth:`render` do the rest."""
 
-    #: subcommand, figure id, checkpoint ``command`` and log tag
+    #: subcommand or ``run`` name, figure id, checkpoint ``command``, log tag
     name: str
     #: one line, shown by ``mediaworm --help`` and ``mediaworm list``
     help: str
-    #: series names, in table order
-    series: Tuple[str, ...]
+    #: one value per series, in table order
+    series: tuple
     axis: Axis
     #: ``(profile, series, x) -> experiment`` dataclass for one point
     experiment: Callable
@@ -158,19 +278,26 @@ class Campaign:
     point: Callable
     title: str
     xlabel: str
-    notes: str
+    notes: str = ""
+    #: series value -> its name in the figure (``0.8`` -> ``"load=0.8"``)
+    label: Callable[[object], str] = str
     #: header and width of the left-aligned series column
-    series_column: Tuple[str, int]
+    series_column: Tuple[str, int] = ("", 0)
     #: the table, left to right; the first column is the axis value and
     #: is the only one a ``FAILED`` row still shows
-    columns: Tuple[Column, ...]
+    columns: Tuple[Column, ...] = ()
     #: which ``(series, x)`` pairs exist (the butterfly has no pods)
-    defined: Callable[[str, object], bool] = lambda series, x: True
+    defined: Callable[[object, object], bool] = lambda series, x: True
     #: ``x -> Point`` standing in for a point that failed every retry;
     #: :meth:`run` adds the ``failed`` extra
     placeholder: Callable[[object], Point] = lambda x: Point(x, empty_metrics())
+    #: ``{(series, x): Point} -> result`` where the sweep's result is not
+    #: a :class:`FigureData` (Tables 2 and 3)
+    table: Optional[Callable] = None
+    #: result -> text, where it is not the aligned ``columns`` table
+    text: Optional[Callable] = None
 
-    def key(self, series: str, x, experiment) -> str:
+    def key(self, series, x, experiment) -> str:
         """Checkpoint/result key for one point: ``series@x[|fingerprint]``.
 
         The fingerprint suffix is empty for an experiment at the default
@@ -181,7 +308,7 @@ class Campaign:
         checkpoint resumed after any knob change recomputes rather than
         reusing stale points.
         """
-        key = f"{series}@{self.axis.text(x)}"
+        key = f"{self.label(series)}@{self.axis.text(x)}"
         fingerprint = sweep_fingerprint(experiment)
         return f"{key}|{fingerprint}" if fingerprint else key
 
@@ -200,19 +327,25 @@ class Campaign:
         checkpoint: Optional[SweepCheckpoint] = None,
         log: Optional[Callable[[str], None]] = None,
         executor: Optional[ParallelSweepExecutor] = None,
-    ) -> FigureData:
+    ):
         """Sweep ``values`` of the axis for every series.
 
-        With a ``checkpoint``, every completed point is persisted and a
-        rerun with the same metadata skips straight past it; a point
-        that keeps failing after the resilient retries records a
-        ``failed`` extra instead of aborting the campaign.  An
-        ``executor`` with ``jobs > 1`` farms the points out to a process
-        pool; results are bit-identical to the serial path (each point
-        seeds its own RNG streams).  Pairs the spec does not define are
-        skipped for that series.
+        Returns the :class:`FigureData`, or what the spec's ``table``
+        makes of the points.  With a ``checkpoint``, every completed
+        point is persisted and a rerun with the same metadata skips
+        straight past it; a point that keeps failing after the resilient
+        retries records a ``failed`` extra instead of aborting the
+        campaign (a spec without ``columns`` has no FAILED row to show
+        it in, so there the ``SimulationError`` propagates).  An
+        ``executor`` with
+        ``jobs > 1`` farms the points out to a process pool; results are
+        bit-identical to the serial path (each point seeds its own RNG
+        streams).  Pairs the spec does not define are skipped for that
+        series.
         """
         profile = get_profile(profile)
+        if values is None and callable(self.axis.defaults):
+            values = self.axis.defaults(profile)
         values = self.axis.validated(values)
         if executor is None:
             executor = ParallelSweepExecutor(jobs=1, log=log)
@@ -252,21 +385,30 @@ class Campaign:
             checkpoint=checkpoint,
             encode=point_to_dict,
             decode=point_from_dict,
-            on_failure=on_failure,
+            on_failure=on_failure if self.columns else None,
         )
-        series: Dict[str, list] = {name: [] for name in self.series}
-        for key, (name, _) in where.items():
-            series[name].append(results.get(key) or failed[key])
+        points = {
+            pair: results.get(key) or failed[key]
+            for key, pair in where.items()
+        }
+        if self.table is not None:
+            return self.table(points)
+        figure: Dict[str, list] = {self.label(s): [] for s in self.series}
+        for (series, _), point in points.items():
+            figure[self.label(series)].append(point)
         return FigureData(
             figure_id=self.name,
             title=self.title,
             xlabel=self.xlabel,
-            series=series,
+            series=figure,
             notes=self.notes,
         )
 
-    def render(self, fig: FigureData) -> str:
-        """Render the campaign as an aligned terminal table."""
+    def render(self, fig) -> str:
+        """What :meth:`run` returned, as the terminal shows it: the
+        spec's ``text``, or the campaign as an aligned table."""
+        if self.text is not None:
+            return self.text(fig)
         label, width = self.series_column
         header = " ".join(
             [f"{label:<{width}}"]

@@ -12,8 +12,9 @@ The subcommands are a table (:func:`_commands`): a name, the one-line
 help that ``mediaworm --help`` and ``mediaworm list`` both print, a
 ``configure(parser)`` declaring its flags and a ``run(args)`` returning
 the exit status.  Campaigns come from the registry in
-:mod:`repro.experiments.campaign` through one shared handler, so a new
-campaign needs no edit here.
+:mod:`repro.experiments.campaign` through one shared handler and the
+paper's figures from :data:`repro.experiments.figures.PAPER`, so a new
+campaign or figure needs no edit here.
 """
 
 from __future__ import annotations
@@ -27,35 +28,19 @@ from functools import partial
 from typing import Callable, List, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import Campaign, any_failed, campaigns
-from repro.experiments.export import save_result
-from repro.experiments.figures import (
-    FIGURES,
+from repro.experiments.campaign import (
     PROFILES,
+    Campaign,
+    FigureData,
+    _base_kwargs,
+    any_failed,
+    campaigns,
     get_profile,
-    run_mixed_grid,
 )
+from repro.experiments.export import save_result
+from repro.experiments.figures import PAPER
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.report import (
-    figure_to_text,
-    table2_to_text,
-    table3_to_text,
-)
-from repro.experiments.resilience import SweepCheckpoint, run_resilient
-from repro.experiments.tables import run_table2, run_table3
-
-#: what ``mediaworm run`` accepts, as ``mediaworm list`` describes it
-_EXPERIMENTS = {
-    "fig3": "Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
-    "fig4": "CBR vs VBR traffic (no best-effort)",
-    "fig5": "Mixed traffic ratios vs load",
-    "fig6": "VC count and crossbar capability",
-    "fig7": "Effect of message size on jitter",
-    "fig8": "MediaWorm vs PCS router",
-    "fig9": "2x2 fat-mesh performance",
-    "table2": "Best-effort latency per mix and load",
-    "table3": "PCS connection drop accounting",
-}
+from repro.experiments.resilience import SweepCheckpoint
 
 #: what ``mediaworm all`` runs (fig5 prints Table 2 alongside)
 _ALL = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table3")
@@ -160,18 +145,9 @@ def _sweep_setup(args):
         raise SystemExit(
             f"--point-timeout must be > 0 seconds, got {args.point_timeout}"
         )
-    # a point timeout needs the executor even at --jobs 1: the inline
-    # path is what arms the per-point wall-clock limit
-    executor = (
-        ParallelSweepExecutor(
-            jobs=args.jobs,
-            log=print,
-            point_timeout=args.point_timeout,
-        )
-        if args.jobs > 1 or args.point_timeout is not None
-        else None
+    return profile, ParallelSweepExecutor(
+        jobs=args.jobs, log=print, point_timeout=args.point_timeout
     )
-    return profile, executor
 
 
 def _checkpoint_path(args, command: str) -> str:
@@ -202,85 +178,40 @@ def _no_flags(parser) -> None:
 
 
 def _run_list(args) -> int:
-    entries = dict(_EXPERIMENTS)
+    entries = {name: spec.help for name, spec in PAPER.items()}
     entries.update((c.name, c.help) for c in _commands() if c.listed)
     for name, desc in entries.items():
         print(f"{name:8s} {desc}")
     return 0
 
 
-def _run_one(
+def _print_experiment(
     name: str,
-    profile: str,
+    profile,
     plot: bool = False,
-    json_path: str = None,
+    json_path: Optional[str] = None,
     check: bool = False,
-    executor: ParallelSweepExecutor = None,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> str:
-    if name == "table2":
-        table = run_table2(profile, executor=executor)
-        _maybe_save(json_path, table)
-        return table2_to_text(table)
-    if name == "table3":
-        table = run_table3(profile, executor=executor)
-        _maybe_save(json_path, table)
-        return table3_to_text(table)
-    if name == "fig5":
-        grid = run_mixed_grid(profile, executor=executor)
-        fig = FIGURES["fig5"](profile, grid=grid)
-        _maybe_save(json_path, fig)
-        text = figure_to_text(fig) + "\n\n" + table2_to_text(
-            run_table2(profile, grid=grid)
-        )
-        return text + ("\n\n" + _plot(fig) if plot else "")
-    runner = FIGURES.get(name)
-    if runner is None:
+    """Run one of the paper's experiments and print it with its wall
+    time; returns the rendered text."""
+    spec = PAPER.get(name)
+    if spec is None:
         raise SystemExit(f"unknown experiment {name!r}; try 'mediaworm list'")
-    show_latency = name in ("fig9",)
-    fig = runner(profile, executor=executor)
-    _maybe_save(json_path, fig)
-    text = figure_to_text(fig, show_be_latency=show_latency)
-    if plot:
-        text += "\n\n" + _plot(fig)
-    if check:
-        text += "\n\n" + _check(fig)
-    return text
-
-
-def _maybe_save(json_path, result) -> None:
+    started = time.perf_counter()
+    result = spec.run(profile, executor=executor)
     if json_path:
         save_result(json_path, result)
+    text = spec.render(result)
+    # a table has no sigma_d curve to plot and no claims to judge
+    if plot and isinstance(result, FigureData):
+        from repro.analysis.ascii_plot import figure_plot
 
+        text += "\n\n" + figure_plot(result, metric="sigma_d")
+    if check and isinstance(result, FigureData):
+        from repro.experiments.validation import check_claims, claims_to_text
 
-def _plot(fig) -> str:
-    from repro.analysis.ascii_plot import figure_plot
-
-    return figure_plot(fig, metric="sigma_d")
-
-
-def _check(fig) -> str:
-    from repro.experiments.validation import check_claims, claims_to_text
-
-    return "paper claims:\n" + claims_to_text(check_claims(fig))
-
-
-def _print_experiment(name: str, profile, **kwargs) -> str:
-    """Run one experiment (retrying with a reseeded profile on failure)
-    and print it with its wall time; returns the rendered text."""
-
-    def on_retry(attempt, exc) -> None:
-        print(
-            f"[{name} attempt {attempt + 1} failed "
-            f"({type(exc).__name__}); retrying with a fresh seed]",
-            file=sys.stderr,
-        )
-
-    started = time.perf_counter()
-    text = run_resilient(
-        lambda trial: _run_one(name, trial, **kwargs),
-        profile,
-        on_retry=on_retry,
-    )
+        text += "\n\npaper claims:\n" + claims_to_text(check_claims(result))
     print(text)
     print(f"[{name} completed in {time.perf_counter() - started:.1f}s]\n")
     return text
@@ -366,7 +297,8 @@ def _run_campaign(spec: Campaign, args) -> int:
     fig = spec.run(
         profile, values, checkpoint=checkpoint, log=print, executor=executor
     )
-    _maybe_save(args.json, fig)
+    if args.json:
+        save_result(args.json, fig)
     print(spec.render(fig))
     print(f"[{spec.name} completed in {time.perf_counter() - started:.1f}s]")
     checkpoint.clear()
@@ -430,7 +362,6 @@ def _run_trace(args) -> int:
     simulation-loop wall-time profiling.
     """
     from repro.experiments.config import SingleSwitchExperiment
-    from repro.experiments.figures import _base_kwargs
     from repro.experiments.runner import simulate
     from repro.obs import ALL_EVENTS, TraceSpec
 

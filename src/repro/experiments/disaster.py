@@ -40,9 +40,15 @@ import dataclasses
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import Axis, Campaign, Column, empty_metrics
+from repro.experiments.campaign import (
+    Axis,
+    Campaign,
+    Column,
+    Point,
+    _base_kwargs,
+    empty_metrics,
+)
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
-from repro.experiments.figures import Point, _base_kwargs
 from repro.experiments.runner import simulate, topology_of
 from repro.faults import DomainDownWindow, FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig

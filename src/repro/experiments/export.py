@@ -13,27 +13,12 @@ from pathlib import Path
 from typing import Dict, Union
 
 from repro.errors import ConfigurationError
-from repro.experiments.figures import FigureData, Point
+from repro.experiments.campaign import (
+    FigureData,
+    point_from_dict,
+    point_to_dict,
+)
 from repro.experiments.tables import Table2Data, Table3Data, Table3Row
-from repro.metrics.collector import RunMetrics
-
-
-def point_to_dict(point: Point) -> Dict:
-    """Flatten one sweep point (also the campaigns' checkpoint encoding)."""
-    return {
-        "x": point.x,
-        "metrics": dataclasses.asdict(point.metrics),
-        "extra": point.extra,
-    }
-
-
-def point_from_dict(data: Dict) -> Point:
-    """Rebuild a Point flattened by :func:`point_to_dict`."""
-    return Point(
-        x=data["x"],
-        metrics=RunMetrics(**data["metrics"]),
-        extra=dict(data.get("extra") or {}),
-    )
 
 
 def figure_to_dict(fig: FigureData) -> Dict:

@@ -31,9 +31,14 @@ import dataclasses
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import Axis, Campaign, Column
+from repro.experiments.campaign import (
+    Axis,
+    Campaign,
+    Column,
+    Point,
+    _base_kwargs,
+)
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.figures import Point, _base_kwargs
 from repro.experiments.runner import simulate, topology_of
 from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
 from repro.network.health import HealthConfig

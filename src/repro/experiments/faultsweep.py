@@ -19,9 +19,14 @@ import dataclasses
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import Axis, Campaign, Column
+from repro.experiments.campaign import (
+    Axis,
+    Campaign,
+    Column,
+    Point,
+    _base_kwargs,
+)
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.figures import Point, _base_kwargs
 from repro.experiments.runner import simulate
 from repro.faults import FaultPlan, RecoveryConfig
 

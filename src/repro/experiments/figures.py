@@ -1,60 +1,43 @@
-"""Sweep runners regenerating every figure of the paper's evaluation.
+"""The paper's evaluation as specs: Figures 3-9 and Tables 2-3.
 
-Each ``run_figN`` function performs the paper's parameter sweep and
-returns a :class:`FigureData` whose series carry the same quantities the
-figure plots (mean delivery interval ``d`` and its standard deviation
-``sigma_d`` in ms, plus best-effort latency where the figure shows it).
-
-Every runner accepts a :class:`RunProfile` controlling the workload
-scale and measurement horizon:
-
-* ``quick``   — smallest run that still shows the shape (CI/tests);
-* ``default`` — the benchmark setting: scale 20, a ~0.5 s simulated
-  window, minutes of wall time for the full suite;
-* ``full``    — paper-faithful time constants (scale 1); hours.
+Every figure is *series x one swept axis -> (d, sigma_d, best-effort
+latency)*, so each is a :class:`~repro.experiments.campaign.Campaign`
+spec beside its constants — series, axis defaults, experiment factory,
+the worker body reducing a run to its ``Point``, how the result prints
+— and :meth:`Campaign.run` is the sweep.  :data:`PAPER` collects them
+by name for ``mediaworm run`` / ``all`` / ``list``, the shape benches
+and the tests.  A custom sweep replaces the series and passes the axis
+values: ``replace(FIG9, series=(0.5,)).run("quick", values=((60, 40),))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from functools import partial
+from typing import Dict, Tuple
 
 from repro.core.schedulers import SchedulingPolicy
+from repro.experiments.campaign import (
+    Axis,
+    Campaign,
+    FigureData,
+    Point,
+    _base_kwargs,
+)
 from repro.experiments.config import (
     FatMeshExperiment,
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.parallel import SweepTask, execute_tasks
-from repro.experiments.runner import ExperimentResult, simulate
-from repro.metrics.collector import RunMetrics
+from repro.experiments.report import (
+    figure_to_text,
+    table2_to_text,
+    table3_to_text,
+)
+from repro.experiments.runner import simulate
+from repro.experiments.tables import Table2Data, table2, table3
 from repro.router.config import CrossbarKind
 from repro.router.flit import TrafficClass
-
-
-@dataclass(frozen=True)
-class RunProfile:
-    """Workload scale and horizon for a sweep."""
-
-    name: str
-    scale: float
-    warmup_frames: int
-    measure_frames: int
-    seed: int = 1
-    #: progress watchdog applied to every experiment of the sweep
-    #: (None = each sweep's own default; ``mediaworm --watchdog`` sets it)
-    watchdog_window: Optional[int] = None
-
-
-PROFILES: Dict[str, RunProfile] = {
-    # CI-sized: the smallest run that still exercises warmup + measure
-    "smoke": RunProfile("smoke", scale=100.0, warmup_frames=1, measure_frames=2),
-    "quick": RunProfile("quick", scale=40.0, warmup_frames=2, measure_frames=4),
-    "default": RunProfile(
-        "default", scale=20.0, warmup_frames=3, measure_frames=8
-    ),
-    "full": RunProfile("full", scale=1.0, warmup_frames=4, measure_frames=16),
-}
 
 #: load points used by the single-switch sweeps (Figs. 3-6)
 DEFAULT_LOADS: Tuple[float, ...] = (0.6, 0.7, 0.8, 0.9, 0.96)
@@ -67,165 +50,73 @@ FIG8_LOADS: Tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 #: load points of the fat-mesh study (Fig. 9)
 FIG9_LOADS: Tuple[float, ...] = (0.7, 0.8, 0.9)
 
-
-def get_profile(profile) -> RunProfile:
-    """Resolve a profile name or pass a RunProfile through."""
-    if isinstance(profile, RunProfile):
-        return profile
-    return PROFILES[profile]
+_load_label = "load={:g}".format
 
 
-@dataclass
-class Point:
-    """One sweep point: the x value and its run metrics."""
-
-    x: object
-    metrics: RunMetrics
-    extra: Dict = field(default_factory=dict)
-
-    @property
-    def d(self) -> float:
-        return self.metrics.mean_delivery_interval_ms
-
-    @property
-    def sigma_d(self) -> float:
-        return self.metrics.std_delivery_interval_ms
-
-    @property
-    def be_latency_us(self) -> float:
-        return self.metrics.be_latency_us
-
-
-@dataclass
-class FigureData:
-    """A reproduced figure: named series of sweep points."""
-
-    figure_id: str
-    title: str
-    xlabel: str
-    series: Dict[str, List[Point]]
-    notes: str = ""
-
-    def series_names(self) -> List[str]:
-        return list(self.series)
-
-    def rows(self) -> List[Tuple]:
-        """Flat (series, x, d, sigma_d, be_latency) tuples for reports."""
-        out = []
-        for name, points in self.series.items():
-            for p in points:
-                out.append((name, p.x, p.d, p.sigma_d, p.be_latency_us))
-        return out
-
-
-def _base_kwargs(profile: RunProfile) -> Dict:
-    kwargs = dict(
-        scale=profile.scale,
-        warmup_frames=profile.warmup_frames,
-        measure_frames=profile.measure_frames,
-        seed=profile.seed,
+def _switch(profile, load, mix=(100, 0), vcs_per_pc=16, **knobs):
+    """One run of the 8-port switch: 16 VCs and all-real-time traffic
+    unless the figure varies them."""
+    return SingleSwitchExperiment(
+        load=load,
+        mix=tuple(mix),
+        vcs_per_pc=vcs_per_pc,
+        **knobs,
+        **_base_kwargs(profile),
     )
-    if profile.watchdog_window is not None:
-        kwargs["watchdog_window"] = profile.watchdog_window
-    return kwargs
+
+
+def _load_point(experiment) -> Point:
+    """Worker body of the load sweeps: ``x`` is the offered load."""
+    return Point(experiment.load, simulate(experiment).metrics)
+
+
+def _mix_point(experiment) -> Point:
+    """Worker body of the mix sweeps: ``x`` is the mix as ``"80:20"``."""
+    mix = experiment.mix
+    return Point(f"{mix[0]:g}:{mix[1]:g}", simulate(experiment).metrics)
 
 
 # ----------------------------------------------------------------------
 # Figure 3 — Virtual Clock vs FIFO (16 VCs, 80:20 mix)
 
-
-def run_fig3(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    executor=None,
-) -> FigureData:
-    """MediaWorm's headline result: rate-based scheduling removes jitter.
-
-    The same 80:20 VBR/best-effort workload is offered to a 16-VC
-    multiplexed-crossbar router whose multiplexers run FIFO (a
-    conventional wormhole router) and Virtual Clock (MediaWorm).
-    """
-    profile = get_profile(profile)
-    loads = DEFAULT_LOADS if loads is None else loads
-    policies = (SchedulingPolicy.VIRTUAL_CLOCK, SchedulingPolicy.FIFO)
-    tasks = [
-        SweepTask(
-            key=f"{policy}@{load:g}",
-            runner=simulate,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(80, 20),
-                scheduler=policy,
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for policy in policies
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        policy: [
-            Point(load, results[f"{policy}@{load:g}"].metrics)
-            for load in loads
-        ]
-        for policy in policies
-    }
-    return FigureData(
-        figure_id="fig3",
-        title="Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
-        xlabel="input link load",
-        series=series,
-    )
-
+#: MediaWorm's headline result: rate-based scheduling removes jitter.
+#: The same 80:20 VBR/best-effort workload is offered to a 16-VC
+#: multiplexed-crossbar router whose multiplexers run FIFO (a
+#: conventional wormhole router) and Virtual Clock (MediaWorm).
+FIG3 = Campaign(
+    name="fig3",
+    help="Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
+    series=(SchedulingPolicy.VIRTUAL_CLOCK, SchedulingPolicy.FIFO),
+    axis=Axis(DEFAULT_LOADS, "g"),
+    experiment=lambda profile, policy, load: _switch(
+        profile, load, mix=(80, 20), scheduler=policy
+    ),
+    point=_load_point,
+    title="Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
+    xlabel="input link load",
+    text=figure_to_text,
+)
 
 # ----------------------------------------------------------------------
 # Figure 4 — CBR vs VBR (no best-effort traffic)
 
-
-def run_fig4(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    executor=None,
-) -> FigureData:
-    """CBR and VBR compared head-to-head with no best-effort component."""
-    profile = get_profile(profile)
-    loads = DEFAULT_LOADS if loads is None else loads
-    classes = (TrafficClass.VBR, TrafficClass.CBR)
-    tasks = [
-        SweepTask(
-            key=f"{rt_class}@{load:g}",
-            runner=simulate,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                rt_class=rt_class,
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for rt_class in classes
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        rt_class: [
-            Point(load, results[f"{rt_class}@{load:g}"].metrics)
-            for load in loads
-        ]
-        for rt_class in classes
-    }
-    return FigureData(
-        figure_id="fig4",
-        title="CBR vs VBR traffic (16 VCs, 400 Mbps links)",
-        xlabel="input link load",
-        series=series,
-    )
-
+#: CBR and VBR compared head-to-head with no best-effort component
+FIG4 = Campaign(
+    name="fig4",
+    help="CBR vs VBR traffic (no best-effort)",
+    series=(TrafficClass.VBR, TrafficClass.CBR),
+    axis=Axis(DEFAULT_LOADS, "g"),
+    experiment=lambda profile, rt_class, load: _switch(
+        profile, load, rt_class=rt_class
+    ),
+    point=_load_point,
+    title="CBR vs VBR traffic (16 VCs, 400 Mbps links)",
+    xlabel="input link load",
+    text=figure_to_text,
+)
 
 # ----------------------------------------------------------------------
 # Figure 5 / Table 2 — traffic mixes
-
 
 DEFAULT_MIXES: Tuple[Tuple[float, float], ...] = (
     (20, 80),
@@ -235,240 +126,201 @@ DEFAULT_MIXES: Tuple[Tuple[float, float], ...] = (
     (100, 0),
 )
 
-
-def run_mixed_grid(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    mixes: Optional[Sequence[Tuple[float, float]]] = None,
-    executor=None,
-) -> Dict[Tuple[Tuple[float, float], float], ExperimentResult]:
-    """The (mix x load) grid shared by Fig. 5 and Table 2."""
-    profile = get_profile(profile)
-    loads = DEFAULT_LOADS if loads is None else loads
-    mixes = DEFAULT_MIXES if mixes is None else mixes
-    tasks = [
-        SweepTask(
-            key=f"{mix[0]:g}:{mix[1]:g}@{load:g}",
-            runner=simulate,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=tuple(mix),
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for mix in mixes
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    return {
-        (tuple(mix), load): results[f"{mix[0]:g}:{mix[1]:g}@{load:g}"]
-        for mix in mixes
-        for load in loads
-    }
+#: mixes whose best-effort latency Table 2 reports (100:0 has none)
+TABLE2_MIXES: Tuple[Tuple[float, float], ...] = tuple(
+    mix for mix in DEFAULT_MIXES if mix[1]
+)
 
 
-def run_fig5(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    mixes: Optional[Sequence[Tuple[float, float]]] = None,
-    grid: Optional[Dict] = None,
-    executor=None,
-) -> FigureData:
-    """VBR jitter across traffic mixes: one series per input load."""
-    loads = DEFAULT_LOADS if loads is None else loads
-    mixes = DEFAULT_MIXES if mixes is None else mixes
-    if grid is None:
-        grid = run_mixed_grid(profile, loads, mixes, executor=executor)
-    series: Dict[str, List[Point]] = {}
-    for load in loads:
-        points = []
-        for mix in mixes:
-            key = (tuple(mix), load)
-            result = grid[key]
-            label = f"{mix[0]:g}:{mix[1]:g}"
-            points.append(Point(label, result.metrics))
-        series[f"load={load:g}"] = points
-    return FigureData(
-        figure_id="fig5",
-        title="Mixed traffic (16 VCs): jitter vs real-time proportion",
-        xlabel="real-time : best-effort mix",
-        series=series,
-    )
+def fig5_table2(fig: FigureData) -> Table2Data:
+    """Table 2 read off a Fig. 5 sweep's own points: the mixes that
+    carry best-effort traffic, one set of runs for both."""
+    points = {}
+    for name, series in fig.series.items():
+        load = float(name.partition("=")[2])
+        for point in series:
+            mix = tuple(float(share) for share in point.x.split(":"))
+            if mix[1]:
+                points[load, mix] = point
+    return table2(points)
 
+
+#: VBR jitter across traffic mixes: one series per input load
+FIG5 = Campaign(
+    name="fig5",
+    help="Mixed traffic ratios vs load",
+    series=DEFAULT_LOADS,
+    label=_load_label,
+    axis=Axis(DEFAULT_MIXES),
+    experiment=lambda profile, load, mix: _switch(profile, load, mix=mix),
+    point=_mix_point,
+    title="Mixed traffic (16 VCs): jitter vs real-time proportion",
+    xlabel="real-time : best-effort mix",
+    text=lambda fig: "\n\n".join(
+        [figure_to_text(fig), table2_to_text(fig5_table2(fig))]
+    ),
+)
+
+#: average best-effort latency for the (mix x load) grid: Fig. 5's
+#: sweep over the mixes that have any, reduced to the latencies
+TABLE2 = replace(
+    FIG5,
+    name="table2",
+    help="Best-effort latency per mix and load",
+    axis=Axis(TABLE2_MIXES),
+    table=table2,
+    text=table2_to_text,
+)
 
 # ----------------------------------------------------------------------
 # Figure 6 — VC count and crossbar capability
 
+#: (VCs per physical channel, crossbar) of each series, and its name
+FIG6_CONFIGS: Dict[Tuple[int, str], str] = {
+    (16, CrossbarKind.MULTIPLEXED): "16 VCs, multiplexed",
+    (8, CrossbarKind.MULTIPLEXED): "8 VCs, multiplexed",
+    (4, CrossbarKind.MULTIPLEXED): "4 VCs, multiplexed",
+    (4, CrossbarKind.FULL): "4 VCs, full crossbar",
+}
 
-def run_fig6(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    executor=None,
-) -> FigureData:
-    """More VCs vs a full crossbar with few VCs (100:0 traffic)."""
-    profile = get_profile(profile)
-    loads = FIG6_LOADS if loads is None else loads
-    configs = (
-        ("16 VCs, multiplexed", 16, CrossbarKind.MULTIPLEXED),
-        ("8 VCs, multiplexed", 8, CrossbarKind.MULTIPLEXED),
-        ("4 VCs, multiplexed", 4, CrossbarKind.MULTIPLEXED),
-        ("4 VCs, full crossbar", 4, CrossbarKind.FULL),
-    )
-    tasks = [
-        SweepTask(
-            key=f"{label}@{load:g}",
-            runner=simulate,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                vcs_per_pc=vcs,
-                crossbar=crossbar,
-                **_base_kwargs(profile),
-            ),
-        )
-        for label, vcs, crossbar in configs
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        label: [
-            Point(load, results[f"{label}@{load:g}"].metrics)
-            for load in loads
-        ]
-        for label, _, _ in configs
-    }
-    return FigureData(
-        figure_id="fig6",
-        title="Impact of VCs and crossbar capability (100:0)",
-        xlabel="input link load",
-        series=series,
-    )
-
+#: more VCs vs a full crossbar with few VCs (100:0 traffic)
+FIG6 = Campaign(
+    name="fig6",
+    help="VC count and crossbar capability",
+    series=tuple(FIG6_CONFIGS),
+    label=FIG6_CONFIGS.get,
+    axis=Axis(FIG6_LOADS, "g"),
+    experiment=lambda profile, config, load: _switch(
+        profile, load, vcs_per_pc=config[0], crossbar=config[1]
+    ),
+    point=_load_point,
+    title="Impact of VCs and crossbar capability (100:0)",
+    xlabel="input link load",
+    text=figure_to_text,
+)
 
 # ----------------------------------------------------------------------
 # Figure 7 — message size
 
 
-def run_fig7(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    message_sizes: Optional[Sequence[int]] = None,
-    executor=None,
-) -> FigureData:
-    """Effect of message size on VBR jitter, with header overhead.
+def _fig7_sizes(profile) -> Tuple[int, ...]:
+    # Paper sweep: 20, 40, 80, 160, 2560 flits at scale 1.  The
+    # largest size is meaningful only relative to the frame size
+    # (4167 flits), so it scales with the workload.
+    top = max(40, int(2560 / profile.scale))
+    return tuple(sorted({10, 20, 40, 80, 160, top}))
 
-    Each message carries one header flit, so small messages spend a
-    larger wire-bandwidth fraction on headers (1/20 = 5% at the paper's
-    default size) — the overhead visible at the left edge of Fig. 7.
-    The top of the paper's range (2560 flits, i.e. more than a whole
-    frame in one wormhole message) is scaled along with the workload.
-    """
-    profile = get_profile(profile)
-    loads = FIG7_LOADS if loads is None else loads
-    if message_sizes is None:
-        # Paper sweep: 20, 40, 80, 160, 2560 flits at scale 1.  The
-        # largest size is meaningful only relative to the frame size
-        # (4167 flits), so it scales with the workload.
-        top = max(40, int(2560 / profile.scale))
-        message_sizes = tuple(sorted({10, 20, 40, 80, 160, top}))
-    tasks = [
-        SweepTask(
-            key=f"load={load:g}@{size}",
-            runner=simulate,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                vcs_per_pc=16,
-                message_size=size,
-                header_flits=1,
-                **_base_kwargs(profile),
-            ),
-        )
-        for load in loads
-        for size in message_sizes
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        f"load={load:g}": [
-            Point(size, results[f"load={load:g}@{size}"].metrics)
-            for size in message_sizes
-        ]
-        for load in loads
-    }
-    return FigureData(
-        figure_id="fig7",
-        title="Effect of message size on jitter (16 VCs)",
-        xlabel="message size (flits)",
-        series=series,
-        notes="one header flit per message; sizes above the scaled frame "
-        "size collapse a frame into a single wormhole message",
-    )
 
+def _size_point(experiment) -> Point:
+    """Worker body of Fig. 7: ``x`` is the message size in flits."""
+    return Point(experiment.message_size, simulate(experiment).metrics)
+
+
+#: Effect of message size on VBR jitter, with header overhead.  Each
+#: message carries one header flit, so small messages spend a larger
+#: wire-bandwidth fraction on headers (1/20 = 5% at the paper's default
+#: size) — the overhead visible at the left edge of Fig. 7.  The top of
+#: the paper's range (2560 flits, i.e. more than a whole frame in one
+#: wormhole message) is scaled along with the workload.
+FIG7 = Campaign(
+    name="fig7",
+    help="Effect of message size on jitter",
+    series=FIG7_LOADS,
+    label=_load_label,
+    axis=Axis(_fig7_sizes),
+    experiment=lambda profile, load, size: _switch(
+        profile, load, message_size=size, header_flits=1
+    ),
+    point=_size_point,
+    title="Effect of message size on jitter (16 VCs)",
+    xlabel="message size (flits)",
+    notes="one header flit per message; sizes above the scaled frame "
+    "size collapse a frame into a single wormhole message",
+    text=figure_to_text,
+)
 
 # ----------------------------------------------------------------------
-# Figure 8 — MediaWorm vs PCS (100 Mbps, 24 VCs)
+# Figure 8 / Table 3 — MediaWorm vs PCS (100 Mbps, 24 VCs)
+
+#: the loads the paper's Table 3 samples
+TABLE3_LOADS: Tuple[float, ...] = (
+    0.37,
+    0.42,
+    0.64,
+    0.67,
+    0.74,
+    0.80,
+    0.87,
+    0.91,
+)
 
 
-def run_fig8(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    executor=None,
-) -> FigureData:
+def _fig8_experiment(profile, router: str, load: float):
     """Wormhole (MediaWorm) against the connection-oriented PCS router."""
-    profile = get_profile(profile)
-    loads = FIG8_LOADS if loads is None else loads
-    tasks = [
-        SweepTask(
-            key=f"wormhole@{load:g}",
-            runner=simulate,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                bandwidth_mbps=100.0,
-                vcs_per_pc=24,
-                **_base_kwargs(profile),
-            ),
-        )
-        for load in loads
-    ] + [
-        SweepTask(
-            key=f"pcs@{load:g}",
-            runner=simulate,
-            experiment=PCSExperiment(load=load, **_base_kwargs(profile)),
-        )
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {"wormhole": [], "pcs": []}
-    for load in loads:
-        wh = results[f"wormhole@{load:g}"]
-        series["wormhole"].append(Point(load, wh.metrics))
-        pcs = results[f"pcs@{load:g}"]
-        series["pcs"].append(
-            Point(
-                load,
-                pcs.metrics,
-                extra={
-                    "attempts": pcs.connections.attempts,
-                    "established": pcs.connections.established,
-                    "dropped": pcs.connections.dropped,
-                },
-            )
-        )
-    return FigureData(
-        figure_id="fig8",
-        title="MediaWorm vs PCS (8x8 switch, 100 Mbps, 24 VCs)",
-        xlabel="input link load",
-        series=series,
-        notes="PCS points accept only the connections that survived "
-        "setup; wormhole accepts every stream",
+    if router == "pcs":
+        return PCSExperiment(load=load, **_base_kwargs(profile))
+    return _switch(profile, load, bandwidth_mbps=100.0, vcs_per_pc=24)
+
+
+def _connections(result) -> Dict[str, int]:
+    stats = result.connections
+    return {
+        name: getattr(stats, name)
+        for name in ("attempts", "established", "dropped")
+    }
+
+
+def _fig8_point(experiment) -> Point:
+    """Worker body of Fig. 8: a PCS point also carries how many of its
+    connection attempts survived setup (a wormhole run has none)."""
+    result = simulate(experiment)
+    extra = _connections(result) if hasattr(result, "connections") else {}
+    return Point(experiment.load, result.metrics, extra=extra)
+
+
+def _table3_point(experiment) -> Point:
+    """Worker body of Table 3: a PCS run's whole connection accounting."""
+    result = simulate(experiment)
+    return Point(
+        experiment.load,
+        result.metrics,
+        extra=dict(
+            _connections(result),
+            offered=result.offered_streams,
+            abandoned=result.connections.abandoned_streams,
+        ),
     )
 
+
+FIG8 = Campaign(
+    name="fig8",
+    help="MediaWorm vs PCS router",
+    series=("wormhole", "pcs"),
+    axis=Axis(FIG8_LOADS, "g"),
+    experiment=_fig8_experiment,
+    point=_fig8_point,
+    title="MediaWorm vs PCS (8x8 switch, 100 Mbps, 24 VCs)",
+    xlabel="input link load",
+    notes="PCS points accept only the connections that survived "
+    "setup; wormhole accepts every stream",
+    text=figure_to_text,
+)
+
+#: attempted / established / dropped PCS connections per load: Fig. 8's
+#: PCS series at the loads the paper tabulates
+TABLE3 = replace(
+    FIG8,
+    name="table3",
+    help="PCS connection drop accounting",
+    series=("pcs",),
+    axis=Axis(TABLE3_LOADS, "g"),
+    point=_table3_point,
+    table=table3,
+    text=table3_to_text,
+)
 
 # ----------------------------------------------------------------------
 # Figure 9 — 2x2 fat mesh
-
 
 DEFAULT_FAT_MESH_MIXES: Tuple[Tuple[float, float], ...] = (
     (40, 60),
@@ -476,57 +328,24 @@ DEFAULT_FAT_MESH_MIXES: Tuple[Tuple[float, float], ...] = (
     (80, 20),
 )
 
+#: the 2x2 fat mesh: jitter and best-effort latency across mixes
+FIG9 = Campaign(
+    name="fig9",
+    help="2x2 fat-mesh performance",
+    series=FIG9_LOADS,
+    label=_load_label,
+    axis=Axis(DEFAULT_FAT_MESH_MIXES),
+    experiment=lambda profile, load, mix: FatMeshExperiment(
+        load=load, mix=tuple(mix), vcs_per_pc=16, **_base_kwargs(profile)
+    ),
+    point=_mix_point,
+    title="(2x2) fat mesh: jitter and best-effort latency",
+    xlabel="real-time : best-effort mix",
+    text=partial(figure_to_text, show_be_latency=True),
+)
 
-def run_fig9(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    mixes: Optional[Sequence[Tuple[float, float]]] = None,
-    executor=None,
-) -> FigureData:
-    """The 2x2 fat mesh: jitter and best-effort latency across mixes."""
-    profile = get_profile(profile)
-    loads = FIG9_LOADS if loads is None else loads
-    mixes = DEFAULT_FAT_MESH_MIXES if mixes is None else mixes
-    tasks = [
-        SweepTask(
-            key=f"load={load:g}@{mix[0]:g}:{mix[1]:g}",
-            runner=simulate,
-            experiment=FatMeshExperiment(
-                load=load,
-                mix=tuple(mix),
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for load in loads
-        for mix in mixes
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        f"load={load:g}": [
-            Point(
-                f"{mix[0]:g}:{mix[1]:g}",
-                results[f"load={load:g}@{mix[0]:g}:{mix[1]:g}"].metrics,
-            )
-            for mix in mixes
-        ]
-        for load in loads
-    }
-    return FigureData(
-        figure_id="fig9",
-        title="(2x2) fat mesh: jitter and best-effort latency",
-        xlabel="real-time : best-effort mix",
-        series=series,
-    )
-
-
-#: registry used by the CLI and the benchmarks
-FIGURES = {
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "fig8": run_fig8,
-    "fig9": run_fig9,
+#: what ``mediaworm run`` accepts, in ``mediaworm list`` order
+PAPER: Dict[str, Campaign] = {
+    spec.name: spec
+    for spec in (FIG3, FIG4, FIG5, FIG6, FIG7, FIG8, FIG9, TABLE2, TABLE3)
 }

@@ -8,7 +8,9 @@ execution order.  That makes them safe to farm out to worker processes:
 a point computed in a pool worker is bit-identical to the same point
 computed inline.
 
-Three layers of resilience, mirroring the serial path:
+The executor is the one way a sweep runs (inline at ``jobs=1``), so
+every point of every figure, table and campaign gets three layers of
+resilience:
 
 * **per-point retry** — workers run points through
   :func:`~repro.experiments.resilience.run_resilient`, so a wedged
@@ -335,19 +337,3 @@ class ParallelSweepExecutor:
                     del unfinished[task.key]
                     self._record(task, result, results, checkpoint, encode)
         return [task for task in pending if task.key in unfinished]
-
-
-def execute_tasks(
-    tasks: Sequence[SweepTask],
-    executor: Optional[ParallelSweepExecutor] = None,
-) -> Dict[str, object]:
-    """Run tasks through ``executor``, or plainly inline when ``None``.
-
-    The ``None`` path calls each runner directly — no retries, no
-    portable conversion — preserving the exact behaviour sweep callers
-    had before executors existed (live workloads included), so existing
-    single-point consumers and tests see no change.
-    """
-    if executor is not None:
-        return executor.run(tasks)
-    return {task.key: task.runner(task.experiment) for task in tasks}

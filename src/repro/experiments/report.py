@@ -10,8 +10,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence
 
-from repro.experiments.figures import FigureData
-from repro.experiments.tables import Table2Data, Table3Data
+from repro.experiments.campaign import FigureData
+from repro.experiments.tables import (
+    SATURATION_LATENCY_US,
+    Table2Data,
+    Table3Data,
+)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -72,14 +76,8 @@ def table2_to_text(data: Table2Data) -> str:
         "== table2: Average latency for best-effort traffic (us) ==\n"
         + format_table(headers, rows)
         + f"\n('Sat.' marks latencies beyond "
-        f"{int(round(float(_SAT())))} us, as in the paper)"
+        f"{int(round(SATURATION_LATENCY_US))} us, as in the paper)"
     )
-
-
-def _SAT() -> float:
-    from repro.experiments.tables import SATURATION_LATENCY_US
-
-    return SATURATION_LATENCY_US
 
 
 def table3_to_text(data: Table3Data) -> str:

@@ -181,12 +181,7 @@ class SweepCheckpoint:
                 pass
 
 
-def run_resilient(
-    runner: Callable,
-    experiment,
-    attempts: int = 3,
-    on_retry: Optional[Callable[[int, SimulationError], None]] = None,
-):
+def run_resilient(runner: Callable, experiment, attempts: int = 3):
     """Run one sweep point, retrying with a fresh seed on failure.
 
     The last attempt's error propagates when every retry fails.
@@ -204,6 +199,4 @@ def run_resilient(
             return runner(trial)
         except SimulationError as exc:
             last_error = exc
-            if on_retry is not None:
-                on_retry(attempt, exc)
     raise last_error

@@ -1,48 +1,24 @@
-"""Runners regenerating the paper's numeric tables.
+"""The paper's numeric tables: result types and point reducers.
 
 * Table 2 — average best-effort latency (us) per traffic mix and load,
-  reusing the Fig. 5 grid of runs.
+  over the Fig. 5 grid of runs.
 * Table 3 — attempted / established / dropped connections of the PCS
   router across input loads.
+
+The sweeps are the ``TABLE2`` / ``TABLE3`` specs of
+:mod:`repro.experiments.figures`, whose ``table`` is :func:`table2` /
+:func:`table3`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.experiments.config import PCSExperiment
-from repro.experiments.figures import (
-    DEFAULT_LOADS,
-    RunProfile,
-    get_profile,
-    run_mixed_grid,
-)
-from repro.experiments.parallel import SweepTask, execute_tasks
-from repro.experiments.runner import PCSResult, simulate
+from repro.experiments.campaign import Point
 
 #: the paper marks saturated best-effort latencies as "Sat."
 SATURATION_LATENCY_US = 1000.0
-
-#: mixes whose best-effort latency Table 2 reports (100:0 has none)
-TABLE2_MIXES: Tuple[Tuple[float, float], ...] = (
-    (20, 80),
-    (50, 50),
-    (80, 20),
-    (90, 10),
-)
-
-#: the loads the paper's Table 3 samples
-TABLE3_LOADS: Tuple[float, ...] = (
-    0.37,
-    0.42,
-    0.64,
-    0.67,
-    0.74,
-    0.80,
-    0.87,
-    0.91,
-)
 
 
 @dataclass
@@ -66,25 +42,15 @@ class Table2Data:
         return f"{value:.1f}"
 
 
-def run_table2(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    mixes: Optional[Sequence[Tuple[float, float]]] = None,
-    grid: Optional[Dict] = None,
-    executor=None,
-) -> Table2Data:
-    """Average best-effort latency for the (mix x load) grid."""
-    loads = DEFAULT_LOADS if loads is None else loads
-    mixes = TABLE2_MIXES if mixes is None else mixes
-    if grid is None:
-        grid = run_mixed_grid(profile, loads, mixes, executor=executor)
-    latency: Dict[Tuple[Tuple[float, float], float], float] = {}
-    for mix in mixes:
-        for load in loads:
-            result = grid[(tuple(mix), load)]
-            latency[(tuple(mix), load)] = result.metrics.be_latency_us
+def table2(points: Dict[tuple, Point]) -> Table2Data:
+    """Table 2 of a ``{(load, mix): Point}`` sweep: best-effort latency."""
     return Table2Data(
-        loads=list(loads), mixes=[tuple(m) for m in mixes], latency_us=latency
+        loads=list(dict.fromkeys(load for load, _ in points)),
+        mixes=list(dict.fromkeys(mix for _, mix in points)),
+        latency_us={
+            (mix, load): point.be_latency_us
+            for (load, mix), point in points.items()
+        },
     )
 
 
@@ -112,49 +78,14 @@ class Table3Data:
             assert row.attempts == row.established + row.dropped, row
 
 
-def run_table3(
-    profile="default",
-    loads: Optional[Sequence[float]] = None,
-    executor=None,
-) -> Table3Data:
-    """Attempted / established / dropped PCS connections per load."""
-    profile = get_profile(profile)
-    loads = TABLE3_LOADS if loads is None else loads
-    tasks = [
-        SweepTask(
-            key=f"pcs@{load:g}",
-            runner=simulate,
-            experiment=PCSExperiment(
-                load=load,
-                scale=profile.scale,
-                warmup_frames=profile.warmup_frames,
-                measure_frames=profile.measure_frames,
-                seed=profile.seed,
-            ),
-        )
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    rows: List[Table3Row] = []
-    for load in loads:
-        result: PCSResult = results[f"pcs@{load:g}"]
-        stats = result.connections
-        rows.append(
-            Table3Row(
-                load=load,
-                attempts=stats.attempts,
-                established=stats.established,
-                dropped=stats.dropped,
-                offered=result.offered_streams,
-                abandoned=stats.abandoned_streams,
-            )
-        )
-    data = Table3Data(rows=rows)
+def table3(points: Dict[tuple, Point]) -> Table3Data:
+    """Table 3 of a ``{("pcs", load): Point}`` sweep whose points carry
+    the connection accounting as extras."""
+    data = Table3Data(
+        rows=[
+            Table3Row(load=load, **point.extra)
+            for (_, load), point in points.items()
+        ]
+    )
     data.check()
     return data
-
-
-TABLES = {
-    "table2": run_table2,
-    "table3": run_table3,
-}

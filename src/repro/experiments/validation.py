@@ -22,7 +22,7 @@ from repro.analysis import (
     monotonic_tail,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.figures import FigureData
+from repro.experiments.campaign import FigureData
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.schedulers import SchedulingPolicy
@@ -147,6 +149,16 @@ def deliver_all(network: Network, max_cycles: int = 100_000) -> None:
 
 
 TINY = dict(scale=100.0, warmup_frames=1, measure_frames=2, seed=7)
+
+
+def with_sweep(spec, *values):
+    """``spec`` with its default sweep shrunk to ``values``.
+
+    The CLI runs the specs it finds in ``figures.PAPER``, so a test
+    shrinks a figure with ``monkeypatch.setitem(PAPER, name, ...)``.
+    """
+    axis = dataclasses.replace(spec.axis, defaults=values)
+    return dataclasses.replace(spec, axis=axis)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.ascii_plot import ascii_xy_plot, figure_plot, sparkline
 from repro.errors import ConfigurationError
-from repro.experiments.figures import FigureData, Point
+from repro.experiments.campaign import FigureData, Point
 from repro.metrics.collector import RunMetrics
 
 

@@ -11,7 +11,12 @@ checkpoint written by the old code still restores.
 """
 
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,13 +28,13 @@ from repro.experiments.campaign import (
     Axis,
     Campaign,
     Column,
+    Point,
     any_failed,
     campaigns,
     empty_metrics,
 )
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.export import figure_to_dict, load_result
-from repro.experiments.figures import Point
 from repro.experiments.resilience import SweepCheckpoint
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.collector import RunMetrics
@@ -578,3 +583,62 @@ class TestRegisteredCampaign:
                 "sizes": [1, 2],
             }
         }
+
+
+# ----------------------------------------------------------------------
+# kill -9 mid-campaign, rerun: the real simulator, the real CLI
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGKILL"), reason="needs signal.SIGKILL"
+)
+def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
+    """A campaign killed outright resumes from its checkpoint: finished
+    points are restored, not recomputed, and the artifact is the one an
+    uninterrupted run writes."""
+    checkpoint, out_json = tmp_path / "ckpt.json", tmp_path / "faults.json"
+    sweep = ["faults", "--profile", "smoke", "--rates", "0,0.005"]
+    argv = sweep + ["--checkpoint", str(checkpoint), "--json", str(out_json)]
+    src = str(Path(campaign.__file__).parents[2])
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not checkpoint.exists():
+            assert victim.poll() is None, "campaign ended before any point"
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+    finally:
+        victim.kill()
+        victim.wait(timeout=30)
+    assert victim.returncode == -signal.SIGKILL
+    done = list(json.loads(checkpoint.read_text())["done"])
+    keys = ["virtual_clock@0", "virtual_clock@0.005", "fifo@0", "fifo@0.005"]
+    assert done and done == keys[: len(done)] and not out_json.exists()
+
+    from repro.experiments import faultsweep
+
+    runs = []
+
+    def counted(experiment, simulate=faultsweep.simulate):
+        runs.append(experiment)
+        return simulate(experiment)
+
+    monkeypatch.setattr(faultsweep, "simulate", counted)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "restored" in line] == [
+        f"[faults] {key}: restored from checkpoint" for key in done
+    ]
+    assert len(runs) == len(keys) - len(done)
+    assert not checkpoint.exists()
+
+    whole = tmp_path / "uninterrupted.json"
+    fresh = ["--fresh", "--checkpoint", str(tmp_path / "other.json")]
+    assert cli.main(sweep + fresh + ["--json", str(whole)]) == 0
+    assert len(runs) == 2 * len(keys) - len(done)
+    assert out_json.read_bytes() == whole.read_bytes()

@@ -4,23 +4,21 @@ import argparse
 
 import pytest
 
+from conftest import with_sweep
+
 import repro.experiments.cli as cli
-from repro.experiments.figures import PROFILES, RunProfile
+from repro.experiments.campaign import PROFILES, RunProfile
+from repro.experiments.figures import PAPER
 
 TINY = RunProfile("tiny", scale=80.0, warmup_frames=1, measure_frames=2)
 
 
 @pytest.fixture(autouse=True)
 def tiny_profile(monkeypatch):
-    """Register a 'tiny' profile and shrink the default sweeps."""
+    """Register a 'tiny' profile and shrink the sweeps the tests run."""
     monkeypatch.setitem(PROFILES, "tiny", TINY)
-    import repro.experiments.figures as figures
-
-    monkeypatch.setattr(figures, "DEFAULT_LOADS", (0.5,))
-    monkeypatch.setattr(figures, "DEFAULT_MIXES", ((80, 20),))
-    import repro.experiments.tables as tables
-
-    monkeypatch.setattr(tables, "TABLE3_LOADS", (0.5,))
+    for name in ("fig3", "table3"):
+        monkeypatch.setitem(PAPER, name, with_sweep(PAPER[name], 0.5))
 
 
 class TestCli:

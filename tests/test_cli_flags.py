@@ -1,9 +1,14 @@
 """CLI flags: --plot, --check, and their interaction."""
 
+from dataclasses import replace
+
 import pytest
 
+from conftest import with_sweep
+
 import repro.experiments.cli as cli
-from repro.experiments.figures import PROFILES, RunProfile
+from repro.experiments.campaign import PROFILES, RunProfile
+from repro.experiments.figures import PAPER
 
 TINY = RunProfile("tiny2", scale=100.0, warmup_frames=1, measure_frames=2)
 
@@ -11,9 +16,12 @@ TINY = RunProfile("tiny2", scale=100.0, warmup_frames=1, measure_frames=2)
 @pytest.fixture(autouse=True)
 def tiny_profile(monkeypatch):
     monkeypatch.setitem(PROFILES, "tiny2", TINY)
-    import repro.experiments.figures as figures
-
-    monkeypatch.setattr(figures, "DEFAULT_LOADS", (0.4, 0.5))
+    for name in ("fig3", "fig4", "table3"):
+        monkeypatch.setitem(PAPER, name, with_sweep(PAPER[name], 0.4, 0.5))
+    one_load = replace(PAPER["fig5"], series=(0.6,))
+    monkeypatch.setitem(
+        PAPER, "fig5", with_sweep(one_load, (80, 20), (100, 0))
+    )
 
 
 class TestPlotFlag:
@@ -52,3 +60,21 @@ class TestCheckFlag:
         out = capsys.readouterr().out
         assert "paper claims:" in out
         assert "sigma_d vs input link load" in out
+
+    def test_fig5_check_follows_its_table2(self, capsys):
+        """``run fig5`` prints Table 2 from the same points; ``--plot``
+        and ``--check`` still apply to the figure (the claims used to
+        be dropped silently)."""
+        assert cli.main(["run", "fig5", "--profile", "tiny2", "--check"]) == 0
+        out = capsys.readouterr().out
+        table2 = out.index("== table2: Average latency")
+        assert out.index("== fig5:") < table2 < out.index("paper claims:")
+        assert "no jitter at load 0.6 for any mix" in out
+        assert "[PASS]" in out or "[FAIL]" in out
+
+    def test_a_table_has_nothing_to_plot_or_check(self, capsys):
+        argv = ["run", "table3", "--profile", "tiny2", "--plot", "--check"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "== table3:" in out
+        assert "paper claims:" not in out and "sigma_d vs" not in out

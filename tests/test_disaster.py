@@ -8,6 +8,7 @@ from conftest import TINY
 
 from repro.errors import FaultConfigError
 from repro.experiments import disaster
+from repro.experiments.campaign import get_profile
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.disaster import (
     CAMPAIGN,
@@ -15,7 +16,6 @@ from repro.experiments.disaster import (
     CAMPAIGN_TOPOLOGIES,
     _campaign_experiment,
 )
-from repro.experiments.figures import get_profile
 from repro.experiments.runner import (
     ExperimentResult,
     simulate_butterfly,

@@ -786,3 +786,48 @@ class TestOneSimulate:
             "experiments/runner.py",
         ]
         assert len(alias_lines["experiments/runner.py"]) == 1
+
+
+class TestOneSkeleton:
+    """A figure is a spec: one place builds sweep tasks, one path runs
+    them, one layer retries them."""
+
+    def test_one_task_builder_one_path_one_retry_layer(self):
+        """Under ``src/repro`` only the two campaign skeletons construct
+        a ``SweepTask``, ``execute_tasks`` (the bare second path) is
+        gone, only the executor's worker body calls ``run_resilient``,
+        and what a pool worker imports — ``parallel`` and ``runner`` —
+        reaches none of the spec layer."""
+        package = SRC / "repro"
+        spec_layer = {"campaign", "figures", "tables", "cli"}
+        builders, retriers, bare_path, leaks = [], [], [], []
+        for path in sorted(package.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            name = path.relative_to(package).as_posix()
+            if "execute_tasks" in source:
+                bare_path.append(name)
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id == "SweepTask":
+                        builders.append(name)
+                    elif node.func.id == "run_resilient":
+                        retriers.append(name)
+                elif name in ("experiments/parallel.py", "experiments/runner.py"):
+                    if isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""] + [
+                            f"{node.module}.{alias.name}" for alias in node.names
+                        ]
+                    elif isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    else:
+                        continue
+                    leaks += [
+                        (name, module)
+                        for module in modules
+                        if module.startswith("repro.experiments")
+                        and module.rpartition(".")[2] in spec_layer
+                    ]
+        assert builders == ["chaos/campaign.py", "experiments/campaign.py"]
+        assert retriers == ["experiments/parallel.py"]
+        assert bare_path == []
+        assert leaks == []

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from conftest import with_sweep
+
 from repro.errors import ConfigurationError
+from repro.experiments.campaign import FigureData, Point
 from repro.experiments.export import (
     figure_from_dict,
     figure_to_dict,
@@ -15,7 +18,6 @@ from repro.experiments.export import (
     table3_from_dict,
     table3_to_dict,
 )
-from repro.experiments.figures import FigureData, Point
 from repro.experiments.tables import Table2Data, Table3Data, Table3Row
 from repro.metrics.collector import RunMetrics
 
@@ -122,15 +124,15 @@ class TestFileIo:
 
     def test_cli_json_flag(self, tmp_path, monkeypatch):
         import repro.experiments.cli as cli
-        from repro.experiments.figures import PROFILES, RunProfile
-        import repro.experiments.figures as figures
+        from repro.experiments.campaign import PROFILES, RunProfile
+        from repro.experiments.figures import FIG3, PAPER
 
         monkeypatch.setitem(
             PROFILES,
             "tiny",
             RunProfile("tiny", scale=100.0, warmup_frames=1, measure_frames=2),
         )
-        monkeypatch.setattr(figures, "DEFAULT_LOADS", (0.4,))
+        monkeypatch.setitem(PAPER, "fig3", with_sweep(FIG3, 0.4))
         out = tmp_path / "fig3.json"
         assert (
             cli.main(

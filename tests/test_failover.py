@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import failover
+from repro.experiments.campaign import get_profile
 from repro.experiments.config import FatMeshExperiment
 from repro.experiments.failover import (
     CAMPAIGN,
@@ -14,7 +15,6 @@ from repro.experiments.failover import (
     _fat_pair_windows,
 )
 from repro.experiments.faultsweep import CAMPAIGN as FAULTS
-from repro.experiments.figures import get_profile
 from repro.experiments.parallel import sweep_fingerprint
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.collector import RunMetrics

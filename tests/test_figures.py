@@ -1,24 +1,24 @@
 """Figure/table harness: structure of reproduced sweeps (tiny profile)."""
 
-import math
+from dataclasses import replace
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import PROFILES, RunProfile, get_profile
 from repro.experiments.figures import (
-    FIGURES,
-    PROFILES,
-    RunProfile,
-    get_profile,
-    run_fig3,
-    run_fig4,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_mixed_grid,
-    run_fig5,
+    FIG3,
+    FIG4,
+    FIG5,
+    FIG6,
+    FIG7,
+    FIG8,
+    FIG9,
+    PAPER,
+    TABLE2,
+    TABLE3,
+    fig5_table2,
 )
-from repro.experiments.tables import run_table2, run_table3
 
 #: one-point sweeps at a very coarse scale: structure tests, not physics
 TINY = RunProfile("tiny", scale=80.0, warmup_frames=1, measure_frames=2)
@@ -34,68 +34,89 @@ class TestProfiles:
         assert get_profile(TINY) is TINY
 
     def test_unknown_profile_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="'huge'.*default.*quick"):
             get_profile("huge")
+        with pytest.raises(ConfigurationError, match="'huge'"):
+            FIG3.run("huge")
 
 
 class TestFigureRunners:
     def test_registry_covers_every_figure(self):
-        assert set(FIGURES) == {
+        assert list(PAPER) == [
             "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-        }
+            "table2", "table3",
+        ]
+        for name, spec in PAPER.items():
+            assert spec.name == name
+            assert spec.help
 
     def test_fig3_series(self):
-        fig = run_fig3(TINY, loads=(0.5,))
+        fig = FIG3.run(TINY, values=(0.5,))
+        assert fig.figure_id == "fig3"
         assert set(fig.series) == {"virtual_clock", "fifo"}
         for points in fig.series.values():
             assert len(points) == 1
             assert points[0].d == pytest.approx(33.0, abs=2.0)
 
     def test_fig4_series(self):
-        fig = run_fig4(TINY, loads=(0.5,))
+        fig = FIG4.run(TINY, values=(0.5,))
         assert set(fig.series) == {"vbr", "cbr"}
 
     def test_fig5_and_table2_share_grid(self):
-        mixes = ((50, 50), (80, 20))
-        loads = (0.5,)
-        grid = run_mixed_grid(TINY, loads, mixes)
-        fig = run_fig5(TINY, loads, mixes, grid=grid)
-        table = run_table2(TINY, loads, mixes, grid=grid)
+        mixes = ((50, 50), (80, 20), (100, 0))
+        fig = replace(FIG5, series=(0.5,)).run(TINY, values=mixes)
         assert set(fig.series) == {"load=0.5"}
-        assert len(fig.series["load=0.5"]) == 2
-        assert table.cell((80, 20), 0.5) == grid[
-            ((80, 20), 0.5)
-        ].metrics.be_latency_us
+        points = fig.series["load=0.5"]
+        assert [p.x for p in points] == ["50:50", "80:20", "100:0"]
+        # Table 2 is read off the same points; 100:0 has no best effort
+        table = fig5_table2(fig)
+        assert table.loads == [0.5]
+        assert table.mixes == [(50, 50), (80, 20)]
+        assert table.cell((80, 20), 0.5) == points[1].be_latency_us
+        # and the table2 spec, run on its own, fills the same cells
+        alone = replace(TABLE2, series=(0.5,)).run(TINY, values=mixes[:2])
+        assert alone.latency_us == table.latency_us
 
     def test_fig6_config_labels(self):
-        fig = run_fig6(TINY, loads=(0.5,))
-        assert "4 VCs, full crossbar" in fig.series
-        assert len(fig.series) == 4
+        fig = FIG6.run(TINY, values=(0.5,))
+        assert list(fig.series) == [
+            "16 VCs, multiplexed",
+            "8 VCs, multiplexed",
+            "4 VCs, multiplexed",
+            "4 VCs, full crossbar",
+        ]
 
     def test_fig7_message_sizes_sweep(self):
-        fig = run_fig7(TINY, loads=(0.5,), message_sizes=(10, 20))
+        fig = replace(FIG7, series=(0.5,)).run(TINY, values=(10, 20))
         points = fig.series["load=0.5"]
         assert [p.x for p in points] == [10, 20]
 
+    def test_fig7_top_size_scales_with_the_profile(self):
+        sizes = FIG7.axis.defaults
+        assert sizes(PROFILES["full"]) == (10, 20, 40, 80, 160, 2560)
+        assert sizes(PROFILES["quick"]) == (10, 20, 40, 64, 80, 160)
+        assert sizes(PROFILES["smoke"]) == (10, 20, 40, 80, 160)
+
     def test_fig8_includes_pcs_accounting(self):
-        fig = run_fig8(TINY, loads=(0.4,))
+        fig = FIG8.run(TINY, values=(0.4,))
+        assert fig.series["wormhole"][0].extra == {}
         pcs_point = fig.series["pcs"][0]
-        assert "established" in pcs_point.extra
+        assert sorted(pcs_point.extra) == ["attempts", "dropped", "established"]
         assert pcs_point.extra["attempts"] >= pcs_point.extra["established"]
 
     def test_fig9_uses_mix_labels(self):
-        fig = run_fig9(TINY, loads=(0.5,), mixes=((60, 40),))
+        fig = replace(FIG9, series=(0.5,)).run(TINY, values=((60, 40),))
         assert [p.x for p in fig.series["load=0.5"]] == ["60:40"]
 
 
 class TestTableRunners:
     def test_table2_saturation_formatting(self):
-        table = run_table2(TINY, loads=(0.5,), mixes=((50, 50),))
+        table = replace(TABLE2, series=(0.5,)).run(TINY, values=((50, 50),))
         text = table.cell_text((50, 50), 0.5)
         assert text == "Sat." or float(text) >= 0
 
     def test_table3_rows_and_identity(self):
-        table = run_table3(TINY, loads=(0.4, 0.9))
+        table = TABLE3.run(TINY, values=(0.4, 0.9))
         assert len(table.rows) == 2
         for row in table.rows:
             assert row.attempts == row.established + row.dropped

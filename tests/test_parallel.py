@@ -11,7 +11,6 @@ from repro.experiments.parallel import (
     CRASH_RESEED_STEP,
     ParallelSweepExecutor,
     SweepTask,
-    execute_tasks,
 )
 from repro.experiments.resilience import SweepCheckpoint
 from repro.experiments.runner import WorkloadSummary, simulate_single_switch
@@ -124,11 +123,6 @@ class TestInline:
         )
         assert list(results) == ["good"]
         assert seen == ["bad"]
-
-    def test_execute_tasks_without_executor_is_plain(self):
-        """The None path: runner called directly, no portable conversion."""
-        results = execute_tasks([SweepTask("a", double_seed, StubExperiment())])
-        assert results["a"].portable_calls == 0
 
 
 class TestCheckpoint:

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.experiments.figures import FigureData, Point
+from repro.experiments.campaign import FigureData, Point
 from repro.experiments.report import (
     figure_to_text,
     format_table,

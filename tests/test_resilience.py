@@ -9,14 +9,14 @@ import time
 
 import pytest
 
-from conftest import TINY
+from conftest import TINY, with_sweep
 
 import repro.experiments.cli as cli
 import repro.experiments.faultsweep as faultsweep
+import repro.experiments.figures as figures
 from repro.errors import DeadlockError, PointTimeoutError, SimulationError
-from repro.experiments.campaign import empty_metrics
+from repro.experiments.campaign import PROFILES, RunProfile, empty_metrics
 from repro.experiments.config import SingleSwitchExperiment
-from repro.experiments.figures import PROFILES, RunProfile
 from repro.experiments.parallel import CRASH_RESEED_STEP
 from repro.experiments.resilience import (
     RESEED_STEP,
@@ -237,7 +237,6 @@ class TestRunResilient:
     def test_retries_with_reseeded_experiment(self):
         experiment = self._experiment()
         seeds = []
-        retries = []
 
         def flaky(trial):
             seeds.append(trial.seed)
@@ -245,26 +244,26 @@ class TestRunResilient:
                 raise DeadlockError("wedged")
             return "recovered"
 
-        result = run_resilient(
-            flaky,
-            experiment,
-            attempts=3,
-            on_retry=lambda attempt, exc: retries.append(attempt),
-        )
-        assert result == "recovered"
+        assert run_resilient(flaky, experiment, attempts=3) == "recovered"
+        # one call per attempt, and none after the one that succeeds
         assert seeds == [
             experiment.seed,
             experiment.seed + RESEED_STEP,
             experiment.seed + 2 * RESEED_STEP,
         ]
-        assert retries == [0, 1]
 
     def test_exhausted_attempts_raise_the_last_error(self):
+        calls = []
+
         def always_fails(trial):
+            calls.append(trial.seed)
             raise DeadlockError(f"seed {trial.seed} wedged")
 
-        with pytest.raises(DeadlockError, match="wedged"):
-            run_resilient(always_fails, self._experiment(), attempts=2)
+        experiment = self._experiment()
+        last = experiment.seed + RESEED_STEP
+        with pytest.raises(DeadlockError, match=f"seed {last} wedged"):
+            run_resilient(always_fails, experiment, attempts=2)
+        assert calls == [experiment.seed, last]
 
     def test_non_simulation_errors_propagate_immediately(self):
         calls = []
@@ -323,6 +322,45 @@ class TestFaultCampaign:
         text = faultsweep.CAMPAIGN.render(fig)
         assert "scheduler" in text
         assert "0.9950" in text
+
+
+class TestOneRetryLayer:
+    """``mediaworm run`` retries per point, inside the point's worker,
+    and nowhere else.  The whole figure used to be rerun around that:
+    one permanently failing point of a 4-point fig. 3 cost 12
+    ``simulate`` calls (18 with ``--point-timeout``, the bad point 9
+    times under five stacked seeds)."""
+
+    @pytest.mark.parametrize("flags", [[], ["--point-timeout", "60"]])
+    def test_failing_point_runs_attempts_times_healthy_points_once(
+        self, flags, monkeypatch, tiny_profile, capsys
+    ):
+        monkeypatch.setitem(
+            figures.PAPER, "fig3", with_sweep(figures.FIG3, 0.4, 0.5)
+        )
+        calls = []
+
+        def fake(experiment):
+            point = (experiment.scheduler, experiment.load)
+            calls.append(point + (experiment.seed,))
+            if point == ("fifo", 0.5):
+                raise DeadlockError("router 0 wedged")
+            return _fake_result(None, 0)
+
+        monkeypatch.setattr(figures, "simulate", fake)
+        with pytest.raises(SimulationError, match="router 0 wedged"):
+            cli.main(["run", "fig3", "--profile", "tiny", *flags])
+        assert calls == [
+            ("virtual_clock", 0.4, 1),
+            ("virtual_clock", 0.5, 1),
+            ("fifo", 0.4, 1),
+            ("fifo", 0.5, 1),
+            ("fifo", 0.5, 1 + RESEED_STEP),
+            ("fifo", 0.5, 1 + 2 * RESEED_STEP),
+        ]
+        captured = capsys.readouterr()
+        assert "retrying" not in captured.err
+        assert "completed in" not in captured.out
 
 
 class TestCliResilience:

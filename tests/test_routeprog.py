@@ -18,6 +18,7 @@ import pytest
 from repro.chaos.scenario import ScenarioSpace, generate
 from repro.errors import RoutingError
 from repro.experiments import disaster, failover, runner
+from repro.experiments.campaign import get_profile
 from repro.experiments.config import (
     ButterflyExperiment,
     FatMeshExperiment,
@@ -26,7 +27,6 @@ from repro.experiments.config import (
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.figures import get_profile
 from repro.experiments.parallel import sweep_fingerprint
 from repro.experiments.runner import (
     _cached_topology,

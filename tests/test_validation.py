@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.figures import FigureData, Point
+from repro.experiments.campaign import FigureData, Point
 from repro.experiments.validation import (
     CHECKERS,
     ClaimResult,
