@@ -88,8 +88,9 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 	$(PYTHON) -m repro.experiments.cli chaos \
 		--replay chaos-selftest-corpus/sabotage-credit.json
 
-scale-smoke:      ## quick scale points: one digest on both loops, finite d
-	$(PYTHON) -m repro.experiments.cli scale --smoke --json SCALE_smoke.json
+scale-smoke:      ## quick scale points: one digest + VC census on both loops, finite d
+	$(PYTHON) -m repro.experiments.cli scale --smoke --json SCALE_smoke.json \
+		> SCALE_smoke.txt; status=$$?; cat SCALE_smoke.txt; exit $$status
 
 scale:            ## full scale campaign incl. the 1024-host fat tree
 	$(PYTHON) -m repro.experiments.cli scale --json SCALE_campaign.json

@@ -172,8 +172,8 @@ def topology_of(experiment):
 #: virtual channels (routers x ports x VCs per port) from which a run is
 #: built with the collector paused.  The pause opens with one full
 #: collection (3-4 ms on a heap holding little but imported modules);
-#: collector passes during construction cost 0.2-2.5 ms up to 2560
-#: channels (a 128-host fat tree), 23 ms at 12288 and 60 ms at 20480,
+#: collector passes during construction cost 0.2-2.2 ms up to 2560
+#: channels (a 128-host fat tree), 27 ms at 12288 and 34 ms at 20480,
 #: so below this size the pause would cost more than it saves — a
 #: sweep of tiny networks would pay the entry collection at every point.
 _QUIET_BUILD_MIN_VCS = 4096
@@ -185,7 +185,7 @@ def _construction_gc(topology, config):
     if channels < _QUIET_BUILD_MIN_VCS:
         return nullcontext()
     # collect=True: free the previous run's network before this one
-    # is allocated on top of it
+    # is allocated on top of it, and age this one on the way out
     return gc_quiet(collect=True)
 
 

@@ -5,8 +5,9 @@ hosts: each campaign point builds a 3-level k-ary fat tree or a k-ary
 n-tree (butterfly/folded Clos), runs a sparse real-time workload three
 times — ``Network.run``, a repeat, and the full-scan reference stepper
 (:func:`repro.sim.reference.run_reference`, the ``legacy`` column) —
-and demands all three produce bit-identical metrics digests.  A
-progress watchdog (four frame epochs) arms every run, so a routing
+and demands all three produce bit-identical metrics digests and one
+``Network.buffered_vcs`` census (``vcs used``: VCs that ever carried a
+flit).  A progress watchdog (four frame epochs) arms every run, so a routing
 cycle or a starved stream fails loudly instead of hanging the
 campaign.
 
@@ -112,32 +113,29 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
         )
     experiment = _armed(experiment)
 
-    def say(message: str) -> None:
+    networks = []
+    hooked = dataclasses.replace(experiment, network_hook=networks.append)
+
+    def timed(label: str, loop=None):
+        """One run: result, wall seconds, (digest, buffered-VC census)."""
+        started = time.perf_counter()
+        result = simulate(hooked, loop=loop)
+        seconds = time.perf_counter() - started
         if log is not None:
-            log(f"[scale] {name}: {message}")
+            log(f"[scale] {name}: {label} {seconds:.1f}s ({result.cycles_run} cycles)")
+        return result, seconds, (run_digest(result), networks.pop().buffered_vcs())
 
     compiles_before = routeprog.compile_count()
-    started = time.perf_counter()
-    active = simulate(experiment)
-    active_s = time.perf_counter() - started
+    active, active_s, outcome = timed("active loop")
     compiles_first = routeprog.compile_count() - compiles_before
-    say(f"active loop {active_s:.1f}s ({active.cycles_run} cycles)")
-
-    started = time.perf_counter()
-    repeat = simulate(experiment)
-    repeat_s = time.perf_counter() - started
+    _, repeat_s, repeat_outcome = timed("repeat")
     compiles_repeat = (
         routeprog.compile_count() - compiles_before - compiles_first
     )
-    say(f"repeat {repeat_s:.1f}s")
+    _, legacy_s, legacy_outcome = timed("legacy loop", run_reference)
 
-    started = time.perf_counter()
-    legacy = simulate(experiment, loop=run_reference)
-    legacy_s = time.perf_counter() - started
-    say(f"legacy loop {legacy_s:.1f}s")
-
-    digests = [run_digest(active), run_digest(repeat), run_digest(legacy)]
-    record = {
+    digest, (vcs_used, vcs_total) = outcome
+    return {
         "name": name,
         "topology": _topology_stats(experiment),
         "watchdog_window": experiment.watchdog_window,
@@ -153,15 +151,17 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
         # delivery interval (which fails the point, see _point_ok)
         "d_ms": canonical(active.metrics.d),
         "sigma_d_ms": canonical(active.metrics.sigma_d),
-        "digest": digests[0],
-        "identical": len(set(digests)) == 1,
+        "digest": digest,
+        # one digest, and both loops gave buffers to as many VCs
+        "identical": outcome == repeat_outcome == legacy_outcome,
+        "vcs_used": vcs_used,
+        "vcs_total": vcs_total,
         # at most one compile for the first run (zero on a warm cache),
         # and exactly zero for the repeat — the compile-once contract
         "compiles_first_run": compiles_first,
         "compiles_repeat_run": compiles_repeat,
         "compile_once": compiles_first <= 1 and compiles_repeat == 0,
     }
-    return record
 
 
 def _point_ok(record: Dict[str, object]) -> bool:
@@ -194,7 +194,7 @@ def scale_campaign_to_text(summary: Dict[str, object]) -> str:
         "scale campaign (active / repeat / legacy must be bit-identical)",
         f"{'point':>10s} {'hosts':>6s} {'switches':>8s} {'table ints':>10s} "
         f"{'active':>8s} {'setup':>8s} {'legacy':>8s} {'d ms':>8s} "
-        f"{'identical':>9s} {'compile':>7s}",
+        f"{'vcs used':>11s} {'identical':>9s} {'compile':>7s}",
     ]
     for r in summary["points"]:
         topo = r["topology"]
@@ -202,7 +202,8 @@ def scale_campaign_to_text(summary: Dict[str, object]) -> str:
             f"{r['name']:>10s} {topo['hosts']:>6d} {topo['routers']:>8d} "
             f"{topo['table_ints']:>10d} {r['active_s']:>7.1f}s "
             f"{r['setup_s']:>7.2f}s {r['legacy_s']:>7.1f}s "
-            f"{str(r['d_ms']):>8.8s} {str(r['identical']):>9s} "
+            f"{str(r['d_ms']):>8.8s} {r['vcs_used']:>5d}/{r['vcs_total']:<5d} "
+            f"{str(r['identical']):>9s} "
             f"{'once' if r['compile_once'] else 'LEAK':>7s}"
         )
     lines.append(f"overall: {'OK' if summary['ok'] else 'FAIL'}")

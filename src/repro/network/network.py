@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.network.interface import HostInterface, HostSink
 from repro.network.link import DEFAULT_LINK_LATENCY, Link
 from repro.network.topology import Topology
+from repro.router.buffers import NO_FLITS
 from repro.router.config import RouterConfig
 from repro.router.flit import Message
 from repro.router.router import WormholeRouter
@@ -565,6 +566,11 @@ class Network:
         total += sum(link.in_flight for link in self.links)
         total += sum(ni.backlog_flits for ni in self.interfaces.values())
         return total
+
+    def buffered_vcs(self) -> "tuple[int, int]":
+        """``(in_use, total)`` router VCs; in use = has carried a flit, owns buffers."""
+        vcs = [vc for r in self.routers for port in r.inputs + r.outputs for vc in port]
+        return sum(vc.stamps is not NO_FLITS for vc in vcs), len(vcs)
 
     def check_conservation(self) -> None:
         """Raise unless injected == ejected + buffered + dropped."""

@@ -29,6 +29,10 @@ a wire stores the new head.  ``Network._resync_activity`` (the
 purge/kill path) calls :meth:`FusedLoop.resync` to rebuild the mirror
 whenever a cold path edits ``pending`` wholesale.
 
+A VC's deques exist from its first message on (``buffers.NO_FLITS``
+until then): the inlined header arrival and the inlined grant create
+them, one identity test per message per hop; all else reads or follows.
+
 A drained link is deactivated one delivery-phase visit late — by the
 first visit that finds its slot still holding the sentinel — because
 dense traffic refills a wire within the cycle, and the
@@ -102,6 +106,7 @@ purges resynchronise the loop through :meth:`resync`.
 
 from __future__ import annotations
 
+from collections import deque
 from operator import itemgetter
 from time import perf_counter
 
@@ -110,7 +115,7 @@ from repro.core.virtual_clock import BEST_EFFORT_VTICK
 from repro.errors import FlowControlError, SimulationError
 from repro.faults import FATE_CORRUPT, FATE_LOST, FATE_OK
 from repro.network.health import UP
-from repro.router.buffers import acquire_record, release_record
+from repro.router.buffers import NO_FLITS, acquire_record, release_record
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
 from repro.router.router import WormholeRouter
@@ -600,6 +605,9 @@ class FusedLoop:
                         vst = vc.vstate
                         messages = vc.messages
                         if flit_index == 0:
+                            if messages is NO_FLITS:
+                                messages = vc.messages = deque()
+                                vc.stamps = deque()
                             messages.append(acquire_record(msg, clock))
                             if len(messages) == 1:
                                 vc.head_arrival = clock
@@ -1235,6 +1243,8 @@ class FusedLoop:
                             continue
                         # ---- inlined OutputVC.grant ----
                         ovc.owner = msg
+                        if ovc.queue is NO_FLITS:
+                            ovc.queue, ovc.stamps = deque(), deque()
                         free_ports[ovc.port] -= 1
                         vst = ovc.vstate
                         vst.auxvc = float(clock)

@@ -12,6 +12,12 @@ collecting first would leave it alive while the next graph is
 allocated on top of it, and back-to-back runs would grow the process
 by a whole network each (see ``docs/simulator-internals.md``,
 "Construction cost").
+
+The block that collected on entry *ages* what it built on exit:
+``gc.freeze()`` + ``gc.unfreeze()`` splice every tracked object into the
+oldest generation unvisited, instead of a 45 ms pass promoting ~300 k.
+Only that block may: with no entry collection, nothing frees what ageing
+made old, and dead small networks would pile up.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from typing import Iterator
 def gc_quiet(collect: bool = False) -> Iterator[None]:
     """Disable the cyclic collector for the duration of the block.
 
-    ``collect`` runs one full collection first — for the caller about
-    to allocate a whole new object graph (the runner), not for one
-    adding to a live graph (the lazy cycle-loop build), where a full
-    pass would cost more than the pause saves.
+    ``collect`` runs one full collection first and ages the block's
+    allocations last (not under a caller's own ``gc.freeze()``, which
+    unfreezing would undo) — for the caller about to allocate a whole
+    new object graph (the runner), not for one adding to a live graph (the
+    lazy cycle-loop build), where a full pass costs more than the pause saves.
 
     The caller's collector state is restored on every exit.  Entered
     with the collector already off — nested inside another
@@ -44,5 +51,8 @@ def gc_quiet(collect: bool = False) -> Iterator[None]:
     gc.disable()
     try:
         yield
+        if collect and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
     finally:
         gc.enable()

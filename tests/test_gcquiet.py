@@ -1,17 +1,23 @@
 """The collect-then-pause rule around run construction (``gc_quiet``)."""
 
 import gc
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import repro.experiments.runner as runner
 import repro.network.network as network_module
+from repro.errors import DeadlockError
 from repro.experiments.config import FatTree3Experiment
 from repro.experiments.runner import simulate_fat_tree3
 from repro.router.config import RouterConfig
 from repro.sim.gcquiet import gc_quiet
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 K8 = dict(
     k=8,
@@ -205,3 +211,128 @@ class TestQuietConstruction:
             simulate_fat_tree3(experiment)  # result dropped on the floor
         assert len(alive_at_start) == 4
         assert max(alive_at_start) <= 1
+
+
+def _fabric(network):
+    """The network, its routers and every router VC."""
+    parts = [network, *network.routers]
+    for router in network.routers:
+        for vcs in router.inputs + router.outputs:
+            parts.extend(vcs)
+    return parts
+
+
+class TestAgedConstruction:
+    """The built graph leaves the pause already in the oldest generation."""
+
+    def test_fabric_is_old_at_cycle_0_after_one_entry_pass(
+        self, collector_state, passes, monkeypatch, quiet_k8
+    ):
+        seen = {}
+        regime = runner._construction_gc
+
+        def entered(*args):
+            seen["mark"] = len(passes)
+            return regime(*args)
+
+        def at_cycle_0(network):
+            assert network.clock == 0
+            seen["passes"] = passes[seen["mark"]:]
+            fabric = _fabric(network)
+            assert all(gc.is_tracked(part) for part in fabric)
+            young = {
+                id(obj)
+                for generation in (0, 1)
+                for obj in gc.get_objects(generation=generation)
+            }
+            seen["young"] = sum(id(part) in young for part in fabric)
+            seen["fabric"] = len(fabric)
+
+        monkeypatch.setattr(runner, "_construction_gc", entered)
+        simulate_fat_tree3(
+            FatTree3Experiment(**K8, network_hook=at_cycle_0)
+        )
+        assert seen["fabric"] == 1 + 80 + 2 * 80 * 8 * 4
+        assert seen["young"] == 0
+        # the entry collection, and no promotion pass after it
+        assert seen["passes"] == [2]
+
+    def test_unaged_control_is_young(self, collector_state):
+        """What the assertion above would see without the ageing."""
+        with gc_quiet():
+            built = [[index] for index in range(10)]
+        young = {id(obj) for obj in gc.get_objects(generation=0)}
+        assert all(id(item) in young for item in built)
+        with gc_quiet(collect=True):
+            built = [[index] for index in range(10)]
+        young = {id(obj) for obj in gc.get_objects(generation=0)}
+        assert not any(id(item) in young for item in built)
+
+    def test_nothing_stays_frozen(self, collector_state, quiet_k8):
+        assert gc.get_freeze_count() == 0
+        simulate_fat_tree3(FatTree3Experiment(**K8))
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(DeadlockError):
+            simulate_fat_tree3(FatTree3Experiment(**K8, watchdog_window=1))
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(KeyError):
+            with gc_quiet(collect=True):
+                raise KeyError("construction failed")
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    def test_a_callers_freeze_is_left_alone(self, collector_state):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            with gc_quiet(collect=True):
+                built = [[index] for index in range(10)]
+            # neither released (unfreeze is all or nothing) nor grown
+            assert gc.get_freeze_count() == frozen
+            young = {id(obj) for obj in gc.get_objects(generation=0)}
+            assert all(id(item) in young for item in built)
+        finally:
+            gc.unfreeze()
+
+    def test_small_networks_are_never_aged(self):
+        """30 back-to-back 8-port runs never call ``freeze`` and pile
+        up no more dead networks than before the ageing existed: 10 on
+        either side of this change, where an ageing step with no entry
+        collection to free what it made old keeps all 29 alive.  (A
+        fresh interpreter: the full-pass cadence depends on how many
+        old objects the process holds; the bound leaves two networks
+        of slack for another interpreter's allocation counts.)
+        """
+        probe = (
+            "import gc, weakref\n"
+            "import repro.experiments.runner as runner\n"
+            "from repro.experiments.config import SingleSwitchExperiment\n"
+            "born, alive, freezes = [], [], []\n"
+            "class Counted(runner.Network):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        alive.append(sum(ref() is not None for ref in born))\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "        born.append(weakref.ref(self))\n"
+            "runner.Network = Counted\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: (freezes.append(1), freeze())\n"
+            "experiment = SingleSwitchExperiment(\n"
+            "    load=0.1, mix=(80, 20), vcs_per_pc=16, scale=100.0,\n"
+            "    warmup_frames=1, measure_frames=2)\n"
+            "gc.collect()\n"
+            "for _ in range(30):\n"
+            "    runner.simulate(experiment)\n"
+            "print(max(alive), len(freezes))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={"PYTHONPATH": str(SRC), "PATH": ""},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        piled, freezes = map(int, done.stdout.split())
+        assert freezes == 0
+        assert piled <= 12

@@ -353,15 +353,25 @@ class TestFatLinkSelection:
     DOWN_FROM = 50
 
     def _randomise(self, router, rng, faulty):
+        worm = make_message(size=4)
         for port, ovcs in enumerate(router.outputs):
             # a narrow load range makes ties the common case
             busy = rng.random() < 0.6
             for ovc in ovcs:
-                ovc.owner = object() if busy and rng.random() < 0.5 else None
-                ovc.queue.clear()
-                ovc.queue.extend(
-                    [None] * (rng.randrange(3) if busy else 0)
-                )
+                # drain to idle, then stage through the buffer's own
+                # methods (an idle VC owns no deque to poke at); the
+                # rule counts owner and staged flits independently
+                while ovc.queue:
+                    ovc.pop_head()
+                ovc.release()
+                owned = busy and rng.random() < 0.5
+                staged = rng.randrange(3) if busy else 0
+                if owned or staged:
+                    ovc.grant(0, worm)
+                    for flit in range(staged):
+                        ovc.push(worm, flit, 0.0)
+                    if not owned:
+                        ovc.release()
             link = router.out_links[port]
             link.faults = None
             if faulty and rng.random() < 0.3:

@@ -9,12 +9,15 @@ at most once.
 
 import json
 import math
+from collections import deque
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import scale
 from repro.experiments.cli import main as cli_main
+from repro.experiments.config import FatTree3Experiment
+from repro.experiments.runner import simulate, topology_of
 from repro.experiments.scale import (
     SCALE_POINTS,
     SMOKE_POINTS,
@@ -24,6 +27,8 @@ from repro.experiments.scale import (
     scale_campaign_to_text,
 )
 from repro.experiments.topo import build_topology, describe_topology
+from repro.network.network import Network
+from repro.router.config import RouterConfig
 from repro.sim.reference import run_reference
 
 
@@ -106,6 +111,62 @@ class TestThousandHostAcceptance:
         assert record["identical"], "loop digests diverged at 1024 hosts"
         assert record["compile_once"]
         assert record["flits_ejected"] > 0
+
+
+class TestBufferedVcCensus:
+    """``Network.buffered_vcs``: an idle VC owns no buffers (k=16)."""
+
+    @pytest.mark.parametrize(
+        "loop", [None, run_reference], ids=["fused", "reference"]
+    )
+    def test_scale_fattree_run_touches_3300_vcs(self, loop):
+        """The benchmark's ``scale_fattree`` at seed 1, on both loops."""
+        networks = []
+        simulate(
+            FatTree3Experiment(
+                k=16,
+                load=0.01,
+                mix=(100, 0),
+                vcs_per_pc=4,
+                scale=320.0,
+                warmup_frames=1,
+                measure_frames=2,
+                seed=1,
+                network_hook=networks.append,
+            ),
+            loop=loop,
+        )
+        # 1 704 input + 1 596 output VCs: 8 % of the fabric
+        assert networks.pop().buffered_vcs() == (3300, 40960)
+
+    def test_fresh_network_owns_no_vc_buffers_and_fits_30_mib(self):
+        """The deterministic memory budget: bytes traced while
+        ``Network.__init__`` builds the 1024-host fabric (82.4 MiB with
+        four eager deques per VC pair, 23 MiB with none).  RSS is the
+        benchmark's to judge; this is the count that repeats exactly.
+        """
+        tracemalloc = pytest.importorskip("tracemalloc")
+        topology = topology_of(FatTree3Experiment(k=16))
+        config = RouterConfig(topology.ports_per_router, vcs_per_pc=4)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            network = Network(topology, config)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert traced <= 30 * 2**20, f"{traced / 2**20:.1f} MiB"
+        assert network.buffered_vcs() == (0, 40960)
+        # ... and no router VC holds a deque in any slot
+        assert not any(
+            isinstance(getattr(vc, slot), deque)
+            for router in network.routers
+            for vcs in router.inputs + router.outputs
+            for vc in vcs
+            for slot in type(vc).__slots__
+        )
 
 
 class TestTopoCommand:
