@@ -11,8 +11,8 @@ COV_MIN ?= 75
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
-test:
-	$(PYTHON) -m pytest tests/
+test:             ## tier-1, with its 25 slowest tests in the log (as the CI job)
+	$(PYTHON) -m pytest tests/ --durations=25
 
 lint:             ## ruff check (lint + import sort) over src and tests
 	@command -v ruff >/dev/null 2>&1 \

@@ -27,7 +27,7 @@ and :meth:`recover` re-admits as many as the restored capacity allows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import AdmissionError, ConfigurationError
 
@@ -64,6 +64,9 @@ class AdmissionController:
     _streams: Dict[int, Tuple[float, Tuple[ChannelId, ...], str]] = field(
         default_factory=dict
     )
+    #: ids of the admitted streams crossing each channel, so shedding
+    #: walks one channel's streams instead of every stream's path
+    _on_channel: Dict[ChannelId, Set[int]] = field(default_factory=dict)
     #: surviving capacity fraction per channel (absent = 1.0, healthy)
     _capacity: Dict[ChannelId, float] = field(default_factory=dict)
     #: streams shed by degrade(), parked for re-admission on recovery
@@ -113,14 +116,22 @@ class AdmissionController:
         if stream_id in self._streams:
             raise AdmissionError(f"stream {stream_id} already admitted")
         decision = self.would_admit(rate_fraction, path)
-        if not decision:
-            return decision
-        for channel in path:
-            self._reserved[channel] = (
-                self._reserved.get(channel, 0.0) + rate_fraction
-            )
-        self._streams[stream_id] = (rate_fraction, tuple(path), traffic_class)
+        if decision:
+            self._reserve(stream_id, rate_fraction, tuple(path), traffic_class)
         return decision
+
+    def _reserve(
+        self,
+        stream_id: int,
+        rate: float,
+        path: Tuple[ChannelId, ...],
+        traffic_class: str,
+    ) -> None:
+        """Commit an admitted stream: rates, record, channel index."""
+        for channel in path:
+            self._reserved[channel] = self._reserved.get(channel, 0.0) + rate
+            self._on_channel.setdefault(channel, set()).add(stream_id)
+        self._streams[stream_id] = (rate, path, traffic_class)
 
     def release(self, stream_id: int) -> None:
         """Release a previously admitted stream's reservations."""
@@ -134,6 +145,11 @@ class AdmissionController:
                 self._reserved.pop(channel, None)
             else:
                 self._reserved[channel] = remaining
+            crossing = self._on_channel.get(channel)
+            if crossing is not None:  # None: the path's second crossing
+                crossing.discard(stream_id)
+                if not crossing:
+                    del self._on_channel[channel]
 
     # -- degraded mode (failover) --------------------------------------
 
@@ -164,18 +180,15 @@ class AdmissionController:
 
     def _pick_victim(self, channel: ChannelId) -> "int | None":
         """Next stream to shed from ``channel``: VBR first, then CBR."""
-        victim = None
-        victim_key = None
-        for stream_id, (_, path, tclass) in self._streams.items():
-            if channel not in path:
-                continue
-            # (is_cbr, -id): all VBR before any CBR, newest-admitted
-            # first within a class so long-held guarantees survive.
-            key = (tclass == "cbr", -stream_id)
-            if victim_key is None or key < victim_key:
-                victim_key = key
-                victim = stream_id
-        return victim
+        streams = self._streams
+        # (is_cbr, -id): all VBR before any CBR, newest-admitted first
+        # within a class so long-held guarantees survive.  The key is
+        # unique per stream, so the set's iteration order cannot show.
+        return min(
+            self._on_channel.get(channel, ()),
+            key=lambda stream_id: (streams[stream_id][2] == "cbr", -stream_id),
+            default=None,
+        )
 
     def recover(self, channel: ChannelId) -> List[int]:
         """``channel`` is healthy again: restore its full budget.
@@ -193,11 +206,7 @@ class AdmissionController:
         for stream_id in order:
             rate, path, tclass = self._parked[stream_id]
             if self.would_admit(rate, path):
-                for chan in path:
-                    self._reserved[chan] = (
-                        self._reserved.get(chan, 0.0) + rate
-                    )
-                self._streams[stream_id] = (rate, path, tclass)
+                self._reserve(stream_id, rate, path, tclass)
                 readmitted.append(stream_id)
         for stream_id in readmitted:
             del self._parked[stream_id]

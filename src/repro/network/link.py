@@ -50,6 +50,7 @@ class Link:
         "src_port",
         "on_wake",
         "trace",
+        "index",
     )
 
     def __init__(
@@ -91,6 +92,9 @@ class Link:
         self.on_wake = None
         #: trace sink installed by repro.obs.install_tracing
         self.trace = None
+        #: position in ``Network.links`` (the link's activation id and
+        #: head-mirror slot); -1 while the link is driven by hand
+        self.index = -1
 
     def send(self, clock: int, msg: Message, flit_index: int, vc_index: int) -> None:
         """Put one flit on the wire at cycle ``clock``."""
@@ -264,18 +268,16 @@ class Link:
         """Drop a killed message's in-flight flits (preemption support).
 
         Returns the VC index of every dropped flit, so the caller can
-        hand the credits they consumed back to the sender.
+        hand the credits they consumed back to the sender.  A wire that
+        carries none of the message keeps its deque: :attr:`pending` is
+        rebuilt (and the cycle loop's head mirror made stale) only when
+        a flit is actually dropped.
         """
         if self.faults is not None:
             self.faults.forget(msg)
-        if not self.pending:
-            return []
-        kept = deque()
-        dropped_vcs = []
-        for entry in self.pending:
-            if entry[1] is msg:
-                dropped_vcs.append(entry[3])
-            else:
-                kept.append(entry)
-        self.pending = kept
+        dropped_vcs = [entry[3] for entry in self.pending if entry[1] is msg]
+        if dropped_vcs:
+            self.pending = deque(
+                entry for entry in self.pending if entry[1] is not msg
+            )
         return dropped_vcs

@@ -142,11 +142,14 @@ class Network:
         self._ni_sched = ActivationScheduler()
         self._router_sched = ActivationScheduler()
         self._ni_list: List[HostInterface] = list(self.interfaces.values())
+        #: NI activation id by host node, for the kill path's repair
+        self._ni_ids: Dict[int, int] = {}
         for link in self.links:
-            self._link_sched.register(link)
+            link.index = self._link_sched.register(link)
         for ni in self._ni_list:
             cid = self._ni_sched.register(ni)
             ni.on_activated = partial(self._ni_sched.activate, cid)
+            self._ni_ids[ni.node_id] = cid
         for router in self.routers:
             cid = self._router_sched.register(router)
             router.on_activated = partial(self._router_sched.activate, cid)
@@ -276,13 +279,22 @@ class Network:
                 f"message {msg.msg_id} was already delivered"
             )
         msg.killed = True
-        dropped = 0
-        ni_dropped = 0
+        # A flit of the worm can be in three places only: still queued
+        # at the source NI (or on its host link), buffered in a router
+        # its header has entered, or on a wire leaving one of those
+        # routers.  ``msg.trail`` names the routers, so the purge costs
+        # what the worm touched, whatever the size of the fabric.
+        dropped = ni_dropped = 0
+        links: List[Link] = []
         ni = self.interfaces.get(msg.src_node)
         if ni is not None:
-            ni_dropped = ni.purge_message(msg)
-            dropped += ni_dropped
-        for link in self.links:
+            dropped = ni_dropped = ni.purge_message(msg)
+            links.append(ni.link)
+        # dict.fromkeys: a detoured worm's trail may revisit a router
+        routers = [self.routers[rid] for rid in dict.fromkeys(msg.trail)]
+        for router in routers:
+            links.extend(link for link in router.out_links if link is not None)
+        for link in links:
             dropped_vcs = link.purge_message(msg)
             dropped += len(dropped_vcs)
             # flits on a router-bound wire consumed a credit they will
@@ -296,7 +308,7 @@ class Network:
                     ].credit_sink
                     if sender is not None:
                         sender.credits += 1
-        for router in self.routers:
+        for router in routers:
             dropped += router.purge_message(msg)
         self._flits_in_flight -= dropped
         self.flits_dropped += dropped
@@ -308,32 +320,26 @@ class Network:
             )
         # A purge can both quiesce components (emptied buffers) and
         # create work (a queued message re-entering arbitration), so
-        # re-derive the active sets from scratch.  Kills are rare
-        # (preemption, recovery teardown); the O(components) resync is
-        # far off the hot path.
-        self._resync_activity()
-        return dropped
-
-    def _resync_activity(self) -> None:
-        """Re-derive every activation record from component state.
-
-        NIs and routers here; the link active set belongs with the
-        cycle loop's head mirror and is rebuilt by its ``resync``.
-        """
-        for index, ni in enumerate(self._ni_list):
+        # re-derive the activation records of what it touched.  Kills
+        # are not rare on a faulted fabric (one per lost worm, 17 426
+        # in a switch-kill campaign), which is why this is per worm too.
+        if ni is not None:
+            cid = self._ni_ids[msg.src_node]
             if ni.has_backlog:
-                self._ni_sched.activate(index)
+                self._ni_sched.activate(cid)
             else:
-                self._ni_sched.deactivate(index)
-        for router in self.routers:
+                self._ni_sched.deactivate(cid)
+        for router in routers:
             if router.quiescent:
                 self._router_sched.deactivate(router.router_id)
             else:
                 self._router_sched.activate(router.router_id)
         if self._loop is not None:
-            # A purge rebuilt Link.pending deques behind the cycle
-            # loop's head-arrival mirror and link active set.
-            self._loop.resync()
+            # The purge edited wires and released output VCs behind the
+            # cycle loop's head mirror, link active set and free-VC
+            # counts (the link side of activity belongs to the loop).
+            self._loop.resync(links, routers)
+        return dropped
 
     def _kill_and_requeue(self, msg: Message) -> None:
         """Kill ``msg`` and schedule a clone's injection after the backoff."""

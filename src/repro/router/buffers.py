@@ -99,6 +99,7 @@ class InputVC:
         "ready_at",
         "credit_sink",
         "vstate",
+        "wait_epoch",
     )
 
     def __init__(self, port: int, index: int, capacity: int) -> None:
@@ -123,6 +124,10 @@ class InputVC:
         self.credit_sink = None
         #: Virtual Clock registers for the arriving message's stamps
         self.vstate = VirtualClockState()
+        #: the cycle loop's memo of a failed grant: ``route_port``'s
+        #: release epoch when the routed header last found no output VC
+        #: (-1: none); the attempt is not repeated until the epoch moves
+        self.wait_epoch = -1
 
     # -- state queries --------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -68,6 +68,7 @@ class Message:
         "killed",
         "corrupted",
         "detoured",
+        "trail",
     )
 
     def __init__(
@@ -117,6 +118,13 @@ class Message:
         #: the rest of the journey, and reset by clone() so a
         #: retransmission re-routes from scratch
         self.detoured = None
+        #: ids of the routers this message's header has entered, in
+        #: arrival order (a detour may revisit one); every undelivered
+        #: flit sits at the source NI, on its host link, in one of these
+        #: routers or on one of their outgoing links, which is all
+        #: ``Network.kill_message`` searches.  A tuple, extended per hop:
+        #: a message that has gone nowhere (and a clone()) shares ``()``.
+        self.trail: Tuple[int, ...] = ()
 
     @property
     def is_real_time(self) -> bool:

@@ -192,6 +192,7 @@ class WormholeRouter:
         vc = self.inputs[port][vc_index]
         was_idle = not self._work
         if flit_index == 0:
+            msg.trail += (self.router_id,)
             vc.accept_new_message(clock, msg)
             if len(vc.messages) == 1:
                 self._pending_arb.append(vc)

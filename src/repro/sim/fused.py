@@ -19,15 +19,31 @@ The loop does not fork the simulation state.  All authoritative
 datapath state — VC occupancy and head-flit cursors, credit counters,
 NI queues, activity sets — stays in the slotted component objects, so
 cold paths (message kills, transport timeouts, conservation audits)
-observe exactly what the per-object methods would.  The one piece of
+observe exactly what the per-object methods would.  The first piece of
 derived hot state is the *head mirror*: ``_link_head[i]`` equals
 ``links[i].pending[0][0]``, or the far sentinel while the wire is
 empty.  Whoever puts the first flit on an empty wire stores its
 arrival — the inlined send kernels directly, object code through the
 ``Link.on_wake(arrival)`` hook this class installs — and whoever drains
-a wire stores the new head.  ``Network._resync_activity`` (the
-purge/kill path) calls :meth:`FusedLoop.resync` to rebuild the mirror
-whenever a cold path edits ``pending`` wholesale.
+a wire stores the new head.  ``Network.kill_message`` calls
+:meth:`FusedLoop.resync` with the links and routers its purge touched —
+the message's *trail* (``Message.trail``: the ids of the routers its
+header has entered, extended by the inlined header arrival below and by
+``WormholeRouter.accept_flit``), those routers' outgoing links and the
+source host link — to rebuild their mirror slots, because a purge that
+drops flits replaces ``pending`` wholesale.
+
+Two more derived tables serve stages 2/3, one row per router and one
+entry per output port: ``_free_out`` counts the port's unowned output
+VCs (zero: every attempt on the port blocks), and ``_release_epoch``
+counts its releases — stage 5's tail release and :meth:`resync`, which
+recounts a port and so must assume it changed, bump it.  A routed
+header that finds no VC (port full, bound VC owned, partition scan
+empty) stores the port's epoch in its ``InputVC.wait_epoch``; while
+the two are equal nothing it could be granted has been freed, and the
+rounds that follow re-queue it on one compare, in its turn — rotation
+order and ``_arb_rotate`` are those of the full attempt.  A new front
+message or a re-route (``route_port`` -1) takes the full path again.
 
 A VC's deques exist from its first message on (``buffers.NO_FLITS``
 until then): the inlined header arrival and the inlined grant create
@@ -99,9 +115,9 @@ installed between two runs takes effect at the next one):
 * ``LoopProfiler`` timers sit in the loop skeleton behind an
   ``is None`` guard.
 
-Rare events stay on object code by construction: event callbacks
+Cold events stay on object code by construction: event callbacks
 (injection, transport teardown) run the ordinary network API, and
-purges resynchronise the loop through :meth:`resync`.
+purges resynchronise what they touched through :meth:`resync`.
 """
 
 from __future__ import annotations
@@ -245,6 +261,12 @@ class FusedLoop:
         self._free_out = [
             [0] * len(router.outputs) for router in network.routers
         ]
+        #: per-router per-port release epoch, bumped wherever an output
+        #: VC of the port is released; stage 2/3's memo of failed grant
+        #: attempts hangs on it (module docstring, state layout)
+        self._release_epoch = [
+            [0] * len(router.outputs) for router in network.routers
+        ]
 
         #: everything the router phases touch, one tuple per router —
         #: a single index + unpack per router per cycle instead of a
@@ -293,34 +315,40 @@ class FusedLoop:
     # ------------------------------------------------------------------
     # consistency hooks
 
-    def resync(self) -> None:
-        """Rebuild the derived hot state from the component objects.
+    def resync(self, links, routers) -> None:
+        """Rebuild the derived hot state of ``links`` and ``routers``.
 
         That is the head mirror with the link active set (exactly the
-        links whose wire holds flits) and the free output-VC counts.
-        Called at the start of every run (object code may have moved
-        flits since the last one) and by ``Network._resync_activity``
-        after a purge rebuilt ``Link.pending`` deques and released
-        output VCs behind the kernels' back.
+        links whose wire holds flits), the free output-VC counts and
+        the release epochs.  Every run starts with all of them (object
+        code may have moved flits since the last one, and a router
+        driven through its ``step`` keeps neither count nor epoch);
+        ``Network.kill_message`` passes what its purge touched, whose
+        wires it edited and output VCs it released behind the kernels'
+        back.
         """
         head = self._link_head
         link_sched = self._net._link_sched
-        for idx, entry in enumerate(self._link_info):
-            pending = entry[0].pending
+        for link in links:
+            idx = link.index
+            pending = link.pending
             if pending:
                 head[idx] = pending[0][0]
                 link_sched.activate(idx)
             else:
                 head[idx] = _FAR
                 link_sched.deactivate(idx)
-        for rid, router in enumerate(self._net.routers):
+        for router in routers:
+            rid = router.router_id
             counts = self._free_out[rid]
+            epochs = self._release_epoch[rid]
             for port, ovcs in enumerate(router.outputs):
                 free = 0
                 for ovc in ovcs:
                     if ovc.owner is None:
                         free += 1
                 counts[port] = free
+                epochs[port] += 1
 
     def _call_outs(self):
         """Which components this run drives through their object methods.
@@ -392,7 +420,7 @@ class FusedLoop:
     def run(self, until: int) -> None:
         """Advance the network to cycle ``until`` (body of ``Network.run``)."""
         net = self._net
-        self.resync()
+        self.resync(net.links, net.routers)
         link_modes, cold_nis, cold_routers = self._call_outs()
         clock = net.clock
         events = net.events
@@ -418,6 +446,7 @@ class FusedLoop:
         router_hot = self._router_hot
         link_head = self._link_head
         free_out = self._free_out
+        release_epoch = self._release_epoch
         out_cap = self._out_cap
         watchdog = net.watchdog_window
         transport = net.transport
@@ -605,6 +634,7 @@ class FusedLoop:
                         vst = vc.vstate
                         messages = vc.messages
                         if flit_index == 0:
+                            msg.trail += (rid,)
                             if messages is NO_FLITS:
                                 messages = vc.messages = deque()
                                 vc.stamps = deque()
@@ -934,6 +964,7 @@ class FusedLoop:
                     router_deactivate(rid)
                     continue
                 free_ports = free_out[rid]
+                epochs = release_epoch[rid]
 
                 # ---- stage 5: output VC mux + link send ----
                 if out_ports:
@@ -1010,6 +1041,7 @@ class FusedLoop:
                         if flit_index == msg.last_flit:
                             ovc.owner = None
                             free_ports[port] += 1
+                            epochs[port] += 1
                             vst = ovc.vstate
                             vst.is_open = False
                             vst.auxvc = 0.0
@@ -1185,11 +1217,19 @@ class FusedLoop:
                         if not messages:  # defensive: released mid-queue
                             router._work -= 1
                             continue
+                        port = vc.route_port
+                        if port >= 0 and vc.wait_epoch == epochs[port]:
+                            # No output VC of the port was released
+                            # since this header's attempt failed.  (A
+                            # new front message or a re-route starts at
+                            # route_port -1 and, below, ends this visit
+                            # granted or with a verdict of its own.)
+                            still_waiting.append(vc)
+                            continue
                         if clock < vc.head_arrival + routing_delay:
                             still_waiting.append(vc)
                             continue
                         msg = messages[0].msg
-                        port = vc.route_port
                         if port < 0:
                             if adaptive:
                                 route_ports = router._adaptive_candidates(
@@ -1208,6 +1248,7 @@ class FusedLoop:
                             # Every output VC is owned: the bound-VC
                             # check and both partition scans can only
                             # come up empty, so the attempt blocks.
+                            vc.wait_epoch = epochs[port]
                             still_waiting.append(vc)
                             continue
                         real_time = msg.traffic_class in rt_classes
@@ -1221,6 +1262,7 @@ class FusedLoop:
                                 if bound.owner is None:
                                     ovc = bound
                                 elif real_time or be_bind:
+                                    vc.wait_epoch = epochs[port]
                                     still_waiting.append(vc)
                                     continue
                         elif adaptive and msg.detoured is not None:
@@ -1239,6 +1281,7 @@ class FusedLoop:
                                             ovc = candidate
                                             break
                         if ovc is None:
+                            vc.wait_epoch = epochs[port]
                             still_waiting.append(vc)
                             continue
                         # ---- inlined OutputVC.grant ----

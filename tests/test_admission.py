@@ -95,3 +95,66 @@ class TestAdmissionController:
         controller.admit(1, 0.01, path)
         for channel in path:
             assert controller.reserved(channel) == pytest.approx(0.01)
+
+
+def _scan_victim(controller, channel):
+    """The whole-table scan ``_pick_victim`` replaced: every admitted
+    stream, a linear ``channel in path``, minimum of (is_cbr, -id)."""
+    victim = victim_key = None
+    for stream_id, (_, path, tclass) in controller._streams.items():
+        if channel not in path:
+            continue
+        key = (tclass == "cbr", -stream_id)
+        if victim_key is None or key < victim_key:
+            victim_key, victim = key, stream_id
+    return victim
+
+
+class TestChannelIndex:
+    """``degrade`` walks the streams on one channel, not every stream."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_victims_as_the_scan_on_random_reservations(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        channels = [("link", router, port) for router in range(4) for port in range(3)]
+        controller = AdmissionController(threshold=0.75)
+        next_id = 0
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.6:
+                # paths may cross a channel twice (a detour through it)
+                path = rng.choices(channels, k=rng.randint(1, 4))
+                controller.admit(
+                    next_id, rng.choice((0.01, 0.03, 0.08)), path,
+                    rng.choice(("cbr", "vbr")),
+                )
+                next_id += 1
+            elif roll < 0.75 and controller.admitted_streams:
+                controller.release(rng.choice(controller.admitted_streams))
+            elif roll < 0.9:
+                channel = rng.choice(channels)
+                expected = []
+                limit = controller.threshold * 0.5
+                # replay degrade() with the scan choosing the victims
+                twin = AdmissionController(threshold=0.75)
+                twin._streams = dict(controller._streams)
+                twin._reserved = dict(controller._reserved)
+                while twin._reserved.get(channel, 0.0) > limit + 1e-12:
+                    victim = _scan_victim(twin, channel)
+                    expected.append(victim)
+                    twin.release(victim)
+                assert controller.degrade(channel, 0.5) == expected
+            else:
+                controller.recover(rng.choice(channels))
+            for channel in channels:
+                assert controller._pick_victim(channel) == _scan_victim(
+                    controller, channel
+                )
+            crossing = {}
+            for stream_id, (_, path, _) in controller._streams.items():
+                for channel in path:
+                    crossing.setdefault(channel, set()).add(stream_id)
+            assert controller._on_channel == crossing
+        assert controller.streams_shed > 0 and controller.streams_readmitted > 0
