@@ -89,10 +89,10 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 		--replay chaos-selftest-corpus/sabotage-credit.json
 
 scale-smoke:      ## quick scale points: one digest + VC census on both loops, finite d
-	$(PYTHON) -m repro.experiments.cli scale --smoke --json SCALE_smoke.json \
-		> SCALE_smoke.txt; status=$$?; cat SCALE_smoke.txt; exit $$status
+	$(PYTHON) -m repro.experiments.cli scale --profile smoke --jobs 2 --fresh \
+		--json SCALE_smoke.json > SCALE_smoke.txt; status=$$?; cat SCALE_smoke.txt; exit $$status
 
-scale:            ## full scale campaign incl. the 1024-host fat tree
+scale:            ## full scale campaign incl. the 1024-host fat tree (serial: comparable timings)
 	$(PYTHON) -m repro.experiments.cli scale --json SCALE_campaign.json
 
 examples:

@@ -446,13 +446,30 @@ def _identity(value):
     return value
 
 
+def campaign_meta(
+    space: ScenarioSpace,
+    seed: int,
+    count: int,
+    point_timeout: Optional[float] = None,
+) -> dict:
+    """What identifies one campaign's checkpoint file (the verdicts of
+    another seed, count, timeout or space are not these)."""
+    return {
+        "kind": "chaos-campaign",
+        "seed": seed,
+        "count": count,
+        "point_timeout": point_timeout,
+        "space": space.to_meta(),
+    }
+
+
 def run_campaign(
     space: ScenarioSpace,
     seed: int,
     count: int,
     corpus_dir: str,
     jobs: int = 1,
-    checkpoint_path: Optional[str] = None,
+    checkpoint: Optional[SweepCheckpoint] = None,
     shrink_budget: int = 40,
     point_timeout: Optional[float] = None,
     log: Optional[Callable[[str], None]] = None,
@@ -460,9 +477,10 @@ def run_campaign(
     """Run a full campaign; returns a JSON-plain summary.
 
     Scenario verdicts go through the standard sweep executor (worker
-    isolation, crash recovery) and checkpoint (resume after a kill
-    restores finished verdicts).  Failures are then shrunk serially in
-    the parent and written to ``corpus_dir`` as replayable repros.
+    isolation, crash recovery) and ``checkpoint`` (resume after a kill
+    restores finished verdicts; open it with :func:`campaign_meta`).
+    Failures are then shrunk serially in the parent and written to
+    ``corpus_dir`` as replayable repros.
     """
 
     def say(message: str) -> None:
@@ -493,18 +511,6 @@ def run_campaign(
         attempts=1,  # verdicts are data; a "failure" is a result here
         log=log,
     )
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            meta={
-                "kind": "chaos-campaign",
-                "seed": seed,
-                "count": count,
-                "point_timeout": point_timeout,
-                "space": space.to_meta(),
-            },
-        )
     verdicts = executor.run(
         tasks,
         checkpoint=checkpoint,

@@ -1,8 +1,8 @@
 """One campaign skeleton: series x axis -> experiment -> Point -> result.
 
-The paper's evaluation is nothing but sweeps, and every robustness
-study this repo adds on top of it (``mediaworm faults`` / ``failover``
-/ ``disaster``) has the same shape.  A study is a frozen
+The paper's evaluation is nothing but sweeps, and every study this
+repo adds on top of it (``mediaworm faults`` / ``failover`` /
+``disaster`` / ``scale``) has the same shape.  A study is a frozen
 :class:`Campaign` *spec* — its series, its swept :class:`Axis`, an
 experiment factory, a picklable point runner, and how its result
 prints — and this module holds the single implementation of everything
@@ -196,13 +196,13 @@ class Axis:
     def text(self, x) -> str:
         return format(x, self.fmt)
 
-    def validated(self, values: Optional[Sequence]) -> tuple:
-        """``values`` (``None``: the defaults), each checked, none repeated.
+    def validated(self, values: Sequence) -> tuple:
+        """``values``, each checked, none repeated.
 
         Runs before any experiment is built, so a bad value is a short
         error naming it rather than a failure deep inside the sweep.
         """
-        values = self.defaults if values is None else tuple(values)
+        values = tuple(values)
         seen = set()
         for x in values:
             self.check(x)
@@ -214,22 +214,22 @@ class Axis:
             seen.add(self.text(x))
         return values
 
-    def from_arg(self, arg: Optional[str]) -> tuple:
-        """The validated values of the CLI argument (absent: the defaults)."""
+    def from_arg(self, arg: Optional[str]) -> Optional[tuple]:
+        """The values the CLI argument spells (absent: ``None``, the
+        defaults); :meth:`Campaign.sweep` checks them."""
         if not arg:
-            return self.validated(None)
+            return None
         try:
-            values = [
+            return tuple(
                 self.parse(token.strip())
                 for token in arg.split(",")
                 if token.strip()
-            ]
+            )
         except ValueError:
             raise ConfigurationError(
                 f"{self.flag} must be comma-separated "
                 f"{self.parse.__name__}s, got {arg!r}"
             ) from None
-        return self.validated(values)
 
 
 class Column(NamedTuple):
@@ -255,6 +255,8 @@ class Column(NamedTuple):
             for name in parents:
                 node = node.get(name) or {}
             value = node.get(leaf, self.default)
+        if isinstance(value, bool):
+            value = str(value)  # True, not int's 1
         return f"{value:>{self.width}{self.fmt}}"
 
 
@@ -281,7 +283,8 @@ class Campaign:
     notes: str = ""
     #: series value -> its name in the figure (``0.8`` -> ``"load=0.8"``)
     label: Callable[[object], str] = str
-    #: header and width of the left-aligned series column
+    #: header and width of the left-aligned series column (width 0:
+    #: a one-series spec prints none)
     series_column: Tuple[str, int] = ("", 0)
     #: the table, left to right; the first column is the axis value and
     #: is the only one a ``FAILED`` row still shows
@@ -312,11 +315,22 @@ class Campaign:
         fingerprint = sweep_fingerprint(experiment)
         return f"{key}|{fingerprint}" if fingerprint else key
 
-    def checkpoint_meta(self, profile_name: str, values: Sequence) -> Dict:
+    def sweep(self, profile, values: Optional[Sequence] = None) -> tuple:
+        """The axis values one invocation sweeps, each checked: ``values``,
+        or the defaults (``defaults(profile)`` where they depend on the
+        workload scale)."""
+        if values is None:
+            values = self.axis.defaults
+            if callable(values):
+                values = values(get_profile(profile))
+        return self.axis.validated(values)
+
+    def checkpoint_meta(self, profile, values: Optional[Sequence] = None) -> Dict:
         """What identifies one invocation's checkpoint file."""
+        values = self.sweep(profile, values)
         return {
             "command": self.name,
-            "profile": profile_name,
+            "profile": get_profile(profile).name,
             self.axis.dest: [self.axis.meta(x) for x in values],
         }
 
@@ -344,9 +358,7 @@ class Campaign:
         series.
         """
         profile = get_profile(profile)
-        if values is None and callable(self.axis.defaults):
-            values = self.axis.defaults(profile)
-        values = self.axis.validated(values)
+        values = self.sweep(profile, values)
         if executor is None:
             executor = ParallelSweepExecutor(jobs=1, log=log)
         say = log or (lambda message: None)
@@ -410,10 +422,12 @@ class Campaign:
         if self.text is not None:
             return self.text(fig)
         label, width = self.series_column
-        header = " ".join(
-            [f"{label:<{width}}"]
-            + [f"{col.header:>{col.width}}" for col in self.columns]
-        )
+
+        def row(series: str, cells: List[str]) -> str:
+            lead = [f"{series:<{width}}"] if width else []
+            return " ".join(lead + cells)
+
+        header = row(label, [f"{c.header:>{c.width}}" for c in self.columns])
         lines = [fig.title, header, "-" * len(header)]
         for name, points in fig.series.items():
             for point in points:
@@ -424,7 +438,7 @@ class Campaign:
                     ]
                 else:
                     cells = [col.cell(point) for col in self.columns]
-                lines.append(" ".join([f"{name:<{width}}"] + cells))
+                lines.append(row(name, cells))
         if fig.notes:
             lines.append(f"({fig.notes})")
         return "\n".join(lines)
@@ -445,6 +459,7 @@ _BUILTIN = (
     "repro.experiments.faultsweep",
     "repro.experiments.failover",
     "repro.experiments.disaster",
+    "repro.experiments.scale",
 )
 
 #: campaigns added at run time by :func:`register`

@@ -7,11 +7,13 @@ Examples::
     mediaworm run table3
     mediaworm all --profile default
     mediaworm faults --profile quick --rates 0,0.01
+    mediaworm scale --profile smoke --jobs 2
 
 The subcommands are a table (:func:`_commands`): a name, the one-line
 help that ``mediaworm --help`` and ``mediaworm list`` both print, a
 ``configure(parser)`` declaring its flags and a ``run(args)`` returning
-the exit status.  Campaigns come from the registry in
+the exit status.  Campaigns (``faults``, ``failover``, ``disaster``,
+``scale``) come from the registry in
 :mod:`repro.experiments.campaign` through one shared handler and the
 paper's figures from :data:`repro.experiments.figures.PAPER`, so a new
 campaign or figure needs no edit here.
@@ -86,26 +88,26 @@ def _add_sweep_args(parser, watchdog: bool = True) -> None:
         metavar="SECONDS",
         default=None,
         help="wall-clock budget per point; a point exceeding it fails "
-        "(a sweep retries it reseeded, chaos files it under the 'timeout' "
-        "oracle, overriding the scenario's own budget) instead of hanging",
+        "(a sweep retries it reseeded, scale records it FAILED, chaos files "
+        "it under the 'timeout' oracle, overriding the scenario's own "
+        "budget) instead of hanging",
     )
 
 
 def _add_run_args(
     parser,
     command: str,
-    profile: Optional[str] = "default",
+    profile: str = "default",
     json_out: bool = False,
     checkpoint: bool = False,
 ) -> None:
     """``--profile`` / ``--json`` / ``--checkpoint`` + ``--fresh``."""
-    if profile:
-        parser.add_argument(
-            "--profile",
-            choices=sorted(PROFILES),
-            default=profile,
-            help="workload scale / horizon preset (default: %(default)s)",
-        )
+    parser.add_argument(
+        "--profile",
+        choices=sorted(PROFILES),
+        default=profile,
+        help="workload scale / horizon preset (default: %(default)s)",
+    )
     if json_out:
         parser.add_argument(
             "--json",
@@ -128,9 +130,14 @@ def _add_run_args(
         )
 
 
-def _check_jobs(args) -> None:
+def _check_sweep_args(args) -> None:
+    """``--jobs`` / ``--point-timeout``, refused before anything runs."""
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
+    if args.point_timeout is not None and args.point_timeout <= 0:
+        raise SystemExit(
+            f"--point-timeout must be > 0 seconds, got {args.point_timeout:g}"
+        )
 
 
 def _sweep_setup(args):
@@ -140,28 +147,16 @@ def _sweep_setup(args):
         if args.watchdog < 1:
             raise SystemExit(f"--watchdog must be >= 1, got {args.watchdog}")
         profile = replace(profile, watchdog_window=args.watchdog)
-    _check_jobs(args)
-    if args.point_timeout is not None and args.point_timeout <= 0:
-        raise SystemExit(
-            f"--point-timeout must be > 0 seconds, got {args.point_timeout}"
-        )
+    _check_sweep_args(args)
     return profile, ParallelSweepExecutor(
         jobs=args.jobs, log=print, point_timeout=args.point_timeout
     )
 
 
-def _checkpoint_path(args, command: str) -> str:
-    return (
-        args.checkpoint
-        or f"mediaworm-{command}-{args.profile}.checkpoint.json"
-    )
-
-
-def _open_checkpoint(args, meta) -> SweepCheckpoint:
+def _open_checkpoint(args, command: str, meta) -> SweepCheckpoint:
     """The invocation's checkpoint, emptied first under ``--fresh``."""
-    checkpoint = SweepCheckpoint(
-        _checkpoint_path(args, meta["command"]), meta=meta
-    )
+    path = args.checkpoint or f"mediaworm-{command}-{args.profile}.checkpoint.json"
+    checkpoint = SweepCheckpoint(path, meta=meta)
     if args.fresh:
         checkpoint.clear()
     return checkpoint
@@ -254,7 +249,7 @@ def _configure_all(parser) -> None:
 def _run_all(args) -> int:
     profile, executor = _sweep_setup(args)
     checkpoint = _open_checkpoint(
-        args, {"command": "all", "profile": args.profile}
+        args, "all", {"command": "all", "profile": args.profile}
     )
     restored = [name for name in _ALL if name in checkpoint]
     if restored:
@@ -287,11 +282,13 @@ def _run_campaign(spec: Campaign, args) -> int:
     """A checkpointed campaign; exits 1 when any point is a FAILED row."""
     profile, executor = _sweep_setup(args)
     try:
-        values = spec.axis.from_arg(getattr(args, spec.axis.dest))
+        values = spec.sweep(
+            profile, spec.axis.from_arg(getattr(args, spec.axis.dest))
+        )
     except ConfigurationError as exc:
         raise SystemExit(str(exc))
     checkpoint = _open_checkpoint(
-        args, spec.checkpoint_meta(args.profile, values)
+        args, spec.name, spec.checkpoint_meta(profile, values)
     )
     started = time.perf_counter()
     fig = spec.run(
@@ -476,14 +473,17 @@ def _run_chaos(args) -> int:
     sabotage; the default runs a seeded random campaign and writes a
     minimal repro for every failure it finds.
     """
-    import os
-
     from repro.chaos import ScenarioSpace, replay, run_campaign, selftest
+    from repro.chaos.campaign import campaign_meta
     from repro.errors import ChaosFailure
 
-    _check_jobs(args)
+    _check_sweep_args(args)
     if args.count < 1:
         raise SystemExit(f"--count must be >= 1, got {args.count}")
+    if args.shrink_budget < 0:
+        raise SystemExit(
+            f"--shrink-budget must be >= 0, got {args.shrink_budget}"
+        )
 
     if args.replay:
         try:
@@ -509,15 +509,12 @@ def _run_chaos(args) -> int:
         print(f"[selftest ok: pipeline caught/shrank/replayed -> {path}]")
         return 0
 
-    profile = get_profile(args.profile)
-    space = ScenarioSpace(scale=profile.scale)
-    path = _checkpoint_path(args, "chaos")
-    if args.fresh:
-        for stale in (path, f"{path}.tmp"):
-            try:
-                os.remove(stale)
-            except OSError:
-                pass
+    space = ScenarioSpace(scale=get_profile(args.profile).scale)
+    checkpoint = _open_checkpoint(
+        args,
+        "chaos",
+        campaign_meta(space, args.seed, args.count, args.point_timeout),
+    )
     started = time.perf_counter()
     summary = run_campaign(
         space,
@@ -525,7 +522,7 @@ def _run_chaos(args) -> int:
         count=args.count,
         corpus_dir=args.corpus,
         jobs=args.jobs,
-        checkpoint_path=path,
+        checkpoint=checkpoint,
         shrink_budget=args.shrink_budget,
         point_timeout=args.point_timeout,
         log=print,
@@ -577,55 +574,6 @@ def _run_topo(args) -> int:
     return 0
 
 
-def _scale_points(text: str) -> tuple:
-    """``--points`` value -> known point names (an argparse ``type``)."""
-    from repro.experiments.scale import SCALE_POINTS
-
-    points = tuple(p.strip() for p in text.split(",") if p.strip())
-    for point in points:
-        if point not in SCALE_POINTS:
-            raise argparse.ArgumentTypeError(
-                f"unknown point {point!r}; known: {', '.join(SCALE_POINTS)}"
-            )
-    return points
-
-
-def _configure_scale(parser) -> None:
-    which = parser.add_mutually_exclusive_group()
-    which.add_argument(
-        "--points",
-        type=_scale_points,
-        metavar="P1,P2,...",
-        default=None,
-        help="comma-separated point names (default: all)",
-    )
-    which.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run only the quick smoke subset",
-    )
-    _add_run_args(parser, "scale", profile=None, json_out=True)
-
-
-def _run_scale(args) -> int:
-    """The ``mediaworm scale`` subcommand; exits 1 unless every point is ok."""
-    from repro.experiments.scale import (
-        SMOKE_POINTS,
-        run_scale_campaign,
-        scale_campaign_to_text,
-    )
-
-    started = time.perf_counter()
-    summary = run_scale_campaign(
-        SMOKE_POINTS if args.smoke else args.points, log=print
-    )
-    if args.json:
-        _dump_json(args.json, summary)
-    print(scale_campaign_to_text(summary))
-    print(f"[scale completed in {time.perf_counter() - started:.1f}s]")
-    return 0 if summary["ok"] else 1
-
-
 def _commands() -> List[Command]:
     """The subcommand table, in ``mediaworm --help`` / ``list`` order."""
     return [
@@ -658,12 +606,6 @@ def _commands() -> List[Command]:
             "inspect a topology and its compiled route program",
             _configure_topo,
             _run_topo,
-        ),
-        Command(
-            "scale",
-            "datacenter-scale campaign (1024-host fat tree, Clos)",
-            _configure_scale,
-            _run_scale,
         ),
     ]
 

@@ -16,10 +16,9 @@ must hit the runner's topology cache, so the route-program compile
 counter may move at most once per point (and not at all when an
 earlier point already cached the shape).
 
-Usage (flags and exit status live with the other subcommands, in
-:mod:`repro.experiments.cli`)::
-
-    mediaworm scale --points ft3-1024 --json scale.json
+:data:`CAMPAIGN` sweeps point names (``--points``; ``--profile smoke``:
+:data:`SMOKE_POINTS`); a point's record is its ``extra``, and a point
+whose runs raise or disagree is a ``FAILED`` row.
 """
 
 from __future__ import annotations
@@ -29,16 +28,15 @@ import hashlib
 import json
 import math
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.campaign import Axis, Campaign, Column, Point, empty_metrics
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import simulate, topology_of
 from repro.metrics.collector import canonical, canonical_metrics
 from repro.router import routeprog
 from repro.sim.reference import run_reference
-
-FORMAT = "mediaworm-scale-v1"
 
 #: sparse load so wall time stays dominated by network size, not flits
 SCALE_LOAD = 0.01
@@ -57,24 +55,34 @@ _COMMON = dict(
     scale=40.0,
 )
 
+
+def point_name(experiment) -> str:
+    """``ft3-<hosts>`` / ``bfly-<hosts>``: the name a point goes by,
+    read off its shape fields (no topology is built)."""
+    shape = experiment.shape()
+    if "k" in shape:  # a k-ary fat tree: k pods of k/2 leaves
+        k = shape["k"]
+        return f"ft3-{k * k // 2 * (shape['hosts_per_leaf'] or k // 2)}"
+    arity = shape["arity"]
+    leaves = arity ** (shape["levels"] - 1)
+    return f"bfly-{leaves * (shape['hosts_per_leaf'] or arity)}"
+
+
 #: name -> experiment; ft3-1024 is the acceptance point — a 1024-host,
 #: 320-switch classic fat tree of uniform 16-port routers
 SCALE_POINTS: Dict[str, object] = {
-    "ft3-16": FatTree3Experiment(k=4, **_COMMON),
-    "ft3-128": FatTree3Experiment(k=8, **_COMMON),
-    "ft3-1024": FatTree3Experiment(k=16, **_COMMON),
-    "bfly-64": ButterflyExperiment(arity=4, levels=3, **_COMMON),
-    "bfly-512": ButterflyExperiment(arity=8, levels=3, **_COMMON),
+    point_name(experiment): experiment
+    for experiment in (
+        FatTree3Experiment(k=4, **_COMMON),
+        FatTree3Experiment(k=8, **_COMMON),
+        FatTree3Experiment(k=16, **_COMMON),
+        ButterflyExperiment(arity=4, levels=3, **_COMMON),
+        ButterflyExperiment(arity=8, levels=3, **_COMMON),
+    )
 }
 
 #: the quick subset exercised by ``make scale-smoke`` and CI
 SMOKE_POINTS = ("ft3-16", "bfly-64")
-
-
-def _armed(experiment):
-    """The experiment with the campaign watchdog installed."""
-    window = WATCHDOG_FRAMES * experiment.workload_config().frame_interval_cycles
-    return dataclasses.replace(experiment, watchdog_window=window)
 
 
 def run_digest(result) -> str:
@@ -102,40 +110,65 @@ def _topology_stats(experiment) -> Dict[str, object]:
     return stats
 
 
-def run_scale_point(name: str, log=None) -> Dict[str, object]:
-    """Run one campaign point; returns its record (see module doc)."""
-    try:
-        experiment = SCALE_POINTS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scale point {name!r}; "
-            f"choose from {', '.join(SCALE_POINTS)}"
-        )
-    experiment = _armed(experiment)
+def _point_experiment(profile, series, name: str):
+    """The point with the campaign watchdog armed; the profile picks
+    only the default points (and ``--watchdog`` the window), never a
+    point's seed or scale, so digests do not depend on it."""
+    experiment = SCALE_POINTS[name]
+    interval = experiment.workload_config().frame_interval_cycles
+    return dataclasses.replace(
+        experiment,
+        watchdog_window=profile.watchdog_window or WATCHDOG_FRAMES * interval,
+    )
 
+
+def _point_ok(record: Dict[str, object]) -> bool:
+    """One digest on both loops, one compile, and outputs worth hashing."""
+    return bool(
+        record["identical"]
+        and record["compile_once"]
+        and all(
+            isinstance(record[key], float) and math.isfinite(record[key])
+            for key in ("d_ms", "sigma_d_ms")
+        )
+    )
+
+
+def _scale_point(experiment) -> Point:
+    """Worker body: the point's three runs, reduced to its record.
+
+    A :class:`~repro.errors.SimulationError` from any run, or a record
+    :func:`_point_ok` rejects, is the point's ``failed`` extra.  The
+    error is caught here, not in the executor, so the point is never
+    retried under a reseeded experiment: a determinism check that
+    passes on another seed would hide the failure.
+    """
+    name = point_name(experiment)
     networks = []
     hooked = dataclasses.replace(experiment, network_hook=networks.append)
 
-    def timed(label: str, loop=None):
+    def timed(loop=None):
         """One run: result, wall seconds, (digest, buffered-VC census)."""
         started = time.perf_counter()
         result = simulate(hooked, loop=loop)
         seconds = time.perf_counter() - started
-        if log is not None:
-            log(f"[scale] {name}: {label} {seconds:.1f}s ({result.cycles_run} cycles)")
         return result, seconds, (run_digest(result), networks.pop().buffered_vcs())
 
     compiles_before = routeprog.compile_count()
-    active, active_s, outcome = timed("active loop")
-    compiles_first = routeprog.compile_count() - compiles_before
-    _, repeat_s, repeat_outcome = timed("repeat")
-    compiles_repeat = (
-        routeprog.compile_count() - compiles_before - compiles_first
-    )
-    _, legacy_s, legacy_outcome = timed("legacy loop", run_reference)
+    try:
+        active, active_s, outcome = timed()
+        compiles_first = routeprog.compile_count() - compiles_before
+        _, repeat_s, repeat_outcome = timed()
+        compiles_repeat = (
+            routeprog.compile_count() - compiles_before - compiles_first
+        )
+        _, legacy_s, legacy_outcome = timed(run_reference)
+    except SimulationError as exc:
+        failed = f"{type(exc).__name__}: {exc}"
+        return Point(name, empty_metrics(), extra={"failed": failed})
 
     digest, (vcs_used, vcs_total) = outcome
-    return {
+    record = {
         "name": name,
         "topology": _topology_stats(experiment),
         "watchdog_window": experiment.watchdog_window,
@@ -162,49 +195,57 @@ def run_scale_point(name: str, log=None) -> Dict[str, object]:
         "compiles_repeat_run": compiles_repeat,
         "compile_once": compiles_first <= 1 and compiles_repeat == 0,
     }
-
-
-def _point_ok(record: Dict[str, object]) -> bool:
-    """One digest on both loops, one compile, and outputs worth hashing."""
-    return bool(
-        record["identical"]
-        and record["compile_once"]
-        and all(
-            isinstance(record[key], float) and math.isfinite(record[key])
-            for key in ("d_ms", "sigma_d_ms")
+    if not _point_ok(record):
+        record["failed"] = ", ".join(
+            f"{key}={record[key]}"
+            for key in ("identical", "compile_once", "d_ms", "sigma_d_ms")
         )
-    )
+    return Point(name, active.metrics, extra=record)
 
 
-def run_scale_campaign(
-    points: Optional[Tuple[str, ...]] = None, log=None
-) -> Dict[str, object]:
-    """Run the campaign; returns the summary record for JSON export."""
-    names = tuple(points) if points else tuple(SCALE_POINTS)
-    records = [run_scale_point(name, log=log) for name in names]
-    return {
-        "format": FORMAT,
-        "points": records,
-        "ok": all(_point_ok(r) for r in records),
-    }
-
-
-def scale_campaign_to_text(summary: Dict[str, object]) -> str:
-    lines = [
-        "scale campaign (active / repeat / legacy must be bit-identical)",
-        f"{'point':>10s} {'hosts':>6s} {'switches':>8s} {'table ints':>10s} "
-        f"{'active':>8s} {'setup':>8s} {'legacy':>8s} {'d ms':>8s} "
-        f"{'vcs used':>11s} {'identical':>9s} {'compile':>7s}",
-    ]
-    for r in summary["points"]:
-        topo = r["topology"]
-        lines.append(
-            f"{r['name']:>10s} {topo['hosts']:>6d} {topo['routers']:>8d} "
-            f"{topo['table_ints']:>10d} {r['active_s']:>7.1f}s "
-            f"{r['setup_s']:>7.2f}s {r['legacy_s']:>7.1f}s "
-            f"{str(r['d_ms']):>8.8s} {r['vcs_used']:>5d}/{r['vcs_total']:<5d} "
-            f"{str(r['identical']):>9s} "
-            f"{'once' if r['compile_once'] else 'LEAK':>7s}"
+def _check_point(name: str) -> None:
+    if name not in SCALE_POINTS:
+        raise ConfigurationError(
+            f"unknown scale point {name!r}; "
+            f"choose from {', '.join(SCALE_POINTS)}"
         )
-    lines.append(f"overall: {'OK' if summary['ok'] else 'FAIL'}")
-    return "\n".join(lines)
+
+
+def _default_points(profile) -> Tuple[str, ...]:
+    return SMOKE_POINTS if profile.name == "smoke" else tuple(SCALE_POINTS)
+
+
+CAMPAIGN = Campaign(
+    name="scale",
+    help="datacenter-scale campaign (1024-host fat tree, Clos)",
+    series=("scale",),
+    axis=Axis(
+        flag="--points",
+        metavar="P1,P2,...",
+        help=f"comma-separated point names from {','.join(SCALE_POINTS)} "
+        f"(default: all; --profile smoke: {','.join(SMOKE_POINTS)})",
+        defaults=_default_points,
+        check=_check_point,
+    ),
+    experiment=_point_experiment,
+    point=_scale_point,
+    title="scale campaign (active / repeat / legacy must be bit-identical)",
+    xlabel="scale point",
+    notes="a point fails unless its three runs share one digest and VC "
+    "census, its route program compiles at most once, and d / sigma_d "
+    "are finite",
+    columns=(
+        Column("point", 10, "x"),
+        Column("hosts", 6, "topology.hosts"),
+        Column("switches", 8, "topology.routers"),
+        Column("table ints", 10, "topology.table_ints"),
+        Column("active s", 8, "active_s", ".1f"),
+        Column("setup s", 8, "setup_s", ".2f"),
+        Column("legacy s", 8, "legacy_s", ".1f"),
+        Column("d ms", 8, "d", ".4f"),
+        Column("vcs used", 8, "vcs_used"),
+        Column("vcs total", 9, "vcs_total"),
+        Column("identical", 9, "identical"),
+        Column("compiles", 8, "compiles_first_run"),
+    ),
+)

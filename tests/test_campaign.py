@@ -1,13 +1,14 @@
 """The campaign contract, once, for every campaign in the registry.
 
-``mediaworm faults`` / ``failover`` / ``disaster`` are specs run by one
-skeleton (``repro.experiments.campaign``); everything the skeleton
-promises is checked here against stubbed simulators, parametrized over
-:func:`~repro.experiments.campaign.campaigns`.  The ``GOLDEN`` literals
-(rendered table, ``figure_to_dict`` JSON, checkpoint keys and meta) were
-produced by the three per-module campaign functions this skeleton
-replaced, so they prove the artifacts did not move and that a
-checkpoint written by the old code still restores.
+``mediaworm faults`` / ``failover`` / ``disaster`` / ``scale`` are specs
+run by one skeleton (``repro.experiments.campaign``); everything the
+skeleton promises is checked here against stubbed simulators,
+parametrized over :func:`~repro.experiments.campaign.campaigns`.  The
+``GOLDEN`` literals (rendered table, ``figure_to_dict`` JSON,
+checkpoint keys and meta) of the first three were produced by the
+per-module campaign functions this skeleton replaced, so they prove
+the artifacts did not move and that a checkpoint written by the old
+code still restores; scale's pin its format as a spec.
 """
 
 import json
@@ -16,7 +17,9 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +36,7 @@ from repro.experiments.campaign import (
     campaigns,
     empty_metrics,
 )
-from repro.experiments.config import SingleSwitchExperiment
+from repro.experiments.config import ButterflyExperiment, SingleSwitchExperiment
 from repro.experiments.export import figure_to_dict, load_result
 from repro.experiments.resilience import SweepCheckpoint
 from repro.experiments.runner import ExperimentResult
@@ -106,7 +109,15 @@ def _stub_result(experiment) -> ExperimentResult:
         flits_ejected=10,
         wall_seconds=0.0,
         fault_stats=_stats(experiment.routing_mode != RoutingMode.STATIC),
+        setup_seconds=0.0,
     )
+
+
+class _StubNetwork:
+    """What a ``network_hook`` sees of a stubbed run."""
+
+    def buffered_vcs(self):
+        return (3, 40)
 
 
 def _second_kind(experiment) -> bool:
@@ -123,20 +134,29 @@ def simulators(monkeypatch):
 
     Returns ``install(spec, fail=None)`` -> the list of experiments the
     stub was called with; ``fail(experiment)`` true raises a
-    DeadlockError instead of returning a result.
+    DeadlockError instead of returning a result.  The stub takes the
+    ``loop=`` a point body may pass, hands its ``network_hook`` a
+    stand-in network, and the body's module reads a frozen clock, so
+    wall-time columns are literal too.
     """
 
     def install(spec, fail=None):
         calls = []
 
-        def stub(experiment):
+        def stub(experiment, loop=None):
             calls.append(experiment)
             if fail is not None and fail(experiment):
                 raise DeadlockError("router 0 wedged")
+            if experiment.network_hook is not None:
+                experiment.network_hook(_StubNetwork())
             return _stub_result(experiment)
 
         module = sys.modules[spec.point.__module__]
         monkeypatch.setattr(module, "simulate", stub)
+        if hasattr(module, "time"):
+            monkeypatch.setattr(
+                module, "time", SimpleNamespace(perf_counter=lambda: 0.0)
+            )
         return calls
 
     return install
@@ -148,8 +168,43 @@ _HEALTH = (
     "shed_best_effort=True,suspect_misses=3]"
 )
 
+def _scale_record(name: str, topology: dict) -> dict:
+    """A stubbed scale point's record: three runs of the stub's result,
+    read by a frozen clock, its topology compiled before the stub ran."""
+    return {
+        "active_s": 0.0,
+        "compile_once": True,
+        "compiles_first_run": 0,
+        "compiles_repeat_run": 0,
+        "d_ms": 33.0,
+        "digest": "93c47d0404a2399852fe7d9d2aff0325"
+        "d2f6720712a75856c578fa34518e1488",
+        "flits_ejected": 10,
+        "flits_injected": 10,
+        "identical": True,
+        "legacy_s": 0.0,
+        "name": name,
+        "repeat_s": 0.0,
+        "setup_s": 0.0,
+        "sigma_d_ms": 0.5,
+        "topology": dict(
+            alt_entries=0,
+            dense_nodes=True,
+            detour_entries=0,
+            failover_overlay=True,
+            unique_groups=5,
+            **topology,
+        ),
+        "vcs_total": 40,
+        "vcs_used": 3,
+        "watchdog_window": 41248,
+    }
+
+
 #: per campaign: the sweep, its CLI spelling, arguments the CLI must
 #: refuse, and the artifacts the replaced code produced for that sweep
+#: (scale: ``runs`` simulations per point, a ``record`` as each point's
+#: whole extra, and failures its body records rather than the executor)
 GOLDEN = {
     "faults": dict(
         values=(0.005,),
@@ -254,15 +309,90 @@ butterfly/static        none     0.9500    0.9000        0      1234        1   
         point_x={"none": 0, "pod": 3},
         point_extra={"none": {"severity": "none"}, "pod": {"severity": "pod"}},
     ),
+    "scale": dict(
+        values=("ft3-16", "bfly-64"),
+        arg="ft3-16,bfly-64",
+        bad_args=("ft3-9999", "ft3-16,ft3-16"),
+        bad_values=(("ft3-9999",), ("ft3-16", "ft3-16")),
+        meta={
+            "command": "scale",
+            "profile": "quick",
+            "points": ["ft3-16", "bfly-64"],
+        },
+        keys={
+            ("scale", "ft3-16"): "scale@ft3-16",
+            ("scale", "bfly-64"): "scale@bfly-64|arity=4",
+        },
+        table="""\
+scale campaign (active / repeat / legacy must be bit-identical)
+     point  hosts switches table ints active s  setup s legacy s     d ms vcs used vcs total identical compiles
+---------------------------------------------------------------------------------------------------------------
+    ft3-16     16       20        320      0.0     0.00      0.0  33.0000        3        40      True        0
+   bfly-64     64       48       3072      0.0     0.00      0.0  33.0000        3        40      True        0
+(a point fails unless its three runs share one digest and VC census, its route program compiles at most once, and d / sigma_d are finite)""",
+        figure=dict(
+            title="scale campaign (active / repeat / legacy must be "
+            "bit-identical)",
+            xlabel="scale point",
+            notes="a point fails unless its three runs share one digest "
+            "and VC census, its route program compiles at most once, and "
+            "d / sigma_d are finite",
+        ),
+        point_x={"ft3-16": "ft3-16", "bfly-64": "bfly-64"},
+        point_extra={},
+        runs=3,
+        record={
+            "ft3-16": _scale_record(
+                "ft3-16",
+                dict(
+                    destinations=16,
+                    entries=320,
+                    hosts=16,
+                    max_group_size=2,
+                    name="fat-tree3-k4h2w1",
+                    ports_per_router=4,
+                    routers=20,
+                    table_ints=320,
+                ),
+            ),
+            "bfly-64": _scale_record(
+                "bfly-64",
+                dict(
+                    destinations=64,
+                    entries=3072,
+                    hosts=64,
+                    max_group_size=4,
+                    name="butterfly-a4n3h4w1",
+                    ports_per_router=8,
+                    routers=48,
+                    table_ints=3072,
+                ),
+            ),
+        },
+        fail=lambda experiment: isinstance(experiment, ButterflyExperiment),
+        failing=(("scale", "bfly-64"),),
+        body_catches=True,
+    ),
 }
 
 
 def _golden_point(name: str, series: str, x) -> dict:
     """One point as the codec writes it (checkpoint entry == JSON entry)."""
     gold = GOLDEN[name]
-    extra = _stats(not series.endswith("static"))
-    extra.update(gold["point_extra"].get(x, {}))
+    if "record" in gold:
+        extra = gold["record"][x]
+    else:
+        extra = _stats(not series.endswith("static"))
+        extra.update(gold["point_extra"].get(x, {}))
     return {"x": gold["point_x"][x], "metrics": METRICS, "extra": extra}
+
+
+def _failing(spec, gold) -> set:
+    """The ``(series, x)`` pairs the stub's ``fail`` hits: every
+    campaign's degraded series, unless the golden names them."""
+    if "failing" in gold:
+        return set(gold["failing"])
+    return {pair for pair in gold["keys"] if pair[0] in spec.series[1::2]}
 
 
 def _golden_figure(name: str) -> dict:
@@ -289,7 +419,7 @@ def _golden_checkpoint(name: str) -> dict:
 
 
 def test_every_builtin_campaign_has_a_golden():
-    assert NAMES == ["faults", "failover", "disaster"]
+    assert NAMES == ["faults", "failover", "disaster", "scale"]
     assert set(GOLDEN) == set(NAMES)
 
 
@@ -307,8 +437,8 @@ class TestCampaignContract:
             for series, points in fig.series.items()
             for point in points
         ] == [(series, GOLDEN[name]["point_x"][x]) for series, x in pairs]
-        # one simulation per defined (series, x) pair, in table order
-        assert len(calls) == len(pairs)
+        # one point per defined (series, x) pair, in table order
+        assert len(calls) == len(pairs) * GOLDEN[name].get("runs", 1)
         assert not any_failed(fig)
 
     def test_golden_table_json_and_checkpoint(
@@ -376,8 +506,9 @@ class TestCampaignContract:
         self, name, simulators, tmp_path
     ):
         spec = campaigns()[name]
-        calls = simulators(spec, fail=_second_kind)
         gold = GOLDEN[name]
+        calls = simulators(spec, fail=gold.get("fail", _second_kind))
+        failing = _failing(spec, gold)
         path = tmp_path / "ckpt.json"
         cp = SweepCheckpoint(path, gold["meta"])
         logs = []
@@ -391,17 +522,19 @@ class TestCampaignContract:
             assert point.x == gold["point_x"][x]
             for extra, value in gold["point_extra"].get(x, {}).items():
                 assert point.extra[extra] == value
-            if series in spec.series[1::2]:
+            if (series, x) in failing:
                 assert point.extra["failed"] == (
                     "DeadlockError: router 0 wedged"
                 )
-                assert f"[{name}] {key}: FAILED (DeadlockError)" in logs
+                if not gold.get("body_catches"):
+                    # the executor gave up on it after its retries
+                    assert f"[{name}] {key}: FAILED (DeadlockError)" in logs
             else:
                 assert "failed" not in point.extra
         failed_rows = [
             line for line in spec.render(fig).splitlines() if "FAILED" in line
         ]
-        assert len(failed_rows) == len(gold["keys"]) // 2
+        assert len(failed_rows) == len(failing)
         assert all(
             row.endswith("FAILED: DeadlockError: router 0 wedged")
             for row in failed_rows
@@ -469,7 +602,8 @@ class TestCampaignContract:
         argv = [name, "--profile", "quick", "--checkpoint", str(path)]
         argv += [spec.axis.flag, GOLDEN[name]["arg"], "--fresh"]
         assert cli.main(argv) == 0
-        assert len(calls) == len(GOLDEN[name]["keys"])
+        gold = GOLDEN[name]
+        assert len(calls) == len(gold["keys"]) * gold.get("runs", 1)
         out = capsys.readouterr().out
         assert "restored from checkpoint" not in out
         assert "77.000" not in out
@@ -479,7 +613,7 @@ class TestCampaignContract:
     ):
         """Table printed, JSON written, checkpoint cleared — then exit 1."""
         spec = campaigns()[name]
-        simulators(spec, fail=_second_kind)
+        simulators(spec, fail=GOLDEN[name].get("fail", _second_kind))
         path = tmp_path / "ckpt.json"
         out_json = tmp_path / "fig.json"
         argv = [name, "--profile", "quick", "--checkpoint", str(path)]
@@ -564,6 +698,28 @@ class TestRegisteredCampaign:
         )
         with pytest.raises(SystemExit, match="sizes must be in 1..9, got 12"):
             cli.main(["toy", "--sizes", "12"])
+
+    def test_profile_dependent_defaults_run_without_the_flag(
+        self, tmp_path, capsys
+    ):
+        """``defaults`` as ``profile -> sweep`` (Fig. 7's and scale's kind)
+        resolve in the CLI too, not only in ``Campaign.run``."""
+        by_profile = replace(
+            TOY,
+            name="toy-by-profile",
+            axis=replace(
+                TOY.axis,
+                defaults=lambda profile: (4,) if profile.name == "smoke" else (5,),
+            ),
+        )
+        campaign.register(by_profile)
+        path = tmp_path / "toy.json"
+        argv = ["toy-by-profile", "--profile", "smoke"]
+        assert cli.main(argv + ["--checkpoint", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "virtual_clock    4    16\n" in out
+        assert by_profile.checkpoint_meta("smoke")["sizes"] == [4]
+        assert by_profile.checkpoint_meta("quick")["sizes"] == [5]
 
     def test_default_checkpoint_name_and_meta(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -28,6 +28,7 @@ from repro.chaos import (
     shrink,
     write_repro,
 )
+from repro.chaos.campaign import campaign_meta
 from repro.errors import (
     ChaosFailure,
     ConfigurationError,
@@ -332,22 +333,29 @@ class TestCampaign:
         self, tmp_path
     ):
         checkpoint_path = tmp_path / "campaign.json"
+        meta = campaign_meta(TINY_SPACE, 3, 2)
         kwargs = dict(
             space=TINY_SPACE,
             seed=3,
             count=2,
             corpus_dir=str(tmp_path / "corpus"),
             jobs=1,
-            checkpoint_path=str(checkpoint_path),
         )
-        first = run_campaign(**kwargs)
+        first = run_campaign(
+            **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, meta)
+        )
         assert first["scenarios"] == 2
         assert first["passed"] == 2
         assert first["failures"] == []
         # a clean campaign leaves no checkpoint and writes no repros
         assert not checkpoint_path.exists()
         assert not (tmp_path / "corpus").exists()
-        assert run_campaign(**kwargs) == first
+        assert (
+            run_campaign(
+                **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, meta)
+            )
+            == first
+        )
 
     def test_campaign_restores_verdicts_from_checkpoint(self, tmp_path):
         # seed the checkpoint with a fabricated failing verdict for
@@ -379,7 +387,9 @@ class TestCampaign:
             count=count,
             corpus_dir=str(tmp_path / "corpus"),
             jobs=1,
-            checkpoint_path=str(checkpoint_path),
+            checkpoint=SweepCheckpoint(
+                checkpoint_path, campaign_meta(TINY_SPACE, seed, count)
+            ),
             shrink_budget=4,
         )
         assert summary["failed"] == 1

@@ -49,7 +49,7 @@ class TestCli:
 
 
 #: ``mediaworm list`` as the hand-wired CLI printed it, before the
-#: subcommands became a table
+#: subcommands became a table (scale has since joined the campaigns)
 LIST_OUTPUT = """\
 fig3     Virtual Clock vs FIFO (16 VCs, 80:20 mix)
 fig4     CBR vs VBR traffic (no best-effort)
@@ -63,10 +63,10 @@ table3   PCS connection drop accounting
 faults   QoS degradation under link faults (fat mesh)
 failover adaptive vs static routing under permanent link failures
 disaster switch/pod failures and datacenter failover on trees
+scale    datacenter-scale campaign (1024-host fat tree, Clos)
 trace    one traced run: JSONL event stream, invariants, profiling
 chaos    randomized differential fault campaign with scenario shrinking
 topo     inspect a topology and its compiled route program
-scale    datacenter-scale campaign (1024-host fat tree, Clos)
 """
 
 
@@ -119,7 +119,9 @@ class TestCommandTable:
                           json=None, checkpoint=None, fresh=False, count=25,
                           seed=7, corpus="chaos-corpus", shrink_budget=40,
                           replay=None, selftest=None),
-            "scale": dict(points=None, smoke=False, json=None),
+            "scale": dict(profile="default", jobs=1, watchdog=None,
+                          point_timeout=None, json=None, checkpoint=None,
+                          fresh=False, points=None),
             "trace": dict(preset="quick", profile=False, load=0.8,
                           trace_out="mediaworm-trace.jsonl",
                           trace_events=None, chrome=None, no_check=False),
@@ -131,12 +133,35 @@ class TestCommandTable:
             argv = ["fig3"] if name == "run" else []
             assert vars(parser.parse_args(argv)) == expected, name
 
-    def test_scale_flag_errors_keep_argparse_exit_status(self, capsys):
-        for argv in (
-            ["scale", "--points", "ft3-9999"],
-            ["scale", "--points", "ft3-16", "--smoke"],
-        ):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(argv)
-            assert excinfo.value.code == 2
-        assert "unknown point 'ft3-9999'" in capsys.readouterr().err
+    def test_scale_unknown_point_is_the_axis_message(self):
+        """As ``faults --rates`` junk: exit 1 with the axis' own message."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scale", "--points", "ft3-9999"])
+        assert excinfo.value.code.startswith(
+            "unknown scale point 'ft3-9999'; choose from ft3-16, "
+        )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--point-timeout", "0"], "--point-timeout must be > 0 seconds, got 0"),
+            (["--point-timeout", "-5"], "--point-timeout must be > 0 seconds, got -5"),
+            (["--shrink-budget", "-1"], "--shrink-budget must be >= 0, got -1"),
+        ],
+        ids=["zero-timeout", "negative-timeout", "negative-shrink-budget"],
+    )
+    def test_chaos_refuses_unusable_budgets_before_any_scenario(
+        self, flags, message, tmp_path, monkeypatch
+    ):
+        """A non-positive timeout would switch hang protection off, a
+        negative budget would write unshrunk repros."""
+        import repro.chaos
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(repro.chaos, "run_campaign", no_campaign)
+        argv = ["chaos", "--checkpoint", str(tmp_path / "c.json")] + flags
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == message

@@ -153,6 +153,12 @@ class TestSharedTopologies:
     runner's cached topology, so a whole campaign costs one build per
     distinct shape."""
 
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        """Start from an empty cache: shapes earlier tests left in it
+        sit ahead of this test's in the eviction order."""
+        monkeypatch.setattr(runner, "_TOPOLOGY_CACHE", {})
+
     @pytest.mark.parametrize(
         "spec, shapes",
         [(disaster.CAMPAIGN, 2), (failover.CAMPAIGN, 1)],

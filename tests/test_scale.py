@@ -7,24 +7,26 @@ and the full-scan reference stepper — while compiling its route program
 at most once.
 """
 
+import dataclasses
 import json
 import math
 from collections import deque
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeadlockError
 from repro.experiments import scale
+from repro.experiments.campaign import any_failed, get_profile
 from repro.experiments.cli import main as cli_main
 from repro.experiments.config import FatTree3Experiment
 from repro.experiments.runner import simulate, topology_of
 from repro.experiments.scale import (
+    CAMPAIGN,
     SCALE_POINTS,
     SMOKE_POINTS,
     _point_ok,
-    run_scale_campaign,
-    run_scale_point,
-    scale_campaign_to_text,
+    _scale_point,
+    point_name,
 )
 from repro.experiments.topo import build_topology, describe_topology
 from repro.network.network import Network
@@ -32,14 +34,32 @@ from repro.router.config import RouterConfig
 from repro.sim.reference import run_reference
 
 
+def run_scale_point(name: str) -> dict:
+    """One point through the campaign's own factory and body: its record."""
+    experiment = CAMPAIGN.experiment(get_profile("default"), "scale", name)
+    point = _scale_point(experiment)
+    assert point.x == name
+    return point.extra
+
+
 class TestScalePoints:
     def test_smoke_points_are_known(self):
         for name in SMOKE_POINTS:
             assert name in SCALE_POINTS
+        # --profile smoke runs the subset, every other profile all five
+        assert CAMPAIGN.sweep("smoke") == SMOKE_POINTS
+        assert CAMPAIGN.sweep("quick") == tuple(SCALE_POINTS)
+        # each point is filed under the name its shape gives it, and
+        # that name counts the hosts (ft3-1024's: the acceptance test)
+        for name, experiment in SCALE_POINTS.items():
+            assert point_name(experiment) == name
+        for name in SMOKE_POINTS:
+            hosts = topology_of(SCALE_POINTS[name]).num_hosts
+            assert name.endswith(f"-{hosts}")
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scale point"):
-            run_scale_point("ft3-9999")
+            CAMPAIGN.run("smoke", ("ft3-9999",))
 
     def test_small_point_identical_and_compile_once(self, monkeypatch):
         reference_runs = []
@@ -60,6 +80,7 @@ class TestScalePoints:
         assert record["watchdog_window"] > 0
         assert record["flits_injected"] > 0
         assert record["topology"]["hosts"] == 16
+        assert "failed" not in record
 
     def test_point_times_finite_outputs(self):
         """A point hashes real d / sigma_d, not NaNs, and says so."""
@@ -84,16 +105,42 @@ class TestScalePoints:
         assert not _point_ok({**record, "identical": False})
 
     def test_campaign_summary_and_text(self):
-        summary = run_scale_campaign(points=("bfly-64",))
-        assert summary["ok"]
-        text = scale_campaign_to_text(summary)
+        fig = CAMPAIGN.run("smoke", ("bfly-64",))
+        assert not any_failed(fig)
+        text = CAMPAIGN.render(fig)
         assert "bfly-64" in text
         assert "setup" in text.splitlines()[1]
-        assert "overall: OK" in text
-        broken = {**summary["points"][0], "d_ms": "nan"}
-        assert " nan " in scale_campaign_to_text(
-            {"points": [broken], "ok": False}
+        assert "FAILED" not in text
+        (point,) = fig.series["scale"]
+        point.metrics = dataclasses.replace(
+            point.metrics, mean_delivery_interval_ms=math.nan
         )
+        assert " nan " in CAMPAIGN.render(fig)
+
+    def test_deadlock_in_one_run_is_a_failed_row_not_a_reseed(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """The repeat run wedges: the point is FAILED after exactly one
+        attempt (two runs, both at the point's own seed), and exit 1."""
+        calls = []
+
+        def wedged_repeat(experiment, loop=None):
+            calls.append(experiment.seed)
+            if len(calls) == 2:
+                raise DeadlockError("router 3 wedged")
+            return simulate(experiment, loop=loop)
+
+        monkeypatch.setattr(scale, "simulate", wedged_repeat)
+        argv = ["scale", "--points", "ft3-16"]
+        argv += ["--checkpoint", str(tmp_path / "ckpt.json")]
+        assert cli_main(argv) == 1
+        assert calls == [SCALE_POINTS["ft3-16"].seed] * 2
+        rows = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "FAILED" in line
+        ]
+        assert rows == ["    ft3-16 FAILED: DeadlockError: router 3 wedged"]
 
 
 class TestThousandHostAcceptance:
@@ -195,11 +242,13 @@ class TestTopoCommand:
         out_json = tmp_path / "scale.json"
         code = cli_main(
             ["scale", "--points", "ft3-16", "--json", str(out_json)]
+            + ["--checkpoint", str(tmp_path / "ckpt.json")]
         )
         assert code == 0
-        summary = json.loads(out_json.read_text())
-        assert summary["ok"]
-        point = summary["points"][0]
+        (entry,) = json.loads(out_json.read_text())["series"]["scale"]
+        assert entry["x"] == "ft3-16"
+        point = entry["extra"]
+        assert "failed" not in point
         assert point["name"] == "ft3-16"
         assert point["setup_s"] >= 0.0
         assert math.isfinite(point["d_ms"])
