@@ -50,8 +50,8 @@ perf-test:        ## the benchmark harness's own tests
 repro:            ## regenerate every figure/table at the default profile
 	$(PYTHON) -m repro.experiments.cli all --profile default
 
-all-smoke:        ## every figure + table end to end, CI-sized, with per-figure wall times
-	$(PYTHON) -m repro.experiments.cli all --profile smoke --fresh \
+all-smoke:        ## every figure + table as one 2-worker sweep, CI-sized, with its wall time and simulation count
+	$(PYTHON) -m repro.experiments.cli all --profile smoke --jobs 2 --fresh \
 		--checkpoint mediaworm-all-smoke.checkpoint.json > ALL_smoke.txt
 	@grep "completed in" ALL_smoke.txt
 

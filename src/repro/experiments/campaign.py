@@ -4,38 +4,40 @@ The paper's evaluation is nothing but sweeps, and every study this
 repo adds on top of it (``mediaworm faults`` / ``failover`` /
 ``disaster`` / ``scale``) has the same shape.  A study is a frozen
 :class:`Campaign` *spec* — its series, its swept :class:`Axis`, an
-experiment factory, a picklable point runner, and how its result
+experiment factory, a picklable point body, and how its result
 prints — and this module holds the single implementation of everything
-else: building the :class:`~repro.experiments.parallel.SweepTask` list,
-logging restored keys, recording (and checkpointing) points that fail
-every retry, assembling the :class:`FigureData` and rendering the
-aligned table.  Figs. 3-9 and Tables 2-3 are the specs of
-:data:`repro.experiments.figures.PAPER`; the CLI enumerates
-:func:`campaigns`, so a new campaign is a spec plus a :func:`register`
-call and gets ``--jobs``, checkpointing, fingerprinted keys, ``--json``
+else: planning the ``(series, x) -> experiment`` grid, keying each
+point by its experiment (:func:`experiment_key`), running every
+distinct experiment once (:func:`run_plans`, which is also how
+``mediaworm all`` runs the union of the paper's specs), logging
+restored points, recording (and checkpointing) points that fail every
+retry, placing each point at its axis value, assembling the
+:class:`FigureData` and rendering the aligned table.  Figs. 3-9 and
+Tables 2-3 are the specs of :data:`repro.experiments.figures.PAPER`;
+the CLI enumerates :func:`campaigns`, so a new campaign is a spec plus
+a :func:`register` call and gets ``--jobs``, checkpointing, ``--json``
 and the exit-1-on-failed-point rule for free.
 
 The vocabulary specs are written in (:class:`RunProfile`,
 :class:`Point`, :class:`FigureData`, the Point codec) lives here too,
 so spec modules import this one and never the reverse.  Deliberately
 not imported by ``repro.experiments.__init__``, ``parallel`` or
-``runner``: those are all a pool worker (and the benchmark's
-cold-import probe) loads, and neither pays for the spec layer.
+``runner``, so the benchmark's cold-import probe never pays for the
+spec layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from importlib import import_module
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    SweepTask,
-    sweep_fingerprint,
-)
+from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.runner import simulate
 from repro.metrics.collector import RunMetrics
 
 
@@ -97,7 +99,8 @@ def _base_kwargs(profile: RunProfile) -> Dict:
 
 @dataclass
 class Point:
-    """One sweep point: the x value and its run metrics."""
+    """One sweep point: the x value and its run metrics (a point body
+    leaves ``x`` None: the spec places the point on its axis)."""
 
     x: object
     metrics: RunMetrics
@@ -167,17 +170,71 @@ def empty_metrics() -> RunMetrics:
     )
 
 
+def measure(experiment) -> Point:
+    """The default point body: one ``simulate``, reduced to what it
+    measured — the metrics, a faulted run's fault/recovery accounting
+    and a PCS run's connection accounting as extras."""
+    result = simulate(experiment)
+    extra = dict(getattr(result, "fault_stats", None) or {})
+    connections = getattr(result, "connections", None)
+    if connections is not None:
+        extra.update(
+            attempts=connections.attempts,
+            established=connections.established,
+            dropped=connections.dropped,
+            offered=result.offered_streams,
+            abandoned=connections.abandoned_streams,
+        )
+    return Point(None, result.metrics, extra)
+
+
+def _plain(value):
+    """``value`` as JSON-plain data that every equal value shares."""
+    if is_dataclass(value):
+        return [
+            type(value).__name__,
+            {f.name: _plain(getattr(value, f.name)) for f in fields(value)},
+        ]
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)  # (80, 20) and (80.0, 20.0) are one mix
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if callable(value):  # a hook, by its importable name
+        return f"{value.__module__}.{value.__qualname__}"
+    raise ConfigurationError(
+        f"cannot key an experiment holding a {type(value).__name__}"
+    )
+
+
+def experiment_key(experiment) -> str:
+    """A point's checkpoint and result key: its experiment's content
+    address (the type name plus every field value, hashed).
+
+    Equal experiments share one key in every process (never Python's
+    salted ``hash``), so points of different specs that run the same
+    experiment are simulated once; and any changed field — a knob, the
+    seed, ``--watchdog`` — is a new key, so a checkpoint never serves a
+    point computed under other settings.
+    """
+    blob = json.dumps(_plain(experiment), sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return f"{type(experiment).__name__}-{digest}"
+
+
 @dataclass(frozen=True)
 class Axis:
     """The swept parameter: its default sweep and, for a spec that is a
-    CLI subcommand, its flag, parsing, validation and encodings."""
+    CLI subcommand, its flag, parsing and validation."""
 
     #: the default sweep, or ``profile -> sweep`` where it depends on
     #: the workload scale
     defaults: object
-    #: format spec spelling a value in point keys (``"g"`` for floats)
+    #: format spec spelling a value in log lines and messages (``"g"``
+    #: for floats)
     fmt: str = ""
-    #: CLI flag (``"--rates"``); its dest also names the checkpoint-meta entry
+    #: CLI flag (``"--rates"``)
     flag: str = ""
     metavar: str = ""
     help: str = ""
@@ -185,9 +242,6 @@ class Axis:
     parse: Callable[[str], object] = str
     #: raises a short ``ConfigurationError`` naming an unusable value
     check: Callable[[object], None] = lambda x: None
-    #: value -> its checkpoint-meta encoding (must stay what the parent
-    #: commit wrote, or old checkpoints are discarded as mismatched)
-    meta: Callable = lambda x: x
 
     @property
     def dest(self) -> str:
@@ -273,13 +327,14 @@ class Campaign:
     axis: Axis
     #: ``(profile, series, x) -> experiment`` dataclass for one point
     experiment: Callable
-    #: worker body ``experiment -> Point``; module-level (picklable) so
-    #: the parallel executor can run points in pool workers, and
-    #: returning the Point rather than the full result keeps the
-    #: checkpoint encoding identical between serial and parallel paths
-    point: Callable
     title: str
     xlabel: str
+    #: worker body ``experiment -> Point`` holding what the run measured
+    #: (``x`` is placed by :meth:`run`); module-level (picklable) so the
+    #: parallel executor can run points in pool workers, and returning
+    #: the Point rather than the full result keeps the checkpoint
+    #: encoding identical between serial and parallel paths
+    point: Callable = measure
     notes: str = ""
     #: series value -> its name in the figure (``0.8`` -> ``"load=0.8"``)
     label: Callable[[object], str] = str
@@ -291,29 +346,11 @@ class Campaign:
     columns: Tuple[Column, ...] = ()
     #: which ``(series, x)`` pairs exist (the butterfly has no pods)
     defined: Callable[[object, object], bool] = lambda series, x: True
-    #: ``x -> Point`` standing in for a point that failed every retry;
-    #: :meth:`run` adds the ``failed`` extra
-    placeholder: Callable[[object], Point] = lambda x: Point(x, empty_metrics())
     #: ``{(series, x): Point} -> result`` where the sweep's result is not
     #: a :class:`FigureData` (Tables 2 and 3)
     table: Optional[Callable] = None
     #: result -> text, where it is not the aligned ``columns`` table
     text: Optional[Callable] = None
-
-    def key(self, series, x, experiment) -> str:
-        """Checkpoint/result key for one point: ``series@x[|fingerprint]``.
-
-        The fingerprint suffix is empty for an experiment at the default
-        knobs, so fault-sweep checkpoints written before routing modes
-        and health monitoring existed keep restoring.  Failover and
-        disaster points always carry non-default knobs (routing mode,
-        health config, deadline), so theirs is always present — a
-        checkpoint resumed after any knob change recomputes rather than
-        reusing stale points.
-        """
-        key = f"{self.label(series)}@{self.axis.text(x)}"
-        fingerprint = sweep_fingerprint(experiment)
-        return f"{key}|{fingerprint}" if fingerprint else key
 
     def sweep(self, profile, values: Optional[Sequence] = None) -> tuple:
         """The axis values one invocation sweeps, each checked: ``values``,
@@ -325,84 +362,21 @@ class Campaign:
                 values = values(get_profile(profile))
         return self.axis.validated(values)
 
-    def checkpoint_meta(self, profile, values: Optional[Sequence] = None) -> Dict:
-        """What identifies one invocation's checkpoint file."""
-        values = self.sweep(profile, values)
-        return {
-            "command": self.name,
-            "profile": get_profile(profile).name,
-            self.axis.dest: [self.axis.meta(x) for x in values],
-        }
-
-    def run(
-        self,
-        profile="default",
-        values: Optional[Sequence] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-        log: Optional[Callable[[str], None]] = None,
-        executor: Optional[ParallelSweepExecutor] = None,
-    ):
-        """Sweep ``values`` of the axis for every series.
-
-        Returns the :class:`FigureData`, or what the spec's ``table``
-        makes of the points.  With a ``checkpoint``, every completed
-        point is persisted and a rerun with the same metadata skips
-        straight past it; a point that keeps failing after the resilient
-        retries records a ``failed`` extra instead of aborting the
-        campaign (a spec without ``columns`` has no FAILED row to show
-        it in, so there the ``SimulationError`` propagates).  An
-        ``executor`` with
-        ``jobs > 1`` farms the points out to a process pool; results are
-        bit-identical to the serial path (each point seeds its own RNG
-        streams).  Pairs the spec does not define are skipped for that
-        series.
-        """
+    def plan(self, profile, values: Optional[Sequence] = None) -> Dict:
+        """``{(series, x): experiment}`` for one invocation, in table
+        order; pairs the spec does not define are skipped."""
         profile = get_profile(profile)
         values = self.sweep(profile, values)
-        if executor is None:
-            executor = ParallelSweepExecutor(jobs=1, log=log)
-        say = log or (lambda message: None)
-        #: task key -> (series, x), in table order
-        where: Dict[str, tuple] = {}
-        tasks = []
-        for series in self.series:
-            for x in values:
-                if not self.defined(series, x):
-                    continue
-                experiment = self.experiment(profile, series, x)
-                key = self.key(series, x, experiment)
-                where[key] = (series, x)
-                tasks.append(
-                    SweepTask(
-                        key=key, runner=self.point, experiment=experiment
-                    )
-                )
-        if checkpoint is not None:
-            for key in where:
-                if key in checkpoint:
-                    say(f"[{self.name}] {key}: restored from checkpoint")
-
-        failed: Dict[str, Point] = {}
-
-        def on_failure(task: SweepTask, exc: SimulationError) -> None:
-            point = self.placeholder(where[task.key][1])
-            point.extra["failed"] = f"{type(exc).__name__}: {exc}"
-            failed[task.key] = point
-            if checkpoint is not None:
-                checkpoint.put(task.key, point_to_dict(point))
-            say(f"[{self.name}] {task.key}: FAILED ({type(exc).__name__})")
-
-        results = executor.run(
-            tasks,
-            checkpoint=checkpoint,
-            encode=point_to_dict,
-            decode=point_from_dict,
-            on_failure=on_failure if self.columns else None,
-        )
-        points = {
-            pair: results.get(key) or failed[key]
-            for key, pair in where.items()
+        return {
+            (series, x): self.experiment(profile, series, x)
+            for series in self.series
+            for x in values
+            if self.defined(series, x)
         }
+
+    def reduce(self, points: Dict[tuple, Point]):
+        """The :class:`FigureData` of ``{(series, x): Point}``, or what
+        the spec's ``table`` makes of the points."""
         if self.table is not None:
             return self.table(points)
         figure: Dict[str, list] = {self.label(s): [] for s in self.series}
@@ -415,6 +389,19 @@ class Campaign:
             series=figure,
             notes=self.notes,
         )
+
+    def run(
+        self,
+        profile="default",
+        values: Optional[Sequence] = None,
+        checkpoint: Optional[SweepCheckpoint] = None,
+        log: Optional[Callable[[str], None]] = None,
+        executor: Optional[ParallelSweepExecutor] = None,
+    ):
+        """Sweep ``values`` of the axis for every series: :meth:`plan`,
+        :func:`run_plans`, :meth:`reduce`."""
+        plan = self.plan(profile, values)
+        return run_plans([(self, plan)], checkpoint, log, executor)[0]
 
     def render(self, fig) -> str:
         """What :meth:`run` returned, as the terminal shows it: the
@@ -444,8 +431,78 @@ class Campaign:
         return "\n".join(lines)
 
 
+def run_plans(
+    plans: Sequence[Tuple[Campaign, Dict]],
+    checkpoint: Optional[SweepCheckpoint] = None,
+    log: Optional[Callable[[str], None]] = None,
+    executor: Optional[ParallelSweepExecutor] = None,
+) -> list:
+    """Run ``(spec, plan)`` pairs as one sweep; one result per spec.
+
+    Every distinct experiment is one task under its
+    :func:`experiment_key`, however many points of however many specs
+    share it (specs that share an experiment measure it with one point
+    body), so the whole union is one ``executor.run``: one pool
+    (``jobs > 1``; results are bit-identical to the serial path, as
+    each point seeds its own RNG streams) and one checkpoint, which
+    persists every completed experiment and restores it on a rerun.
+    A point that keeps failing after the resilient retries records a
+    ``failed`` extra instead of aborting the sweep — unless a spec has
+    no ``columns`` (no FAILED row to show it in), in which case the
+    ``SimulationError`` propagates.  Each spec then places its points
+    at their axis values and reduces them.
+    """
+    if executor is None:
+        executor = ParallelSweepExecutor(jobs=1, log=log)
+    say = log or (lambda message: None)
+    tasks: Dict[str, SweepTask] = {}
+    #: per spec, ``{(series, x): key}``; and every point's log name
+    keyed: List[Dict[tuple, str]] = []
+    names: List[Tuple[str, str]] = []
+    for spec, plan in plans:
+        keys = {}
+        for (series, x), experiment in plan.items():
+            key = keys[series, x] = experiment_key(experiment)
+            tasks.setdefault(key, SweepTask(key, spec.point, experiment))
+            label = f"{spec.label(series)}@{spec.axis.text(x)}"
+            names.append((f"[{spec.name}] {label}", key))
+        keyed.append(keys)
+    if checkpoint is not None:
+        for name, key in names:
+            if key in checkpoint:
+                say(f"{name}: restored from checkpoint")
+
+    failed: Dict[str, Point] = {}
+
+    def on_failure(task: SweepTask, exc: SimulationError) -> None:
+        failure = {"failed": f"{type(exc).__name__}: {exc}"}
+        point = failed[task.key] = Point(None, empty_metrics(), failure)
+        if checkpoint is not None:
+            checkpoint.put(task.key, point_to_dict(point))
+        for name, key in names:
+            if key == task.key:
+                say(f"{name}: FAILED ({type(exc).__name__})")
+
+    results = executor.run(
+        list(tasks.values()),
+        checkpoint=checkpoint,
+        encode=point_to_dict,
+        decode=point_from_dict,
+        on_failure=(
+            on_failure if all(spec.columns for spec, _ in plans) else None
+        ),
+    )
+    results.update(failed)
+    return [
+        spec.reduce(
+            {pair: replace(results[key], x=pair[1]) for pair, key in keys.items()}
+        )
+        for (spec, _), keys in zip(plans, keyed)
+    ]
+
+
 def any_failed(fig: FigureData) -> bool:
-    """Whether any point of the figure is a failed-point placeholder."""
+    """Whether any point of the figure failed every retry."""
     return any(
         "failed" in point.extra
         for points in fig.series.values()

@@ -37,15 +37,14 @@ from repro.experiments.campaign import (
     _base_kwargs,
     any_failed,
     campaigns,
+    experiment_key,
     get_profile,
+    run_plans,
 )
 from repro.experiments.export import save_result
 from repro.experiments.figures import PAPER
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.resilience import SweepCheckpoint
-
-#: what ``mediaworm all`` runs (fig5 prints Table 2 alongside)
-_ALL = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table3")
 
 
 class Command(NamedTuple):
@@ -153,10 +152,14 @@ def _sweep_setup(args):
     )
 
 
-def _open_checkpoint(args, command: str, meta) -> SweepCheckpoint:
-    """The invocation's checkpoint, emptied first under ``--fresh``."""
+def _open_checkpoint(args, command: str, meta=None) -> SweepCheckpoint:
+    """The invocation's checkpoint, emptied first under ``--fresh``.
+
+    A sweep keys its points by their experiments, so its meta (the
+    default) only names the command.
+    """
     path = args.checkpoint or f"mediaworm-{command}-{args.profile}.checkpoint.json"
-    checkpoint = SweepCheckpoint(path, meta=meta)
+    checkpoint = SweepCheckpoint(path, meta=meta or {"command": command})
     if args.fresh:
         checkpoint.clear()
     return checkpoint
@@ -180,38 +183,6 @@ def _run_list(args) -> int:
     return 0
 
 
-def _print_experiment(
-    name: str,
-    profile,
-    plot: bool = False,
-    json_path: Optional[str] = None,
-    check: bool = False,
-    executor: Optional[ParallelSweepExecutor] = None,
-) -> str:
-    """Run one of the paper's experiments and print it with its wall
-    time; returns the rendered text."""
-    spec = PAPER.get(name)
-    if spec is None:
-        raise SystemExit(f"unknown experiment {name!r}; try 'mediaworm list'")
-    started = time.perf_counter()
-    result = spec.run(profile, executor=executor)
-    if json_path:
-        save_result(json_path, result)
-    text = spec.render(result)
-    # a table has no sigma_d curve to plot and no claims to judge
-    if plot and isinstance(result, FigureData):
-        from repro.analysis.ascii_plot import figure_plot
-
-        text += "\n\n" + figure_plot(result, metric="sigma_d")
-    if check and isinstance(result, FigureData):
-        from repro.experiments.validation import check_claims, claims_to_text
-
-        text += "\n\npaper claims:\n" + claims_to_text(check_claims(result))
-    print(text)
-    print(f"[{name} completed in {time.perf_counter() - started:.1f}s]\n")
-    return text
-
-
 def _configure_run(parser) -> None:
     parser.add_argument("experiment", help="fig3..fig9, table2, table3")
     _add_run_args(parser, "run", json_out=True)
@@ -229,15 +200,29 @@ def _configure_run(parser) -> None:
 
 
 def _run_run(args) -> int:
+    """One of the paper's experiments, printed with its wall time."""
     profile, executor = _sweep_setup(args)
-    _print_experiment(
-        args.experiment,
-        profile,
-        plot=args.plot,
-        json_path=args.json,
-        check=args.check,
-        executor=executor,
-    )
+    spec = PAPER.get(args.experiment)
+    if spec is None:
+        raise SystemExit(
+            f"unknown experiment {args.experiment!r}; try 'mediaworm list'"
+        )
+    started = time.perf_counter()
+    result = spec.run(profile, executor=executor)
+    if args.json:
+        save_result(args.json, result)
+    text = spec.render(result)
+    # a table has no sigma_d curve to plot and no claims to judge
+    if args.plot and isinstance(result, FigureData):
+        from repro.analysis.ascii_plot import figure_plot
+
+        text += "\n\n" + figure_plot(result, metric="sigma_d")
+    if args.check and isinstance(result, FigureData):
+        from repro.experiments.validation import check_claims, claims_to_text
+
+        text += "\n\npaper claims:\n" + claims_to_text(check_claims(result))
+    print(text)
+    print(f"[{spec.name} completed in {time.perf_counter() - started:.1f}s]\n")
     return 0
 
 
@@ -247,24 +232,22 @@ def _configure_all(parser) -> None:
 
 
 def _run_all(args) -> int:
+    """Every spec of ``PAPER`` as one sweep: the union of their plans,
+    each distinct experiment simulated once, resumed per point."""
     profile, executor = _sweep_setup(args)
-    checkpoint = _open_checkpoint(
-        args, "all", {"command": "all", "profile": args.profile}
+    checkpoint = _open_checkpoint(args, "all")
+    started = time.perf_counter()
+    plans = [(spec, spec.plan(profile)) for spec in PAPER.values()]
+    for (spec, _), result in zip(
+        plans, run_plans(plans, checkpoint, print, executor)
+    ):
+        print(spec.render(result) + "\n")
+    points = [e for _, plan in plans for e in plan.values()]
+    distinct = len(set(map(experiment_key, points)))
+    print(
+        f"[all completed in {time.perf_counter() - started:.1f}s: "
+        f"{distinct} distinct simulations for {len(points)} points]"
     )
-    restored = [name for name in _ALL if name in checkpoint]
-    if restored:
-        print(
-            f"[resuming from {checkpoint.path}: "
-            f"{', '.join(restored)} already done]\n"
-        )
-    for name in _ALL:
-        if name in checkpoint:
-            print(checkpoint.get(name))
-            print(f"[{name} restored from checkpoint]\n")
-            continue
-        checkpoint.put(
-            name, _print_experiment(name, profile, executor=executor)
-        )
     checkpoint.clear()
     return 0
 
@@ -287,9 +270,7 @@ def _run_campaign(spec: Campaign, args) -> int:
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc))
-    checkpoint = _open_checkpoint(
-        args, spec.name, spec.checkpoint_meta(profile, values)
-    )
+    checkpoint = _open_checkpoint(args, spec.name)
     started = time.perf_counter()
     fig = spec.run(
         profile, values, checkpoint=checkpoint, log=print, executor=executor

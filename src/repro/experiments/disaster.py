@@ -30,8 +30,8 @@ the damage.
 Reported per point: delivered QoS fraction over *reachable* hosts (the
 honest failover score — a dead ToR's hosts are unsavable), hosts
 isolated, host downtime, switch downs/time-to-recover, and jitter.
-Points are checkpointed with fingerprinted keys through
-:class:`~repro.experiments.parallel.ParallelSweepExecutor`.
+Points are checkpointed under their experiments' content keys (see
+:func:`~repro.experiments.campaign.experiment_key`).
 """
 
 from __future__ import annotations
@@ -40,16 +40,9 @@ import dataclasses
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import (
-    Axis,
-    Campaign,
-    Column,
-    Point,
-    _base_kwargs,
-    empty_metrics,
-)
+from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
-from repro.experiments.runner import simulate, topology_of
+from repro.experiments.runner import topology_of
 from repro.faults import DomainDownWindow, FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
 from repro.router.config import RoutingMode
@@ -166,42 +159,6 @@ def _campaign_experiment(profile, kind: str, mode: str, severity: str):
     )
 
 
-def _campaign_point(experiment) -> Point:
-    """Worker body: run one point, reduced to its figure Point.
-
-    ``x`` is the severity's rung on the escalation ladder.
-    """
-    result = simulate(experiment)
-    severity = _experiment_severity(experiment)
-    extra = dict(result.fault_stats or {})
-    extra["severity"] = severity
-    return Point(
-        DEFAULT_SEVERITIES.index(severity), result.metrics, extra=extra
-    )
-
-
-def _experiment_severity(experiment) -> str:
-    """Recover the severity rung from a point's fault plan."""
-    plan = experiment.faults
-    if plan is None or plan.is_zero:
-        return "none"
-    domain = plan.domains[0].domain
-    if domain.startswith("links:"):
-        return "link"
-    if domain.startswith("switch:"):
-        return "switch"
-    return "pod"
-
-
-def _placeholder(severity: str) -> Point:
-    """The stand-in for a failed point: same ``x`` and name, no metrics."""
-    return Point(
-        DEFAULT_SEVERITIES.index(severity),
-        empty_metrics(),
-        extra={"severity": severity},
-    )
-
-
 def _check_severity(severity: str) -> None:
     if severity not in DEFAULT_SEVERITIES:
         raise ConfigurationError(
@@ -239,7 +196,6 @@ CAMPAIGN = Campaign(
         check=_check_severity,
     ),
     experiment=_series_experiment,
-    point=_campaign_point,
     title=(
         "Datacenter failover under switch/domain failures "
         f"(fat_tree3 k={CAMPAIGN_K} + butterfly, 80:20 mix, "
@@ -251,7 +207,7 @@ CAMPAIGN = Campaign(
     "shedding) only in adaptive",
     series_column=("series", 19),
     columns=(
-        Column("severity", 8, "severity", default="?"),
+        Column("severity", 8, "x"),
         Column("reach frac", 10, "qos_reachable_fraction", ".4f", 1.0),
         Column("qos frac", 9, "qos_delivered_fraction", ".4f", 1.0),
         Column("isolated", 8, "health.hosts_isolated"),
@@ -264,5 +220,4 @@ CAMPAIGN = Campaign(
         Column("abandoned", 9, "qos_abandoned"),
     ),
     defined=_defined,
-    placeholder=_placeholder,
 )

@@ -20,9 +20,9 @@ watching symptoms.  The two series are the routing modes:
 
 Reported per point: delivered QoS fraction, QoS deadline misses, jitter
 (``d`` / ``sigma_d``), and the monitor's failover counters.  Points are
-checkpointed with fingerprinted keys (see
-:func:`~repro.experiments.parallel.sweep_fingerprint`), so resuming
-with changed failover knobs recomputes instead of serving stale points.
+checkpointed under their experiments' content keys (see
+:func:`~repro.experiments.campaign.experiment_key`), so resuming with
+changed failover knobs recomputes instead of serving stale points.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ import dataclasses
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import (
-    Axis,
-    Campaign,
-    Column,
-    Point,
-    _base_kwargs,
-)
+from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.runner import simulate, topology_of
+from repro.experiments.runner import topology_of
 from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
 from repro.network.health import HealthConfig
 from repro.router.config import RoutingMode
@@ -119,19 +113,6 @@ def _campaign_experiment(
     )
 
 
-def _campaign_point(experiment: FatMeshExperiment) -> Point:
-    """Worker body: run one point, reduced to its figure Point.
-
-    ``x`` is the severity (number of failed fat-pair members).
-    """
-    result = simulate(experiment)
-    return Point(
-        len(experiment.faults.down_windows),
-        result.metrics,
-        extra=result.fault_stats or {},
-    )
-
-
 def _check_severity(severity: int) -> None:
     if severity < 0:
         raise ConfigurationError(f"severities must be >= 0, got {severity}")
@@ -152,7 +133,6 @@ CAMPAIGN = Campaign(
         check=_check_severity,
     ),
     experiment=_campaign_experiment,
-    point=_campaign_point,
     title=(
         "QoS failover under permanent link failures "
         "(2x2 fat mesh, 80:20 mix, load 0.6)"

@@ -19,15 +19,8 @@ import dataclasses
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import (
-    Axis,
-    Campaign,
-    Column,
-    Point,
-    _base_kwargs,
-)
+from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.runner import simulate
 from repro.faults import FaultPlan, RecoveryConfig
 
 #: per-flit loss probabilities swept by ``mediaworm faults``
@@ -58,16 +51,6 @@ def _campaign_experiment(profile, policy: str, rate: float) -> FatMeshExperiment
     )
 
 
-def _campaign_point(experiment: FatMeshExperiment) -> Point:
-    """Worker body: run one campaign point, reduced to its figure Point."""
-    result = simulate(experiment)
-    return Point(
-        experiment.faults.flit_loss_prob,
-        result.metrics,
-        extra=result.fault_stats or {},
-    )
-
-
 def _check_rate(rate: float) -> None:
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"fault rates must be in [0, 1], got {rate}")
@@ -85,10 +68,8 @@ CAMPAIGN = Campaign(
         parse=float,
         check=_check_rate,
         fmt="g",
-        meta="{:g}".format,
     ),
     experiment=_campaign_experiment,
-    point=_campaign_point,
     title="QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)",
     xlabel="per-flit loss probability",
     notes="end-to-end recovery enabled (checksum + timeout/"

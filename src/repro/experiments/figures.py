@@ -3,11 +3,16 @@
 Every figure is *series x one swept axis -> (d, sigma_d, best-effort
 latency)*, so each is a :class:`~repro.experiments.campaign.Campaign`
 spec beside its constants — series, axis defaults, experiment factory,
-the worker body reducing a run to its ``Point``, how the result prints
-— and :meth:`Campaign.run` is the sweep.  :data:`PAPER` collects them
-by name for ``mediaworm run`` / ``all`` / ``list``, the shape benches
-and the tests.  A custom sweep replaces the series and passes the axis
-values: ``replace(FIG9, series=(0.5,)).run("quick", values=((60, 40),))``.
+how the result prints — and :meth:`Campaign.run` is the sweep.  Every
+point is one ``simulate`` through the default body,
+:func:`~repro.experiments.campaign.measure`; the spec places it on its
+axis.  The figures share operating points (Fig. 3's Virtual Clock
+curve is Fig. 5's 80:20 column, Table 2 is read off Fig. 5's runs), so
+``mediaworm all`` runs each distinct experiment once.  :data:`PAPER`
+collects the specs by name for ``mediaworm run`` / ``all`` / ``list``,
+the shape benches and the tests.  A custom sweep replaces the series
+and passes the axis values:
+``replace(FIG9, series=(0.5,)).run("quick", values=("60:40",))``.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ from functools import partial
 from typing import Dict, Tuple
 
 from repro.core.schedulers import SchedulingPolicy
-from repro.experiments.campaign import (
-    Axis,
-    Campaign,
-    FigureData,
-    Point,
-    _base_kwargs,
-)
+from repro.experiments.campaign import Axis, Campaign, _base_kwargs
 from repro.experiments.config import (
     FatMeshExperiment,
     PCSExperiment,
@@ -34,8 +33,7 @@ from repro.experiments.report import (
     table2_to_text,
     table3_to_text,
 )
-from repro.experiments.runner import simulate
-from repro.experiments.tables import Table2Data, table2, table3
+from repro.experiments.tables import mix_of, table2, table3
 from repro.router.config import CrossbarKind
 from repro.router.flit import TrafficClass
 
@@ -65,17 +63,6 @@ def _switch(profile, load, mix=(100, 0), vcs_per_pc=16, **knobs):
     )
 
 
-def _load_point(experiment) -> Point:
-    """Worker body of the load sweeps: ``x`` is the offered load."""
-    return Point(experiment.load, simulate(experiment).metrics)
-
-
-def _mix_point(experiment) -> Point:
-    """Worker body of the mix sweeps: ``x`` is the mix as ``"80:20"``."""
-    mix = experiment.mix
-    return Point(f"{mix[0]:g}:{mix[1]:g}", simulate(experiment).metrics)
-
-
 # ----------------------------------------------------------------------
 # Figure 3 — Virtual Clock vs FIFO (16 VCs, 80:20 mix)
 
@@ -91,7 +78,6 @@ FIG3 = Campaign(
     experiment=lambda profile, policy, load: _switch(
         profile, load, mix=(80, 20), scheduler=policy
     ),
-    point=_load_point,
     title="Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
     xlabel="input link load",
     text=figure_to_text,
@@ -109,7 +95,6 @@ FIG4 = Campaign(
     experiment=lambda profile, rt_class, load: _switch(
         profile, load, rt_class=rt_class
     ),
-    point=_load_point,
     title="CBR vs VBR traffic (16 VCs, 400 Mbps links)",
     xlabel="input link load",
     text=figure_to_text,
@@ -118,32 +103,13 @@ FIG4 = Campaign(
 # ----------------------------------------------------------------------
 # Figure 5 / Table 2 — traffic mixes
 
-DEFAULT_MIXES: Tuple[Tuple[float, float], ...] = (
-    (20, 80),
-    (50, 50),
-    (80, 20),
-    (90, 10),
-    (100, 0),
-)
+#: real-time : best-effort mixes, spelled as the figures label them
+DEFAULT_MIXES: Tuple[str, ...] = ("20:80", "50:50", "80:20", "90:10", "100:0")
 
 #: mixes whose best-effort latency Table 2 reports (100:0 has none)
-TABLE2_MIXES: Tuple[Tuple[float, float], ...] = tuple(
-    mix for mix in DEFAULT_MIXES if mix[1]
+TABLE2_MIXES: Tuple[str, ...] = tuple(
+    mix for mix in DEFAULT_MIXES if mix_of(mix)[1]
 )
-
-
-def fig5_table2(fig: FigureData) -> Table2Data:
-    """Table 2 read off a Fig. 5 sweep's own points: the mixes that
-    carry best-effort traffic, one set of runs for both."""
-    points = {}
-    for name, series in fig.series.items():
-        load = float(name.partition("=")[2])
-        for point in series:
-            mix = tuple(float(share) for share in point.x.split(":"))
-            if mix[1]:
-                points[load, mix] = point
-    return table2(points)
-
 
 #: VBR jitter across traffic mixes: one series per input load
 FIG5 = Campaign(
@@ -152,17 +118,16 @@ FIG5 = Campaign(
     series=DEFAULT_LOADS,
     label=_load_label,
     axis=Axis(DEFAULT_MIXES),
-    experiment=lambda profile, load, mix: _switch(profile, load, mix=mix),
-    point=_mix_point,
+    experiment=lambda profile, load, mix: _switch(
+        profile, load, mix=mix_of(mix)
+    ),
     title="Mixed traffic (16 VCs): jitter vs real-time proportion",
     xlabel="real-time : best-effort mix",
-    text=lambda fig: "\n\n".join(
-        [figure_to_text(fig), table2_to_text(fig5_table2(fig))]
-    ),
+    text=figure_to_text,
 )
 
 #: average best-effort latency for the (mix x load) grid: Fig. 5's
-#: sweep over the mixes that have any, reduced to the latencies
+#: experiments over the mixes that have any, reduced to the latencies
 TABLE2 = replace(
     FIG5,
     name="table2",
@@ -193,7 +158,6 @@ FIG6 = Campaign(
     experiment=lambda profile, config, load: _switch(
         profile, load, vcs_per_pc=config[0], crossbar=config[1]
     ),
-    point=_load_point,
     title="Impact of VCs and crossbar capability (100:0)",
     xlabel="input link load",
     text=figure_to_text,
@@ -211,11 +175,6 @@ def _fig7_sizes(profile) -> Tuple[int, ...]:
     return tuple(sorted({10, 20, 40, 80, 160, top}))
 
 
-def _size_point(experiment) -> Point:
-    """Worker body of Fig. 7: ``x`` is the message size in flits."""
-    return Point(experiment.message_size, simulate(experiment).metrics)
-
-
 #: Effect of message size on VBR jitter, with header overhead.  Each
 #: message carries one header flit, so small messages spend a larger
 #: wire-bandwidth fraction on headers (1/20 = 5% at the paper's default
@@ -231,7 +190,6 @@ FIG7 = Campaign(
     experiment=lambda profile, load, size: _switch(
         profile, load, message_size=size, header_flits=1
     ),
-    point=_size_point,
     title="Effect of message size on jitter (16 VCs)",
     xlabel="message size (flits)",
     notes="one header flit per message; sizes above the scaled frame "
@@ -262,43 +220,14 @@ def _fig8_experiment(profile, router: str, load: float):
     return _switch(profile, load, bandwidth_mbps=100.0, vcs_per_pc=24)
 
 
-def _connections(result) -> Dict[str, int]:
-    stats = result.connections
-    return {
-        name: getattr(stats, name)
-        for name in ("attempts", "established", "dropped")
-    }
-
-
-def _fig8_point(experiment) -> Point:
-    """Worker body of Fig. 8: a PCS point also carries how many of its
-    connection attempts survived setup (a wormhole run has none)."""
-    result = simulate(experiment)
-    extra = _connections(result) if hasattr(result, "connections") else {}
-    return Point(experiment.load, result.metrics, extra=extra)
-
-
-def _table3_point(experiment) -> Point:
-    """Worker body of Table 3: a PCS run's whole connection accounting."""
-    result = simulate(experiment)
-    return Point(
-        experiment.load,
-        result.metrics,
-        extra=dict(
-            _connections(result),
-            offered=result.offered_streams,
-            abandoned=result.connections.abandoned_streams,
-        ),
-    )
-
-
+#: a PCS point carries its run's connection accounting as extras (a
+#: wormhole run has none)
 FIG8 = Campaign(
     name="fig8",
     help="MediaWorm vs PCS router",
     series=("wormhole", "pcs"),
     axis=Axis(FIG8_LOADS, "g"),
     experiment=_fig8_experiment,
-    point=_fig8_point,
     title="MediaWorm vs PCS (8x8 switch, 100 Mbps, 24 VCs)",
     xlabel="input link load",
     notes="PCS points accept only the connections that survived "
@@ -314,7 +243,6 @@ TABLE3 = replace(
     help="PCS connection drop accounting",
     series=("pcs",),
     axis=Axis(TABLE3_LOADS, "g"),
-    point=_table3_point,
     table=table3,
     text=table3_to_text,
 )
@@ -322,11 +250,7 @@ TABLE3 = replace(
 # ----------------------------------------------------------------------
 # Figure 9 — 2x2 fat mesh
 
-DEFAULT_FAT_MESH_MIXES: Tuple[Tuple[float, float], ...] = (
-    (40, 60),
-    (60, 40),
-    (80, 20),
-)
+DEFAULT_FAT_MESH_MIXES: Tuple[str, ...] = ("40:60", "60:40", "80:20")
 
 #: the 2x2 fat mesh: jitter and best-effort latency across mixes
 FIG9 = Campaign(
@@ -336,9 +260,8 @@ FIG9 = Campaign(
     label=_load_label,
     axis=Axis(DEFAULT_FAT_MESH_MIXES),
     experiment=lambda profile, load, mix: FatMeshExperiment(
-        load=load, mix=tuple(mix), vcs_per_pc=16, **_base_kwargs(profile)
+        load=load, mix=mix_of(mix), vcs_per_pc=16, **_base_kwargs(profile)
     ),
-    point=_mix_point,
     title="(2x2) fat mesh: jitter and best-effort latency",
     xlabel="real-time : best-effort mix",
     text=partial(figure_to_text, show_be_latency=True),

@@ -32,7 +32,7 @@ so downstream code sees the same shapes regardless of job count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
@@ -46,49 +46,6 @@ from repro.experiments.resilience import (
 #: crash (a prime distinct from RESEED_STEP, so a crash-reseed can never
 #: collide with an in-worker retry reseed of a neighbouring point)
 CRASH_RESEED_STEP = 7919
-
-
-def _topology_parts(experiment) -> List[str]:
-    """Off-default shape fields (named by the experiment's type, in
-    declaration order; they determine the compiled route program)."""
-    cls = type(experiment)
-    # a dataclass field's default is its class attribute
-    return [
-        f"{name}={getattr(experiment, name)}"
-        for name in getattr(cls, "shape_fields", ())
-        if getattr(experiment, name) != getattr(cls, name)
-    ]
-
-
-def sweep_fingerprint(experiment) -> str:
-    """Checkpoint-key suffix for the failover-era experiment knobs.
-
-    Sweep-point keys written before these knobs existed must keep
-    restoring from old checkpoints, so the fingerprint is empty at the
-    default settings and otherwise encodes every knob that changes a
-    point's physics — off-default topology-generator parameters (port
-    count, mesh/tree shape, fat width), the routing mode, the
-    health-monitor configuration, and the QoS deadline.  Appending it
-    to point keys means resuming a checkpointed campaign with changed
-    flags recomputes the points instead of serving stale cached ones.
-    """
-    parts = _topology_parts(experiment)
-    mode = getattr(experiment, "routing_mode", "oracle")
-    if mode != "oracle":
-        parts.append(f"mode={mode}")
-    health = getattr(experiment, "health", None)
-    if health is not None and is_dataclass(health):
-        knobs = ",".join(
-            f"{name}={value}"
-            for name, value in sorted(asdict(health).items())
-        )
-        parts.append(f"health[{knobs}]")
-    deadline = getattr(
-        getattr(experiment, "recovery", None), "qos_deadline", None
-    )
-    if deadline is not None:
-        parts.append(f"deadline={deadline}")
-    return "|".join(parts)
 
 
 @dataclass(frozen=True)
@@ -205,7 +162,7 @@ class ParallelSweepExecutor:
         JSON-serialisable).  A point that exhausts its retries raises,
         unless ``on_failure`` is given — then the hook is called and the
         key is left out of the result dict (the hook may record a
-        placeholder itself).
+        stand-in itself).
         """
         if (encode is None) != (decode is None):
             raise ConfigurationError(

@@ -165,7 +165,7 @@ def _scale_point(experiment) -> Point:
         _, legacy_s, legacy_outcome = timed(run_reference)
     except SimulationError as exc:
         failed = f"{type(exc).__name__}: {exc}"
-        return Point(name, empty_metrics(), extra={"failed": failed})
+        return Point(None, empty_metrics(), extra={"failed": failed})
 
     digest, (vcs_used, vcs_total) = outcome
     record = {
@@ -200,7 +200,7 @@ def _scale_point(experiment) -> Point:
             f"{key}={record[key]}"
             for key in ("identical", "compile_once", "d_ms", "sigma_d_ms")
         )
-    return Point(name, active.metrics, extra=record)
+    return Point(None, active.metrics, extra=record)
 
 
 def _check_point(name: str) -> None:

@@ -42,15 +42,25 @@ class Table2Data:
         return f"{value:.1f}"
 
 
+def mix_of(spelled: str) -> Tuple[float, float]:
+    """The mix an axis value spells: ``"80:20"`` -> ``(80, 20)``."""
+    return tuple(
+        int(share) if share.isdigit() else float(share)
+        for share in spelled.split(":")
+    )
+
+
 def table2(points: Dict[tuple, Point]) -> Table2Data:
-    """Table 2 of a ``{(load, mix): Point}`` sweep: best-effort latency."""
+    """Table 2 of a ``{(load, "80:20"): Point}`` sweep: best-effort
+    latency."""
+    latency_us = {
+        (mix_of(mix), load): point.be_latency_us
+        for (load, mix), point in points.items()
+    }
     return Table2Data(
         loads=list(dict.fromkeys(load for load, _ in points)),
-        mixes=list(dict.fromkeys(mix for _, mix in points)),
-        latency_us={
-            (mix, load): point.be_latency_us
-            for (load, mix), point in points.items()
-        },
+        mixes=list(dict.fromkeys(mix for mix, _ in latency_us)),
+        latency_us=latency_us,
     )
 
 

@@ -176,6 +176,33 @@ def tiny_loaded_run():
 
 
 @pytest.fixture
+def counted_simulate(monkeypatch):
+    """Stub the ``simulate`` of the default point body; returns the
+    experiments it was called with, in order.  Every run measures the
+    same metrics, and a PCS run a connection accounting, so any spec of
+    ``figures.PAPER`` reduces the stubbed points."""
+    from repro.experiments import campaign
+    from repro.experiments.config import PCSExperiment
+    from repro.experiments.runner import ExperimentResult, PCSResult
+    from repro.metrics.collector import RunMetrics
+    from repro.pcs.connection import ConnectionStats
+
+    calls = []
+
+    def stub(experiment, loop=None):
+        calls.append(experiment)
+        metrics = RunMetrics(33.0, 0.5, 100, 99, 10.0, 10.0, 1.0, 50)
+        if isinstance(experiment, PCSExperiment):
+            return PCSResult(
+                experiment, metrics, ConnectionStats(10, 6, 4), 8, 6, 1000, 0.0
+            )
+        return ExperimentResult(experiment, metrics, None, 1000, 10, 10, 0.0)
+
+    monkeypatch.setattr(campaign, "simulate", stub)
+    return calls
+
+
+@pytest.fixture
 def rngs() -> RngStreams:
     return RngStreams(seed=1234)
 

@@ -4,20 +4,23 @@
 run by one skeleton (``repro.experiments.campaign``); everything the
 skeleton promises is checked here against stubbed simulators,
 parametrized over :func:`~repro.experiments.campaign.campaigns`.  The
-``GOLDEN`` literals (rendered table, ``figure_to_dict`` JSON,
-checkpoint keys and meta) of the first three were produced by the
-per-module campaign functions this skeleton replaced, so they prove
-the artifacts did not move and that a checkpoint written by the old
-code still restores; scale's pin its format as a spec.
+``GOLDEN`` tables and ``figure_to_dict`` JSON of the first three were
+produced by the per-module campaign functions this skeleton replaced,
+so they prove the artifacts did not move (disaster's ``x`` has since
+become the severity name); scale's pin its format as a spec.  The
+checkpoint keys are literal content keys of the points' experiments:
+a checkpoint written today restores tomorrow, in any process, and one
+keyed the old ``series@x|fingerprint`` way is dropped, never spliced.
 """
 
 import json
+import logging
 import os
 import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,12 +38,23 @@ from repro.experiments.campaign import (
     any_failed,
     campaigns,
     empty_metrics,
+    experiment_key,
 )
-from repro.experiments.config import ButterflyExperiment, SingleSwitchExperiment
+from repro.experiments.config import (
+    ButterflyExperiment,
+    FatMeshExperiment,
+    FatTree3Experiment,
+    PCSExperiment,
+    SingleSwitchExperiment,
+)
 from repro.experiments.export import figure_to_dict, load_result
+from repro.experiments.figures import PAPER
 from repro.experiments.resilience import SweepCheckpoint
 from repro.experiments.runner import ExperimentResult
+from repro.faults import FaultPlan, RecoveryConfig
 from repro.metrics.collector import RunMetrics
+from repro.network.health import HealthConfig
+from repro.obs.events import TraceSpec
 from repro.router.config import RoutingMode
 
 NAMES = list(campaigns())
@@ -162,12 +176,6 @@ def simulators(monkeypatch):
     return install
 
 
-_HEALTH = (
-    "health[down_misses=8,miss_window=4096,probation_oks=16,"
-    "probe_cap=16384,probe_interval=1024,probe_jitter=32,recover_oks=8,"
-    "shed_best_effort=True,suspect_misses=3]"
-)
-
 def _scale_record(name: str, topology: dict) -> dict:
     """A stubbed scale point's record: three runs of the stub's result,
     read by a frozen clock, its topology compiled before the stub ran."""
@@ -202,19 +210,19 @@ def _scale_record(name: str, topology: dict) -> dict:
 
 
 #: per campaign: the sweep, its CLI spelling, arguments the CLI must
-#: refuse, and the artifacts the replaced code produced for that sweep
-#: (scale: ``runs`` simulations per point, a ``record`` as each point's
-#: whole extra, and failures its body records rather than the executor)
+#: refuse, each point's checkpoint key, and the artifacts the replaced
+#: code produced for that sweep (scale: ``runs`` simulations per point,
+#: a ``record`` as each point's whole extra, and failures its body
+#: records rather than the executor)
 GOLDEN = {
     "faults": dict(
         values=(0.005,),
         arg="0.005",
         bad_args=("0.1x", "1.5", "-0.1", "0.01,0.010"),
         bad_values=((1.5,), (0.01, 0.01)),
-        meta={"command": "faults", "profile": "quick", "rates": ["0.005"]},
         keys={
-            ("virtual_clock", 0.005): "virtual_clock@0.005",
-            ("fifo", 0.005): "fifo@0.005",
+            ("virtual_clock", 0.005): "FatMeshExperiment-3ef74c55d04d1b0d",
+            ("fifo", 0.005): "FatMeshExperiment-e144b8728b00546e",
         },
         table="""\
 QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)
@@ -229,19 +237,15 @@ fifo               0.005    0.9950   33.000    0.500       7       3         0
             notes="end-to-end recovery enabled (checksum + timeout/"
             "retransmission with capped exponential backoff)",
         ),
-        point_x={0.005: 0.005},
-        point_extra={},
     ),
     "failover": dict(
         values=(2,),
         arg="2",
         bad_args=("two", "-1", "9", "2,2"),
         bad_values=((9,), (-1,), (2, 2)),
-        meta={"command": "failover", "profile": "quick", "severities": [2]},
         keys={
-            ("adaptive", 2): f"adaptive@2|mode=adaptive|{_HEALTH}"
-            "|deadline=20624",
-            ("static", 2): f"static@2|mode=static|{_HEALTH}|deadline=20624",
+            ("adaptive", 2): "FatMeshExperiment-4c3c8fa873ba1d0a",
+            ("static", 2): "FatMeshExperiment-c5d255d93bfe1685",
         },
         table="""\
 QoS failover under permanent link failures (2x2 fat mesh, 80:20 mix, load 0.6)
@@ -258,33 +262,20 @@ static         2    0.9000       4   33.000    0.500        0       1        2  
             "warmup; health monitoring on in both modes, failover actions "
             "only in adaptive",
         ),
-        point_x={2: 2},
-        point_extra={},
     ),
     "disaster": dict(
         values=("none", "pod"),
         arg="none,pod",
         bad_args=("tsunami", "none,none"),
         bad_values=(("tsunami",), ("none", "none")),
-        meta={
-            "command": "disaster",
-            "profile": "quick",
-            "severities": ["none", "pod"],
-        },
         # the butterfly has no pods: its series simply omit the rung
         keys={
-            ("fat-tree/adaptive", "none"): "fat-tree/adaptive@none|k=8|"
-            f"hosts_per_leaf=2|mode=adaptive|{_HEALTH}|deadline=20624",
-            ("fat-tree/adaptive", "pod"): "fat-tree/adaptive@pod|k=8|"
-            f"hosts_per_leaf=2|mode=adaptive|{_HEALTH}|deadline=20624",
-            ("fat-tree/static", "none"): "fat-tree/static@none|k=8|"
-            f"hosts_per_leaf=2|mode=static|{_HEALTH}|deadline=20624",
-            ("fat-tree/static", "pod"): "fat-tree/static@pod|k=8|"
-            f"hosts_per_leaf=2|mode=static|{_HEALTH}|deadline=20624",
-            ("butterfly/adaptive", "none"): "butterfly/adaptive@none|"
-            f"hosts_per_leaf=2|mode=adaptive|{_HEALTH}|deadline=20624",
-            ("butterfly/static", "none"): "butterfly/static@none|"
-            f"hosts_per_leaf=2|mode=static|{_HEALTH}|deadline=20624",
+            ("fat-tree/adaptive", "none"): "FatTree3Experiment-3dc517dafb6b65b1",
+            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-eb0b0cc61d39c9bf",
+            ("fat-tree/static", "none"): "FatTree3Experiment-7e777259e58459f7",
+            ("fat-tree/static", "pod"): "FatTree3Experiment-fe1007f98a53511b",
+            ("butterfly/adaptive", "none"): "ButterflyExperiment-f56ae2a7245debf8",
+            ("butterfly/static", "none"): "ButterflyExperiment-d19bc246e0a5c2af",
         },
         table="""\
 Datacenter failover under switch/domain failures (fat_tree3 k=8 + butterfly, 80:20 mix, load 0.6)
@@ -305,23 +296,15 @@ butterfly/static        none     0.9500    0.9000        0      1234        1   
             "modes, switch-level failover (overlay masks + session "
             "shedding) only in adaptive",
         ),
-        # x is the rung on the ladder; the name rides in the extras
-        point_x={"none": 0, "pod": 3},
-        point_extra={"none": {"severity": "none"}, "pod": {"severity": "pod"}},
     ),
     "scale": dict(
         values=("ft3-16", "bfly-64"),
         arg="ft3-16,bfly-64",
         bad_args=("ft3-9999", "ft3-16,ft3-16"),
         bad_values=(("ft3-9999",), ("ft3-16", "ft3-16")),
-        meta={
-            "command": "scale",
-            "profile": "quick",
-            "points": ["ft3-16", "bfly-64"],
-        },
         keys={
-            ("scale", "ft3-16"): "scale@ft3-16",
-            ("scale", "bfly-64"): "scale@bfly-64|arity=4",
+            ("scale", "ft3-16"): "FatTree3Experiment-fef62fa6710cdeb0",
+            ("scale", "bfly-64"): "ButterflyExperiment-a056740ba29932e8",
         },
         table="""\
 scale campaign (active / repeat / legacy must be bit-identical)
@@ -338,8 +321,6 @@ scale campaign (active / repeat / legacy must be bit-identical)
             "and VC census, its route program compiles at most once, and "
             "d / sigma_d are finite",
         ),
-        point_x={"ft3-16": "ft3-16", "bfly-64": "bfly-64"},
-        point_extra={},
         runs=3,
         record={
             "ft3-16": _scale_record(
@@ -377,14 +358,14 @@ scale campaign (active / repeat / legacy must be bit-identical)
 
 
 def _golden_point(name: str, series: str, x) -> dict:
-    """One point as the codec writes it (checkpoint entry == JSON entry)."""
+    """One point as the codec writes it to JSON (a checkpoint entry is
+    the same with ``x`` None: the spec places the point)."""
     gold = GOLDEN[name]
     if "record" in gold:
         extra = gold["record"][x]
     else:
         extra = _stats(not series.endswith("static"))
-        extra.update(gold["point_extra"].get(x, {}))
-    return {"x": gold["point_x"][x], "metrics": METRICS, "extra": extra}
+    return {"x": x, "metrics": METRICS, "extra": extra}
 
 
 def _failing(spec, gold) -> set:
@@ -407,12 +388,12 @@ def _golden_figure(name: str) -> dict:
 
 
 def _golden_checkpoint(name: str) -> dict:
-    """A checkpoint file as the replaced code wrote it, every point done."""
+    """A campaign's checkpoint file, every point done."""
     return {
         "format": "mediaworm-checkpoint-v1",
-        "meta": GOLDEN[name]["meta"],
+        "meta": {"command": name},
         "done": {
-            key: _golden_point(name, series, x)
+            key: dict(_golden_point(name, series, x), x=None)
             for (series, x), key in GOLDEN[name]["keys"].items()
         },
     }
@@ -436,7 +417,7 @@ class TestCampaignContract:
             (series, point.x)
             for series, points in fig.series.items()
             for point in points
-        ] == [(series, GOLDEN[name]["point_x"][x]) for series, x in pairs]
+        ] == pairs
         # one point per defined (series, x) pair, in table order
         assert len(calls) == len(pairs) * GOLDEN[name].get("runs", 1)
         assert not any_failed(fig)
@@ -447,11 +428,11 @@ class TestCampaignContract:
         spec = campaigns()[name]
         simulators(spec)
         gold = GOLDEN[name]
-        meta = spec.checkpoint_meta("quick", gold["values"])
-        assert meta == gold["meta"]
         path = tmp_path / "ckpt.json"
         fig = spec.run(
-            "quick", gold["values"], checkpoint=SweepCheckpoint(path, meta)
+            "quick",
+            gold["values"],
+            checkpoint=SweepCheckpoint(path, {"command": name}),
         )
         assert spec.render(fig) == gold["table"]
         assert figure_to_dict(fig) == _golden_figure(name)
@@ -464,7 +445,7 @@ class TestCampaignContract:
         calls = simulators(spec)
         gold = GOLDEN[name]
         path = tmp_path / "ckpt.json"
-        cp = SweepCheckpoint(path, gold["meta"])
+        cp = SweepCheckpoint(path, {"command": name})
         first = spec.run("quick", gold["values"], checkpoint=cp)
         assert cp.done_keys == list(gold["keys"].values())
         ran = len(calls)
@@ -474,20 +455,21 @@ class TestCampaignContract:
         again = spec.run(
             "quick",
             gold["values"],
-            checkpoint=SweepCheckpoint(path, gold["meta"]),
+            checkpoint=SweepCheckpoint(path, {"command": name}),
             log=logs.append,
         )
         assert len(calls) == ran
         assert logs == [
-            f"[{name}] {key}: restored from checkpoint"
-            for key in gold["keys"].values()
+            f"[{name}] {series}@{spec.axis.text(x)}: restored from checkpoint"
+            for series, x in gold["keys"]
         ]
         assert figure_to_dict(again) == figure_to_dict(first)
 
     def test_checkpoint_from_the_replaced_code_restores(
         self, name, simulators, tmp_path, capsys
     ):
-        """The literal file restores with zero simulator calls."""
+        """The literal file — its keys pinned above — restores with zero
+        simulator calls."""
         spec = campaigns()[name]
         calls = simulators(spec)
         path = tmp_path / "old.json"
@@ -510,25 +492,24 @@ class TestCampaignContract:
         calls = simulators(spec, fail=gold.get("fail", _second_kind))
         failing = _failing(spec, gold)
         path = tmp_path / "ckpt.json"
-        cp = SweepCheckpoint(path, gold["meta"])
+        cp = SweepCheckpoint(path, {"command": name})
         logs = []
         fig = spec.run(
             "quick", gold["values"], checkpoint=cp, log=logs.append
         )
         assert any_failed(fig)
         points = [p for series in fig.series.values() for p in series]
-        for ((series, x), key), point in zip(gold["keys"].items(), points):
-            # failed or not, the point sits at its x with its extras
-            assert point.x == gold["point_x"][x]
-            for extra, value in gold["point_extra"].get(x, {}).items():
-                assert point.extra[extra] == value
+        for (series, x), point in zip(gold["keys"], points):
+            # failed or not, the point sits at its x
+            assert point.x == x
             if (series, x) in failing:
                 assert point.extra["failed"] == (
                     "DeadlockError: router 0 wedged"
                 )
                 if not gold.get("body_catches"):
                     # the executor gave up on it after its retries
-                    assert f"[{name}] {key}: FAILED (DeadlockError)" in logs
+                    label = f"{series}@{spec.axis.text(x)}"
+                    assert f"[{name}] {label}: FAILED (DeadlockError)" in logs
             else:
                 assert "failed" not in point.extra
         failed_rows = [
@@ -543,7 +524,9 @@ class TestCampaignContract:
         assert sorted(cp.done_keys) == sorted(gold["keys"].values())
         ran = len(calls)
         again = spec.run(
-            "quick", gold["values"], checkpoint=SweepCheckpoint(path, gold["meta"])
+            "quick",
+            gold["values"],
+            checkpoint=SweepCheckpoint(path, {"command": name}),
         )
         assert len(calls) == ran
         assert figure_to_dict(again) == figure_to_dict(fig)
@@ -638,7 +621,7 @@ def _toy_experiment(profile, series: str, size: int):
 
 def _toy_point(experiment) -> Point:
     size = round(experiment.load * 10)
-    return Point(size, empty_metrics(), extra={"area": size * size})
+    return Point(None, empty_metrics(), extra={"area": size * size})
 
 
 def _check_size(size: int) -> None:
@@ -718,8 +701,8 @@ class TestRegisteredCampaign:
         assert cli.main(argv + ["--checkpoint", str(path)]) == 0
         out = capsys.readouterr().out
         assert "virtual_clock    4    16\n" in out
-        assert by_profile.checkpoint_meta("smoke")["sizes"] == [4]
-        assert by_profile.checkpoint_meta("quick")["sizes"] == [5]
+        assert {x for _, x in by_profile.plan("smoke")} == {4}
+        assert {x for _, x in by_profile.plan("quick")} == {5}
 
     def test_default_checkpoint_name_and_meta(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -732,13 +715,164 @@ class TestRegisteredCampaign:
 
         monkeypatch.setattr(SweepCheckpoint, "clear", spy)
         assert cli.main(["toy", "--profile", "smoke"]) == 0
-        assert seen == {
-            "mediaworm-toy-smoke.checkpoint.json": {
-                "command": "toy",
-                "profile": "smoke",
-                "sizes": [1, 2],
-            }
-        }
+        # the keys say the profile and the sweep; the meta only the command
+        assert seen == {"mediaworm-toy-smoke.checkpoint.json": {"command": "toy"}}
+
+
+# ----------------------------------------------------------------------
+# a point is its experiment: content keys, one simulation per key
+
+#: a value for each experiment field that defaults to None
+_SET = dict(
+    faults=FaultPlan(flit_loss_prob=0.01),
+    recovery=RecoveryConfig(),
+    watchdog_window=100,
+    health=HealthConfig(),
+    trace=TraceSpec(),
+    network_hook=print,
+    hosts_per_leaf=2,
+)
+
+
+def _other(name: str, value):
+    """A value of ``name``'s kind that differs from ``value``."""
+    if value is None:
+        return _SET[name]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return value + "-other"
+    if isinstance(value, tuple):
+        return tuple(share + 1 for share in value)
+    return value / 2 if isinstance(value, float) else value + 1
+
+
+def test_equal_experiments_get_one_key_in_every_process():
+    """Equal, not identical: ``(80, 20)`` is the mix ``(80.0, 20.0)``,
+    and another interpreter, its ``hash`` salted differently, agrees."""
+    build = "FatMeshExperiment(load=0.7, mix=(80, 20), health=HealthConfig())"
+    experiment = FatMeshExperiment(load=0.7, mix=(80, 20), health=HealthConfig())
+    rebuilt = FatMeshExperiment(
+        load=0.7, mix=(80.0, 20.0), health=HealthConfig()
+    )
+    assert experiment_key(experiment) == experiment_key(rebuilt)
+    code = (
+        "from repro.experiments.campaign import experiment_key\n"
+        "from repro.experiments.config import FatMeshExperiment\n"
+        "from repro.network.health import HealthConfig\n"
+        f"print(experiment_key({build}))"
+    )
+    src = str(Path(campaign.__file__).parents[2])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == experiment_key(experiment)
+
+
+@pytest.mark.parametrize(
+    "kind", [SingleSwitchExperiment, PCSExperiment, FatTree3Experiment]
+)
+def test_changing_any_one_field_changes_the_key(kind):
+    base = kind()
+    keys = {experiment_key(base)}
+    for f in fields(base):
+        value = _other(f.name, getattr(base, f.name))
+        keys.add(experiment_key(replace(base, **{f.name: value})))
+    assert len(keys) == 1 + len(fields(base))
+
+
+def test_all_simulates_each_distinct_experiment_once(
+    counted_simulate, tmp_path, capsys
+):
+    """Fig. 3's Virtual Clock curve is Fig. 5's 80:20 column, Fig. 4's
+    VBR curve its 100:0 column and Fig. 6's 16-VC series, Table 2 is
+    read off Fig. 5 and Table 3 samples Fig. 8's PCS series: 130 points,
+    94 simulations, one checkpoint."""
+    path = tmp_path / "all.json"
+    assert cli.main(["all", "--profile", "smoke", "--checkpoint", str(path)]) == 0
+    assert len(counted_simulate) == 94
+    assert len(set(map(experiment_key, counted_simulate))) == 94
+    out = capsys.readouterr().out
+    assert "94 distinct simulations for 130 points]" in out
+    blocks = [f"== {name}:" for name in PAPER]
+    assert [out.index(block) for block in blocks] == sorted(
+        out.index(block) for block in blocks
+    )
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, meta, done",
+    [
+        (
+            ["faults", "--rates", "0.005"],
+            {"command": "faults", "profile": "quick", "rates": ["0.005"]},
+            {
+                "virtual_clock@0.005": _golden_point("faults", "vc", 0.005),
+                "fifo@0.005": _golden_point("faults", "fifo", 0.005),
+            },
+        ),
+        (
+            ["all"],
+            {"command": "all", "profile": "quick"},
+            {"fig3": "== fig3: Virtual Clock vs FIFO (16 VCs, 80:20 mix) =="},
+        ),
+    ],
+    ids=["faults", "all"],
+)
+def test_a_checkpoint_keyed_the_old_way_is_dropped(
+    argv, meta, done, counted_simulate, tmp_path, caplog
+):
+    """Per-spec ``series@x`` keys (and ``all``'s per-figure text) are
+    never spliced into a content-keyed sweep: the meta differs, so the
+    file is discarded with a warning and everything is recomputed."""
+    path = tmp_path / "old.json"
+    path.write_text(
+        json.dumps(
+            {"format": "mediaworm-checkpoint-v1", "meta": meta, "done": done}
+        )
+    )
+    argv = argv + ["--profile", "quick", "--checkpoint", str(path)]
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.resilience"):
+        assert cli.main(argv) == 0
+    assert "does not match this sweep's" in caplog.text
+    assert len(counted_simulate) == (2 if argv[0] == "faults" else 96)
+
+
+class _Killed(Exception):
+    """Stands in for the process dying mid-sweep."""
+
+
+def test_a_changed_watchdog_recomputes_checkpointed_points(
+    monkeypatch, tmp_path, capsys
+):
+    """``--watchdog`` sets an experiment field, so it is part of every
+    key: a point recorded under one window (perhaps FAILED under a tight
+    one) is never served to a sweep under another."""
+    windows = []
+
+    def stub(experiment, loop=None):
+        windows.append(experiment.watchdog_window)
+        if experiment.scheduler == SchedulingPolicy.FIFO and len(windows) == 2:
+            raise _Killed
+        return _stub_result(experiment)
+
+    spec = campaigns()["faults"]
+    monkeypatch.setattr(sys.modules[spec.point.__module__], "simulate", stub)
+    path = tmp_path / "ckpt.json"
+    argv = ["faults", "--profile", "quick", "--rates", "0.005"]
+    argv += ["--checkpoint", str(path)]
+    with pytest.raises(_Killed):
+        cli.main(argv + ["--watchdog", "100"])
+    assert windows == [100, 100] and path.exists()
+    assert cli.main(argv) == 0
+    assert "restored from checkpoint" not in capsys.readouterr().out
+    # both points again, under the campaign's own two frame intervals
+    assert windows[2:] == [20624, 20624]
 
 
 # ----------------------------------------------------------------------
@@ -773,22 +907,25 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
         victim.wait(timeout=30)
     assert victim.returncode == -signal.SIGKILL
     done = list(json.loads(checkpoint.read_text())["done"])
-    keys = ["virtual_clock@0", "virtual_clock@0.005", "fifo@0", "fifo@0.005"]
-    assert done and done == keys[: len(done)] and not out_json.exists()
-
-    from repro.experiments import faultsweep
+    keys = {
+        "FatMeshExperiment-1f3022e33e4c4a18": "virtual_clock@0",
+        "FatMeshExperiment-adb2f705882bcac1": "virtual_clock@0.005",
+        "FatMeshExperiment-c06b0089eecafaee": "fifo@0",
+        "FatMeshExperiment-5f3b46309a82e192": "fifo@0.005",
+    }
+    assert done and done == list(keys)[: len(done)] and not out_json.exists()
 
     runs = []
 
-    def counted(experiment, simulate=faultsweep.simulate):
+    def counted(experiment, simulate=campaign.simulate):
         runs.append(experiment)
         return simulate(experiment)
 
-    monkeypatch.setattr(faultsweep, "simulate", counted)
+    monkeypatch.setattr(campaign, "simulate", counted)
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if "restored" in line] == [
-        f"[faults] {key}: restored from checkpoint" for key in done
+        f"[faults] {keys[key]}: restored from checkpoint" for key in done
     ]
     assert len(runs) == len(keys) - len(done)
     assert not checkpoint.exists()

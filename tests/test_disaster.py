@@ -7,8 +7,8 @@ import pytest
 from conftest import TINY
 
 from repro.errors import FaultConfigError
-from repro.experiments import disaster
-from repro.experiments.campaign import get_profile
+from repro.experiments import campaign
+from repro.experiments.campaign import experiment_key, get_profile
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.disaster import (
     CAMPAIGN,
@@ -409,9 +409,18 @@ class TestDisasterAcceptance:
 # the campaign plumbing (simulations stubbed out)
 
 
+def _severity(experiment) -> str:
+    """The rung a point's fault plan lowers."""
+    plan = experiment.faults
+    if plan.is_zero:
+        return "none"
+    kind = plan.domains[0].domain.partition(":")[0]
+    return {"links": "link", "switch": "switch"}.get(kind, "pod")
+
+
 def _fake_result(experiment):
     adaptive = experiment.routing_mode == RoutingMode.ADAPTIVE
-    severity = disaster._experiment_severity(experiment)
+    severity = _severity(experiment)
     fraction = 1.0 if adaptive or severity == "none" else 0.9
     metrics = RunMetrics(33.0, 0.5, 100, 99, 10.0, 10.0, 1.0, 50)
     return ExperimentResult(
@@ -442,7 +451,7 @@ class TestRunDisasterCampaign:
     campaign shares is checked once, in tests/test_campaign.py."""
 
     def test_series_shape_and_butterfly_skips_pod(self, monkeypatch):
-        monkeypatch.setattr(disaster, "simulate", _fake_result)
+        monkeypatch.setattr(campaign, "simulate", _fake_result)
         fig = CAMPAIGN.run("quick", ("none", "switch", "pod"))
         assert fig.figure_id == "disaster"
         assert set(fig.series) == {
@@ -450,13 +459,14 @@ class TestRunDisasterCampaign:
             for kind in CAMPAIGN_TOPOLOGIES
             for mode in CAMPAIGN_MODES
         }
-        assert [
-            p.extra["severity"] for p in fig.series["fat-tree/adaptive"]
-        ] == ["none", "switch", "pod"]
+        assert [p.x for p in fig.series["fat-tree/adaptive"]] == [
+            "none", "switch", "pod",
+        ]
         # the butterfly has no pods; its series simply omits the rung
-        assert [
-            p.extra["severity"] for p in fig.series["butterfly/static"]
-        ] == ["none", "switch"]
+        assert [p.x for p in fig.series["butterfly/static"]] == [
+            "none", "switch",
+        ]
+        assert fig.series["fat-tree/static"][1].extra["qos_abandoned"] == 5
         text = CAMPAIGN.render(fig)
         assert "reach frac" in text and "isolated" in text
         assert "fat-tree/adaptive" in text and "butterfly/static" in text
@@ -466,10 +476,13 @@ class TestRunDisasterCampaign:
         experiment = _campaign_experiment(
             profile, "fat-tree", RoutingMode.ADAPTIVE, "switch"
         )
-        key = CAMPAIGN.key("fat-tree/adaptive", "switch", experiment)
-        assert key.startswith("fat-tree/adaptive@switch|")
-        assert "mode=adaptive" in key
+        key = experiment_key(experiment)
+        assert key.startswith("FatTree3Experiment-")
+        static = _campaign_experiment(
+            profile, "fat-tree", RoutingMode.STATIC, "switch"
+        )
+        assert experiment_key(static) != key
         changed = dataclasses.replace(
             experiment, health=HealthConfig(probe_interval=2048)
         )
-        assert CAMPAIGN.key("fat-tree/adaptive", "switch", changed) != key
+        assert experiment_key(changed) != key

@@ -1,13 +1,14 @@
-"""The failover campaign and the checkpoint-key fingerprint."""
+"""The failover campaign and the checkpoint key (its experiment's
+content address)."""
 
 import dataclasses
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import failover
-from repro.experiments.campaign import get_profile
-from repro.experiments.config import FatMeshExperiment
+from repro.experiments import campaign
+from repro.experiments.campaign import experiment_key, get_profile
+from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
 from repro.experiments.failover import (
     CAMPAIGN,
     CAMPAIGN_MODES,
@@ -15,7 +16,6 @@ from repro.experiments.failover import (
     _fat_pair_windows,
 )
 from repro.experiments.faultsweep import CAMPAIGN as FAULTS
-from repro.experiments.parallel import sweep_fingerprint
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.collector import RunMetrics
 from repro.network.health import HealthConfig
@@ -24,47 +24,59 @@ from repro.router.config import RoutingMode
 
 
 class TestSweepFingerprint:
-    def test_default_experiment_fingerprint_is_empty(self):
-        assert sweep_fingerprint(FatMeshExperiment()) == ""
+    """A point's key fingerprints its whole experiment: every knob that
+    changes a point's physics changes the key, so resuming a campaign
+    with changed flags recomputes instead of serving stale points."""
+
+    def test_default_experiment_key_names_its_type(self):
+        key = experiment_key(FatMeshExperiment())
+        assert key.startswith("FatMeshExperiment-")
+        # the same field values on another type are another experiment
+        assert key != experiment_key(SingleSwitchExperiment())
 
     def test_routing_mode_changes_the_fingerprint(self):
         experiment = FatMeshExperiment(routing_mode=RoutingMode.ADAPTIVE)
-        assert "mode=adaptive" in sweep_fingerprint(experiment)
+        assert experiment_key(experiment) != experiment_key(FatMeshExperiment())
 
     def test_health_knobs_are_encoded(self):
         a = FatMeshExperiment(health=HealthConfig())
         b = FatMeshExperiment(health=HealthConfig(down_misses=9))
-        assert sweep_fingerprint(a) != ""
-        assert sweep_fingerprint(a) != sweep_fingerprint(b)
+        assert experiment_key(a) != experiment_key(FatMeshExperiment())
+        assert experiment_key(a) != experiment_key(b)
 
     def test_qos_deadline_is_encoded(self):
-        experiment = FatMeshExperiment(
-            recovery=RecoveryConfig(qos_deadline=4096)
-        )
-        assert "deadline=4096" in sweep_fingerprint(experiment)
+        keys = {
+            experiment_key(
+                FatMeshExperiment(recovery=RecoveryConfig(qos_deadline=deadline))
+            )
+            for deadline in (None, 4096, 8192)
+        }
+        assert len(keys) == 3
 
     def test_fault_sweep_keys_stay_stable_at_defaults(self):
-        """Old fault-campaign checkpoints must keep restoring."""
-        assert FAULTS.key("vc", 0.005, FatMeshExperiment()) == "vc@0.005"
+        """A key is a pure function of the experiment, pinned here: a
+        checkpoint written today keeps restoring."""
+        assert experiment_key(FatMeshExperiment()) == (
+            "FatMeshExperiment-4c0a91f42760cd1c"
+        )
 
     def test_fault_sweep_keys_change_with_non_default_knobs(self):
-        experiment = FatMeshExperiment(routing_mode=RoutingMode.ADAPTIVE)
-        assert FAULTS.key("vc", 0.005, experiment) == (
-            "vc@0.005|mode=adaptive"
+        experiment = FAULTS.plan("quick", (0.005,))["virtual_clock", 0.005]
+        adaptive = dataclasses.replace(
+            experiment, routing_mode=RoutingMode.ADAPTIVE
         )
+        assert experiment_key(adaptive) != experiment_key(experiment)
 
     def test_failover_keys_always_fingerprinted(self):
-        experiment = _campaign_experiment(
-            get_profile("quick"), RoutingMode.ADAPTIVE, 2
-        )
-        key = CAMPAIGN.key(RoutingMode.ADAPTIVE, 2, experiment)
-        assert key.startswith("adaptive@2|")
-        assert "mode=adaptive" in key
-        assert "health[" in key
+        quick = get_profile("quick")
+        experiment = _campaign_experiment(quick, RoutingMode.ADAPTIVE, 2)
+        key = experiment_key(experiment)
+        static = _campaign_experiment(quick, RoutingMode.STATIC, 2)
+        assert experiment_key(static) != key
         changed = dataclasses.replace(
             experiment, health=HealthConfig(probe_interval=2048)
         )
-        assert CAMPAIGN.key(RoutingMode.ADAPTIVE, 2, changed) != key
+        assert experiment_key(changed) != key
 
 
 class TestFatPairWindows:
@@ -134,7 +146,7 @@ class TestRunFailoverCampaign:
     campaign shares is checked once, in tests/test_campaign.py."""
 
     def test_series_shape_and_extras(self, monkeypatch):
-        monkeypatch.setattr(failover, "simulate", _fake_result)
+        monkeypatch.setattr(campaign, "simulate", _fake_result)
         fig = CAMPAIGN.run("quick", (0, 2))
         assert fig.figure_id == "failover"
         assert set(fig.series) == set(CAMPAIGN_MODES)

@@ -5,7 +5,12 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import PROFILES, RunProfile, get_profile
+from repro.experiments.campaign import (
+    PROFILES,
+    RunProfile,
+    experiment_key,
+    get_profile,
+)
 from repro.experiments.figures import (
     FIG3,
     FIG4,
@@ -17,7 +22,6 @@ from repro.experiments.figures import (
     PAPER,
     TABLE2,
     TABLE3,
-    fig5_table2,
 )
 
 #: one-point sweeps at a very coarse scale: structure tests, not physics
@@ -63,19 +67,23 @@ class TestFigureRunners:
         assert set(fig.series) == {"vbr", "cbr"}
 
     def test_fig5_and_table2_share_grid(self):
-        mixes = ((50, 50), (80, 20), (100, 0))
-        fig = replace(FIG5, series=(0.5,)).run(TINY, values=mixes)
+        mixes = ("50:50", "80:20", "100:0")
+        fig5, table2 = (replace(spec, series=(0.5,)) for spec in (FIG5, TABLE2))
+        fig = fig5.run(TINY, values=mixes)
         assert set(fig.series) == {"load=0.5"}
         points = fig.series["load=0.5"]
         assert [p.x for p in points] == ["50:50", "80:20", "100:0"]
-        # Table 2 is read off the same points; 100:0 has no best effort
-        table = fig5_table2(fig)
+        # Table 2's experiments are Fig. 5's (100:0 has no best effort),
+        # so ``mediaworm all`` runs them once for both
+        keys = {
+            spec.name: {experiment_key(e) for e in spec.plan(TINY).values()}
+            for spec in (fig5, table2)
+        }
+        assert keys["table2"] < keys["fig5"]
+        table = table2.run(TINY, values=mixes[:2])
         assert table.loads == [0.5]
         assert table.mixes == [(50, 50), (80, 20)]
         assert table.cell((80, 20), 0.5) == points[1].be_latency_us
-        # and the table2 spec, run on its own, fills the same cells
-        alone = replace(TABLE2, series=(0.5,)).run(TINY, values=mixes[:2])
-        assert alone.latency_us == table.latency_us
 
     def test_fig6_config_labels(self):
         fig = FIG6.run(TINY, values=(0.5,))
@@ -101,17 +109,19 @@ class TestFigureRunners:
         fig = FIG8.run(TINY, values=(0.4,))
         assert fig.series["wormhole"][0].extra == {}
         pcs_point = fig.series["pcs"][0]
-        assert sorted(pcs_point.extra) == ["attempts", "dropped", "established"]
+        assert sorted(pcs_point.extra) == [
+            "abandoned", "attempts", "dropped", "established", "offered",
+        ]
         assert pcs_point.extra["attempts"] >= pcs_point.extra["established"]
 
     def test_fig9_uses_mix_labels(self):
-        fig = replace(FIG9, series=(0.5,)).run(TINY, values=((60, 40),))
+        fig = replace(FIG9, series=(0.5,)).run(TINY, values=("60:40",))
         assert [p.x for p in fig.series["load=0.5"]] == ["60:40"]
 
 
 class TestTableRunners:
     def test_table2_saturation_formatting(self):
-        table = replace(TABLE2, series=(0.5,)).run(TINY, values=((50, 50),))
+        table = replace(TABLE2, series=(0.5,)).run(TINY, values=("50:50",))
         text = table.cell_text((50, 50), 0.5)
         assert text == "Sat." or float(text) >= 0
 

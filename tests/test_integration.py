@@ -2,33 +2,40 @@
 
 These tests run real (but tiny) workloads through the full stack and
 check *shape*: who wins, what degrades, what stays flat.  Absolute
-numbers come from the benchmark harness, not from here.
+numbers come from the benchmark harness, not from here.  A run is
+memoised under its experiment's content key, so two claims about one
+operating point share one simulation.
 """
 
 import pytest
 
 from repro.analysis import dominates, is_jitter_free_point, monotonic_tail
 from repro.core.schedulers import SchedulingPolicy
+from repro.experiments.campaign import experiment_key
 from repro.experiments.config import (
     FatMeshExperiment,
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.runner import (
-    simulate_fat_mesh,
-    simulate_pcs,
-    simulate_single_switch,
-)
+from repro.experiments.runner import simulate
 
 SMALL = dict(scale=50.0, warmup_frames=2, measure_frames=4, seed=1)
+
+#: experiment key -> its result, shared by every claim about that point
+_RUNS = {}
+
+
+def _simulate(experiment):
+    key = experiment_key(experiment)
+    if key not in _RUNS:
+        _RUNS[key] = simulate(experiment)
+    return _RUNS[key]
 
 
 def _run(load, mix=(80, 20), **overrides):
     kwargs = dict(SMALL)
     kwargs.update(overrides)
-    return simulate_single_switch(
-        SingleSwitchExperiment(load=load, mix=mix, **kwargs)
-    )
+    return _simulate(SingleSwitchExperiment(load=load, mix=mix, **kwargs))
 
 
 class TestSingleSwitchClaims:
@@ -82,11 +89,11 @@ class TestSingleSwitchClaims:
 
 class TestPcsClaims:
     def test_pcs_never_jitters_on_established_streams(self):
-        result = simulate_pcs(PCSExperiment(load=0.8, **SMALL))
+        result = _simulate(PCSExperiment(load=0.8, **SMALL))
         assert result.metrics.sigma_d < 2.0
 
     def test_pcs_drops_while_wormhole_accepts_everything(self):
-        pcs = simulate_pcs(PCSExperiment(load=0.8, **SMALL))
+        pcs = _simulate(PCSExperiment(load=0.8, **SMALL))
         wormhole = _run(
             0.8, mix=(100, 0), bandwidth_mbps=100.0, vcs_per_pc=24
         )
@@ -99,7 +106,7 @@ class TestPcsClaims:
 
 class TestFatMeshClaims:
     def test_fat_mesh_jitter_free_at_moderate_mix(self):
-        result = simulate_fat_mesh(
+        result = _simulate(
             FatMeshExperiment(load=0.7, mix=(40, 60), **SMALL)
         )
         assert is_jitter_free_point(result.metrics.d, result.metrics.sigma_d)
@@ -107,14 +114,14 @@ class TestFatMeshClaims:
     def test_fat_mesh_be_latency_grows_with_rt_share(self):
         latencies = []
         for mix in ((40, 60), (80, 20)):
-            result = simulate_fat_mesh(
+            result = _simulate(
                 FatMeshExperiment(load=0.8, mix=mix, **SMALL)
             )
             latencies.append(result.metrics.be_latency_us)
         assert latencies[1] > latencies[0]
 
     def test_fat_mesh_no_worse_than_20_percent_loss_of_flits(self):
-        result = simulate_fat_mesh(
+        result = _simulate(
             FatMeshExperiment(load=0.6, mix=(60, 40), **SMALL)
         )
         # everything injected is either delivered or still in flight

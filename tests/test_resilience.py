@@ -11,11 +11,19 @@ import pytest
 
 from conftest import TINY, with_sweep
 
+import repro.experiments.campaign as campaign
 import repro.experiments.cli as cli
 import repro.experiments.faultsweep as faultsweep
 import repro.experiments.figures as figures
 from repro.errors import DeadlockError, PointTimeoutError, SimulationError
-from repro.experiments.campaign import PROFILES, RunProfile, empty_metrics
+from repro.experiments.campaign import (
+    PROFILES,
+    Point,
+    RunProfile,
+    empty_metrics,
+    experiment_key,
+    point_to_dict,
+)
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.parallel import CRASH_RESEED_STEP
 from repro.experiments.resilience import (
@@ -309,7 +317,7 @@ class TestFaultCampaign:
             )
             return _fake_result(experiment.scheduler, 0.0)
 
-        monkeypatch.setattr(faultsweep, "simulate", fake)
+        monkeypatch.setattr(campaign, "simulate", fake)
         fig = faultsweep.CAMPAIGN.run("tiny", (0.0, 0.01))
         assert sorted(fig.series) == ["fifo", "virtual_clock"]
         assert [p.x for p in fig.series["fifo"]] == [0.0, 0.01]
@@ -347,7 +355,7 @@ class TestOneRetryLayer:
                 raise DeadlockError("router 0 wedged")
             return _fake_result(None, 0)
 
-        monkeypatch.setattr(figures, "simulate", fake)
+        monkeypatch.setattr(campaign, "simulate", fake)
         with pytest.raises(SimulationError, match="router 0 wedged"):
             cli.main(["run", "fig3", "--profile", "tiny", *flags])
         assert calls == [
@@ -374,7 +382,7 @@ class TestCliResilience:
         self, monkeypatch, tiny_profile, tmp_path, capsys
     ):
         monkeypatch.setattr(
-            faultsweep, "simulate", lambda e: _fake_result(None, 0)
+            campaign, "simulate", lambda e: _fake_result(None, 0)
         )
         path = tmp_path / "cp.json"
         code = cli.main(
@@ -396,28 +404,31 @@ class TestCliResilience:
         assert not path.exists()
 
     def test_all_resumes_from_checkpoint(
-        self, tiny_profile, tmp_path, capsys
+        self, counted_simulate, tiny_profile, tmp_path, capsys
     ):
-        """A killed ``mediaworm all`` picks up where it stopped."""
+        """A killed ``mediaworm all`` picks up where it stopped: what its
+        checkpoint holds is restored, for every figure that shares it,
+        and only the rest is simulated."""
         path = tmp_path / "all.json"
-        cp = SweepCheckpoint(
-            path, meta={"command": "all", "profile": "tiny"}
-        )
-        names = [
-            "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table3",
-        ]
-        for name in names:
-            cp.put(name, f"cached output of {name}")
+        cp = SweepCheckpoint(path, meta={"command": "all"})
+        cached = point_to_dict(Point(None, empty_metrics()))
+        for experiment in figures.FIG3.plan("tiny").values():
+            cp.put(experiment_key(experiment), cached)
         code = cli.main(
             ["all", "--profile", "tiny", "--checkpoint", str(path)]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "[resuming from" in out
-        for name in names:
-            assert f"cached output of {name}" in out
-            assert f"[{name} restored from checkpoint]" in out
-        # every name was served from the checkpoint, which is then cleared
+        restored = [line for line in out.splitlines() if "restored" in line]
+        # Fig. 3's ten points; Fig. 5's and Table 2's 80:20 columns are
+        # its Virtual Clock curve
+        assert len(restored) == 20
+        assert "[fig3] fifo@0.96: restored from checkpoint" in restored
+        assert "[fig5] load=0.6@80:20: restored from checkpoint" in restored
+        assert "[table2] load=0.96@80:20: restored from checkpoint" in restored
+        assert len(counted_simulate) == 94 - 10
+        assert "94 distinct simulations for 130 points]" in out
+        # the checkpoint is cleared once every point is done
         assert not path.exists()
 
     def test_all_checkpoint_ignores_other_profile(self, tmp_path):

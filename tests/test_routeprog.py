@@ -18,7 +18,7 @@ import pytest
 from repro.chaos.scenario import ScenarioSpace, generate
 from repro.errors import RoutingError
 from repro.experiments import disaster, failover, runner
-from repro.experiments.campaign import get_profile
+from repro.experiments.campaign import experiment_key, get_profile
 from repro.experiments.config import (
     ButterflyExperiment,
     FatMeshExperiment,
@@ -27,7 +27,6 @@ from repro.experiments.config import (
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.parallel import sweep_fingerprint
 from repro.experiments.runner import (
     _cached_topology,
     simulate,
@@ -353,18 +352,32 @@ class TestScaleShapes:
 
 
 # ----------------------------------------------------------------------
-# sweep fingerprints
+# sweep keys: the shape fields are part of the experiment's content key
+
+#: the key of each experiment below, by its off-default shape
+PINNED = {
+    "": "SingleSwitchExperiment-225ee41d5b2fd5ba",
+    "num_ports=4": "SingleSwitchExperiment-fbdda1bb8c3a53eb",
+    "rows=3|fat_width=1": "FatMeshExperiment-11a3d5e44be98b52",
+    "leaves=8|hosts_per_leaf=4": "FatTreeExperiment-89614520eac9c9b3",
+    "k=8|hosts_per_leaf=2|mode=adaptive": "FatTree3Experiment-17f4042cf31ae5c0",
+    "arity=4|levels=2|fat_width=2": "ButterflyExperiment-ad773b71f9f3a6b8",
+    "PCS num_ports=4": "PCSExperiment-835b3c562ce9b7ec",
+}
 
 
 class TestTopologyFingerprint:
-    def test_empty_at_defaults(self):
-        for experiment in (
-            SingleSwitchExperiment(),
-            FatMeshExperiment(),
-            FatTree3Experiment(),
-            ButterflyExperiment(),
-        ):
-            assert sweep_fingerprint(experiment) == ""
+    def test_defaults_differ_by_type(self):
+        keys = {
+            experiment_key(kind())
+            for kind in (
+                SingleSwitchExperiment,
+                FatMeshExperiment,
+                FatTree3Experiment,
+                ButterflyExperiment,
+            )
+        }
+        assert len(keys) == 4
 
     @pytest.mark.parametrize(
         "experiment, expected",
@@ -390,33 +403,38 @@ class TestTopologyFingerprint:
         ],
     )
     def test_literals_written_into_checkpoints(self, experiment, expected):
-        """Fingerprints are checkpoint keys: a checkpoint written with
-        these literals must keep restoring, and a hook is not physics."""
-        assert sweep_fingerprint(experiment) == expected
+        """Keys are checkpoint keys, so each is pinned: a checkpoint
+        keeps restoring across processes and commits.  The off-default
+        shape ``expected`` names is what sets a key apart from its
+        type's default, and a hook is part of the experiment too."""
+        pcs = isinstance(experiment, PCSExperiment)
+        pinned = PINNED[f"PCS {expected}" if pcs else expected]
+        assert experiment_key(experiment) == pinned
+        default = experiment_key(type(experiment)())
+        assert (experiment_key(experiment) == default) == (expected == "")
         hooked = dataclasses.replace(experiment, network_hook=print)
-        assert sweep_fingerprint(hooked) == expected
+        assert experiment_key(hooked) != pinned
 
     def test_off_default_shape_is_encoded(self):
-        assert "k=8" in sweep_fingerprint(FatTree3Experiment(k=8))
-        assert "num_ports=4" in sweep_fingerprint(
-            SingleSwitchExperiment(num_ports=4)
-        )
-        fingerprint = sweep_fingerprint(
-            ButterflyExperiment(arity=4, levels=2)
-        )
-        assert "arity=4" in fingerprint and "levels=2" in fingerprint
+        for experiment in (
+            FatTree3Experiment(k=8),
+            SingleSwitchExperiment(num_ports=4),
+            ButterflyExperiment(arity=4, levels=2),
+        ):
+            default = type(experiment)()
+            assert experiment_key(experiment) != experiment_key(default)
 
     def test_shape_parts_compose_with_mode(self):
         from repro.router.config import RoutingMode
 
-        experiment = FatTree3Experiment(
-            k=8, routing_mode=RoutingMode.ADAPTIVE
-        )
-        fingerprint = sweep_fingerprint(experiment)
-        assert fingerprint.startswith("k=8|")
-        assert "mode=adaptive" in fingerprint
+        keys = {
+            experiment_key(FatTree3Experiment(k=k, routing_mode=mode))
+            for k in (4, 8)
+            for mode in (RoutingMode.ORACLE, RoutingMode.ADAPTIVE)
+        }
+        assert len(keys) == 4
 
     def test_distinct_shapes_get_distinct_keys(self):
-        assert sweep_fingerprint(FatTree3Experiment(k=8)) != sweep_fingerprint(
+        assert experiment_key(FatTree3Experiment(k=8)) != experiment_key(
             FatTree3Experiment(k=16)
         )
