@@ -82,7 +82,8 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 	$(PYTHON) -m repro.experiments.cli chaos --profile smoke \
 		--count 25 --seed 7 --jobs 2 --fresh \
 		--corpus chaos-smoke-corpus \
-		--checkpoint mediaworm-chaos-smoke.checkpoint.json
+		--checkpoint mediaworm-chaos-smoke.checkpoint.json \
+		--json CHAOS_smoke.json
 	$(PYTHON) -m repro.experiments.cli chaos --selftest credit \
 		--corpus chaos-selftest-corpus
 	$(PYTHON) -m repro.experiments.cli chaos \

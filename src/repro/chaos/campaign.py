@@ -15,10 +15,20 @@ The campaign pipeline:
 4. :func:`replay` re-runs a repro file and checks the verdict (and,
    for passing corpus entries, the metrics digest) still matches.
 
-Campaigns run their scenarios through the ordinary
-:class:`~repro.experiments.parallel.ParallelSweepExecutor`, so they
-inherit worker isolation, crash recovery, and crash-safe
-:class:`~repro.experiments.resilience.SweepCheckpoint` resume for free.
+A campaign is a small :class:`~repro.experiments.campaign.Campaign`
+spec whose axis value ``i`` draws scenario ``i`` and whose point body
+is :func:`run_scenario`, so its scenarios run through
+:func:`~repro.experiments.campaign.run_plans` like every sweep point:
+worker isolation and crash recovery from the
+:class:`~repro.experiments.parallel.ParallelSweepExecutor`, and a
+checkpoint keyed by each scenario's content
+(:func:`~repro.experiments.campaign.experiment_key`) under the meta
+``{"command": "chaos"}``.  A rerun — or a longer ``--count`` of the
+same seed — restores every verdict already on disk; another profile or
+``--point-timeout`` changes the scenarios' content, so they recompute.  Repro
+files are :func:`repro.plain.to_plain` of the scenario, read back by
+:func:`repro.plain.from_plain`, which refuses an unknown field or a
+wrong type with a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -40,14 +50,15 @@ from repro.chaos.scenario import (
     SABOTAGES,
     Scenario,
     ScenarioSpace,
-    generate,
     scenario_topology,
 )
 from repro.errors import ChaosFailure, ConfigurationError
-from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
+from repro.experiments.campaign import Axis, Campaign, Point, empty_metrics, run_plans
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.resilience import SweepCheckpoint, wall_clock_limit
 from repro.experiments.runner import simulate
 from repro.faults import expand_domain
+from repro.plain import from_plain, to_plain
 from repro.router.config import RoutingMode
 from repro.sim.reference import run_reference
 
@@ -166,11 +177,6 @@ def _differential(
                 "health-noop",
             )
     return None, None
-
-
-def _scenario_task(scenario: Scenario) -> dict:
-    """Sweep-task runner body (module-level, so pool workers pickle it)."""
-    return run_scenario(scenario)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +365,7 @@ def write_repro(
     path = os.path.join(corpus_dir, f"{scenario.key}.json")
     payload = {
         "format": REPRO_FORMAT,
-        "scenario": scenario.to_dict(),
+        "scenario": to_plain(scenario),
         "verdict": {
             "status": verdict["status"],
             "oracle": verdict["oracle"],
@@ -393,7 +399,12 @@ def load_repro(path: str) -> Tuple[Scenario, dict]:
             f"{path}: unknown repro format {found!r} "
             f"(expected {REPRO_FORMAT!r})"
         )
-    scenario = Scenario.from_dict(payload["scenario"])
+    if "scenario" not in payload:
+        raise ConfigurationError(f"{path}: no 'scenario' block")
+    try:
+        scenario = from_plain(Scenario, payload["scenario"], "scenario")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return scenario, payload.get("verdict", {})
 
 
@@ -442,25 +453,27 @@ def replay(path: str) -> Tuple[bool, str, dict]:
 # the campaign driver
 
 
-def _identity(value):
-    return value
+def _judge(scenario: Scenario) -> Point:
+    """Point body: the scenario's verdict, riding in ``Point.extra``
+    (module-level, so pool workers pickle it)."""
+    return Point(None, empty_metrics(), run_scenario(scenario))
 
 
-def campaign_meta(
-    space: ScenarioSpace,
-    seed: int,
-    count: int,
-    point_timeout: Optional[float] = None,
-) -> dict:
-    """What identifies one campaign's checkpoint file (the verdicts of
-    another seed, count, timeout or space are not these)."""
-    return {
-        "kind": "chaos-campaign",
-        "seed": seed,
-        "count": count,
-        "point_timeout": point_timeout,
-        "space": space.to_meta(),
-    }
+def _spec(space: ScenarioSpace, seed: int) -> Campaign:
+    """The campaign as a sweep spec: axis value ``i`` is scenario ``i``
+    of ``seed``'s stream (the space fixes the workload scale, so the
+    profile is unused)."""
+    return Campaign(
+        name="chaos",
+        help="randomized differential fault campaign",
+        series=("scenario",),
+        axis=Axis(defaults=()),
+        experiment=lambda profile, series, index: space.nth(seed, index),
+        title=f"chaos campaign (seed {seed})",
+        xlabel="scenario",
+        point=_judge,
+        table=dict,
+    )
 
 
 def run_campaign(
@@ -476,59 +489,36 @@ def run_campaign(
 ) -> dict:
     """Run a full campaign; returns a JSON-plain summary.
 
-    Scenario verdicts go through the standard sweep executor (worker
-    isolation, crash recovery) and ``checkpoint`` (resume after a kill
-    restores finished verdicts; open it with :func:`campaign_meta`).
+    Scenario verdicts go through :func:`~repro.experiments.campaign
+    .run_plans` like any sweep point: worker isolation, crash recovery,
+    and ``checkpoint`` entries keyed by each scenario's content
+    (:func:`~repro.experiments.campaign.experiment_key`), so a rerun
+    restores every finished verdict — a longer ``count`` included.
     Failures are then shrunk serially in the parent and written to
     ``corpus_dir`` as replayable repros.
     """
-
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
-    scenarios = generate(space, seed, count)
+    say = log or (lambda message: None)
     if point_timeout is not None:
         # Override each scenario's own wall budget instead of wrapping
         # the worker in a second timer: nested SIGALRM timers would
         # disarm each other, and the scenario budget already covers the
         # differential twin runs as a unit.
-        scenarios = [
-            dataclasses.replace(scenario, wall_timeout_s=point_timeout)
-            for scenario in scenarios
-        ]
-    by_key = {scenario.key: scenario for scenario in scenarios}
-    tasks = [
-        SweepTask(
-            key=scenario.key,
-            runner=_scenario_task,
-            experiment=scenario,
-        )
-        for scenario in scenarios
-    ]
-    executor = ParallelSweepExecutor(
-        jobs=jobs,
-        attempts=1,  # verdicts are data; a "failure" is a result here
-        log=log,
-    )
-    verdicts = executor.run(
-        tasks,
-        checkpoint=checkpoint,
-        encode=_identity if checkpoint is not None else None,
-        decode=_identity if checkpoint is not None else None,
-    )
+        space = dataclasses.replace(space, wall_timeout_s=point_timeout)
+    spec = _spec(space, seed)
+    plan = spec.plan("smoke", range(count))
+    # verdicts are data: a "failure" is a result here, never retried
+    executor = ParallelSweepExecutor(jobs=jobs, attempts=1, log=log)
+    points = run_plans([(spec, plan)], checkpoint, log, executor)[0]
 
     failures = []
-    for key, verdict in verdicts.items():
+    for pair, point in points.items():
+        verdict = point.extra
         if verdict["status"] != "fail":
             continue
-        scenario = by_key[key]
-        say(
-            f"scenario {key} failed [{verdict['oracle']}]: "
-            f"{verdict['detail']}"
-        )
+        key = verdict["key"]
+        say(f"scenario {key} failed [{verdict['oracle']}]: {verdict['detail']}")
         minimal, trail = shrink(
-            scenario, verdict["oracle"], budget=shrink_budget, log=log
+            plan[pair], verdict["oracle"], budget=shrink_budget, log=log
         )
         final = run_scenario(minimal)
         path = write_repro(
@@ -554,10 +544,8 @@ def run_campaign(
     return {
         "seed": seed,
         "count": count,
-        "scenarios": len(verdicts),
-        "passed": sum(
-            1 for v in verdicts.values() if v["status"] == "pass"
-        ),
+        "scenarios": len(points),
+        "passed": sum(point.extra["status"] == "pass" for point in points.values()),
         "failed": len(failures),
         "failures": failures,
     }
@@ -604,11 +592,7 @@ def selftest(
     :class:`~repro.errors.ChaosFailure` when any pipeline stage fails
     to do its job — i.e. a *passing* sabotage run is itself a failure.
     """
-
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
+    say = log or (lambda message: None)
     scenario = sabotage_scenario(kind, seed=seed)
     verdict = run_scenario(scenario)
     if verdict["status"] != "fail":

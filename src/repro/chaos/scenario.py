@@ -26,7 +26,6 @@ indicates a simulator bug rather than a malformed experiment:
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -122,7 +121,8 @@ SABOTAGES: Dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified chaos run (JSON-plain, replayable)."""
+    """One fully specified chaos run (replayable: :func:`repro.plain
+    .to_plain` writes it, :func:`repro.plain.from_plain` reads it)."""
 
     key: str
     seed: int
@@ -162,8 +162,14 @@ class Scenario:
     sabotage: Optional[str] = None
     #: ride an InvariantChecker on every run of this scenario
     check: bool = True
+    #: the repro-file format tag; a file carrying any other is refused
+    format: str = _FORMAT
 
     def __post_init__(self) -> None:
+        if self.format != _FORMAT:
+            raise ConfigurationError(
+                f"unknown scenario format {self.format!r} (expected {_FORMAT!r})"
+            )
         if self.topology not in _TOPOLOGIES:
             raise ConfigurationError(
                 f"scenario topology must be 'single', 'mesh', 'tree', or "
@@ -227,104 +233,6 @@ class Scenario:
             network_hook=hook,
         )
 
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-plain form, the payload of a repro/corpus file."""
-        return {
-            "format": _FORMAT,
-            "key": self.key,
-            "seed": self.seed,
-            "topology": self.topology,
-            "num_ports": self.num_ports,
-            "rows": self.rows,
-            "cols": self.cols,
-            "hosts_per_router": self.hosts_per_router,
-            "fat_width": self.fat_width,
-            "tree_k": self.tree_k,
-            "bfly_arity": self.bfly_arity,
-            "bfly_levels": self.bfly_levels,
-            "hosts_per_leaf": self.hosts_per_leaf,
-            "scheduler": self.scheduler,
-            "vcs_per_pc": self.vcs_per_pc,
-            "load": self.load,
-            "mix": list(self.mix),
-            "rt_class": self.rt_class,
-            "message_size": self.message_size,
-            "scale": self.scale,
-            "warmup_frames": self.warmup_frames,
-            "measure_frames": self.measure_frames,
-            "routing_mode": self.routing_mode,
-            "faults": self.faults.to_dict(),
-            "recovery": (
-                None if self.recovery is None else self.recovery.to_dict()
-            ),
-            "health": (
-                None
-                if self.health is None
-                else dataclasses.asdict(self.health)
-            ),
-            "watchdog_frames": self.watchdog_frames,
-            "wall_timeout_s": self.wall_timeout_s,
-            "sabotage": self.sabotage,
-            "check": self.check,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_dict` output.
-
-        Every nested config re-runs its own validation, so an edited
-        repro file fails loudly instead of silently running something
-        else.
-        """
-        fmt = data.get("format", _FORMAT)
-        if fmt != _FORMAT:
-            raise ConfigurationError(
-                f"unknown scenario format {fmt!r} (expected {_FORMAT!r})"
-            )
-        recovery = data.get("recovery")
-        health = data.get("health")
-        return cls(
-            key=data["key"],
-            seed=int(data["seed"]),
-            topology=data.get("topology", "single"),
-            num_ports=int(data.get("num_ports", 8)),
-            rows=int(data.get("rows", 2)),
-            cols=int(data.get("cols", 2)),
-            hosts_per_router=int(data.get("hosts_per_router", 2)),
-            fat_width=int(data.get("fat_width", 2)),
-            tree_k=int(data.get("tree_k", 4)),
-            bfly_arity=int(data.get("bfly_arity", 2)),
-            bfly_levels=int(data.get("bfly_levels", 3)),
-            hosts_per_leaf=(
-                None
-                if data.get("hosts_per_leaf") is None
-                else int(data["hosts_per_leaf"])
-            ),
-            scheduler=data.get("scheduler", SchedulingPolicy.VIRTUAL_CLOCK),
-            vcs_per_pc=int(data.get("vcs_per_pc", 8)),
-            load=float(data.get("load", 0.6)),
-            mix=tuple(data.get("mix", (80.0, 20.0))),
-            rt_class=data.get("rt_class", TrafficClass.VBR),
-            message_size=int(data.get("message_size", 20)),
-            scale=float(data.get("scale", 100.0)),
-            warmup_frames=int(data.get("warmup_frames", 1)),
-            measure_frames=int(data.get("measure_frames", 2)),
-            routing_mode=data.get("routing_mode", RoutingMode.ORACLE),
-            faults=FaultPlan.from_dict(data.get("faults", {})),
-            recovery=(
-                None
-                if recovery is None
-                else RecoveryConfig.from_dict(recovery)
-            ),
-            health=None if health is None else HealthConfig(**health),
-            watchdog_frames=int(data.get("watchdog_frames", 4)),
-            wall_timeout_s=float(data.get("wall_timeout_s", 120.0)),
-            sabotage=data.get("sabotage"),
-            check=bool(data.get("check", True)),
-        )
-
 
 def _shaped(scenario: Scenario, **kwargs):
     """The scenario's experiment type at the scenario's shape."""
@@ -355,9 +263,9 @@ def scenario_topology(scenario: Scenario):
 class ScenarioSpace:
     """The distribution chaos campaigns draw scenarios from.
 
-    Every axis is a plain tuple/range so the space itself serialises
-    into the campaign checkpoint metadata — resuming a checkpoint with
-    a different space recomputes instead of splicing foreign verdicts.
+    A campaign checkpoints each drawn scenario under its content key:
+    a scenario that another space, seed or timeout draws differently
+    is a new key and is recomputed, never served a foreign verdict.
     """
 
     scale: float = 100.0
@@ -402,16 +310,12 @@ class ScenarioSpace:
     max_down_windows: int = 2
     wall_timeout_s: float = 120.0
 
-    def to_meta(self) -> dict:
-        """Checkpoint-metadata form (JSON-plain, order-stable).
-
-        Round-trips through JSON so nested tuples become lists — the
-        checkpoint loader compares this against what it parsed back
-        from disk, and the comparison must be representation-stable.
-        """
-        return json.loads(json.dumps(dataclasses.asdict(self)))
-
     # -- drawing ---------------------------------------------------------
+
+    def nth(self, seed: int, index: int) -> Scenario:
+        """Scenario ``index`` of campaign ``seed``'s stream (see
+        :func:`generate`)."""
+        return self.draw(random.Random(f"chaos/{seed}/{index}"), f"s{index:03d}")
 
     def draw(self, rng: random.Random, key: str) -> Scenario:
         """One scenario, fully determined by ``rng``'s state."""
@@ -584,7 +488,4 @@ def generate(
     never perturbs its neighbours, and the stream is identical across
     platforms and Python versions.
     """
-    return [
-        space.draw(random.Random(f"chaos/{seed}/{index}"), f"s{index:03d}")
-        for index in range(count)
-    ]
+    return [space.nth(seed, index) for index in range(count)]

@@ -152,14 +152,14 @@ def _sweep_setup(args):
     )
 
 
-def _open_checkpoint(args, command: str, meta=None) -> SweepCheckpoint:
+def _open_checkpoint(args, command: str) -> SweepCheckpoint:
     """The invocation's checkpoint, emptied first under ``--fresh``.
 
-    A sweep keys its points by their experiments, so its meta (the
-    default) only names the command.
+    Every sweep (chaos included) keys its points by their experiments,
+    so the meta only names the command.
     """
     path = args.checkpoint or f"mediaworm-{command}-{args.profile}.checkpoint.json"
-    checkpoint = SweepCheckpoint(path, meta=meta or {"command": command})
+    checkpoint = SweepCheckpoint(path, meta={"command": command})
     if args.fresh:
         checkpoint.clear()
     return checkpoint
@@ -430,13 +430,14 @@ def _configure_chaos(parser) -> None:
         default=40,
         help="max re-runs spent shrinking one failure (default: 40)",
     )
-    parser.add_argument(
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument(
         "--replay",
         metavar="FILE",
         default=None,
         help="re-run one repro file and verify its recorded verdict",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--selftest",
         metavar="KIND",
         default=None,
@@ -455,7 +456,6 @@ def _run_chaos(args) -> int:
     minimal repro for every failure it finds.
     """
     from repro.chaos import ScenarioSpace, replay, run_campaign, selftest
-    from repro.chaos.campaign import campaign_meta
     from repro.errors import ChaosFailure
 
     _check_sweep_args(args)
@@ -490,15 +490,10 @@ def _run_chaos(args) -> int:
         print(f"[selftest ok: pipeline caught/shrank/replayed -> {path}]")
         return 0
 
-    space = ScenarioSpace(scale=get_profile(args.profile).scale)
-    checkpoint = _open_checkpoint(
-        args,
-        "chaos",
-        campaign_meta(space, args.seed, args.count, args.point_timeout),
-    )
+    checkpoint = _open_checkpoint(args, "chaos")
     started = time.perf_counter()
     summary = run_campaign(
-        space,
+        ScenarioSpace(scale=get_profile(args.profile).scale),
         seed=args.seed,
         count=args.count,
         corpus_dir=args.corpus,

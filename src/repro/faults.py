@@ -90,19 +90,6 @@ class LinkDownWindow:
         """True while the window covers ``clock``."""
         return clock >= self.start and (self.end is None or clock < self.end)
 
-    def to_dict(self) -> dict:
-        """JSON-plain form (chaos scenarios, repro files)."""
-        return {"link": self.link, "start": self.start, "end": self.end}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LinkDownWindow":
-        """Rebuild a window from :meth:`to_dict` output (validated)."""
-        return cls(
-            link=data["link"],
-            start=int(data.get("start", 0)),
-            end=None if data.get("end") is None else int(data["end"]),
-        )
-
 
 @dataclass(frozen=True)
 class DomainDownWindow:
@@ -150,19 +137,6 @@ class DomainDownWindow:
     def active(self, clock: int) -> bool:
         """True while the window covers ``clock``."""
         return clock >= self.start and (self.end is None or clock < self.end)
-
-    def to_dict(self) -> dict:
-        """JSON-plain form (chaos scenarios, repro files)."""
-        return {"domain": self.domain, "start": self.start, "end": self.end}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DomainDownWindow":
-        """Rebuild a window from :meth:`to_dict` output (validated)."""
-        return cls(
-            domain=data["domain"],
-            start=int(data.get("start", 0)),
-            end=None if data.get("end") is None else int(data["end"]),
-        )
 
 
 def domain_switches(domain: str, topology) -> FrozenSet[int]:
@@ -334,42 +308,6 @@ class FaultPlan:
             and not self.down_windows
             and not self.port_failures
             and not self.domains
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-plain form (chaos scenarios, repro files)."""
-        return {
-            "flit_loss_prob": self.flit_loss_prob,
-            "flit_corrupt_prob": self.flit_corrupt_prob,
-            "links": self.links,
-            "down_windows": [w.to_dict() for w in self.down_windows],
-            "port_failures": [list(pair) for pair in self.port_failures],
-            "domains": [d.to_dict() for d in self.domains],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output.
-
-        Runs the full ``__post_init__`` validation, so a hand-edited
-        repro file fails loudly instead of injecting something its
-        author did not write.
-        """
-        return cls(
-            flit_loss_prob=float(data.get("flit_loss_prob", 0.0)),
-            flit_corrupt_prob=float(data.get("flit_corrupt_prob", 0.0)),
-            links=data.get("links", "*"),
-            down_windows=tuple(
-                LinkDownWindow.from_dict(w)
-                for w in data.get("down_windows", ())
-            ),
-            port_failures=tuple(
-                (int(r), int(p)) for r, p in data.get("port_failures", ())
-            ),
-            domains=tuple(
-                DomainDownWindow.from_dict(d)
-                for d in data.get("domains", ())
-            ),
         )
 
 
@@ -801,30 +739,6 @@ class RecoveryConfig:
             backoff_base=max(16, interval // 256),
             backoff_cap=max(64, interval // 16),
             qos_deadline=qos_deadline,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-plain form (chaos scenarios, repro files)."""
-        return {
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "checksum": self.checksum,
-            "qos_deadline": self.qos_deadline,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryConfig":
-        """Rebuild a config from :meth:`to_dict` output (validated)."""
-        deadline = data.get("qos_deadline")
-        return cls(
-            timeout=int(data.get("timeout", 2000)),
-            max_retries=int(data.get("max_retries", 6)),
-            backoff_base=int(data.get("backoff_base", 64)),
-            backoff_cap=int(data.get("backoff_cap", 2048)),
-            checksum=bool(data.get("checksum", True)),
-            qos_deadline=None if deadline is None else int(deadline),
         )
 
 

@@ -218,23 +218,3 @@ class TraceSpec:
             object.__setattr__(
                 self, "events", check_event_names(self.events)
             )
-
-    def to_dict(self) -> dict:
-        """JSON-plain form (chaos scenarios, repro files)."""
-        return {
-            "path": self.path,
-            "events": None if self.events is None else list(self.events),
-            "chrome_path": self.chrome_path,
-            "check": self.check,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        """Rebuild a spec from :meth:`to_dict` output (validated)."""
-        events = data.get("events")
-        return cls(
-            path=data.get("path"),
-            events=None if events is None else tuple(events),
-            chrome_path=data.get("chrome_path"),
-            check=bool(data.get("check", False)),
-        )

@@ -28,7 +28,6 @@ from repro.chaos import (
     shrink,
     write_repro,
 )
-from repro.chaos.campaign import campaign_meta
 from repro.errors import (
     ChaosFailure,
     ConfigurationError,
@@ -39,8 +38,17 @@ from repro.errors import (
     RoutingError,
     SimulationError,
 )
+from repro.experiments import cli
+from repro.experiments.campaign import (
+    Point,
+    empty_metrics,
+    experiment_key,
+    point_to_dict,
+)
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.resilience import SweepCheckpoint
+from repro.faults import FaultPlan, LinkDownWindow
+from repro.plain import from_plain, to_plain
 
 # small-and-fast variants for unit tests; the smoke campaign covers the
 # full default space
@@ -87,8 +95,8 @@ class TestGeneration:
 
     def test_roundtrips_through_json(self):
         for scenario in generate(ScenarioSpace(), 7, 10):
-            wire = json.loads(json.dumps(scenario.to_dict()))
-            assert Scenario.from_dict(wire) == scenario
+            wire = json.loads(json.dumps(to_plain(scenario)))
+            assert from_plain(Scenario, wire) == scenario
 
     def test_faulted_scenarios_are_well_formed(self):
         space = dataclasses.replace(TINY_SPACE, zero_fault_fraction=0.0)
@@ -112,11 +120,11 @@ class TestGeneration:
         with pytest.raises(ConfigurationError, match="sabotage"):
             dataclasses.replace(TINY_SCENARIO, sabotage="nonsense")
 
-    def test_from_dict_rejects_unknown_format(self):
-        data = TINY_SCENARIO.to_dict()
+    def test_from_plain_rejects_unknown_format(self):
+        data = to_plain(TINY_SCENARIO)
         data["format"] = "mediaworm-chaos-scenario-v999"
         with pytest.raises(ConfigurationError, match="format"):
-            Scenario.from_dict(data)
+            from_plain(Scenario, data)
 
     def test_experiment_carries_watchdog_and_checker(self):
         experiment = TINY_SCENARIO.to_experiment()
@@ -319,6 +327,77 @@ class TestShrinkAndReplay:
         with pytest.raises(ConfigurationError, match="format"):
             load_repro(str(path))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("scenario"), "no 'scenario' block"),
+            (lambda doc: doc["scenario"].pop("seed"), "missing required field 'seed'"),
+            (lambda doc: doc["scenario"].update(seed="abc"), "scenario.seed: expected int"),
+            (
+                lambda doc: doc["scenario"].update(health={"suspect_mises": 3}),
+                "scenario.health: unknown field 'suspect_mises'",
+            ),
+            (lambda doc: doc["scenario"].update(mix=5), "scenario.mix: expected a list"),
+            (
+                lambda doc: doc["scenario"]["faults"].update(
+                    down_windows=[{"start": 0, "end": 10}]
+                ),
+                r"scenario\.faults\.down_windows\[0\]: missing required field 'link'",
+            ),
+            (
+                lambda doc: doc["scenario"].update(vcs_per_pcc=8),
+                "scenario: unknown field 'vcs_per_pcc'",
+            ),
+            (lambda doc: doc.update(scenario=[]), "scenario: expected an object"),
+        ],
+        ids=[
+            "no-scenario",
+            "no-seed",
+            "seed-not-int",
+            "misspelled-health-key",
+            "scalar-mix",
+            "window-without-link",
+            "misspelled-field",
+            "scenario-not-object",
+        ],
+    )
+    def test_load_repro_refuses_a_malformed_file(self, edit, message, tmp_path):
+        """A hand-edited repro fails with a typed error naming the
+        field, never a KeyError or a silently ignored key."""
+        verdict = {"status": "pass", "oracle": None, "detail": None, "digest": None}
+        path = write_repro(str(tmp_path), TINY_SCENARIO, verdict)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ConfigurationError, match=message):
+            load_repro(path)
+        # the CLI turns it into the message and a non-zero exit
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["chaos", "--replay", path])
+        assert str(excinfo.value.code).startswith(f"{path}: ")
+
+    def test_repro_scenario_block_is_the_plain_scenario(self, tmp_path):
+        """What a repro file holds is ``to_plain`` of its scenario, and a
+        legacy file missing later fields takes their defaults."""
+        scenario = dataclasses.replace(
+            TINY_SCENARIO,
+            faults=FaultPlan(down_windows=(LinkDownWindow("host0:inject", 5, 9),)),
+        )
+        verdict = {"status": "pass", "oracle": None, "detail": None, "digest": None}
+        path = write_repro(str(tmp_path), scenario, verdict)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["scenario"] == to_plain(scenario)
+        assert doc["scenario"]["format"] == "mediaworm-chaos-scenario-v1"
+        for name in ("tree_k", "hosts_per_leaf", "format"):
+            del doc["scenario"][name]
+        del doc["scenario"]["faults"]["domains"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert load_repro(path)[0] == scenario
+
     def test_load_repro_reports_unreadable_files(self, tmp_path):
         path = tmp_path / "junk.md"
         path.write_text("# not a repro at all")
@@ -328,12 +407,32 @@ class TestShrinkAndReplay:
             load_repro(str(tmp_path / "absent.json"))
 
 
+def _fails_first(calls):
+    """A ``run_scenario`` stand-in: scenario s000 fails the
+    conservation oracle, every other passes; ``calls`` logs the keys."""
+
+    def fake(scenario):
+        calls.append(scenario.key)
+        failing = scenario.key == "s000"
+        return {
+            "key": scenario.key,
+            "status": "fail" if failing else "pass",
+            "oracle": "conservation" if failing else None,
+            "detail": "stand-in failure" if failing else None,
+            "digest": None,
+            "wall_s": 0.0,
+        }
+
+    return fake
+
+
 class TestCampaign:
+    META = {"command": "chaos"}
+
     def test_clean_campaign_is_deterministic_and_clears_checkpoint(
         self, tmp_path
     ):
         checkpoint_path = tmp_path / "campaign.json"
-        meta = campaign_meta(TINY_SPACE, 3, 2)
         kwargs = dict(
             space=TINY_SPACE,
             seed=3,
@@ -342,7 +441,7 @@ class TestCampaign:
             jobs=1,
         )
         first = run_campaign(
-            **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, meta)
+            **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, self.META)
         )
         assert first["scenarios"] == 2
         assert first["passed"] == 2
@@ -352,15 +451,16 @@ class TestCampaign:
         assert not (tmp_path / "corpus").exists()
         assert (
             run_campaign(
-                **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, meta)
+                **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, self.META)
             )
             == first
         )
 
     def test_campaign_restores_verdicts_from_checkpoint(self, tmp_path):
         # seed the checkpoint with a fabricated failing verdict for
-        # s000; the campaign must trust it (no recompute) and route the
-        # key through the shrink-and-repro pipeline
+        # s000, under its content key; the campaign must trust it (no
+        # recompute) and route the key through the shrink-and-repro
+        # pipeline
         seed, count = 3, 2
         checkpoint_path = tmp_path / "campaign.json"
         fake = {
@@ -371,25 +471,17 @@ class TestCampaign:
             "digest": None,
             "wall_s": 0.0,
         }
-        SweepCheckpoint(
-            checkpoint_path,
-            meta={
-                "kind": "chaos-campaign",
-                "seed": seed,
-                "count": count,
-                "point_timeout": None,
-                "space": TINY_SPACE.to_meta(),
-            },
-        ).put("s000", fake)
+        first = generate(TINY_SPACE, seed, count)[0]
+        SweepCheckpoint(checkpoint_path, self.META).put(
+            experiment_key(first), point_to_dict(Point(None, empty_metrics(), fake))
+        )
         summary = run_campaign(
             space=TINY_SPACE,
             seed=seed,
             count=count,
             corpus_dir=str(tmp_path / "corpus"),
             jobs=1,
-            checkpoint=SweepCheckpoint(
-                checkpoint_path, campaign_meta(TINY_SPACE, seed, count)
-            ),
+            checkpoint=SweepCheckpoint(checkpoint_path, self.META),
             shrink_budget=4,
         )
         assert summary["failed"] == 1
@@ -403,6 +495,77 @@ class TestCampaign:
         assert recorded["status"] == "pass"
         # a failing campaign keeps its checkpoint for the next resume
         assert checkpoint_path.exists()
+
+    def test_longer_count_reuses_a_shorter_failing_run(self, tmp_path, monkeypatch):
+        """Scenarios are keyed by content, not by campaign size: the
+        checkpoint a failing ``count=2`` run keeps serves the first two
+        scenarios of a ``count=3`` run."""
+        import repro.chaos.campaign as chaos_campaign
+
+        calls = []
+        monkeypatch.setattr(chaos_campaign, "run_scenario", _fails_first(calls))
+        checkpoint_path = tmp_path / "campaign.json"
+
+        def run(count):
+            return run_campaign(
+                space=TINY_SPACE,
+                seed=3,
+                count=count,
+                corpus_dir=str(tmp_path / "corpus"),
+                checkpoint=SweepCheckpoint(checkpoint_path, self.META),
+                shrink_budget=0,
+            )
+
+        short = run(2)
+        assert short["failed"] == 1
+        # two scenarios, then s000's repro verdict
+        assert calls == ["s000", "s001", "s000"]
+        assert checkpoint_path.exists()
+        del calls[:]
+        longer = run(3)
+        # one new scenario; s000 is re-run only for its repro file
+        assert calls == ["s002", "s000"]
+        assert [longer[name] for name in ("scenarios", "passed", "failed")] == [3, 2, 1]
+        assert longer["failures"][0]["key"] == "s000"
+
+    def test_parent_format_checkpoint_is_dropped(self, tmp_path, monkeypatch, caplog):
+        """A checkpoint written when the meta held the whole campaign
+        identity is discarded with the meta-mismatch warning and every
+        scenario is recomputed."""
+        import repro.chaos.campaign as chaos_campaign
+
+        calls = []
+        monkeypatch.setattr(chaos_campaign, "run_scenario", _fails_first(calls))
+        checkpoint_path = tmp_path / "chaos.json"
+        old_meta = {
+            "kind": "chaos-campaign",
+            "seed": 7,
+            "count": 1,
+            "point_timeout": None,
+            "space": {"scale": 100.0},
+        }
+        SweepCheckpoint(checkpoint_path, old_meta).put("s000", {"status": "pass"})
+        argv = [
+            "chaos",
+            "--count",
+            "1",
+            "--checkpoint",
+            str(checkpoint_path),
+            "--corpus",
+            str(tmp_path / "corpus"),
+            "--shrink-budget",
+            "0",
+        ]
+        with caplog.at_level("WARNING"):
+            assert cli.main(argv) == 1
+        assert "does not match" in caplog.text
+        assert calls == ["s000", "s000"]
+
+    def test_replay_and_selftest_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["chaos", "--replay", "x.json", "--selftest", "credit"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_chaos_failure_carries_oracle_and_key(self):
         error = ChaosFailure("selftest", "s000", "pipeline broke")

@@ -39,6 +39,7 @@ from repro.network.health import (
 )
 from repro.network.network import Network
 from repro.network.topology import butterfly, fat_tree3
+from repro.plain import from_plain, to_plain
 from repro.router.config import RouterConfig, RoutingMode
 from repro.sim.rng import RngStreams
 
@@ -127,11 +128,11 @@ class TestDomainGrammar:
         plan = FaultPlan(
             domains=(DomainDownWindow("switch:3", start=7, end=None),)
         )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert from_plain(FaultPlan, to_plain(plan)) == plan
         # plans serialised before domains existed still decode
-        legacy = dict(plan.to_dict())
+        legacy = to_plain(plan)
         del legacy["domains"]
-        assert FaultPlan.from_dict(legacy).domains == ()
+        assert from_plain(FaultPlan, legacy).domains == ()
         assert plan.is_zero is False
         assert FaultPlan().is_zero
 

@@ -793,8 +793,9 @@ class TestOneSkeleton:
     them, one layer retries them."""
 
     def test_one_task_builder_one_path_one_retry_layer(self):
-        """Under ``src/repro`` only the two campaign skeletons construct
-        a ``SweepTask``, ``execute_tasks`` (the bare second path) is
+        """Under ``src/repro`` only the campaign skeleton constructs a
+        ``SweepTask`` (chaos runs its scenarios through it too),
+        ``execute_tasks`` (the bare second path) is
         gone, only the executor's worker body calls ``run_resilient``,
         and what a pool worker imports — ``parallel`` and ``runner`` —
         reaches none of the spec layer."""
@@ -827,7 +828,7 @@ class TestOneSkeleton:
                         if module.startswith("repro.experiments")
                         and module.rpartition(".")[2] in spec_layer
                     ]
-        assert builders == ["chaos/campaign.py", "experiments/campaign.py"]
+        assert builders == ["experiments/campaign.py"]
         assert retriers == ["experiments/parallel.py"]
         assert bare_path == []
         assert leaks == []
