@@ -9,17 +9,14 @@ MediaWorm router accepts *every* stream on far fewer resources and
 stays jitter-free well into realistic operating loads.
 
 Prints the Fig. 8 jitter comparison side by side with the Table 3
-connection accounting.
+connection accounting.  Both routers run through the same
+``simulate``: a PCS result is an ordinary result whose ``connections``
+field carries the Table 3 accounting.
 
 Run with:  python examples/pcs_vs_mediaworm.py
 """
 
-from repro import (
-    PCSExperiment,
-    SingleSwitchExperiment,
-    simulate_pcs,
-    simulate_single_switch,
-)
+from repro import PCSExperiment, SingleSwitchExperiment, simulate
 from repro.experiments.report import format_table
 
 LOADS = (0.4, 0.6, 0.7, 0.8, 0.9)
@@ -29,13 +26,13 @@ RUN = dict(scale=25.0, warmup_frames=2, measure_frames=6, seed=1)
 def main() -> None:
     rows = []
     for load in LOADS:
-        wormhole = simulate_single_switch(
+        wormhole = simulate(
             SingleSwitchExperiment(
                 load=load, mix=(100, 0), bandwidth_mbps=100.0, vcs_per_pc=24,
                 **RUN,
             )
         )
-        pcs = simulate_pcs(PCSExperiment(load=load, **RUN))
+        pcs = simulate(PCSExperiment(load=load, **RUN))
         stats = pcs.connections
         rows.append(
             [

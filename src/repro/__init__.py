@@ -73,7 +73,6 @@ from repro.experiments import (
     simulate_fat_mesh,
     simulate_fat_tree,
     simulate_fat_tree3,
-    simulate_pcs,
     simulate_single_switch,
 )
 
@@ -130,7 +129,6 @@ __all__ = [
     "simulate_fat_mesh",
     "simulate_fat_tree",
     "simulate_fat_tree3",
-    "simulate_pcs",
     "simulate_single_switch",
     "single_switch",
     "vanilla_router_config",

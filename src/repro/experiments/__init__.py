@@ -19,14 +19,12 @@ from repro.experiments.config import (
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.experiments.runner import (
     ExperimentResult,
-    PCSResult,
     WorkloadSummary,
     simulate,
     simulate_butterfly,
     simulate_fat_mesh,
     simulate_fat_tree,
     simulate_fat_tree3,
-    simulate_pcs,
     simulate_single_switch,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "FatTree3Experiment",
     "FatTreeExperiment",
     "PCSExperiment",
-    "PCSResult",
     "ParallelSweepExecutor",
     "SingleSwitchExperiment",
     "SweepTask",
@@ -47,6 +44,5 @@ __all__ = [
     "simulate_fat_mesh",
     "simulate_fat_tree",
     "simulate_fat_tree3",
-    "simulate_pcs",
     "simulate_single_switch",
 ]

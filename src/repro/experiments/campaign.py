@@ -182,7 +182,7 @@ def measure(experiment) -> Point:
             attempts=connections.attempts,
             established=connections.established,
             dropped=connections.dropped,
-            offered=result.offered_streams,
+            offered=connections.offered,
             abandoned=connections.abandoned_streams,
         )
     return Point(None, result.metrics, extra)

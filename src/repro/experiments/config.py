@@ -12,7 +12,7 @@ ratio.  Set ``scale=1`` for paper-faithful time constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.core.schedulers import SchedulingPolicy
@@ -27,6 +27,7 @@ from repro.network.topology import (
     single_switch,
 )
 from repro.obs.events import TraceSpec
+from repro.pcs.workload import PCSWorkload
 from repro.router.config import (
     CrossbarKind,
     QosPlacement,
@@ -35,7 +36,12 @@ from repro.router.config import (
 )
 from repro.router.flit import TrafficClass
 from repro.sim.units import LinkSpec, TimeBase, WorkloadScale
-from repro.traffic.mix import TrafficMix, WorkloadConfig, rt_vc_count
+from repro.traffic.mix import (
+    TrafficMix,
+    WorkloadConfig,
+    build_workload,
+    rt_vc_count,
+)
 
 
 @dataclass
@@ -149,6 +155,10 @@ class _BaseExperiment:
             routing_mode=self.routing_mode,
         )
 
+    def build_workload(self, network, rngs):
+        """Attach this experiment's traffic to ``network`` (started)."""
+        return build_workload(network, self.workload_config(), rngs)
+
     @property
     def warmup_cycles(self) -> int:
         interval = self.workload_config().frame_interval_cycles
@@ -226,6 +236,8 @@ class ButterflyExperiment(_BaseExperiment):
 class PCSExperiment(_BaseExperiment):
     """One run of the PCS comparison (section 5.6; 100 Mbps, 24 VCs).
 
+    ``simulate`` runs it like every other type: ``router_config`` is
+    the circuit router and ``build_workload`` offers the circuits.
     Streams arrive over ``arrival_window_frames`` epochs; a stream whose
     setup probe is NACKed retries after a random backoff, up to
     ``max_retries`` times.  Every failed attempt counts as a *dropped
@@ -245,9 +257,47 @@ class PCSExperiment(_BaseExperiment):
     #: per-hop latency of the setup probe and of the returning ack, cycles
     setup_hop_cycles: int = 16
 
+    #: the knobs a circuit cannot honour, each at the one value it runs
+    _CIRCUIT_FIXED: ClassVar[Dict[str, object]] = {
+        "scheduler": SchedulingPolicy.VIRTUAL_CLOCK,
+        "qos_placement": QosPlacement.AUTO,
+        "dynamic_partitioning": False,
+        "health": None,
+        "routing_mode": RoutingMode.ORACLE,
+    }
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if not 0 < self.backoff_fraction <= 1:
             raise ConfigurationError("backoff_fraction must be in (0, 1]")
+
+    def router_config(self, num_ports: int) -> RouterConfig:
+        """The circuit router: Virtual Clock at each circuit's reserved
+        rate, every VC open to a circuit (no real-time partition), and
+        no routing or arbitration delay — the probe set the path up.
+
+        Refuses, as the run is built, a knob a circuit cannot honour.
+        """
+        for name, value in self._CIRCUIT_FIXED.items():
+            if getattr(self, name) != value:
+                raise ConfigurationError(
+                    f"a PCS circuit cannot honour {name}="
+                    f"{getattr(self, name)!r} (it runs {value!r})"
+                )
+        if self.traffic_mix.rt_fraction < 1.0:
+            raise ConfigurationError(
+                "the PCS study carries real-time streams only; "
+                "use mix=(100, 0)"
+            )
+        return replace(
+            super().router_config(num_ports),
+            rt_vc_count=None,
+            routing_delay=0,
+            arbitration_delay=0,
+        )
+
+    def build_workload(self, network, rngs) -> PCSWorkload:
+        """Offer the circuits: arrivals, probes and data phases."""
+        return PCSWorkload(network, self, rngs)

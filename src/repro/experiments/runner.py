@@ -1,11 +1,13 @@
 """The runner: one ``simulate(experiment)`` for every experiment type.
 
 The experiment names its topology (``generator`` + ``shape_fields`` in
-:mod:`repro.experiments.config`); :func:`simulate` builds it through
-the topology cache, assembles the network, attaches the workload and
-metrics, runs warmup + measurement, audits flit conservation, and
-returns a result record with the paper's output parameters (``d``,
-``sigma_d``, best-effort latency) in paper units.
+:mod:`repro.experiments.config`), its router configuration and its
+workload — the paper's wormhole mix, or the PCS comparison's circuits;
+:func:`simulate` builds the topology through the topology cache,
+assembles the network, attaches the workload and metrics, runs warmup
++ measurement, audits flit conservation, and returns one result record
+with the paper's output parameters (``d``, ``sigma_d``, best-effort
+latency) in paper units, plus a PCS run's Table 3 accounting.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Dict, Optional
 
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError
-from repro.experiments.config import PCSExperiment
 from repro.faults import install_faults, install_recovery
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.network.health import install_health
@@ -33,15 +34,14 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.pcs.connection import ConnectionStats
-from repro.pcs.simulator import PCSSimulator
 from repro.sim.gcquiet import gc_quiet
 from repro.sim.rng import RngStreams
-from repro.traffic.mix import Workload, build_workload
 
 
 @dataclass(frozen=True)
 class WorkloadSummary:
-    """Picklable digest of a :class:`~repro.traffic.mix.Workload`.
+    """Picklable digest of a :class:`~repro.traffic.mix.Workload` (or a
+    :class:`~repro.pcs.workload.PCSWorkload`, which has the same fields).
 
     A live workload holds network-attached traffic sources and cannot
     cross a process boundary; sweep workers ship this summary back
@@ -59,7 +59,7 @@ class WorkloadSummary:
         return self.achieved_rt_load + self.achieved_be_load
 
     @classmethod
-    def of(cls, workload: Workload) -> "WorkloadSummary":
+    def of(cls, workload) -> "WorkloadSummary":
         return cls(
             achieved_rt_load=workload.achieved_rt_load,
             achieved_be_load=workload.achieved_be_load,
@@ -70,7 +70,7 @@ class WorkloadSummary:
 
 @dataclass
 class ExperimentResult:
-    """Outcome of one wormhole-network run."""
+    """Outcome of one run."""
 
     experiment: object
     metrics: RunMetrics
@@ -97,6 +97,9 @@ class ExperimentResult:
     #: health, workload, tracing — before the first cycle (None on
     #: results recorded before the field existed; outside every digest)
     setup_seconds: Optional[float] = None
+    #: Table 3 accounting (``ConnectionStats``, offered streams
+    #: included), present only on a PCS run; checked when the run ends
+    connections: Optional[ConnectionStats] = None
 
     @property
     def achieved_load(self) -> float:
@@ -111,26 +114,9 @@ class ExperimentResult:
         this on an already-portable result is a no-op copy.
         """
         workload = self.workload
-        if isinstance(workload, Workload):
+        if workload is not None and not isinstance(workload, WorkloadSummary):
             workload = WorkloadSummary.of(workload)
         return dataclasses_replace(self, workload=workload)
-
-
-@dataclass
-class PCSResult:
-    """Outcome of one PCS run (metrics + Table 3 accounting)."""
-
-    experiment: object
-    metrics: RunMetrics
-    connections: ConnectionStats
-    offered_streams: int
-    established_streams: int
-    cycles_run: int
-    wall_seconds: float
-
-    def portable(self) -> "PCSResult":
-        """PCS results hold no live network references; pickle as-is."""
-        return self
 
 
 # ----------------------------------------------------------------------
@@ -237,24 +223,12 @@ def _mirror_admission(network: Network, workload) -> AdmissionController:
     """
     controller = AdmissionController(threshold=1.0)
     fraction = workload.config.stream_fraction
-    routing = network.routing
-    host_rid = {node: rid for node, rid, _ in network.topology.hosts}
-    channel_dst = {
-        (r, p): dr for r, p, dr, _ in network.topology.channels
-    }
-    max_hops = len(network.routers) + 1
+    topology = network.topology
     for stream in workload.streams:
         cfg = stream.config
         path = [("host-in", cfg.src_node, 0)]
-        rid = host_rid[cfg.src_node]
-        dst_rid = host_rid[cfg.dst_node]
-        hops = 0
-        while rid != dst_rid and hops < max_hops:
-            hops += 1
-            group = routing.candidates(rid, cfg.dst_node)
-            for port in group:
-                path.append(("link", rid, port))
-            rid = channel_dst[(rid, group[0])]
+        for router, group in topology.route(cfg.src_node, cfg.dst_node):
+            path.extend(("link", router, port) for port in group)
         path.append(("host-out", cfg.dst_node, 0))
         controller.admit(
             stream.stream_id, fraction, path, cfg.traffic_class
@@ -338,13 +312,23 @@ class _TraceHarness:
         return summary
 
 
-def _simulate_wormhole(experiment, topology, loop=None) -> ExperimentResult:
-    """Shared runner body for the wormhole-network experiment types.
+def simulate(experiment, loop=None) -> ExperimentResult:
+    """Run one experiment on the topology its type names.
 
+    The experiment supplies its router configuration and its workload
+    (a PCS run offers circuits instead of the wormhole mix); everything
+    else — the topology cache, faults/recovery/health, tracing, the
+    hook, the loop profiler, the conservation audit — is this one body.
     ``loop`` replaces ``Network.run`` for this one run (see
     :func:`_run_network`); the parity suites, ``mediaworm scale`` and
     the chaos parity twin pass the reference stepper.
     """
+    if getattr(type(experiment), "generator", None) is None:
+        raise ConfigurationError(
+            f"cannot simulate {type(experiment).__name__!r}: "
+            "the type names no topology generator"
+        )
+    topology = topology_of(experiment)
     started = time.perf_counter()
     collector = MetricsCollector(
         experiment.timebase, warmup=experiment.warmup_cycles
@@ -359,9 +343,7 @@ def _simulate_wormhole(experiment, topology, loop=None) -> ExperimentResult:
         )
         rngs = RngStreams(experiment.seed)
         _install_extras(experiment, network, rngs)
-        workload = build_workload(
-            network, experiment.workload_config(), rngs
-        )
+        workload = experiment.build_workload(network, rngs)
         monitor = network.health_monitor
         if monitor is not None:
             collector.attach_health(monitor)
@@ -395,49 +377,10 @@ def _simulate_wormhole(experiment, topology, loop=None) -> ExperimentResult:
         trace_summary=None if harness is None else harness.finish(),
         cycles_executed=network.cycles_executed,
         setup_seconds=setup,
+        connections=getattr(workload, "connections", None),
     )
-
-
-def simulate(experiment, loop=None):
-    """Run one experiment on the topology its type names.
-
-    ``loop`` replaces ``Network.run`` for a wormhole run (see
-    :func:`_simulate_wormhole`); the PCS simulator owns its own loop.
-    """
-    if isinstance(experiment, PCSExperiment):
-        if loop is not None:
-            raise ConfigurationError("a PCS run takes no cycle loop")
-        return simulate_pcs(experiment)
-    if getattr(type(experiment), "generator", None) is None:
-        raise ConfigurationError(
-            f"cannot simulate {type(experiment).__name__!r}: "
-            "the type names no topology generator"
-        )
-    return _simulate_wormhole(experiment, topology_of(experiment), loop)
 
 
 # The per-kind names are `simulate` itself: benchmarks/perf patches and
 # calls four of them on this module, and README, docs and tests use them.
 simulate_single_switch = simulate_fat_mesh = simulate_fat_tree = simulate_fat_tree3 = simulate_butterfly = simulate
-
-
-def simulate_pcs(experiment) -> PCSResult:
-    """Run one PCS configuration (section 5.6 / Table 3)."""
-    collector = MetricsCollector(
-        experiment.timebase, warmup=experiment.warmup_cycles
-    )
-    started = time.perf_counter()
-    simulator = PCSSimulator(experiment, collector)
-    simulator.run()
-    simulator.network.check_conservation()
-    wall = time.perf_counter() - started
-    stats = simulator.manager.stats
-    return PCSResult(
-        experiment=experiment,
-        metrics=collector.snapshot(),
-        connections=stats,
-        offered_streams=simulator.offered_streams,
-        established_streams=simulator.manager.established_circuits,
-        cycles_run=simulator.network.clock,
-        wall_seconds=wall,
-    )

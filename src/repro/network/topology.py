@@ -26,6 +26,7 @@ topology, shared by every network instantiated over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -105,6 +106,37 @@ class Topology:
     def route_program(self):
         """The compiled :class:`RouteProgram`, or None (single switch)."""
         return getattr(self.routing, "program", None)
+
+    @cached_property
+    def _next_hop(self) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
+        """``node -> router`` and ``(router, port) -> next router``."""
+        host_router = {node: router for node, router, _ in self.hosts}
+        channel_dst = {(r, p): dst for r, p, dst, _ in self.channels}
+        return host_router, channel_dst
+
+    def route(
+        self, src_node: int, dst_node: int
+    ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """The deterministic route between two hosts, hop by hop.
+
+        One ``(router, port group)`` per inter-router channel crossed
+        (none when both hosts hang off one router); a fat group lists
+        every interchangeable port, and the walk follows its first.
+        Raises :class:`ConfigurationError` on a routing loop.
+        """
+        host_router, channel_dst = self._next_hop
+        router = host_router[src_node]
+        dst_router = host_router[dst_node]
+        hops: List[Tuple[int, Tuple[int, ...]]] = []
+        while router != dst_router:
+            if len(hops) == self.num_routers:
+                raise ConfigurationError(
+                    f"routing loop from node {src_node} to {dst_node}"
+                )
+            group = self.routing.candidates(router, dst_node)
+            hops.append((router, group))
+            router = channel_dst[(router, group[0])]
+        return hops
 
 
 def single_switch(num_ports: int = 8) -> Topology:

@@ -30,6 +30,8 @@ class ConnectionStats:
     abandoned_streams: int = 0
     #: circuits torn down again (stream ended / released)
     released: int = 0
+    #: streams the workload offered (each makes one or more attempts)
+    offered: int = 0
 
     def check(self) -> None:
         """Raise unless the Table 3 identity holds."""

@@ -183,7 +183,7 @@ def counted_simulate(monkeypatch):
     ``figures.PAPER`` reduces the stubbed points."""
     from repro.experiments import campaign
     from repro.experiments.config import PCSExperiment
-    from repro.experiments.runner import ExperimentResult, PCSResult
+    from repro.experiments.runner import ExperimentResult
     from repro.metrics.collector import RunMetrics
     from repro.pcs.connection import ConnectionStats
 
@@ -192,11 +192,13 @@ def counted_simulate(monkeypatch):
     def stub(experiment, loop=None):
         calls.append(experiment)
         metrics = RunMetrics(33.0, 0.5, 100, 99, 10.0, 10.0, 1.0, 50)
+        connections = None
         if isinstance(experiment, PCSExperiment):
-            return PCSResult(
-                experiment, metrics, ConnectionStats(10, 6, 4), 8, 6, 1000, 0.0
-            )
-        return ExperimentResult(experiment, metrics, None, 1000, 10, 10, 0.0)
+            connections = ConnectionStats(10, 6, 4, offered=8)
+        return ExperimentResult(
+            experiment, metrics, None, 1000, 10, 10, 0.0,
+            connections=connections,
+        )
 
     monkeypatch.setattr(campaign, "simulate", stub)
     return calls

@@ -44,7 +44,7 @@ class TestPublicApi:
     def test_headline_entry_points_are_callable(self):
         assert callable(repro.simulate_single_switch)
         assert callable(repro.simulate_fat_mesh)
-        assert callable(repro.simulate_pcs)
+        assert callable(repro.simulate)
         assert callable(repro.build_workload)
 
     def test_every_public_item_has_a_docstring(self):

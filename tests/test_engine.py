@@ -718,6 +718,7 @@ class TestOneSimulate:
             FatTreeExperiment,
             FatTree3Experiment,
             ButterflyExperiment,
+            PCSExperiment,
         ],
     )
     def test_every_per_kind_name_runs_every_experiment_type(self, cls):
@@ -740,15 +741,13 @@ class TestOneSimulate:
     def test_what_cannot_run_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="'object'"):
             simulate(object())
-        with pytest.raises(ConfigurationError, match="no cycle loop"):
-            simulate(PCSExperiment(**TINY), loop=run_reference)
 
     def test_one_place_knows_generators_and_experiment_types(self):
-        """Under ``src/repro`` only ``experiments/config.py`` (and the
-        PCS simulator's own default) pairs a generator with an
-        experiment; nothing but ``simulate`` branches on an experiment's
-        type; the per-kind names live on ``runner.py``'s alias line and
-        in the two re-exporting ``__init__`` files."""
+        """Under ``src/repro`` only ``experiments/config.py`` pairs a
+        generator with an experiment; nothing branches on an
+        experiment's type, PCS included; the per-kind names live on
+        ``runner.py``'s alias line and in the two re-exporting
+        ``__init__`` files."""
         package = SRC / "repro"
         per_kind = re.compile(r"\b(" + "|".join(_PER_KIND_NAMES) + r")\b")
         importers, type_tests, alias_lines = [], [], {}
@@ -777,9 +776,8 @@ class TestOneSimulate:
             "__init__.py",
             "experiments/config.py",
             "network/__init__.py",
-            "pcs/simulator.py",
         ]
-        assert type_tests == ["experiments/runner.py"]
+        assert type_tests == []
         assert sorted(alias_lines) == [
             "__init__.py",
             "experiments/__init__.py",

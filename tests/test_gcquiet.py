@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.experiments.config as config_module
 import repro.experiments.runner as runner
 import repro.network.network as network_module
 from repro.errors import DeadlockError
@@ -165,7 +166,9 @@ class TestQuietConstruction:
             runner, "Network", watched("network", runner.Network)
         )
         monkeypatch.setattr(
-            runner, "build_workload", watched("workload", runner.build_workload)
+            config_module,
+            "build_workload",
+            watched("workload", config_module.build_workload),
         )
         monkeypatch.setattr(
             network_module,

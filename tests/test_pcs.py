@@ -1,11 +1,25 @@
 """Pipelined circuit switching: connection management and simulation."""
 
+import pickle
+
 import pytest
 
+from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import PCSExperiment
-from repro.experiments.runner import simulate_pcs
+from repro.experiments.runner import simulate
+from repro.experiments.scale import run_digest
+from repro.faults import FaultPlan, RecoveryConfig
+from repro.metrics.collector import MetricsCollector
+from repro.network.health import HealthConfig
+from repro.network.network import Network
+from repro.network.topology import fat_mesh_2x2, single_switch
+from repro.obs.events import TraceSpec
 from repro.pcs.connection import ConnectionManager
+from repro.pcs.workload import PCSWorkload, _OfferedStream
+from repro.router.config import QosPlacement, RoutingMode
+from repro.sim.reference import run_reference
+from repro.sim.rng import RngStreams
 
 A, B, C = ("in", 0), ("out", 1), ("out", 2)
 
@@ -148,57 +162,61 @@ class TestProbeSpecific:
 TINY_PCS = dict(scale=80.0, warmup_frames=1, measure_frames=2, seed=3)
 
 
-def _bare_simulator(topology=None, **kw):
-    from repro.metrics.collector import MetricsCollector
-    from repro.pcs.simulator import PCSSimulator
-
-    exp = PCSExperiment(load=0.2, **TINY_PCS, **kw)
+def _attach(topology=None, load=0.2, **kw):
+    """A PCS workload attached to a network built by hand over
+    ``topology`` (default: the experiment's own single switch); returns
+    ``(workload, collector)`` with nothing run yet."""
+    exp = PCSExperiment(load=load, **TINY_PCS, **kw)
+    topology = topology or single_switch(exp.num_ports)
     collector = MetricsCollector(exp.timebase, warmup=exp.warmup_cycles)
-    return PCSSimulator(exp, collector, topology=topology)
+    network = Network(
+        topology,
+        exp.router_config(topology.ports_per_router),
+        on_message=collector.on_message,
+    )
+    return PCSWorkload(network, exp, RngStreams(exp.seed)), collector
+
+
+def _bare_workload(topology=None, **kw):
+    return _attach(topology, **kw)[0]
 
 
 class TestSetupLatency:
     """The probe/ack round trip delays the data phase (section 3.5)."""
 
-    def _capture_start(self, simulator, src, dst):
-        from repro.pcs.simulator import _OfferedStream
-
+    def _capture_start(self, workload, src, dst):
         starts = []
-        simulator._start_data_phase = (
+        workload._start_data_phase = (
             lambda offered, assignment, start: starts.append(start)
         )
         offered = _OfferedStream(
             index=10_000, src_node=src, dst_node=dst, retries=0
         )
-        simulator._attempt_setup(offered)
+        workload._attempt_setup(offered)
         assert len(starts) == 1, "setup unexpectedly NACKed"
         return starts[0]
 
     def test_single_switch_round_trip(self):
-        simulator = _bare_simulator()
-        start = self._capture_start(simulator, 0, 1)
+        workload = _bare_workload()
+        start = self._capture_start(workload, 0, 1)
         # reservation path: source host link + destination host link
         # (no inter-router hop on a single switch); the probe walks it
         # out and the ack walks it back
-        hop = simulator.experiment.setup_hop_cycles
-        assert start == simulator.network.clock + 2 * 2 * hop
+        hop = workload.experiment.setup_hop_cycles
+        assert start == workload.network.clock + 2 * 2 * hop
 
     def test_mesh_path_adds_a_hop_per_channel(self):
-        from repro.network.topology import fat_mesh_2x2
-
-        simulator = _bare_simulator(topology=fat_mesh_2x2())
+        workload = _bare_workload(topology=fat_mesh_2x2())
         # node 0 (router 0) to node 12 (router 3): 2 inter-router
         # channels + the two host links = 4 reservation hops each way
-        start = self._capture_start(simulator, 0, 12)
-        hop = simulator.experiment.setup_hop_cycles
-        assert start == simulator.network.clock + 2 * 4 * hop
+        start = self._capture_start(workload, 0, 12)
+        hop = workload.experiment.setup_hop_cycles
+        assert start == workload.network.clock + 2 * 4 * hop
 
     def test_exhausted_source_link_abandons_without_retries(self):
-        from repro.pcs.simulator import _OfferedStream
-
-        simulator = _bare_simulator()
-        manager = simulator.manager
-        vcs = simulator.experiment.vcs_per_pc
+        workload = _bare_workload()
+        manager = workload.manager
+        vcs = workload.experiment.vcs_per_pc
         for vc in range(vcs):
             assert manager.probe_specific(
                 20_000 + vc, [(("host-in", 0), vc)]
@@ -207,7 +225,7 @@ class TestSetupLatency:
             index=10_000, src_node=0, dst_node=1, retries=0
         )
         before = manager.stats.abandoned_streams
-        simulator._attempt_setup(offered)
+        workload._attempt_setup(offered)
         assert manager.stats.abandoned_streams == before + 1
         assert offered.stream is None
         manager.stats.check()
@@ -215,79 +233,153 @@ class TestSetupLatency:
 
 class TestPCSSimulation:
     def test_low_load_establishes_everything_eventually(self):
-        result = simulate_pcs(PCSExperiment(load=0.2, **TINY_PCS))
+        result = simulate(PCSExperiment(load=0.2, **TINY_PCS))
         stats = result.connections
         stats.check()
-        assert stats.established == result.offered_streams
+        assert stats.established == stats.offered
         assert stats.abandoned_streams == 0
 
     def test_streams_deliver_jitter_free_at_low_load(self):
-        result = simulate_pcs(PCSExperiment(load=0.3, **TINY_PCS))
+        result = simulate(PCSExperiment(load=0.3, **TINY_PCS))
         assert result.metrics.d == pytest.approx(33.0, abs=1.0)
         assert result.metrics.sigma_d < 2.0
 
     def test_drops_grow_with_load(self):
-        low = simulate_pcs(PCSExperiment(load=0.3, **TINY_PCS))
-        high = simulate_pcs(PCSExperiment(load=0.9, **TINY_PCS))
+        low = simulate(PCSExperiment(load=0.3, **TINY_PCS))
+        high = simulate(PCSExperiment(load=0.9, **TINY_PCS))
         assert high.connections.dropped > low.connections.dropped
         assert high.connections.attempts > high.connections.established
 
     def test_established_bounded_by_vc_capacity(self):
-        result = simulate_pcs(PCSExperiment(load=0.95, **TINY_PCS))
+        result = simulate(PCSExperiment(load=0.95, **TINY_PCS))
+        stats = result.connections
         # each node's input link has 24 VCs -> at most 24 circuits/node
-        assert result.established_streams <= 8 * 24
+        assert stats.established - stats.released <= 8 * 24
 
     def test_accounting_identity_holds(self):
-        result = simulate_pcs(PCSExperiment(load=0.7, **TINY_PCS))
+        result = simulate(PCSExperiment(load=0.7, **TINY_PCS))
         stats = result.connections
         assert stats.attempts == stats.established + stats.dropped
 
     def test_mixed_traffic_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate_pcs(PCSExperiment(load=0.5, mix=(80, 20), **TINY_PCS))
+            simulate(PCSExperiment(load=0.5, mix=(80, 20), **TINY_PCS))
 
     def test_no_retries_abandons_on_first_nack(self):
-        result = simulate_pcs(
+        result = simulate(
             PCSExperiment(load=0.9, max_retries=0, **TINY_PCS)
         )
         stats = result.connections
-        assert stats.attempts == result.offered_streams
+        assert stats.attempts == stats.offered
         assert stats.abandoned_streams == stats.dropped
+
+    def test_a_pcs_result_pickles(self):
+        result = simulate(PCSExperiment(load=0.5, **TINY_PCS))
+        copy = pickle.loads(pickle.dumps(result.portable()))
+        assert copy.connections == result.connections
+        assert copy.workload.num_streams == result.connections.established
+        assert copy.achieved_load == result.achieved_load
+
+    def test_lossy_circuits_keep_conservation_and_the_identity(self):
+        """Faults and recovery reach a PCS run through the shared
+        installers; the conservation audit runs inside ``simulate``."""
+        result = simulate(
+            PCSExperiment(
+                load=0.5,
+                faults=FaultPlan(flit_loss_prob=0.01),
+                recovery=RecoveryConfig(timeout=4096),
+                **TINY_PCS,
+            )
+        )
+        assert result.fault_stats["flits_lost"] > 0
+        assert result.fault_stats["retransmissions"] > 0
+        stats = result.connections
+        assert stats.attempts == stats.established + stats.dropped
+        assert result.metrics.frames_delivered > 0
+
+    def test_header_flits_ride_on_the_circuits(self):
+        bare = simulate(PCSExperiment(load=0.3, **TINY_PCS))
+        headed = simulate(PCSExperiment(load=0.3, header_flits=1, **TINY_PCS))
+        assert headed.connections == bare.connections
+        assert headed.flits_injected > bare.flits_injected
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("scheduler", SchedulingPolicy.FIFO),
+            ("qos_placement", QosPlacement.VC_MUX),
+            ("dynamic_partitioning", True),
+            ("health", HealthConfig()),
+            ("routing_mode", RoutingMode.ADAPTIVE),
+            ("mix", (80, 20)),
+        ],
+    )
+    def test_knobs_a_circuit_cannot_honour_are_refused(self, knob, value):
+        experiment = PCSExperiment(**{knob: value}, **TINY_PCS)
+        with pytest.raises(ConfigurationError, match="PCS"):
+            simulate(experiment)
+
+
+class TestPCSRunnerFeatures:
+    """A PCS run goes through the one runner body, so every runner
+    feature reaches it."""
+
+    def test_network_hook_sees_the_watchdog(self):
+        seen = []
+        simulate(
+            PCSExperiment(
+                load=0.3,
+                watchdog_window=5_000,
+                network_hook=lambda network: seen.append(
+                    network.watchdog_window
+                ),
+                **TINY_PCS,
+            )
+        )
+        assert seen == [5_000]
+
+    def test_trace_emits_and_invariants_hold(self):
+        result = simulate(
+            PCSExperiment(load=0.3, trace=TraceSpec(check=True), **TINY_PCS)
+        )
+        summary = result.trace_summary
+        assert summary["events"] > 0
+        assert summary["invariant_checks"] > 0
+
+    @pytest.mark.parametrize("load, drops", [(0.1, False), (0.9, True)])
+    def test_reference_loop_parity(self, load, drops):
+        experiment = PCSExperiment(load=load, **TINY_PCS)
+        fused = simulate(experiment)
+        reference = simulate(experiment, loop=run_reference)
+        assert (fused.connections.dropped > 0) == drops
+        assert run_digest(reference) == run_digest(fused)
+        assert reference.connections == fused.connections
 
 
 class TestPCSOnFatMesh:
     """Beyond the paper: PCS circuits across a multi-router topology."""
 
     def _simulate(self, load=0.5):
-        from repro.metrics.collector import MetricsCollector
-        from repro.network.topology import fat_mesh_2x2
-        from repro.pcs.simulator import PCSSimulator
-
-        exp = PCSExperiment(
-            load=load, scale=80.0, warmup_frames=1, measure_frames=2, seed=3
-        )
-        collector = MetricsCollector(exp.timebase, warmup=exp.warmup_cycles)
-        simulator = PCSSimulator(exp, collector, topology=fat_mesh_2x2())
-        return simulator, collector
+        return _attach(fat_mesh_2x2(), load=load)
 
     def test_circuit_channels_local_pair_is_empty(self):
-        simulator, _ = self._simulate()
+        workload, _ = self._simulate()
         # nodes 0 and 1 hang off the same router: no inter-switch hop
-        assert simulator.circuit_channels(0, 1) == []
+        assert workload.circuit_channels(0, 1) == []
 
     def test_circuit_channels_cross_mesh(self):
-        simulator, _ = self._simulate()
+        workload, _ = self._simulate()
         # node 0 (router 0) to node 12 (router 3): X then Y, two hops
-        channels = simulator.circuit_channels(0, 12)
+        channels = workload.circuit_channels(0, 12)
         assert len(channels) == 2
         assert all(kind == "link" for kind, _, _ in channels)
         assert channels[0][1] == 0  # leaves router 0
         assert channels[1][1] == 1  # crosses router 1 (x-first routing)
 
     def test_fat_mesh_circuits_deliver(self):
-        simulator, collector = self._simulate(load=0.4)
-        simulator.run()
-        stats = simulator.manager.stats
+        workload, collector = self._simulate(load=0.4)
+        workload.network.run(workload.experiment.total_cycles)
+        stats = workload.connections
         stats.check()
         assert stats.established > 0
         assert collector.delivery.frames_delivered > 0
@@ -295,10 +387,10 @@ class TestPCSOnFatMesh:
     def test_multi_hop_paths_drop_more(self):
         # The same offered load drops more circuits on the mesh than on
         # a single switch: every extra hop is another VC draw to lose.
-        single_result = simulate_pcs(PCSExperiment(load=0.7, **TINY_PCS))
-        simulator, _ = self._simulate(load=0.7)
-        simulator.run()
-        mesh_stats = simulator.manager.stats
+        single_result = simulate(PCSExperiment(load=0.7, **TINY_PCS))
+        workload, _ = self._simulate(load=0.7)
+        workload.network.run(workload.experiment.total_cycles)
+        mesh_stats = workload.connections
         single = single_result.connections
         mesh_rate = mesh_stats.dropped / mesh_stats.attempts
         single_rate = single.dropped / single.attempts
