@@ -2,7 +2,10 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint loc coverage bench bench-default perf perf-test repro all-smoke faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
+.PHONY: install test lint loc loc-diff coverage bench bench-default perf perf-test repro all-smoke faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
+
+# the ref `make loc-diff` compares the working tree against
+BASE ?= origin/main
 
 # conservative floor just under the suite's measured line coverage of
 # src/repro; ratchet upward as coverage grows, never downward
@@ -27,6 +30,17 @@ loc:              ## tracked python lines per src/repro package ("net lines remo
 		END { for (pkg in lines) \
 				printf "%7d  %s\n", lines[pkg], pkg | "sort -k2"; \
 			close("sort -k2"); printf "%7d  total\n", total }'
+
+loc-diff:         ## net python lines (added - removed) per src/repro package vs $(BASE)
+	@git rev-parse --verify -q "$(BASE)^{commit}" >/dev/null \
+		|| { echo "loc-diff: unknown BASE $(BASE)" >&2; exit 1; }
+	@git diff --numstat --no-renames $(BASE) -- 'src/repro/*.py' \
+		| awk '{ n = split($$3, p, "/"); \
+			pkg = (n > 3) ? p[3] : "(top level)"; \
+			net[pkg] += $$1 - $$2; total += $$1 - $$2 } \
+		END { for (pkg in net) \
+				printf "%+7d  %s\n", net[pkg], pkg | "sort -k2"; \
+			close("sort -k2"); printf "%+7d  total vs $(BASE)\n", total }'
 
 coverage:         ## tier-1 suite under the line-coverage gate
 	@$(PYTHON) -c "import pytest_cov" 2>/dev/null \

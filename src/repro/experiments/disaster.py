@@ -80,7 +80,7 @@ def _first_uplink_domain(topology, onset: int) -> DomainDownWindow:
     the lowest-labelled channel pair between leaf 0 and its first
     parent so fingerprints are stable.
     """
-    overlay = topology.routing.overlay
+    overlay = topology.route_program.overlay
     # leaves only wire upward, so every adjacency neighbour is a parent
     parent = min(nbr for (rid, nbr) in overlay.adjacency if rid == 0)
     labels = sorted(

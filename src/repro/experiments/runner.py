@@ -123,7 +123,7 @@ class ExperimentResult:
 # topology memoization
 #
 # A topology (and its compiled route program) is pure immutable data;
-# every Network built over it forks its own routing facade, so one
+# every Network built over it owns its own routing masks, so one
 # instance can serve any number of runs.  Sweep points typically vary
 # load/scheduler/seed at a fixed shape, and pool workers process many
 # points per process — rebuilding a 320-router fat tree per point would

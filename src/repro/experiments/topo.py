@@ -87,11 +87,7 @@ def describe_topology(topology: Topology) -> str:
     for key in ("k", "arity", "tree_levels", "rows", "cols", "fat_width"):
         if key in topology.extras:
             lines.append(f"{key:<17s} {topology.extras[key]}")
-    program = topology.route_program
-    if program is None:
-        lines.append("route program     none (stateless routing)")
-        return "\n".join(lines)
-    stats = program.stats()
+    stats = topology.route_program.stats()
     lines.append("route program")
     for key in (
         "destinations",

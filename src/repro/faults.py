@@ -49,6 +49,7 @@ from fnmatch import fnmatchcase
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import FaultConfigError
+from repro.router.routeprog import CompiledRouting
 from repro.sim.rng import RngStreams
 
 #: flit fates returned by :meth:`LinkFaultState.fate`
@@ -179,7 +180,7 @@ def domain_switches(domain: str, topology) -> FrozenSet[int]:
             range(num_leaves + pod * half, num_leaves + (pod + 1) * half)
         )
     if kind == "core-group":
-        overlay = getattr(topology.routing, "overlay", None)
+        overlay = topology.route_program.overlay
         if overlay is None:
             raise FaultConfigError(
                 f"domain {domain!r} needs an up*/down* fabric "
@@ -587,7 +588,7 @@ def _check_host_isolation(network, injector: FaultInjector) -> None:
         for link in network.links
         if link.label in dead_labels and link.src_router is not None
     }
-    overlay = getattr(network.routing, "overlay", None)
+    overlay = network.routing.overlay
     if overlay is not None:
         dead_switches = injector.dead_switches
         _, sacrificed = overlay.analyze(dead_switches=dead_switches)
@@ -625,7 +626,13 @@ def _check_host_isolation(network, injector: FaultInjector) -> None:
                     f"fault plan permanently fails {label}; host {node} "
                     f"has a single attachment link, no reroute is possible"
                 )
-    routing = network.routing
+    # Walk the routers' own adaptive policy over a scratch overlay whose
+    # masks are exactly the permanently dead ports: the first port it
+    # returns is the one a worm would take, and a hop whose every
+    # returned port is dead is one no route or detour gets past.
+    scratch = CompiledRouting(network.routing.program)
+    for rid, port in dead_ports:
+        scratch.mask_port(rid, port)
     channel_dst = {
         (r, p): dr for r, p, dr, _ in network.topology.channels
     }
@@ -637,34 +644,16 @@ def _check_host_isolation(network, injector: FaultInjector) -> None:
                 steps += 1
                 if steps > 4 * num_routers:
                     break  # walk is cyclic; reachable, just detouring
-                ports = (
-                    routing.alt_candidates(rid, node)
-                    if flavor == "yx"
-                    else None
+                ports, flavor = scratch.router_view(rid).route_adaptive(
+                    node, flavor
                 )
-                if ports is None:
-                    ports = routing.candidates(rid, node)
-                open_ports = [
-                    p for p in ports if (rid, p) not in dead_ports
-                ]
-                if not open_ports:
-                    for group, detour_flavor in routing.detour_options(
-                        rid, node
-                    ):
-                        survivors = [
-                            p for p in group if (rid, p) not in dead_ports
-                        ]
-                        if survivors:
-                            open_ports = survivors
-                            flavor = detour_flavor
-                            break
-                if not open_ports:
+                if all((rid, p) in dead_ports for p in ports):
                     raise FaultConfigError(
                         f"fault plan isolates host {node}: router {rid} "
                         f"has no surviving route toward it and the "
                         f"topology offers no detour"
                     )
-                rid = channel_dst[(rid, open_ports[0])]
+                rid = channel_dst[(rid, ports[0])]
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ Determinism rules (the zero-fault bit-identity contract):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.router.config import RoutingMode
@@ -377,7 +377,7 @@ class LinkHealthMonitor:
             rid: tuple(labels) for rid, labels in inbound.items()
         }
         #: the topology's alternate-ancestor overlay (None off-tree)
-        self.overlay = getattr(network.routing, "overlay", None)
+        self.overlay = network.routing.overlay
         #: switches currently believed crashed (drives the overlay)
         self._down_switches: "set[int]" = set()
         #: overlay masks applied for the current dead-switch set
@@ -460,8 +460,8 @@ class LinkHealthMonitor:
             "mean_time_to_recovery_cycles": (
                 ttr_total / recoveries if recoveries else 0.0
             ),
-            "reroutes": getattr(routing, "reroutes", 0),
-            "detours": getattr(routing, "detours_taken", 0),
+            "reroutes": routing.reroutes,
+            "detours": routing.detours_taken,
             "worms_requeued": self.worms_requeued,
             "streams_shed": self.streams_shed,
             "streams_readmitted": self.streams_readmitted,
@@ -509,8 +509,8 @@ class LinkHealthMonitor:
         link = health.link
         network = self.network
         if self.adaptive and link.src_router is not None:
-            # The network's forked facade: masking mutates this run's
-            # thin per-router overlay, never the shared route program.
+            # The network's own CompiledRouting: masking mutates this
+            # run's thin per-router overlay, never the shared program.
             self._mask(link.src_router.router_id, link.src_port)
             self.worms_requeued += network.requeue_stuck_worms(
                 link.src_router, link.src_port, link

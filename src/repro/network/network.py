@@ -33,6 +33,7 @@ from repro.network.topology import Topology
 from repro.router.buffers import NO_FLITS
 from repro.router.config import RouterConfig
 from repro.router.flit import Message
+from repro.router.routeprog import CompiledRouting
 from repro.router.router import WormholeRouter
 from repro.sim.activation import ActivationScheduler
 from repro.sim.events import EventHeap
@@ -101,14 +102,14 @@ class Network:
         self.profiler = None
         self._on_message = on_message
 
-        #: this network's private routing facade: shares the topology's
+        #: this network's private routing state: shares the topology's
         #: compiled route program but owns its mask overlays and
         #: reroute/detour counters, so topologies cached across runs
         #: (sweep workers, repeat digests) never leak failover state
         #: between networks
-        self.routing = topology.routing.fork()
+        self.routing = CompiledRouting(topology.route_program)
         self.routers: List[WormholeRouter] = [
-            WormholeRouter(rid, config, self.routing)
+            WormholeRouter(rid, config, self.routing.router_view(rid))
             for rid in range(topology.num_routers)
         ]
         self.links: List[Link] = []

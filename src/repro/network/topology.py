@@ -1,7 +1,7 @@
 """Topology descriptions: single switch, fat meshes, fat trees, Clos.
 
 A :class:`Topology` is pure data: where hosts attach, which router
-ports face which other router ports, and the routing function.  The
+ports face which other router ports, and the compiled route program.  The
 :class:`~repro.network.network.Network` builder turns it into wired
 routers, links, and host interfaces.
 
@@ -16,11 +16,12 @@ folded multistage Clos/Butterfly) extend the reproduction to the
 datacenter scales the ROADMAP names, with deterministic up*/down*
 routing compiled by the shared :func:`_updown_tables` pass.
 
-Every multi-router generator builds its routing tables in dict form
-and hands them to :class:`~repro.router.routing.TableRouting`, which
-compiles them into one immutable
-:class:`~repro.router.routeprog.RouteProgram` — built exactly once per
-topology, shared by every network instantiated over it.
+Every generator, the single switch included, builds its routing
+tables in dict form and hands them to
+:func:`~repro.router.routeprog.compile_routes`, which compiles them
+into one immutable :class:`~repro.router.routeprog.RouteProgram` —
+built exactly once per topology, shared by every network instantiated
+over it.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.router.routing import (
+from repro.router.routeprog import (
     FLAVOR_XY,
     FLAVOR_YX,
-    FatMeshRouting,
-    RoutingFunction,
-    SingleSwitchRouting,
-    TableRouting,
+    RouteProgram,
     UpDownFailover,
+    compile_routes,
 )
 
 
@@ -51,7 +50,8 @@ class Topology:
     * ``channels`` — unidirectional inter-router wires
       ``(src_router, src_port, dst_router, dst_port)``; bidirectional
       physical links appear as two entries.
-    * ``routing`` — the routing function all routers share.
+    * ``route_program`` — the compiled routing tables all routers
+      share (each network layers its own masks on top).
     """
 
     name: str
@@ -59,7 +59,7 @@ class Topology:
     ports_per_router: int
     hosts: List[Tuple[int, int, int]]
     channels: List[Tuple[int, int, int, int]]
-    routing: RoutingFunction
+    route_program: RouteProgram
     extras: Dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -102,11 +102,6 @@ class Topology:
         """All endpoint node ids."""
         return [node for node, _, _ in self.hosts]
 
-    @property
-    def route_program(self):
-        """The compiled :class:`RouteProgram`, or None (single switch)."""
-        return getattr(self.routing, "program", None)
-
     @cached_property
     def _next_hop(self) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
         """``node -> router`` and ``(router, port) -> next router``."""
@@ -133,7 +128,7 @@ class Topology:
                 raise ConfigurationError(
                     f"routing loop from node {src_node} to {dst_node}"
                 )
-            group = self.routing.candidates(router, dst_node)
+            group = self.route_program.candidates(router, dst_node)
             hops.append((router, group))
             router = channel_dst[(router, group[0])]
         return hops
@@ -143,15 +138,17 @@ def single_switch(num_ports: int = 8) -> Topology:
     """One switch with a host on every port (the paper's main testbed)."""
     if num_ports < 2:
         raise ConfigurationError(f"need >= 2 ports, got {num_ports}")
-    hosts = [(i, 0, i) for i in range(num_ports)]
-    routing = SingleSwitchRouting({i: i for i in range(num_ports)})
+    name = f"single-switch-{num_ports}"
     return Topology(
-        name=f"single-switch-{num_ports}",
+        name=name,
         num_routers=1,
         ports_per_router=num_ports,
-        hosts=hosts,
+        hosts=[(i, 0, i) for i in range(num_ports)],
         channels=[],
-        routing=routing,
+        route_program=compile_routes(
+            {(0, i): (i,) for i in range(num_ports)}, name=name
+        ),
+        extras={"generator": "single"},
     )
 
 
@@ -280,8 +277,9 @@ def fat_mesh(
         ports_per_router=ports_per_router,
         hosts=hosts,
         channels=channels,
-        routing=FatMeshRouting(table, alt_table, detours),
+        route_program=compile_routes(table, alt_table, detours),
         extras={
+            "generator": "mesh",
             "rows": rows,
             "cols": cols,
             "hosts_per_router": hosts_per_router,
@@ -374,8 +372,9 @@ def fat_tree(
         ports_per_router=ports_per_router,
         hosts=hosts,
         channels=channels,
-        routing=FatMeshRouting(table),
+        route_program=compile_routes(table),
         extras={
+            "generator": "fat_tree",
             "leaves": leaves,
             "spines": spines,
             "hosts_per_leaf": hosts_per_leaf,
@@ -587,7 +586,7 @@ def fat_tree3(
         ports_per_router=ports_per_router,
         hosts=hosts,
         channels=_wire_levelled(levels, adjacency),
-        routing=TableRouting(table, name=name, overlay=overlay),
+        route_program=compile_routes(table, name=name, overlay=overlay),
         extras={
             "generator": "fat_tree3",
             "k": k,
@@ -681,7 +680,7 @@ def butterfly(
         ports_per_router=ports_per_router,
         hosts=hosts,
         channels=_wire_levelled(level_of, adjacency),
-        routing=TableRouting(table, name=name, overlay=overlay),
+        route_program=compile_routes(table, name=name, overlay=overlay),
         extras={
             "generator": "butterfly",
             "arity": arity,

@@ -15,29 +15,22 @@ from repro.router.config import (
     RoutingMode,
 )
 from repro.router.router import WormholeRouter
-from repro.router.routeprog import RouteProgram, compile_routes
-from repro.router.routing import (
+from repro.router.routeprog import (
     CompiledRouting,
-    FatMeshRouting,
-    RoutingFunction,
-    SingleSwitchRouting,
-    TableRouting,
+    RouteProgram,
+    compile_routes,
 )
 
 __all__ = [
     "CompiledRouting",
     "CrossbarKind",
-    "FatMeshRouting",
     "InputVC",
     "Message",
     "OutputVC",
     "QosPlacement",
     "RouteProgram",
     "RouterConfig",
-    "RoutingFunction",
     "RoutingMode",
-    "SingleSwitchRouting",
-    "TableRouting",
     "TrafficClass",
     "WormholeRouter",
     "compile_routes",

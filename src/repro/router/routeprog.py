@@ -1,9 +1,14 @@
 """Compiled route programs: per-topology routing as flat indexed data.
 
-A :class:`RouteProgram` is the routing layer of one topology compiled
-into immutable flat structures — built exactly once per topology by
-:func:`compile_routes` and shared, read-only, by every router and every
-:class:`~repro.network.network.Network` instantiated over it:
+Every topology generator — the single switch included — hands its
+routing tables to :func:`compile_routes`, which builds one immutable
+:class:`RouteProgram`: exactly once per topology, shared read-only by
+every router and every :class:`~repro.network.network.Network`
+instantiated over it.  A routing function maps ``(router_id,
+destination node)`` to the tuple of output ports a header may use;
+entries with several ports are *fat* groups, interchangeable links
+toward the same neighbour from which the router picks the less-loaded
+one (section 3.4).  The program stores that map as:
 
 * destination nodes map to dense *slots* (``node_slot``; the common
   case of node ids ``0..H-1`` short-circuits the dict entirely);
@@ -17,18 +22,22 @@ into immutable flat structures — built exactly once per topology by
 * detour fallbacks stay sparse: ``detours[(rid, slot)]`` is an ordered
   tuple of ``(group id, flavor)`` pairs.
 
-Mutable routing state — the health mask a failover campaign applies via
-``mask_port``/``unmask_port`` and the reroute/detour counters — lives
-*outside* the program, in per-router :class:`RouterRouteView` overlays
-owned by a :class:`~repro.router.routing.CompiledRouting` facade.  A
-facade is cheap to ``fork()`` (the program is shared by reference), so
-cached topologies can serve many networks without ever leaking mask
-state between runs.
+Mutable routing state — the health mask a failover campaign applies
+via ``mask_port``/``unmask_port`` and the reroute/detour counters —
+lives *outside* the program, in one :class:`CompiledRouting` per
+network: per-router :class:`RouterRouteView` overlays whose
+:meth:`~RouterRouteView.route_adaptive` shrinks a fat group to its
+healthy members and, when the group empties, falls back to a
+precomputed *detour* (a perpendicular first hop plus a switch of
+dimension order, ridden on the escape VC).  Each network builds its own
+:class:`CompiledRouting` over the shared program, so cached topologies
+serve many networks without mask state or statistics ever leaking
+between runs.  See ``docs/simulator-internals.md``.
 
 The module-level compile counter exists for the construction-count
 tests: building a topology compiles its program exactly once, and
-nothing downstream (network assembly, forking, sweep repetition over a
-cached topology) may compile again.
+nothing downstream (network assembly, sweep repetition over a cached
+topology) may compile again.
 """
 
 from __future__ import annotations
@@ -50,8 +59,8 @@ def compile_count() -> int:
     """Process-wide number of :func:`compile_routes` invocations.
 
     Tests assert the *delta* of this counter around topology reuse: one
-    compile per distinct topology, zero for additional networks, forks,
-    or cache hits.
+    compile per distinct topology, zero for additional networks or
+    cache hits.
     """
     return _COMPILE_COUNT
 
@@ -119,33 +128,6 @@ class RouteProgram:
             )
         return self.groups[gid]
 
-    def alt_candidates(
-        self, router_id: int, dst_node: int
-    ) -> Optional[Tuple[int, ...]]:
-        """Alternate-table (Y-then-X) ports, or None without an entry."""
-        if self.alt is None or not 0 <= router_id < self.num_routers:
-            return None
-        row = self.alt[router_id]
-        if row is None:
-            return None
-        slot = self.slot_of(dst_node)
-        if slot < 0:
-            return None
-        gid = row[slot]
-        return None if gid < 0 else self.groups[gid]
-
-    def detour_options(
-        self, router_id: int, dst_node: int
-    ) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
-        """Ordered ``(ports, flavor)`` fallbacks for a masked primary."""
-        slot = self.slot_of(dst_node)
-        if slot < 0:
-            return ()
-        return tuple(
-            (self.groups[gid], flavor)
-            for gid, flavor in self.detours.get((router_id, slot), ())
-        )
-
     def stats(self) -> Dict[str, object]:
         """Size/shape accounting (``mediaworm topo``, diagnostics)."""
         entries = sum(
@@ -204,7 +186,8 @@ class UpDownFailover:
 
     The structure is immutable shared data like the rest of the
     program: runs *read* mask sets from it and apply them to their own
-    forked :class:`RouterRouteView` overlays, so forks stay isolated.
+    network's :class:`RouterRouteView` overlays, so networks stay
+    isolated.
     """
 
     __slots__ = (
@@ -527,8 +510,7 @@ class RouterRouteView:
     The view holds the *only* mutable routing state of its router — the
     set of health-masked ports — plus bound references into the shared
     program rows, so the per-header hot path is two tuple indexes.  The
-    owning :class:`~repro.router.routing.CompiledRouting` facade
-    aggregates the ``reroutes``/``detours_taken`` counters across its
+    owning :class:`CompiledRouting` aggregates the ``reroutes``/``detours_taken`` counters across its
     views (the health summary reads them per network, not per router).
     """
 
@@ -544,7 +526,9 @@ class RouterRouteView:
         "_num_slots",
     )
 
-    def __init__(self, owner, program: RouteProgram, router_id: int) -> None:
+    def __init__(
+        self, owner: "CompiledRouting", program: RouteProgram, router_id: int
+    ) -> None:
         self.router_id = router_id
         self.masked_ports: Set[int] = set()
         self._owner = owner
@@ -582,11 +566,14 @@ class RouterRouteView:
     ) -> Tuple[Tuple[int, ...], Optional[str]]:
         """Candidates with this router's mask overlay applied.
 
-        Same contract and same decision order as the historic
-        ``TableRouting.route_adaptive``: alternate table for ``"yx"``
-        worms, fat-group shrink, ordered detour fallback, and finally
-        the (masked) primary so a fully dead neighbourhood blocks
-        rather than silently dropping the worm.
+        Returns ``(ports, flavor)`` where ``flavor`` is the detour
+        flavour the message carries from here on (sticky: once a
+        message detours onto the Y-then-X table it stays there).  The
+        decision order: alternate table for ``"yx"`` worms, fat-group
+        shrink, ordered detour fallback, and finally the (masked)
+        primary so a fully dead neighbourhood blocks rather than
+        silently dropping the worm.  The fault-plan isolation check
+        walks the same method over the permanently dead ports.
         """
         primary = None
         if flavor == FLAVOR_YX and self._alt is not None:
@@ -619,3 +606,41 @@ class RouterRouteView:
         # end-to-end layer times it out — losing it outright would
         # undercount deliverable traffic after a recovery.
         return primary, flavor
+
+
+class CompiledRouting:
+    """One network's mutable routing state over a shared program.
+
+    Holds one :class:`RouterRouteView` per router (created lazily, and
+    handed to the router itself as its hot-path handle) plus the
+    aggregated reroute/detour counters the health summary reports.  All
+    table data stays in the shared program, so building one per network
+    costs a few object allocations, never a recompile.
+    """
+
+    def __init__(self, program: RouteProgram) -> None:
+        self.program = program
+        #: the program's :class:`UpDownFailover`, or None (shared, immutable)
+        self.overlay = program.overlay
+        self._views: Dict[int, RouterRouteView] = {}
+        #: fat groups shrunk around a masked sibling (counter)
+        self.reroutes = 0
+        #: primary group fully masked, detour fallback used (counter)
+        self.detours_taken = 0
+
+    def router_view(self, router_id: int) -> RouterRouteView:
+        view = self._views.get(router_id)
+        if view is None:
+            view = RouterRouteView(self, self.program, router_id)
+            self._views[router_id] = view
+        return view
+
+    def mask_port(self, router_id: int, port: int) -> None:
+        """Exclude ``port`` from ``router_id``'s adaptive routes."""
+        self.router_view(router_id).masked_ports.add(port)
+
+    def unmask_port(self, router_id: int, port: int) -> None:
+        """Re-admit a previously masked port."""
+        view = self._views.get(router_id)
+        if view is not None:
+            view.masked_ports.discard(port)

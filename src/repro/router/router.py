@@ -40,7 +40,7 @@ from repro.errors import FlowControlError
 from repro.router.buffers import InputVC, OutputVC
 from repro.router.config import CrossbarKind, RouterConfig, RoutingMode
 from repro.router.flit import Message
-from repro.router.routing import RoutingFunction
+from repro.router.routeprog import RouterRouteView
 
 
 class WormholeRouter:
@@ -50,15 +50,14 @@ class WormholeRouter:
         self,
         router_id: int,
         config: RouterConfig,
-        routing: RoutingFunction,
+        route_view: RouterRouteView,
     ) -> None:
         self.router_id = router_id
         self.config = config
-        self.routing = routing
         #: per-router routing handle: candidate lookups without the
-        #: router-id indirection, and (on compiled route programs) the
-        #: thin mask overlay adaptive failover mutates for this router
-        self._route_view = routing.router_view(router_id)
+        #: router-id indirection, and the thin mask overlay adaptive
+        #: failover mutates for this router
+        self._route_view = route_view
         n, m = config.num_ports, config.vcs_per_pc
         self.inputs: List[List[InputVC]] = [
             [InputVC(p, v, config.flit_buffer_depth) for v in range(m)]

@@ -41,6 +41,7 @@ from repro.network.network import Network
 from repro.network.topology import butterfly, fat_tree3
 from repro.plain import from_plain, to_plain
 from repro.router.config import RouterConfig, RoutingMode
+from repro.router.routeprog import CompiledRouting
 from repro.sim.rng import RngStreams
 
 
@@ -147,7 +148,7 @@ class TestOverlaySingleSwitchKills:
         route program still connects every pair of non-isolated hosts,
         and no unmasked candidate ever aims at the dead switch."""
         topology = fat_tree3(4)
-        overlay = topology.routing.overlay
+        overlay = topology.route_program.overlay
         host_router = dict(overlay.host_router)
         next_router = {
             (src, sp): dst for src, sp, dst, dp in topology.channels
@@ -160,7 +161,7 @@ class TestOverlaySingleSwitchKills:
                 n for n, rid in host_router.items() if rid == dead
             }
             assert set(isolated) == expected, f"dead={dead}"
-            routing = topology.routing.fork()
+            routing = CompiledRouting(topology.route_program)
             for rid, port in masks:
                 routing.mask_port(rid, port)
             live = sorted(set(host_router) - set(isolated))
@@ -179,7 +180,9 @@ class TestOverlaySingleSwitchKills:
                                 break
                             continue
                         seen.add(rid)
-                        ports, _ = routing.route_adaptive(rid, dst, None)
+                        ports, _ = routing.router_view(rid).route_adaptive(
+                            dst, None
+                        )
                         assert ports, (dead, src, dst, rid)
                         for port in ports:
                             hop = next_router[(rid, port)]

@@ -1,10 +1,11 @@
 """Link-health monitoring, fault-aware routing, and graceful degradation."""
 
 import dataclasses
+import itertools
 
 import pytest
 
-from conftest import TINY, make_mesh_network, make_message
+from conftest import TINY, make_mesh_network, make_message, make_network
 
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError, FaultConfigError
@@ -64,6 +65,20 @@ def _health(config=None):
 
 #: the shared 2x2 fat-mesh builder now lives in conftest
 _mesh_network = make_mesh_network
+
+#: the 2x2 fat mesh's eight directed fat groups, ``(src, dst)`` router
+_FAT_GROUPS = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+
+#: permanently dead fat groups -> ``(host, router)`` the isolation check
+#: names; every other one- or two-group outage is routed around
+_ISOLATING = {
+    ((0, 1), (0, 2)): (1, 0),
+    ((0, 2), (1, 3)): (2, 1),
+    ((1, 0), (1, 3)): (0, 1),
+    ((2, 0), (2, 3)): (0, 2),
+    ((2, 0), (3, 1)): (0, 3),
+    ((3, 1), (3, 2)): (0, 3),
+}
 
 
 class TestHealthConfig:
@@ -381,6 +396,45 @@ class TestHostIsolation:
         )
         assert len(windows) == 2  # the whole fat group 0 -> 1
         install_faults(network, FaultPlan(down_windows=windows), RngStreams(1))
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            combo
+            for size in (1, 2)
+            for combo in itertools.combinations(_FAT_GROUPS, size)
+        ],
+        ids=lambda combo: "+".join(f"{s}-{d}" for s, d in combo),
+    )
+    def test_fat_group_outage_verdicts(self, groups):
+        """Every one- and two-group permanent outage on the 2x2 fat
+        mesh: 30 are routed around (fat-group shrink, detours, the
+        Y-then-X table), the 6 pinned in ``_ISOLATING`` cut the named
+        host off from the named router."""
+        network, topology = _mesh_network()
+        windows = tuple(
+            LinkDownWindow(link=f"ch:{r}.{p}->{dr}.{dp}", end=None)
+            for r, p, dr, dp in topology.channels
+            if (r, dr) in groups
+        )
+        plan = FaultPlan(down_windows=windows)
+        verdict = _ISOLATING.get(groups)
+        if verdict is None:
+            install_faults(network, plan, RngStreams(1))
+            return
+        node, rid = verdict
+        with pytest.raises(
+            FaultConfigError, match=f"isolates host {node}: router {rid} "
+        ):
+            install_faults(network, plan, RngStreams(1))
+
+    def test_dead_single_switch_host_link_rejected(self):
+        network = make_network(ports=4)
+        plan = FaultPlan(
+            down_windows=(LinkDownWindow(link="host2:inject", end=None),)
+        )
+        with pytest.raises(FaultConfigError, match="no reroute is possible"):
+            install_faults(network, plan, RngStreams(1))
 
 
 class TestMonitorIntegration:

@@ -1,10 +1,10 @@
 """Compiled route programs: construction counts, overlays, properties.
 
-The tentpole contract of the route-program refactor:
+The contract of the route-program layer:
 
-* a topology compiles its program exactly once, no matter how many
-  networks, forks, or sweep points reuse it;
-* mask overlays are per-router and per-facade — masking a port on one
+* every generator, the single switch included, compiles one program,
+  exactly once, no matter how many networks or sweep points reuse it;
+* mask overlays are per-router and per-network — masking a port on one
   router (or one network) never shows through anywhere else;
 * the generated fat-tree/butterfly tables are full-reachability,
   up*/down*-ordered (no up edge after a down edge), and provably
@@ -33,10 +33,17 @@ from repro.experiments.runner import (
     simulate_fat_tree3,
     topology_of,
 )
+from repro.experiments.topo import TOPOLOGY_KINDS, build_topology
+from repro.network.network import Network
 from repro.network.topology import butterfly, fat_mesh_2x2, fat_tree3
 from repro.router import routeprog
-from repro.router.routeprog import RouterRouteView, compile_routes
-from repro.router.routing import CompiledRouting, TableRouting
+from repro.router.config import RouterConfig
+from repro.router.routeprog import (
+    CompiledRouting,
+    RouteProgram,
+    RouterRouteView,
+    compile_routes,
+)
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +95,8 @@ class TestCompileOnce:
         topology = fat_tree3(k=4)
         assert routeprog.compile_count() - before == 1
         # downstream reuse never compiles again
-        topology.routing.fork()
-        topology.routing.fork().router_view(0)
+        CompiledRouting(topology.route_program).router_view(0)
+        Network(topology, RouterConfig(num_ports=topology.ports_per_router))
         assert routeprog.compile_count() - before == 1
 
     def test_runner_cache_shares_programs_across_points(self):
@@ -201,25 +208,25 @@ class TestSharedTopologies:
 
 class TestMaskOverlays:
     def test_masks_are_per_router(self):
-        routing = fat_tree3(k=4).routing.fork()
+        routing = CompiledRouting(fat_tree3(k=4).route_program)
         routing.mask_port(0, 2)
         assert routing.router_view(0).masked_ports == {2}
         assert routing.router_view(1).masked_ports == set()
-        assert routing.masked(0) == frozenset({2})
-        assert routing.masked(1) == frozenset()
 
-    def test_forks_share_program_not_masks(self):
+    def test_networks_share_program_not_masks(self):
         topology = fat_tree3(k=4)
-        a = topology.routing.fork()
-        b = topology.routing.fork()
-        assert a.program is b.program
+        config = RouterConfig(num_ports=topology.ports_per_router)
+        a = Network(topology, config).routing
+        b = Network(topology, config).routing
+        assert a.program is b.program is topology.route_program
         a.mask_port(3, 1)
-        assert b.masked(3) == frozenset()
-        assert topology.routing.masked(3) == frozenset()
+        assert b.router_view(3).masked_ports == set()
 
     def test_unmask_restores_and_counters_are_per_fork(self):
+        """Each network's CompiledRouting owns its counters."""
         topology = fat_mesh_2x2()
-        routing = topology.routing.fork()
+        routing = CompiledRouting(topology.route_program)
+        other = CompiledRouting(topology.route_program)
         view = routing.router_view(0)
         port = view.candidates(4)[0]
         routing.mask_port(0, port)
@@ -228,13 +235,21 @@ class TestMaskOverlays:
         assert routing.reroutes + routing.detours_taken >= 1
         routing.unmask_port(0, port)
         assert view.masked_ports == set()
-        assert topology.routing.reroutes == 0
+        assert other.reroutes == other.detours_taken == 0
 
-    def test_table_routing_is_compiled_routing(self):
-        routing = TableRouting({(0, 0): (1,), (0, 1): (2,)})
-        assert isinstance(routing, CompiledRouting)
-        assert isinstance(routing.router_view(0), RouterRouteView)
-        assert routing.candidates(0, 1) == (2,)
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_KINDS))
+    def test_every_kind_hands_routers_a_route_view(self, kind):
+        """One routing representation: every generator compiles a
+        program, and every router of its network holds a view of it."""
+        topology = build_topology(kind)
+        assert isinstance(topology.route_program, RouteProgram)
+        network = Network(
+            topology, RouterConfig(num_ports=topology.ports_per_router)
+        )
+        for router in network.routers:
+            view = router._route_view
+            assert isinstance(view, RouterRouteView)
+            assert view is network.routing.router_view(router.router_id)
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +284,7 @@ class TestTreeProperties:
         """Any candidate choice at any hop still reaches the destination."""
         direction = _levelled_edges(topology)
         host_rid = {node: rid for node, rid, _ in topology.hosts}
-        routing = topology.routing
+        routing = topology.route_program
         for dst in topology.node_ids:
             target = host_rid[dst]
             for src in topology.node_ids:
@@ -292,7 +307,7 @@ class TestTreeProperties:
         """up*/down*: every routed port sequence is ups then downs."""
         direction = _levelled_edges(topology)
         host_rid = {node: rid for node, rid, _ in topology.hosts}
-        routing = topology.routing
+        routing = topology.route_program
         host_ports = {
             (rid, port) for _node, rid, port in topology.hosts
         }

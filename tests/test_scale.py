@@ -28,7 +28,11 @@ from repro.experiments.scale import (
     _scale_point,
     point_name,
 )
-from repro.experiments.topo import build_topology, describe_topology
+from repro.experiments.topo import (
+    TOPOLOGY_KINDS,
+    build_topology,
+    describe_topology,
+)
 from repro.network.network import Network
 from repro.router.config import RouterConfig
 from repro.sim.reference import run_reference
@@ -238,6 +242,16 @@ class TestTopoCommand:
         out = capsys.readouterr().out
         assert "butterfly" in out
         assert "route program" in out
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_cli_topo_names_every_kind(self, capsys, kind):
+        """Every generator names itself and prints its program stats
+        (the single switch's too: it compiles like every topology)."""
+        assert cli_main(["topo", kind]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["topology", kind]
+        assert "route program" in lines
+        assert any(line.split()[:1] == ["table_ints"] for line in lines)
 
     def test_cli_scale_smoke_point(self, capsys, tmp_path):
         out_json = tmp_path / "scale.json"

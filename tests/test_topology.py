@@ -9,7 +9,7 @@ from repro.network.topology import (
     fat_mesh_2x2,
     single_switch,
 )
-from repro.router.routing import SingleSwitchRouting
+from repro.router.routeprog import compile_routes
 
 
 class TestSingleSwitch:
@@ -27,7 +27,7 @@ class TestSingleSwitch:
     def test_routing_reaches_every_host(self):
         topo = single_switch(5)
         for node in topo.node_ids:
-            assert topo.routing.candidates(0, node) == (node,)
+            assert topo.route_program.candidates(0, node) == (node,)
 
     def test_rejects_single_port(self):
         with pytest.raises(ConfigurationError):
@@ -60,12 +60,12 @@ class TestFatMesh2x2:
     def test_local_hosts_route_to_host_port(self):
         topo = fat_mesh_2x2()
         # node 5 = router 1, local port 1
-        assert topo.routing.candidates(1, 5) == (1,)
+        assert topo.route_program.candidates(1, 5) == (1,)
 
     def test_remote_hosts_route_to_fat_group(self):
         topo = fat_mesh_2x2()
         # router 0 -> a host on router 1 (x neighbour): 2 candidate ports
-        ports = topo.routing.candidates(0, 4)
+        ports = topo.route_program.candidates(0, 4)
         assert len(ports) == 2
         assert all(p >= 4 for p in ports)
 
@@ -73,15 +73,15 @@ class TestFatMesh2x2:
         topo = fat_mesh_2x2()
         # router 0 (0,0) -> host on router 3 (1,1): must go +X first,
         # which is the same group as going to router 1.
-        to_diag = topo.routing.candidates(0, 12)
-        to_x = topo.routing.candidates(0, 4)
+        to_diag = topo.route_program.candidates(0, 12)
+        to_x = topo.route_program.candidates(0, 4)
         assert to_diag == to_x
 
     def test_every_router_reaches_every_host(self):
         topo = fat_mesh_2x2()
         for router in range(topo.num_routers):
             for node in topo.node_ids:
-                assert topo.routing.candidates(router, node)
+                assert topo.route_program.candidates(router, node)
 
 
 class TestGeneralFatMesh:
@@ -99,7 +99,7 @@ class TestGeneralFatMesh:
     def test_multi_hop_routes_move_closer(self):
         topo = fat_mesh(rows=1, cols=3, hosts_per_router=1, fat_width=1)
         # router 0 -> host at router 2 must exit toward router 1
-        ports = topo.routing.candidates(0, 2)
+        ports = topo.route_program.candidates(0, 2)
         channels = {
             (s, sp): d for s, sp, d, _ in topo.channels
         }
@@ -127,7 +127,7 @@ class TestTopologyValidation:
                 ports_per_router=2,
                 hosts=[(0, 0, 0), (1, 0, 0)],
                 channels=[],
-                routing=SingleSwitchRouting({0: 0, 1: 0}),
+                route_program=compile_routes({(0, 0): (0,), (0, 1): (0,)}),
             )
 
     def test_rejects_host_port_out_of_range(self):
@@ -138,7 +138,7 @@ class TestTopologyValidation:
                 ports_per_router=2,
                 hosts=[(0, 0, 5)],
                 channels=[],
-                routing=SingleSwitchRouting({0: 5}),
+                route_program=compile_routes({(0, 0): (5,)}),
             )
 
     def test_rejects_channel_on_host_port(self):
@@ -149,7 +149,7 @@ class TestTopologyValidation:
                 ports_per_router=2,
                 hosts=[(0, 0, 0), (1, 1, 0)],
                 channels=[(0, 0, 1, 1)],  # port (0,0) is a host port
-                routing=SingleSwitchRouting({0: 0}),
+                route_program=compile_routes({(0, 0): (0,)}),
             )
 
 
@@ -179,14 +179,14 @@ class TestFatTree:
 
         topo = fat_tree(leaves=4, spines=2, hosts_per_leaf=2)
         # node 3 = leaf 1, local port 1
-        assert topo.routing.candidates(1, 3) == (1,)
+        assert topo.route_program.candidates(1, 3) == (1,)
 
     def test_up_routing_offers_every_spine_link(self):
         from repro.network.topology import fat_tree
 
         topo = fat_tree(leaves=4, spines=2, hosts_per_leaf=2, fat_width=1)
         # remote destination: both up-links are candidates
-        ports = topo.routing.candidates(0, 7)  # node 7 is on leaf 3
+        ports = topo.route_program.candidates(0, 7)  # node 7 is on leaf 3
         assert len(ports) == 2
 
     def test_down_routing_is_unique_group(self):
@@ -194,7 +194,7 @@ class TestFatTree:
 
         topo = fat_tree(leaves=4, spines=2, hosts_per_leaf=2, fat_width=2)
         # spine router 4 routing down to node 5 (leaf 2)
-        ports = topo.routing.candidates(4, 5)
+        ports = topo.route_program.candidates(4, 5)
         assert ports == (4, 5)  # leaf 2's fat group at the spine
 
     def test_end_to_end_delivery(self):
