@@ -110,13 +110,10 @@ scale-smoke:      ## quick scale points: one digest + VC census on both loops, f
 scale:            ## full scale campaign incl. the 1024-host fat tree (serial: comparable timings)
 	$(PYTHON) -m repro.experiments.cli scale --json SCALE_campaign.json
 
-examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/scheduler_shootout.py
-	$(PYTHON) examples/video_server_admission.py
-	$(PYTHON) examples/cluster_fat_mesh.py
-	$(PYTHON) examples/pcs_vs_mediaworm.py
-	$(PYTHON) examples/gop_trace_study.py
+examples:         ## every examples/*.py script, end to end
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; $(PYTHON) $$script; \
+	done
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks

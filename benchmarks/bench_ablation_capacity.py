@@ -13,13 +13,13 @@ from repro.analysis.saturation import find_saturation_load
 from repro.core.schedulers import SchedulingPolicy
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.report import format_table
-from repro.experiments.runner import simulate_single_switch
+from repro.experiments.runner import simulate
 
 
 def bench_ablation_jitter_free_capacity(benchmark, profile):
     def capacity_of(policy):
         def runner(load):
-            metrics = simulate_single_switch(
+            metrics = simulate(
                 SingleSwitchExperiment(
                     load=load,
                     mix=(80, 20),

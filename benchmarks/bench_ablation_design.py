@@ -17,7 +17,7 @@ from conftest import run_once
 from repro.core.admission import AdmissionController
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.report import format_table
-from repro.experiments.runner import simulate_single_switch
+from repro.experiments.runner import simulate
 
 
 def _metrics(profile, **overrides):
@@ -28,7 +28,7 @@ def _metrics(profile, **overrides):
         seed=profile.seed,
         **overrides,
     )
-    return simulate_single_switch(experiment).metrics
+    return simulate(experiment).metrics
 
 
 def bench_ablation_buffer_depth(benchmark, profile):

@@ -13,7 +13,7 @@ from conftest import run_once
 
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.report import format_table
-from repro.experiments.runner import simulate_single_switch
+from repro.experiments.runner import simulate
 from repro.router.config import QosPlacement
 
 LOAD = 0.96
@@ -38,7 +38,7 @@ def bench_ablation_qos_placement(benchmark, profile):
                 measure_frames=profile.measure_frames,
                 seed=profile.seed,
             )
-            results[placement] = simulate_single_switch(experiment).metrics
+            results[placement] = simulate(experiment).metrics
         return results
 
     results = run_once(benchmark, sweep)

@@ -23,7 +23,6 @@ from conftest import run_once
 
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.report import format_table
-from repro.experiments.runner import simulate_single_switch
 from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
 from repro.network.topology import single_switch

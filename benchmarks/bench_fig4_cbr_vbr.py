@@ -8,7 +8,6 @@ time than normally-distributed ones.
 
 from conftest import run_once
 
-from repro.analysis import dominates, max_jitter_free_load
 from repro.experiments.figures import PAPER
 from repro.experiments.report import figure_to_text
 from repro.experiments.validation import check_claims, claims_to_text

@@ -10,7 +10,7 @@ top loads (the 'Sat.' cells).
 
 from conftest import run_once
 
-from repro.analysis import monotonic_tail
+from repro.analysis.series import monotonic_tail
 from repro.experiments.figures import PAPER
 from repro.experiments.report import table2_to_text
 

@@ -16,7 +16,7 @@ Run with:  python examples/cluster_fat_mesh.py [--mesh 2] [--load 0.8]
 
 import argparse
 
-from repro import FatMeshExperiment, simulate_fat_mesh
+from repro import FatMeshExperiment, simulate
 from repro.experiments.report import format_table
 
 MIXES = ((40, 60), (60, 40), (80, 20))
@@ -40,7 +40,7 @@ def main() -> None:
             measure_frames=5,
             seed=1,
         )
-        result = simulate_fat_mesh(experiment)
+        result = simulate(experiment)
         metrics = result.metrics
         rows.append(
             [

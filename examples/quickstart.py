@@ -12,7 +12,7 @@ prints the three numbers the paper's evaluation revolves around:
 Run with:  python examples/quickstart.py
 """
 
-from repro import SingleSwitchExperiment, simulate_single_switch
+from repro import SingleSwitchExperiment, simulate
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"simulating {experiment.total_cycles:,} router cycles "
           f"({experiment.workload_config().streams_per_node()} video streams "
           f"per node)...")
-    result = simulate_single_switch(experiment)
+    result = simulate(experiment)
 
     metrics = result.metrics
     print()

@@ -14,7 +14,7 @@ Virtual Clock holds the frame rate, at the price of best-effort latency.
 Run with:  python examples/scheduler_shootout.py
 """
 
-from repro import SchedulingPolicy, SingleSwitchExperiment, simulate_single_switch
+from repro import SchedulingPolicy, SingleSwitchExperiment, simulate
 from repro.experiments.report import format_table
 
 LOADS = (0.6, 0.8, 0.9, 0.96)
@@ -38,7 +38,7 @@ def main() -> None:
                 measure_frames=6,
                 seed=1,
             )
-            metrics = simulate_single_switch(experiment).metrics
+            metrics = simulate(experiment).metrics
             rows.append(
                 [
                     f"{load:g}",

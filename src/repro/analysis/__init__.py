@@ -5,40 +5,3 @@ paper makes — "jitter-free up to a load of 0.7-0.8", "FIFO degrades
 beyond 0.8 while Virtual Clock holds to 0.96" — so EXPERIMENTS.md and
 the test suite can check shapes rather than absolute numbers.
 """
-
-from repro.analysis.ascii_plot import ascii_xy_plot, figure_plot, sparkline
-from repro.analysis.ci import (
-    ConfidenceInterval,
-    run_with_seeds,
-    t_confidence_interval,
-)
-from repro.analysis.jitter import (
-    JITTER_SIGMA_TOLERANCE_MS,
-    NOMINAL_INTERVAL_MS,
-    is_jitter_free_point,
-    max_jitter_free_load,
-)
-from repro.analysis.saturation import SaturationSearch, find_saturation_load
-from repro.analysis.series import (
-    crossover_x,
-    dominates,
-    monotonic_tail,
-)
-
-__all__ = [
-    "ConfidenceInterval",
-    "JITTER_SIGMA_TOLERANCE_MS",
-    "NOMINAL_INTERVAL_MS",
-    "SaturationSearch",
-    "crossover_x",
-    "dominates",
-    "find_saturation_load",
-    "is_jitter_free_point",
-    "ascii_xy_plot",
-    "figure_plot",
-    "max_jitter_free_load",
-    "monotonic_tail",
-    "run_with_seeds",
-    "sparkline",
-    "t_confidence_interval",
-]

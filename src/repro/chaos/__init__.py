@@ -11,52 +11,6 @@ the points of a campaign spec through the shared sweep layer
 their content keys, and repro files go through the shared dataclass
 codec (:mod:`repro.plain`).
 
-Entry points: ``mediaworm chaos`` (CLI), :func:`run_campaign`,
-:func:`replay`, :func:`selftest`.
+Entry points: ``mediaworm chaos`` (CLI);
+:func:`repro.chaos.campaign.run_campaign`, ``replay`` and ``selftest``.
 """
-
-from repro.chaos.campaign import (
-    REPRO_FORMAT,
-    load_repro,
-    replay,
-    run_campaign,
-    run_scenario,
-    sabotage_scenario,
-    selftest,
-    shrink,
-    write_repro,
-)
-from repro.chaos.oracles import (
-    ORACLES,
-    canonical_metrics,
-    check_accounting,
-    classify_error,
-    metrics_digest,
-)
-from repro.chaos.scenario import (
-    SABOTAGES,
-    Scenario,
-    ScenarioSpace,
-    generate,
-)
-
-__all__ = [
-    "ORACLES",
-    "REPRO_FORMAT",
-    "SABOTAGES",
-    "Scenario",
-    "ScenarioSpace",
-    "canonical_metrics",
-    "check_accounting",
-    "classify_error",
-    "generate",
-    "load_repro",
-    "metrics_digest",
-    "replay",
-    "run_campaign",
-    "run_scenario",
-    "sabotage_scenario",
-    "selftest",
-    "shrink",
-    "write_repro",
-]

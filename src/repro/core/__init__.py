@@ -4,44 +4,11 @@ The MediaWorm router is a conventional pipelined wormhole router whose
 multiplexing scheduler — the policy that decides, each cycle, which
 virtual channel's flit gets the shared resource — is replaced by the
 rate-based **Virtual Clock** algorithm (Zhang 1991).  This package holds
-the scheduler implementations, the per-message Virtual Clock state, the
-MediaWorm configuration presets, and the admission-control scheme the
-paper's conclusion sketches.
+the scheduler implementations (:mod:`repro.core.schedulers`), the
+per-message Virtual Clock state (:mod:`repro.core.virtual_clock`), and
+the admission-control scheme the paper's conclusion sketches
+(:mod:`repro.core.admission`).  A MediaWorm router is a
+:class:`~repro.router.config.RouterConfig` whose ``qos_policy`` is
+Virtual Clock; each experiment type builds its own
+(``router_config``, :mod:`repro.experiments.config`).
 """
-
-from repro.core.admission import AdmissionController, AdmissionDecision
-from repro.core.mediaworm import (
-    mediaworm_router_config,
-    vanilla_router_config,
-)
-from repro.core.schedulers import (
-    FifoScheduler,
-    MuxScheduler,
-    RoundRobinScheduler,
-    SchedulingPolicy,
-    VirtualClockScheduler,
-    make_scheduler,
-)
-from repro.core.virtual_clock import (
-    BEST_EFFORT_VTICK,
-    VirtualClockState,
-    vtick_for_fraction,
-    vtick_for_rate,
-)
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "BEST_EFFORT_VTICK",
-    "FifoScheduler",
-    "MuxScheduler",
-    "RoundRobinScheduler",
-    "SchedulingPolicy",
-    "VirtualClockScheduler",
-    "VirtualClockState",
-    "make_scheduler",
-    "mediaworm_router_config",
-    "vanilla_router_config",
-    "vtick_for_fraction",
-    "vtick_for_rate",
-]

@@ -52,7 +52,7 @@ class FlowControlError(SimulationError):
 class InvariantViolation(SimulationError):
     """An observability-layer invariant check failed.
 
-    Raised by :class:`repro.obs.InvariantChecker` (flit conservation,
+    Raised by :class:`repro.obs.invariants.InvariantChecker` (flit conservation,
     credit consistency, monotone worm progress) and by trace-event
     schema validation; carries enough context to name the offending
     message/link/router.

@@ -21,9 +21,8 @@ and the exit-1-on-failed-point rule for free.
 The vocabulary specs are written in (:class:`RunProfile`,
 :class:`Point`, :class:`FigureData`, the Point codec) lives here too,
 so spec modules import this one and never the reverse.  Deliberately
-not imported by ``repro.experiments.__init__``, ``parallel`` or
-``runner``, so the benchmark's cold-import probe never pays for the
-spec layer.
+not imported by the ``repro`` package, ``parallel`` or ``runner``, so
+the benchmark's cold-import probe never pays for the spec layer.
 """
 
 from __future__ import annotations
@@ -147,14 +146,6 @@ class FigureData:
     series: Dict[str, List[Point]]
     notes: str = ""
 
-    def rows(self) -> List[Tuple]:
-        """Flat (series, x, d, sigma_d, be_latency) tuples for reports."""
-        out = []
-        for name, points in self.series.items():
-            for p in points:
-                out.append((name, p.x, p.d, p.sigma_d, p.be_latency_us))
-        return out
-
 
 def empty_metrics() -> RunMetrics:
     """Placeholder metrics for a point that failed every retry."""
@@ -175,8 +166,8 @@ def measure(experiment) -> Point:
     measured — the metrics, a faulted run's fault/recovery accounting
     and a PCS run's connection accounting as extras."""
     result = simulate(experiment)
-    extra = dict(getattr(result, "fault_stats", None) or {})
-    connections = getattr(result, "connections", None)
+    extra = dict(result.fault_stats or {})
+    connections = result.connections
     if connections is not None:
         extra.update(
             attempts=connections.attempts,

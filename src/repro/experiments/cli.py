@@ -309,7 +309,7 @@ def _configure_trace(parser) -> None:
         metavar="K1,K2,...",
         default=None,
         help="record only these event kinds (default: all; see "
-        "repro.obs.ALL_EVENTS)",
+        "repro.obs.events.ALL_EVENTS)",
     )
     parser.add_argument(
         "--chrome",
@@ -341,7 +341,7 @@ def _run_trace(args) -> int:
     """
     from repro.experiments.config import SingleSwitchExperiment
     from repro.experiments.runner import simulate
-    from repro.obs import ALL_EVENTS, TraceSpec
+    from repro.obs.events import ALL_EVENTS, TraceSpec
 
     events = None
     if args.trace_events:
@@ -455,7 +455,8 @@ def _run_chaos(args) -> int:
     sabotage; the default runs a seeded random campaign and writes a
     minimal repro for every failure it finds.
     """
-    from repro.chaos import ScenarioSpace, replay, run_campaign, selftest
+    from repro.chaos.campaign import replay, run_campaign, selftest
+    from repro.chaos.scenario import ScenarioSpace
     from repro.errors import ChaosFailure
 
     _check_sweep_args(args)

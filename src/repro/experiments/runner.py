@@ -23,15 +23,15 @@ from repro.faults import install_faults, install_recovery
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.network.health import install_health
 from repro.network.network import Network
-from repro.obs import (
+from repro.obs.chrometrace import write_chrome_trace
+from repro.obs.invariants import InvariantChecker
+from repro.obs.profile import LoopProfiler
+from repro.obs.sinks import (
     CountingSink,
-    InvariantChecker,
     JsonlTraceSink,
-    LoopProfiler,
     MultiSink,
     RingBufferSink,
     install_tracing,
-    write_chrome_trace,
 )
 from repro.pcs.connection import ConnectionStats
 from repro.sim.gcquiet import gc_quiet
@@ -198,15 +198,12 @@ def _install_extras(experiment, network: Network, rngs: RngStreams) -> None:
     Shares the workload's ``RngStreams`` so fault substreams derive from
     the same master seed without perturbing any traffic substream.
     """
-    plan = getattr(experiment, "faults", None)
-    if plan is not None:
-        install_faults(network, plan, rngs)
-    recovery = getattr(experiment, "recovery", None)
-    if recovery is not None:
-        install_recovery(network, recovery)
-    health = getattr(experiment, "health", None)
-    if health is not None:
-        install_health(network, health, rngs)
+    if experiment.faults is not None:
+        install_faults(network, experiment.faults, rngs)
+    if experiment.recovery is not None:
+        install_recovery(network, experiment.recovery)
+    if experiment.health is not None:
+        install_health(network, experiment.health, rngs)
 
 
 def _mirror_admission(network: Network, workload) -> AdmissionController:
@@ -339,7 +336,7 @@ def simulate(experiment, loop=None) -> ExperimentResult:
             topology,
             config,
             on_message=collector.on_message,
-            watchdog_window=getattr(experiment, "watchdog_window", None),
+            watchdog_window=experiment.watchdog_window,
         )
         rngs = RngStreams(experiment.seed)
         _install_extras(experiment, network, rngs)
@@ -354,12 +351,11 @@ def simulate(experiment, loop=None) -> ExperimentResult:
             monitor.bind_streams(workload.streams)
     # Observability extras install last so every emitter (including the
     # transport and health monitor above) is wired before the first event.
-    spec = getattr(experiment, "trace", None)
+    spec = experiment.trace
     harness = _TraceHarness(network, spec) if spec is not None else None
-    hook = getattr(experiment, "network_hook", None)
-    if hook is not None:
-        hook(network)
-    if getattr(experiment, "profile_loop", False):
+    if experiment.network_hook is not None:
+        experiment.network_hook(network)
+    if experiment.profile_loop:
         profiler = LoopProfiler()
         network.profiler = profiler
         collector.attach_profiler(profiler)
@@ -382,5 +378,5 @@ def simulate(experiment, loop=None) -> ExperimentResult:
 
 
 # The per-kind names are `simulate` itself: benchmarks/perf patches and
-# calls four of them on this module, and README, docs and tests use them.
-simulate_single_switch = simulate_fat_mesh = simulate_fat_tree = simulate_fat_tree3 = simulate_butterfly = simulate
+# calls these four on this module.
+simulate_single_switch = simulate_fat_mesh = simulate_fat_tree3 = simulate_butterfly = simulate

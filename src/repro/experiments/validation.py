@@ -15,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.analysis import (
-    dominates,
-    is_jitter_free_point,
-    max_jitter_free_load,
-    monotonic_tail,
-)
+from repro.analysis.jitter import is_jitter_free_point, max_jitter_free_load
+from repro.analysis.series import dominates, monotonic_tail
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import FigureData
 

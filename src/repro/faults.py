@@ -822,7 +822,7 @@ class EndToEndTransport:
         #: across the retry chain (clones reset their own timestamps)
         #: so QoS deadline accounting spans the whole recovery effort
         self._birth: Dict[int, int] = {}
-        #: trace sink installed by repro.obs.install_tracing
+        #: trace sink installed by repro.obs.sinks.install_tracing
         self.trace = None
 
     # -- network hooks --------------------------------------------------

@@ -5,20 +5,3 @@ The important output parameters are the **mean frame delivery interval**
 (``d = 33 ms`` with ``sigma_d = 0`` is jitter-free 30 frames/sec
 delivery), and the **average latency** of best-effort messages.
 """
-
-from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.metrics.delivery import FrameDeliveryTracker
-from repro.metrics.histogram import Histogram, interval_histogram
-from repro.metrics.latency import LatencyTracker
-from repro.metrics.stats import RunningStats, summarize
-
-__all__ = [
-    "FrameDeliveryTracker",
-    "Histogram",
-    "LatencyTracker",
-    "MetricsCollector",
-    "RunMetrics",
-    "RunningStats",
-    "interval_histogram",
-    "summarize",
-]

@@ -1,18 +1,16 @@
-"""Streaming and summary statistics helpers."""
+"""Streaming statistics: Welford's online mean/variance."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable
 
 
 class RunningStats:
     """Welford's online mean/variance accumulator.
 
-    Numerically stable for the long interval series the delivery
-    tracker produces; supports merging partial accumulators (used when
-    pooling per-stream statistics).
+    Numerically stable for the long interval series the delivery and
+    latency trackers produce.
     """
 
     __slots__ = ("n", "mean", "_m2", "min", "max")
@@ -52,70 +50,5 @@ class RunningStats:
         """Population standard deviation."""
         return math.sqrt(self.variance)
 
-    def merge(self, other: "RunningStats") -> None:
-        """Fold ``other`` into this accumulator (Chan et al.)."""
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n = other.n
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.n + other.n
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.n * other.n / total
-        self.mean += delta * other.n / total
-        self.n = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunningStats(n={self.n}, mean={self.mean:.4g}, std={self.std:.4g})"
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Immutable snapshot of a sample's statistics."""
-
-    n: int
-    mean: float
-    std: float
-    min: float
-    max: float
-    p50: float
-    p95: float
-    p99: float
-
-
-def _percentile(sorted_xs: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of a pre-sorted sample."""
-    if not sorted_xs:
-        return math.nan
-    if len(sorted_xs) == 1:
-        return sorted_xs[0]
-    pos = q * (len(sorted_xs) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_xs) - 1)
-    frac = pos - lo
-    return sorted_xs[lo] * (1 - frac) + sorted_xs[hi] * frac
-
-
-def summarize(samples: Iterable[float]) -> Optional[Summary]:
-    """Full summary of a finite sample; ``None`` when empty."""
-    xs: List[float] = sorted(samples)
-    if not xs:
-        return None
-    stats = RunningStats()
-    stats.extend(xs)
-    return Summary(
-        n=stats.n,
-        mean=stats.mean,
-        std=stats.std,
-        min=xs[0],
-        max=xs[-1],
-        p50=_percentile(xs, 0.50),
-        p95=_percentile(xs, 0.95),
-        p99=_percentile(xs, 0.99),
-    )

@@ -1,43 +1,7 @@
 """Network layer: links, host interfaces, topologies, the simulator.
 
 This package assembles routers (:mod:`repro.router`) into systems — a
-single switch with one host per port, or the paper's 2x2 fat mesh — and
-runs the cycle loop that moves flits between them.
+single switch with one host per port, the paper's 2x2 fat mesh, fat
+trees and butterflies (:mod:`repro.network.topology`) — and runs the
+cycle loop that moves flits between them.
 """
-
-from repro.network.health import (
-    HealthConfig,
-    LinkHealthMonitor,
-    install_health,
-)
-from repro.network.interface import HostInterface, HostSink
-from repro.network.link import Link
-from repro.network.network import Network
-from repro.network.probe import LinkUtilization, UtilizationProbe
-from repro.network.topology import (
-    Topology,
-    butterfly,
-    fat_mesh,
-    fat_mesh_2x2,
-    fat_tree,
-    fat_tree3,
-    single_switch,
-)
-
-__all__ = [
-    "HealthConfig",
-    "HostInterface",
-    "HostSink",
-    "Link",
-    "LinkHealthMonitor",
-    "LinkUtilization",
-    "Network",
-    "Topology",
-    "UtilizationProbe",
-    "butterfly",
-    "fat_mesh",
-    "fat_mesh_2x2",
-    "fat_tree",
-    "fat_tree3",
-    "single_switch",
-]

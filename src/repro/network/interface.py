@@ -40,10 +40,6 @@ class _NIVC:
         #: lazily computed stamp of the next flit to send (None = compute)
         self.head_stamp: Optional[float] = None
 
-    @property
-    def has_flit(self) -> bool:
-        return bool(self.queue)
-
 
 class HostInterface:
     """Traffic injection point for one host (endpoint) node."""
@@ -92,7 +88,7 @@ class HostInterface:
         #: activation hook fired when this NI gains backlog; installed
         #: by the network so the active-set loop starts stepping it
         self.on_activated: Optional[Callable[[], None]] = None
-        #: trace sink installed by repro.obs.install_tracing
+        #: trace sink installed by repro.obs.sinks.install_tracing
         self.trace = None
 
     def inject(self, clock: int, msg: Message) -> None:
@@ -269,7 +265,7 @@ class HostSink:
         self.flits_ejected = 0
         self.messages_ejected = 0
         self.messages_corrupt = 0
-        #: trace sink installed by repro.obs.install_tracing
+        #: trace sink installed by repro.obs.sinks.install_tracing
         self.trace = None
 
     def eject(self, clock: int, msg: Message, flit_index: int) -> None:

@@ -90,7 +90,7 @@ class Link:
         #: manually).  Firing only on the transition — not per flit —
         #: keeps a streaming worm's sends hook-free.
         self.on_wake = None
-        #: trace sink installed by repro.obs.install_tracing
+        #: trace sink installed by repro.obs.sinks.install_tracing
         self.trace = None
         #: position in ``Network.links`` (the link's activation id and
         #: head-mirror slot); -1 while the link is driven by hand

@@ -96,7 +96,7 @@ class Network:
         #: host nodes the failover layer has declared unreachable
         #: (sessions shed; transport charges their abandons separately)
         self.isolated_hosts: "set[int]" = set()
-        #: trace sink installed by repro.obs.install_tracing (purge events)
+        #: trace sink installed by repro.obs.sinks.install_tracing (purge events)
         self.trace = None
         #: LoopProfiler installed by the runner (per-phase wall time)
         self.profiler = None

@@ -10,47 +10,3 @@ exporter (:mod:`repro.obs.chrometrace`), and a simulation-loop profiler
 a single ``is None`` check.  See ``docs/simulator-internals.md``
 ("Tracing and invariants") for the taxonomy and the overhead contract.
 """
-
-from repro.obs.chrometrace import chrome_trace, write_chrome_trace
-from repro.obs.events import (
-    ALL_EVENTS,
-    EVENT_SCHEMA,
-    TraceSpec,
-    check_event_names,
-    validate_event,
-)
-from repro.obs.invariants import InvariantChecker, check_credits
-from repro.obs.profile import LoopProfiler
-from repro.obs.sinks import (
-    CountingSink,
-    JsonlTraceSink,
-    MultiSink,
-    RingBufferSink,
-    TraceSink,
-    counts_by_kind,
-    install_tracing,
-    stream_digest,
-    uninstall_tracing,
-)
-
-__all__ = [
-    "ALL_EVENTS",
-    "EVENT_SCHEMA",
-    "TraceSpec",
-    "check_event_names",
-    "validate_event",
-    "InvariantChecker",
-    "check_credits",
-    "LoopProfiler",
-    "chrome_trace",
-    "write_chrome_trace",
-    "CountingSink",
-    "JsonlTraceSink",
-    "MultiSink",
-    "RingBufferSink",
-    "TraceSink",
-    "counts_by_kind",
-    "install_tracing",
-    "stream_digest",
-    "uninstall_tracing",
-]

@@ -5,10 +5,10 @@ Usage::
     python -m repro.obs TRACE.jsonl [--digest] [--quiet]
 
 Streams the file, checks every record against
-:data:`repro.obs.EVENT_SCHEMA` (known kind, exact field set, correct
+:data:`repro.obs.events.EVENT_SCHEMA` (known kind, exact field set, correct
 types), and prints per-kind counts.  Exits non-zero on the first
 malformed record, naming the line.  ``--digest`` also prints the
-canonical :func:`repro.obs.stream_digest` fingerprint.  ``make
+canonical :func:`repro.obs.sinks.stream_digest` fingerprint.  ``make
 trace-smoke`` runs this over a fresh ``mediaworm trace`` run.
 """
 

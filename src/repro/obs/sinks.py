@@ -196,11 +196,3 @@ def stream_digest(path) -> str:
             )
             digest.update(b"\n")
     return digest.hexdigest()
-
-
-def counts_by_kind(records: Iterable[Record]) -> Dict[str, int]:
-    """Tally ``(kind, cycle, fields)`` records by kind (reporting aid)."""
-    counts: "Counter[str]" = Counter()
-    for kind, _, _ in records:
-        counts[kind] += 1
-    return dict(counts)

@@ -141,7 +141,7 @@ class WormholeRouter:
         #: router work; installed by the network so the cycle loop
         #: resumes stepping it
         self.on_activated: Optional[Callable[[], None]] = None
-        #: trace sink installed by repro.obs.install_tracing
+        #: trace sink installed by repro.obs.sinks.install_tracing
         self.trace = None
 
     # ------------------------------------------------------------------

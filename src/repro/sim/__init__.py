@@ -8,25 +8,3 @@ quantities (flits, cycles), and :class:`~repro.sim.units.WorkloadScale`
 shrinks workload time constants while preserving every bandwidth ratio,
 which is what makes long flit-level runs tractable in pure Python.
 """
-
-from repro.sim.activation import ActivationScheduler
-from repro.sim.events import EventHeap
-from repro.sim.rng import RngStreams
-from repro.sim.units import (
-    MPEG2_FRAME_BYTES_MEAN,
-    MPEG2_FRAME_BYTES_STD,
-    MPEG2_FRAME_INTERVAL_MS,
-    LinkSpec,
-    WorkloadScale,
-)
-
-__all__ = [
-    "ActivationScheduler",
-    "EventHeap",
-    "RngStreams",
-    "LinkSpec",
-    "WorkloadScale",
-    "MPEG2_FRAME_BYTES_MEAN",
-    "MPEG2_FRAME_BYTES_STD",
-    "MPEG2_FRAME_INTERVAL_MS",
-]

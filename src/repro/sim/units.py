@@ -56,11 +56,6 @@ class LinkSpec:
         """Duration of one router cycle (one flit time) in nanoseconds."""
         return self.flit_size_bits * 1000.0 / self.bandwidth_mbps
 
-    @property
-    def flits_per_second(self) -> float:
-        """Peak PC throughput in flits per second."""
-        return self.bandwidth_mbps * 1e6 / self.flit_size_bits
-
     def bytes_to_flits(self, nbytes: float) -> float:
         """Convert a byte count to (fractional) flits."""
         return nbytes * 8.0 / self.flit_size_bits
@@ -68,10 +63,6 @@ class LinkSpec:
     def ms_to_cycles(self, ms: float) -> float:
         """Convert milliseconds to (fractional) cycles."""
         return ms * 1e6 / self.cycle_ns
-
-    def us_to_cycles(self, us: float) -> float:
-        """Convert microseconds to (fractional) cycles."""
-        return us * 1e3 / self.cycle_ns
 
     def cycles_to_ms(self, cycles: float) -> float:
         """Convert cycles to milliseconds."""

@@ -6,39 +6,3 @@ frames, best-effort messages of 20 flits at a constant rate to uniform
 random destinations, and the x:y traffic mixes with statically
 partitioned virtual channels.
 """
-
-from repro.traffic.besteffort import BestEffortConfig, BestEffortSource
-from repro.traffic.mix import (
-    TrafficMix,
-    Workload,
-    WorkloadConfig,
-    build_workload,
-    rt_vc_count,
-)
-from repro.traffic.mpeg import FrameSizeModel, cbr_frame_model, vbr_frame_model
-from repro.traffic.streams import MediaStream, StreamConfig
-from repro.traffic.trace import (
-    TraceFrameModel,
-    generate_mpeg2_gop_trace,
-    load_frame_trace,
-    save_frame_trace,
-)
-
-__all__ = [
-    "BestEffortConfig",
-    "BestEffortSource",
-    "FrameSizeModel",
-    "MediaStream",
-    "StreamConfig",
-    "TraceFrameModel",
-    "TrafficMix",
-    "Workload",
-    "WorkloadConfig",
-    "build_workload",
-    "cbr_frame_model",
-    "generate_mpeg2_gop_trace",
-    "load_frame_trace",
-    "rt_vc_count",
-    "save_frame_trace",
-    "vbr_frame_model",
-]

@@ -175,11 +175,6 @@ class Workload:
         """Offered input-link load actually realised after rounding."""
         return self.achieved_rt_load + self.achieved_be_load
 
-    @property
-    def stream_ids(self) -> List[int]:
-        """Ids of every media stream in the workload."""
-        return [s.stream_id for s in self.streams]
-
 
 def build_workload(
     network,

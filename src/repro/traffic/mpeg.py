@@ -59,8 +59,3 @@ class FrameSizeModel:
 def vbr_frame_model(mean_flits: float, std_flits: float) -> FrameSizeModel:
     """The paper's VBR model: normally distributed frame sizes."""
     return FrameSizeModel(mean_flits, std_flits)
-
-
-def cbr_frame_model(mean_flits: float) -> FrameSizeModel:
-    """The paper's CBR model: constant frames at the VBR mean."""
-    return FrameSizeModel(mean_flits, 0.0)

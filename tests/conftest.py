@@ -74,7 +74,7 @@ def make_network(
     )
     network = Network(single_switch(ports), config, on_message=on_message)
     if trace_sink is not None:
-        from repro.obs import install_tracing
+        from repro.obs.sinks import install_tracing
 
         install_tracing(network, trace_sink)
     return network
@@ -114,7 +114,7 @@ def make_mesh_network(
     )
     network = Network(topology, config, on_message=on_message)
     if trace_sink is not None:
-        from repro.obs import install_tracing
+        from repro.obs.sinks import install_tracing
 
         install_tracing(network, trace_sink)
     return network, topology

@@ -5,13 +5,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis import (
-    crossover_x,
-    dominates,
-    is_jitter_free_point,
-    max_jitter_free_load,
-    monotonic_tail,
-)
+from repro.analysis.jitter import is_jitter_free_point, max_jitter_free_load
+from repro.analysis.series import crossover_x, dominates, monotonic_tail
 
 
 @dataclass

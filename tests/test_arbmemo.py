@@ -15,8 +15,7 @@ from conftest import (
     make_network,
 )
 from repro.network.network import Network
-from repro.obs import RingBufferSink, install_tracing
-from repro.obs.sinks import uninstall_tracing
+from repro.obs.sinks import RingBufferSink, install_tracing, uninstall_tracing
 from repro.router.config import RoutingMode
 from repro.sim.reference import run_reference
 

@@ -13,13 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos import (
-    ORACLES,
-    Scenario,
-    ScenarioSpace,
-    check_accounting,
-    classify_error,
-    generate,
+from repro.chaos.campaign import (
     load_repro,
     replay,
     run_campaign,
@@ -28,6 +22,8 @@ from repro.chaos import (
     shrink,
     write_repro,
 )
+from repro.chaos.oracles import ORACLES, check_accounting, classify_error
+from repro.chaos.scenario import Scenario, ScenarioSpace, generate
 from repro.errors import (
     ChaosFailure,
     ConfigurationError,

@@ -155,12 +155,12 @@ class TestCommandTable:
     ):
         """A non-positive timeout would switch hang protection off, a
         negative budget would write unshrunk repros."""
-        import repro.chaos
+        import repro.chaos.campaign
 
         def no_campaign(*args, **kwargs):
             raise AssertionError("a scenario ran")
 
-        monkeypatch.setattr(repro.chaos, "run_campaign", no_campaign)
+        monkeypatch.setattr(repro.chaos.campaign, "run_campaign", no_campaign)
         argv = ["chaos", "--checkpoint", str(tmp_path / "c.json")] + flags
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.mediaworm import mediaworm_router_config, vanilla_router_config
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
+from repro.experiments.config import SingleSwitchExperiment
 from repro.router.config import CrossbarKind, RouterConfig
 
 
@@ -61,29 +61,39 @@ class TestRouterConfig:
 
 
 class TestPresets:
+    """The paper's two routers — MediaWorm (Virtual Clock at the QoS
+    contention point) and a conventional FIFO or round-robin wormhole
+    router — are what an experiment's ``router_config`` builds from its
+    ``scheduler`` and shape knobs."""
+
+    @staticmethod
+    def _config(**knobs) -> RouterConfig:
+        return SingleSwitchExperiment(**knobs).router_config(8)
+
     def test_mediaworm_uses_virtual_clock(self):
-        config = mediaworm_router_config()
+        config = self._config()
         assert config.qos_policy == SchedulingPolicy.VIRTUAL_CLOCK
 
     def test_vanilla_defaults_to_fifo(self):
-        config = vanilla_router_config()
+        config = self._config(scheduler=SchedulingPolicy.FIFO)
         assert config.qos_policy == SchedulingPolicy.FIFO
 
     def test_vanilla_round_robin_variant(self):
-        config = vanilla_router_config(scheduler=SchedulingPolicy.ROUND_ROBIN)
+        config = self._config(scheduler=SchedulingPolicy.ROUND_ROBIN)
         assert config.qos_policy == SchedulingPolicy.ROUND_ROBIN
 
     def test_presets_share_pipeline_shape(self):
-        mw = mediaworm_router_config(vcs_per_pc=8)
-        va = vanilla_router_config(vcs_per_pc=8)
+        mw = self._config(vcs_per_pc=8)
+        va = self._config(vcs_per_pc=8, scheduler=SchedulingPolicy.FIFO)
         assert mw.num_ports == va.num_ports
         assert mw.vcs_per_pc == va.vcs_per_pc
         assert mw.crossbar == va.crossbar
+        assert mw.rt_vc_count == va.rt_vc_count
 
     def test_full_crossbar_preset(self):
-        config = mediaworm_router_config(crossbar=CrossbarKind.FULL)
+        config = self._config(crossbar=CrossbarKind.FULL)
         assert config.crossbar == CrossbarKind.FULL
 
     def test_overrides_pass_through(self):
-        config = mediaworm_router_config(output_buffer_depth=6)
-        assert config.output_buffer_depth == 6
+        config = self._config(flit_buffer_depth=6)
+        assert config.flit_buffer_depth == 6

@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import repro
-from repro import experiments
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import runner
 from repro.experiments.config import (
@@ -58,7 +56,7 @@ from repro.network.health import (
 from repro.network.link import Link
 from repro.network.network import Network
 from repro.network.topology import single_switch
-from repro.obs import RingBufferSink, install_tracing
+from repro.obs.sinks import RingBufferSink, install_tracing
 from repro.router.config import RouterConfig, RoutingMode
 from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
@@ -699,7 +697,6 @@ class TestOneLoop:
 _PER_KIND_NAMES = (
     "simulate_single_switch",
     "simulate_fat_mesh",
-    "simulate_fat_tree",
     "simulate_fat_tree3",
     "simulate_butterfly",
 )
@@ -733,8 +730,7 @@ class TestOneSimulate:
 
     def test_per_kind_names_are_the_one_picklable_function(self):
         for name in _PER_KIND_NAMES:
-            for module in (runner, experiments, repro):
-                assert getattr(module, name) is simulate, (module, name)
+            assert getattr(runner, name) is simulate, name
         # what a pool worker receives for a task built from an old name
         assert pickle.loads(pickle.dumps(simulate_butterfly)) is simulate
 
@@ -746,8 +742,7 @@ class TestOneSimulate:
         """Under ``src/repro`` only ``experiments/config.py`` pairs a
         generator with an experiment; nothing branches on an
         experiment's type, PCS included; the per-kind names live on
-        ``runner.py``'s alias line and in the two re-exporting
-        ``__init__`` files."""
+        ``runner.py``'s alias line only."""
         package = SRC / "repro"
         per_kind = re.compile(r"\b(" + "|".join(_PER_KIND_NAMES) + r")\b")
         importers, type_tests, alias_lines = [], [], {}
@@ -772,17 +767,9 @@ class TestOneSimulate:
                     )
                 ):
                     type_tests.append(name)
-        assert importers == [
-            "__init__.py",
-            "experiments/config.py",
-            "network/__init__.py",
-        ]
+        assert importers == ["__init__.py", "experiments/config.py"]
         assert type_tests == []
-        assert sorted(alias_lines) == [
-            "__init__.py",
-            "experiments/__init__.py",
-            "experiments/runner.py",
-        ]
+        assert sorted(alias_lines) == ["experiments/runner.py"]
         assert len(alias_lines["experiments/runner.py"]) == 1
 
 

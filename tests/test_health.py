@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -9,10 +10,15 @@ from conftest import TINY, make_mesh_network, make_message, make_network
 
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError, FaultConfigError
-from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
+from repro.experiments.config import (
+    FatMeshExperiment,
+    FatTree3Experiment,
+    SingleSwitchExperiment,
+)
 from repro.experiments.failover import _fat_pair_windows
-from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
+from repro.experiments.runner import simulate, simulate_fat_mesh, simulate_single_switch
 from repro.faults import (
+    DomainDownWindow,
     FaultPlan,
     LinkDownWindow,
     RecoveryConfig,
@@ -27,6 +33,9 @@ from repro.network.health import (
     LinkHealth,
     install_health,
 )
+from repro.obs.chrometrace import write_chrome_trace
+from repro.obs.events import validate_event
+from repro.obs.sinks import RingBufferSink
 from repro.router.config import RoutingMode
 from repro.sim.rng import RngStreams
 
@@ -459,3 +468,56 @@ class TestMonitorIntegration:
         report = network.stall_report()
         assert "suspected unhealthy links" in report
         assert link.label in report
+
+
+class TestSwitchVerdictTrace:
+    """A switch-level verdict is a ``health`` event of the one schema:
+    its ``link`` is the switch's failure-domain name."""
+
+    def test_switch_down_events_validate_and_export(self, tmp_path):
+        base = FatTree3Experiment(
+            k=4, load=0.3, mix=(80, 20), vcs_per_pc=16,
+            scale=100.0, warmup_frames=1, measure_frames=2, seed=3,
+        )
+        interval = base.workload_config().frame_interval_cycles
+        ring = RingBufferSink()
+
+        def trace_health(network):
+            # only the monitor's stream: tracing every component makes
+            # this run 25x slower and adds nothing to the check
+            network.health_monitor.trace = ring
+
+        simulate(
+            dataclasses.replace(
+                base,
+                faults=FaultPlan(
+                    domains=(
+                        DomainDownWindow(
+                            "switch:8", start=base.warmup_cycles, end=None
+                        ),
+                    )
+                ),
+                recovery=RecoveryConfig.scaled(
+                    interval, max_retries=8, qos_deadline=4 * interval
+                ),
+                health=HealthConfig(),
+                routing_mode=RoutingMode.ADAPTIVE,
+                watchdog_window=4 * interval,
+                network_hook=trace_health,
+            )
+        )
+        for kind, cycle, fields in ring.records:
+            validate_event({"kind": kind, "cycle": cycle, **fields})
+        switch_events = [
+            fields for kind, _, fields in ring.records
+            if fields["link"] == "switch:8"
+        ]
+        assert switch_events and switch_events[0]["state"] == DOWN
+        chrome = tmp_path / "health.json"
+        assert write_chrome_trace(str(chrome), ring.records) > len(ring.records)
+        rows = {
+            event["args"]["link"]
+            for event in json.loads(chrome.read_text())["traceEvents"]
+            if event.get("name") == "health"
+        }
+        assert "switch:8" in rows

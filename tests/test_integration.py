@@ -9,7 +9,8 @@ operating point share one simulation.
 
 import pytest
 
-from repro.analysis import dominates, is_jitter_free_point, monotonic_tail
+from repro.analysis.jitter import is_jitter_free_point
+from repro.analysis.series import monotonic_tail
 from repro.core.schedulers import SchedulingPolicy
 from repro.experiments.campaign import experiment_key
 from repro.experiments.config import (

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.delivery import FrameDeliveryTracker
 from repro.metrics.latency import LatencyTracker
-from repro.metrics.stats import RunningStats, summarize
+from repro.metrics.stats import RunningStats
 from repro.router.flit import Message, TrafficClass
 from repro.sim.units import LinkSpec, TimeBase, WorkloadScale
 
@@ -34,67 +34,12 @@ class TestRunningStats:
         assert stats.mean == pytest.approx(5.0)
         assert stats.std == pytest.approx(2.0)
 
-    def test_merge_two_halves(self):
-        xs = [1.0, 5.0, 2.5, 9.0, -3.0, 4.5]
-        a, b, whole = RunningStats(), RunningStats(), RunningStats()
-        a.extend(xs[:3])
-        b.extend(xs[3:])
-        whole.extend(xs)
-        a.merge(b)
-        assert a.n == whole.n
-        assert a.mean == pytest.approx(whole.mean)
-        assert a.std == pytest.approx(whole.std)
-        assert a.min == whole.min and a.max == whole.max
-
-    def test_merge_with_empty(self):
-        a, b = RunningStats(), RunningStats()
-        a.extend([1.0, 2.0])
-        a.merge(b)
-        assert a.n == 2
-        b.merge(a)
-        assert b.mean == pytest.approx(1.5)
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2))
     def test_matches_numpy(self, xs):
         stats = RunningStats()
         stats.extend(xs)
         assert stats.mean == pytest.approx(float(np.mean(xs)), abs=1e-6)
         assert stats.std == pytest.approx(float(np.std(xs)), abs=1e-6)
-
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1),
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1),
-    )
-    def test_merge_matches_pooled(self, xs, ys):
-        a, b = RunningStats(), RunningStats()
-        a.extend(xs)
-        b.extend(ys)
-        a.merge(b)
-        pooled = xs + ys
-        assert a.mean == pytest.approx(float(np.mean(pooled)), abs=1e-6)
-        assert a.std == pytest.approx(float(np.std(pooled)), abs=1e-6)
-
-
-class TestSummarize:
-    def test_empty_returns_none(self):
-        assert summarize([]) is None
-
-    def test_basic_summary(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary.n == 5
-        assert summary.mean == pytest.approx(3.0)
-        assert summary.p50 == pytest.approx(3.0)
-        assert summary.min == 1.0 and summary.max == 5.0
-
-    def test_percentiles_match_numpy(self):
-        xs = [float(i) for i in range(101)]
-        summary = summarize(xs)
-        assert summary.p95 == pytest.approx(float(np.percentile(xs, 95)))
-        assert summary.p99 == pytest.approx(float(np.percentile(xs, 99)))
-
-    def test_single_sample(self):
-        summary = summarize([7.0])
-        assert summary.p50 == summary.p95 == summary.p99 == 7.0
 
 
 def _rt_message(stream_id, frame_id, frame_messages=1):

@@ -14,22 +14,22 @@ import pytest
 from conftest import deliver_all, make_message, make_network
 
 from repro.errors import ConfigurationError, InvariantViolation
-from repro.obs import (
+from repro.obs.chrometrace import chrome_trace, write_chrome_trace
+from repro.obs.events import (
     ALL_EVENTS,
     EVENT_SCHEMA,
-    CountingSink,
-    InvariantChecker,
-    JsonlTraceSink,
-    LoopProfiler,
-    MultiSink,
-    RingBufferSink,
     TraceSpec,
     check_event_names,
-    chrome_trace,
-    counts_by_kind,
-    uninstall_tracing,
     validate_event,
-    write_chrome_trace,
+)
+from repro.obs.invariants import InvariantChecker
+from repro.obs.profile import LoopProfiler
+from repro.obs.sinks import (
+    CountingSink,
+    JsonlTraceSink,
+    MultiSink,
+    RingBufferSink,
+    uninstall_tracing,
 )
 
 
@@ -171,8 +171,10 @@ class TestSinks:
         assert jsonl._file.closed
 
     def test_counts_by_kind(self):
-        records = [("sched", 0, {}), ("sched", 1, {}), ("xbar", 0, {})]
-        assert counts_by_kind(records) == {"sched": 2, "xbar": 1}
+        counter = CountingSink()
+        for kind, cycle, fields in [("sched", 0, {}), ("sched", 1, {}), ("xbar", 0, {})]:
+            counter.on_event(kind, cycle, fields)
+        assert dict(counter.counts) == {"sched": 2, "xbar": 1}
 
 
 class TestInstallUninstall:

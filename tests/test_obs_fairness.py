@@ -35,7 +35,7 @@ from conftest import make_network, make_message
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
-from repro.obs import RingBufferSink
+from repro.obs.sinks import RingBufferSink
 from repro.router.flit import TrafficClass
 
 #: flits per flow; one message each, so the Virtual Clock state stays

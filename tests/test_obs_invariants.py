@@ -4,7 +4,7 @@ Every workload family the suite exercises elsewhere — CBR/VBR/
 best-effort mixes, multiplexed and full crossbars, Virtual Clock and
 FIFO multiplexing, the fat mesh, faulted runs with recovery, and the
 adaptive-failover stack — is re-run here with an
-:class:`~repro.obs.InvariantChecker` riding the event stream, so flit
+:class:`~repro.obs.invariants.InvariantChecker` riding the event stream, so flit
 conservation, monotone worm progress, and credit consistency are
 asserted on real traffic rather than toy fixtures, on both the
 active-set loop and the reference stepper.
@@ -12,7 +12,7 @@ active-set loop and the reference stepper.
 A run passes simply by completing: the checker raises
 :class:`~repro.errors.InvariantViolation` mid-run on the first
 inconsistent event, and the runner's :class:`TraceSpec(check=True)
-<repro.obs.TraceSpec>` harness closes the conservation ledger (plus a
+<repro.obs.events.TraceSpec>` harness closes the conservation ledger (plus a
 final credit/structural audit) when the run finishes.
 """
 
@@ -28,7 +28,7 @@ from repro.experiments.failover import _fat_pair_windows
 from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
-from repro.obs import TraceSpec
+from repro.obs.events import TraceSpec
 from repro.router.config import CrossbarKind, RoutingMode
 from repro.router.flit import TrafficClass
 

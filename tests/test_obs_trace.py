@@ -22,10 +22,11 @@ from conftest import TINY
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.runner import simulate_single_switch
 from repro.metrics.collector import RunMetrics
-from repro.obs import TraceSpec, stream_digest, validate_event
+from repro.obs.events import TraceSpec, validate_event
+from repro.obs.sinks import stream_digest
 
 #: canonical digest of the tiny golden run's event stream (message ids
-#: densified by repro.obs.stream_digest).  Recompute with:
+#: densified by repro.obs.sinks.stream_digest).  Recompute with:
 #:   PYTHONPATH=src python -c "import tests.test_obs_trace as t; print(t._golden_digest())"
 GOLDEN_DIGEST = (
     "a263604e3794e7eccb111f03f830234878a1e2e738e36d86f4dd068e4c6c1925"

@@ -69,17 +69,6 @@ class TestFigureToText:
         assert "77.000" in figure_to_text(fig, show_be_latency=True)
         assert "77.000" not in figure_to_text(fig, show_be_latency=False)
 
-    def test_rows_flatten(self):
-        fig = FigureData(
-            figure_id="f",
-            title="t",
-            xlabel="x",
-            series={"a": [Point(0.5, _metrics())], "b": [Point(0.6, _metrics())]},
-        )
-        rows = fig.rows()
-        assert len(rows) == 2
-        assert rows[0][0] == "a"
-
 
 class TestTableText:
     def test_table2_layout(self):

@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from repro.chaos import load_repro, replay
+from repro.chaos.campaign import load_repro, replay
 
 CORPUS = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "repros", "*.json"))

@@ -294,6 +294,7 @@ def _fake_result(policy, rate):
 
     class _Result:
         metrics = empty_metrics()
+        connections = None
         fault_stats = {
             "flits_lost": 7,
             "delivered_fraction": 0.995,

@@ -11,7 +11,7 @@ from repro.network.network import Network
 from repro.router.flit import TrafficClass
 from repro.sim.rng import RngStreams
 from repro.traffic.besteffort import BestEffortConfig, BestEffortSource
-from repro.traffic.mpeg import FrameSizeModel, cbr_frame_model, vbr_frame_model
+from repro.traffic.mpeg import FrameSizeModel, vbr_frame_model
 from repro.traffic.streams import MediaStream, StreamConfig
 
 from conftest import make_network
@@ -19,7 +19,7 @@ from conftest import make_network
 
 class TestFrameSizeModel:
     def test_cbr_is_constant(self):
-        model = cbr_frame_model(100.0)
+        model = FrameSizeModel(100.0, 0.0)
         rng = RngStreams(1).stream("t")
         assert [model.draw(rng) for _ in range(10)] == [100] * 10
         assert model.is_constant
@@ -73,7 +73,7 @@ def _stream_config(**overrides):
         vtick=100.0,
         message_size=5,
         frame_interval=200,
-        frame_model=cbr_frame_model(20.0),
+        frame_model=FrameSizeModel(20.0, 0.0),
         traffic_class=TrafficClass.CBR,
         phase=0,
     )

