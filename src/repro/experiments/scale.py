@@ -14,7 +14,10 @@ campaign.
 Each point also audits the *compile-once* contract: the repeat run
 must hit the runner's topology cache, so the route-program compile
 counter may move at most once per point (and not at all when an
-earlier point already cached the shape).
+earlier point already cached the shape).  Next to it sits *walk-once*:
+the repeat and reference runs must replay the first run's balanced
+placement walks from the process memo
+(:meth:`repro.sim.rng.RngStreams.shuffled_prefix`), never redraw them.
 
 :data:`CAMPAIGN` sweeps point names (``--points``; ``--profile smoke``:
 :data:`SMOKE_POINTS`); a point's record is its ``extra``, and a point
@@ -36,6 +39,7 @@ from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import simulate, topology_of
 from repro.metrics.collector import canonical, canonical_metrics
 from repro.router import routeprog
+from repro.sim import rng
 from repro.sim.reference import run_reference
 
 #: sparse load so wall time stays dominated by network size, not flits
@@ -123,10 +127,12 @@ def _point_experiment(profile, series, name: str):
 
 
 def _point_ok(record: Dict[str, object]) -> bool:
-    """One digest on both loops, one compile, and outputs worth hashing."""
+    """One digest on both loops, one compile, one placement walk, and
+    outputs worth hashing."""
     return bool(
         record["identical"]
         and record["compile_once"]
+        and record["placement_walks"][1:] == [0, 0]
         and all(
             isinstance(record[key], float) and math.isfinite(record[key])
             for key in ("d_ms", "sigma_d_ms")
@@ -146,12 +152,17 @@ def _scale_point(experiment) -> Point:
     name = point_name(experiment)
     networks = []
     hooked = dataclasses.replace(experiment, network_hook=networks.append)
+    #: placement walks per run, in run order
+    walks = []
 
     def timed(loop=None):
-        """One run: result, wall seconds, (digest, buffered-VC census)."""
+        """One run: result, wall seconds, (digest, buffered-VC census);
+        appends the placement walks the run performed to ``walks``."""
+        walks_before = rng.PLACEMENT_WALKS
         started = time.perf_counter()
         result = simulate(hooked, loop=loop)
         seconds = time.perf_counter() - started
+        walks.append(rng.PLACEMENT_WALKS - walks_before)
         return result, seconds, (run_digest(result), networks.pop().buffered_vcs())
 
     compiles_before = routeprog.compile_count()
@@ -194,11 +205,21 @@ def _scale_point(experiment) -> Point:
         "compiles_first_run": compiles_first,
         "compiles_repeat_run": compiles_repeat,
         "compile_once": compiles_first <= 1 and compiles_repeat == 0,
+        # balanced-placement shuffle walks of the active, repeat and
+        # reference runs: the first walks once per host (none on a warm
+        # memo), the other two replay it — the walk-once contract
+        "placement_walks": walks,
     }
     if not _point_ok(record):
         record["failed"] = ", ".join(
             f"{key}={record[key]}"
-            for key in ("identical", "compile_once", "d_ms", "sigma_d_ms")
+            for key in (
+                "identical",
+                "compile_once",
+                "placement_walks",
+                "d_ms",
+                "sigma_d_ms",
+            )
         )
     return Point(None, active.metrics, extra=record)
 

@@ -83,8 +83,9 @@ class Link:
         self.src_port = -1
         #: in-flight flits: (arrival_cycle, msg, flit_index, vc_index)
         self.pending: Deque[Tuple[int, Message, int, int]] = deque()
-        #: hook(arrival) fired when the wire transitions from empty to
-        #: non-empty, with the arrival cycle of that first flit;
+        #: hook(index, arrival) fired when the wire transitions from
+        #: empty to non-empty, with this link's ``index`` and the
+        #: arrival cycle of that first flit;
         #: installed by the cycle loop so it starts visiting this link
         #: and knows its head arrival (None when the link is driven
         #: manually).  Firing only on the transition — not per flit —
@@ -101,7 +102,7 @@ class Link:
         arrival = clock + self.latency
         pending = self.pending
         if not pending and self.on_wake is not None:
-            self.on_wake(arrival)
+            self.on_wake(self.index, arrival)
         pending.append((arrival, msg, flit_index, vc_index))
         if self.trace is not None:
             self.trace.on_event(

@@ -24,7 +24,8 @@ derived hot state is the *head mirror*: ``_link_head[i]`` equals
 ``links[i].pending[0][0]``, or the far sentinel while the wire is
 empty.  Whoever puts the first flit on an empty wire stores its
 arrival — the inlined send kernels directly, object code through the
-``Link.on_wake(arrival)`` hook this class installs — and whoever drains
+``Link.on_wake(index, arrival)`` hook, one bound method this class
+installs on every link — and whoever drains
 a wire stores the new head.  ``Network.kill_message`` calls
 :meth:`FusedLoop.resync` with the links and routers its purge touched —
 the message's *trail* (``Message.trail``: the ids of the routers its
@@ -247,10 +248,11 @@ class FusedLoop:
 
         #: mirror of every link's head arrival (see the module
         #: docstring's state-layout section), kept exact across object
-        #: code by the wake hooks installed here
+        #: code by the one wake hook every link calls
         self._link_head = [_FAR] * len(network.links)
-        for idx, link in enumerate(network.links):
-            link.on_wake = self._wake_hook(idx)
+        wake = self._wake
+        for link in network.links:
+            link.on_wake = wake
 
         #: per-router per-port count of unowned output VCs.  When a
         #: port has none, every arbitration attempt on it resolves to
@@ -301,16 +303,10 @@ class FusedLoop:
             for router in network.routers
         ]
 
-    def _wake_hook(self, idx: int):
-        """``Link.on_wake`` for link ``idx``: first flit on an empty wire."""
-        head = self._link_head
-        activate = self._net._link_sched.activate
-
-        def wake(arrival: int) -> None:
-            head[idx] = arrival
-            activate(idx)
-
-        return wake
+    def _wake(self, idx: int, arrival: int) -> None:
+        """``Link.on_wake``: the first flit on link ``idx``'s empty wire."""
+        self._link_head[idx] = arrival
+        self._net._link_sched.activate(idx)
 
     # ------------------------------------------------------------------
     # consistency hooks

@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro.core.virtual_clock import vtick_for_fraction
 from repro.errors import ConfigurationError
 from repro.router.flit import TrafficClass
-from repro.sim.rng import RngStreams, fast_shuffle
+from repro.sim.rng import RngStreams
 from repro.sim.units import (
     MPEG2_FRAME_BYTES_MEAN,
     MPEG2_FRAME_BYTES_STD,
@@ -215,11 +215,16 @@ def build_workload(
     model = config.frame_model()
 
     for index, node in enumerate(nodes):
-        node_rng = rngs.stream(f"node{node}/placement")
         others = nodes[:index] + nodes[index + 1 :]
         if config.balanced_destinations:
-            rotation = others[:]
-            fast_shuffle(node_rng, rotation)
+            # the shuffled rotation of ``others``; streams read only
+            # its first ``per_node`` entries
+            node_rng, order = rngs.shuffled_prefix(
+                f"node{node}/placement", len(others), per_node
+            )
+            rotation = [others[j] for j in order]
+        else:
+            node_rng = rngs.stream(f"node{node}/placement")
         for k in range(per_node):
             stream_rng = rngs.stream(f"node{node}/stream{k}")
             if config.balanced_destinations:

@@ -192,6 +192,8 @@ def _scale_record(name: str, topology: dict) -> dict:
         "identical": True,
         "legacy_s": 0.0,
         "name": name,
+        # the stub builds no workload, so no run walks a placement
+        "placement_walks": [0, 0, 0],
         "repeat_s": 0.0,
         "setup_s": 0.0,
         "sigma_d_ms": 0.5,

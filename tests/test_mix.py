@@ -9,6 +9,7 @@ from repro.experiments.config import FatTree3Experiment
 from repro.network.network import Network
 from repro.network.topology import fat_tree3
 from repro.router.flit import TrafficClass
+from repro.sim import rng
 from repro.sim.rng import RngStreams
 from repro.sim.units import LinkSpec, WorkloadScale
 from repro.traffic.mix import (
@@ -204,7 +205,9 @@ class TestPlacementGolden:
     The digests were computed on the commit *before* placement stopped
     calling ``Random.shuffle`` (``fast_shuffle`` inlines its draws) and
     ``others`` became a slice: same destinations, same VCs, same
-    phases, on every interpreter CI runs.
+    phases, on every interpreter CI runs.  Each holds on a cold build,
+    which walks every host's shuffle, and on the warm build after it,
+    which replays them all from the placement memo.
     """
 
     @pytest.mark.parametrize(
@@ -229,7 +232,10 @@ class TestPlacementGolden:
             ),
         ],
     )
-    def test_k16_seed1_placement(self, load, mix, streams, digest):
+    def test_k16_seed1_placement(
+        self, monkeypatch, load, mix, streams, digest
+    ):
+        monkeypatch.setattr(rng, "_WALKS", {})
         experiment = FatTree3Experiment(
             k=16,
             load=load,
@@ -244,23 +250,26 @@ class TestPlacementGolden:
         network = Network(
             topology, experiment.router_config(topology.ports_per_router)
         )
-        workload = build_workload(
-            network,
-            experiment.workload_config(),
-            RngStreams(experiment.seed),
-            start=False,
-        )
-        assert len(workload.streams) == streams
-        pinned = hashlib.sha256()
-        for stream in workload.streams:
-            cfg = stream.config
-            pinned.update(
-                f"{cfg.src_node},{cfg.dst_node},{cfg.src_vc},"
-                f"{cfg.dst_vc},{cfg.phase};".encode()
-            )
         nodes = topology.node_ids
-        for source in workload.besteffort:
-            cfg = source.config
-            pinned.update(f"{cfg.src_node},{cfg.phase};".encode())
-            assert cfg.dst_nodes == [n for n in nodes if n != cfg.src_node]
-        assert pinned.hexdigest() == digest
+        for walks in (len(nodes), 0):  # cold, then warm
+            before = rng.PLACEMENT_WALKS
+            workload = build_workload(
+                network,
+                experiment.workload_config(),
+                RngStreams(experiment.seed),
+                start=False,
+            )
+            assert rng.PLACEMENT_WALKS - before == walks
+            assert len(workload.streams) == streams
+            pinned = hashlib.sha256()
+            for stream in workload.streams:
+                cfg = stream.config
+                pinned.update(
+                    f"{cfg.src_node},{cfg.dst_node},{cfg.src_vc},"
+                    f"{cfg.dst_vc},{cfg.phase};".encode()
+                )
+            for source in workload.besteffort:
+                cfg = source.config
+                pinned.update(f"{cfg.src_node},{cfg.phase};".encode())
+                assert cfg.dst_nodes == [n for n in nodes if n != cfg.src_node]
+            assert pinned.hexdigest() == digest

@@ -35,6 +35,7 @@ from repro.experiments.topo import (
 )
 from repro.network.network import Network
 from repro.router.config import RouterConfig
+from repro.sim import rng
 from repro.sim.reference import run_reference
 
 
@@ -101,6 +102,7 @@ class TestScalePoints:
         record = {
             "identical": True,
             "compile_once": True,
+            "placement_walks": [16, 0, 0],
             "d_ms": 33.0,
             "sigma_d_ms": 0.1,
         }
@@ -108,6 +110,25 @@ class TestScalePoints:
         assert not _point_ok({**record, field: "nan"})
         assert not _point_ok({**record, field: math.inf})
         assert not _point_ok({**record, "identical": False})
+
+    def test_rebuilds_replay_the_placement_walks(self, monkeypatch):
+        """Walk-once: the first run walks each host's shuffle, the
+        repeat and the reference run replay them from the memo."""
+        monkeypatch.setattr(rng, "_WALKS", {})
+        record = run_scale_point("ft3-16")
+        assert record["placement_walks"] == [16, 0, 0]
+        assert _point_ok(record)
+
+    def test_a_rebuild_that_walks_fails_the_point(self, monkeypatch):
+        """A memo too small for the fabric re-walks on every rebuild:
+        the point is FAILED, digests identical or not."""
+        monkeypatch.setattr(rng, "_WALKS", {})
+        monkeypatch.setattr(rng, "_WALKS_CAP", 1)
+        record = run_scale_point("ft3-16")
+        assert record["identical"]
+        assert record["placement_walks"] == [16, 16, 16]
+        assert not _point_ok(record)
+        assert "placement_walks=[16, 16, 16]" in record["failed"]
 
     def test_campaign_summary_and_text(self):
         fig = CAMPAIGN.run("smoke", ("bfly-64",))
