@@ -109,10 +109,12 @@ class RoundRobinScheduler(MuxScheduler):
 
 
 def make_scheduler(policy: str) -> MuxScheduler:
-    """Instantiate a scheduler by policy name.
+    """A new scheduler instance for a policy name.
 
-    Each multiplexer gets its own instance because round-robin carries
-    rotation state.
+    Every call returns a fresh instance.  A multiplexer whose policy
+    selects without state (``stateless_select``: FIFO, Virtual Clock)
+    may share one with its router's other ports; round-robin carries
+    rotation state, so each of its multiplexers needs its own.
     """
     if policy == SchedulingPolicy.VIRTUAL_CLOCK:
         return VirtualClockScheduler()

@@ -349,6 +349,10 @@ def simulate(experiment, loop=None) -> ExperimentResult:
             monitor.bind_admission(_mirror_admission(network, workload))
             # Isolated-host shedding pauses the victims' media sessions.
             monitor.bind_streams(workload.streams)
+        # Streams hold their own generators; unless the health monitor
+        # or a PCS workload kept the RngStreams, dropping it frees the
+        # spent placement generators (1024 at k=16) before cycle 0.
+        del rngs
     # Observability extras install last so every emitter (including the
     # transport and health monitor above) is wired before the first event.
     spec = experiment.trace

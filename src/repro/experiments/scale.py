@@ -166,6 +166,9 @@ def _scale_point(experiment) -> Point:
         return result, seconds, (run_digest(result), networks.pop().buffered_vcs())
 
     compiles_before = routeprog.compile_count()
+    started = time.perf_counter()
+    topology_of(experiment)
+    topology_s = time.perf_counter() - started
     try:
         active, active_s, outcome = timed()
         compiles_first = routeprog.compile_count() - compiles_before
@@ -183,6 +186,9 @@ def _scale_point(experiment) -> Point:
         "name": name,
         "topology": _topology_stats(experiment),
         "watchdog_window": experiment.watchdog_window,
+        # the topology build + route compile before the first run
+        # (≈ 0 when an earlier point cached the shape); never gated
+        "topology_s": round(topology_s, 3),
         "active_s": round(active_s, 3),
         # the part of active_s spent building the run (network,
         # workload), before the first cycle
@@ -200,8 +206,9 @@ def _scale_point(experiment) -> Point:
         "identical": outcome == repeat_outcome == legacy_outcome,
         "vcs_used": vcs_used,
         "vcs_total": vcs_total,
-        # at most one compile for the first run (zero on a warm cache),
-        # and exactly zero for the repeat — the compile-once contract
+        # at most one compile for the build and first run (zero on a
+        # warm cache), and exactly zero for the repeat — the
+        # compile-once contract
         "compiles_first_run": compiles_first,
         "compiles_repeat_run": compiles_repeat,
         "compile_once": compiles_first <= 1 and compiles_repeat == 0,
@@ -260,6 +267,7 @@ CAMPAIGN = Campaign(
         Column("hosts", 6, "topology.hosts"),
         Column("switches", 8, "topology.routers"),
         Column("table ints", 10, "topology.table_ints"),
+        Column("build s", 8, "topology_s", ".2f"),
         Column("active s", 8, "active_s", ".1f"),
         Column("setup s", 8, "setup_s", ".2f"),
         Column("legacy s", 8, "legacy_s", ".1f"),

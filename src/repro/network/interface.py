@@ -20,6 +20,7 @@ from repro.core.schedulers import MuxScheduler, make_scheduler
 from repro.core.virtual_clock import VirtualClockState
 from repro.errors import FlowControlError
 from repro.network.link import Link
+from repro.router.buffers import NO_FLITS
 from repro.router.flit import Message
 
 
@@ -30,8 +31,9 @@ class _NIVC:
 
     def __init__(self, index: int, credits: int) -> None:
         self.index = index
-        #: messages queued on this VC, head first
-        self.queue: Deque[Message] = deque()
+        #: messages queued on this VC, head first;
+        #: :data:`~repro.router.buffers.NO_FLITS` until the first inject
+        self.queue: Deque[Message] = NO_FLITS
         #: flits of the head message already sent
         self.sent = 0
         #: free slots in the router's matching input VC buffer
@@ -105,6 +107,8 @@ class HostInterface:
             )
         msg.inject_time = clock
         vc = self.vcs[msg.src_vc]
+        if vc.queue is NO_FLITS:
+            vc.queue = deque()
         vc.queue.append(msg)
         if len(vc.queue) == 1:
             self._open_head(vc)

@@ -15,6 +15,7 @@ from typing import Deque, Tuple
 
 from repro.errors import FlowControlError
 from repro.faults import FATE_LOST, FATE_OK
+from repro.router.buffers import NO_FLITS
 from repro.router.flit import Message
 
 #: default link pipeline latency in cycles (wire + stage-1 sync/decode)
@@ -81,8 +82,10 @@ class Link:
         #: host-injection links, whose sender is an NI)
         self.src_router = None
         self.src_port = -1
-        #: in-flight flits: (arrival_cycle, msg, flit_index, vc_index)
-        self.pending: Deque[Tuple[int, Message, int, int]] = deque()
+        #: in-flight flits: (arrival_cycle, msg, flit_index, vc_index);
+        #: :data:`~repro.router.buffers.NO_FLITS` until the first send
+        #: (most wires of a large idle fabric never carry a flit)
+        self.pending: Deque[Tuple[int, Message, int, int]] = NO_FLITS
         #: hook(index, arrival) fired when the wire transitions from
         #: empty to non-empty, with this link's ``index`` and the
         #: arrival cycle of that first flit;
@@ -101,8 +104,11 @@ class Link:
         """Put one flit on the wire at cycle ``clock``."""
         arrival = clock + self.latency
         pending = self.pending
-        if not pending and self.on_wake is not None:
-            self.on_wake(self.index, arrival)
+        if not pending:
+            if pending is NO_FLITS:
+                pending = self.pending = deque()
+            if self.on_wake is not None:
+                self.on_wake(self.index, arrival)
         pending.append((arrival, msg, flit_index, vc_index))
         if self.trace is not None:
             self.trace.on_event(

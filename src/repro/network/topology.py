@@ -16,12 +16,13 @@ folded multistage Clos/Butterfly) extend the reproduction to the
 datacenter scales the ROADMAP names, with deterministic up*/down*
 routing compiled by the shared :func:`_updown_tables` pass.
 
-Every generator, the single switch included, builds its routing
-tables in dict form and hands them to
-:func:`~repro.router.routeprog.compile_routes`, which compiles them
-into one immutable :class:`~repro.router.routeprog.RouteProgram` —
-built exactly once per topology, shared by every network instantiated
-over it.
+Every generator, the single switch included, compiles its routes into
+one immutable :class:`~repro.router.routeprog.RouteProgram` — built
+exactly once per topology, shared by every network instantiated over
+it.  The trees hand :func:`~repro.router.routeprog.compile_rows` one
+row per router; the single switch and the meshes write sparse
+``(router, node) -> ports`` dicts for
+:func:`~repro.router.routeprog.compile_routes`, its front door.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from repro.router.routeprog import (
     FLAVOR_XY,
     FLAVOR_YX,
     RouteProgram,
+    RouteRow,
     UpDownFailover,
     compile_routes,
+    compile_rows,
 )
 
 
@@ -393,8 +396,9 @@ def _updown_tables(
     adjacency: Dict[Tuple[int, int], Tuple[int, ...]],
     host_router: Dict[int, int],
     host_port: Dict[int, int],
-) -> Dict[Tuple[int, int], Tuple[int, ...]]:
-    """Deterministic up*/down* routing tables for a levelled topology.
+) -> List[RouteRow]:
+    """Deterministic up*/down* routes for a levelled topology, one
+    :data:`~repro.router.routeprog.RouteRow` per router.
 
     ``adjacency`` maps ``(router, neighbour) -> fat port group``; every
     physical adjacency appears in both directions, and adjacent routers
@@ -403,7 +407,16 @@ def _updown_tables(
     (any parent group — the router picks by load, as on fat-mesh link
     groups) exactly until the destination is in the subtree below, then
     strictly *down* along the group(s) toward the child subtree holding
-    it.  Because down-subtrees partition the hosts at every level of a
+    it.  So a router's row is its up group (every parent group, in
+    parent-id order) as the default, overridden only for the hosts of
+    its own subtree: its own hosts' ports, and for a host below a child
+    that child's group — several children's groups concatenated in
+    child-id order when the host is reachable through each.  At k=16
+    that is ≈ 75 k overrides where a per-destination table would hold
+    327 680 entries.  A router with no parents must have every host
+    below it.
+
+    Because down-subtrees partition the hosts at every level of a
     folded-Clos-style fabric, down candidates are a single fat group —
     there is provably no down-path diversity to build detour tables
     from, which is why tree topologies compile with an empty detour
@@ -415,8 +428,8 @@ def _updown_tables(
     repair — see docs/simulator-internals.md, "Switch failures and
     datacenter failover".
     """
-    children: Dict[int, List[int]] = {r: [] for r in range(num_routers)}
-    parents: Dict[int, List[int]] = {r: [] for r in range(num_routers)}
+    children: List[List[int]] = [[] for _ in range(num_routers)]
+    parents: List[List[int]] = [[] for _ in range(num_routers)]
     for (rid, nbr) in sorted(adjacency):
         if levels[nbr] == levels[rid] - 1:
             children[rid].append(nbr)
@@ -428,48 +441,41 @@ def _updown_tables(
                 f"{levels[rid]}->{levels[nbr]}; up*/down* needs "
                 f"consecutive levels"
             )
-    up_ports = {
-        rid: tuple(
-            port for nbr in parents[rid] for port in adjacency[(rid, nbr)]
-        )
-        for rid in range(num_routers)
-    }
 
-    # Propagate host sets up the tree, remembering which child subtree
-    # each host arrived through (hosts may be reachable through several
-    # children in a generalised fabric; candidates concatenate groups
-    # in child-id order, deterministically).
-    hosts_via: Dict[int, Dict[int, List[int]]] = {
-        r: {} for r in range(num_routers)
-    }
-    below: Dict[int, set] = {r: set() for r in range(num_routers)}
+    # Bottom-up: each router's down routes, keyed by the hosts below it.
+    down: List[Dict[int, Tuple[int, ...]]] = [{} for _ in range(num_routers)]
     for node, rid in host_router.items():
-        below[rid].add(node)
+        down[rid][node] = (host_port[node],)
     for rid in sorted(range(num_routers), key=lambda r: (levels[r], r)):
+        row = down[rid]
         for child in children[rid]:
-            for node in below[child]:
-                below[rid].add(node)
-                hosts_via[rid].setdefault(node, []).append(child)
-
-    table: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for node, dst_rid in host_router.items():
-        for rid in range(num_routers):
-            if rid == dst_rid:
-                table[(rid, node)] = (host_port[node],)
-            elif node in below[rid]:
-                table[(rid, node)] = tuple(
-                    port
-                    for child in hosts_via[rid][node]
-                    for port in adjacency[(rid, child)]
-                )
+            group = adjacency[(rid, child)]
+            below = down[child]
+            if row.keys().isdisjoint(below):
+                row.update(dict.fromkeys(below, group))
             else:
-                if not up_ports[rid]:
-                    raise ConfigurationError(
-                        f"router {rid} (level {levels[rid]}) cannot reach "
-                        f"node {node}: not below and no parents"
-                    )
-                table[(rid, node)] = up_ports[rid]
-    return table
+                for node in below:
+                    row[node] = row[node] + group if node in row else group
+
+    up = [
+        tuple(port for nbr in parents[rid] for port in adjacency[(rid, nbr)])
+        for rid in range(num_routers)
+    ]
+    stuck = [
+        rid
+        for rid in range(num_routers)
+        if not up[rid] and len(down[rid]) < len(host_router)
+    ]
+    if stuck:
+        node = next(
+            n for n in host_router if any(n not in down[r] for r in stuck)
+        )
+        rid = next(r for r in stuck if node not in down[r])
+        raise ConfigurationError(
+            f"router {rid} (level {levels[rid]}) cannot reach "
+            f"node {node}: not below and no parents"
+        )
+    return [(up[rid] or None, down[rid]) for rid in range(num_routers)]
 
 
 def _wire_levelled(
@@ -575,7 +581,7 @@ def fat_tree3(
     core_ports = k * fat_width
     ports_per_router = max(leaf_ports, spine_ports, core_ports)
 
-    table = _updown_tables(
+    rows = _updown_tables(
         num_routers, levels, adjacency, host_router, host_port
     )
     name = f"fat-tree3-k{k}h{hpl}w{fat_width}"
@@ -586,7 +592,9 @@ def fat_tree3(
         ports_per_router=ports_per_router,
         hosts=hosts,
         channels=_wire_levelled(levels, adjacency),
-        route_program=compile_routes(table, name=name, overlay=overlay),
+        route_program=compile_rows(
+            sorted(host_router), rows, name=name, overlay=overlay
+        ),
         extras={
             "generator": "fat_tree3",
             "k": k,
@@ -669,7 +677,7 @@ def butterfly(
         leaf_ports, top_ports, mid_ports if levels > 2 else 0
     )
 
-    table = _updown_tables(
+    rows = _updown_tables(
         num_routers, level_of, adjacency, host_router, host_port
     )
     name = f"butterfly-a{arity}n{levels}h{hpl}w{fat_width}"
@@ -680,7 +688,9 @@ def butterfly(
         ports_per_router=ports_per_router,
         hosts=hosts,
         channels=_wire_levelled(level_of, adjacency),
-        route_program=compile_routes(table, name=name, overlay=overlay),
+        route_program=compile_rows(
+            sorted(host_router), rows, name=name, overlay=overlay
+        ),
         extras={
             "generator": "butterfly",
             "arity": arity,

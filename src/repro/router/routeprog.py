@@ -1,7 +1,7 @@
 """Compiled route programs: per-topology routing as flat indexed data.
 
 Every topology generator — the single switch included — hands its
-routing tables to :func:`compile_routes`, which builds one immutable
+routes to :func:`compile_rows`, which builds one immutable
 :class:`RouteProgram`: exactly once per topology, shared read-only by
 every router and every :class:`~repro.network.network.Network`
 instantiated over it.  A routing function maps ``(router_id,
@@ -16,11 +16,16 @@ one (section 3.4).  The program stores that map as:
   (a 16-pod fat tree has 320 routers x 1024 destinations but only a
   few hundred distinct groups);
 * the primary and alternate (Y-then-X) tables become per-router integer
-  rows (``primary[rid][slot] -> group id``, ``-1`` = no route), which
-  is the representation the ROADMAP's numpy array backend indexes
-  directly;
+  rows (``primary[rid][slot] -> group id``, ``-1`` = no route);
 * detour fallbacks stay sparse: ``detours[(rid, slot)]`` is an ordered
   tuple of ``(group id, flavor)`` pairs.
+
+The compile input is one :data:`RouteRow` per router: a default group
+plus the destinations that take another one, so an up*/down* fabric
+states each router's up group once instead of once per remote host.
+:func:`compile_routes` is the front door for the sparse
+``(router_id, dst_node) -> ports`` dict form small generators write:
+it splits the dict into rows and compiles those.
 
 Mutable routing state — the health mask a failover campaign applies
 via ``mask_port``/``unmask_port`` and the reroute/detour counters —
@@ -407,6 +412,100 @@ class UpDownFailover:
         )
 
 
+#: one router's primary (or alternate) routes as :func:`compile_rows`
+#: reads them: the port group every destination not listed takes
+#: (``None``: no route), and the destinations that take another group
+RouteRow = Tuple[Optional[Tuple[int, ...]], Mapping[int, Tuple[int, ...]]]
+
+
+def compile_rows(
+    nodes: Sequence[int],
+    rows: Sequence[RouteRow],
+    alt_rows: Optional[Sequence[Optional[RouteRow]]] = None,
+    detours: Optional[
+        Mapping[Tuple[int, int], Tuple[Tuple[Tuple[int, ...], str], ...]]
+    ] = None,
+    *,
+    name: str = "table",
+    overlay: Optional[UpDownFailover] = None,
+) -> RouteProgram:
+    """Compile per-router route rows into one :class:`RouteProgram`.
+
+    ``nodes`` are the destination node ids (slot order) and ``rows[rid]``
+    is router ``rid``'s :data:`RouteRow`; ``alt_rows`` (``None`` entries
+    for routers without one) is the alternate table in the same form,
+    and ``detours`` maps ``(router_id, dst_node)`` to its ordered
+    ``(ports, flavor)`` fallbacks.  Candidate tuples are preserved
+    exactly (same ports, same order).  A default is interned only when
+    some destination takes it, so the group count is that of the
+    routes the program can answer.  Empty candidate groups are rejected
+    here, the single validation point.  Port groups must be tuples.
+    """
+    global _COMPILE_COUNT
+    _COMPILE_COUNT += 1
+
+    nodes = tuple(nodes)
+    num_slots = len(nodes)
+    dense = nodes == tuple(range(num_slots))
+    node_slot = {node: slot for slot, node in enumerate(nodes)}
+    groups: List[Tuple[int, ...]] = []
+    group_ids: Dict[Tuple[int, ...], int] = {}
+    get_gid = group_ids.get
+
+    def intern_group(ports: Tuple[int, ...], where: object, kind: str) -> int:
+        gid = get_gid(ports)
+        if gid is None:
+            if not ports:
+                raise RoutingError(f"empty {kind}routing entry for {where}")
+            gid = len(groups)
+            group_ids[ports] = gid
+            groups.append(ports)
+        return gid
+
+    def compile_row(rid: int, row: RouteRow, kind: str) -> Tuple[int, ...]:
+        default, overrides = row
+        fill = -1
+        if default is not None and len(overrides) < num_slots:
+            fill = intern_group(default, f"router {rid}'s default", kind)
+        out = [fill] * num_slots
+        for node, ports in overrides.items():
+            gid = get_gid(ports)
+            if gid is None:
+                gid = intern_group(ports, (rid, node), kind)
+            out[node_slot[node]] = gid
+        return tuple(out)
+
+    primary = tuple(compile_row(rid, row, "") for rid, row in enumerate(rows))
+    alt = None
+    if alt_rows is not None:
+        alt = tuple(
+            None if row is None else compile_row(rid, row, "alternate ")
+            for rid, row in enumerate(alt_rows)
+        )
+
+    detour_map: Dict[Tuple[int, int], Tuple[Tuple[int, str], ...]] = {}
+    for (rid, node), options in (detours or {}).items():
+        compiled = tuple(
+            (intern_group(ports, (rid, node), "detour "), flavor)
+            for ports, flavor in options
+        )
+        if compiled:
+            detour_map[(rid, node_slot[node])] = compiled
+
+    return RouteProgram(
+        name=name,
+        num_routers=len(rows),
+        nodes=nodes,
+        node_slot=node_slot,
+        dense=dense,
+        groups=tuple(groups),
+        primary=primary,
+        alt=alt,
+        detours=detour_map,
+        overlay=overlay,
+    )
+
+
 def compile_routes(
     table: Mapping[Tuple[int, int], Tuple[int, ...]],
     alt_table: Optional[Mapping[Tuple[int, int], Tuple[int, ...]]] = None,
@@ -418,90 +517,47 @@ def compile_routes(
     num_routers: Optional[int] = None,
     overlay: Optional[UpDownFailover] = None,
 ) -> RouteProgram:
-    """Compile dict routing tables into one :class:`RouteProgram`.
+    """:func:`compile_rows` from sparse ``(router_id, dst_node) -> ports``
+    dicts, the form small generators write.
 
-    The input is the generator-native form — ``(router_id, dst_node) ->
-    ports`` mappings — and the output is the flat indexed program every
-    router queries.  Candidate tuples are preserved exactly (same ports,
-    same order), so a compiled topology is bit-identical to the historic
-    dict-per-lookup behaviour.  Empty candidate groups are rejected
-    here, the single validation point.
+    The destinations are every node either table names; a router
+    without entries gets an empty row, and ``num_routers`` defaults to
+    one past the highest router id named.
     """
-    global _COMPILE_COUNT
-    _COMPILE_COUNT += 1
-
-    nodes_seen: Set[int] = set()
-    max_router = -1
-    for (rid, node), ports in table.items():
-        if not ports:
-            raise RoutingError(f"empty routing entry for {(rid, node)}")
-        nodes_seen.add(node)
-        if rid > max_router:
-            max_router = rid
-    for (rid, node), ports in (alt_table or {}).items():
-        nodes_seen.add(node)
-        if rid > max_router:
-            max_router = rid
+    primary = _rows_of(table)
+    alt = _rows_of(alt_table or {})
+    nodes: Set[int] = set()
+    for overrides in (*primary.values(), *alt.values()):
+        nodes.update(overrides)
     if num_routers is None:
-        num_routers = max_router + 1
-    nodes = tuple(sorted(nodes_seen))
-    dense = nodes == tuple(range(len(nodes)))
-    node_slot = {node: slot for slot, node in enumerate(nodes)}
-
-    groups: List[Tuple[int, ...]] = []
-    group_ids: Dict[Tuple[int, ...], int] = {}
-
-    def intern_group(ports: Tuple[int, ...]) -> int:
-        ports = tuple(ports)
-        gid = group_ids.get(ports)
-        if gid is None:
-            gid = len(groups)
-            group_ids[ports] = gid
-            groups.append(ports)
-        return gid
-
-    num_slots = len(nodes)
-    primary_rows = [[-1] * num_slots for _ in range(num_routers)]
-    for (rid, node), ports in table.items():
-        primary_rows[rid][node_slot[node]] = intern_group(ports)
-
-    alt_rows: Optional[List[Optional[Tuple[int, ...]]]] = None
-    if alt_table:
-        alt_mut: List[Optional[List[int]]] = [None] * num_routers
-        for (rid, node), ports in alt_table.items():
-            if not ports:
-                raise RoutingError(
-                    f"empty alternate routing entry for {(rid, node)}"
-                )
-            row = alt_mut[rid]
-            if row is None:
-                row = [-1] * num_slots
-                alt_mut[rid] = row
-            row[node_slot[node]] = intern_group(ports)
+        num_routers = max((*primary, *alt), default=-1) + 1
+    alt_rows = None
+    if alt:
         alt_rows = [
-            None if row is None else tuple(row) for row in alt_mut
+            (None, alt[rid]) if rid in alt else None
+            for rid in range(num_routers)
         ]
-
-    detour_map: Dict[Tuple[int, int], Tuple[Tuple[int, str], ...]] = {}
-    for (rid, node), options in (detours or {}).items():
-        compiled = tuple(
-            (intern_group(ports), flavor) for ports, flavor in options
-        )
-        if compiled:
-            detour_map[(rid, node_slot[node])] = compiled
-
-    return RouteProgram(
+    return compile_rows(
+        sorted(nodes),
+        [(None, primary.get(rid, {})) for rid in range(num_routers)],
+        alt_rows,
+        detours,
         name=name,
-        num_routers=num_routers,
-        nodes=nodes,
-        node_slot=node_slot,
-        dense=dense,
-        groups=tuple(groups),
-        primary=tuple(tuple(row) for row in primary_rows),
-        alt=None if alt_rows is None else tuple(alt_rows),
-        detours=detour_map,
         overlay=overlay,
     )
+
+
+def _rows_of(
+    table: Mapping[Tuple[int, int], Tuple[int, ...]]
+) -> Dict[int, Dict[int, Tuple[int, ...]]]:
+    """A sparse dict table split into per-router ``{node: ports}`` rows."""
+    rows: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+    for (rid, node), ports in table.items():
+        row = rows.get(rid)
+        if row is None:
+            row = rows[rid] = {}
+        row[node] = ports
+    return rows
 
 
 class RouterRouteView:

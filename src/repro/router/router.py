@@ -86,15 +86,20 @@ class WormholeRouter:
         # via config.qos_placement.
         in_policy, out_policy = config.resolve_mux_policies()
         self._in_policy: MuxScheduler = make_scheduler(in_policy)
-        self._out_policy: MuxScheduler = make_scheduler(out_policy)
-        #: per-input-port selector at point A (separate instances so
-        #: round-robin rotation state stays per-multiplexer)
-        self._in_selectors: List[MuxScheduler] = [
-            make_scheduler(in_policy) for _ in range(n)
-        ]
-        self._out_selectors: List[MuxScheduler] = [
-            make_scheduler(out_policy) for _ in range(n)
-        ]
+        self._out_policy: MuxScheduler = (
+            self._in_policy
+            if out_policy == in_policy
+            else make_scheduler(out_policy)
+        )
+        #: per-port selectors at point A and stage 5: FIFO and Virtual
+        #: Clock select without state, so every port shares the policy
+        #: instance; round-robin rotation stays per multiplexer
+        self._in_selectors: List[MuxScheduler] = self._selectors(
+            self._in_policy, n
+        )
+        self._out_selectors: List[MuxScheduler] = self._selectors(
+            self._out_policy, n
+        )
         self._multiplexed = multiplexed
         #: stateless-selector flags allow single-candidate fast paths in
         #: the crossbar mux / stage-5 mux (round-robin must still see
@@ -152,6 +157,14 @@ class WormholeRouter:
         self.out_links[port] = link
         self.is_host_port[port] = host
         self._part[port] = self._build_port_partition(port)
+
+    @staticmethod
+    def _selectors(policy: MuxScheduler, n: int) -> List[MuxScheduler]:
+        """One selector per port: ``policy`` itself when its select
+        carries no state, else a fresh instance each."""
+        if policy.stateless_select:
+            return [policy] * n
+        return [make_scheduler(policy.policy) for _ in range(n)]
 
     def _build_port_partition(self, port: int):
         """Precompute the (normal, escape_only) VC tuples per class.

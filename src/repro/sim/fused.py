@@ -901,6 +901,8 @@ class FusedLoop:
                 arrival = clock + latency
                 pending = link.pending
                 if not pending:
+                    if pending is NO_FLITS:
+                        pending = link.pending = deque()
                     link_activate(link_id)
                     link_head[link_id] = arrival
                 pending.append((arrival, msg, flit_index, chosen))
@@ -1025,6 +1027,8 @@ class FusedLoop:
                         arrival = clock + latencies[port]
                         pending = links_of[port].pending
                         if not pending:
+                            if pending is NO_FLITS:
+                                pending = links_of[port].pending = deque()
                             link_activate(link_id)
                             link_head[link_id] = arrival
                         pending.append((arrival, msg, flit_index, chosen))

@@ -205,6 +205,7 @@ def _scale_record(name: str, topology: dict) -> dict:
             unique_groups=5,
             **topology,
         ),
+        "topology_s": 0.0,
         "vcs_total": 40,
         "vcs_used": 3,
         "watchdog_window": 41248,
@@ -310,10 +311,10 @@ butterfly/static        none     0.9500    0.9000        0      1234        1   
         },
         table="""\
 scale campaign (active / repeat / legacy must be bit-identical)
-     point  hosts switches table ints active s  setup s legacy s     d ms vcs used vcs total identical compiles
----------------------------------------------------------------------------------------------------------------
-    ft3-16     16       20        320      0.0     0.00      0.0  33.0000        3        40      True        0
-   bfly-64     64       48       3072      0.0     0.00      0.0  33.0000        3        40      True        0
+     point  hosts switches table ints  build s active s  setup s legacy s     d ms vcs used vcs total identical compiles
+------------------------------------------------------------------------------------------------------------------------
+    ft3-16     16       20        320     0.00      0.0     0.00      0.0  33.0000        3        40      True        0
+   bfly-64     64       48       3072     0.00      0.0     0.00      0.0  33.0000        3        40      True        0
 (a point fails unless its three runs share one digest and VC census, its route program compiles at most once, and d / sigma_d are finite)""",
         figure=dict(
             title="scale campaign (active / repeat / legacy must be "

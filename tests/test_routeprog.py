@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.chaos.scenario import ScenarioSpace, generate
-from repro.errors import RoutingError
+from repro.errors import ConfigurationError, RoutingError
 from repro.experiments import disaster, failover, runner
 from repro.experiments.campaign import experiment_key, get_profile
 from repro.experiments.config import (
@@ -35,7 +35,12 @@ from repro.experiments.runner import (
 )
 from repro.experiments.topo import TOPOLOGY_KINDS, build_topology
 from repro.network.network import Network
-from repro.network.topology import butterfly, fat_mesh_2x2, fat_tree3
+from repro.network.topology import (
+    _updown_tables,
+    butterfly,
+    fat_mesh_2x2,
+    fat_tree3,
+)
 from repro.router import routeprog
 from repro.router.config import RouterConfig
 from repro.router.routeprog import (
@@ -43,6 +48,7 @@ from repro.router.routeprog import (
     RouteProgram,
     RouterRouteView,
     compile_routes,
+    compile_rows,
 )
 
 
@@ -364,6 +370,151 @@ class TestScaleShapes:
         topology = butterfly(arity=8, levels=3)
         assert topology.num_hosts == 512
         assert topology.num_routers == 192
+
+
+# ----------------------------------------------------------------------
+# row-compiled up*/down* routes: exact against a per-destination oracle
+
+
+def _oracle_updown_table(num_routers, levels, adjacency, host_router, host_port):
+    """The per-``(router, node)`` up*/down* table, written out entry by
+    entry: up over every parent group unless the host is below, down
+    over the group(s) of each child holding it, in child-id order."""
+    children = {r: [] for r in range(num_routers)}
+    parents = {r: [] for r in range(num_routers)}
+    for rid, nbr in sorted(adjacency):
+        if levels[nbr] == levels[rid] - 1:
+            children[rid].append(nbr)
+        elif levels[nbr] == levels[rid] + 1:
+            parents[rid].append(nbr)
+    up_ports = {
+        rid: tuple(port for nbr in parents[rid] for port in adjacency[(rid, nbr)])
+        for rid in range(num_routers)
+    }
+    hosts_via = {r: {} for r in range(num_routers)}
+    below = {r: set() for r in range(num_routers)}
+    for node, rid in host_router.items():
+        below[rid].add(node)
+    for rid in sorted(range(num_routers), key=lambda r: (levels[r], r)):
+        for child in children[rid]:
+            for node in below[child]:
+                below[rid].add(node)
+                hosts_via[rid].setdefault(node, []).append(child)
+    table = {}
+    for node, dst_rid in host_router.items():
+        for rid in range(num_routers):
+            if rid == dst_rid:
+                table[(rid, node)] = (host_port[node],)
+            elif node in below[rid]:
+                table[(rid, node)] = tuple(
+                    port
+                    for child in hosts_via[rid][node]
+                    for port in adjacency[(rid, child)]
+                )
+            else:
+                if not up_ports[rid]:
+                    raise ConfigurationError(
+                        f"router {rid} (level {levels[rid]}) cannot reach "
+                        f"node {node}: not below and no parents"
+                    )
+                table[(rid, node)] = up_ports[rid]
+    return table
+
+
+def _levelled_inputs(topology):
+    """A generated tree's levels, adjacency groups and host attachment,
+    read back off its description."""
+    adjacency = {}
+    for src_r, src_p, dst_r, _ in topology.channels:
+        adjacency.setdefault((src_r, dst_r), []).append(src_p)
+    return (
+        topology.num_routers,
+        list(topology.extras["levels"]),
+        {pair: tuple(sorted(ports)) for pair, ports in adjacency.items()},
+        {node: rid for node, rid, _ in topology.hosts},
+        {node: port for node, _, port in topology.hosts},
+    )
+
+
+def _assert_same_program(program, oracle, routers, nodes):
+    for rid in range(routers):
+        for node in nodes:
+            assert program.candidates(rid, node) == oracle.candidates(rid, node)
+    stats, expected = program.stats(), oracle.stats()
+    for key in ("entries", "unique_groups", "table_ints"):
+        assert stats[key] == expected[key], key
+
+
+#: every tree shape off its default host count, on fat links
+ROW_CASES = [
+    ("fat_tree3", dict(k=k, hosts_per_leaf=k // 2 + 1, fat_width=2))
+    for k in (2, 4, 8, 16)
+] + [
+    ("butterfly", dict(arity=a, levels=n, hosts_per_leaf=a + 1, fat_width=2))
+    for a in (2, 3, 4)
+    for n in (2, 3, 4)
+]
+
+
+class TestRowCompiledUpDown:
+    @pytest.mark.parametrize(
+        "generator,shape",
+        ROW_CASES,
+        ids=[f"{g}-{'-'.join(map(str, s.values()))}" for g, s in ROW_CASES],
+    )
+    def test_rows_match_the_oracle_on_every_pair(self, generator, shape):
+        build = {"fat_tree3": fat_tree3, "butterfly": butterfly}[generator]
+        before = routeprog.compile_count()
+        topology = build(**shape)
+        assert routeprog.compile_count() - before == 1
+        oracle = compile_routes(
+            _oracle_updown_table(*_levelled_inputs(topology)),
+            num_routers=topology.num_routers,
+        )
+        _assert_same_program(
+            topology.route_program,
+            oracle,
+            topology.num_routers,
+            topology.node_ids,
+        )
+
+    def test_hosts_below_several_children_concatenate_in_child_order(self):
+        """A diamond: both leaves hang off both middle routers, and the
+        top reaches every host through either — so its down candidates
+        are both children's groups, in child-id order, and the middle
+        routers (whose subtree is every host) never use their up group."""
+        levels = [0, 0, 1, 1, 2]
+        adjacency = {}
+        for leaf in (0, 1):
+            for m, mid in enumerate((2, 3)):
+                adjacency[(leaf, mid)] = (1 + m,)
+                adjacency[(mid, leaf)] = (leaf,)
+        for m, mid in enumerate((2, 3)):
+            adjacency[(mid, 4)] = (2,)
+            adjacency[(4, mid)] = (2 * m, 2 * m + 1)
+        host_router = {0: 0, 1: 1}
+        host_port = {0: 0, 1: 0}
+        args = (5, levels, adjacency, host_router, host_port)
+        nodes = sorted(host_router)
+        program = compile_rows(nodes, _updown_tables(*args))
+        assert program.candidates(4, 0) == (0, 1, 2, 3)
+        _assert_same_program(
+            program, compile_routes(_oracle_updown_table(*args)), 5, nodes
+        )
+
+    def test_unreachable_node_names_the_oracles_pair(self):
+        """Two trees with no common root: the first (node, router) pair
+        the entry-by-entry table would fail on is the one named."""
+        levels = [0, 0, 1, 1]
+        adjacency = {(0, 2): (1,), (2, 0): (0,), (1, 3): (1,), (3, 1): (0,)}
+        args = (4, levels, adjacency, {0: 0, 1: 1}, {0: 0, 1: 0})
+        with pytest.raises(ConfigurationError) as expected:
+            _oracle_updown_table(*args)
+        with pytest.raises(
+            ConfigurationError, match="not below and no parents"
+        ) as raised:
+            _updown_tables(*args)
+        assert str(raised.value) == str(expected.value)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.experiments.topo import (
     describe_topology,
 )
 from repro.network.network import Network
+from repro.network.topology import fat_tree3
 from repro.router.config import RouterConfig
 from repro.sim import rng
 from repro.sim.reference import run_reference
@@ -212,11 +213,13 @@ class TestBufferedVcCensus:
         # 1 704 input + 1 596 output VCs: 8 % of the fabric
         assert networks.pop().buffered_vcs() == (3300, 40960)
 
-    def test_fresh_network_owns_no_vc_buffers_and_fits_30_mib(self):
+    def test_fresh_network_owns_no_buffers_and_fits_19_mib(self):
         """The deterministic memory budget: bytes traced while
         ``Network.__init__`` builds the 1024-host fabric (82.4 MiB with
-        four eager deques per VC pair, 23 MiB with none).  RSS is the
-        benchmark's to judge; this is the count that repeats exactly.
+        four eager deques per VC pair; 23.4 MiB with lazy VC buffers
+        but eager wires, NI queues and one mux per port; 15.3 MiB with
+        all of them lazy or shared).  RSS is the benchmark's to judge;
+        this is the count that repeats exactly.
         """
         tracemalloc = pytest.importorskip("tracemalloc")
         topology = topology_of(FatTree3Experiment(k=16))
@@ -230,16 +233,41 @@ class TestBufferedVcCensus:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert traced <= 30 * 2**20, f"{traced / 2**20:.1f} MiB"
+        assert traced <= 19 * 2**20, f"{traced / 2**20:.1f} MiB"
         assert network.buffered_vcs() == (0, 40960)
-        # ... and no router VC holds a deque in any slot
-        assert not any(
-            isinstance(getattr(vc, slot), deque)
+        # ... and no router VC, wire or NI VC holds a deque in any slot
+        holders = [
+            vc
             for router in network.routers
             for vcs in router.inputs + router.outputs
             for vc in vcs
-            for slot in type(vc).__slots__
+        ]
+        holders += network.links
+        holders += [vc for ni in network.interfaces.values() for vc in ni.vcs]
+        assert not any(
+            isinstance(getattr(holder, slot), deque)
+            for holder in holders
+            for slot in type(holder).__slots__
         )
+
+
+class TestBuildBudget:
+    def test_fat_tree3_k8_build_peaks_under_0_6_mib(self):
+        """Traced peak of building a 128-host fat tree: routes compile
+        from per-router rows (1.5 MiB through a per-destination dict,
+        0.5 MiB from rows)."""
+        tracemalloc = pytest.importorskip("tracemalloc")
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            fat_tree3(k=8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 0.6 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestTopoCommand:
