@@ -506,8 +506,7 @@ def run_campaign(
         space = dataclasses.replace(space, wall_timeout_s=point_timeout)
     spec = _spec(space, seed)
     plan = spec.plan("smoke", range(count))
-    # verdicts are data: a "failure" is a result here, never retried
-    executor = ParallelSweepExecutor(jobs=jobs, attempts=1, log=log)
+    executor = ParallelSweepExecutor(jobs=jobs, log=log)
     points = run_plans([(spec, plan)], checkpoint, log, executor)[0]
 
     failures = []

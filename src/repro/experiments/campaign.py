@@ -10,8 +10,8 @@ else: planning the ``(series, x) -> experiment`` grid, keying each
 point by its experiment (:func:`experiment_key`), running every
 distinct experiment once (:func:`run_plans`, which is also how
 ``mediaworm all`` runs the union of the paper's specs), logging
-restored points, recording (and checkpointing) points that fail every
-retry, placing each point at its axis value, assembling the
+restored points, recording (and checkpointing) points that fail,
+placing each point at its axis value, assembling the
 :class:`FigureData` and rendering the aligned table.  Figs. 3-9 and
 Tables 2-3 are the specs of :data:`repro.experiments.figures.PAPER`;
 the CLI enumerates :func:`campaigns`, so a new campaign is a spec plus
@@ -148,7 +148,7 @@ class FigureData:
 
 
 def empty_metrics() -> RunMetrics:
-    """Placeholder metrics for a point that failed every retry."""
+    """Placeholder metrics for a point that failed."""
     return RunMetrics(
         mean_delivery_interval_ms=0.0,
         std_delivery_interval_ms=0.0,
@@ -435,13 +435,14 @@ def run_plans(
     share it (specs that share an experiment measure it with one point
     body), so the whole union is one ``executor.run``: one pool
     (``jobs > 1``; results are bit-identical to the serial path, as
-    each point seeds its own RNG streams) and one checkpoint, which
-    persists every completed experiment and restores it on a rerun.
-    A point that keeps failing after the resilient retries records a
-    ``failed`` extra instead of aborting the sweep — unless a spec has
-    no ``columns`` (no FAILED row to show it in), in which case the
-    ``SimulationError`` propagates.  Each spec then places its points
-    at their axis values and reduces them.
+    each point seeds its own RNG streams) and one checkpoint.  This is
+    the one place a checkpoint is read and written: keys it holds are
+    restored, and every other experiment is persisted as it completes.
+    Each experiment runs once; one that raises a ``SimulationError``
+    records a ``failed`` extra (checkpointed too) instead of aborting
+    the sweep — unless a spec has no ``columns`` (no FAILED row to show
+    it in), in which case the error propagates.  Each spec then places
+    its points at their axis values and reduces them.
     """
     if executor is None:
         executor = ParallelSweepExecutor(jobs=1, log=log)
@@ -458,32 +459,35 @@ def run_plans(
             label = f"{spec.label(series)}@{spec.axis.text(x)}"
             names.append((f"[{spec.name}] {label}", key))
         keyed.append(keys)
+
+    results: Dict[str, Point] = {}
     if checkpoint is not None:
-        for name, key in names:
+        for key in tasks:
             if key in checkpoint:
+                results[key] = point_from_dict(checkpoint.get(key))
+        for name, key in names:
+            if key in results:
                 say(f"{name}: restored from checkpoint")
 
-    failed: Dict[str, Point] = {}
+    def on_result(task: SweepTask, point: Point) -> None:
+        results[task.key] = point
+        if checkpoint is not None:
+            checkpoint.put(task.key, point_to_dict(point))
 
     def on_failure(task: SweepTask, exc: SimulationError) -> None:
         failure = {"failed": f"{type(exc).__name__}: {exc}"}
-        point = failed[task.key] = Point(None, empty_metrics(), failure)
-        if checkpoint is not None:
-            checkpoint.put(task.key, point_to_dict(point))
+        on_result(task, Point(None, empty_metrics(), failure))
         for name, key in names:
             if key == task.key:
                 say(f"{name}: FAILED ({type(exc).__name__})")
 
-    results = executor.run(
-        list(tasks.values()),
-        checkpoint=checkpoint,
-        encode=point_to_dict,
-        decode=point_from_dict,
+    executor.run(
+        [task for key, task in tasks.items() if key not in results],
+        on_result=on_result,
         on_failure=(
             on_failure if all(spec.columns for spec, _ in plans) else None
         ),
     )
-    results.update(failed)
     return [
         spec.reduce(
             {pair: replace(results[key], x=pair[1]) for pair, key in keys.items()}
@@ -493,7 +497,7 @@ def run_plans(
 
 
 def any_failed(fig: FigureData) -> bool:
-    """Whether any point of the figure failed every retry."""
+    """Whether any point of the figure failed."""
     return any(
         "failed" in point.extra
         for points in fig.series.values()

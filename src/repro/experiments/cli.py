@@ -87,9 +87,9 @@ def _add_sweep_args(parser, watchdog: bool = True) -> None:
         metavar="SECONDS",
         default=None,
         help="wall-clock budget per point; a point exceeding it fails "
-        "(a sweep retries it reseeded, scale records it FAILED, chaos files "
-        "it under the 'timeout' oracle, overriding the scenario's own "
-        "budget) instead of hanging",
+        "instead of hanging (a campaign records it FAILED, run/all stop on "
+        "it, chaos files it under the 'timeout' oracle, overriding the "
+        "scenario's own budget)",
     )
 
 

@@ -8,20 +8,23 @@ execution order.  That makes them safe to farm out to worker processes:
 a point computed in a pool worker is bit-identical to the same point
 computed inline.
 
-The executor is the one way a sweep runs (inline at ``jobs=1``), so
-every point of every figure, table and campaign gets three layers of
-resilience:
+The executor is the one way a sweep runs (inline at ``jobs=1``), and it
+runs every point exactly once, as the experiment its task names: a
+point's result is always that experiment's result, never another
+seed's.
 
-* **per-point retry** — workers run points through
-  :func:`~repro.experiments.resilience.run_resilient`, so a wedged
-  point retries with a reseeded experiment inside its worker;
-* **checkpointing** — a :class:`~repro.experiments.resilience
-  .SweepCheckpoint` restores finished points on rerun and persists each
-  completion as it arrives;
-* **crash recovery** — a worker process dying (OOM kill, segfault)
+* **a failing point** — a :class:`~repro.errors.SimulationError`
+  (deadlock, watchdog, ``point_timeout``) gets no second attempt; it
+  goes to the caller's ``on_failure`` hook, or propagates;
+* **a worker crash** — a worker process dying (OOM kill, segfault)
   breaks the pool; the executor rebuilds it and resubmits the
-  unfinished points with a crash-reseeded experiment, bounded by
-  ``crash_retries``.
+  unfinished tasks unchanged, at most :data:`POOL_CRASHES` times.  A
+  crash is the host's fault, not the experiment's, so rerunning the
+  same experiment gives the result the crash interrupted.
+
+Checkpointing is the caller's business: every completion is handed to
+``on_result`` as it arrives (:func:`~repro.experiments.campaign
+.run_plans` restores and persists there).
 
 Results cross the process boundary in *portable* form (live workloads
 replaced by their summaries — see
@@ -32,20 +35,14 @@ so downstream code sees the same shapes regardless of job count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.resilience import (
-    SweepCheckpoint,
-    run_resilient,
-    wall_clock_limit,
-)
+from repro.experiments.resilience import wall_clock_limit
 
-#: seed offset applied to every not-yet-finished point after a worker
-#: crash (a prime distinct from RESEED_STEP, so a crash-reseed can never
-#: collide with an in-worker retry reseed of a neighbouring point)
-CRASH_RESEED_STEP = 7919
+#: worker-pool crashes one sweep survives; the next one raises
+POOL_CRASHES = 2
 
 
 @dataclass(frozen=True)
@@ -64,45 +61,19 @@ class SweepTask:
     experiment: object
 
 
-def _make_portable(result):
-    """Convert a runner result to its process-portable form."""
-    portable = getattr(result, "portable", None)
-    return portable() if portable is not None else result
-
-
-class _TimedRunner:
-    """Wrap a point runner in a per-attempt wall-clock limit.
-
-    Constructed inside the worker (never pickled), so the wrapped
-    runner itself stays an ordinary picklable module-level function.
-    A limit firing raises :class:`~repro.errors.PointTimeoutError` — a
-    :class:`~repro.errors.SimulationError`, so :func:`run_resilient`
-    retries the point with a fresh seed like any other wedge.
-    """
-
-    def __init__(self, runner: Callable, seconds: float) -> None:
-        self.runner = runner
-        self.seconds = seconds
-
-    def __call__(self, experiment):
-        with wall_clock_limit(self.seconds):
-            return self.runner(experiment)
-
-
-def _run_task(
-    task: SweepTask, attempts: int, point_timeout: Optional[float] = None
-):
-    """Worker body: one point, with in-worker reseed retries.
+def _run_task(task: SweepTask, point_timeout: Optional[float] = None):
+    """Worker body: one point, one attempt, within ``point_timeout``
+    seconds of wall clock (None: unbounded).
 
     Module-level so the process pool can pickle it.  Returns the
-    portable result; a :class:`~repro.errors.SimulationError` from the
-    final attempt propagates back through the future.
+    portable result; a :class:`~repro.errors.SimulationError` — the
+    limit's :class:`~repro.errors.PointTimeoutError` included —
+    propagates back through the future.
     """
-    runner = task.runner
-    if point_timeout is not None:
-        runner = _TimedRunner(runner, point_timeout)
-    result = run_resilient(runner, task.experiment, attempts=attempts)
-    return _make_portable(result)
+    with wall_clock_limit(point_timeout):
+        result = task.runner(task.experiment)
+    portable = getattr(result, "portable", None)
+    return portable() if portable is not None else result
 
 
 class ParallelSweepExecutor:
@@ -117,27 +88,26 @@ class ParallelSweepExecutor:
     def __init__(
         self,
         jobs: int = 1,
-        attempts: int = 3,
-        crash_retries: int = 2,
+        attempts: int = 1,
         log: Optional[Callable[[str], None]] = None,
         point_timeout: Optional[float] = None,
     ) -> None:
+        """``attempts`` accepts only 1: every point runs once.  The
+        keyword stays for callers that still spell ``attempts=1``."""
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if crash_retries < 0:
+        if attempts != 1:
             raise ConfigurationError(
-                f"crash_retries must be >= 0, got {crash_retries}"
+                f"a point runs exactly once (attempts=1), got {attempts}"
             )
         if point_timeout is not None and point_timeout <= 0:
             raise ConfigurationError(
                 f"point_timeout must be > 0 seconds, got {point_timeout}"
             )
         self.jobs = jobs
-        self.attempts = attempts
-        self.crash_retries = crash_retries
         self.log = log
-        #: per-attempt wall-clock budget for one point, in seconds
-        #: (None = unbounded); enforced inside the point's own worker
+        #: wall-clock budget for one point, in seconds (None =
+        #: unbounded); enforced inside the point's own worker
         self.point_timeout = point_timeout
 
     # ------------------------------------------------------------------
@@ -149,83 +119,60 @@ class ParallelSweepExecutor:
     def run(
         self,
         tasks: Sequence[SweepTask],
-        checkpoint: Optional[SweepCheckpoint] = None,
-        encode: Optional[Callable] = None,
-        decode: Optional[Callable] = None,
+        on_result: Optional[Callable[[SweepTask, object], None]] = None,
         on_failure: Optional[Callable[[SweepTask, SimulationError], None]] = None,
     ) -> Dict[str, object]:
         """Run every task; return ``{task.key: result}`` in task order.
 
-        With a ``checkpoint``, finished keys are restored via ``decode``
-        instead of recomputed, and every completion is persisted via
-        ``encode`` (both must be given together; values must be
-        JSON-serialisable).  A point that exhausts its retries raises,
-        unless ``on_failure`` is given — then the hook is called and the
-        key is left out of the result dict (the hook may record a
-        stand-in itself).
+        ``on_result(task, result)`` is called for each completion as it
+        arrives.  A point that raises a
+        :class:`~repro.errors.SimulationError` ends the sweep, unless
+        ``on_failure`` is given — then the hook is called and the key is
+        left out of the result dict (the hook may record a stand-in
+        itself).
         """
-        if (encode is None) != (decode is None):
-            raise ConfigurationError(
-                "checkpoint encode/decode must be given together"
-            )
-        if checkpoint is not None and encode is None:
-            raise ConfigurationError(
-                "a checkpoint needs encode/decode functions"
-            )
         keys = [task.key for task in tasks]
         if len(set(keys)) != len(keys):
             raise ConfigurationError(f"duplicate sweep task keys in {keys}")
 
         results: Dict[str, object] = {}
-        todo: List[SweepTask] = []
-        for task in tasks:
-            if checkpoint is not None and task.key in checkpoint:
-                results[task.key] = decode(checkpoint.get(task.key))
-            else:
-                todo.append(task)
 
-        if todo:
-            if self.jobs == 1:
-                self._run_inline(todo, results, checkpoint, encode, on_failure)
-            else:
-                self._run_pool(todo, results, checkpoint, encode, on_failure)
+        def finish(task: SweepTask, outcome) -> None:
+            """File one point's result, or its ``SimulationError``."""
+            if isinstance(outcome, SimulationError):
+                if on_failure is None:
+                    raise outcome
+                self._say(f"point {task.key} failed: {outcome}")
+                on_failure(task, outcome)
+                return
+            results[task.key] = outcome
+            if on_result is not None:
+                on_result(task, outcome)
+
+        if tasks:
+            run = self._run_inline if self.jobs == 1 else self._run_pool
+            run(tasks, finish)
         # task order, not completion order
         return {key: results[key] for key in keys if key in results}
 
     # ------------------------------------------------------------------
 
-    def _record(
-        self,
-        task: SweepTask,
-        result,
-        results: Dict[str, object],
-        checkpoint: Optional[SweepCheckpoint],
-        encode: Optional[Callable],
-    ) -> None:
-        results[task.key] = result
-        if checkpoint is not None:
-            checkpoint.put(task.key, encode(result))
-
-    def _run_inline(self, todo, results, checkpoint, encode, on_failure) -> None:
+    def _run_inline(self, todo, finish) -> None:
         for task in todo:
             try:
-                result = _run_task(task, self.attempts, self.point_timeout)
+                outcome = _run_task(task, self.point_timeout)
             except SimulationError as exc:
-                if on_failure is None:
-                    raise
-                self._say(f"point {task.key} failed: {exc}")
-                on_failure(task, exc)
-                continue
-            self._record(task, result, results, checkpoint, encode)
+                outcome = exc
+            finish(task, outcome)
 
-    def _run_pool(self, todo, results, checkpoint, encode, on_failure) -> None:
+    def _run_pool(self, todo, finish) -> None:
         """Process-pool path with bounded crash recovery.
 
         A ``BrokenProcessPool`` (a worker died without raising — OOM
         kill, segfault, interpreter abort) voids every in-flight future,
-        so the whole unfinished remainder is resubmitted to a fresh pool
-        with crash-reseeded experiments.  Points that already completed
-        (or failed with a proper error) are never rerun.
+        so the whole unfinished remainder is resubmitted, unchanged, to
+        a fresh pool.  Points that already completed (or failed with a
+        proper error) are never rerun.
         """
         # pool machinery (-> multiprocessing, socket): 21 ms no inline run needs
         from concurrent.futures.process import BrokenProcessPool
@@ -233,46 +180,28 @@ class ParallelSweepExecutor:
         crashes = 0
         while pending:
             try:
-                pending = self._run_pool_round(
-                    pending, results, checkpoint, encode, on_failure
-                )
+                pending = self._run_pool_round(pending, finish)
             except BrokenProcessPool:
                 crashes += 1
-                if crashes > self.crash_retries:
+                if crashes > POOL_CRASHES:
                     raise SimulationError(
                         f"sweep worker pool crashed {crashes} times; "
                         f"{len(pending)} points unfinished "
                         f"({', '.join(t.key for t in pending[:5])}...)"
                     )
                 self._say(
-                    f"worker pool crashed (attempt {crashes}/"
-                    f"{self.crash_retries}); resubmitting "
-                    f"{len(pending)} points with reseed"
+                    f"worker pool crashed (crash {crashes}/{POOL_CRASHES}); "
+                    f"resubmitting {len(pending)} points"
                 )
-                pending = [
-                    replace(
-                        task,
-                        experiment=replace(
-                            task.experiment,
-                            seed=task.experiment.seed
-                            + crashes * CRASH_RESEED_STEP,
-                        ),
-                    )
-                    for task in pending
-                ]
 
-    def _run_pool_round(
-        self, pending, results, checkpoint, encode, on_failure
-    ) -> List[SweepTask]:
+    def _run_pool_round(self, pending, finish) -> List[SweepTask]:
         """One pool lifetime; returns tasks still unfinished on crash."""
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         unfinished = {task.key: task for task in pending}
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
-                pool.submit(
-                    _run_task, task, self.attempts, self.point_timeout
-                ): task
+                pool.submit(_run_task, task, self.point_timeout): task
                 for task in pending
             }
             not_done = set(futures)
@@ -281,14 +210,9 @@ class ParallelSweepExecutor:
                 for future in done:
                     task = futures[future]
                     try:
-                        result = future.result()  # BrokenProcessPool: to _run_pool
+                        outcome = future.result()  # BrokenProcessPool: to _run_pool
                     except SimulationError as exc:
-                        del unfinished[task.key]
-                        if on_failure is None:
-                            raise
-                        self._say(f"point {task.key} failed: {exc}")
-                        on_failure(task, exc)
-                        continue
+                        outcome = exc
                     del unfinished[task.key]
-                    self._record(task, result, results, checkpoint, encode)
+                    finish(task, outcome)
         return [task for task in pending if task.key in unfinished]

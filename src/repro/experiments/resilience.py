@@ -1,4 +1,4 @@
-"""Sweep resilience: checkpointing and retry-with-reseed.
+"""Sweep resilience: checkpointing and a per-point wall-clock limit.
 
 Long sweeps (``mediaworm all``, fault campaigns) should survive two
 kinds of trouble:
@@ -6,10 +6,11 @@ kinds of trouble:
 * **the process dying** — every completed unit of work is persisted to
   a JSON checkpoint (atomic write: temp file + rename), so a rerun
   skips finished work instead of recomputing it;
-* **a single point failing** — a :class:`~repro.errors.SimulationError`
-  (including the watchdog's :class:`~repro.errors.DeadlockError`) at
-  one sweep point triggers a bounded retry with a reseeded experiment
-  rather than aborting the whole campaign.
+* **a single point hanging** — :func:`wall_clock_limit` turns it into a
+  :class:`~repro.errors.PointTimeoutError`, a failed point like a
+  deadlock.  A failed point is never rerun under another seed: the
+  campaign records it as a ``FAILED`` row (see
+  :func:`~repro.experiments.campaign.run_plans`).
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from repro.errors import PointTimeoutError, SimulationError
+from repro.errors import PointTimeoutError
 
 logger = logging.getLogger(__name__)
-
-#: seed offset between retry attempts (a prime, so reseeded retries of
-#: neighbouring points never collide on the same effective seed)
-RESEED_STEP = 1009
 
 _FORMAT = "mediaworm-checkpoint-v1"
 
@@ -179,24 +175,3 @@ class SweepCheckpoint:
                 os.remove(path)
             except OSError:
                 pass
-
-
-def run_resilient(runner: Callable, experiment, attempts: int = 3):
-    """Run one sweep point, retrying with a fresh seed on failure.
-
-    The last attempt's error propagates when every retry fails.
-    """
-    if attempts < 1:
-        raise SimulationError(f"need at least one attempt, got {attempts}")
-    last_error: Optional[SimulationError] = None
-    for attempt in range(attempts):
-        trial = (
-            experiment
-            if attempt == 0
-            else replace(experiment, seed=experiment.seed + attempt * RESEED_STEP)
-        )
-        try:
-            return runner(trial)
-        except SimulationError as exc:
-            last_error = exc
-    raise last_error

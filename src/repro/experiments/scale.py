@@ -33,8 +33,8 @@ import math
 import time
 from typing import Dict, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.campaign import Axis, Campaign, Column, Point, empty_metrics
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import Axis, Campaign, Column, Point
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import simulate, topology_of
 from repro.metrics.collector import canonical, canonical_metrics
@@ -143,11 +143,9 @@ def _point_ok(record: Dict[str, object]) -> bool:
 def _scale_point(experiment) -> Point:
     """Worker body: the point's three runs, reduced to its record.
 
-    A :class:`~repro.errors.SimulationError` from any run, or a record
-    :func:`_point_ok` rejects, is the point's ``failed`` extra.  The
-    error is caught here, not in the executor, so the point is never
-    retried under a reseeded experiment: a determinism check that
-    passes on another seed would hide the failure.
+    A record :func:`_point_ok` rejects is the point's ``failed``
+    extra; a :class:`~repro.errors.SimulationError` from any run
+    propagates, and the campaign records it as a ``FAILED`` row.
     """
     name = point_name(experiment)
     networks = []
@@ -169,17 +167,11 @@ def _scale_point(experiment) -> Point:
     started = time.perf_counter()
     topology_of(experiment)
     topology_s = time.perf_counter() - started
-    try:
-        active, active_s, outcome = timed()
-        compiles_first = routeprog.compile_count() - compiles_before
-        _, repeat_s, repeat_outcome = timed()
-        compiles_repeat = (
-            routeprog.compile_count() - compiles_before - compiles_first
-        )
-        _, legacy_s, legacy_outcome = timed(run_reference)
-    except SimulationError as exc:
-        failed = f"{type(exc).__name__}: {exc}"
-        return Point(None, empty_metrics(), extra={"failed": failed})
+    active, active_s, outcome = timed()
+    compiles_first = routeprog.compile_count() - compiles_before
+    _, repeat_s, repeat_outcome = timed()
+    compiles_repeat = routeprog.compile_count() - compiles_before - compiles_first
+    _, legacy_s, legacy_outcome = timed(run_reference)
 
     digest, (vcs_used, vcs_total) = outcome
     record = {

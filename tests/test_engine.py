@@ -775,29 +775,41 @@ class TestOneSimulate:
 
 class TestOneSkeleton:
     """A figure is a spec: one place builds sweep tasks, one path runs
-    them, one layer retries them."""
+    them, and nothing on that path reseeds them."""
 
     def test_one_task_builder_one_path_one_retry_layer(self):
         """Under ``src/repro`` only the campaign skeleton constructs a
         ``SweepTask`` (chaos runs its scenarios through it too),
-        ``execute_tasks`` (the bare second path) is
-        gone, only the executor's worker body calls ``run_resilient``,
-        and what a pool worker imports — ``parallel`` and ``runner`` —
-        reaches none of the spec layer."""
+        ``execute_tasks`` (the bare second path) is gone, no
+        ``replace(..., seed=...)`` in the executor, its resilience
+        module or the skeleton runs a point as another seed's
+        experiment, and what a pool worker imports — ``parallel`` and
+        ``runner`` — reaches none of the spec layer."""
         package = SRC / "repro"
         spec_layer = {"campaign", "figures", "tables", "cli"}
-        builders, retriers, bare_path, leaks = [], [], [], []
+        sweep_path = (
+            "experiments/parallel.py",
+            "experiments/resilience.py",
+            "experiments/campaign.py",
+        )
+        builders, reseeds, bare_path, leaks = [], [], [], []
         for path in sorted(package.rglob("*.py")):
             source = path.read_text(encoding="utf-8")
             name = path.relative_to(package).as_posix()
             if "execute_tasks" in source:
                 bare_path.append(name)
             for node in ast.walk(ast.parse(source)):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    if node.func.id == "SweepTask":
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = getattr(func, "id", getattr(func, "attr", None))
+                    if callee == "SweepTask":
                         builders.append(name)
-                    elif node.func.id == "run_resilient":
-                        retriers.append(name)
+                    elif (
+                        callee == "replace"
+                        and name in sweep_path
+                        and any(kw.arg == "seed" for kw in node.keywords)
+                    ):
+                        reseeds.append(f"{name}:{node.lineno}")
                 elif name in ("experiments/parallel.py", "experiments/runner.py"):
                     if isinstance(node, ast.ImportFrom):
                         modules = [node.module or ""] + [
@@ -814,6 +826,6 @@ class TestOneSkeleton:
                         and module.rpartition(".")[2] in spec_layer
                     ]
         assert builders == ["experiments/campaign.py"]
-        assert retriers == ["experiments/parallel.py"]
+        assert reseeds == []
         assert bare_path == []
         assert leaks == []

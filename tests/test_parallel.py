@@ -1,29 +1,37 @@
-"""The parallel sweep executor: determinism, resilience, checkpoints."""
+"""The parallel sweep executor: determinism, one attempt per point,
+crash resubmission; and the checkpoint ``run_plans`` keeps around it."""
 
 import dataclasses
 import os
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.config import SingleSwitchExperiment
-from repro.experiments.parallel import (
-    CRASH_RESEED_STEP,
-    ParallelSweepExecutor,
-    SweepTask,
+from repro.errors import ConfigurationError, DeadlockError, SimulationError
+from repro.experiments.campaign import (
+    Axis,
+    Campaign,
+    Column,
+    Point,
+    empty_metrics,
+    run_plans,
 )
+from repro.experiments.config import SingleSwitchExperiment
+from repro.experiments.parallel import POOL_CRASHES, ParallelSweepExecutor, SweepTask
 from repro.experiments.resilience import SweepCheckpoint
-from repro.experiments.runner import WorkloadSummary, simulate_single_switch
+from repro.experiments.runner import WorkloadSummary, simulate
+from repro.experiments.scale import run_digest
 
 TINY = dict(scale=100.0, warmup_frames=1, measure_frames=2, seed=7)
 
 
 @dataclasses.dataclass(frozen=True)
 class StubExperiment:
-    """Minimal picklable experiment: a seed is all retries need."""
+    """Minimal picklable experiment; ``marker`` names a file a crashing
+    runner creates before it kills its worker."""
 
     seed: int = 7
     watchdog_window: object = None
+    marker: str = ""
 
 
 @dataclasses.dataclass
@@ -44,18 +52,37 @@ def always_fails(experiment):
     raise SimulationError(f"point with seed {experiment.seed} is wedged")
 
 
-def exit_on_first_seed(experiment):
-    """Kill the worker process outright unless the seed was crash-reseeded."""
-    if experiment.seed < CRASH_RESEED_STEP:
+def exit_first_time(experiment):
+    """Kill the worker outright on the first call; then return the
+    experiment this call was handed."""
+    if not os.path.exists(experiment.marker):
+        open(experiment.marker, "w").close()
         os._exit(1)
-    return StubResult(experiment.seed)
+    return experiment
 
 
-def _tiny_tasks(loads=(0.6, 0.9)):
+def always_exits(experiment):
+    os._exit(1)
+
+
+@dataclasses.dataclass(frozen=True)
+class KillOnce:
+    """A runner that kills the first worker to call it, then simulates."""
+
+    marker: str
+
+    def __call__(self, experiment):
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(1)
+        return simulate(experiment)
+
+
+def _tiny_tasks(loads=(0.6, 0.9), runner=simulate):
     return [
         SweepTask(
             key=f"sw@{load:g}",
-            runner=simulate_single_switch,
+            runner=runner,
             experiment=SingleSwitchExperiment(load=load, mix=(80, 20), **TINY),
         )
         for load in loads
@@ -67,20 +94,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ParallelSweepExecutor(jobs=0)
 
-    def test_crash_retries_must_be_nonnegative(self):
-        with pytest.raises(ConfigurationError):
-            ParallelSweepExecutor(crash_retries=-1)
-
-    def test_encode_decode_must_pair(self):
-        executor = ParallelSweepExecutor()
-        with pytest.raises(ConfigurationError):
-            executor.run([], encode=lambda r: r)
-
-    def test_checkpoint_requires_codec(self, tmp_path):
-        executor = ParallelSweepExecutor()
-        checkpoint = SweepCheckpoint(str(tmp_path / "ck.json"), meta={})
-        with pytest.raises(ConfigurationError):
-            executor.run([], checkpoint=checkpoint)
+    @pytest.mark.parametrize("attempts", [0, 2, 3])
+    def test_a_point_runs_exactly_once(self, attempts):
+        ParallelSweepExecutor(attempts=1)
+        with pytest.raises(ConfigurationError, match="exactly once"):
+            ParallelSweepExecutor(attempts=attempts)
 
     def test_duplicate_keys_rejected(self):
         tasks = [
@@ -97,9 +115,13 @@ class TestInline:
             SweepTask("b", double_seed, StubExperiment(seed=2)),
             SweepTask("a", double_seed, StubExperiment(seed=1)),
         ]
-        results = ParallelSweepExecutor().run(tasks)
+        seen = []
+        results = ParallelSweepExecutor().run(
+            tasks, on_result=lambda task, result: seen.append(task.key)
+        )
         assert list(results) == ["b", "a"]
         assert [r.value for r in results.values()] == [4, 2]
+        assert seen == ["b", "a"]
 
     def test_inline_results_are_portable(self):
         results = ParallelSweepExecutor().run(
@@ -110,7 +132,7 @@ class TestInline:
     def test_failure_raises_without_hook(self):
         tasks = [SweepTask("a", always_fails, StubExperiment())]
         with pytest.raises(SimulationError):
-            ParallelSweepExecutor(attempts=1).run(tasks)
+            ParallelSweepExecutor().run(tasks)
 
     def test_failure_hook_skips_the_key(self):
         tasks = [
@@ -118,58 +140,79 @@ class TestInline:
             SweepTask("good", double_seed, StubExperiment(seed=3)),
         ]
         seen = []
-        results = ParallelSweepExecutor(attempts=1).run(
-            tasks, on_failure=lambda task, exc: seen.append(task.key)
+        results = ParallelSweepExecutor().run(
+            tasks,
+            on_result=lambda task, result: seen.append(("ok", task.key)),
+            on_failure=lambda task, exc: seen.append(("failed", task.key)),
         )
         assert list(results) == ["good"]
-        assert seen == ["bad"]
+        assert seen == [("failed", "bad"), ("ok", "good")]
+
+    def test_a_failing_point_runs_once_at_its_own_seed(self):
+        calls = []
+
+        def wedged(experiment):
+            calls.append(experiment)
+            raise DeadlockError("router 0 wedged")
+
+        experiment = StubExperiment(seed=1)
+        with pytest.raises(DeadlockError):
+            ParallelSweepExecutor().run([SweepTask("a", wedged, experiment)])
+        assert calls == [experiment]
+
+
+def stub_point(experiment) -> Point:
+    return Point(None, empty_metrics(), {"value": experiment.seed * 2})
+
+
+def _stub_spec() -> Campaign:
+    """A one-series spec whose points are stub experiments, reduced to
+    ``{(series, x): Point}``."""
+    return Campaign(
+        name="stub",
+        help="",
+        series=("s",),
+        axis=Axis(defaults=()),
+        experiment=lambda profile, series, x: StubExperiment(seed=x),
+        title="",
+        xlabel="",
+        point=stub_point,
+        columns=(Column("x", 4, "x"),),
+        table=lambda points: {x: p.extra["value"] for (_, x), p in points.items()},
+    )
 
 
 class TestCheckpoint:
-    def _codec(self):
-        return (
-            lambda result: {"value": result.value},
-            lambda data: StubResult(data["value"]),
-        )
+    """``run_plans`` is the one reader and writer of a checkpoint: the
+    executor only reports each completion."""
+
+    @staticmethod
+    def _run(path, seeds, point=stub_point):
+        spec = dataclasses.replace(_stub_spec(), point=point)
+        plan = {("s", seed): StubExperiment(seed=seed) for seed in seeds}
+        checkpoint = SweepCheckpoint(path, meta={})
+        return run_plans([(spec, plan)], checkpoint)[0], checkpoint
 
     def test_restores_without_rerunning(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        encode, decode = self._codec()
-        tasks = [SweepTask("a", double_seed, StubExperiment(seed=5))]
-        executor = ParallelSweepExecutor()
-        first = executor.run(
-            tasks,
-            checkpoint=SweepCheckpoint(path, meta={}),
-            encode=encode,
-            decode=decode,
-        )
-        assert first["a"].value == 10
-        rerun = [SweepTask("a", always_fails, StubExperiment(seed=5))]
-        second = executor.run(
-            rerun,
-            checkpoint=SweepCheckpoint(path, meta={}),
-            encode=encode,
-            decode=decode,
-        )
-        assert second["a"].value == 10  # runner never called
+        first, _ = self._run(path, [5])
+        assert first == {5: 10}
+        second, _ = self._run(path, [5], point=always_fails)
+        assert second == {5: 10}  # the body never ran
 
     def test_partial_checkpoint_runs_the_rest(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        encode, decode = self._codec()
-        checkpoint = SweepCheckpoint(path, meta={})
-        checkpoint.put("a", {"value": 1})
-        results = ParallelSweepExecutor().run(
-            [
-                SweepTask("a", always_fails, StubExperiment()),
-                SweepTask("b", double_seed, StubExperiment(seed=4)),
-            ],
-            checkpoint=checkpoint,
-            encode=encode,
-            decode=decode,
-        )
-        assert results["a"].value == 1
-        assert results["b"].value == 8
-        assert sorted(checkpoint.done_keys) == ["a", "b"]
+        self._run(path, [1])
+        ran = []
+
+        def counted(experiment):
+            ran.append(experiment.seed)
+            return stub_point(experiment)
+
+        results, checkpoint = self._run(path, [1, 4], point=counted)
+        assert results == {1: 2, 4: 8}
+        assert ran == [4]
+        assert len(checkpoint.done_keys) == 2
 
 
 class TestPool:
@@ -186,18 +229,31 @@ class TestPool:
         results = ParallelSweepExecutor(jobs=2).run(_tiny_tasks(loads=(0.6,)))
         assert isinstance(results["sw@0.6"].workload, WorkloadSummary)
 
-    def test_worker_crash_reseeds_and_recovers(self):
-        tasks = [SweepTask("a", exit_on_first_seed, StubExperiment(seed=7))]
-        executor = ParallelSweepExecutor(jobs=2, crash_retries=2)
-        results = executor.run(tasks)
-        assert results["a"].value == 7 + CRASH_RESEED_STEP
+    def test_worker_crash_resubmits_the_same_experiment(self, tmp_path):
+        experiment = StubExperiment(seed=7, marker=str(tmp_path / "crashed"))
+        logs = []
+        executor = ParallelSweepExecutor(jobs=2, log=logs.append)
+        results = executor.run([SweepTask("a", exit_first_time, experiment)])
+        assert results == {"a": experiment}
+        assert logs == [
+            f"worker pool crashed (crash 1/{POOL_CRASHES}); resubmitting 1 points"
+        ]
+
+    def test_killed_worker_gives_the_same_digests(self, tmp_path):
+        """A crash costs wall time, never a different result."""
+        killed = ParallelSweepExecutor(jobs=2).run(
+            _tiny_tasks(runner=KillOnce(str(tmp_path / "crashed")))
+        )
+        assert (tmp_path / "crashed").exists()
+        clean = ParallelSweepExecutor(jobs=2).run(_tiny_tasks())
+        assert list(killed) == list(clean) == ["sw@0.6", "sw@0.9"]
+        assert [run_digest(r) for r in killed.values()] == [
+            run_digest(r) for r in clean.values()
+        ]
 
     def test_crash_budget_exhausted_raises(self):
-        tasks = [
-            SweepTask(
-                "a", exit_on_first_seed, StubExperiment(seed=-CRASH_RESEED_STEP)
-            )
-        ]
-        executor = ParallelSweepExecutor(jobs=2, crash_retries=1)
-        with pytest.raises(SimulationError):
-            executor.run(tasks)
+        tasks = [SweepTask("a", always_exits, StubExperiment())]
+        with pytest.raises(
+            SimulationError, match=f"crashed {POOL_CRASHES + 1} times"
+        ):
+            ParallelSweepExecutor(jobs=2).run(tasks)

@@ -1,4 +1,4 @@
-"""Sweep resilience: checkpointing, retry-with-reseed, CLI resume."""
+"""Sweep resilience: checkpointing, one attempt per point, CLI resume."""
 
 import dataclasses
 import json
@@ -9,12 +9,13 @@ import time
 
 import pytest
 
-from conftest import TINY, with_sweep
+from conftest import with_sweep
 
 import repro.experiments.campaign as campaign
 import repro.experiments.cli as cli
 import repro.experiments.faultsweep as faultsweep
 import repro.experiments.figures as figures
+from repro.core.schedulers import SchedulingPolicy
 from repro.errors import DeadlockError, PointTimeoutError, SimulationError
 from repro.experiments.campaign import (
     PROFILES,
@@ -24,14 +25,7 @@ from repro.experiments.campaign import (
     experiment_key,
     point_to_dict,
 )
-from repro.experiments.config import SingleSwitchExperiment
-from repro.experiments.parallel import CRASH_RESEED_STEP
-from repro.experiments.resilience import (
-    RESEED_STEP,
-    SweepCheckpoint,
-    run_resilient,
-    wall_clock_limit,
-)
+from repro.experiments.resilience import SweepCheckpoint, wall_clock_limit
 
 RESILIENCE_LOGGER = "repro.experiments.resilience"
 
@@ -177,32 +171,6 @@ class TestCheckpointRecovery:
         assert not os.path.exists(f"{path}.tmp")
 
 
-class TestReseedCollisionFreedom:
-    """Retry and crash reseeds must never alias another point's stream."""
-
-    def test_steps_are_distinct_primes(self):
-        assert RESEED_STEP != CRASH_RESEED_STEP
-        for step in (RESEED_STEP, CRASH_RESEED_STEP):
-            assert step > 1
-            assert all(step % d for d in range(2, int(step**0.5) + 1))
-
-    def test_reseed_streams_never_collide(self):
-        # a sweep's point seeds are typically a dense family (seed,
-        # seed+1, ...); every (retry attempt, crash round) combination
-        # must map each base to a distinct effective seed, or a retry of
-        # one point would silently rerun another point's exact stream
-        bases = range(101)
-        attempts = range(3)  # in-worker retry reseeds (attempts=3)
-        crashes = range(3)  # pool-crash resubmission reseeds
-        seeds = {
-            base + attempt * RESEED_STEP + crash * CRASH_RESEED_STEP
-            for base in bases
-            for attempt in attempts
-            for crash in crashes
-        }
-        assert len(seeds) == len(bases) * len(attempts) * len(crashes)
-
-
 class TestWallClockLimit:
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs SIGALRM"
@@ -229,64 +197,6 @@ class TestWallClockLimit:
             pass
         with wall_clock_limit(-1.0):
             pass
-
-
-class TestRunResilient:
-    def _experiment(self):
-        return SingleSwitchExperiment(load=0.5, mix=(80, 20), **TINY)
-
-    def test_success_passes_through(self):
-        experiment = self._experiment()
-        seen = []
-        result = run_resilient(lambda e: seen.append(e) or "ok", experiment)
-        assert result == "ok"
-        assert seen == [experiment]
-
-    def test_retries_with_reseeded_experiment(self):
-        experiment = self._experiment()
-        seeds = []
-
-        def flaky(trial):
-            seeds.append(trial.seed)
-            if len(seeds) < 3:
-                raise DeadlockError("wedged")
-            return "recovered"
-
-        assert run_resilient(flaky, experiment, attempts=3) == "recovered"
-        # one call per attempt, and none after the one that succeeds
-        assert seeds == [
-            experiment.seed,
-            experiment.seed + RESEED_STEP,
-            experiment.seed + 2 * RESEED_STEP,
-        ]
-
-    def test_exhausted_attempts_raise_the_last_error(self):
-        calls = []
-
-        def always_fails(trial):
-            calls.append(trial.seed)
-            raise DeadlockError(f"seed {trial.seed} wedged")
-
-        experiment = self._experiment()
-        last = experiment.seed + RESEED_STEP
-        with pytest.raises(DeadlockError, match=f"seed {last} wedged"):
-            run_resilient(always_fails, experiment, attempts=2)
-        assert calls == [experiment.seed, last]
-
-    def test_non_simulation_errors_propagate_immediately(self):
-        calls = []
-
-        def typo(trial):
-            calls.append(trial)
-            raise ValueError("a bug, not a wedge")
-
-        with pytest.raises(ValueError):
-            run_resilient(typo, self._experiment(), attempts=3)
-        assert len(calls) == 1
-
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(SimulationError):
-            run_resilient(lambda e: e, self._experiment(), attempts=0)
 
 
 def _fake_result(policy, rate):
@@ -333,15 +243,13 @@ class TestFaultCampaign:
         assert "0.9950" in text
 
 
-class TestOneRetryLayer:
-    """``mediaworm run`` retries per point, inside the point's worker,
-    and nowhere else.  The whole figure used to be rerun around that:
-    one permanently failing point of a 4-point fig. 3 cost 12
-    ``simulate`` calls (18 with ``--point-timeout``, the bad point 9
-    times under five stacked seeds)."""
+class TestOneAttempt:
+    """A point runs once, as its own experiment: a failure is never
+    answered with another seed's numbers, nor by rerunning the rest of
+    the figure."""
 
     @pytest.mark.parametrize("flags", [[], ["--point-timeout", "60"]])
-    def test_failing_point_runs_attempts_times_healthy_points_once(
+    def test_failing_point_runs_once_and_ends_the_command(
         self, flags, monkeypatch, tiny_profile, capsys
     ):
         monkeypatch.setitem(
@@ -364,12 +272,39 @@ class TestOneRetryLayer:
             ("virtual_clock", 0.5, 1),
             ("fifo", 0.4, 1),
             ("fifo", 0.5, 1),
-            ("fifo", 0.5, 1 + RESEED_STEP),
-            ("fifo", 0.5, 1 + 2 * RESEED_STEP),
         ]
-        captured = capsys.readouterr()
-        assert "retrying" not in captured.err
-        assert "completed in" not in captured.out
+        assert "completed in" not in capsys.readouterr().out
+
+    def test_deadlock_at_seed_1_is_a_failed_row_not_seed_1010s_numbers(
+        self, monkeypatch, tiny_profile, tmp_path, capsys
+    ):
+        """Fig. 3's FIFO saturation story as a campaign point: the
+        deadlock is the result, printed and exiting 1."""
+        monkeypatch.setattr(
+            faultsweep,
+            "CAMPAIGN",
+            dataclasses.replace(
+                faultsweep.CAMPAIGN, series=(SchedulingPolicy.FIFO,)
+            ),
+        )
+        seeds = []
+
+        def fake(experiment):
+            seeds.append(experiment.seed)
+            if experiment.seed == 1:
+                raise DeadlockError("router 0 wedged")
+            return _fake_result(None, 0)
+
+        monkeypatch.setattr(campaign, "simulate", fake)
+        argv = ["faults", "--profile", "tiny", "--rates", "0.01"]
+        argv += ["--checkpoint", str(tmp_path / "cp.json")]
+        assert cli.main(argv) == 1
+        assert seeds == [1]
+        lines = capsys.readouterr().out.splitlines()
+        assert "[faults] fifo@0.01: FAILED (DeadlockError)" in lines
+        rows = [line for line in lines if line.startswith("fifo ")]
+        assert len(rows) == 1
+        assert rows[0].endswith("FAILED: DeadlockError: router 0 wedged")
 
 
 class TestCliResilience:

@@ -162,11 +162,9 @@ class TestScalePoints:
         argv += ["--checkpoint", str(tmp_path / "ckpt.json")]
         assert cli_main(argv) == 1
         assert calls == [SCALE_POINTS["ft3-16"].seed] * 2
-        rows = [
-            line
-            for line in capsys.readouterr().out.splitlines()
-            if "FAILED" in line
-        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert "[scale] scale@ft3-16: FAILED (DeadlockError)" in lines
+        rows = [line for line in lines if line.lstrip().startswith("ft3-16 ")]
         assert rows == ["    ft3-16 FAILED: DeadlockError: router 3 wedged"]
 
 
