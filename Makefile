@@ -66,25 +66,25 @@ repro:            ## regenerate every figure/table at the default profile
 
 all-smoke:        ## every figure + table as one 2-worker sweep, CI-sized, with its wall time and simulation count
 	$(PYTHON) -m repro.experiments.cli all --profile smoke --jobs 2 --fresh \
-		--checkpoint mediaworm-all-smoke.checkpoint.json > ALL_smoke.txt
+		--checkpoint mediaworm-all-smoke.jsonl > ALL_smoke.txt
 	@grep "completed in" ALL_smoke.txt
 
 faults-smoke:     ## 2-point fault campaign (VC + FIFO at 0.5% loss), CI-sized
 	$(PYTHON) -m repro.experiments.cli faults --profile quick \
 		--rates 0.005 --fresh \
-		--checkpoint mediaworm-faults-smoke.checkpoint.json \
+		--checkpoint mediaworm-faults-smoke.jsonl \
 		--json FAULTS_smoke.json
 
 failover-smoke:   ## adaptive vs static with 2 permanent failures, CI-sized
 	$(PYTHON) -m repro.experiments.cli failover --profile quick \
 		--severities 0,2 --fresh \
-		--checkpoint mediaworm-failover-smoke.checkpoint.json \
+		--checkpoint mediaworm-failover-smoke.jsonl \
 		--json FAILOVER_smoke.json
 
 disaster-smoke:   ## switch-kill failover on the k=8 fat tree + butterfly
 	$(PYTHON) -m repro.experiments.cli disaster --profile smoke \
 		--severities none,link,switch --jobs 2 --fresh \
-		--checkpoint mediaworm-disaster-smoke.checkpoint.json \
+		--checkpoint mediaworm-disaster-smoke.jsonl \
 		--json DISASTER_smoke.json
 
 trace-smoke:      ## traced run (invariants on) + JSONL schema validation
@@ -96,7 +96,7 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 	$(PYTHON) -m repro.experiments.cli chaos --profile smoke \
 		--count 25 --seed 7 --jobs 2 --fresh \
 		--corpus chaos-smoke-corpus \
-		--checkpoint mediaworm-chaos-smoke.checkpoint.json \
+		--checkpoint mediaworm-chaos-smoke.jsonl \
 		--json CHAOS_smoke.json
 	$(PYTHON) -m repro.experiments.cli chaos --selftest credit \
 		--corpus chaos-selftest-corpus
@@ -105,7 +105,7 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 
 scale-smoke:      ## quick scale points: one digest + VC census on both loops, finite d
 	$(PYTHON) -m repro.experiments.cli scale --profile smoke --jobs 2 --fresh \
-		--json SCALE_smoke.json > SCALE_smoke.txt; status=$$?; cat SCALE_smoke.txt; exit $$status
+		--checkpoint mediaworm-scale-smoke.jsonl --json SCALE_smoke.json > SCALE_smoke.txt; status=$$?; cat SCALE_smoke.txt; exit $$status
 
 scale:            ## full scale campaign incl. the 1024-host fat tree (serial: comparable timings)
 	$(PYTHON) -m repro.experiments.cli scale --json SCALE_campaign.json

@@ -8,38 +8,12 @@ paper's curve shapes directly in the terminal so ``mediaworm run fig3
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 
 #: glyphs assigned to series, in order
 SERIES_MARKS = "ox+*#@%&"
-
-_SPARK_LEVELS = " .:-=+*#%@"
-
-
-def sparkline(values: Sequence[float], width: int = 0) -> str:
-    """One-line amplitude plot of ``values`` (nan renders as space)."""
-    finite = [v for v in values if v == v]
-    if not finite:
-        return ""
-    low, high = min(finite), max(finite)
-    span = high - low
-    chars = []
-    for value in values:
-        if value != value:
-            chars.append(" ")
-            continue
-        if span == 0:
-            chars.append(_SPARK_LEVELS[-1])
-            continue
-        level = (value - low) / span
-        chars.append(_SPARK_LEVELS[int(level * (len(_SPARK_LEVELS) - 1))])
-    line = "".join(chars)
-    if width and len(line) > width:
-        step = len(line) / width
-        line = "".join(line[int(i * step)] for i in range(width))
-    return line
 
 
 def ascii_xy_plot(

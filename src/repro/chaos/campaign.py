@@ -20,11 +20,11 @@ spec whose axis value ``i`` draws scenario ``i`` and whose point body
 is :func:`run_scenario`, so its scenarios run through
 :func:`~repro.experiments.campaign.run_plans` like every sweep point:
 worker isolation and crash recovery from the
-:class:`~repro.experiments.parallel.ParallelSweepExecutor`, and a
-checkpoint keyed by each scenario's content
-(:func:`~repro.experiments.campaign.experiment_key`) under the meta
-``{"command": "chaos"}``.  A rerun — or a longer ``--count`` of the
-same seed — restores every verdict already on disk; another profile or
+:class:`~repro.experiments.parallel.ParallelSweepExecutor`, and the
+result store, keyed by each scenario's content
+(:func:`~repro.experiments.campaign.experiment_key`).  A rerun — or a
+longer ``--count`` of the same seed — restores every verdict already
+stored, whether or not the campaign found a failure; another profile or
 ``--point-timeout`` changes the scenarios' content, so they recompute.  Repro
 files are :func:`repro.plain.to_plain` of the scenario, read back by
 :func:`repro.plain.from_plain`, which refuses an unknown field or a
@@ -55,14 +55,14 @@ from repro.chaos.scenario import (
 from repro.errors import ChaosFailure, ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Point, empty_metrics, run_plans
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.resilience import SweepCheckpoint, wall_clock_limit
+from repro.experiments.resilience import ResultStore, wall_clock_limit
 from repro.experiments.runner import simulate
 from repro.faults import expand_domain
 from repro.plain import from_plain, to_plain
 from repro.router.config import RoutingMode
 from repro.sim.reference import run_reference
 
-REPRO_FORMAT = "mediaworm-chaos-repro-v1"
+REPRO_SCHEMA = "mediaworm-chaos-repro-v1"
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +97,7 @@ def run_scenario(scenario: Scenario) -> dict:
 
     The wall-clock budget covers the scenario's primary run *and* its
     differential twins — a scenario is judged as a unit.  The verdict
-    is JSON-plain, so campaign checkpoints store it directly.
+    is JSON-plain, so the result store keeps it directly.
     """
     started = time.perf_counter()
     try:
@@ -364,7 +364,7 @@ def write_repro(
     os.makedirs(corpus_dir, exist_ok=True)
     path = os.path.join(corpus_dir, f"{scenario.key}.json")
     payload = {
-        "format": REPRO_FORMAT,
+        "format": REPRO_SCHEMA,
         "scenario": to_plain(scenario),
         "verdict": {
             "status": verdict["status"],
@@ -391,13 +391,13 @@ def load_repro(path: str) -> Tuple[Scenario, dict]:
             f"{path}: not a readable repro file "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    if not isinstance(payload, dict) or payload.get("format") != REPRO_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != REPRO_SCHEMA:
         found = (
             payload.get("format") if isinstance(payload, dict) else payload
         )
         raise ConfigurationError(
             f"{path}: unknown repro format {found!r} "
-            f"(expected {REPRO_FORMAT!r})"
+            f"(expected {REPRO_SCHEMA!r})"
         )
     if "scenario" not in payload:
         raise ConfigurationError(f"{path}: no 'scenario' block")
@@ -482,7 +482,7 @@ def run_campaign(
     count: int,
     corpus_dir: str,
     jobs: int = 1,
-    checkpoint: Optional[SweepCheckpoint] = None,
+    store: Optional[ResultStore] = None,
     shrink_budget: int = 40,
     point_timeout: Optional[float] = None,
     log: Optional[Callable[[str], None]] = None,
@@ -491,7 +491,7 @@ def run_campaign(
 
     Scenario verdicts go through :func:`~repro.experiments.campaign
     .run_plans` like any sweep point: worker isolation, crash recovery,
-    and ``checkpoint`` entries keyed by each scenario's content
+    and ``store`` records keyed by each scenario's content
     (:func:`~repro.experiments.campaign.experiment_key`), so a rerun
     restores every finished verdict — a longer ``count`` included.
     Failures are then shrunk serially in the parent and written to
@@ -507,7 +507,7 @@ def run_campaign(
     spec = _spec(space, seed)
     plan = spec.plan("smoke", range(count))
     executor = ParallelSweepExecutor(jobs=jobs, log=log)
-    points = run_plans([(spec, plan)], checkpoint, log, executor)[0]
+    points = run_plans([(spec, plan)], store, log, executor)[0]
 
     failures = []
     for pair, point in points.items():
@@ -537,9 +537,6 @@ def run_campaign(
                 "repro": path,
             }
         )
-    if checkpoint is not None and not failures:
-        # a clean campaign's checkpoint has served its purpose
-        checkpoint.clear()
     return {
         "seed": seed,
         "count": count,

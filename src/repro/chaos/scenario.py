@@ -51,7 +51,7 @@ from repro.obs.events import TraceSpec
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
 
-_FORMAT = "mediaworm-chaos-scenario-v1"
+_SCHEMA = "mediaworm-chaos-scenario-v1"
 
 
 #: scenario topology name -> (experiment type, {its shape field: the
@@ -163,12 +163,12 @@ class Scenario:
     #: ride an InvariantChecker on every run of this scenario
     check: bool = True
     #: the repro-file format tag; a file carrying any other is refused
-    format: str = _FORMAT
+    format: str = _SCHEMA
 
     def __post_init__(self) -> None:
-        if self.format != _FORMAT:
+        if self.format != _SCHEMA:
             raise ConfigurationError(
-                f"unknown scenario format {self.format!r} (expected {_FORMAT!r})"
+                f"unknown scenario format {self.format!r} (expected {_SCHEMA!r})"
             )
         if self.topology not in _TOPOLOGIES:
             raise ConfigurationError(
@@ -263,7 +263,7 @@ def scenario_topology(scenario: Scenario):
 class ScenarioSpace:
     """The distribution chaos campaigns draw scenarios from.
 
-    A campaign checkpoints each drawn scenario under its content key:
+    A campaign stores each drawn scenario under its content key:
     a scenario that another space, seed or timeout draws differently
     is a new key and is recomputed, never served a foreign verdict.
     """

@@ -35,20 +35,6 @@ from repro.errors import ConfigurationError
 BEST_EFFORT_VTICK = 1.0e12
 
 
-def vtick_for_rate(rate_flits_per_cycle: float) -> float:
-    """Vtick (cycles between services) for a flit rate in flits/cycle.
-
-    The paper's example: a message requiring 120 K flits/sec has
-    ``Vtick = 1/120K`` seconds; in cycle units this is simply the
-    reciprocal of the per-cycle flit rate.
-    """
-    if rate_flits_per_cycle <= 0:
-        raise ConfigurationError(
-            f"flit rate must be positive, got {rate_flits_per_cycle}"
-        )
-    return 1.0 / rate_flits_per_cycle
-
-
 def vtick_for_fraction(bandwidth_fraction: float) -> float:
     """Vtick for a stream reserving ``bandwidth_fraction`` of a PC.
 

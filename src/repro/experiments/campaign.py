@@ -10,12 +10,12 @@ else: planning the ``(series, x) -> experiment`` grid, keying each
 point by its experiment (:func:`experiment_key`), running every
 distinct experiment once (:func:`run_plans`, which is also how
 ``mediaworm all`` runs the union of the paper's specs), logging
-restored points, recording (and checkpointing) points that fail,
+restored points, recording (and storing) points that fail,
 placing each point at its axis value, assembling the
 :class:`FigureData` and rendering the aligned table.  Figs. 3-9 and
 Tables 2-3 are the specs of :data:`repro.experiments.figures.PAPER`;
 the CLI enumerates :func:`campaigns`, so a new campaign is a spec plus
-a :func:`register` call and gets ``--jobs``, checkpointing, ``--json``
+a :func:`register` call and gets ``--jobs``, the result store, ``--json``
 and the exit-1-on-failed-point rule for free.
 
 The vocabulary specs are written in (:class:`RunProfile`,
@@ -33,9 +33,9 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from importlib import import_module
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, PointTimeoutError, SimulationError
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.resilience import ResultStore
 from repro.experiments.runner import simulate
 from repro.metrics.collector import RunMetrics
 
@@ -119,7 +119,7 @@ class Point:
 
 
 def point_to_dict(point: Point) -> Dict:
-    """Flatten one sweep point (also the campaigns' checkpoint encoding)."""
+    """Flatten one sweep point (also its record in the result store)."""
     return {
         "x": point.x,
         "metrics": asdict(point.metrics),
@@ -200,13 +200,13 @@ def _plain(value):
 
 
 def experiment_key(experiment) -> str:
-    """A point's checkpoint and result key: its experiment's content
+    """A point's task and result-store key: its experiment's content
     address (the type name plus every field value, hashed).
 
     Equal experiments share one key in every process (never Python's
     salted ``hash``), so points of different specs that run the same
     experiment are simulated once; and any changed field — a knob, the
-    seed, ``--watchdog`` — is a new key, so a checkpoint never serves a
+    seed, ``--watchdog`` — is a new key, so the store never serves a
     point computed under other settings.
     """
     blob = json.dumps(_plain(experiment), sort_keys=True, separators=(",", ":"))
@@ -309,7 +309,7 @@ class Column(NamedTuple):
 class Campaign:
     """A sweep study as data; :meth:`run` and :meth:`render` do the rest."""
 
-    #: subcommand or ``run`` name, figure id, checkpoint ``command``, log tag
+    #: subcommand or ``run`` name, figure id, log tag
     name: str
     #: one line, shown by ``mediaworm --help`` and ``mediaworm list``
     help: str
@@ -323,8 +323,8 @@ class Campaign:
     #: worker body ``experiment -> Point`` holding what the run measured
     #: (``x`` is placed by :meth:`run`); module-level (picklable) so the
     #: parallel executor can run points in pool workers, and returning
-    #: the Point rather than the full result keeps the checkpoint
-    #: encoding identical between serial and parallel paths
+    #: the Point rather than the full result keeps the stored record
+    #: identical between serial and parallel paths
     point: Callable = measure
     notes: str = ""
     #: series value -> its name in the figure (``0.8`` -> ``"load=0.8"``)
@@ -385,14 +385,14 @@ class Campaign:
         self,
         profile="default",
         values: Optional[Sequence] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
+        store: Optional[ResultStore] = None,
         log: Optional[Callable[[str], None]] = None,
         executor: Optional[ParallelSweepExecutor] = None,
     ):
         """Sweep ``values`` of the axis for every series: :meth:`plan`,
         :func:`run_plans`, :meth:`reduce`."""
         plan = self.plan(profile, values)
-        return run_plans([(self, plan)], checkpoint, log, executor)[0]
+        return run_plans([(self, plan)], store, log, executor)[0]
 
     def render(self, fig) -> str:
         """What :meth:`run` returned, as the terminal shows it: the
@@ -424,7 +424,7 @@ class Campaign:
 
 def run_plans(
     plans: Sequence[Tuple[Campaign, Dict]],
-    checkpoint: Optional[SweepCheckpoint] = None,
+    store: Optional[ResultStore] = None,
     log: Optional[Callable[[str], None]] = None,
     executor: Optional[ParallelSweepExecutor] = None,
 ) -> list:
@@ -435,14 +435,17 @@ def run_plans(
     share it (specs that share an experiment measure it with one point
     body), so the whole union is one ``executor.run``: one pool
     (``jobs > 1``; results are bit-identical to the serial path, as
-    each point seeds its own RNG streams) and one checkpoint.  This is
-    the one place a checkpoint is read and written: keys it holds are
-    restored, and every other experiment is persisted as it completes.
-    Each experiment runs once; one that raises a ``SimulationError``
-    records a ``failed`` extra (checkpointed too) instead of aborting
-    the sweep — unless a spec has no ``columns`` (no FAILED row to show
-    it in), in which case the error propagates.  Each spec then places
-    its points at their axis values and reduces them.
+    each point seeds its own RNG streams).  This is the one place the
+    :class:`~repro.experiments.resilience.ResultStore` is read and
+    written: a key it holds is restored, whichever command stored it,
+    and every other experiment is appended as it completes.  Each
+    experiment runs once; one that raises a ``SimulationError`` records
+    a ``failed`` extra instead of aborting the sweep — unless a spec has
+    no ``columns`` (no FAILED row to show it in), in which case the
+    error propagates.  A failure is stored like a result, except a
+    ``PointTimeoutError``: it depends on the host and on the timeout,
+    which the key does not name.  Each spec then places its points at
+    their axis values and reduces them.
     """
     if executor is None:
         executor = ParallelSweepExecutor(jobs=1, log=log)
@@ -461,22 +464,28 @@ def run_plans(
         keyed.append(keys)
 
     results: Dict[str, Point] = {}
-    if checkpoint is not None:
+    if store is not None:
         for key in tasks:
-            if key in checkpoint:
-                results[key] = point_from_dict(checkpoint.get(key))
+            stored = store.get(key)
+            if stored is not None:
+                results[key] = point_from_dict(stored)
         for name, key in names:
             if key in results:
                 say(f"{name}: restored from checkpoint")
 
     def on_result(task: SweepTask, point: Point) -> None:
         results[task.key] = point
-        if checkpoint is not None:
-            checkpoint.put(task.key, point_to_dict(point))
+        if store is not None:
+            store.put(task.key, point_to_dict(point))
 
     def on_failure(task: SweepTask, exc: SimulationError) -> None:
         failure = {"failed": f"{type(exc).__name__}: {exc}"}
-        on_result(task, Point(None, empty_metrics(), failure))
+        point = Point(None, empty_metrics(), failure)
+        if isinstance(exc, PointTimeoutError):
+            # not stored: the next run tries the point again
+            results[task.key] = point
+        else:
+            on_result(task, point)
         for name, key in names:
             if key == task.key:
                 say(f"{name}: FAILED ({type(exc).__name__})")

@@ -44,7 +44,10 @@ from repro.experiments.campaign import (
 from repro.experiments.export import save_result
 from repro.experiments.figures import PAPER
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.resilience import ResultStore
+
+#: the result store every sweep command reads and appends to
+DEFAULT_STORE = "mediaworm-results.jsonl"
 
 
 class Command(NamedTuple):
@@ -95,7 +98,6 @@ def _add_sweep_args(parser, watchdog: bool = True) -> None:
 
 def _add_run_args(
     parser,
-    command: str,
     profile: str = "default",
     json_out: bool = False,
     checkpoint: bool = False,
@@ -119,13 +121,15 @@ def _add_run_args(
             "--checkpoint",
             metavar="PATH",
             default=None,
-            help=f"checkpoint file (default: mediaworm-{command}-<profile>"
-            ".checkpoint.json); an interrupted run resumes from it",
+            help="result store shared by every sweep command (default: "
+            f"{DEFAULT_STORE}): a point it holds from this code is restored, "
+            "every new one is appended",
         )
         parser.add_argument(
             "--fresh",
             action="store_true",
-            help="discard any existing checkpoint and recompute everything",
+            help="restore nothing already stored; every point is simulated "
+            "and still appended",
         )
 
 
@@ -152,17 +156,14 @@ def _sweep_setup(args):
     )
 
 
-def _open_checkpoint(args, command: str) -> SweepCheckpoint:
-    """The invocation's checkpoint, emptied first under ``--fresh``.
-
-    Every sweep (chaos included) keys its points by their experiments,
-    so the meta only names the command.
-    """
-    path = args.checkpoint or f"mediaworm-{command}-{args.profile}.checkpoint.json"
-    checkpoint = SweepCheckpoint(path, meta={"command": command})
-    if args.fresh:
-        checkpoint.clear()
-    return checkpoint
+def _open_checkpoint(args) -> ResultStore:
+    """The result store, refused before any point runs when its path
+    cannot be opened for append."""
+    path = args.checkpoint or DEFAULT_STORE
+    try:
+        return ResultStore(path, fresh=args.fresh)
+    except OSError as exc:
+        raise SystemExit(f"--checkpoint {path}: {exc.strerror or exc}")
 
 
 def _dump_json(path: str, payload) -> None:
@@ -185,7 +186,7 @@ def _run_list(args) -> int:
 
 def _configure_run(parser) -> None:
     parser.add_argument("experiment", help="fig3..fig9, table2, table3")
-    _add_run_args(parser, "run", json_out=True)
+    _add_run_args(parser, json_out=True)
     _add_sweep_args(parser)
     parser.add_argument(
         "--plot",
@@ -227,7 +228,7 @@ def _run_run(args) -> int:
 
 
 def _configure_all(parser) -> None:
-    _add_run_args(parser, "all", checkpoint=True)
+    _add_run_args(parser, checkpoint=True)
     _add_sweep_args(parser)
 
 
@@ -235,12 +236,10 @@ def _run_all(args) -> int:
     """Every spec of ``PAPER`` as one sweep: the union of their plans,
     each distinct experiment simulated once, resumed per point."""
     profile, executor = _sweep_setup(args)
-    checkpoint = _open_checkpoint(args, "all")
+    store = _open_checkpoint(args)
     started = time.perf_counter()
     plans = [(spec, spec.plan(profile)) for spec in PAPER.values()]
-    for (spec, _), result in zip(
-        plans, run_plans(plans, checkpoint, print, executor)
-    ):
+    for (spec, _), result in zip(plans, run_plans(plans, store, print, executor)):
         print(spec.render(result) + "\n")
     points = [e for _, plan in plans for e in plan.values()]
     distinct = len(set(map(experiment_key, points)))
@@ -248,12 +247,11 @@ def _run_all(args) -> int:
         f"[all completed in {time.perf_counter() - started:.1f}s: "
         f"{distinct} distinct simulations for {len(points)} points]"
     )
-    checkpoint.clear()
     return 0
 
 
 def _configure_campaign(spec: Campaign, parser) -> None:
-    _add_run_args(parser, spec.name, json_out=True, checkpoint=True)
+    _add_run_args(parser, json_out=True, checkpoint=True)
     _add_sweep_args(parser)
     axis = spec.axis
     parser.add_argument(
@@ -262,7 +260,8 @@ def _configure_campaign(spec: Campaign, parser) -> None:
 
 
 def _run_campaign(spec: Campaign, args) -> int:
-    """A checkpointed campaign; exits 1 when any point is a FAILED row."""
+    """A campaign on the result store; exits 1 when any point is a
+    FAILED row."""
     profile, executor = _sweep_setup(args)
     try:
         values = spec.sweep(
@@ -270,16 +269,13 @@ def _run_campaign(spec: Campaign, args) -> int:
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc))
-    checkpoint = _open_checkpoint(args, spec.name)
+    store = _open_checkpoint(args)
     started = time.perf_counter()
-    fig = spec.run(
-        profile, values, checkpoint=checkpoint, log=print, executor=executor
-    )
+    fig = spec.run(profile, values, store=store, log=print, executor=executor)
     if args.json:
         save_result(args.json, fig)
     print(spec.render(fig))
     print(f"[{spec.name} completed in {time.perf_counter() - started:.1f}s]")
-    checkpoint.clear()
     return 1 if any_failed(fig) else 0
 
 
@@ -397,9 +393,7 @@ def _run_trace(args) -> int:
 
 
 def _configure_chaos(parser) -> None:
-    _add_run_args(
-        parser, "chaos", profile="smoke", json_out=True, checkpoint=True
-    )
+    _add_run_args(parser, profile="smoke", json_out=True, checkpoint=True)
     # scenarios carry their own watchdog windows
     _add_sweep_args(parser, watchdog=False)
     parser.add_argument(
@@ -491,7 +485,7 @@ def _run_chaos(args) -> int:
         print(f"[selftest ok: pipeline caught/shrank/replayed -> {path}]")
         return 0
 
-    checkpoint = _open_checkpoint(args, "chaos")
+    store = _open_checkpoint(args)
     started = time.perf_counter()
     summary = run_campaign(
         ScenarioSpace(scale=get_profile(args.profile).scale),
@@ -499,7 +493,7 @@ def _run_chaos(args) -> int:
         count=args.count,
         corpus_dir=args.corpus,
         jobs=args.jobs,
-        checkpoint=checkpoint,
+        store=store,
         shrink_budget=args.shrink_budget,
         point_timeout=args.point_timeout,
         log=print,

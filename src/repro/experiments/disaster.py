@@ -30,7 +30,7 @@ the damage.
 Reported per point: delivered QoS fraction over *reachable* hosts (the
 honest failover score — a dead ToR's hosts are unsavable), hosts
 isolated, host downtime, switch downs/time-to-recover, and jitter.
-Points are checkpointed under their experiments' content keys (see
+Points are stored under their experiments' content keys (see
 :func:`~repro.experiments.campaign.experiment_key`).
 """
 

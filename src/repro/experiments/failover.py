@@ -20,7 +20,7 @@ watching symptoms.  The two series are the routing modes:
 
 Reported per point: delivered QoS fraction, QoS deadline misses, jitter
 (``d`` / ``sigma_d``), and the monitor's failover counters.  Points are
-checkpointed under their experiments' content keys (see
+stored under their experiments' content keys (see
 :func:`~repro.experiments.campaign.experiment_key`), so resuming with
 changed failover knobs recomputes instead of serving stale points.
 """

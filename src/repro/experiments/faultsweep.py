@@ -9,7 +9,7 @@ at the given rate, the end-to-end recovery transport picking up the
 pieces, and the progress watchdog bounding wedged runs.
 
 Results are delivered-fraction and jitter versus fault rate, one series
-per scheduler, checkpointed per point so an interrupted campaign
+per scheduler, stored per point so an interrupted campaign
 resumes where it stopped.
 """
 

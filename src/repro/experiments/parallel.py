@@ -22,7 +22,7 @@ seed's.
   crash is the host's fault, not the experiment's, so rerunning the
   same experiment gives the result the crash interrupted.
 
-Checkpointing is the caller's business: every completion is handed to
+Storing results is the caller's business: every completion is handed to
 ``on_result`` as it arrives (:func:`~repro.experiments.campaign
 .run_plans` restores and persists there).
 
@@ -49,7 +49,7 @@ POOL_CRASHES = 2
 class SweepTask:
     """One independent sweep point: run ``runner(experiment)``.
 
-    ``key`` names the point in result dicts and checkpoints (e.g.
+    ``key`` names the point in result dicts and the result store (e.g.
     ``"mediaworm@0.8"``); keys must be unique within one sweep.  Both
     ``runner`` and ``experiment`` must be picklable — in practice
     ``simulate`` (or a module-level point function that calls it) plus

@@ -1,11 +1,13 @@
-"""Sweep resilience: checkpointing and a per-point wall-clock limit.
+"""Sweep resilience: a result store and a per-point wall-clock limit.
 
 Long sweeps (``mediaworm all``, fault campaigns) should survive two
 kinds of trouble:
 
-* **the process dying** — every completed unit of work is persisted to
-  a JSON checkpoint (atomic write: temp file + rename), so a rerun
-  skips finished work instead of recomputing it;
+* **the process dying** — every completed point is appended to a
+  :class:`ResultStore`, one JSON line each, so a rerun restores what
+  is stored instead of recomputing it.  The store is never cleared, so
+  a rerun of the same sweep, a widened axis or another sweep command
+  with overlapping points simulates only what it lacks;
 * **a single point hanging** — :func:`wall_clock_limit` turns it into a
   :class:`~repro.errors.PointTimeoutError`, a failed point like a
   deadlock.  A failed point is never rerun under another seed: the
@@ -15,19 +17,20 @@ kinds of trouble:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import signal
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro.errors import PointTimeoutError
 
 logger = logging.getLogger(__name__)
-
-_FORMAT = "mediaworm-checkpoint-v1"
 
 
 @contextmanager
@@ -65,113 +68,83 @@ def wall_clock_limit(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-class SweepCheckpoint:
-    """A JSON checkpoint of completed sweep work.
+@lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """The sha256 of the running simulator: every ``*.py`` under the
+    imported ``repro`` package, path and bytes, in path order."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
-    ``meta`` identifies the sweep (profile, rates, ...); loading a file
-    whose metadata disagrees discards it, so a checkpoint can never
-    splice results from a differently configured run into this one.
-    Values must be JSON-serialisable.
+
+class ResultStore:
+    """An append-only JSONL log of finished points.
+
+    One line per result: ``{"key": experiment_key, "code":
+    code_fingerprint(), "point": point_to_dict(point)}``.  Only records
+    written by the running code are served, so a point simulated by
+    another version of the simulator is simulated again; for a repeated
+    key the last record wins.  ``fresh`` serves nothing already stored
+    (what this run puts is still appended).
+
+    The file is opened for append when the store is built, so a path
+    that cannot be written fails before any point runs.  A torn last
+    line (an interrupted write) is cut off with a warning, so the next
+    append starts a line of its own; any other corrupt line is skipped
+    with a warning naming ``path:line``.
     """
 
-    def __init__(self, path: str, meta: Dict[str, object]) -> None:
+    def __init__(self, path: str, fresh: bool = False) -> None:
         self.path = str(path)
-        self.meta = dict(meta)
-        self._done: Dict[str, object] = {}
-        self._load()
-
-    def _load(self) -> None:
-        raw = self._read(self.path)
-        if raw is None:
-            # A crash between writing the temp file and the atomic
-            # rename leaves a complete checkpoint at <path>.tmp with
-            # nothing (or a truncated file) at <path>; recover it.
-            raw = self._read(f"{self.path}.tmp")
-            if raw is not None:
+        self._points: Dict[str, dict] = {}
+        with open(self.path, "a+b") as log:
+            log.seek(0)
+            data = log.read()
+            lines = data.split(b"\n")
+            torn = lines.pop()  # b"" when the file ends in a newline
+            if torn:
                 logger.warning(
-                    "checkpoint %s: recovered from partial write "
-                    "(loading %s.tmp left by a crash)",
+                    "result store %s: cutting a torn last line (%d bytes) "
+                    "left by an interrupted write",
                     self.path,
-                    self.path,
+                    len(torn),
                 )
-        if raw is None:
-            return
-        if raw.get("meta") != self.meta:
-            logger.warning(
-                "checkpoint %s: metadata %r does not match this sweep's "
-                "%r; discarding it and recomputing from scratch",
-                self.path,
-                raw.get("meta"),
-                self.meta,
-            )
-            return
-        done = raw.get("done")
-        if isinstance(done, dict):
-            self._done = done
+                log.truncate(len(data) - len(torn))
+        if not fresh:
+            self._read(lines)
 
-    def _read(self, path: str) -> Optional[Dict[str, object]]:
-        """Parse one candidate checkpoint file, or ``None`` with a reason.
-
-        Missing files are silent (the normal first-run case); corrupt
-        JSON and format mismatches warn, naming the path and the cause,
-        so an operator knows the rerun is recomputing from scratch.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            logger.warning(
-                "checkpoint %s: unreadable (%s: %s); completed work "
-                "recorded there will be recomputed",
-                path,
-                type(exc).__name__,
-                exc,
-            )
-            return None
-        if not isinstance(raw, dict) or raw.get("format") != _FORMAT:
-            logger.warning(
-                "checkpoint %s: unrecognised format %r (expected %r); "
-                "discarding it",
-                path,
-                raw.get("format") if isinstance(raw, dict) else type(raw),
-                _FORMAT,
-            )
-            return None
-        return raw
-
-    def _save(self) -> None:
-        payload = {"format": _FORMAT, "meta": self.meta, "done": self._done}
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-
-    def get(self, key: str):
-        """The stored value for ``key``, or ``None`` when not done."""
-        return self._done.get(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._done
-
-    def put(self, key: str, value) -> None:
-        """Record one completed unit of work and persist immediately."""
-        self._done[key] = value
-        self._save()
-
-    @property
-    def done_keys(self):
-        """Keys completed so far, in completion order."""
-        return list(self._done)
-
-    def clear(self) -> None:
-        """Delete the checkpoint file (sweep finished or restarted)."""
-        self._done = {}
-        for path in (self.path, f"{self.path}.tmp"):
+    def _read(self, lines) -> None:
+        code = code_fingerprint()
+        for number, line in enumerate(lines, 1):
             try:
-                os.remove(path)
-            except OSError:
-                pass
+                record = json.loads(line)
+                key, point = record["key"], record["point"]
+                current = record["code"] == code
+            except (ValueError, TypeError, KeyError) as exc:
+                logger.warning(
+                    "%s:%d: skipping a corrupt record (%s: %s)",
+                    self.path,
+                    number,
+                    type(exc).__name__,
+                    exc,
+                )
+                continue
+            if current:
+                self._points[key] = point
+
+    def get(self, key: str) -> Optional[dict]:
+        """The stored point for ``key``, or ``None``."""
+        return self._points.get(key)
+
+    def put(self, key: str, point: dict) -> None:
+        """Append one finished point and persist it before returning."""
+        self._points[key] = point
+        record = {"key": key, "code": code_fingerprint(), "point": point}
+        line = json.dumps(record, separators=(",", ":"))
+        with open(self.path, "ab") as log:
+            log.write(line.encode() + b"\n")
+            log.flush()
+            os.fsync(log.fileno())

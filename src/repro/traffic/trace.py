@@ -8,8 +8,6 @@ models.  This module provides the same capability:
   :class:`~repro.traffic.mpeg.FrameSizeModel` that replays a recorded
   sequence of frame sizes (looping), so :class:`MediaStream` works
   unchanged;
-* :func:`load_frame_trace` / :func:`save_frame_trace` — one frame size
-  per line, ``#`` comments allowed;
 * :func:`generate_mpeg2_gop_trace` — a synthetic trace with MPEG-2
   group-of-pictures structure (large I frames, medium P, small B),
   which is burstier than the paper's normal model and useful for
@@ -19,8 +17,7 @@ models.  This module provides the same capability:
 from __future__ import annotations
 
 import random
-from pathlib import Path
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.traffic.mpeg import FrameSizeModel
@@ -58,45 +55,6 @@ class TraceFrameModel(FrameSizeModel):
     def is_constant(self) -> bool:
         first = self.sizes[0]
         return all(s == first for s in self.sizes)
-
-    def rewind(self) -> None:
-        """Restart the trace from its first frame."""
-        self._cursor = 0
-
-
-def load_frame_trace(path: Union[str, Path]) -> List[int]:
-    """Read a frame-size trace: one positive integer per line.
-
-    Blank lines and ``#``-prefixed comments are ignored.
-    """
-    sizes: List[int] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            size = int(line)
-        except ValueError:
-            raise ConfigurationError(
-                f"{path}:{lineno}: not an integer frame size: {line!r}"
-            ) from None
-        if size < 1:
-            raise ConfigurationError(
-                f"{path}:{lineno}: frame size must be >= 1, got {size}"
-            )
-        sizes.append(size)
-    if not sizes:
-        raise ConfigurationError(f"{path}: trace contains no frames")
-    return sizes
-
-
-def save_frame_trace(path: Union[str, Path], sizes: Sequence[int]) -> None:
-    """Write a frame-size trace in the format ``load_frame_trace`` reads."""
-    if not sizes:
-        raise ConfigurationError("refusing to write an empty trace")
-    lines = ["# frame sizes in flits, one per frame"]
-    lines.extend(str(int(s)) for s in sizes)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def generate_mpeg2_gop_trace(

@@ -19,6 +19,14 @@ from repro.sim.units import LinkSpec, TimeBase, WorkloadScale
 from repro.traffic.mix import build_workload
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Every test runs in its own empty directory: the sweep commands'
+    default result store persists, so one test's points must never be
+    served to another (nor land in the checkout)."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def reference_loop(request, monkeypatch):
     """Run the test on the reference stepper instead of the fused loop.

@@ -1,36 +1,11 @@
 """Terminal plotting helpers."""
 
-import math
-
 import pytest
 
-from repro.analysis.ascii_plot import ascii_xy_plot, figure_plot, sparkline
+from repro.analysis.ascii_plot import ascii_xy_plot, figure_plot
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import FigureData, Point
 from repro.metrics.collector import RunMetrics
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        line = sparkline([0, 1, 2, 3, 4])
-        assert line[0] == " "
-        assert line[-1] == "@"
-        assert len(line) == 5
-
-    def test_constant_series(self):
-        assert sparkline([5, 5, 5]) == "@@@"
-
-    def test_nan_renders_blank(self):
-        line = sparkline([0.0, float("nan"), 4.0])
-        assert line[1] == " "
-
-    def test_empty_and_all_nan(self):
-        assert sparkline([]) == ""
-        assert sparkline([float("nan")]) == ""
-
-    def test_width_downsampling(self):
-        line = sparkline(list(range(100)), width=10)
-        assert len(line) == 10
 
 
 class TestAsciiXyPlot:

@@ -8,9 +8,10 @@ parametrized over :func:`~repro.experiments.campaign.campaigns`.  The
 produced by the per-module campaign functions this skeleton replaced,
 so they prove the artifacts did not move (disaster's ``x`` has since
 become the severity name); scale's pin its format as a spec.  The
-checkpoint keys are literal content keys of the points' experiments:
-a checkpoint written today restores tomorrow, in any process, and one
-keyed the old ``series@x|fingerprint`` way is dropped, never spliced.
+result-store keys are literal content keys of the points' experiments:
+a record written today restores tomorrow, in any process running the
+same code; a record of other code, or a checkpoint in the old
+whole-file format, is recomputed, never spliced.
 """
 
 import json
@@ -49,7 +50,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.export import figure_to_dict, load_result
 from repro.experiments.figures import PAPER
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.resilience import ResultStore, code_fingerprint
 from repro.experiments.runner import ExperimentResult
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.metrics.collector import RunMetrics
@@ -60,7 +61,7 @@ from repro.router.config import RoutingMode
 NAMES = list(campaigns())
 
 #: RunMetrics(33.0, 0.5, 100, 99, 10.0, 10.0, 1.0, 50) as the Point codec
-#: writes it — the field set an old checkpoint carries
+#: writes it
 METRICS = {
     "availability": [],
     "be_latency_std_us": 1.0,
@@ -213,7 +214,7 @@ def _scale_record(name: str, topology: dict) -> dict:
 
 
 #: per campaign: the sweep, its CLI spelling, arguments the CLI must
-#: refuse, each point's checkpoint key, and the artifacts the replaced
+#: refuse, each point's store key, and the artifacts the replaced
 #: code produced for that sweep (scale: ``runs`` simulations per point,
 #: a ``record`` as each point's whole extra, and failures its body
 #: records rather than the executor)
@@ -360,7 +361,7 @@ scale campaign (active / repeat / legacy must be bit-identical)
 
 
 def _golden_point(name: str, series: str, x) -> dict:
-    """One point as the codec writes it to JSON (a checkpoint entry is
+    """One point as the codec writes it to JSON (a stored point is
     the same with ``x`` None: the spec places the point)."""
     gold = GOLDEN[name]
     if "record" in gold:
@@ -389,16 +390,26 @@ def _golden_figure(name: str) -> dict:
     )
 
 
-def _golden_checkpoint(name: str) -> dict:
-    """A campaign's checkpoint file, every point done."""
+def _golden_records(name: str) -> dict:
+    """``{key: point}`` a campaign stores, every point done."""
     return {
-        "format": "mediaworm-checkpoint-v1",
-        "meta": {"command": name},
-        "done": {
-            key: dict(_golden_point(name, series, x), x=None)
-            for (series, x), key in GOLDEN[name]["keys"].items()
-        },
+        key: dict(_golden_point(name, series, x), x=None)
+        for (series, x), key in GOLDEN[name]["keys"].items()
     }
+
+
+def _write_records(path, points: dict, code: str) -> None:
+    with open(path, "a") as log:
+        for key, point in points.items():
+            record = {"key": key, "code": code, "point": point}
+            log.write(json.dumps(record) + "\n")
+
+
+def _stored(path) -> dict:
+    """``{key: point}`` read from a store's log, in first-write order
+    (a repeated key keeps its last point)."""
+    records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    return {record["key"]: record["point"] for record in records}
 
 
 def test_every_builtin_campaign_has_a_golden():
@@ -430,15 +441,11 @@ class TestCampaignContract:
         spec = campaigns()[name]
         simulators(spec)
         gold = GOLDEN[name]
-        path = tmp_path / "ckpt.json"
-        fig = spec.run(
-            "quick",
-            gold["values"],
-            checkpoint=SweepCheckpoint(path, {"command": name}),
-        )
+        path = tmp_path / "ckpt.jsonl"
+        fig = spec.run("quick", gold["values"], store=ResultStore(path))
         assert spec.render(fig) == gold["table"]
         assert figure_to_dict(fig) == _golden_figure(name)
-        assert json.loads(path.read_text()) == _golden_checkpoint(name)
+        assert _stored(path) == _golden_records(name)
 
     def test_checkpoint_per_point_and_restore_without_rerun(
         self, name, simulators, tmp_path
@@ -446,19 +453,15 @@ class TestCampaignContract:
         spec = campaigns()[name]
         calls = simulators(spec)
         gold = GOLDEN[name]
-        path = tmp_path / "ckpt.json"
-        cp = SweepCheckpoint(path, {"command": name})
-        first = spec.run("quick", gold["values"], checkpoint=cp)
-        assert cp.done_keys == list(gold["keys"].values())
+        path = tmp_path / "ckpt.jsonl"
+        first = spec.run("quick", gold["values"], store=ResultStore(path))
+        assert list(_stored(path)) == list(gold["keys"].values())
         ran = len(calls)
 
         # a rerun against the same file recomputes nothing
         logs = []
         again = spec.run(
-            "quick",
-            gold["values"],
-            checkpoint=SweepCheckpoint(path, {"command": name}),
-            log=logs.append,
+            "quick", gold["values"], store=ResultStore(path), log=logs.append
         )
         assert len(calls) == ran
         assert logs == [
@@ -467,24 +470,34 @@ class TestCampaignContract:
         ]
         assert figure_to_dict(again) == figure_to_dict(first)
 
-    def test_checkpoint_from_the_replaced_code_restores(
+    def test_foreign_code_records_resimulate_to_golden(
         self, name, simulators, tmp_path, capsys
     ):
-        """The literal file — its keys pinned above — restores with zero
-        simulator calls."""
+        """Records under the pinned keys but written by other code are
+        not served: every point is simulated again, to the same table,
+        and then restores with zero simulator calls."""
         spec = campaigns()[name]
         calls = simulators(spec)
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(_golden_checkpoint(name)))
+        gold = GOLDEN[name]
+        stale = {
+            key: dict(point, metrics=dict(METRICS, mean_delivery_interval_ms=77.0))
+            for key, point in _golden_records(name).items()
+        }
+        path = tmp_path / "old.jsonl"
+        _write_records(path, stale, code="0" * 64)
         argv = [name, "--profile", "quick", "--checkpoint", str(path)]
-        argv += [spec.axis.flag, GOLDEN[name]["arg"]]
+        argv += [spec.axis.flag, gold["arg"]]
         assert cli.main(argv) == 0
-        assert calls == []
+        assert len(calls) == len(gold["keys"]) * gold.get("runs", 1)
         out = capsys.readouterr().out
-        assert out.count("restored from checkpoint") == len(
-            GOLDEN[name]["keys"]
-        )
-        assert GOLDEN[name]["table"] in out
+        assert "restored from checkpoint" not in out
+        assert gold["table"] in out
+        ran = len(calls)
+        assert cli.main(argv) == 0
+        assert len(calls) == ran
+        out = capsys.readouterr().out
+        assert out.count("restored from checkpoint") == len(gold["keys"])
+        assert gold["table"] in out
 
     def test_failed_point_recorded_checkpointed_not_fatal(
         self, name, simulators, tmp_path
@@ -493,11 +506,10 @@ class TestCampaignContract:
         gold = GOLDEN[name]
         calls = simulators(spec, fail=gold.get("fail", _second_kind))
         failing = _failing(spec, gold)
-        path = tmp_path / "ckpt.json"
-        cp = SweepCheckpoint(path, {"command": name})
+        path = tmp_path / "ckpt.jsonl"
         logs = []
         fig = spec.run(
-            "quick", gold["values"], checkpoint=cp, log=logs.append
+            "quick", gold["values"], store=ResultStore(path), log=logs.append
         )
         assert any_failed(fig)
         points = [p for series in fig.series.values() for p in series]
@@ -521,14 +533,10 @@ class TestCampaignContract:
             row.endswith("FAILED: DeadlockError: router 0 wedged")
             for row in failed_rows
         )
-        # the failure is checkpointed too: a rerun does not retry it
-        assert sorted(cp.done_keys) == sorted(gold["keys"].values())
+        # the failure is stored too: a rerun does not retry it
+        assert sorted(_stored(path)) == sorted(gold["keys"].values())
         ran = len(calls)
-        again = spec.run(
-            "quick",
-            gold["values"],
-            checkpoint=SweepCheckpoint(path, {"command": name}),
-        )
+        again = spec.run("quick", gold["values"], store=ResultStore(path))
         assert len(calls) == ran
         assert figure_to_dict(again) == figure_to_dict(fig)
 
@@ -556,12 +564,12 @@ class TestCampaignContract:
             assert len(excinfo.value.code) < 100
         assert calls == []
 
-    def test_cli_completion_clears_the_checkpoint_and_writes_json(
+    def test_cli_completion_keeps_store_and_writes_json(
         self, name, simulators, tmp_path, capsys
     ):
         spec = campaigns()[name]
         simulators(spec)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.jsonl"
         out_json = tmp_path / "fig.json"
         argv = [name, "--profile", "quick", "--checkpoint", str(path)]
         argv += [spec.axis.flag, GOLDEN[name]["arg"], "--json", str(out_json)]
@@ -569,7 +577,7 @@ class TestCampaignContract:
         out = capsys.readouterr().out
         assert GOLDEN[name]["table"] in out
         assert f"[{name} completed in" in out
-        assert not path.exists()
+        assert _stored(path) == _golden_records(name)
         assert json.loads(out_json.read_text()) == _golden_figure(name)
         assert figure_to_dict(load_result(out_json)) == _golden_figure(name)
 
@@ -578,11 +586,11 @@ class TestCampaignContract:
     ):
         spec = campaigns()[name]
         calls = simulators(spec)
-        stale = _golden_checkpoint(name)
-        for point in stale["done"].values():
+        stale = _golden_records(name)
+        for point in stale.values():
             point["metrics"] = dict(METRICS, mean_delivery_interval_ms=77.0)
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps(stale))
+        path = tmp_path / "ckpt.jsonl"
+        _write_records(path, stale, code=code_fingerprint())
         argv = [name, "--profile", "quick", "--checkpoint", str(path)]
         argv += [spec.axis.flag, GOLDEN[name]["arg"], "--fresh"]
         assert cli.main(argv) == 0
@@ -591,14 +599,17 @@ class TestCampaignContract:
         out = capsys.readouterr().out
         assert "restored from checkpoint" not in out
         assert "77.000" not in out
+        # the fresh points are appended after the stale ones, and win
+        assert len(path.read_text().splitlines()) == 2 * len(gold["keys"])
+        assert _stored(path) == _golden_records(name)
 
     def test_cli_exits_1_on_a_failed_point(
         self, name, simulators, tmp_path, capsys
     ):
-        """Table printed, JSON written, checkpoint cleared — then exit 1."""
+        """Table printed, JSON written, every point stored — then exit 1."""
         spec = campaigns()[name]
         simulators(spec, fail=GOLDEN[name].get("fail", _second_kind))
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.jsonl"
         out_json = tmp_path / "fig.json"
         argv = [name, "--profile", "quick", "--checkpoint", str(path)]
         argv += [spec.axis.flag, GOLDEN[name]["arg"], "--json", str(out_json)]
@@ -607,7 +618,7 @@ class TestCampaignContract:
         assert "FAILED: DeadlockError: router 0 wedged" in out
         assert f"[{name} completed in" in out
         assert any_failed(load_result(out_json))
-        assert not path.exists()
+        assert sorted(_stored(path)) == sorted(GOLDEN[name]["keys"].values())
 
 
 # ----------------------------------------------------------------------
@@ -671,7 +682,7 @@ class TestRegisteredCampaign:
             "fifo             3     9\n"
             "[toy completed in "
         )
-        assert not path.exists()
+        assert len(_stored(path)) == 2
 
     def test_is_listed_and_validated_like_a_builtin(self, capsys):
         assert list(campaigns()) == NAMES + ["toy"]
@@ -705,19 +716,15 @@ class TestRegisteredCampaign:
         assert {x for _, x in by_profile.plan("smoke")} == {4}
         assert {x for _, x in by_profile.plan("quick")} == {5}
 
-    def test_default_checkpoint_name_and_meta(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        seen = {}
-        real = SweepCheckpoint.clear
-
-        def spy(self):
-            seen[self.path] = dict(self.meta)
-            real(self)
-
-        monkeypatch.setattr(SweepCheckpoint, "clear", spy)
-        assert cli.main(["toy", "--profile", "smoke"]) == 0
-        # the keys say the profile and the sweep; the meta only the command
-        assert seen == {"mediaworm-toy-smoke.checkpoint.json": {"command": "toy"}}
+    def test_default_checkpoint_name(self, tmp_path, capsys):
+        """Every sweep command shares one store in the working directory
+        (each test runs in its own ``tmp_path``)."""
+        assert cli.main(["toy", "--profile", "smoke", "--sizes", "1"]) == 0
+        assert len(_stored(tmp_path / "mediaworm-results.jsonl")) == 2
+        capsys.readouterr()
+        assert cli.main(["toy", "--profile", "smoke", "--sizes", "1,3"]) == 0
+        assert capsys.readouterr().out.count("restored from checkpoint") == 2
+        assert len(_stored(tmp_path / "mediaworm-results.jsonl")) == 4
 
 
 # ----------------------------------------------------------------------
@@ -792,8 +799,8 @@ def test_all_simulates_each_distinct_experiment_once(
     """Fig. 3's Virtual Clock curve is Fig. 5's 80:20 column, Fig. 4's
     VBR curve its 100:0 column and Fig. 6's 16-VC series, Table 2 is
     read off Fig. 5 and Table 3 samples Fig. 8's PCS series: 130 points,
-    94 simulations, one checkpoint."""
-    path = tmp_path / "all.json"
+    94 simulations, one store — and a rerun on it simulates nothing."""
+    path = tmp_path / "all.jsonl"
     assert cli.main(["all", "--profile", "smoke", "--checkpoint", str(path)]) == 0
     assert len(counted_simulate) == 94
     assert len(set(map(experiment_key, counted_simulate))) == 94
@@ -803,7 +810,15 @@ def test_all_simulates_each_distinct_experiment_once(
     assert [out.index(block) for block in blocks] == sorted(
         out.index(block) for block in blocks
     )
-    assert not path.exists()
+    assert len(_stored(path)) == 94
+
+    assert cli.main(["all", "--profile", "smoke", "--checkpoint", str(path)]) == 0
+    assert len(counted_simulate) == 94
+    rerun = capsys.readouterr().out
+    assert rerun.count("restored from checkpoint") == 130
+    assert [
+        line for line in rerun.splitlines() if "restored" not in line
+    ][:-1] == out.splitlines()[:-1]
 
 
 @pytest.mark.parametrize(
@@ -829,18 +844,21 @@ def test_a_checkpoint_keyed_the_old_way_is_dropped(
     argv, meta, done, counted_simulate, tmp_path, caplog
 ):
     """Per-spec ``series@x`` keys (and ``all``'s per-figure text) are
-    never spliced into a content-keyed sweep: the meta differs, so the
-    file is discarded with a warning and everything is recomputed."""
+    never spliced into a content-keyed sweep: a whole-file checkpoint
+    holds no records, so its lines are skipped (its unterminated last
+    line cut) with warnings, and everything is recomputed."""
     path = tmp_path / "old.json"
     path.write_text(
         json.dumps(
-            {"format": "mediaworm-checkpoint-v1", "meta": meta, "done": done}
+            {"format": "mediaworm-checkpoint-v1", "meta": meta, "done": done},
+            indent=2,
         )
     )
     argv = argv + ["--profile", "quick", "--checkpoint", str(path)]
     with caplog.at_level(logging.WARNING, logger="repro.experiments.resilience"):
         assert cli.main(argv) == 0
-    assert "does not match this sweep's" in caplog.text
+    assert f"{path}:1: skipping a corrupt record" in caplog.text
+    assert "torn last line" in caplog.text
     assert len(counted_simulate) == (2 if argv[0] == "faults" else 96)
 
 
@@ -899,7 +917,7 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
     )
     try:
         deadline = time.monotonic() + 60
-        while not checkpoint.exists():
+        while not checkpoint.exists() or b"\n" not in checkpoint.read_bytes():
             assert victim.poll() is None, "campaign ended before any point"
             assert time.monotonic() < deadline
             time.sleep(0.02)
@@ -907,7 +925,9 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
         victim.kill()
         victim.wait(timeout=30)
     assert victim.returncode == -signal.SIGKILL
-    done = list(json.loads(checkpoint.read_text())["done"])
+    # whole records only: the kill may have torn the last line
+    records = checkpoint.read_text().split("\n")[:-1]
+    done = [json.loads(line)["key"] for line in records]
     keys = {
         "FatMeshExperiment-1f3022e33e4c4a18": "virtual_clock@0",
         "FatMeshExperiment-adb2f705882bcac1": "virtual_clock@0.005",
@@ -929,7 +949,7 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
         f"[faults] {keys[key]}: restored from checkpoint" for key in done
     ]
     assert len(runs) == len(keys) - len(done)
-    assert not checkpoint.exists()
+    assert len(checkpoint.read_text().splitlines()) == len(keys)
 
     whole = tmp_path / "uninterrupted.json"
     fresh = ["--fresh", "--checkpoint", str(tmp_path / "other.json")]

@@ -4,7 +4,7 @@ End-to-end campaign behaviour (25 scenarios, selftest, CLI) lives in
 ``make chaos-smoke``; this suite pins the harness mechanics at unit
 size: deterministic scenario draws, serialisation roundtrips, oracle
 classification, the shrink/replay pipeline against a sabotaged run,
-and campaign checkpoint restore.
+and campaign restore from the result store.
 """
 
 import dataclasses
@@ -42,7 +42,7 @@ from repro.experiments.campaign import (
     point_to_dict,
 )
 from repro.experiments.config import SingleSwitchExperiment
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.resilience import ResultStore
 from repro.faults import FaultPlan, LinkDownWindow
 from repro.plain import from_plain, to_plain
 
@@ -423,12 +423,10 @@ def _fails_first(calls):
 
 
 class TestCampaign:
-    META = {"command": "chaos"}
-
-    def test_clean_campaign_is_deterministic_and_clears_checkpoint(
-        self, tmp_path
+    def test_clean_campaign_is_deterministic_and_keeps_its_verdicts(
+        self, tmp_path, monkeypatch
     ):
-        checkpoint_path = tmp_path / "campaign.json"
+        checkpoint_path = tmp_path / "campaign.jsonl"
         kwargs = dict(
             space=TINY_SPACE,
             seed=3,
@@ -436,21 +434,29 @@ class TestCampaign:
             corpus_dir=str(tmp_path / "corpus"),
             jobs=1,
         )
-        first = run_campaign(
-            **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, self.META)
+        import repro.chaos.campaign as chaos_campaign
+
+        ran = []
+        real = chaos_campaign.run_scenario
+        monkeypatch.setattr(
+            chaos_campaign,
+            "run_scenario",
+            lambda scenario: ran.append(scenario.key) or real(scenario),
         )
+        first = run_campaign(**kwargs, store=ResultStore(checkpoint_path))
         assert first["scenarios"] == 2
         assert first["passed"] == 2
         assert first["failures"] == []
-        # a clean campaign leaves no checkpoint and writes no repros
-        assert not checkpoint_path.exists()
+        # a clean campaign stores both verdicts and writes no repros
+        assert len(checkpoint_path.read_text().splitlines()) == 2
         assert not (tmp_path / "corpus").exists()
-        assert (
-            run_campaign(
-                **kwargs, checkpoint=SweepCheckpoint(checkpoint_path, self.META)
-            )
-            == first
-        )
+        # a rerun restores them without running a scenario; a fresh one
+        # runs both again, to the same summary
+        assert run_campaign(**kwargs, store=ResultStore(checkpoint_path)) == first
+        assert ran == ["s000", "s001"]
+        fresh = ResultStore(checkpoint_path, fresh=True)
+        assert run_campaign(**kwargs, store=fresh) == first
+        assert ran == ["s000", "s001"] * 2
 
     def test_campaign_restores_verdicts_from_checkpoint(self, tmp_path):
         # seed the checkpoint with a fabricated failing verdict for
@@ -458,7 +464,7 @@ class TestCampaign:
         # recompute) and route the key through the shrink-and-repro
         # pipeline
         seed, count = 3, 2
-        checkpoint_path = tmp_path / "campaign.json"
+        checkpoint_path = tmp_path / "campaign.jsonl"
         fake = {
             "key": "s000",
             "status": "fail",
@@ -468,7 +474,7 @@ class TestCampaign:
             "wall_s": 0.0,
         }
         first = generate(TINY_SPACE, seed, count)[0]
-        SweepCheckpoint(checkpoint_path, self.META).put(
+        ResultStore(checkpoint_path).put(
             experiment_key(first), point_to_dict(Point(None, empty_metrics(), fake))
         )
         summary = run_campaign(
@@ -477,7 +483,7 @@ class TestCampaign:
             count=count,
             corpus_dir=str(tmp_path / "corpus"),
             jobs=1,
-            checkpoint=SweepCheckpoint(checkpoint_path, self.META),
+            store=ResultStore(checkpoint_path),
             shrink_budget=4,
         )
         assert summary["failed"] == 1
@@ -500,7 +506,7 @@ class TestCampaign:
 
         calls = []
         monkeypatch.setattr(chaos_campaign, "run_scenario", _fails_first(calls))
-        checkpoint_path = tmp_path / "campaign.json"
+        checkpoint_path = tmp_path / "campaign.jsonl"
 
         def run(count):
             return run_campaign(
@@ -508,7 +514,7 @@ class TestCampaign:
                 seed=3,
                 count=count,
                 corpus_dir=str(tmp_path / "corpus"),
-                checkpoint=SweepCheckpoint(checkpoint_path, self.META),
+                store=ResultStore(checkpoint_path),
                 shrink_budget=0,
             )
 
@@ -525,9 +531,9 @@ class TestCampaign:
         assert longer["failures"][0]["key"] == "s000"
 
     def test_parent_format_checkpoint_is_dropped(self, tmp_path, monkeypatch, caplog):
-        """A checkpoint written when the meta held the whole campaign
-        identity is discarded with the meta-mismatch warning and every
-        scenario is recomputed."""
+        """A whole-file checkpoint written when the meta held the whole
+        campaign identity holds no records: its lines are skipped with
+        warnings and every scenario is recomputed."""
         import repro.chaos.campaign as chaos_campaign
 
         calls = []
@@ -540,7 +546,9 @@ class TestCampaign:
             "point_timeout": None,
             "space": {"scale": 100.0},
         }
-        SweepCheckpoint(checkpoint_path, old_meta).put("s000", {"status": "pass"})
+        old = {"format": "mediaworm-checkpoint-v1", "meta": old_meta}
+        old["done"] = {"s000": {"status": "pass"}}
+        checkpoint_path.write_text(json.dumps(old, indent=2, sort_keys=True))
         argv = [
             "chaos",
             "--count",
@@ -554,7 +562,7 @@ class TestCampaign:
         ]
         with caplog.at_level("WARNING"):
             assert cli.main(argv) == 1
-        assert "does not match" in caplog.text
+        assert "skipping a corrupt record" in caplog.text
         assert calls == ["s000", "s000"]
 
     def test_replay_and_selftest_are_exclusive(self, capsys):

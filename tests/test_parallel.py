@@ -1,7 +1,8 @@
 """The parallel sweep executor: determinism, one attempt per point,
-crash resubmission; and the checkpoint ``run_plans`` keeps around it."""
+crash resubmission; and the result store ``run_plans`` keeps around it."""
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -17,7 +18,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.parallel import POOL_CRASHES, ParallelSweepExecutor, SweepTask
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.resilience import ResultStore
 from repro.experiments.runner import WorkloadSummary, simulate
 from repro.experiments.scale import run_digest
 
@@ -183,21 +184,20 @@ def _stub_spec() -> Campaign:
 
 
 class TestCheckpoint:
-    """``run_plans`` is the one reader and writer of a checkpoint: the
-    executor only reports each completion."""
+    """``run_plans`` is the one reader and writer of the result store:
+    the executor only reports each completion."""
 
     @staticmethod
     def _run(path, seeds, point=stub_point):
         spec = dataclasses.replace(_stub_spec(), point=point)
         plan = {("s", seed): StubExperiment(seed=seed) for seed in seeds}
-        checkpoint = SweepCheckpoint(path, meta={})
-        return run_plans([(spec, plan)], checkpoint)[0], checkpoint
+        return run_plans([(spec, plan)], ResultStore(path))[0]
 
     def test_restores_without_rerunning(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        first, _ = self._run(path, [5])
+        first = self._run(path, [5])
         assert first == {5: 10}
-        second, _ = self._run(path, [5], point=always_fails)
+        second = self._run(path, [5], point=always_fails)
         assert second == {5: 10}  # the body never ran
 
     def test_partial_checkpoint_runs_the_rest(self, tmp_path):
@@ -209,10 +209,30 @@ class TestCheckpoint:
             ran.append(experiment.seed)
             return stub_point(experiment)
 
-        results, checkpoint = self._run(path, [1, 4], point=counted)
+        results = self._run(path, [1, 4], point=counted)
         assert results == {1: 2, 4: 8}
         assert ran == [4]
-        assert len(checkpoint.done_keys) == 2
+        with open(path) as log:
+            assert len(log.readlines()) == 2
+
+    def test_a_torn_last_record_is_recomputed(self, tmp_path):
+        """A kill mid-append leaves half a line: the records before it
+        are restored, its point runs again, and the log parses whole."""
+        path = tmp_path / "ck.jsonl"
+        self._run(path, [1, 2])
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 10])
+        ran = []
+
+        def counted(experiment):
+            ran.append(experiment.seed)
+            return stub_point(experiment)
+
+        assert self._run(path, [1, 2, 3], point=counted) == {1: 2, 2: 4, 3: 6}
+        assert ran == [2, 3]
+        with open(path) as log:
+            keys = [json.loads(line)["key"] for line in log]
+        assert len(keys) == 3 and len(set(keys)) == 3
 
 
 class TestPool:

@@ -1,11 +1,14 @@
-"""Sweep resilience: checkpointing, one attempt per point, CLI resume."""
+"""Sweep resilience: the result store, one attempt per point, CLI resume."""
 
 import dataclasses
 import json
 import logging
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,11 @@ from repro.experiments.campaign import (
     experiment_key,
     point_to_dict,
 )
-from repro.experiments.resilience import SweepCheckpoint, wall_clock_limit
+from repro.experiments.resilience import (
+    ResultStore,
+    code_fingerprint,
+    wall_clock_limit,
+)
 
 RESILIENCE_LOGGER = "repro.experiments.resilience"
 
@@ -37,138 +44,149 @@ def tiny_profile(monkeypatch):
     return tiny
 
 
+def _record(key, point, code=None) -> str:
+    """One line of the store as :meth:`ResultStore.put` writes it."""
+    code = code_fingerprint() if code is None else code
+    return json.dumps({"key": key, "code": code, "point": point}) + "\n"
+
+
 class TestSweepCheckpoint:
+    """The sweep checkpoint is a :class:`ResultStore`: an append-only
+    JSON-lines log keyed by experiment and code."""
+
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        cp = SweepCheckpoint(path, meta={"profile": "quick"})
-        assert "fig3" not in cp
-        assert cp.get("fig3") is None
-        cp.put("fig3", "some rendered text")
-        assert "fig3" in cp
-        assert cp.get("fig3") == "some rendered text"
-        assert cp.done_keys == ["fig3"]
+        store = ResultStore(tmp_path / "sweep.jsonl")
+        assert store.get("fig3") is None
+        store.put("fig3", {"x": None, "extra": {}})
+        assert store.get("fig3") == {"x": None, "extra": {}}
 
     def test_persists_across_instances(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
-        reloaded = SweepCheckpoint(path, meta={"profile": "quick"})
-        assert reloaded.get("fig3") == "text"
+        path = tmp_path / "sweep.jsonl"
+        ResultStore(path).put("fig3", {"x": 1})
+        assert ResultStore(path).get("fig3") == {"x": 1}
 
     def test_put_persists_immediately(self, tmp_path):
-        # the point of the checkpoint: a kill -9 after put() loses nothing
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={}).put("a", 1)
-        on_disk = json.loads(path.read_text())
-        assert on_disk["done"] == {"a": 1}
-        assert not os.path.exists(f"{path}.tmp")
+        # the point of the store: a kill -9 after put() loses nothing
+        path = tmp_path / "sweep.jsonl"
+        ResultStore(path).put("a", {"x": 1})
+        assert path.read_text() == (
+            '{"key":"a","code":"%s","point":{"x":1}}\n' % code_fingerprint()
+        )
 
-    def test_meta_mismatch_discards_stale_file(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
-        other = SweepCheckpoint(path, meta={"profile": "default"})
-        assert "fig3" not in other
+    def test_n_puts_append_n_lines_and_never_rewrite(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        store = ResultStore(path)
+        assert path.read_bytes() == b""  # opened for append when built
+        before = b""
+        for n in range(1, 5):
+            store.put(f"k{n}", {"n": n})
+            data = path.read_bytes()
+            assert data.startswith(before)
+            assert data.count(b"\n") == n and data.endswith(b"\n")
+            before = data
+
+    def test_last_record_for_a_key_wins(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        ResultStore(path).put("a", {"x": 1})
+        ResultStore(path).put("a", {"x": 2})
+        assert ResultStore(path).get("a") == {"x": 2}
+
+    def test_another_codes_records_are_not_served(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(_record("a", {"x": 1}, code="0" * 64))
+        store = ResultStore(path)
+        assert store.get("a") is None
+        # nothing is dropped from the log: another checkout still reads it
+        store.put("b", {"x": 2})
+        assert path.read_text().startswith(_record("a", {"x": 1}, code="0" * 64))
+
+    def test_fresh_serves_nothing_and_still_appends(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        ResultStore(path).put("a", {"x": 1})
+        fresh = ResultStore(path, fresh=True)
+        assert fresh.get("a") is None
+        fresh.put("b", {"x": 2})
+        assert len(path.read_text().splitlines()) == 2
+        assert ResultStore(path).get("a") == {"x": 1}
 
     def test_corrupt_file_is_ignored(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text("{ not json")
-        cp = SweepCheckpoint(path, meta={})
-        assert cp.done_keys == []
+        path = tmp_path / "sweep.jsonl"
+        path.write_text("{ not json\n" + _record("a", {"x": 1}))
+        assert ResultStore(path).get("a") == {"x": 1}
 
     def test_wrong_format_is_ignored(self, tmp_path):
+        # a whole-file JSON checkpoint: every line is skipped
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"format": "other", "done": {"a": 1}}))
-        assert "a" not in SweepCheckpoint(path, meta={})
+        path.write_text(
+            json.dumps({"format": "other", "done": {"a": 1}}, indent=2) + "\n"
+        )
+        assert ResultStore(path).get("a") is None
 
-    def test_clear_removes_the_file(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        cp = SweepCheckpoint(path, meta={})
-        cp.put("a", 1)
-        assert path.exists()
-        cp.clear()
-        assert not path.exists()
-        assert cp.done_keys == []
-        cp.clear()  # idempotent
+    def test_unwritable_path_fails_when_built(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ResultStore(tmp_path / "missing" / "sweep.jsonl")
+
+    def test_fingerprint_is_the_same_in_every_process(self):
+        src = str(Path(campaign.__file__).parents[2])
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.experiments.resilience import code_fingerprint\n"
+                "print(code_fingerprint())",
+            ],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345"),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == code_fingerprint()
+        assert len(code_fingerprint()) == 64
 
 
 class TestCheckpointRecovery:
-    """Corruption is reported, partial writes are recovered."""
+    """Corrupt lines are reported, a torn last line is cut."""
 
     def test_corrupt_file_warns_with_path_and_cause(self, tmp_path, caplog):
-        path = tmp_path / "sweep.json"
-        path.write_text("{ not json")
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(_record("a", {"x": 1}) + "{ not json\n")
         with caplog.at_level(logging.WARNING, RESILIENCE_LOGGER):
-            cp = SweepCheckpoint(path, meta={})
-        assert cp.done_keys == []
-        assert str(path) in caplog.text
-        assert "unreadable" in caplog.text
-        # the operator sees what broke, not just that something did
+            store = ResultStore(path)
+        assert store.get("a") == {"x": 1}
+        # the operator sees where and what broke, not just that something did
+        assert f"{path}:2" in caplog.text
         assert "JSONDecodeError" in caplog.text
 
     def test_unknown_format_warns(self, tmp_path, caplog):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"format": "other", "done": {"a": 1}}))
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(json.dumps({"format": "other", "done": {"a": 1}}) + "\n")
         with caplog.at_level(logging.WARNING, RESILIENCE_LOGGER):
-            SweepCheckpoint(path, meta={})
-        assert "unrecognised format" in caplog.text
-        assert "'other'" in caplog.text
-
-    def test_meta_mismatch_warns(self, tmp_path, caplog):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
-        with caplog.at_level(logging.WARNING, RESILIENCE_LOGGER):
-            SweepCheckpoint(path, meta={"profile": "default"})
-        assert "does not match" in caplog.text
-        assert "recomputing" in caplog.text
+            ResultStore(path)
+        assert f"{path}:1: skipping a corrupt record (KeyError" in caplog.text
 
     def test_clean_load_is_silent(self, tmp_path, caplog):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
+        path = tmp_path / "sweep.jsonl"
+        ResultStore(path).put("fig3", {"x": 1})
+        with open(path, "a") as log:
+            log.write(_record("fig4", {"x": 1}, code="0" * 64))
         with caplog.at_level(logging.WARNING, RESILIENCE_LOGGER):
-            SweepCheckpoint(path, meta={"profile": "quick"})
-            SweepCheckpoint(tmp_path / "absent.json", meta={})
+            ResultStore(path)
+            ResultStore(tmp_path / "absent.jsonl")
         assert caplog.text == ""
 
-    def test_partial_write_recovers_from_tmp(self, tmp_path, caplog):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
-        # simulate a crash between the temp-file fsync and the atomic
-        # rename: the finished payload sits at <path>.tmp, <path> is gone
-        os.replace(path, f"{path}.tmp")
-        with caplog.at_level(logging.WARNING, RESILIENCE_LOGGER):
-            recovered = SweepCheckpoint(path, meta={"profile": "quick"})
-        assert recovered.get("fig3") == "text"
-        assert "recovered from partial write" in caplog.text
-
-    def test_partial_write_recovers_over_truncated_main(
+    def test_torn_last_line_is_cut_before_the_next_append(
         self, tmp_path, caplog
     ):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
-        os.replace(path, f"{path}.tmp")
-        # a crash mid-write of a *later* save leaves a truncated main
-        # file alongside the last complete temp payload
-        path.write_text('{"format": "mediaworm-checkpoint-v1", "me')
+        path = tmp_path / "sweep.jsonl"
+        whole = _record("a", {"x": 1}) + _record("b", {"x": 2})
+        path.write_text(whole + _record("c", {"x": 3})[:20])
         with caplog.at_level(logging.WARNING, RESILIENCE_LOGGER):
-            recovered = SweepCheckpoint(path, meta={"profile": "quick"})
-        assert recovered.get("fig3") == "text"
-        assert "unreadable" in caplog.text
-        assert "recovered from partial write" in caplog.text
-
-    def test_recovered_tmp_still_checks_meta(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        SweepCheckpoint(path, meta={"profile": "quick"}).put("fig3", "text")
-        os.replace(path, f"{path}.tmp")
-        other = SweepCheckpoint(path, meta={"profile": "default"})
-        assert "fig3" not in other
-
-    def test_clear_removes_the_tmp_file_too(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        cp = SweepCheckpoint(path, meta={})
-        cp.put("a", 1)
-        (tmp_path / "sweep.json.tmp").write_text("{}")
-        cp.clear()
-        assert not path.exists()
-        assert not os.path.exists(f"{path}.tmp")
+            store = ResultStore(path)
+        assert "torn last line" in caplog.text and str(path) in caplog.text
+        assert path.read_text() == whole
+        assert [store.get(k) for k in "abc"] == [{"x": 1}, {"x": 2}, None]
+        store.put("c", {"x": 3})
+        assert [json.loads(line)["key"] for line in path.open()] == list("abc")
 
 
 class TestWallClockLimit:
@@ -307,6 +325,38 @@ class TestOneAttempt:
         assert rows[0].endswith("FAILED: DeadlockError: router 0 wedged")
 
 
+    def test_a_timeout_reruns_and_a_deadlock_is_restored(
+        self, monkeypatch, tiny_profile, tmp_path, capsys
+    ):
+        """A deadlock is the experiment's own result and is stored; a
+        timeout depends on the host and on ``--point-timeout``, neither
+        in the key, so the next invocation runs the point again."""
+        calls = []
+
+        def fake(experiment):
+            calls.append(experiment.scheduler)
+            if experiment.scheduler == SchedulingPolicy.FIFO:
+                raise PointTimeoutError("wall-clock limit of 60s exceeded")
+            raise DeadlockError("router 0 wedged")
+
+        monkeypatch.setattr(campaign, "simulate", fake)
+        argv = ["faults", "--profile", "tiny", "--rates", "0.01"]
+        argv += ["--checkpoint", str(tmp_path / "cp.jsonl")]
+        assert cli.main(argv) == 1
+        assert calls == ["virtual_clock", "fifo"]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert calls == ["virtual_clock", "fifo", "fifo"]
+        lines = capsys.readouterr().out.splitlines()
+        assert "[faults] virtual_clock@0.01: restored from checkpoint" in lines
+        assert "[faults] fifo@0.01: FAILED (PointTimeoutError)" in lines
+        rows = [line for line in lines if "FAILED: " in line]
+        assert rows[0].endswith("FAILED: DeadlockError: router 0 wedged")
+        assert rows[1].endswith(
+            "FAILED: PointTimeoutError: wall-clock limit of 60s exceeded"
+        )
+
+
 class TestCliResilience:
     def test_faults_rejects_bad_rates(self, tiny_profile):
         with pytest.raises(SystemExit):
@@ -336,8 +386,8 @@ class TestCliResilience:
         out = capsys.readouterr().out
         assert "scheduler" in out
         assert "completed in" in out
-        # a completed campaign clears its checkpoint
-        assert not path.exists()
+        # a completed campaign keeps its points for the next command
+        assert len(path.read_text().splitlines()) == 2
 
     def test_all_resumes_from_checkpoint(
         self, counted_simulate, tiny_profile, tmp_path, capsys
@@ -345,11 +395,11 @@ class TestCliResilience:
         """A killed ``mediaworm all`` picks up where it stopped: what its
         checkpoint holds is restored, for every figure that shares it,
         and only the rest is simulated."""
-        path = tmp_path / "all.json"
-        cp = SweepCheckpoint(path, meta={"command": "all"})
+        path = tmp_path / "all.jsonl"
+        store = ResultStore(path)
         cached = point_to_dict(Point(None, empty_metrics()))
         for experiment in figures.FIG3.plan("tiny").values():
-            cp.put(experiment_key(experiment), cached)
+            store.put(experiment_key(experiment), cached)
         code = cli.main(
             ["all", "--profile", "tiny", "--checkpoint", str(path)]
         )
@@ -364,15 +414,51 @@ class TestCliResilience:
         assert "[table2] load=0.96@80:20: restored from checkpoint" in restored
         assert len(counted_simulate) == 94 - 10
         assert "94 distinct simulations for 130 points]" in out
-        # the checkpoint is cleared once every point is done
-        assert not path.exists()
+        # the store keeps every point: the 10 it had and the 84 new ones
+        assert len(path.read_text().splitlines()) == 94
 
-    def test_all_checkpoint_ignores_other_profile(self, tmp_path):
-        path = tmp_path / "all.json"
-        SweepCheckpoint(
-            path, meta={"command": "all", "profile": "default"}
-        ).put("fig3", "stale")
-        cp = SweepCheckpoint(
-            path, meta={"command": "all", "profile": "tiny"}
+    def test_all_checkpoint_ignores_other_profile(
+        self, counted_simulate, tiny_profile, tmp_path
+    ):
+        """The profile is in every key: points stored at ``quick`` are
+        never served to a ``tiny`` sweep."""
+        path = tmp_path / "all.jsonl"
+        store = ResultStore(path)
+        cached = point_to_dict(Point(None, empty_metrics()))
+        for experiment in figures.FIG3.plan("quick").values():
+            store.put(experiment_key(experiment), cached)
+        argv = ["all", "--profile", "tiny", "--checkpoint", str(path)]
+        assert cli.main(argv) == 0
+        assert len(counted_simulate) == 94
+
+    def test_a_widened_axis_simulates_only_the_new_points(
+        self, counted_simulate, capsys
+    ):
+        """Two campaigns in one directory share the default store."""
+        sweep = ["faults", "--profile", "smoke", "--rates"]
+        assert cli.main(sweep + ["0"]) == 0
+        assert len(counted_simulate) == 2
+        assert cli.main(sweep + ["0,0.005"]) == 0
+        assert len(counted_simulate) == 4
+        restored = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "restored" in line
+        ]
+        assert restored == [
+            "[faults] virtual_clock@0: restored from checkpoint",
+            "[faults] fifo@0: restored from checkpoint",
+        ]
+        assert os.path.exists("mediaworm-results.jsonl")
+
+    def test_a_bad_store_path_fails_before_any_point(
+        self, counted_simulate, tmp_path
+    ):
+        path = tmp_path / "nonexistent" / "x.jsonl"
+        argv = ["faults", "--profile", "smoke", "--rates", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--checkpoint", str(path)])
+        assert excinfo.value.code == (
+            f"--checkpoint {path}: No such file or directory"
         )
-        assert "fig3" not in cp
+        assert counted_simulate == []

@@ -8,8 +8,6 @@ from repro.traffic.trace import (
     DEFAULT_GOP_PATTERN,
     TraceFrameModel,
     generate_mpeg2_gop_trace,
-    load_frame_trace,
-    save_frame_trace,
 )
 
 from conftest import make_network
@@ -36,13 +34,6 @@ class TestTraceFrameModel:
     def test_constant_trace_detected(self):
         assert TraceFrameModel([5, 5, 5]).is_constant
         assert not TraceFrameModel([5, 6]).is_constant
-
-    def test_rewind(self):
-        model = TraceFrameModel([1, 2, 3])
-        rng = RngStreams(1).stream("x")
-        model.draw(rng)
-        model.rewind()
-        assert model.draw(rng) == 1
 
     def test_rejects_empty_or_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -72,40 +63,6 @@ class TestTraceFrameModel:
         net.run_until_drained()
         # frames of 15 and 25 flits: 40 flits delivered
         assert net.flits_ejected == 40
-
-
-class TestTraceIo:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        save_frame_trace(path, [100, 200, 300])
-        assert load_frame_trace(path) == [100, 200, 300]
-
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# header\n\n10\n 20 # inline\n\n30\n")
-        assert load_frame_trace(path) == [10, 20, 30]
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("10\nhello\n")
-        with pytest.raises(ConfigurationError):
-            load_frame_trace(path)
-
-    def test_rejects_nonpositive(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("0\n")
-        with pytest.raises(ConfigurationError):
-            load_frame_trace(path)
-
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# nothing\n")
-        with pytest.raises(ConfigurationError):
-            load_frame_trace(path)
-
-    def test_refuses_to_write_empty(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            save_frame_trace(tmp_path / "x.txt", [])
 
 
 class TestGopGenerator:

@@ -8,26 +8,17 @@ from repro.core.virtual_clock import (
     BEST_EFFORT_VTICK,
     VirtualClockState,
     vtick_for_fraction,
-    vtick_for_rate,
 )
 from repro.errors import ConfigurationError
 
 
 class TestVtickHelpers:
-    def test_vtick_for_rate_is_reciprocal(self):
-        # paper example: 120K flits/sec needs Vtick = 1/120K
-        assert vtick_for_rate(120_000.0) == pytest.approx(1 / 120_000.0)
-
     def test_vtick_for_fraction(self):
         # a 1% stream is entitled to one flit every 100 cycles
         assert vtick_for_fraction(0.01) == pytest.approx(100.0)
 
     def test_full_link_fraction(self):
         assert vtick_for_fraction(1.0) == pytest.approx(1.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            vtick_for_rate(0.0)
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):
