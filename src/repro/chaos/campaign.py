@@ -148,9 +148,9 @@ def _differential(
     stepper (:func:`repro.sim.reference.run_reference`).
     Faulted, traced and adaptive scenarios are eligible: fault fates
     draw from per-link substreams in delivery order, which the loops
-    share, so both are deterministic there — and those scenarios are
-    what exercises the cycle loop's per-component call-outs.  Only a
-    sabotaged scenario gets no twin; it is expected to fail on its own.
+    share, so both are deterministic there, and a traced scenario runs
+    the same fused kernels as an untraced one.  Only a sabotaged
+    scenario gets no twin; it is expected to fail on its own.
 
     The health-noop twin needs a genuinely unperturbed baseline, so it
     applies only to zero-fault scenarios under oracle routing (adaptive

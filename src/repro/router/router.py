@@ -139,9 +139,6 @@ class WormholeRouter:
         self._out_ports: Set[int] = set()
         self._work = 0  # total busy indicators, for fast idle skip
         self._arb_rotate = 0
-        #: optional hook(msg, flit_index) fired when a flit crosses the
-        #: crossbar — used by tests and the conservation audit
-        self.on_crossbar: Optional[Callable[[Message, int], None]] = None
         #: activation hook fired when a flit arrival gives an idle
         #: router work; installed by the network so the cycle loop
         #: resumes stepping it
@@ -428,8 +425,6 @@ class WormholeRouter:
             out_active.add(ovc.index)
             self._out_ports.add(ovc.port)
             self._work += 1
-        if self.on_crossbar is not None:
-            self.on_crossbar(msg, flit_index)
         if self.trace is not None:
             self.trace.on_event(
                 "xbar",

@@ -73,48 +73,59 @@ with the reference stepper):
 
 Within a phase the kernels are free to visit per-component work in any
 order that is unobservable through shared state, and exploit that to
-skip sorting: stage-5 output ports drain in set order (distinct links,
-VCs, and commutative counters), and the crossbar also iterates its
-input ports unsorted but *defers* its one order-observable side effect
-— tail-release appends to the router's shared ``_pending_arb``
-worklist — into a buffer flushed in sorted-port order before stages
-2/3 consume it.
+skip sorting on an untraced run: stage-5 output ports drain in set
+order (distinct links, VCs, and commutative counters), and the
+crossbar also iterates its input ports unsorted but *defers* its one
+order-observable side effect — tail-release appends to the router's
+shared ``_pending_arb`` worklist — into a buffer flushed in
+sorted-port order before stages 2/3 consume it.
 
-Call-outs
----------
+Object-method visits
+--------------------
 
-The inlined kernels implement the untraced datapath.  A component
-using a cold feature is instead driven through its own object method,
-*that component only*, decided once per ``run()`` call (so tracing
-installed between two runs takes effect at the next one):
+Every run executes these kernels, traced or not: with a sink installed
+(``install_tracing`` sets ``Network.trace``, which :meth:`run` reads
+once) the kernels emit the events of the object methods they inline —
+``flit_inject``, ``link_tx``, ``flit_eject``, ``sched``, ``xbar``,
+``route``, ``vc_alloc`` and ``vc_release`` — each behind one
+``is not None`` test on a local.  Like the object code, a traced run
+visits stage-5 and crossbar ports in ascending order, and a stateless
+mux with several candidates builds the candidate list whose length its
+``sched`` event carries, so the stream is byte-identical to the
+reference stepper's.  The other event kinds
+come from object code the loop calls (``Link.apply_fate``,
+``Network.kill_message``, the transport, the health monitor).  The
+loop honours no per-instance or subclass override of a router method;
+:func:`repro.sim.reference.run_reference` does.
 
-* a link with ``trace`` set (or a traced sink) delivers through
-  ``Link.deliver_due``;
-* an untraced link with ``faults`` set delivers inline behind a
-  per-flit *fate gate*: the delivery kernels run
-  ``LinkFaultState.fate``'s tests on each popped flit — no draw for
-  the rest of a broken worm (``fate()`` is asked), else the loss draw,
-  then the corruption draw, on the link's own RNG substream in exactly
-  that order — and a clean flit falls straight into the inlined
-  ``accept_flit`` / sink eject, followed by its health heartbeat
-  (``on_ok`` is called only while the link is not UP).  Only a lost or
-  corrupted flit leaves the frame, for ``Link.apply_fate``, the one
-  implementation of loss/corruption handling (the object loop calls
-  the same method); the kernel then re-reads ``link.pending``, which a
-  loss teardown may have rebuilt.  A visit inside one of the link's
-  down windows goes through ``Link.deliver_due`` whole — every due
-  flit is lost there.  A link with ``health`` only keeps the inlined
-  path and the object path's one batched ``on_ok`` per visit;
-* an NI with a trace sink, or feeding a traced link, goes through
-  ``HostInterface.step``;
-* a router with a trace sink, an ``on_crossbar`` hook, a traced
-  outgoing link, preemption enabled, or a method overridden on the
-  instance or in a subclass goes through its ``step``;
-* adaptive routing stays inline: stage 2/3 asks the router's
-  mask-aware ``_adaptive_candidates`` for the port group and applies
-  the escape-VC partition rule;
-* ``LoopProfiler`` timers sit in the loop skeleton behind an
-  ``is None`` guard.
+A faulted link delivers inline behind a per-flit *fate gate*: the
+delivery kernels run ``LinkFaultState.fate``'s tests on each popped
+flit — no draw for the rest of a broken worm (``fate()`` is asked),
+else the loss draw, then the corruption draw, on the link's own RNG
+substream in exactly that order — and a clean flit falls straight into
+the inlined ``accept_flit`` / sink eject, followed by its health
+heartbeat (``on_ok`` is called only while the link is not UP).  Only a
+lost or corrupted flit leaves the frame, for ``Link.apply_fate``, the
+one implementation of loss/corruption handling (the object loop calls
+the same method); the kernel then re-reads ``link.pending``, which a
+loss teardown may have rebuilt.  A link with ``health`` only keeps the
+object path's one batched ``on_ok`` per visit.  Adaptive routing stays
+inline: stage 2/3 asks the router's mask-aware
+``_adaptive_candidates`` for the port group and applies the escape-VC
+partition rule.  ``LoopProfiler`` timers sit in the loop skeleton
+behind an ``is None`` guard.
+
+Two visits still go through an object method, both by design:
+
+* a faulted link's visit inside one of its down windows goes through
+  ``Link.deliver_due`` whole — every due flit is lost there, so that
+  is the cold path;
+* with ``RouterConfig.preemption`` set (read once per run), every
+  router visit goes through ``WormholeRouter.step``.  Inlining the kill
+  would need stage 2/3's release-epoch memo and free-port shortcut to
+  be bypassed for preempting headers: new branches in the hottest
+  kernel for a feature that only ``bench_ablation_preemption`` and two
+  test modules use.
 
 Cold events stay on object code by construction: event callbacks
 (injection, transport teardown) run the ordinary network API, and
@@ -135,23 +146,12 @@ from repro.network.health import UP
 from repro.router.buffers import NO_FLITS, acquire_record, release_record
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
-from repro.router.router import WormholeRouter
 
 #: sentinel arrival for idle links — far beyond any simulated horizon
 _FAR = 1 << 62
 
 #: sort key for the crossbar's deferred ``_pending_arb`` appends
 _by_port = itemgetter(0)
-
-#: per-run delivery mode of a link driven through ``Link.deliver_due``
-#: on every visit (see :meth:`FusedLoop._call_outs`)
-_CALL_OUT = object()
-
-#: the router methods the loop inlines or calls; a router instance that
-#: shadows one (a test spy, a subclass) must run through its own step()
-_ROUTER_METHODS = frozenset(
-    name for name, value in vars(WormholeRouter).items() if callable(value)
-)
 
 
 class FusedLoop:
@@ -175,6 +175,9 @@ class FusedLoop:
             self._multiplexed = router0._multiplexed
             self._routing_delay = router0._routing_delay
             self._arb_delay = router0._arb_delay
+            #: the ``policy`` field of the ``sched`` events
+            self._in_policy = router0._in_policy.policy
+            self._out_policy = router0._out_policy.policy
         self._dyn_part = config.dynamic_partitioning
         self._be_bind = config.be_dst_vc_binding
         self._adaptive = config.routing_mode == RoutingMode.ADAPTIVE
@@ -346,33 +349,22 @@ class FusedLoop:
                 counts[port] = free
                 epochs[port] += 1
 
-    def _call_outs(self):
-        """Which components this run drives through their object methods.
+    def _fault_bindings(self):
+        """Per-link fault binding, a list parallel to ``_link_info``.
 
-        Returns ``(links, nis, routers)``; see the module docstring's
-        call-out rules.  ``nis`` and ``routers`` are sets of scheduler
-        ids.  ``links`` is a list parallel to ``_link_info`` holding
-        each link's delivery mode: ``None`` for a clean link (inlined
-        delivery, nothing else to do), ``_CALL_OUT`` for a traced link
-        or sink (``Link.deliver_due`` on every visit), and for an
-        untraced link carrying fault or health state the binding
+        ``None`` for a clean link (inlined delivery, nothing else to
+        do); for a link carrying fault or health state the tuple
         ``(faults, health, loss_prob, corrupt_prob, draw, broken,
         windowed)`` the inlined kernels gate each flit on (``faults``
-        is ``None``, and the rest unused, on a health-only link).  A
-        traced link makes its sender cold too, because ``link_tx`` is
-        emitted by ``Link.send``.
+        is ``None``, and the rest unused, on a health-only link).  Built
+        once per ``run()`` call.
         """
-        net = self._net
-        links = []
+        bindings = []
         for entry in self._link_info:
-            link, sink = entry[0], entry[4]
+            link = entry[0]
             faults = link.faults
-            if link.trace is not None or (
-                sink is not None and sink.trace is not None
-            ):
-                links.append(_CALL_OUT)
-            elif faults is not None:
-                links.append(
+            if faults is not None:
+                bindings.append(
                     (
                         faults,
                         link.health,
@@ -384,31 +376,12 @@ class FusedLoop:
                     )
                 )
             elif link.health is not None:
-                links.append((None, link.health, 0.0, 0.0, None, None, False))
-            else:
-                links.append(None)
-        nis = set()
-        for idx, entry in enumerate(self._ni_info):
-            ni, host_link = entry[0], entry[5]
-            if ni.trace is not None or host_link.trace is not None:
-                nis.add(idx)
-        preemption = net.config.preemption
-        routers = set()
-        for rid, entry in enumerate(self._router_hot):
-            router, out_links = entry[0], entry[15]
-            if (
-                preemption
-                or router.trace is not None
-                or router.on_crossbar is not None
-                or type(router) is not WormholeRouter
-                or not _ROUTER_METHODS.isdisjoint(vars(router))
-                or any(
-                    link is not None and link.trace is not None
-                    for link in out_links
+                bindings.append(
+                    (None, link.health, 0.0, 0.0, None, None, False)
                 )
-            ):
-                routers.add(rid)
-        return links, nis, routers
+            else:
+                bindings.append(None)
+        return bindings
 
     # ------------------------------------------------------------------
     # the run loop
@@ -417,7 +390,7 @@ class FusedLoop:
         """Advance the network to cycle ``until`` (body of ``Network.run``)."""
         net = self._net
         self.resync(net.links, net.routers)
-        link_modes, cold_nis, cold_routers = self._call_outs()
+        link_modes = self._fault_bindings()
         clock = net.clock
         events = net.events
         heap = events._heap
@@ -447,6 +420,13 @@ class FusedLoop:
         watchdog = net.watchdog_window
         transport = net.transport
         profiler = net.profiler
+        #: the run's trace sink, as its bound ``on_event``: every
+        #: emission site tests this local
+        emit = None if net.trace is None else net.trace.on_event
+        in_policy = self._in_policy
+        out_policy = self._out_policy
+        #: preempting routers run their object step (module docstring)
+        preemption = net.config.preemption
 
         in_vc = self._in_vc
         out_vc = self._out_vc
@@ -548,10 +528,9 @@ class FusedLoop:
                 mode = link_modes[index]
                 if mode is None:
                     faults = None
-                elif mode is _CALL_OUT or (mode[6] and mode[0].down(clock)):
-                    # Object delivery: a traced link or sink, or a
-                    # faulted link inside a down window (every due flit
-                    # is lost there — that *is* the slow path).
+                elif mode[6] and mode[0].down(clock):
+                    # Object delivery inside a down window: every due
+                    # flit is lost there — that *is* the slow path.
                     link = link_info[index][0]
                     progress += link.deliver_due(clock)
                     # re-read: a loss teardown inside may have purged
@@ -733,6 +712,17 @@ class FusedLoop:
                                 continue
                         delivered += 1
                         # ---- inlined HostSink.eject ----
+                        if emit is not None:
+                            emit(
+                                "flit_eject",
+                                clock,
+                                {
+                                    "node": node,
+                                    "msg": msg.msg_id,
+                                    "flit": flit_index,
+                                    "tail": flit_index == msg.last_flit,
+                                },
+                            )
                         if flit_inline:
                             ejected += 1
                         else:
@@ -810,10 +800,6 @@ class FusedLoop:
                     link_id,
                     latency,
                 ) = ni_info[index]
-                if cold_nis and index in cold_nis:
-                    if not ni.step(clock):
-                        ni_deactivate(index)
-                    continue
                 if not active:
                     ni_deactivate(index)
                     continue
@@ -906,6 +892,30 @@ class FusedLoop:
                     link_activate(link_id)
                     link_head[link_id] = arrival
                 pending.append((arrival, msg, flit_index, chosen))
+                if emit is not None:
+                    emit(
+                        "link_tx",
+                        clock,
+                        {
+                            "link": link.label,
+                            "msg": msg.msg_id,
+                            "flit": flit_index,
+                            "vc": chosen,
+                            "arrive": arrival,
+                        },
+                    )
+                    emit(
+                        "flit_inject",
+                        clock,
+                        {
+                            "node": ni.node_id,
+                            "vc": chosen,
+                            "msg": msg.msg_id,
+                            "flit": flit_index,
+                            "size": msg.size,
+                            "cls": msg.traffic_class,
+                        },
+                    )
                 if flit_index == 0 and ni.on_start is not None:
                     ni.on_start(msg, clock)
                 if flit_index == msg.last_flit:
@@ -954,7 +964,7 @@ class FusedLoop:
                     latencies,
                     links_of,
                 ) = router_hot[rid]
-                if cold_routers and rid in cold_routers:
+                if preemption:
                     if not router.step(clock):
                         router_deactivate(rid)
                     continue
@@ -969,10 +979,14 @@ class FusedLoop:
                     # Stage-5 ports are independent — distinct links,
                     # VCs, and commutative counters, and (unlike the
                     # crossbar) no appends to a shared worklist — so the
-                    # drain order across ports is unobservable; an
-                    # unsorted copy avoids the per-cycle sort while
-                    # keeping mutation-safety.
-                    ports = list(out_ports)
+                    # drain order across ports is unobservable but for
+                    # the event order of a traced run; an unsorted copy
+                    # avoids the per-cycle sort while keeping
+                    # mutation-safety.
+                    if emit is None:
+                        ports = list(out_ports)
+                    else:
+                        ports = sorted(out_ports)
                     for port in ports:
                         active5 = out_active[port]
                         ovcs = outputs[port]
@@ -982,8 +996,10 @@ class FusedLoop:
                             ovc = ovcs[chosen]
                             if ovc.downstream is not None and ovc.credits <= 0:
                                 continue
-                        elif out_stateless:
-                            # Running min((stamp, index)) — see phase 2.
+                        elif out_stateless and emit is None:
+                            # Running min((stamp, index)) — see phase 2;
+                            # a traced run builds the candidates below,
+                            # whose count its ``sched`` event carries.
                             best = None
                             chosen = -1
                             for vc_index in active5:
@@ -1012,6 +1028,24 @@ class FusedLoop:
                                 candidates
                             )
                             ovc = ovcs[chosen]
+                        if emit is not None:
+                            if len(active5) == 1 and out_stateless:
+                                cands = 1
+                            else:
+                                cands = len(candidates)
+                            emit(
+                                "sched",
+                                clock,
+                                {
+                                    "router": rid,
+                                    "point": "C",
+                                    "port": port,
+                                    "policy": out_policy,
+                                    "vc": chosen,
+                                    "stamp": ovc.stamps[0],
+                                    "cands": cands,
+                                },
+                            )
                         queue = ovc.queue
                         ovc.stamps.popleft()
                         msg, flit_index = queue.popleft()
@@ -1032,6 +1066,18 @@ class FusedLoop:
                             link_activate(link_id)
                             link_head[link_id] = arrival
                         pending.append((arrival, msg, flit_index, chosen))
+                        if emit is not None:
+                            emit(
+                                "link_tx",
+                                clock,
+                                {
+                                    "link": links_of[port].label,
+                                    "msg": msg.msg_id,
+                                    "flit": flit_index,
+                                    "vc": chosen,
+                                    "arrive": arrival,
+                                },
+                            )
                         out_flits[port] += 1
                         if not queue:
                             active5.discard(chosen)
@@ -1046,6 +1092,17 @@ class FusedLoop:
                             vst.is_open = False
                             vst.auxvc = 0.0
                             vst.vtick = BEST_EFFORT_VTICK
+                            if emit is not None:
+                                emit(
+                                    "vc_release",
+                                    clock,
+                                    {
+                                        "router": rid,
+                                        "port": port,
+                                        "vc": chosen,
+                                        "msg": msg.msg_id,
+                                    },
+                                )
 
                 # ---- stage 4: crossbar ----
                 if in_ports:
@@ -1056,8 +1113,12 @@ class FusedLoop:
                     # stage 2/3 serves it in append order.  Iterate the
                     # ports unsorted (saving the per-cycle sort) but
                     # defer those appends and flush them in the object
-                    # path's sorted-port order below.
-                    ports = list(in_ports)
+                    # path's sorted-port order below.  A traced run
+                    # visits in that order too: its events show it.
+                    if emit is None:
+                        ports = list(in_ports)
+                    else:
+                        ports = sorted(in_ports)
                     for port in ports:
                         sendable = sendable_sets[port]
                         if not sendable:
@@ -1074,9 +1135,9 @@ class FusedLoop:
                                 if len(ovc.queue) >= out_cap:
                                     continue
                                 moves = (vc,)
-                            elif in_stateless:
+                            elif in_stateless and emit is None:
                                 # Running min((stamp, index)) — see
-                                # phase 2.
+                                # phase 2 and stage 5.
                                 best = None
                                 chosen = -1
                                 for vc_index in sendable:
@@ -1113,6 +1174,24 @@ class FusedLoop:
                                     candidates
                                 )
                                 moves = (port_vcs[chosen],)
+                            if emit is not None:
+                                if len(sendable) == 1 and in_stateless:
+                                    cands = 1
+                                else:
+                                    cands = len(candidates)
+                                emit(
+                                    "sched",
+                                    clock,
+                                    {
+                                        "router": rid,
+                                        "point": "A",
+                                        "port": port,
+                                        "policy": in_policy,
+                                        "vc": chosen,
+                                        "stamp": port_vcs[chosen].stamps[0],
+                                        "cands": cands,
+                                    },
+                                )
                         else:
                             moves = []
                             for vc_index in list(sendable):
@@ -1162,6 +1241,20 @@ class FusedLoop:
                                 router._work += 1
                             out_queue.append((msg, flit_index))
                             ovc.stamps.append(stamp)
+                            if emit is not None:
+                                emit(
+                                    "xbar",
+                                    clock,
+                                    {
+                                        "router": rid,
+                                        "port": port,
+                                        "vc": vc.index,
+                                        "out_port": ovc.port,
+                                        "out_vc": ovc.index,
+                                        "msg": msg.msg_id,
+                                        "flit": flit_index,
+                                    },
+                                )
                             if flit_index == msg.last_flit:
                                 sendable.discard(vc.index)
                                 if not sendable:
@@ -1244,6 +1337,18 @@ class FusedLoop:
                                     clock, route_ports
                                 )
                             vc.route_port = port
+                            if emit is not None:
+                                emit(
+                                    "route",
+                                    clock,
+                                    {
+                                        "router": rid,
+                                        "port": vc.port,
+                                        "vc": vc.index,
+                                        "msg": msg.msg_id,
+                                        "out": port,
+                                    },
+                                )
                         if not free_ports[port]:
                             # Every output VC is owned: the bound-VC
                             # check and both partition scans can only
@@ -1293,6 +1398,17 @@ class FusedLoop:
                         vst.auxvc = float(clock)
                         vst.vtick = msg.vtick
                         vst.is_open = True
+                        if emit is not None:
+                            emit(
+                                "vc_alloc",
+                                clock,
+                                {
+                                    "router": rid,
+                                    "port": ovc.port,
+                                    "vc": ovc.index,
+                                    "msg": msg.msg_id,
+                                },
+                            )
                         vc.route_vc = ovc
                         vc.ready_at = clock + arb_delay
                         front = messages[0]

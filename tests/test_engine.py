@@ -4,9 +4,11 @@
 ``repro.sim.fused``; ``repro.sim.reference.run_reference`` is the full
 scan it is checked against, passed wherever a loop is an argument.
 Every workload family of the tier-1 suite must produce the same
-``RunMetrics`` (and fault stats, where present) on both — whether a
-component runs through the loop's inlined kernels or, for a cold
-feature, is called out to its own object method.
+``RunMetrics`` (and fault stats, where present) on both.  A traced,
+checked run executes the same kernels as an untraced one and emits the
+reference's event stream byte for byte; only a faulted link's visit
+inside a down window and a preempting router's visit go through an
+object method.
 """
 
 import ast
@@ -53,11 +55,15 @@ from repro.network.health import (
     HealthConfig,
     install_health,
 )
+from repro.network.interface import HostInterface
 from repro.network.link import Link
 from repro.network.network import Network
 from repro.network.topology import single_switch
-from repro.obs.sinks import RingBufferSink, install_tracing
+from repro.obs.events import TraceSpec
+from repro.obs.sinks import RingBufferSink, install_tracing, stream_digest
 from repro.router.config import RouterConfig, RoutingMode
+from repro.router.flit import TrafficClass
+from repro.router.router import WormholeRouter
 from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
 from conftest import (
@@ -134,8 +140,8 @@ class TestArrayEngineParity:
 
     def test_adaptive_failover_health_only_links_identically(self):
         """Health-monitored, fault-free links stay on the inlined
-        delivery; adaptive routing runs inline through the mask-aware
-        call-out."""
+        delivery; adaptive routing runs inline through the router's
+        mask-aware ``_adaptive_candidates``."""
         experiment = FatMeshExperiment(
             load=0.7,
             mix=(80, 20),
@@ -178,6 +184,16 @@ def _spy_on_links(monkeypatch):
     return deliveries, fates
 
 
+def _down_window(experiment):
+    """One inter-router channel severed early in the measured span."""
+    measured = experiment.total_cycles - experiment.warmup_cycles
+    return LinkDownWindow(
+        "ch:0.4->1.4",
+        start=experiment.warmup_cycles + measured // 8,
+        end=experiment.warmup_cycles + measured // 3,
+    )
+
+
 class TestFaultGate:
     """Faulted, untraced links deliver inside the loop: the fate is
     drawn inline, and only a lost or corrupted flit calls out."""
@@ -188,12 +204,8 @@ class TestFaultGate:
         closes mid-measurement, health monitoring and adaptive
         failover: both loops end with the same metrics, fault stats and
         per-link fault RNG states."""
-        base = FatMeshExperiment(load=0.7, mix=(80, 20), **TINY)
-        measured = base.total_cycles - base.warmup_cycles
-        window = LinkDownWindow(
-            "ch:0.4->1.4",
-            start=base.warmup_cycles + measured // 8,
-            end=base.warmup_cycles + measured // 3,
+        window = _down_window(
+            FatMeshExperiment(load=0.7, mix=(80, 20), **TINY)
         )
 
         def build(run):
@@ -314,48 +326,159 @@ class TestFaultGate:
             for label, clock in called_out
         )
 
-    def test_traced_faulted_link_is_still_called_out(self, monkeypatch):
-        """A trace sink on one faulted link keeps that link (only) on
-        ``Link.deliver_due``, which emits ``flit_lost`` and
-        ``flit_corrupt``; the other faulted links stay inlined."""
-        traced = "ch:0.1->1.1"
 
-        def build(run):
-            network, _ = make_mesh_network()
-            install_faults(
-                network,
-                FaultPlan(flit_loss_prob=0.01, flit_corrupt_prob=0.01),
-                RngStreams(5),
-            )
-            install_recovery(network, RecoveryConfig(timeout=2048))
-            sink = RingBufferSink()
-            next(
-                link for link in network.links if link.label == traced
-            ).trace = sink
-            attach_workload(network, load=0.6)
-            run(network, 8000)
-            network.check_invariants()
-            return (
-                [
-                    (kind, cycle, fields["flit"])
-                    for kind, cycle, fields in sink.records
-                ],
-                network.flits_lost,
-                network.flits_corrupted,
-                network.flits_ejected,
-            )
+def _spy_on_steps(monkeypatch):
+    """Count every ``WormholeRouter.step`` / ``HostInterface.step`` call."""
+    calls = {"router": 0, "ni": 0}
+    router_step, ni_step = WormholeRouter.step, HostInterface.step
+
+    def spy_router_step(self, clock):
+        calls["router"] += 1
+        return router_step(self, clock)
+
+    def spy_ni_step(self, clock):
+        calls["ni"] += 1
+        return ni_step(self, clock)
+
+    monkeypatch.setattr(WormholeRouter, "step", spy_router_step)
+    monkeypatch.setattr(HostInterface, "step", spy_ni_step)
+    return calls
+
+
+#: a traced, checked run writes and audits every event: keep it short
+_SHORT = dict(TINY, scale=400.0, measure_frames=1)
+_MESH = FatMeshExperiment(load=0.5, mix=(80, 20), **_SHORT)
+
+#: traced parity cases: a switch whose port ids reach past 8 (so a
+#: port set iterates out of sorted order), every fault kind under
+#: adaptive routing, and a three-level tree
+_TRACED_CASES = {
+    "single-switch-16": SingleSwitchExperiment(
+        load=0.5, mix=(80, 20), num_ports=16, **_SHORT
+    ),
+    "faulted-adaptive-mesh": dataclasses.replace(
+        _MESH,
+        faults=FaultPlan(
+            flit_loss_prob=0.005,
+            flit_corrupt_prob=0.005,
+            down_windows=(_down_window(_MESH),),
+        ),
+        recovery=RecoveryConfig(timeout=4096),
+        health=HealthConfig(),
+        routing_mode=RoutingMode.ADAPTIVE,
+        watchdog_window=200_000,
+    ),
+    "fat-tree3-k4": FatTree3Experiment(
+        load=0.3, mix=(80, 20), k=4, **_SHORT
+    ),
+}
+
+
+def _dense_ids(records):
+    """Ring-buffer ``records`` with message ids renumbered by first
+    appearance (ids come from a process-global counter)."""
+    ids = {}
+    return [
+        (
+            kind,
+            cycle,
+            {
+                key: ids.setdefault(value, len(ids)) if key == "msg" else value
+                for key, value in fields.items()
+            },
+        )
+        for kind, cycle, fields in records
+    ]
+
+
+class TestTracedParity:
+    """A traced, checked run executes the fused kernels: the stream is
+    the reference stepper's, byte for byte, and no object ``step`` runs."""
+
+    @pytest.mark.parametrize("case", sorted(_TRACED_CASES))
+    def test_traced_checked_run_stays_in_the_kernels(
+        self, case, monkeypatch, tmp_path
+    ):
+        experiment = _TRACED_CASES[case]
+
+        def traced(name):
+            spec = TraceSpec(path=str(tmp_path / name), check=True)
+            return dataclasses.replace(experiment, trace=spec)
 
         deliveries, _ = _spy_on_links(monkeypatch)
+        steps = _spy_on_steps(monkeypatch)
+        default = simulate(traced("default.jsonl"))
+        assert steps == {"router": 0, "ni": 0}
+        windows = () if experiment.faults is None else (
+            experiment.faults.down_windows
+        )
+        assert bool(deliveries) == bool(windows)
+        assert all(
+            any(
+                window.link == label and window.start <= clock < window.end
+                for window in windows
+            )
+            for label, clock in deliveries
+        )
+        reference = simulate(traced("reference.jsonl"), loop=run_reference)
+        assert steps["router"] > 0 and steps["ni"] > 0
+        assert stream_digest(tmp_path / "default.jsonl") == stream_digest(
+            tmp_path / "reference.jsonl"
+        )
+        assert _metrics(default) == _metrics(reference)
+        assert default.trace_summary == dict(
+            reference.trace_summary,
+            jsonl_path=default.trace_summary["jsonl_path"],
+        )
+        if windows:
+            stats = default.fault_stats
+            assert stats["flits_lost"] > 0 and stats["flits_corrupted"] > 0
+
+    def test_preemption_still_steps_every_router(self, monkeypatch):
+        """``RouterConfig.preemption`` is the one router feature the
+        kernels leave to ``WormholeRouter.step``, traced or not."""
+
+        def build(run):
+            sink = RingBufferSink()
+            network = make_network(
+                vcs=2,
+                rt_vc_count=2,
+                dynamic_partitioning=True,
+                preemption=True,
+                trace_sink=sink,
+            )
+            for src, src_vc in ((0, 0), (2, 1)):
+                network.inject_now(
+                    make_message(
+                        src=src,
+                        dst=1,
+                        size=60,
+                        vtick=1e12,
+                        traffic_class=TrafficClass.BEST_EFFORT,
+                        src_vc=src_vc,
+                        dst_vc=None,
+                    )
+                )
+            run(network, 12)
+            network.inject_now(
+                make_message(src=3, dst=1, size=6, src_vc=0, dst_vc=None)
+            )
+            run(network, 400)
+            network.check_invariants()
+            return network.preemptions, _dense_ids(sink.records)
+
+        steps = _spy_on_steps(monkeypatch)
         default = build(Network.run)
-        assert deliveries and {label for label, _ in deliveries} == {traced}
-        kinds = {kind for kind, _, _ in default[0]}
-        assert {"link_tx", "flit_lost", "flit_corrupt"} <= kinds
+        assert steps["router"] > 0 and steps["ni"] == 0
+        assert default[0] >= 1
+        assert {"purge", "xbar"} <= {kind for kind, _, _ in default[1]}
         assert build(run_reference) == default
 
 
 class TestCallOuts:
-    """Cases a whole-run fallback used to hide: inlined kernels and
-    object call-outs sharing one run, one cycle, one link mirror."""
+    """Inlined kernels and object code sharing one run, one cycle, one
+    link mirror: partly faulted fabrics (``Link.apply_fate``), tracing
+    installed between runs, and purges and requeues from events."""
 
     def test_some_links_faulty_mixes_inlined_and_call_out_delivery(self):
         """Only the inter-router channels lose flits; host links stay
@@ -393,8 +516,8 @@ class TestCallOuts:
         assert default.fault_stats == legacy.fault_stats
 
     def test_tracing_installed_between_two_runs(self):
-        """Call-outs are decided per ``run()`` call: the first run is
-        fully inlined, the second fully traced, on one network."""
+        """The sink is read per ``run()`` call: the first run emits
+        nothing, the second every event, on one network."""
 
         def build(run):
             delivered = []

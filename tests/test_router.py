@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import FlowControlError
+from repro.obs.sinks import RingBufferSink
 from repro.router.config import CrossbarKind
 from repro.router.flit import TrafficClass
 
@@ -62,12 +63,12 @@ class TestBasicDelivery:
         assert msg.deliver_time > 0
 
     def test_crossbar_hook_sees_every_flit(self):
-        net = make_network()
-        seen = []
-        net.routers[0].on_crossbar = lambda m, i: seen.append((m.msg_id, i))
+        sink = RingBufferSink(events=("xbar",))
+        net = make_network(trace_sink=sink)
         msg = make_message(size=4)
         net.inject_now(msg)
         deliver_all(net)
+        seen = [(f["msg"], f["flit"]) for _, _, f in sink.records]
         assert seen == [(msg.msg_id, i) for i in range(4)]
 
 
@@ -140,18 +141,8 @@ class TestWormholeSemantics:
 
 class TestClassPartitioning:
     def test_best_effort_keeps_to_its_partition(self):
-        net = make_network(vcs=4, rt_vc_count=2)
-        granted = []
-        router = net.routers[0]
-        original = router._arbitrate_output_vc
-
-        def spy(clock, port, msg, escape_only=False):
-            ovc = original(clock, port, msg, escape_only)
-            if ovc is not None:
-                granted.append((msg.traffic_class, ovc.index))
-            return ovc
-
-        router._arbitrate_output_vc = spy
+        sink = RingBufferSink(events=("vc_alloc",))
+        net = make_network(vcs=4, rt_vc_count=2, trace_sink=sink)
         be = make_message(
             size=3,
             vtick=1e12,
@@ -161,9 +152,8 @@ class TestClassPartitioning:
         )
         net.inject_now(be)
         deliver_all(net)
-        assert granted == [(TrafficClass.BEST_EFFORT, 2)] or granted == [
-            (TrafficClass.BEST_EFFORT, 3)
-        ]
+        granted = [(f["msg"], f["vc"]) for _, _, f in sink.records]
+        assert granted in ([(be.msg_id, 2)], [(be.msg_id, 3)])
 
     def test_real_time_keeps_to_its_partition(self):
         net = make_network(vcs=4, rt_vc_count=2)
