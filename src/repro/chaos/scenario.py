@@ -99,6 +99,15 @@ def sabotage_credit(cycle: int, network) -> None:
             router = link.dest_router
             if router is None:
                 continue
+            # A port's VCs exist once traffic needs them: open this one
+            # (from its sender's side), so the theft is there to audit
+            # whether or not a flit has crossed the link yet.
+            if link.src_router is not None:
+                link.src_router.open_output(link.src_port)
+            else:
+                for ni in network.interfaces.values():
+                    if ni.link is link:
+                        ni.open_port()
             for ivc in router.inputs[link.dest_port]:
                 sender = ivc.credit_sink
                 if sender is not None:

@@ -157,11 +157,13 @@ def topology_of(experiment):
 
 #: virtual channels (routers x ports x VCs per port) from which a run is
 #: built with the collector paused.  The pause opens with one full
-#: collection (3-4 ms on a heap holding little but imported modules);
-#: collector passes during construction cost 0.2-2.2 ms up to 2560
-#: channels (a 128-host fat tree), 27 ms at 12288 and 34 ms at 20480,
-#: so below this size the pause would cost more than it saves — a
-#: sweep of tiny networks would pay the entry collection at every point.
+#: collection (2-4 ms on a heap holding little but imported modules);
+#: collector passes during an unpaused construction cost 0.2-1.3 ms up
+#: to 2560 channels (a 128-host fat tree), 4.2 ms at 12288 and 9.8 ms
+#: at 20480 (no VC is built until traffic opens its port; 1.8-3.4 ms,
+#: 45 ms and 53 ms while every VC was), so below this size the pause
+#: would cost more than it saves — a sweep of tiny networks would pay
+#: the entry collection at every point.
 _QUIET_BUILD_MIN_VCS = 4096
 
 

@@ -5,9 +5,10 @@ hosts: each campaign point builds a 3-level k-ary fat tree or a k-ary
 n-tree (butterfly/folded Clos), runs a sparse real-time workload three
 times — ``Network.run``, a repeat, and the full-scan reference stepper
 (:func:`repro.sim.reference.run_reference`, the ``legacy`` column) —
-and demands all three produce bit-identical metrics digests and one
+and demands all three produce bit-identical metrics digests, one
 ``Network.buffered_vcs`` census (``vcs used``: VCs that ever carried a
-flit).  A progress watchdog (four frame epochs) arms every run, so a routing
+flit) and one ``Network.built_vcs`` count (``vcs built``: VCs of the
+ports traffic opened).  A progress watchdog (four frame epochs) arms every run, so a routing
 cycle or a starved stream fails loudly instead of hanging the
 campaign.
 
@@ -154,14 +155,17 @@ def _scale_point(experiment) -> Point:
     walks = []
 
     def timed(loop=None):
-        """One run: result, wall seconds, (digest, buffered-VC census);
-        appends the placement walks the run performed to ``walks``."""
+        """One run: result, wall seconds, (digest, buffered-VC census,
+        VCs built); appends the placement walks the run performed to
+        ``walks``."""
         walks_before = rng.PLACEMENT_WALKS
         started = time.perf_counter()
         result = simulate(hooked, loop=loop)
         seconds = time.perf_counter() - started
         walks.append(rng.PLACEMENT_WALKS - walks_before)
-        return result, seconds, (run_digest(result), networks.pop().buffered_vcs())
+        network = networks.pop()
+        census = (run_digest(result), network.buffered_vcs(), network.built_vcs())
+        return result, seconds, census
 
     compiles_before = routeprog.compile_count()
     started = time.perf_counter()
@@ -173,7 +177,7 @@ def _scale_point(experiment) -> Point:
     compiles_repeat = routeprog.compile_count() - compiles_before - compiles_first
     _, legacy_s, legacy_outcome = timed(run_reference)
 
-    digest, (vcs_used, vcs_total) = outcome
+    digest, (vcs_used, vcs_total), vcs_built = outcome
     record = {
         "name": name,
         "topology": _topology_stats(experiment),
@@ -194,9 +198,11 @@ def _scale_point(experiment) -> Point:
         "d_ms": canonical(active.metrics.d),
         "sigma_d_ms": canonical(active.metrics.sigma_d),
         "digest": digest,
-        # one digest, and both loops gave buffers to as many VCs
+        # one digest, and both loops gave buffers to as many VCs and
+        # opened ports with as many VCs
         "identical": outcome == repeat_outcome == legacy_outcome,
         "vcs_used": vcs_used,
+        "vcs_built": vcs_built,
         "vcs_total": vcs_total,
         # at most one compile for the build and first run (zero on a
         # warm cache), and exactly zero for the repeat — the
@@ -265,6 +271,7 @@ CAMPAIGN = Campaign(
         Column("legacy s", 8, "legacy_s", ".1f"),
         Column("d ms", 8, "d", ".4f"),
         Column("vcs used", 8, "vcs_used"),
+        Column("vcs built", 9, "vcs_built"),
         Column("vcs total", 9, "vcs_total"),
         Column("identical", 9, "identical"),
         Column("compiles", 8, "compiles_first_run"),

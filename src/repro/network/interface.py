@@ -109,6 +109,7 @@ class HostInterface:
         vc = self.vcs[msg.src_vc]
         if vc.queue is NO_FLITS:
             vc.queue = deque()
+            self.open_port()
         vc.queue.append(msg)
         if len(vc.queue) == 1:
             self._open_head(vc)
@@ -117,6 +118,13 @@ class HostInterface:
         self.messages_injected += 1
         if self.on_activated is not None:
             self.on_activated()
+
+    def open_port(self):
+        """Open the router input port this NI injects into (its VCs
+        credit this NI's); returns that port's input VCs.  Idempotent.
+        """
+        link = self.link
+        return link.dest_router.open_input(link.dest_port, self.vcs)
 
     def _open_head(self, vc: _NIVC) -> None:
         """Start serving a new head message on ``vc``."""

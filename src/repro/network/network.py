@@ -176,8 +176,6 @@ class Network:
                 policy=self.config.ni_policy,
                 link=in_link,
             )
-            for vc in router.inputs[port]:
-                vc.credit_sink = ni.vcs[vc.index]
             # Ejection: router output port -> host sink.
             sink = HostSink(
                 node_id=node,
@@ -196,7 +194,6 @@ class Network:
             self.sinks[node] = sink
 
     def _wire_channels(self, latency: int) -> None:
-        depth = self.config.flit_buffer_depth
         for src_r, src_p, dst_r, dst_p in self.topology.channels:
             src = self.routers[src_r]
             dst = self.routers[dst_r]
@@ -209,12 +206,6 @@ class Network:
             link.src_router = src
             link.src_port = src_p
             src.wire_output(src_p, link, host=False)
-            for vc_index in range(self.config.vcs_per_pc):
-                ovc = src.outputs[src_p][vc_index]
-                ivc = dst.inputs[dst_p][vc_index]
-                ovc.downstream = ivc
-                ovc.credits = depth
-                ivc.credit_sink = ovc
             self.links.append(link)
 
     def _check_wiring(self) -> None:
@@ -575,9 +566,23 @@ class Network:
         return total
 
     def buffered_vcs(self) -> "tuple[int, int]":
-        """``(in_use, total)`` router VCs; in use = has carried a flit, owns buffers."""
-        vcs = [vc for r in self.routers for port in r.inputs + r.outputs for vc in port]
-        return sum(vc.stamps is not NO_FLITS for vc in vcs), len(vcs)
+        """``(in_use, total)`` router VCs; in use = has carried a flit,
+        owns buffers; total = every VC the config gives the fabric,
+        built or not."""
+        in_use = sum(
+            vc.stamps is not NO_FLITS
+            for r in self.routers
+            for port in r.inputs + r.outputs
+            for vc in port
+        )
+        config = self.config
+        return in_use, 2 * len(self.routers) * config.num_ports * config.vcs_per_pc
+
+    def built_vcs(self) -> int:
+        """Router VC objects that exist: those of the opened ports."""
+        return sum(
+            len(port) for r in self.routers for port in r.inputs + r.outputs
+        )
 
     def check_conservation(self) -> None:
         """Raise unless injected == ejected + buffered + dropped."""

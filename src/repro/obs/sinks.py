@@ -27,6 +27,8 @@ import json
 from collections import Counter, deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.events import EVENT_SCHEMA
+
 Record = Tuple[str, int, dict]
 
 
@@ -44,35 +46,142 @@ class TraceSink:
         pass
 
 
+#: records a :class:`JsonlTraceSink` holds before one ``writelines``
+_BATCH = 4096
+
+
+def _compile_line(kind: str, schema: Dict[str, tuple]):
+    """Compile ``kind``'s line writer from its schema.
+
+    The writer, ``line(cycle, fields)``, returns the record's JSONL
+    line, byte for byte what ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` writes: keys sorted, ``kind`` a literal,
+    ints and finite floats as ``str`` writes them, bools as ``true`` /
+    ``false`` and strings as their ``json.dumps`` text, cached per
+    value (the policy, mux-point, class and link-label vocabularies are
+    small and closed).  It returns ``None`` unless the fields are
+    exactly the schema's, each of an exact type the schema names, and
+    the sink then writes the record with ``json.dumps`` itself.  The
+    writer is generated source, one unrolled function per kind, because
+    per-field loops would cost what ``json.dumps`` does.
+    """
+    names = sorted(schema)
+    #: the generated code's name for each value, keyed by record key
+    args = {"cycle": "cycle"}
+    args.update((name, f"v{i}") for i, name in enumerate(names))
+    checks = ["type(cycle) is not int"]
+    convert = []
+    for name in names:
+        var, types = args[name], schema[name]
+        if types == (int,) or types == (bool,) or types == (str,):
+            checks.append(f"type({var}) is not {types[0].__name__}")
+        elif types == (int, float):
+            checks.append(
+                f"not (type({var}) is int or type({var}) is float "
+                f"and -INF < {var} < INF)"
+            )
+        else:
+            raise ValueError(f"{kind}.{name}: no writer for {types}")
+        if types == (bool,):
+            convert.append(f"{var} = 'true' if {var} else 'false'")
+        elif types == (str,):
+            convert += [
+                f"text = TEXT.get({var})",
+                "if text is None:",
+                f"    text = TEXT[{var}] = dumps({var})",
+                f"{var} = text",
+            ]
+
+    def literal(text: str) -> str:
+        return json.dumps(text).replace("%", "%%")
+
+    keys = sorted(["kind", *args])
+    body = ",".join(
+        f"{literal(key)}:{literal(kind) if key == 'kind' else '%s'}"
+        for key in keys
+    )
+    values = ", ".join(args[key] for key in keys if key != "kind")
+    source = "\n".join(
+        [
+            "def line(cycle, fields):",
+            f"    if len(fields) != {len(names)}:",
+            "        return None",
+            "    try:",
+            *(f"        {args[name]} = fields[{name!r}]" for name in names),
+            "    except KeyError:",
+            "        return None",
+            f"    if {' or '.join(checks)}:",
+            "        return None",
+            *(f"    {statement}" for statement in convert),
+            f"    return '{{{body}}}\\n' % ({values})",
+        ]
+    )
+    namespace = {"TEXT": {}, "dumps": json.dumps, "INF": float("inf")}
+    exec(source, namespace)
+    return namespace["line"]
+
+
 class JsonlTraceSink(TraceSink):
     """Append one JSON object per event to a file.
 
     Records are serialised with sorted keys and no whitespace, so the
     byte stream of a deterministic run is itself deterministic (the
-    golden-trace digest test hashes it).
+    golden-trace digest test hashes it).  Each kind's line comes from a
+    writer compiled from its schema (:func:`_compile_line`), byte for
+    byte what ``json.dumps`` writes, and lines reach the file in
+    batches of a few thousand.
     """
 
     def __init__(self, path, events: Optional[Iterable[str]] = None) -> None:
         self.path = path
         self._wanted = None if events is None else frozenset(events)
         self._file = open(path, "w", encoding="utf-8")
-        self.records_written = 0
+        self._lines: List[str] = []
+        #: records written out of ``_lines`` so far
+        self._flushed = 0
+        self._writers = {
+            kind: _compile_line(kind, schema)
+            for kind, schema in EVENT_SCHEMA.items()
+        }
 
     def on_event(self, kind: str, cycle: int, fields: dict) -> None:
         wanted = self._wanted
         if wanted is not None and kind not in wanted:
             return
-        record = {"kind": kind, "cycle": cycle}
-        record.update(fields)
-        self._file.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-        )
-        self._file.write("\n")
-        self.records_written += 1
+        try:
+            line = self._writers[kind](cycle, fields)
+        except KeyError:  # a kind with no schema
+            line = None
+        if line is None:
+            record = {"kind": kind, "cycle": cycle}
+            record.update(fields)
+            line = (
+                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            )
+        lines = self._lines
+        lines.append(line)
+        if len(lines) >= _BATCH:
+            self._flush()
+
+    @property
+    def records_written(self) -> int:
+        return self._flushed + len(self._lines)
+
+    def _flush(self) -> None:
+        self._file.writelines(self._lines)
+        self._flushed += len(self._lines)
+        self._lines.clear()
 
     def close(self) -> None:
         if not self._file.closed:
+            self._flush()
             self._file.close()
+
+    def __del__(self) -> None:
+        # a run that raises never reaches close: keep what it traced
+        if getattr(self, "_file", None) is not None:
+            self.close()
 
 
 class RingBufferSink(TraceSink):

@@ -37,7 +37,7 @@ from repro.core.schedulers import (
     make_scheduler,
 )
 from repro.errors import FlowControlError
-from repro.router.buffers import InputVC, OutputVC
+from repro.router.buffers import NO_FLITS, InputVC, OutputVC
 from repro.router.config import CrossbarKind, RouterConfig, RoutingMode
 from repro.router.flit import Message
 from repro.router.routeprog import RouterRouteView
@@ -58,15 +58,12 @@ class WormholeRouter:
         #: router-id indirection, and the thin mask overlay adaptive
         #: failover mutates for this router
         self._route_view = route_view
-        n, m = config.num_ports, config.vcs_per_pc
-        self.inputs: List[List[InputVC]] = [
-            [InputVC(p, v, config.flit_buffer_depth) for v in range(m)]
-            for p in range(n)
-        ]
-        self.outputs: List[List[OutputVC]] = [
-            [OutputVC(p, v, config.output_buffer_depth) for v in range(m)]
-            for p in range(n)
-        ]
+        n = config.num_ports
+        #: per-port VC lists, empty while the port is closed (see
+        #: :meth:`open_output` / :meth:`open_input`) and filled in place
+        #: when it opens, so bindings of a port's list stay valid
+        self.inputs: List[List[InputVC]] = [[] for _ in range(n)]
+        self.outputs: List[List[OutputVC]] = [[] for _ in range(n)]
         #: outgoing link per output port (wired by the network; None until then)
         self.out_links: List[Optional[object]] = [None] * n
         #: True for ports whose link ejects to a host (set when wired)
@@ -122,16 +119,18 @@ class WormholeRouter:
         )
         self._routing_delay = config.routing_delay
         self._arb_delay = config.arbitration_delay
-        #: per-port partition table: _part[port][is_real_time] is the
-        #: (normal, escape_only) pair of VC index tuples.  Rebuilt per
-        #: port by wire_output, since the escape reservation depends on
-        #: is_host_port which is only known at wiring time.
-        self._part = [self._build_port_partition(p) for p in range(n)]
+        #: the two partition tables (inter-router port, host port) and
+        #: each port's: _part[port][is_real_time] is the (normal,
+        #: escape_only) pair of VC index tuples.  wire_output picks a
+        #: port's table, since the escape reservation depends on
+        #: is_host_port, which is only known at wiring time.
+        self._partitions = (self._partition(False), self._partition(True))
+        self._part = [self._partitions[False]] * n
 
-        # Activity sets.
+        # Activity sets; a closed port's are the shared empty NO_FLITS.
         self._pending_arb: List[InputVC] = []
-        self._sendable: List[Set[int]] = [set() for _ in range(n)]
-        self._out_active: List[Set[int]] = [set() for _ in range(n)]
+        self._sendable: List[Set[int]] = [NO_FLITS] * n
+        self._out_active: List[Set[int]] = [NO_FLITS] * n
         # Port worklists: ports whose _sendable / _out_active set is
         # nonempty, so the crossbar and stage-5 loops visit only busy
         # ports instead of scanning all n every cycle.
@@ -153,7 +152,52 @@ class WormholeRouter:
         """Attach ``link`` to ``port``; ``host`` marks an ejection port."""
         self.out_links[port] = link
         self.is_host_port[port] = host
-        self._part[port] = self._build_port_partition(port)
+        self._part[port] = self._partitions[host]
+
+    # ------------------------------------------------------------------
+    # opening ports: a port's VCs exist once traffic needs them
+
+    def open_output(self, port: int) -> List[OutputVC]:
+        """Build output ``port``'s VCs, and the input port at the far
+        end of its link, credited by them; returns the output VCs.
+
+        Both loops call it when a header is routed to ``port``, before
+        arbitration.  A port that was never opened reads as a port
+        with no VCs, and an opened port is idle until a grant, which is
+        what an unopened port is: opening has no simulated effect.
+        Idempotent.
+        """
+        ovcs = self.outputs[port]
+        if ovcs:
+            return ovcs
+        config = self.config
+        depth = config.output_buffer_depth
+        ovcs.extend(
+            OutputVC(port, v, depth) for v in range(config.vcs_per_pc)
+        )
+        self._out_active[port] = set()
+        link = self.out_links[port]
+        if link is not None and link.dest_router is not None:
+            ivcs = link.dest_router.open_input(link.dest_port, ovcs)
+            for ovc, ivc in zip(ovcs, ivcs):
+                ovc.downstream = ivc
+                ovc.credits = ivc.capacity
+        return ovcs
+
+    def open_input(self, port: int, senders) -> List[InputVC]:
+        """Build input ``port``'s VCs, VC ``i`` returning its credits
+        to ``senders[i]`` (the upstream output VCs, or the NI's VCs on
+        a host injection port); returns the input VCs.  Idempotent.
+        """
+        ivcs = self.inputs[port]
+        if not ivcs:
+            depth = self.config.flit_buffer_depth
+            for sender in senders:
+                ivc = InputVC(port, len(ivcs), depth)
+                ivc.credit_sink = sender
+                ivcs.append(ivc)
+            self._sendable[port] = set()
+        return ivcs
 
     @staticmethod
     def _selectors(policy: MuxScheduler, n: int) -> List[MuxScheduler]:
@@ -163,8 +207,8 @@ class WormholeRouter:
             return [policy] * n
         return [make_scheduler(policy.policy) for _ in range(n)]
 
-    def _build_port_partition(self, port: int):
-        """Precompute the (normal, escape_only) VC tuples per class.
+    def _partition(self, host: bool):
+        """Precompute a port's (normal, escape_only) VC tuples per class.
 
         In adaptive mode the last VC of every multi-VC partition on a
         non-host port is reserved as the *escape* VC: only detoured
@@ -181,11 +225,7 @@ class WormholeRouter:
         """
         entry = []
         for indices in self._class_vcs:
-            if (
-                not self._adaptive
-                or self.is_host_port[port]
-                or len(indices) < 2
-            ):
+            if not self._adaptive or host or len(indices) < 2:
                 entry.append((indices, indices))
             else:
                 entry.append((indices[:-1], indices[-1:]))
@@ -491,6 +531,7 @@ class WormholeRouter:
             else:
                 ports = self._route_view.candidates(msg.dst_node)
             vc.route_port = self._select_output_port(clock, ports)
+            self.open_output(vc.route_port)
             if self.trace is not None:
                 self.trace.on_event(
                     "route",

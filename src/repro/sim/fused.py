@@ -1337,6 +1337,11 @@ class FusedLoop:
                                     clock, route_ports
                                 )
                             vc.route_port = port
+                            if not outputs[port]:
+                                # the port's first header opens it
+                                free_ports[port] = len(
+                                    router.open_output(port)
+                                )
                             if emit is not None:
                                 emit(
                                     "route",

@@ -123,6 +123,7 @@ def _blocked_header(run, act):
     waiter = make_message(src=0, dst=1, size=8, src_vc=1, dst_vc=1)
     network.schedule_message(0, owner)
     network.schedule_message(100, waiter)
+    network.interfaces[0].open_port()
     waiter_vc = network.routers[0].inputs[0][1]
     seen = []
 

@@ -134,6 +134,9 @@ class _StubNetwork:
     def buffered_vcs(self):
         return (3, 40)
 
+    def built_vcs(self):
+        return 8
+
 
 def _second_kind(experiment) -> bool:
     """True for every campaign's degraded series (FIFO / static routing)."""
@@ -207,6 +210,7 @@ def _scale_record(name: str, topology: dict) -> dict:
             **topology,
         ),
         "topology_s": 0.0,
+        "vcs_built": 8,
         "vcs_total": 40,
         "vcs_used": 3,
         "watchdog_window": 41248,
@@ -312,10 +316,10 @@ butterfly/static        none     0.9500    0.9000        0      1234        1   
         },
         table="""\
 scale campaign (active / repeat / legacy must be bit-identical)
-     point  hosts switches table ints  build s active s  setup s legacy s     d ms vcs used vcs total identical compiles
-------------------------------------------------------------------------------------------------------------------------
-    ft3-16     16       20        320     0.00      0.0     0.00      0.0  33.0000        3        40      True        0
-   bfly-64     64       48       3072     0.00      0.0     0.00      0.0  33.0000        3        40      True        0
+     point  hosts switches table ints  build s active s  setup s legacy s     d ms vcs used vcs built vcs total identical compiles
+----------------------------------------------------------------------------------------------------------------------------------
+    ft3-16     16       20        320     0.00      0.0     0.00      0.0  33.0000        3         8        40      True        0
+   bfly-64     64       48       3072     0.00      0.0     0.00      0.0  33.0000        3         8        40      True        0
 (a point fails unless its three runs share one digest and VC census, its route program compiles at most once, and d / sigma_d are finite)""",
         figure=dict(
             title="scale campaign (active / repeat / legacy must be "

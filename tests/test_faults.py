@@ -505,7 +505,7 @@ class TestWatchdog:
         # wedge: a squatter owns the destination output VC forever, so
         # the message can never win arbitration for its bound VC
         squatter = make_message(src=2, dst=3)
-        net.routers[0].outputs[1][0].grant(0, squatter)
+        net.routers[0].open_output(1)[0].grant(0, squatter)
         net.inject_now(msg)
         with pytest.raises(DeadlockError) as excinfo:
             net.run(100_000)
@@ -539,6 +539,7 @@ class TestWatchdog:
     def test_stall_report_caps_line_count(self):
         net = make_network(ports=4, vcs=2)
         for port in range(4):
+            net.routers[0].open_output(port)
             for vc in range(2):
                 net.routers[0].outputs[port][vc].grant(
                     0, make_message(src=0, dst=1)

@@ -250,12 +250,16 @@ class TestAgedConstruction:
             }
             seen["young"] = sum(id(part) in young for part in fabric)
             seen["fabric"] = len(fabric)
+            seen["built"] = network.built_vcs()
 
         monkeypatch.setattr(runner, "_construction_gc", entered)
         simulate_fat_tree3(
             FatTree3Experiment(**K8, network_hook=at_cycle_0)
         )
-        assert seen["fabric"] == 1 + 80 + 2 * 80 * 8 * 4
+        # a port's VCs are built when traffic first needs them, and
+        # none has by cycle 0: the fabric is the network and routers
+        assert seen["built"] == 0
+        assert seen["fabric"] == 1 + 80
         assert seen["young"] == 0
         # the entry collection, and no promotion pass after it
         assert seen["passes"] == [2]

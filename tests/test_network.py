@@ -37,6 +37,9 @@ class TestConstruction:
         net = make_network(ports=4, vcs=2)
         router = net.routers[0]
         ni = net.interfaces[2]
+        assert router.inputs[2] == []  # closed until the NI opens it
+        assert ni.open_port() is router.inputs[2]
+        assert len(router.inputs[2]) == 2
         for vc in router.inputs[2]:
             assert vc.credit_sink is ni.vcs[vc.index]
 
@@ -45,6 +48,10 @@ class TestConstruction:
         for src_r, src_p, dst_r, dst_p in net.topology.channels:
             src = net.routers[src_r]
             dst = net.routers[dst_r]
+            assert src.outputs[src_p] == [] and dst.inputs[dst_p] == []
+            # opening an output port opens the input port it feeds
+            assert len(src.open_output(src_p)) == 2
+            assert len(dst.inputs[dst_p]) == 2
             for vc_index in range(2):
                 ovc = src.outputs[src_p][vc_index]
                 ivc = dst.inputs[dst_p][vc_index]
@@ -55,6 +62,7 @@ class TestConstruction:
     def test_host_output_has_no_credit_limit(self):
         net = make_network(ports=4)
         router = net.routers[0]
+        assert len(router.open_output(0)) == net.config.vcs_per_pc
         for ovc in router.outputs[0]:
             assert ovc.downstream is None
 

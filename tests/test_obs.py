@@ -8,6 +8,7 @@ sequences.  Integration against real traffic lives in
 """
 
 import json
+import random
 
 import pytest
 
@@ -125,6 +126,54 @@ class TestSinks:
         line = path.read_text().strip()
         assert line == '{"cycle":9,"dropped":2,"kind":"purge","msg":1,"ni":0}'
         assert sink.records_written == 1
+
+    def test_jsonl_sink_writes_json_dumps_bytes_for_any_record(self, tmp_path):
+        """Each kind's line comes from a writer compiled from its
+        schema; a record off the schema (a field missing or extra, a
+        bool where an int goes, a non-finite float, an unknown kind)
+        is written by ``json.dumps`` itself.  Either way the bytes are
+        ``json.dumps``'s, across several ``writelines`` batches."""
+        rng = random.Random(5)
+        samples = {
+            int: [0, 7, -3, 2**70],
+            float: [0.5, 1 / 3, 1e300, -0.0, float("nan"), float("inf")],
+            bool: [True, False],
+            str: ["A", "virtual_clock", "ch:0.4->1.4", 'q"%s{x}\\', "é", ""],
+        }
+        odd = [True, 1.5, "7", None, 3]
+        records = []
+        for _ in range(9000):
+            kind = rng.choice(ALL_EVENTS)
+            fields = {
+                name: rng.choice(samples[rng.choice(types)])
+                for name, types in EVENT_SCHEMA[kind].items()
+            }
+            roll = rng.random()
+            if roll < 0.05:
+                del fields[rng.choice(list(fields))]
+            elif roll < 0.1:
+                fields["extra"] = 1
+            elif roll < 0.2:
+                fields[rng.choice(list(fields))] = rng.choice(odd)
+            cycle = rng.choice([0, 41, 10**9]) if roll < 0.95 else True
+            records.append((kind, cycle, fields))
+        records.append(("no_such_kind", 3, {"b": 1, "a": "x"}))
+        path = tmp_path / "t.jsonl"
+        sink = JsonlTraceSink(path)
+        for record in records:
+            sink.on_event(*record)
+        assert sink.records_written == len(records)
+        sink.close()
+        expected = "".join(
+            json.dumps(
+                {"kind": kind, "cycle": cycle, **fields},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for kind, cycle, fields in records
+        )
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_jsonl_sink_filters_kinds(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import FlowControlError
+from repro.experiments.config import FatMeshExperiment
+from repro.experiments.runner import simulate
 from repro.obs.sinks import RingBufferSink
 from repro.router.config import CrossbarKind
 from repro.router.flit import TrafficClass
@@ -380,6 +382,8 @@ class TestFatLinkSelection:
     def test_same_port_as_the_original_rule(self, mode, faulty):
         net = make_network(ports=8, vcs=4, routing_mode=mode)
         router = net.routers[0]
+        for port in range(8):
+            router.open_output(port)
         rng = random.Random(f"{mode}/{faulty}")
         ties = all_down = 0
         for _ in range(400):
@@ -409,8 +413,26 @@ class TestFatLinkSelection:
         net = make_network(ports=4, vcs=2, routing_mode="oracle")
         router = net.routers[0]
         router.faulted_ports.add(1)
-        router.outputs[2][0].owner = object()
+        router.open_output(2)[0].owner = object()
         assert router._select_output_port(0, (1, 2)) == 2
         # ... but a dead port still beats nothing at all
         router.faulted_ports.add(2)
         assert router._select_output_port(0, (1, 2)) == 1
+
+    def test_fat_pair_splits_a_fat_mesh_run(self):
+        """Load-based selection splits inter-switch traffic across a
+        fat pair: router 0's +X pair toward router 1 is ports 4 and 5."""
+        networks = []
+        simulate(
+            FatMeshExperiment(
+                load=0.6,
+                mix=(100, 0),
+                scale=60.0,
+                warmup_frames=1,
+                measure_frames=3,
+                seed=1,
+                network_hook=networks.append,
+            )
+        )
+        flits = [networks[0].routers[0].out_flits[port] for port in (4, 5)]
+        assert min(flits) > 0.4 * max(flits) > 0, flits

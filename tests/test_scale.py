@@ -216,8 +216,10 @@ class TestBufferedVcCensus:
         ``Network.__init__`` builds the 1024-host fabric (82.4 MiB with
         four eager deques per VC pair; 23.4 MiB with lazy VC buffers
         but eager wires, NI queues and one mux per port; 15.3 MiB with
-        all of them lazy or shared).  RSS is the benchmark's to judge;
-        this is the count that repeats exactly.
+        all of them lazy or shared; 5.3 MiB with every router port
+        closed until traffic opens it, which ``tests/test_open_ports.py``
+        budgets).  RSS is the benchmark's to judge; this is the count
+        that repeats exactly.
         """
         tracemalloc = pytest.importorskip("tracemalloc")
         topology = topology_of(FatTree3Experiment(k=16))
@@ -233,6 +235,7 @@ class TestBufferedVcCensus:
                 tracemalloc.stop()
         assert traced <= 19 * 2**20, f"{traced / 2**20:.1f} MiB"
         assert network.buffered_vcs() == (0, 40960)
+        assert network.built_vcs() == 0
         # ... and no router VC, wire or NI VC holds a deque in any slot
         holders = [
             vc
