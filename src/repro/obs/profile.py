@@ -1,14 +1,14 @@
 """Per-component wall-time profiling of the simulation loop.
 
-A :class:`LoopProfiler` installed as ``network.profiler`` makes the
-cycle loop (:class:`repro.sim.fused.FusedLoop`) bracket each per-cycle
-phase — event firing, link delivery, NI steps, router steps — with
-``perf_counter`` reads, accumulating where the wall time actually goes
-(the question PR2's active-set work kept answering by hand).  Without a
-profiler the loop pays a single ``is None`` check per phase, preserving
-the zero-overhead contract; with one, the *simulation* is still
-bit-identical — only wall time is observed.  The reference stepper
-carries no timers: a profiled run on it reports zeros.
+A :class:`LoopProfiler` installed as ``network.profiler`` wraps the
+cycle loop's phase callables (:meth:`repro.sim.fused.FusedLoop._phases`:
+event firing, link delivery, NI injection, the router phase) in
+``perf_counter`` brackets at each run's entry, accumulating where the
+wall time actually goes.  The loop itself never tests for a profiler,
+and a profiled run is still bit-identical — only wall time is
+observed.  The router-phase wrapper also counts the executed cycles.
+The reference stepper wraps nothing: a profiled run on it reports
+zeros.
 
 The totals surface as ``RunMetrics.profile`` (see
 :meth:`repro.metrics.collector.MetricsCollector.attach_profiler`).
@@ -16,6 +16,7 @@ The totals surface as ``RunMetrics.profile`` (see
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict
 
 
@@ -35,6 +36,39 @@ class LoopProfiler:
         self.routers_s = 0.0
         #: cycles actually executed (clock jumps excluded)
         self.cycles = 0
+
+    def wrap(self, fire, deliver, inject, route):
+        """One run's four phase callables, each timed into its slot (the
+        timer stops before the slot is touched); the router phase runs
+        once per executed cycle, so it also counts it."""
+
+        def timed_fire(clock):
+            started = perf_counter()
+            fire(clock)
+            elapsed = perf_counter() - started
+            self.events_s += elapsed
+
+        def timed_deliver(clock):
+            started = perf_counter()
+            progress = deliver(clock)
+            elapsed = perf_counter() - started
+            self.links_s += elapsed
+            return progress
+
+        def timed_inject(clock):
+            started = perf_counter()
+            inject(clock)
+            elapsed = perf_counter() - started
+            self.nis_s += elapsed
+
+        def timed_route(clock):
+            started = perf_counter()
+            route(clock)
+            elapsed = perf_counter() - started
+            self.routers_s += elapsed
+            self.cycles += 1
+
+        return timed_fire, timed_deliver, timed_inject, timed_route
 
     @property
     def total_s(self) -> float:

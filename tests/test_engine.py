@@ -13,6 +13,7 @@ object method.
 
 import ast
 import dataclasses
+import inspect
 import pickle
 import re
 import subprocess
@@ -60,10 +61,12 @@ from repro.network.link import Link
 from repro.network.network import Network
 from repro.network.topology import single_switch
 from repro.obs.events import TraceSpec
+from repro.obs.profile import LoopProfiler
 from repro.obs.sinks import RingBufferSink, install_tracing, stream_digest
 from repro.router.config import RouterConfig, RoutingMode
 from repro.router.flit import TrafficClass
 from repro.router.router import WormholeRouter
+from repro.sim.fused import FusedLoop
 from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
 from conftest import (
@@ -391,6 +394,37 @@ def _dense_ids(records):
     ]
 
 
+def _run_preempting_switch(run, profiler=None, **network_kwargs):
+    """Two best-effort worms preempted by a third on a bare
+    ``preemption`` + ``dynamic_partitioning`` switch, ``run`` as the
+    loop; returns the network at cycle 400."""
+    network = make_network(
+        vcs=2,
+        rt_vc_count=2,
+        dynamic_partitioning=True,
+        preemption=True,
+        **network_kwargs,
+    )
+    network.profiler = profiler
+    for src, src_vc in ((0, 0), (2, 1)):
+        network.inject_now(
+            make_message(
+                src=src,
+                dst=1,
+                size=60,
+                vtick=1e12,
+                traffic_class=TrafficClass.BEST_EFFORT,
+                src_vc=src_vc,
+                dst_vc=None,
+            )
+        )
+    run(network, 12)
+    network.inject_now(make_message(src=3, dst=1, size=6, src_vc=0, dst_vc=None))
+    run(network, 400)
+    network.check_invariants()
+    return network
+
+
 class TestTracedParity:
     """A traced, checked run executes the fused kernels: the stream is
     the reference stepper's, byte for byte, and no object ``step`` runs."""
@@ -440,31 +474,7 @@ class TestTracedParity:
 
         def build(run):
             sink = RingBufferSink()
-            network = make_network(
-                vcs=2,
-                rt_vc_count=2,
-                dynamic_partitioning=True,
-                preemption=True,
-                trace_sink=sink,
-            )
-            for src, src_vc in ((0, 0), (2, 1)):
-                network.inject_now(
-                    make_message(
-                        src=src,
-                        dst=1,
-                        size=60,
-                        vtick=1e12,
-                        traffic_class=TrafficClass.BEST_EFFORT,
-                        src_vc=src_vc,
-                        dst_vc=None,
-                    )
-                )
-            run(network, 12)
-            network.inject_now(
-                make_message(src=3, dst=1, size=6, src_vc=0, dst_vc=None)
-            )
-            run(network, 400)
-            network.check_invariants()
+            network = _run_preempting_switch(run, trace_sink=sink)
             return network.preemptions, _dense_ids(sink.records)
 
         steps = _spy_on_steps(monkeypatch)
@@ -473,6 +483,30 @@ class TestTracedParity:
         assert default[0] >= 1
         assert {"purge", "xbar"} <= {kind for kind, _, _ in default[1]}
         assert build(run_reference) == default
+
+
+#: profiled-run cases, one per router phase: the fused stages on a
+#: clean switch and on a lossy fat mesh under recovery, and
+#: ``WormholeRouter.step`` on a preempting bare network (``None``)
+_PROFILED_CASES = {
+    "single-switch": SingleSwitchExperiment(load=0.5, mix=(80, 20), **TINY),
+    "lossy-fat-mesh": FatMeshExperiment(
+        load=0.7,
+        mix=(80, 20),
+        faults=FaultPlan(flit_loss_prob=0.02),
+        recovery=RecoveryConfig(timeout=4096),
+        watchdog_window=200_000,
+        **TINY,
+    ),
+    "preempting-network": None,
+}
+
+
+def _unprofiled_view(result):
+    """What a run must not change by being profiled: metrics bar the
+    profile, and the fault accounting."""
+    metrics = dataclasses.replace(result.metrics, profile={})
+    return repr(dataclasses.asdict(metrics)), result.fault_stats
 
 
 class TestCallOuts:
@@ -599,19 +633,56 @@ class TestCallOuts:
         default, legacy = _both_loops(build)
         assert default == legacy
 
-    def test_profiled_run_stays_on_the_loop_and_counts_its_cycles(self):
-        experiment = SingleSwitchExperiment(load=0.5, mix=(80, 20), **TINY)
-        plain = simulate_single_switch(experiment)
-        profiled = simulate_single_switch(
-            dataclasses.replace(experiment, profile_loop=True)
-        )
-        profile = profiled.metrics.profile
-        assert profile["loop_cycles_executed"] == profiled.cycles_executed
+    @pytest.mark.parametrize("case", sorted(_PROFILED_CASES))
+    def test_profiled_run_stays_on_the_loop_and_counts_its_cycles(
+        self, case
+    ):
+        """A profiler wraps each router phase without moving the run:
+        the fused stages (clean and lossy) and the preempting ``step``."""
+        experiment = _PROFILED_CASES[case]
+        if experiment is None:
+
+            def view(run, profiler=None):
+                delivered = []
+                network = _run_preempting_switch(
+                    run,
+                    profiler,
+                    on_message=lambda msg, clock: delivered.append(
+                        (msg.src_node, msg.dst_node, msg.size, clock)
+                    ),
+                )
+                assert network.preemptions >= 1
+                return (
+                    (delivered, network.preemptions, network.flits_ejected),
+                    network.cycles_executed,
+                )
+
+            profiler = LoopProfiler()
+            profiled, cycles = view(Network.run, profiler)
+            plain, plain_cycles = view(Network.run)
+            reference, _ = view(run_reference)
+            profile = profiler.summary()
+        else:
+            result = simulate(
+                dataclasses.replace(experiment, profile_loop=True)
+            )
+            unprofiled = simulate(experiment)
+            profiled, cycles = _unprofiled_view(result), result.cycles_executed
+            plain, plain_cycles = (
+                _unprofiled_view(unprofiled),
+                unprofiled.cycles_executed,
+            )
+            reference = _unprofiled_view(
+                simulate(experiment, loop=run_reference)
+            )
+            profile = result.metrics.profile
+            if experiment.faults is not None:
+                assert result.fault_stats["flits_lost"] > 0
+        assert profiled == plain and cycles == plain_cycles
+        assert profiled == reference
+        assert profile.keys() == LoopProfiler().summary().keys()
+        assert profile["loop_cycles_executed"] == cycles > 0
         assert profile["loop_routers_s"] > 0
-        assert profiled.cycles_executed == plain.cycles_executed
-        assert dataclasses.replace(
-            profiled.metrics, profile={}
-        ) == dataclasses.replace(plain.metrics, profile={})
 
 
 class TestCyclesExecuted:
@@ -728,6 +799,34 @@ class TestOneLoop:
         assert network.cycles_executed == 0
         assert network._loop is not None
         network.check_conservation()
+
+    def test_run_is_a_short_sequencer_over_named_kernels(self):
+        """``FusedLoop.run`` only sequences the phases; each kernel names
+        its object twin, and neither tests for a profiler or preemption
+        (``_phases`` picks and wraps the phase callables once per run)."""
+
+        def names(code):
+            found = set(code.co_names)
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    found |= names(const)
+            return found
+
+        assert len(inspect.getsource(FusedLoop.run).splitlines()) <= 150
+        twins = {
+            "_delivery": ("Link.deliver_due", "accept_flit", "HostSink.eject"),
+            "_injection": ("HostInterface.step",),
+            "_router_stages": ("WormholeRouter.step",),
+            "_router_steps": ("WormholeRouter.step",),
+            "_stage5": ("WormholeRouter._stage5_output",),
+            "_stage4": ("WormholeRouter._stage4_crossbar",),
+            "_stage23": ("WormholeRouter._stage23_route_arbitrate",),
+        }
+        for name, twin in twins.items():
+            kernel = getattr(FusedLoop, name)
+            assert all(method in kernel.__doc__ for method in twin), name
+        for function in [FusedLoop.run] + [getattr(FusedLoop, n) for n in twins]:
+            assert not {"profiler", "preemption"} & names(function.__code__)
 
     @pytest.mark.parametrize("case", sorted(_HANDOFF_CASES))
     def test_loops_hand_a_network_back_and_forth(self, case):
