@@ -7,8 +7,10 @@ times — ``Network.run``, a repeat, and the full-scan reference stepper
 (:func:`repro.sim.reference.run_reference`, the ``legacy`` column) —
 and demands all three produce bit-identical metrics digests, one
 ``Network.buffered_vcs`` census (``vcs used``: VCs that ever carried a
-flit) and one ``Network.built_vcs`` count (``vcs built``: VCs of the
-ports traffic opened).  A progress watchdog (four frame epochs) arms every run, so a routing
+flit), one ``Network.built_vcs`` count (``vcs built``: VCs of the
+ports traffic opened) and one ``Network.held_deques`` count
+(``deques held`` after the run: a loop that forgets to give a FIFO
+back differs here).  A progress watchdog (four frame epochs) arms every run, so a routing
 cycle or a starved stream fails loudly instead of hanging the
 campaign.
 
@@ -156,15 +158,20 @@ def _scale_point(experiment) -> Point:
 
     def timed(loop=None):
         """One run: result, wall seconds, (digest, buffered-VC census,
-        VCs built); appends the placement walks the run performed to
-        ``walks``."""
+        VCs built, deques held); appends the placement walks the run
+        performed to ``walks``."""
         walks_before = rng.PLACEMENT_WALKS
         started = time.perf_counter()
         result = simulate(hooked, loop=loop)
         seconds = time.perf_counter() - started
         walks.append(rng.PLACEMENT_WALKS - walks_before)
         network = networks.pop()
-        census = (run_digest(result), network.buffered_vcs(), network.built_vcs())
+        census = (
+            run_digest(result),
+            network.buffered_vcs(),
+            network.built_vcs(),
+            network.held_deques(),
+        )
         return result, seconds, census
 
     compiles_before = routeprog.compile_count()
@@ -177,7 +184,7 @@ def _scale_point(experiment) -> Point:
     compiles_repeat = routeprog.compile_count() - compiles_before - compiles_first
     _, legacy_s, legacy_outcome = timed(run_reference)
 
-    digest, (vcs_used, vcs_total), vcs_built = outcome
+    digest, (vcs_used, vcs_total), vcs_built, deques_held = outcome
     record = {
         "name": name,
         "topology": _topology_stats(experiment),
@@ -198,12 +205,13 @@ def _scale_point(experiment) -> Point:
         "d_ms": canonical(active.metrics.d),
         "sigma_d_ms": canonical(active.metrics.sigma_d),
         "digest": digest,
-        # one digest, and both loops gave buffers to as many VCs and
-        # opened ports with as many VCs
+        # one digest, and both loops gave buffers to as many VCs,
+        # opened ports with as many VCs and end holding as many deques
         "identical": outcome == repeat_outcome == legacy_outcome,
         "vcs_used": vcs_used,
         "vcs_built": vcs_built,
         "vcs_total": vcs_total,
+        "deques_held": deques_held,
         # at most one compile for the build and first run (zero on a
         # warm cache), and exactly zero for the repeat — the
         # compile-once contract

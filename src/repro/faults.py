@@ -326,13 +326,14 @@ class LinkFaultState:
     only consumer of :attr:`rng` — no draw for a flit of a broken worm
     or inside a down window, else one loss draw when ``loss_prob > 0``,
     then (if the flit survived) one corruption draw when
-    ``corrupt_prob > 0``.  ``Link.deliver_due`` calls it per due flit;
-    the fused cycle loop (:mod:`repro.sim.fused`) inlines the same
-    tests on the same ``rng.random`` in the same order for an untraced
-    link outside its down windows, binding ``rng``, ``broken`` and the
-    probabilities once per run — so none of them may be rebound while a
-    run is in progress.  Whoever draws, a non-OK fate is applied by
-    ``Link.apply_fate``, the one owner of loss/corruption handling.
+    ``corrupt_prob > 0``.  ``Link.deliver_due`` calls it per due flit,
+    and so does the fused cycle loop's delivery kernel
+    (:mod:`repro.sim.fused`) on every faulted link outside its down
+    windows, through the link's fault binding: the bound ``fate`` it
+    takes once per run, so the state installed on a link must not be
+    swapped for another while a run is in progress.  Whoever draws, a
+    non-OK fate is applied by ``Link.apply_fate``, the one owner of
+    loss/corruption handling.
     """
 
     __slots__ = (

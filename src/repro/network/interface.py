@@ -32,7 +32,8 @@ class _NIVC:
     def __init__(self, index: int, credits: int) -> None:
         self.index = index
         #: messages queued on this VC, head first;
-        #: :data:`~repro.router.buffers.NO_FLITS` until the first inject
+        #: :data:`~repro.router.buffers.NO_FLITS` while none is (an
+        #: inject allocates the deque, the last tail sent gives it back)
         self.queue: Deque[Message] = NO_FLITS
         #: flits of the head message already sent
         self.sent = 0
@@ -201,6 +202,7 @@ class HostInterface:
             if vc.queue:
                 self._open_head(vc)
             else:
+                vc.queue = NO_FLITS
                 active.discard(chosen)
         return 1 if active else 0
 
@@ -224,6 +226,7 @@ class HostInterface:
                     removed = msg.size
                     break
         if not vc.queue:
+            vc.queue = NO_FLITS
             self._active.discard(msg.src_vc)
         return removed
 

@@ -31,11 +31,11 @@ class Link:
     sent at cycle ``t`` becomes visible downstream at ``t + latency``.
 
     With :attr:`faults` installed, every due flit gets a fate.  The
-    draw belongs to ``LinkFaultState.fate`` (``deliver_due`` calls it;
-    the fused cycle loop inlines the same tests, in the same order, on
-    the same RNG for an untraced link outside its down windows);
-    applying a lost or corrupted fate belongs to :meth:`apply_fate`,
-    whoever drew it.
+    draw belongs to ``LinkFaultState.fate`` alone: ``deliver_due``
+    calls it, and so does the fused cycle loop's delivery kernel,
+    through the link's fault binding, on every faulted link outside
+    its down windows; applying a lost or corrupted fate belongs to
+    :meth:`apply_fate`, whoever drew it.
     """
 
     __slots__ = (
@@ -83,8 +83,10 @@ class Link:
         self.src_router = None
         self.src_port = -1
         #: in-flight flits: (arrival_cycle, msg, flit_index, vc_index);
-        #: :data:`~repro.router.buffers.NO_FLITS` until the first send
-        #: (most wires of a large idle fabric never carry a flit)
+        #: :data:`~repro.router.buffers.NO_FLITS` while the wire is
+        #: empty — a send onto an empty wire allocates the deque, the
+        #: delivery (or purge) that drains it gives it back, so a
+        #: streaming worm keeps one deque per hop
         self.pending: Deque[Tuple[int, Message, int, int]] = NO_FLITS
         #: hook(index, arrival) fired when the wire transitions from
         #: empty to non-empty, with this link's ``index`` and the
@@ -126,7 +128,8 @@ class Link:
     def deliver_due(self, clock: int) -> int:
         """Hand over every flit whose latency has elapsed.
 
-        Returns the number of flits delivered.
+        Returns the number of flits delivered.  A drained wire gives
+        its deque back.
         """
         if self.faults is not None:
             return self._deliver_due_faulty(clock)
@@ -145,6 +148,8 @@ class Link:
                 _, msg, flit_index, vc_index = pending.popleft()
                 sink.eject(clock, msg, flit_index)
                 delivered += 1
+        if not self.pending:
+            self.pending = NO_FLITS
         if delivered and self.health is not None:
             # Delivery heartbeat: a no-op while the link is UP, streak
             # progress while it is SUSPECT or on PROBATION.
@@ -187,6 +192,8 @@ class Link:
                 # rebuild self.pending; re-fetch so we keep draining the
                 # live deque, not the pre-purge snapshot.
                 pending = self.pending
+        if not self.pending:
+            self.pending = NO_FLITS
         return delivered
 
     def apply_fate(
@@ -201,8 +208,9 @@ class Link:
         """Apply a non-OK ``fate`` to one flit already popped off the wire.
 
         The single implementation of loss and corruption handling: the
-        object delivery loop above and the fused cycle loop's inlined
-        delivery kernels (which draw the fate themselves) both call it.
+        object delivery loop above and the fused cycle loop's delivery
+        kernel both call it, after drawing the fate with
+        ``LinkFaultState.fate``.
         Returns the number of flits handed to the consumer — 0 for a
         lost flit, 1 for a corrupted one.
 
@@ -278,13 +286,12 @@ class Link:
         hand the credits they consumed back to the sender.  A wire that
         carries none of the message keeps its deque: :attr:`pending` is
         rebuilt (and the cycle loop's head mirror made stale) only when
-        a flit is actually dropped.
+        a flit is actually dropped, and given back when none is left.
         """
         if self.faults is not None:
             self.faults.forget(msg)
         dropped_vcs = [entry[3] for entry in self.pending if entry[1] is msg]
         if dropped_vcs:
-            self.pending = deque(
-                entry for entry in self.pending if entry[1] is not msg
-            )
+            kept = deque(entry for entry in self.pending if entry[1] is not msg)
+            self.pending = kept if kept else NO_FLITS
         return dropped_vcs

@@ -566,11 +566,12 @@ class Network:
         return total
 
     def buffered_vcs(self) -> "tuple[int, int]":
-        """``(in_use, total)`` router VCs; in use = has carried a flit,
-        owns buffers; total = every VC the config gives the fabric,
+        """``(in_use, total)`` router VCs; in use = has carried a flit
+        (a header arrived or a grant landed; its buffers may have gone
+        back since); total = every VC the config gives the fabric,
         built or not."""
         in_use = sum(
-            vc.stamps is not NO_FLITS
+            vc.carried
             for r in self.routers
             for port in r.inputs + r.outputs
             for vc in port
@@ -583,6 +584,29 @@ class Network:
         return sum(
             len(port) for r in self.routers for port in r.inputs + r.outputs
         )
+
+    def held_deques(self) -> int:
+        """Deques the flit FIFOs hold right now: router VCs' buffers,
+        wires and NI VC queues (every other FIFO is ``NO_FLITS``)."""
+        held = sum(
+            (vc.messages is not NO_FLITS) + (vc.stamps is not NO_FLITS)
+            for r in self.routers
+            for port in r.inputs
+            for vc in port
+        )
+        held += sum(
+            (vc.queue is not NO_FLITS) + (vc.stamps is not NO_FLITS)
+            for r in self.routers
+            for port in r.outputs
+            for vc in port
+        )
+        held += sum(link.pending is not NO_FLITS for link in self.links)
+        held += sum(
+            vc.queue is not NO_FLITS
+            for ni in self._ni_list
+            for vc in ni.vcs
+        )
+        return held
 
     def check_conservation(self) -> None:
         """Raise unless injected == ejected + buffered + dropped."""
@@ -602,7 +626,21 @@ class Network:
             )
 
     def check_invariants(self) -> None:
-        """Validate router buffer bookkeeping everywhere (test hook)."""
+        """Validate router buffer bookkeeping everywhere (test hook),
+        flit conservation, and the FIFO lifecycle of wires and NI VCs:
+        each holds a deque only while flits (messages) are on it."""
         for router in self.routers:
             router.check_invariants()
+        for link in self.links:
+            if link.pending is not NO_FLITS and not link.pending:
+                raise SimulationError(
+                    f"link {link.label}: empty wire still holds its deque"
+                )
+        for ni in self._ni_list:
+            for vc in ni.vcs:
+                if vc.queue is not NO_FLITS and not vc.queue:
+                    raise SimulationError(
+                        f"NI {ni.node_id} vc {vc.index}: no message queued "
+                        f"but still holds its deque"
+                    )
         self.check_conservation()

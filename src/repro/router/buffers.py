@@ -20,9 +20,15 @@ buffered flit).  The head of a buffer is the front message's
 ``served``-th flit — flit indices are implicit because wormhole flow
 control delivers them in order.
 
-A VC owns no deques until it carries a flit (at 1024 hosts 92 % never
-do): its buffers start as :data:`NO_FLITS`, which reads as empty, and
-the first header or grant swaps in deques that the VC then keeps.
+A VC owns deques only while a worm uses it (at 1024 hosts 92 % of the
+VCs never carry a flit, and most of the rest sit idle at any moment):
+its buffers are :data:`NO_FLITS`, which reads as empty, until a header
+arrives (:class:`InputVC`) or a grant lands (:class:`OutputVC`), and
+go back to :data:`NO_FLITS` when the worm leaves — the last buffered
+message's tail crossing the crossbar, the owner's tail leaving on the
+link, or a purge that empties the buffer.  ``carried`` records that a
+VC ever carried a flit (``Network.buffered_vcs``), since the deques no
+longer can.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from repro.errors import FlowControlError
 from repro.router.flit import Message
 
 
-NO_FLITS: tuple = ()  #: a never-used VC's buffers: shared, empty, immutable
+#: an idle VC's buffers (and an idle wire's or NI VC's): shared, empty,
+#: immutable — a never-used FIFO and a released one are this same tuple
+NO_FLITS: tuple = ()
 
 
 class _MessageRecord:
@@ -100,6 +108,7 @@ class InputVC:
         "credit_sink",
         "vstate",
         "wait_epoch",
+        "carried",
     )
 
     def __init__(self, port: int, index: int, capacity: int) -> None:
@@ -128,6 +137,8 @@ class InputVC:
         #: release epoch when the routed header last found no output VC
         #: (-1: none); the attempt is not repeated until the epoch moves
         self.wait_epoch = -1
+        #: True once a header has arrived here (the buffered-VC census)
+        self.carried = False
 
     # -- state queries --------------------------------------------------
 
@@ -160,6 +171,7 @@ class InputVC:
         """A header flit arrived: start a new message record."""
         if self.messages is NO_FLITS:
             self.messages, self.stamps = deque(), deque()
+        self.carried = True
         self.messages.append(acquire_record(msg, clock))
         if len(self.messages) == 1:
             self.head_arrival = clock
@@ -209,7 +221,8 @@ class InputVC:
         """Retire the front message after its tail crossed the crossbar.
 
         Returns True when another message is waiting behind it (its
-        header must then go through routing/arbitration again).
+        header must then go through routing/arbitration again);
+        otherwise the VC is idle and gives its deques back.
         """
         if not self.messages:
             raise FlowControlError(
@@ -227,6 +240,7 @@ class InputVC:
         if self.messages:
             self.head_arrival = self.messages[0].header_time
             return True
+        self.messages = self.stamps = NO_FLITS
         return False
 
     def purge_message(self, msg: Message) -> int:
@@ -235,7 +249,8 @@ class InputVC:
         Returns the number of flits removed.  Works for the front
         message (its routing/grant state is cleared by the router) and
         for queued messages alike; the caller owns credit accounting
-        and scheduler-set maintenance.
+        and scheduler-set maintenance.  A VC the purge empties gives
+        its deques back.
         """
         offset = 0
         position = None
@@ -248,12 +263,15 @@ class InputVC:
             offset += pending
         else:
             return 0
-        stamps = list(self.stamps)
-        del stamps[offset : offset + removed]
-        self.stamps = deque(stamps)
         self.buffered -= removed
         release_record(self.messages[position])
         del self.messages[position]
+        if not self.messages:
+            self.messages = self.stamps = NO_FLITS
+        else:
+            stamps = list(self.stamps)
+            del stamps[offset : offset + removed]
+            self.stamps = deque(stamps)
         if position == 0:
             self.route_port = -1
             self.route_vc = None
@@ -284,6 +302,15 @@ class InputVC:
                     f"input VC ({self.port},{self.index}): non-front message "
                     f"was served"
                 )
+        # the lifecycle rule binds from the first header on (deques a
+        # test installs by hand before any use are outside it)
+        if self.carried and not self.messages and (
+            self.messages is not NO_FLITS or self.stamps is not NO_FLITS
+        ):
+            raise FlowControlError(
+                f"input VC ({self.port},{self.index}): idle but still holds "
+                f"its deques"
+            )
 
 
 class OutputVC:
@@ -299,6 +326,7 @@ class OutputVC:
         "credits",
         "downstream",
         "vstate",
+        "carried",
     )
 
     def __init__(self, port: int, index: int, capacity: int) -> None:
@@ -317,6 +345,9 @@ class OutputVC:
         self.downstream: Optional[InputVC] = None
         #: Virtual Clock registers for the VC multiplexer (point C)
         self.vstate = VirtualClockState()
+        #: True once a grant or a staged flit has used this VC (the
+        #: buffered-VC census)
+        self.carried = False
 
     @property
     def is_free(self) -> bool:
@@ -337,6 +368,7 @@ class OutputVC:
         self.owner = msg
         if self.queue is NO_FLITS:
             self.queue, self.stamps = deque(), deque()
+        self.carried = True
         self.vstate.open(clock, msg.vtick)
 
     def push(self, msg: Message, flit_index: int, stamp: float) -> None:
@@ -347,6 +379,7 @@ class OutputVC:
             )
         if self.queue is NO_FLITS:  # hand-driven: staged without a grant
             self.queue, self.stamps = deque(), deque()
+        self.carried = True
         self.queue.append((msg, flit_index))
         self.stamps.append(stamp)
 
@@ -364,9 +397,15 @@ class OutputVC:
         return self.queue.popleft()
 
     def release(self) -> None:
-        """Free the VC after its tail flit left on the link."""
+        """Free the VC after its tail flit left on the link.
+
+        The grant's exclusivity leaves the staging queue empty then,
+        so the VC gives its deques back.
+        """
         self.owner = None
         self.vstate.close()
+        if not self.queue:
+            self.queue = self.stamps = NO_FLITS
 
     def purge_owner(self, msg: Message) -> int:
         """Drop a killed owner's staged flits and free the VC.
@@ -377,9 +416,7 @@ class OutputVC:
         if self.owner is not msg:
             return 0
         removed = len(self.queue)
-        if removed:
-            self.queue.clear()
-            self.stamps.clear()
+        self.queue = self.stamps = NO_FLITS
         self.release()
         return removed
 
@@ -396,4 +433,14 @@ class OutputVC:
         if self.credits < 0:
             raise FlowControlError(
                 f"output VC ({self.port},{self.index}): negative credits"
+            )
+        if (
+            self.carried
+            and self.owner is None
+            and not self.queue
+            and (self.queue is not NO_FLITS or self.stamps is not NO_FLITS)
+        ):
+            raise FlowControlError(
+                f"output VC ({self.port},{self.index}): idle but still holds "
+                f"its deques"
             )

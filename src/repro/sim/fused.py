@@ -80,9 +80,14 @@ rounds that follow re-queue it on one compare, in its turn — rotation
 order and ``_arb_rotate`` are those of the full attempt.  A new front
 message or a re-route (``route_port`` -1) takes the full path again.
 
-A VC's deques exist from its first message on (``buffers.NO_FLITS``
-until then): the inlined header arrival and the inlined grant create
-them, one identity test per message per hop; all else reads or follows.
+A flit FIFO holds a deque only while a worm uses it, and is the shared
+``buffers.NO_FLITS`` otherwise: the inlined header arrival and grant
+allocate an input / output VC's deques (one identity test per message
+per hop), the inlined sends a wire's; the inlined ``release_front``,
+the stage-5 tail release, the NI's last tail and a drained delivery
+give them back, at the same events as their object twins, so both
+loops hold the same deques at every cycle.  ``carried`` marks the VCs
+a first use reached (``Network.buffered_vcs``).
 
 Object-method visits
 --------------------
@@ -197,9 +202,10 @@ class FusedLoop:
         # The tuples below bind only containers both code paths mutate
         # in place and immutable tables.  What object code *reassigns* —
         # a router's ``_work``, ``_pending_arb``, ``_arb_rotate``;
-        # ``link.pending`` (``Link.purge_message`` rebuilds it); an NI's
-        # per-VC scalars — the kernels read through its owner, so both
-        # paths see one source of truth.
+        # every flit FIFO (released to ``NO_FLITS`` when it empties,
+        # ``Link.purge_message`` rebuilds a wire); an NI's per-VC
+        # scalars — the kernels read through its owner, so both paths
+        # see one source of truth.
 
         #: per-link consumer bindings, indexed by link id:
         #: (link, input_vcs, dest_router, dest_rid, dest_port,
@@ -542,11 +548,11 @@ class FusedLoop:
                                 # link (new deque, resynced mirror) and
                                 # idled or re-activated the router.
                                 pending = link.pending
-                                popleft = pending.popleft
                                 was_idle = not router._work
                                 if not pending:
                                     head_val = _FAR
                                     break
+                                popleft = pending.popleft
                                 head_val = pending[0][0]
                                 if head_val > clock:
                                     break
@@ -561,6 +567,7 @@ class FusedLoop:
                             if messages is NO_FLITS:
                                 messages = vc.messages = deque()
                                 vc.stamps = deque()
+                                vc.carried = True
                             messages.append(acquire_record(msg, clock))
                             if len(messages) == 1:
                                 vc.head_arrival = clock
@@ -634,10 +641,10 @@ class FusedLoop:
                                     clock, msg, flit_index, vc_index, fate, False
                                 )
                                 pending = link.pending
-                                popleft = pending.popleft
                                 if not pending:
                                     head_val = _FAR
                                     break
+                                popleft = pending.popleft
                                 head_val = pending[0][0]
                                 if head_val > clock:
                                     break
@@ -701,6 +708,9 @@ class FusedLoop:
                     # health-only link: the fault-free object path's
                     # one batched heartbeat per visit
                     health.on_ok(clock, delivered)
+                if head_val == _FAR:
+                    # drained: the wire gives its deque back
+                    link.pending = NO_FLITS
                 link_head[index] = head_val
 
     # ------------------------------------------------------------------
@@ -858,15 +868,17 @@ class FusedLoop:
                 if flit_index == 0 and ni.on_start is not None:
                     ni.on_start(msg, clock)
                 if flit_index == msg.last_flit:
-                    vc.queue.popleft()
+                    queue = vc.queue
+                    queue.popleft()
                     vst = vc.vstate
-                    if vc.queue:
-                        head = vc.queue[0]
+                    if queue:
+                        head = queue[0]
                         vc.sent = 0
                         vst.auxvc = float(head.inject_time)
                         vst.vtick = head.vtick
                         vst.is_open = True
                     else:
+                        vc.queue = NO_FLITS
                         vst.is_open = False
                         vst.auxvc = 0.0
                         vst.vtick = BEST_EFFORT_VTICK
@@ -1057,7 +1069,10 @@ class FusedLoop:
                         out_ports.discard(port)
                     router._work -= 1
                 if flit_index == msg.last_flit:
+                    # the grant's exclusivity: the owner's tail leaves
+                    # an empty staging queue, whose deques go back
                     ovc.owner = None
+                    ovc.queue = ovc.stamps = NO_FLITS
                     free_ports[port] += 1
                     epochs[port] += 1
                     vst = ovc.vstate
@@ -1263,6 +1278,8 @@ class FusedLoop:
                             vc.head_arrival = messages[0].header_time
                             arb_buf.append((port, vc))
                             router._work += 1
+                        else:
+                            vc.messages = vc.stamps = NO_FLITS
                     elif front.arrived <= front.served:
                         sendable.discard(vc.index)
                         if not sendable:
@@ -1405,6 +1422,7 @@ class FusedLoop:
                 ovc.owner = msg
                 if ovc.queue is NO_FLITS:
                     ovc.queue, ovc.stamps = deque(), deque()
+                    ovc.carried = True
                 free_ports[ovc.port] -= 1
                 vst = ovc.vstate
                 vst.auxvc = float(clock)

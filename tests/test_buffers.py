@@ -298,7 +298,7 @@ class TestNeverUsedVC:
             ovc.pop_head()
         assert ovc.queue is NO_FLITS and ovc.stamps is NO_FLITS
 
-    def test_first_header_allocates_and_the_vc_keeps_its_deques(self):
+    def test_first_header_allocates_and_the_idle_vc_gives_its_deques_back(self):
         vc = InputVC(0, 0, 4)
         msg = _msg(size=1)
         vc.accept_new_message(0, msg)
@@ -307,10 +307,13 @@ class TestNeverUsedVC:
         vc.accept_flit(1.0)
         vc.pop_head()
         vc.release_front()
+        assert vc.messages is NO_FLITS and vc.stamps is NO_FLITS
+        vc.check_invariants()
         vc.accept_new_message(5, _msg())
-        assert vc.messages is messages and vc.stamps is stamps
+        assert isinstance(vc.messages, deque) and isinstance(vc.stamps, deque)
+        assert vc.messages is not messages and vc.carried
 
-    def test_first_grant_allocates_and_purge_keeps_the_deques(self):
+    def test_first_grant_allocates_and_purge_gives_the_deques_back(self):
         ovc = OutputVC(0, 0, 2)
         msg = _msg()
         ovc.grant(0, msg)
@@ -318,8 +321,11 @@ class TestNeverUsedVC:
         assert isinstance(queue, deque) and isinstance(stamps, deque)
         ovc.push(msg, 0, 0.0)
         assert ovc.purge_owner(msg) == 1
+        assert ovc.queue is NO_FLITS and ovc.stamps is NO_FLITS
+        ovc.check_invariants()
         ovc.grant(1, _msg())
-        assert ovc.queue is queue and ovc.stamps is stamps
+        assert isinstance(ovc.queue, deque) and isinstance(ovc.stamps, deque)
+        assert ovc.queue is not queue and ovc.carried
 
     def test_push_without_a_grant_allocates_too(self):
         ovc = OutputVC(0, 0, 2)
@@ -444,13 +450,13 @@ class TestBothLoopsAllocateAlike:
                 {
                     (kind, router.router_id, vc.port, vc.index)
                     for router in network.routers
-                    for kind, ports, attr in (
-                        ("in", router.inputs, "messages"),
-                        ("out", router.outputs, "queue"),
+                    for kind, ports in (
+                        ("in", router.inputs),
+                        ("out", router.outputs),
                     )
                     for vcs in ports
                     for vc in vcs
-                    if getattr(vc, attr) is not NO_FLITS
+                    if vc.carried
                 }
             )
             assert network.buffered_vcs() == (len(touched[-1]), 2 * 80 * 8 * 4)

@@ -137,6 +137,9 @@ class _StubNetwork:
     def built_vcs(self):
         return 8
 
+    def held_deques(self):
+        return 2
+
 
 def _second_kind(experiment) -> bool:
     """True for every campaign's degraded series (FIFO / static routing)."""
@@ -189,6 +192,7 @@ def _scale_record(name: str, topology: dict) -> dict:
         "compiles_first_run": 0,
         "compiles_repeat_run": 0,
         "d_ms": 33.0,
+        "deques_held": 2,
         "digest": "93c47d0404a2399852fe7d9d2aff0325"
         "d2f6720712a75856c578fa34518e1488",
         "flits_ejected": 10,
