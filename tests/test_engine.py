@@ -104,13 +104,19 @@ class TestArrayEngineParity:
     workload family (the class keeps its name from when the fused loop
     was the opt-in "array engine")."""
 
-    @pytest.mark.parametrize("scheduler", ["virtual_clock", "fifo"])
+    @pytest.mark.parametrize(
+        "scheduler", ["virtual_clock", "fifo", "round_robin"]
+    )
     def test_single_switch_schedulers(self, scheduler):
-        experiment = SingleSwitchExperiment(
-            load=0.8, mix=(80, 20), scheduler=scheduler, **TINY
-        )
-        default, legacy = _simulate_both(simulate_single_switch, experiment)
-        assert _metrics(default) == _metrics(legacy)
+        for crossbar in ("multiplexed", "full"):
+            experiment = SingleSwitchExperiment(
+                load=0.8, mix=(80, 20), scheduler=scheduler,
+                crossbar=crossbar, **TINY
+            )
+            default, legacy = _simulate_both(
+                simulate_single_switch, experiment
+            )
+            assert _metrics(default) == _metrics(legacy), crossbar
 
     def test_fat_mesh(self):
         experiment = FatMeshExperiment(load=0.7, mix=(80, 20), **TINY)
@@ -353,11 +359,19 @@ _SHORT = dict(TINY, scale=400.0, measure_frames=1)
 _MESH = FatMeshExperiment(load=0.5, mix=(80, 20), **_SHORT)
 
 #: traced parity cases: a switch whose port ids reach past 8 (so a
-#: port set iterates out of sorted order), every fault kind under
-#: adaptive routing, and a three-level tree
+#: port set iterates out of sorted order), round-robin at all three
+#: multiplexers (NI, A and C), every fault kind under adaptive
+#: routing, and a three-level tree
 _TRACED_CASES = {
     "single-switch-16": SingleSwitchExperiment(
         load=0.5, mix=(80, 20), num_ports=16, **_SHORT
+    ),
+    "single-switch-round-robin": SingleSwitchExperiment(
+        load=0.5,
+        mix=(80, 20),
+        scheduler="round_robin",
+        qos_placement="both",
+        **_SHORT,
     ),
     "faulted-adaptive-mesh": dataclasses.replace(
         _MESH,
