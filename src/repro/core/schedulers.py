@@ -19,7 +19,7 @@ the other "rate agnostic" baseline the paper's conclusion mentions.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.virtual_clock import VirtualClockState
 from repro.errors import ConfigurationError
@@ -40,10 +40,9 @@ class MuxScheduler:
 
     #: policy name, overridden by subclasses
     policy = SchedulingPolicy.FIFO
-    #: True when select() carries no state between calls, so callers may
-    #: skip it entirely when only one candidate exists (the router and
-    #: NI single-candidate fast paths).  Round-robin rotates on every
-    #: grant and must see even single-candidate selections.
+    #: True when select() carries no state between calls, so one
+    #: instance may serve every multiplexer of a router.  Round-robin
+    #: remembers its last grant and needs an instance per multiplexer.
     stateless_select = True
 
     def stamp(self, clock: int, state: VirtualClockState) -> float:
@@ -90,31 +89,34 @@ class RoundRobinScheduler(MuxScheduler):
     """Rotating-priority selection; stamps are ignored.
 
     Rate agnostic like FIFO, but fair across VCs at flit granularity.
+    The lowest candidate index above the last grant wins, and the
+    lowest index overall when none is above it: the minimum of
+    ``(index <= last, index)``.  The fused cycle loop's scans rank
+    candidates by that pair and read and write :attr:`last` directly,
+    so a network can be handed between the loops mid-run.
     """
 
     policy = SchedulingPolicy.ROUND_ROBIN
     stateless_select = False
 
     def __init__(self) -> None:
-        self._last = -1
+        #: index of the last grant (-1 before the first)
+        self.last = -1
 
     def select(self, candidates: Sequence[Tuple[float, int]]) -> int:
-        indices: List[int] = sorted(vc for _, vc in candidates)
-        for vc in indices:
-            if vc > self._last:
-                self._last = vc
-                return vc
-        self._last = indices[0]
-        return indices[0]
+        last = self.last
+        chosen = min((vc <= last, vc) for _, vc in candidates)[1]
+        self.last = chosen
+        return chosen
 
 
 def make_scheduler(policy: str) -> MuxScheduler:
     """A new scheduler instance for a policy name.
 
-    Every call returns a fresh instance.  A multiplexer whose policy
-    selects without state (``stateless_select``: FIFO, Virtual Clock)
-    may share one with its router's other ports; round-robin carries
-    rotation state, so each of its multiplexers needs its own.
+    Every call returns a fresh instance.  FIFO and Virtual Clock
+    select without state (``stateless_select``), so a router's ports
+    may share one; round-robin remembers its last grant, so each of
+    its multiplexers needs its own.
     """
     if policy == SchedulingPolicy.VIRTUAL_CLOCK:
         return VirtualClockScheduler()

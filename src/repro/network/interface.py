@@ -52,7 +52,6 @@ class HostInterface:
         "link",
         "vcs",
         "scheduler",
-        "_stateless",
         "_active",
         "flits_injected",
         "messages_injected",
@@ -75,10 +74,6 @@ class HostInterface:
             _NIVC(i, buffer_depth) for i in range(vcs_per_pc)
         ]
         self.scheduler: MuxScheduler = make_scheduler(policy)
-        #: True when the mux policy's select() carries no state, which
-        #: allows the single-backlogged-VC fast path in :meth:`step`
-        #: (round-robin must rotate even with one candidate)
-        self._stateless = self.scheduler.stateless_select
         self._active: set = set()
         #: total flits accepted for injection (metrics/audit)
         self.flits_injected = 0
@@ -155,26 +150,17 @@ class HostInterface:
         if not active:
             return 0
         vcs = self.vcs
-        if len(active) == 1 and self._stateless:
-            # One backlogged VC and a stateless selector: nothing to
-            # arbitrate.  The stamp is still computed (lazily, once per
-            # flit) because Virtual Clock stamping advances the VC's
-            # auxVC register.
-            chosen = next(iter(active))
-            vc = vcs[chosen]
-            if vc.credits <= 0:
-                return 1
-            self._ensure_stamp(vc)
-        else:
-            candidates = []
-            for index in active:
-                vc = vcs[index]
-                if vc.credits > 0:
-                    candidates.append((self._ensure_stamp(vc), index))
-            if not candidates:
-                return 1
-            chosen = self.scheduler.select(candidates)
-            vc = vcs[chosen]
+        candidates = []
+        for index in active:
+            vc = vcs[index]
+            if vc.credits > 0:
+                # stamped lazily, once per flit: Virtual Clock stamping
+                # advances the VC's auxVC register
+                candidates.append((self._ensure_stamp(vc), index))
+        if not candidates:
+            return 1
+        chosen = self.scheduler.select(candidates)
+        vc = vcs[chosen]
         msg = vc.queue[0]
         flit_index = vc.sent
         vc.credits -= 1

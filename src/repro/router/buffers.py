@@ -302,9 +302,7 @@ class InputVC:
                     f"input VC ({self.port},{self.index}): non-front message "
                     f"was served"
                 )
-        # the lifecycle rule binds from the first header on (deques a
-        # test installs by hand before any use are outside it)
-        if self.carried and not self.messages and (
+        if not self.messages and (
             self.messages is not NO_FLITS or self.stamps is not NO_FLITS
         ):
             raise FlowControlError(
@@ -435,8 +433,7 @@ class OutputVC:
                 f"output VC ({self.port},{self.index}): negative credits"
             )
         if (
-            self.carried
-            and self.owner is None
+            self.owner is None
             and not self.queue
             and (self.queue is not NO_FLITS or self.stamps is not NO_FLITS)
         ):

@@ -98,11 +98,6 @@ class WormholeRouter:
             self._out_policy, n
         )
         self._multiplexed = multiplexed
-        #: stateless-selector flags allow single-candidate fast paths in
-        #: the crossbar mux / stage-5 mux (round-robin must still see
-        #: single-candidate selections to rotate its priority)
-        self._in_stateless = self._in_policy.stateless_select
-        self._out_stateless = self._out_policy.stateless_select
         #: flits put on each output link (utilisation probe)
         self.out_flits: List[int] = [0] * n
 
@@ -287,45 +282,33 @@ class WormholeRouter:
         outputs = self.outputs
         trace = self.trace
         # sorted() both fixes the service order (determinism) and copies
-        # the worklist, which is mutated below; a single busy port needs
-        # neither beyond the copy.
-        if len(out_ports) == 1:
-            ports = (next(iter(out_ports)),)
-        else:
-            ports = sorted(out_ports)
-        for port in ports:
+        # the worklist, which is mutated below
+        for port in sorted(out_ports):
             active = out_active[port]
             ovcs = outputs[port]
-            if trace is None and len(active) == 1 and self._out_stateless:
-                # One staged VC, stateless selector: nothing to arbitrate.
-                chosen = next(iter(active))
-                ovc = ovcs[chosen]
-                if ovc.downstream is not None and ovc.credits <= 0:
-                    continue
-            else:
-                candidates = []
-                for index in active:
-                    ovc = ovcs[index]
-                    if ovc.downstream is None or ovc.credits > 0:
-                        candidates.append((ovc.stamps[0], index))
-                if not candidates:
-                    continue
-                chosen = self._out_selectors[port].select(candidates)
-                ovc = ovcs[chosen]
-                if trace is not None:
-                    trace.on_event(
-                        "sched",
-                        clock,
-                        {
-                            "router": self.router_id,
-                            "point": "C",
-                            "port": port,
-                            "policy": self._out_policy.policy,
-                            "vc": chosen,
-                            "stamp": ovc.stamps[0],
-                            "cands": len(candidates),
-                        },
-                    )
+            candidates = []
+            for index in active:
+                ovc = ovcs[index]
+                if ovc.downstream is None or ovc.credits > 0:
+                    candidates.append((ovc.stamps[0], index))
+            if not candidates:
+                continue
+            chosen = self._out_selectors[port].select(candidates)
+            ovc = ovcs[chosen]
+            if trace is not None:
+                trace.on_event(
+                    "sched",
+                    clock,
+                    {
+                        "router": self.router_id,
+                        "point": "C",
+                        "port": port,
+                        "policy": self._out_policy.policy,
+                        "vc": chosen,
+                        "stamp": ovc.stamps[0],
+                        "cands": len(candidates),
+                    },
+                )
             msg, flit_index = ovc.pop_head()
             if ovc.downstream is not None:
                 ovc.credits -= 1
@@ -382,26 +365,11 @@ class WormholeRouter:
         in_ports = self._in_ports
         sendable_sets = self._sendable
         trace = self.trace
-        if len(in_ports) == 1:
-            ports = (next(iter(in_ports)),)
-        else:
-            ports = sorted(in_ports)
-        for port in ports:
+        for port in sorted(in_ports):
             sendable = sendable_sets[port]
             if not sendable:
                 continue
             port_vcs = inputs[port]
-            if trace is None and len(sendable) == 1 and self._in_stateless:
-                # One routed VC, stateless selector: check eligibility
-                # and move without building a candidate list.
-                vc = port_vcs[next(iter(sendable))]
-                if vc.ready_at > clock:
-                    continue
-                ovc = vc.route_vc
-                if len(ovc.queue) >= ovc.capacity:
-                    continue
-                self._move_through_crossbar(clock, vc)
-                continue
             candidates = []
             for index in sendable:
                 vc = port_vcs[index]
@@ -433,11 +401,7 @@ class WormholeRouter:
     def _crossbar_full(self, clock: int) -> None:
         inputs = self.inputs
         in_ports = self._in_ports
-        if len(in_ports) == 1:
-            ports = (next(iter(in_ports)),)
-        else:
-            ports = sorted(in_ports)
-        for port in ports:
+        for port in sorted(in_ports):
             sendable = self._sendable[port]
             if not sendable:
                 continue

@@ -40,11 +40,12 @@ the phase callable (:func:`_resumable`).  A phase call thus resumes a
 frame whose locals are already bound, where a plain function would
 copy default-bound bindings in and clear its ≈ 40 locals again on
 every call (≈ 0.1 µs per call on CPython 3.11, several calls per
-cycle), or read closure-bound ones through cells.  Each kernel's
-docstring names the liberties it takes with its twin's visit order.
-An installed ``LoopProfiler`` wraps the phase callables at the same
-point (:meth:`repro.obs.profile.LoopProfiler.wrap`); the sequencer
-never times anything.
+cycle), or read closure-bound ones through cells.  Each kernel
+visits what its twin visits, in its twin's order, and has one path
+whatever observes the run.  An installed ``LoopProfiler`` wraps the
+phase callables at the same point
+(:meth:`repro.obs.profile.LoopProfiler.wrap`); the sequencer never
+times anything.
 
 State layout
 ------------
@@ -97,13 +98,16 @@ Every run executes these kernels, traced or not: with a sink installed
 reads once) the kernels emit the events of the object methods they
 inline — ``flit_inject``, ``link_tx``, ``flit_eject``, ``sched``,
 ``xbar``, ``route``, ``vc_alloc`` and ``vc_release`` — each behind one
-``is not None`` test on a kernel local.  Like the object code, a
-traced run visits stage-5 and crossbar ports in ascending order, and a
-stateless mux with several candidates builds the candidate list whose
-length its ``sched`` event carries, so the stream is byte-identical to
-the reference stepper's.  The other event kinds come from object code
-the loop calls (``Link.apply_fate``, ``Network.kill_message``, the
-transport, the health monitor).  The loop honours no per-instance or
+``is not None`` test on a kernel local, which is the only test of
+the sink a kernel makes.  Stage-5 and crossbar ports are visited in
+ascending order, as the object code visits them, and a ``sched``
+event counts its mux's candidates at the emission site, so the stream
+is byte-identical to the reference stepper's.  One scan
+serves every policy: it keeps the running minimum of ``(rank,
+index)``, the rank being the head stamp or, for round-robin, ``index
+<= last`` (``RoundRobinScheduler``).  The other event kinds come from
+object code the loop calls (``Link.apply_fate``,
+``Network.kill_message``, the transport, the health monitor).  The loop honours no per-instance or
 subclass override of a router method;
 :func:`repro.sim.reference.run_reference` does.  Adaptive routing
 stays inline: stage 2/3 asks the router's mask-aware
@@ -133,7 +137,6 @@ purges resynchronise what they touched through :meth:`resync`.
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
@@ -147,14 +150,11 @@ from repro.router.flit import TrafficClass
 #: sentinel arrival for idle links — far beyond any simulated horizon
 _FAR = 1 << 62
 
-#: the running minima of the stateless muxes start above every
-#: ``(stamp, index)`` pair, so the first candidate always replaces them
-#: (``_NO_VC`` stays a one-digit int: its compares keep specialising)
+#: the muxes' running minima of ``(rank, index)`` start above every
+#: pair, so the first candidate always replaces them (``_NO_VC`` stays
+#: a one-digit int: its compares keep specialising)
 _INF = float("inf")
 _NO_VC = 1 << 29
-
-#: sort key for the crossbar's deferred ``_pending_arb`` appends
-_by_port = itemgetter(0)
 
 
 def _resumable(kernel):
@@ -184,8 +184,6 @@ class FusedLoop:
             self._out_vc = (
                 router0._out_policy.policy == SchedulingPolicy.VIRTUAL_CLOCK
             )
-            self._in_stateless = router0._in_stateless
-            self._out_stateless = router0._out_stateless
             self._multiplexed = router0._multiplexed
             self._routing_delay = router0._routing_delay
             self._arb_delay = router0._arb_delay
@@ -230,8 +228,7 @@ class FusedLoop:
         self._link_info = info
 
         #: per-NI bindings, indexed by NI scheduler id:
-        #: (ni, vcs, active_set, scheduler, stateless, link, link_id,
-        #:  latency)
+        #: (ni, vcs, active_set, scheduler, link, link_id, latency)
         ni_info = []
         for ni in network._ni_list:
             ni_info.append(
@@ -240,15 +237,13 @@ class FusedLoop:
                     ni.vcs,
                     ni._active,
                     ni.scheduler,
-                    ni._stateless,
                     ni.link,
                     ni.link.index,
                     ni.link.latency,
                 )
             )
-            self._ni_vc = (
-                ni.scheduler.policy == SchedulingPolicy.VIRTUAL_CLOCK
-            )
+            #: the NIs' policy (one per network)
+            self._ni_policy = ni.scheduler.policy
         self._ni_info = ni_info
 
         #: mirror of every link's head arrival (see the module
@@ -461,15 +456,14 @@ class FusedLoop:
         """The link-delivery kernel, ``deliver(clock) -> flits handed over``.
 
         Twin of ``Link.deliver_due`` on every due link, ascending link
-        id, with its consumer inlined: ``WormholeRouter.accept_flit``
-        into a router's input VCs, ``HostSink.eject`` at a host (every
-        sink reports to ``Network._flit_ejected`` /
-        ``_message_delivered``, so the flit counters batch into a local
-        flushed before any callback runs).  The head mirror is exact,
-        so an active link with nothing due costs one list index; a
-        drained link is deactivated one visit late, by the first visit
-        that finds its slot still holding the sentinel, because dense
-        traffic refills a wire within the cycle and the
+        id, with its consumer inlined in one flit loop that branches on
+        it: ``WormholeRouter.accept_flit`` into a router's input VCs,
+        ``HostSink.eject`` at a host (with the ``Network._flit_ejected``
+        / ``_message_delivered`` reports every sink makes).  The head
+        mirror is exact, so an active link with nothing due costs one
+        list index; a drained link is deactivated one visit late, by
+        the first visit that finds its slot still holding the sentinel,
+        because dense traffic refills a wire within the cycle and the
         deactivate/activate pair would cost two copy-on-write edits of
         the active list.
 
@@ -489,7 +483,6 @@ class FusedLoop:
         link_sched = net._link_sched
         link_deactivate = link_sched.deactivate
         link_due = link_sched.due
-        link_times = link_sched._times
         router_activate = net._router_sched.activate
         link_info = self._link_info
         link_head = self._link_head
@@ -499,14 +492,7 @@ class FusedLoop:
         while True:
             clock = yield progress
             progress = 0
-            if link_times and link_times[0] <= clock:
-                due_ids = link_due(clock)
-            else:
-                # Inlined ActivationScheduler.due steady-state path:
-                # loan the maintained ascending active list.
-                link_sched._loaned = True
-                due_ids = link_sched._list
-            for index in due_ids:
+            for index in link_due(clock):
                 head_val = link_head[index]
                 if head_val > clock:
                     if head_val == _FAR:
@@ -526,38 +512,42 @@ class FusedLoop:
                         continue
                 link, ivcs, router, rid, port, in_ports, sink = link_info[index]
                 pending = link.pending
+                popleft = pending.popleft
                 delivered = 0
                 if ivcs is not None:
-                    popleft = pending.popleft
                     sendable = router._sendable[port]
                     # Activation is idempotent, so one batched check
                     # after the drain replaces the per-flit transition
                     # test the object path performs inside accept_flit.
                     was_idle = not router._work
-                    # do-while: the guard above proved the head flit is
-                    # due, so pop before re-testing.
-                    while True:
-                        _, msg, flit_index, vc_index = popleft()
-                        if fate_of is not None:
-                            fate = fate_of(msg, flit_index, False)
-                            if fate != FATE_OK:
-                                delivered += link.apply_fate(
-                                    clock, msg, flit_index, vc_index, fate, False
-                                )
-                                # A teardown inside may have purged this
-                                # link (new deque, resynced mirror) and
-                                # idled or re-activated the router.
-                                pending = link.pending
+                else:
+                    node = sink.node_id
+                # do-while: the guard above proved the head flit is due,
+                # so pop before re-testing.
+                while True:
+                    _, msg, flit_index, vc_index = popleft()
+                    if fate_of is not None:
+                        fate = fate_of(msg, flit_index, False)
+                        if fate != FATE_OK:
+                            delivered += link.apply_fate(
+                                clock, msg, flit_index, vc_index, fate, False
+                            )
+                            # A teardown inside may have purged this link
+                            # (new deque, resynced mirror) and idled or
+                            # re-activated the router.
+                            pending = link.pending
+                            if ivcs is not None:
                                 was_idle = not router._work
-                                if not pending:
-                                    head_val = _FAR
-                                    break
-                                popleft = pending.popleft
-                                head_val = pending[0][0]
-                                if head_val > clock:
-                                    break
-                                continue
-                        delivered += 1
+                            if not pending:
+                                head_val = _FAR
+                                break
+                            popleft = pending.popleft
+                            head_val = pending[0][0]
+                            if head_val > clock:
+                                break
+                            continue
+                    delivered += 1
+                    if ivcs is not None:
                         # ---- inlined WormholeRouter.accept_flit ----
                         vc = ivcs[vc_index]
                         vst = vc.vstate
@@ -606,50 +596,7 @@ class FusedLoop:
                                     sendable.add(vc_index)
                                     in_ports.add(port)
                                     router._work += 1
-                        if (
-                            fate_of is not None
-                            and health is not None
-                            and health.state != UP
-                        ):
-                            # heartbeat once the flit has landed (the
-                            # object path's order); a no-op while UP
-                            health.on_ok(clock)
-                        if not pending:
-                            head_val = _FAR
-                            break
-                        head_val = pending[0][0]
-                        if head_val > clock:
-                            break
-                    if was_idle and router._work:
-                        router_activate(rid)
-                else:
-                    node = sink.node_id
-                    popleft = pending.popleft
-                    ejected = 0
-                    # do-while; see the router branch above.
-                    while True:
-                        _, msg, flit_index, vc_index = popleft()
-                        if fate_of is not None:
-                            fate = fate_of(msg, flit_index, False)
-                            if fate != FATE_OK:
-                                if ejected:
-                                    sink.flits_ejected += ejected
-                                    net._flits_in_flight -= ejected
-                                    net.flits_ejected += ejected
-                                    ejected = 0
-                                delivered += link.apply_fate(
-                                    clock, msg, flit_index, vc_index, fate, False
-                                )
-                                pending = link.pending
-                                if not pending:
-                                    head_val = _FAR
-                                    break
-                                popleft = pending.popleft
-                                head_val = pending[0][0]
-                                if head_val > clock:
-                                    break
-                                continue
-                        delivered += 1
+                    else:
                         # ---- inlined HostSink.eject ----
                         if emit is not None:
                             emit(
@@ -662,21 +609,16 @@ class FusedLoop:
                                     "tail": flit_index == msg.last_flit,
                                 },
                             )
-                        ejected += 1
+                        sink.flits_ejected += 1
+                        net._flits_in_flight -= 1
+                        net.flits_ejected += 1
                         if flit_index == msg.last_flit:
-                            sink.flits_ejected += ejected
-                            net._flits_in_flight -= ejected
-                            net.flits_ejected += ejected
-                            ejected = 0
                             if msg.dst_node != node:
                                 raise FlowControlError(
                                     f"message {msg.msg_id} for node "
                                     f"{msg.dst_node} ejected at node {node}"
                                 )
-                            if (
-                                msg.corrupted
-                                and sink.on_corrupt is not None
-                            ):
+                            if msg.corrupted and sink.on_corrupt is not None:
                                 sink.messages_corrupt += 1
                                 sink.on_corrupt(msg, clock)
                             else:
@@ -687,22 +629,22 @@ class FusedLoop:
                                     transport.on_delivered(msg)
                                 if net._on_message is not None:
                                     net._on_message(msg, clock)
-                        if (
-                            fate_of is not None
-                            and health is not None
-                            and health.state != UP
-                        ):
-                            health.on_ok(clock)
-                        if not pending:
-                            head_val = _FAR
-                            break
-                        head_val = pending[0][0]
-                        if head_val > clock:
-                            break
-                    if ejected:
-                        sink.flits_ejected += ejected
-                        net._flits_in_flight -= ejected
-                        net.flits_ejected += ejected
+                    if (
+                        fate_of is not None
+                        and health is not None
+                        and health.state != UP
+                    ):
+                        # heartbeat once the flit has landed (the object
+                        # path's order); a no-op while UP
+                        health.on_ok(clock)
+                    if not pending:
+                        head_val = _FAR
+                        break
+                    head_val = pending[0][0]
+                    if head_val > clock:
+                        break
+                if ivcs is not None and was_idle and router._work:
+                    router_activate(rid)
                 progress += delivered
                 if mode is not None and fate_of is None and health.state != UP:
                     # health-only link: the fault-free object path's
@@ -720,35 +662,30 @@ class FusedLoop:
         """The NI-injection kernel, ``inject(clock)``.
 
         Twin of ``HostInterface.step`` on every due NI, ascending NI
-        id: the single-VC fast path and the candidate scan with lazy
-        Virtual Clock stamping, then the inlined ``Link.send`` onto the
-        host wire.  A stateless policy keeps a running minimum of
-        ``(stamp, index)`` instead of building the candidate list (ties
-        go to the lowest index, so the minimum is iteration-order
-        independent).
+        id: the mux, with lazy Virtual Clock stamping, then the inlined
+        ``Link.send`` onto the host wire.  The mux takes a single
+        backlogged VC without arbitration, and otherwise keeps a
+        running minimum of ``(rank, index)`` over the VCs with credit,
+        every one stamped as the object path stamps its candidates: the
+        rank is the stamp, or for round-robin ``index <= last`` (see
+        ``RoundRobinScheduler``), whose ``last`` records every grant.
         """
         ni_sched = self._net._ni_sched
         ni_deactivate = ni_sched.deactivate
         ni_due = ni_sched.due
-        ni_times = ni_sched._times
         link_activate = self._net._link_sched.activate
         ni_info = self._ni_info
         link_head = self._link_head
-        ni_vc = self._ni_vc
+        ni_vc = self._ni_policy == SchedulingPolicy.VIRTUAL_CLOCK
+        ni_rr = self._ni_policy == SchedulingPolicy.ROUND_ROBIN
         while True:
             clock = yield
-            if ni_times and ni_times[0] <= clock:
-                due_ids = ni_due(clock)
-            else:
-                ni_sched._loaned = True
-                due_ids = ni_sched._list
-            for index in due_ids:
+            for index in ni_due(clock):
                 (
                     ni,
                     vcs,
                     active,
                     scheduler,
-                    stateless,
                     link,
                     link_id,
                     latency,
@@ -756,7 +693,7 @@ class FusedLoop:
                 if not active:
                     ni_deactivate(index)
                     continue
-                if len(active) == 1 and stateless:
+                if len(active) == 1:
                     for chosen in active:
                         break
                     vc = vcs[chosen]
@@ -775,58 +712,40 @@ class FusedLoop:
                             vc.head_stamp = stamp
                         else:
                             vc.head_stamp = float(msg.inject_time)
-                elif stateless:
+                else:
+                    if ni_rr:
+                        last = scheduler.last
                     best = _INF
                     chosen = _NO_VC
                     for vc_index in active:
                         vc = vcs[vc_index]
                         if vc.credits > 0:
-                            stamp = vc.head_stamp
-                            if stamp is None:
+                            rank = vc.head_stamp
+                            if rank is None:
                                 msg = vc.queue[0]
                                 if ni_vc:
                                     vst = vc.vstate
-                                    stamp = vst.auxvc
+                                    rank = vst.auxvc
                                     inject_time = msg.inject_time
-                                    if inject_time > stamp:
-                                        stamp = inject_time
-                                    stamp += vst.vtick
-                                    vst.auxvc = stamp
+                                    if inject_time > rank:
+                                        rank = inject_time
+                                    rank += vst.vtick
+                                    vst.auxvc = rank
                                 else:
-                                    stamp = float(msg.inject_time)
-                                vc.head_stamp = stamp
-                            if stamp < best or (
-                                stamp == best and vc_index < chosen
+                                    rank = float(msg.inject_time)
+                                vc.head_stamp = rank
+                            if ni_rr:
+                                rank = vc_index <= last
+                            if rank < best or (
+                                rank == best and vc_index < chosen
                             ):
-                                best = stamp
+                                best = rank
                                 chosen = vc_index
                     if chosen == _NO_VC:
                         continue
                     vc = vcs[chosen]
-                else:
-                    candidates = []
-                    for vc_index in active:
-                        vc = vcs[vc_index]
-                        if vc.credits > 0:
-                            stamp = vc.head_stamp
-                            if stamp is None:
-                                msg = vc.queue[0]
-                                if ni_vc:
-                                    vst = vc.vstate
-                                    stamp = vst.auxvc
-                                    inject_time = msg.inject_time
-                                    if inject_time > stamp:
-                                        stamp = inject_time
-                                    stamp += vst.vtick
-                                    vst.auxvc = stamp
-                                else:
-                                    stamp = float(msg.inject_time)
-                                vc.head_stamp = stamp
-                            candidates.append((stamp, vc_index))
-                    if not candidates:
-                        continue
-                    chosen = scheduler.select(candidates)
-                    vc = vcs[chosen]
+                if ni_rr:
+                    scheduler.last = chosen
                 msg = vc.queue[0]
                 flit_index = vc.sent
                 vc.credits -= 1
@@ -919,18 +838,12 @@ class FusedLoop:
         ]
         router_deactivate = router_sched.deactivate
         router_due = router_sched.due
-        router_times = router_sched._times
         stage5 = _resumable(self._stage5(emit))
         stage4 = _resumable(self._stage4(emit))
         stage23 = _resumable(self._stage23(emit))
         while True:
             clock = yield
-            if router_times and router_times[0] <= clock:
-                due_ids = router_due(clock)
-            else:
-                router_sched._loaned = True
-                due_ids = router_sched._list
-            for rid in due_ids:
+            for rid in router_due(clock):
                 router, out_ports, in_ports = rows[rid]
                 if not router._work:
                     router_deactivate(rid)
@@ -948,15 +861,12 @@ class FusedLoop:
         """Stage 5, ``stage5((clock, rid, router))``: output VC mux + link send.
 
         Twin of ``WormholeRouter._stage5_output``, with ``Link.send``
-        and ``OutputVC.release`` inlined.  Stage-5 ports are
-        independent — distinct links, VCs and commutative counters,
-        and (unlike the crossbar) no appends to a shared worklist — so
-        the drain order across ports is unobservable but for the event
-        order of a traced run: an untraced run drains them in set
-        order, a traced one in ascending order.  A stateless mux keeps
-        a running minimum of ``(stamp, index)`` on an untraced run; a
-        traced run builds the candidates, whose count its ``sched``
-        event carries.
+        and ``OutputVC.release`` inlined; ports are visited in ascending
+        order, as there.  The mux takes a single staged VC without
+        arbitration, and otherwise keeps a running minimum of ``(rank,
+        index)`` over the VCs with credit: the rank is the head stamp,
+        or for round-robin ``index <= last`` (see
+        ``RoundRobinScheduler``), whose ``last`` records every grant.
         """
         free_out = self._free_out
         release_epoch = self._release_epoch
@@ -968,55 +878,47 @@ class FusedLoop:
         ]
         link_activate = self._net._link_sched.activate
         link_head = self._link_head
-        out_stateless = self._out_stateless
         out_policy = self._out_policy
+        out_rr = out_policy == SchedulingPolicy.ROUND_ROBIN
         while True:
             clock, rid, router = yield
             (outputs, out_active, out_ports, out_links, out_flits,
              out_selectors, free_ports, epochs) = rows[rid]
-            if emit is None:
-                ports = list(out_ports)
-            else:
-                ports = sorted(out_ports)
-            for port in ports:
+            for port in sorted(out_ports):
                 active5 = out_active[port]
                 ovcs = outputs[port]
-                if len(active5) == 1 and out_stateless:
+                if len(active5) == 1:
                     for chosen in active5:
                         break
                     ovc = ovcs[chosen]
                     if ovc.downstream is not None and ovc.credits <= 0:
                         continue
-                elif out_stateless and emit is None:
+                else:
+                    if out_rr:
+                        last = out_selectors[port].last
                     best = _INF
                     chosen = _NO_VC
                     for vc_index in active5:
                         ovc = ovcs[vc_index]
                         if ovc.downstream is None or ovc.credits > 0:
-                            stamp = ovc.stamps[0]
-                            if stamp < best or (
-                                stamp == best and vc_index < chosen
+                            rank = vc_index <= last if out_rr else ovc.stamps[0]
+                            if rank < best or (
+                                rank == best and vc_index < chosen
                             ):
-                                best = stamp
+                                best = rank
                                 chosen = vc_index
                     if chosen == _NO_VC:
                         continue
                     ovc = ovcs[chosen]
-                else:
-                    candidates = []
-                    for vc_index in active5:
-                        ovc = ovcs[vc_index]
-                        if ovc.downstream is None or ovc.credits > 0:
-                            candidates.append((ovc.stamps[0], vc_index))
-                    if not candidates:
-                        continue
-                    chosen = out_selectors[port].select(candidates)
-                    ovc = ovcs[chosen]
+                if out_rr:
+                    out_selectors[port].last = chosen
                 if emit is not None:
-                    if len(active5) == 1 and out_stateless:
-                        cands = 1
-                    else:
-                        cands = len(candidates)
+                    # the mux's candidates: the VCs with credit
+                    cands = 0
+                    for vc_index in active5:
+                        other = ovcs[vc_index]
+                        if other.downstream is None or other.credits > 0:
+                            cands += 1
                     emit(
                         "sched",
                         clock,
@@ -1097,14 +999,11 @@ class FusedLoop:
         Twin of ``WormholeRouter._stage4_crossbar`` (input mux at
         contention point A, or the full crossbar), with
         ``_move_through_crossbar`` and ``InputVC.release_front``
-        inlined.  Unlike stage 5, crossbar port order is observable
-        through exactly one side effect: a tail flit whose input VC
-        holds a buffered next message appends that VC to the shared
-        ``_pending_arb`` worklist, and stage 2/3 serves it in append
-        order.  An untraced run iterates the ports unsorted but defers
-        those appends into a buffer flushed in the object path's
-        sorted-port order; a traced run visits in that order too, as
-        its events show.
+        inlined; ports are visited in ascending order, as there, so a
+        tail whose input VC holds a next message appends that VC to
+        ``_pending_arb`` in the object path's order.  The input mux
+        selects as stage 5's does, over the routed VCs whose head flit
+        may move.
         """
         #: per router: the containers the crossbar reads and edits
         rows = [
@@ -1112,77 +1011,62 @@ class FusedLoop:
              r._in_selectors)
             for r in self._net.routers
         ]
-        in_stateless = self._in_stateless
         in_policy = self._in_policy
+        in_rr = in_policy == SchedulingPolicy.ROUND_ROBIN
         multiplexed = self._multiplexed
         out_vc = self._out_vc
         out_cap = self._out_cap
-        #: reusable buffer for the deferred _pending_arb appends —
-        #: always empty between calls
-        arb_buf = []
         while True:
             clock, rid, router = yield
             (inputs, out_active, out_ports, in_ports, sendable_sets,
              in_selectors) = rows[rid]
-            if emit is None:
-                ports = list(in_ports)
-            else:
-                ports = sorted(in_ports)
-            for port in ports:
+            for port in sorted(in_ports):
                 sendable = sendable_sets[port]
                 if not sendable:
                     continue
                 port_vcs = inputs[port]
                 if multiplexed:
-                    if len(sendable) == 1 and in_stateless:
+                    if len(sendable) == 1:
                         for chosen in sendable:
                             break
                         vc = port_vcs[chosen]
                         if vc.ready_at > clock:
                             continue
-                        ovc = vc.route_vc
-                        if len(ovc.queue) >= out_cap:
+                        if len(vc.route_vc.queue) >= out_cap:
                             continue
-                        moves = (vc,)
-                    elif in_stateless and emit is None:
-                        # Running min((stamp, index)) — see stage 5.
+                    else:
+                        if in_rr:
+                            last = in_selectors[port].last
                         best = _INF
                         chosen = _NO_VC
                         for vc_index in sendable:
                             vc = port_vcs[vc_index]
                             if vc.ready_at > clock:
                                 continue
-                            ovc = vc.route_vc
-                            if len(ovc.queue) >= out_cap:
+                            if len(vc.route_vc.queue) >= out_cap:
                                 continue
-                            stamp = vc.stamps[0]
-                            if stamp < best or (
-                                stamp == best and vc_index < chosen
+                            rank = vc_index <= last if in_rr else vc.stamps[0]
+                            if rank < best or (
+                                rank == best and vc_index < chosen
                             ):
-                                best = stamp
+                                best = rank
                                 chosen = vc_index
                         if chosen == _NO_VC:
                             continue
-                        moves = (port_vcs[chosen],)
-                    else:
-                        candidates = []
-                        for vc_index in sendable:
-                            vc = port_vcs[vc_index]
-                            if vc.ready_at > clock:
-                                continue
-                            ovc = vc.route_vc
-                            if len(ovc.queue) >= out_cap:
-                                continue
-                            candidates.append((vc.stamps[0], vc_index))
-                        if not candidates:
-                            continue
-                        chosen = in_selectors[port].select(candidates)
-                        moves = (port_vcs[chosen],)
+                        vc = port_vcs[chosen]
+                    if in_rr:
+                        in_selectors[port].last = chosen
                     if emit is not None:
-                        if len(sendable) == 1 and in_stateless:
-                            cands = 1
-                        else:
-                            cands = len(candidates)
+                        # the mux's candidates: the routed VCs whose
+                        # head flit may move
+                        cands = 0
+                        for vc_index in sendable:
+                            other = port_vcs[vc_index]
+                            if (
+                                other.ready_at <= clock
+                                and len(other.route_vc.queue) < out_cap
+                            ):
+                                cands += 1
                         emit(
                             "sched",
                             clock,
@@ -1192,18 +1076,18 @@ class FusedLoop:
                                 "port": port,
                                 "policy": in_policy,
                                 "vc": chosen,
-                                "stamp": port_vcs[chosen].stamps[0],
+                                "stamp": vc.stamps[0],
                                 "cands": cands,
                             },
                         )
+                    moves = (vc,)
                 else:
                     moves = []
                     for vc_index in list(sendable):
                         vc = port_vcs[vc_index]
                         if vc.ready_at > clock:
                             continue
-                        ovc = vc.route_vc
-                        if len(ovc.queue) >= out_cap:
+                        if len(vc.route_vc.queue) >= out_cap:
                             continue
                         moves.append(vc)
                 for vc in moves:
@@ -1275,8 +1159,10 @@ class FusedLoop:
                         vc.route_port = -1
                         vc.route_vc = None
                         if messages:
+                            # the next message's header re-enters
+                            # stages 2/3
                             vc.head_arrival = messages[0].header_time
-                            arb_buf.append((port, vc))
+                            router._pending_arb.append(vc)
                             router._work += 1
                         else:
                             vc.messages = vc.stamps = NO_FLITS
@@ -1285,15 +1171,6 @@ class FusedLoop:
                         if not sendable:
                             in_ports.discard(port)
                         router._work -= 1
-            if arb_buf:
-                # Flush in sorted-port order (stable: within a port the
-                # full crossbar keeps its move order).
-                if len(arb_buf) > 1:
-                    arb_buf.sort(key=_by_port)
-                pending_arb = router._pending_arb
-                for _, vc in arb_buf:
-                    pending_arb.append(vc)
-                del arb_buf[:]
 
     def _stage23(self, emit):
         """Stages 2/3, ``stage23((clock, rid, router))``: routing + output VC

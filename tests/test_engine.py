@@ -778,6 +778,19 @@ _HANDOFF_CASES = {
         SingleSwitchExperiment(load=0.8, mix=(80, 20), **TINY),
         (97, 500, 3001),
     ),
+    # round-robin at every mux: each grant's ``last`` is read and
+    # written by both loops
+    "round-robin-switch": (
+        simulate_single_switch,
+        SingleSwitchExperiment(
+            load=0.8,
+            mix=(80, 20),
+            scheduler="round_robin",
+            qos_placement="both",
+            **TINY,
+        ),
+        (97, 3001),
+    ),
     "faulted-adaptive-mesh": (
         simulate_fat_mesh,
         FatMeshExperiment(
@@ -841,6 +854,57 @@ class TestOneLoop:
             assert all(method in kernel.__doc__ for method in twin), name
         for function in [FusedLoop.run] + [getattr(FusedLoop, n) for n in twins]:
             assert not {"profiler", "preemption"} & names(function.__code__)
+
+    def test_observing_a_run_never_forks_a_kernel(self):
+        """The trace sink is tested only as ``emit is not None`` guards
+        around emission, never with an ``else``, and no kernel reads a
+        stateless-selector flag, a deferred-append buffer or the
+        activation scheduler's internals: one path per kernel, whatever
+        observes or schedules the run."""
+        tree = ast.parse(inspect.getsource(FusedLoop).lstrip())
+        guards = 0
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                continue
+            tested = {
+                name.id
+                for name in ast.walk(node.test)
+                if isinstance(name, ast.Name)
+            }
+            if "emit" not in tested:
+                continue
+            test = node.test
+            assert (
+                isinstance(node, ast.If)
+                and isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Name)
+                and test.left.id == "emit"
+                and [type(op) for op in test.ops] == [ast.IsNot]
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None
+                and not node.orelse
+            ), ast.unparse(node.test)
+            guards += 1
+        assert guards >= 8
+
+        def identifiers(code):
+            found = set(code.co_names) | set(code.co_varnames)
+            found |= set(code.co_freevars) | set(code.co_cellvars)
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    found |= identifiers(const)
+            return found
+
+        forbidden = ("stateless", "arb_buf", "_loaned", "_times")
+        for name, member in vars(FusedLoop).items():
+            if not inspect.isfunction(member):
+                continue
+            leaked = {
+                ident
+                for ident in identifiers(member.__code__)
+                if any(word in ident for word in forbidden)
+            }
+            assert not leaked, (name, leaked)
 
     @pytest.mark.parametrize("case", sorted(_HANDOFF_CASES))
     def test_loops_hand_a_network_back_and_forth(self, case):

@@ -208,6 +208,16 @@ class TestTheAuditCatchesALeak:
         with pytest.raises(FlowControlError, match="still holds its deques"):
             network.check_invariants()
 
+    def test_never_used_vcs(self):
+        """The rule binds before a VC's first use as well."""
+        vc, ovc = InputVC(0, 0, 4), OutputVC(0, 0, 2)
+        assert not vc.carried and not ovc.carried
+        vc.messages, vc.stamps = deque(), deque()
+        ovc.queue, ovc.stamps = deque(), deque()
+        for buffer in (vc, ovc):
+            with pytest.raises(FlowControlError, match="still holds its deques"):
+                buffer.check_invariants()
+
     def test_wire(self):
         network, _ = self._drained()
         network.links[0].pending = deque()

@@ -118,3 +118,23 @@ class TestRoundRobinScheduler:
         scheduler = RoundRobinScheduler()
         # even a huge stamp wins if it's next in rotation
         assert scheduler.select([(1e12, 0), (0.0, 1)]) == 0
+
+    @given(
+        indices=st.sets(st.integers(min_value=0, max_value=15), min_size=1),
+        stamps=st.lists(st.floats(min_value=0, max_value=1e9), min_size=16,
+                        max_size=16),
+        data=st.data(),
+    )
+    def test_select_is_the_literal_rotation(self, indices, stamps, data):
+        """For any candidate set and any ``last`` in [-1, n): the first
+        sorted index above ``last`` wins, else the lowest; ``last``
+        then holds the grant."""
+        last = data.draw(st.integers(min_value=-1, max_value=15))
+        scheduler = RoundRobinScheduler()
+        scheduler.last = last
+        ordered = sorted(indices)
+        above = [vc for vc in ordered if vc > last]
+        expected = above[0] if above else ordered[0]
+        candidates = [(stamps[vc], vc) for vc in indices]
+        assert scheduler.select(candidates) == expected
+        assert scheduler.last == expected
