@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.errors import SimulationError
 from repro.experiments.campaign import Point
 
 #: the paper marks saturated best-effort latencies as "Sat."
@@ -83,9 +84,15 @@ class Table3Data:
     rows: List[Table3Row]
 
     def check(self) -> None:
-        """Table 3 identity: attempts = established + dropped, per row."""
+        """Raise unless the Table 3 identity holds on every row:
+        attempts = established + dropped."""
         for row in self.rows:
-            assert row.attempts == row.established + row.dropped, row
+            if row.attempts != row.established + row.dropped:
+                raise SimulationError(
+                    f"Table 3 accounting broken at load {row.load:g}: "
+                    f"attempts={row.attempts} != established="
+                    f"{row.established} + dropped={row.dropped}"
+                )
 
 
 def table3(points: Dict[tuple, Point]) -> Table3Data:

@@ -328,9 +328,9 @@ class LinkFaultState:
     then (if the flit survived) one corruption draw when
     ``corrupt_prob > 0``.  ``Link.deliver_due`` calls it per due flit,
     and so does the fused cycle loop's delivery kernel
-    (:mod:`repro.sim.fused`) on every faulted link outside its down
-    windows, through the link's fault binding: the bound ``fate`` it
-    takes once per run, so the state installed on a link must not be
+    (:mod:`repro.sim.fused`) on every faulted link, inside its down
+    windows as outside them, through the link's fault binding: the
+    bound ``fate`` it takes once per run, so the state installed on a link must not be
     swapped for another while a run is in progress.  Whoever draws, a
     non-OK fate is applied by ``Link.apply_fate``, the one owner of
     loss/corruption handling.

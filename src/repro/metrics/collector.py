@@ -6,6 +6,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
+from repro.analysis.jitter import is_jitter_free_point
 from repro.metrics.delivery import FrameDeliveryTracker
 from repro.metrics.latency import LatencyTracker
 from repro.router.flit import Message
@@ -152,17 +153,10 @@ class RunMetrics:
         """The paper's ``sigma_d`` (delivery-interval std, ms)."""
         return self.std_delivery_interval_ms
 
-    def is_jitter_free(
-        self,
-        nominal_ms: float = 33.0,
-        d_tolerance_ms: float = 1.0,
-        sigma_tolerance_ms: float = 1.0,
-    ) -> bool:
-        """Paper-style jitter-free check: d ~ 33 ms and sigma_d ~ 0."""
-        return (
-            abs(self.mean_delivery_interval_ms - nominal_ms) <= d_tolerance_ms
-            and self.std_delivery_interval_ms <= sigma_tolerance_ms
-        )
+    def is_jitter_free(self) -> bool:
+        """The paper's jitter-free criterion (d ~ 33 ms, sigma_d ~ 0),
+        as :func:`repro.analysis.jitter.is_jitter_free_point` defines it."""
+        return is_jitter_free_point(self.d, self.sigma_d)
 
 
 def canonical(value):

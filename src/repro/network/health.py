@@ -187,13 +187,13 @@ class LinkHealth:
                 {"link": self.label, "state": self.state, "prev": prev},
             )
 
-    def on_ok(self, clock: int, count: int = 1) -> None:
-        """``count`` flits delivered cleanly at ``clock``."""
+    def on_ok(self, clock: int) -> None:
+        """One flit delivered cleanly at ``clock``."""
         state = self.state
         if state == UP:
             return
         if state == SUSPECT:
-            self.ok_streak += count
+            self.ok_streak += 1
             if self.ok_streak >= self.monitor.config.recover_oks:
                 self.state = UP
                 self.misses = 0
@@ -201,7 +201,7 @@ class LinkHealth:
                 self._emit(clock, SUSPECT)
                 self.monitor._on_suspicion_changed(self, clock)
         elif state == PROBATION:
-            self.ok_streak += count
+            self.ok_streak += 1
             if self.ok_streak >= self.monitor.config.probation_oks:
                 self._declare_up(clock)
         # DOWN: stragglers already on the wire before the mask landed;

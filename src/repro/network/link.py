@@ -33,9 +33,9 @@ class Link:
     With :attr:`faults` installed, every due flit gets a fate.  The
     draw belongs to ``LinkFaultState.fate`` alone: ``deliver_due``
     calls it, and so does the fused cycle loop's delivery kernel,
-    through the link's fault binding, on every faulted link outside
-    its down windows; applying a lost or corrupted fate belongs to
-    :meth:`apply_fate`, whoever drew it.
+    through the link's fault binding, on every faulted link, inside
+    its down windows as outside them; applying a lost or corrupted
+    fate belongs to :meth:`apply_fate`, whoever drew it.
     """
 
     __slots__ = (
@@ -128,70 +128,46 @@ class Link:
     def deliver_due(self, clock: int) -> int:
         """Hand over every flit whose latency has elapsed.
 
-        Returns the number of flits delivered.  A drained wire gives
-        its deque back.
-        """
-        if self.faults is not None:
-            return self._deliver_due_faulty(clock)
-        delivered = 0
-        pending = self.pending
-        router = self.dest_router
-        if router is not None:
-            port = self.dest_port
-            while pending and pending[0][0] <= clock:
-                _, msg, flit_index, vc_index = pending.popleft()
-                router.accept_flit(clock, port, vc_index, msg, flit_index)
-                delivered += 1
-        else:
-            sink = self.sink
-            while pending and pending[0][0] <= clock:
-                _, msg, flit_index, vc_index = pending.popleft()
-                sink.eject(clock, msg, flit_index)
-                delivered += 1
-        if not self.pending:
-            self.pending = NO_FLITS
-        if delivered and self.health is not None:
-            # Delivery heartbeat: a no-op while the link is UP, streak
-            # progress while it is SUSPECT or on PROBATION.
-            self.health.on_ok(clock, delivered)
-        return delivered
-
-    def _deliver_due_faulty(self, clock: int) -> int:
-        """Delivery loop with the installed fault state applied.
-
-        Draws each due flit's fate (:meth:`LinkFaultState.fate`, one
-        ``down`` lookup per call) and hands the clean ones straight to
-        the consumer; a lost or corrupted flit goes through
-        :meth:`apply_fate`.  See :mod:`repro.faults` for the semantics.
+        With :attr:`faults` installed, each due flit first gets its
+        fate (:meth:`LinkFaultState.fate`, given the one ``down``
+        lookup of this visit): a clean one goes to the consumer and
+        then feeds the health heartbeat, a lost or corrupted one goes
+        through :meth:`apply_fate`.  See :mod:`repro.faults` for the
+        semantics.  Returns the number of flits delivered.  A drained
+        wire gives its deque back.
         """
         faults = self.faults
-        health = self.health
+        down = faults is not None and faults.down(clock)
+        # a link without faults never leaves UP, where a heartbeat is a
+        # no-op: only a faulted link gets one
+        health = None if faults is None else self.health
+        router = self.dest_router
         delivered = 0
         pending = self.pending
-        router = self.dest_router
-        down = faults.down(clock)
         while pending and pending[0][0] <= clock:
             _, msg, flit_index, vc_index = pending.popleft()
-            fate = faults.fate(msg, flit_index, down)
-            if fate == FATE_OK:
-                if router is not None:
-                    router.accept_flit(
-                        clock, self.dest_port, vc_index, msg, flit_index
+            if faults is not None:
+                fate = faults.fate(msg, flit_index, down)
+                if fate != FATE_OK:
+                    delivered += self.apply_fate(
+                        clock, msg, flit_index, vc_index, fate, down
                     )
-                else:
-                    self.sink.eject(clock, msg, flit_index)
-                delivered += 1
-                if health is not None:
-                    health.on_ok(clock)
-            else:
-                delivered += self.apply_fate(
-                    clock, msg, flit_index, vc_index, fate, down
+                    # The teardowns inside (loss recovery, and a health
+                    # transition's kill-and-requeue) may purge this link
+                    # and rebuild self.pending; re-fetch so we keep
+                    # draining the live deque, not the pre-purge snapshot.
+                    pending = self.pending
+                    continue
+            if router is not None:
+                router.accept_flit(
+                    clock, self.dest_port, vc_index, msg, flit_index
                 )
-                # The teardowns inside (loss recovery, and a health
-                # transition's kill-and-requeue) may purge this link and
-                # rebuild self.pending; re-fetch so we keep draining the
-                # live deque, not the pre-purge snapshot.
-                pending = self.pending
+            else:
+                self.sink.eject(clock, msg, flit_index)
+            delivered += 1
+            if health is not None:
+                # streak progress while SUSPECT or on PROBATION
+                health.on_ok(clock)
         if not self.pending:
             self.pending = NO_FLITS
         return delivered
@@ -207,9 +183,9 @@ class Link:
     ) -> int:
         """Apply a non-OK ``fate`` to one flit already popped off the wire.
 
-        The single implementation of loss and corruption handling: the
-        object delivery loop above and the fused cycle loop's delivery
-        kernel both call it, after drawing the fate with
+        The single implementation of loss and corruption handling:
+        :meth:`deliver_due` and the fused cycle loop's delivery kernel
+        both call it, after drawing the fate with
         ``LinkFaultState.fate``.
         Returns the number of flits handed to the consumer — 0 for a
         lost flit, 1 for a corrupted one.

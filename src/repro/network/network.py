@@ -24,9 +24,11 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
+    InvariantViolation,
     PortCountError,
     SimulationError,
 )
+from repro.network.health import UP
 from repro.network.interface import HostInterface, HostSink
 from repro.network.link import DEFAULT_LINK_LATENCY, Link
 from repro.network.topology import Topology
@@ -627,14 +629,22 @@ class Network:
 
     def check_invariants(self) -> None:
         """Validate router buffer bookkeeping everywhere (test hook),
-        flit conservation, and the FIFO lifecycle of wires and NI VCs:
-        each holds a deque only while flits (messages) are on it."""
+        flit conservation, the FIFO lifecycle of wires and NI VCs (each
+        holds a deque only while flits (messages) are on it), and that
+        a link without faults is UP: a link leaves UP only through
+        ``Link.apply_fate``, so both loops send such a link no
+        heartbeat."""
         for router in self.routers:
             router.check_invariants()
         for link in self.links:
             if link.pending is not NO_FLITS and not link.pending:
                 raise SimulationError(
                     f"link {link.label}: empty wire still holds its deque"
+                )
+            health = link.health
+            if link.faults is None and health is not None and health.state != UP:
+                raise InvariantViolation(
+                    f"link {link.label}: health {health.state} without faults"
                 )
         for ni in self._ni_list:
             for vc in ni.vcs:

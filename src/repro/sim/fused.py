@@ -114,14 +114,11 @@ stays inline: stage 2/3 asks the router's mask-aware
 ``_adaptive_candidates`` for the port group and applies the escape-VC
 partition rule.
 
-Three visits go through an object method, all by design:
+Two visits go through an object method, both by design:
 
 * a lost or corrupted flit goes through ``Link.apply_fate``, the one
   implementation of loss/corruption handling (the delivery kernel's
-  fate gate);
-* a faulted link's visit inside one of its down windows goes through
-  ``Link.deliver_due`` whole — every due flit is lost there, so that
-  is the cold path;
+  fate gate, inside a link's down windows as outside them);
 * with ``RouterConfig.preemption`` set, the router phase chosen at
   entry (:meth:`FusedLoop._router_steps`) is ``WormholeRouter.step``
   on every due router.  Inlining the kill would need stage 2/3's
@@ -432,24 +429,23 @@ class FusedLoop:
     def _fault_bindings(self):
         """Per-link fault binding, a list parallel to ``_link_info``.
 
-        ``None`` for a clean link (inlined delivery, nothing else to
-        do); for a link carrying fault or health state the tuple
-        ``(faults, fate, health, windowed)`` the delivery kernel gates
-        each flit on (``fate`` is ``faults.fate``; both are ``None`` on
-        a health-only link, and ``windowed`` says whether it has down
+        ``None`` for a link without ``faults`` (inlined delivery,
+        nothing else to do: its ``health``, if any, only ever hears
+        ``on_ok``, a no-op in the UP state it never leaves); for a
+        faulted link the tuple ``(faults, fate, health, windowed)`` the
+        delivery kernel gates each flit on (``fate`` is
+        ``faults.fate``; ``windowed`` says whether the link has down
         windows at all).
         """
         bindings = []
         for link in self._net.links:
             faults = link.faults
-            if faults is not None:
+            if faults is None:
+                bindings.append(None)
+            else:
                 bindings.append(
                     (faults, faults.fate, link.health, bool(faults.windows))
                 )
-            elif link.health is not None:
-                bindings.append((None, None, link.health, False))
-            else:
-                bindings.append(None)
         return bindings
 
     def _delivery(self, emit):
@@ -467,16 +463,17 @@ class FusedLoop:
         deactivate/activate pair would cost two copy-on-write edits of
         the active list.
 
-        A faulted link (see :meth:`_fault_bindings`) gates each popped
-        flit on ``LinkFaultState.fate`` — its draws on the link's own
-        RNG, in its order — and a clean flit falls straight into the
+        A faulted link (see :meth:`_fault_bindings`) looks its down
+        windows up once per visit and gates each popped flit on
+        ``LinkFaultState.fate`` with that verdict — its draws on the
+        link's own RNG, in its order; inside a window every flit is
+        lost without a draw — and a clean flit falls straight into the
         inlined consumer, followed by its health heartbeat (``on_ok``
         is called only while the link is not UP).  A lost or corrupted
         flit goes through ``Link.apply_fate``, after which the kernel
         re-reads ``link.pending``, which a loss teardown may have
-        rebuilt.  Inside a down window the whole visit is
-        ``Link.deliver_due``.  A link with ``health`` only keeps the
-        object path's one batched ``on_ok`` per visit.
+        rebuilt.  The same flit loop serves every visit, inside a down
+        window or outside one.
         """
         net = self._net
         modes = self._fault_bindings()
@@ -504,12 +501,7 @@ class FusedLoop:
                     fate_of = None
                 else:
                     faults, fate_of, health, windowed = mode
-                    if windowed and faults.down(clock):
-                        link = link_info[index][0]
-                        progress += link.deliver_due(clock)
-                        pending = link.pending
-                        link_head[index] = pending[0][0] if pending else _FAR
-                        continue
+                    down = windowed and faults.down(clock)
                 link, ivcs, router, rid, port, in_ports, sink = link_info[index]
                 pending = link.pending
                 popleft = pending.popleft
@@ -527,10 +519,10 @@ class FusedLoop:
                 while True:
                     _, msg, flit_index, vc_index = popleft()
                     if fate_of is not None:
-                        fate = fate_of(msg, flit_index, False)
+                        fate = fate_of(msg, flit_index, down)
                         if fate != FATE_OK:
                             delivered += link.apply_fate(
-                                clock, msg, flit_index, vc_index, fate, False
+                                clock, msg, flit_index, vc_index, fate, down
                             )
                             # A teardown inside may have purged this link
                             # (new deque, resynced mirror) and idled or
@@ -646,10 +638,6 @@ class FusedLoop:
                 if ivcs is not None and was_idle and router._work:
                     router_activate(rid)
                 progress += delivered
-                if mode is not None and fate_of is None and health.state != UP:
-                    # health-only link: the fault-free object path's
-                    # one batched heartbeat per visit
-                    health.on_ok(clock, delivered)
                 if head_val == _FAR:
                     # drained: the wire gives its deque back
                     link.pending = NO_FLITS

@@ -48,7 +48,7 @@ from repro.experiments.config import (
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.export import figure_to_dict, load_result
+from repro.experiments.export import figure_to_dict
 from repro.experiments.figures import PAPER
 from repro.experiments.resilience import ResultStore, code_fingerprint
 from repro.experiments.runner import ExperimentResult
@@ -587,7 +587,6 @@ class TestCampaignContract:
         assert f"[{name} completed in" in out
         assert _stored(path) == _golden_records(name)
         assert json.loads(out_json.read_text()) == _golden_figure(name)
-        assert figure_to_dict(load_result(out_json)) == _golden_figure(name)
 
     def test_cli_fresh_discards_a_stale_checkpoint(
         self, name, simulators, tmp_path, capsys
@@ -625,7 +624,12 @@ class TestCampaignContract:
         out = capsys.readouterr().out
         assert "FAILED: DeadlockError: router 0 wedged" in out
         assert f"[{name} completed in" in out
-        assert any_failed(load_result(out_json))
+        exported = json.loads(out_json.read_text())
+        assert any(
+            "failed" in point["extra"]
+            for points in exported["series"].values()
+            for point in points
+        )
         assert sorted(_stored(path)) == sorted(GOLDEN[name]["keys"].values())
 
 

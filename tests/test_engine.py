@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, InvariantViolation, SimulationError
 from repro.experiments import runner
 from repro.experiments.config import (
     ButterflyExperiment,
@@ -244,8 +244,11 @@ class TestFaultGate:
                 {label: set(st.broken) for label, st in states.items()},
             )
 
-        _, fates = _spy_on_links(monkeypatch)
-        default, legacy = _both_loops(build)
+        deliveries, fates = _spy_on_links(monkeypatch)
+        default = build(Network.run)
+        called_out = list(deliveries)
+        legacy = build(run_reference)
+        assert called_out == [], "the fused loop called Link.deliver_due"
         stats = default[0].fault_stats
         assert stats["flits_lost"] > 0 and stats["flits_corrupted"] > 0
         assert stats["health"]["link_downs"] > 0
@@ -260,9 +263,8 @@ class TestFaultGate:
         assert default[2] == legacy[2]
 
     def test_clean_flits_never_leave_the_loop(self, monkeypatch):
-        """Outside down windows an untraced faulted run makes no
-        ``deliver_due`` call, and one ``apply_fate`` call per lost or
-        corrupted flit."""
+        """An untraced faulted run makes no ``deliver_due`` call, and
+        one ``apply_fate`` call per lost or corrupted flit."""
         deliveries, fates = _spy_on_links(monkeypatch)
         result = simulate_fat_mesh(
             FatMeshExperiment(
@@ -282,34 +284,15 @@ class TestFaultGate:
         assert deliveries == []
         assert len(fates) == stats["flits_lost"] + stats["flits_corrupted"]
 
-    def test_down_window_visits_are_the_only_call_outs(self, monkeypatch):
-        """SUSPECT and PROBATION links get their ``on_ok`` heartbeat
-        from the inlined path: a severed-then-healed channel (faults +
-        health) and a health-only link knocked to SUSPECT both return
-        to UP at the cycle the legacy loop reports, while
-        ``deliver_due`` runs only on the severed link inside its
-        window."""
-        severed, suspect = "ch:0.2->1.2", "ch:2.1->3.1"
-        window = LinkDownWindow(severed, start=1000, end=6000)
+    def test_down_window_never_leaves_the_loop(self, monkeypatch):
+        """A channel severed for a window that opens and closes: the
+        fused loop makes no ``deliver_due`` call, and the link goes DOWN
+        and back UP through PROBATION at the cycles the reference loop
+        reports."""
+        window = LinkDownWindow(_SEVERED, start=1000, end=6000)
 
         def build(run):
-            network, _ = make_mesh_network(
-                routing_mode=RoutingMode.ADAPTIVE
-            )
-            rngs = RngStreams(5)
-            install_faults(network, FaultPlan(down_windows=(window,)), rngs)
-            install_recovery(network, RecoveryConfig(timeout=2048))
-            monitor = install_health(network, HealthConfig(), rngs)
-            monitor.trace = RingBufferSink()
-            attach_workload(network, load=0.8)
-            health = monitor.states[suspect]
-            assert health.link.faults is None
-
-            def knock():
-                health.state = SUSPECT
-                health.misses = HealthConfig().suspect_misses
-
-            network.schedule_call(2000, knock)
+            network, monitor = _severable_mesh(window)
             run(network, 16_000)
             network.check_invariants()
             return [
@@ -320,20 +303,45 @@ class TestFaultGate:
 
         deliveries, _ = _spy_on_links(monkeypatch)
         default = build(Network.run)
-        called_out = list(deliveries)
-        legacy = build(run_reference)
-        assert default == legacy
-        ups = {
-            (label, prev)
-            for cycle, label, prev, state in default
-            if state == UP
-        }
-        assert ups == {(severed, PROBATION), (suspect, SUSPECT)}
-        assert called_out
-        assert all(
-            label == severed and window.start <= clock < window.end
-            for label, clock in called_out
+        assert deliveries == []
+        assert default == build(run_reference)
+        assert {
+            (label, prev) for _, label, prev, state in default if state == UP
+        } == {(_SEVERED, PROBATION)}
+
+    def test_fault_free_link_off_up_fails_the_audit(self):
+        """A link leaves UP only through ``Link.apply_fate``, so neither
+        loop sends a link without faults a heartbeat; one knocked to
+        SUSPECT by hand would stay there, and the audit says so."""
+        network, monitor = _severable_mesh(
+            LinkDownWindow(_SEVERED, start=1000, end=6000)
         )
+        network.run(2000)
+        network.check_invariants()
+        health = monitor.states["ch:2.1->3.1"]
+        assert health.link.faults is None
+        health.state = SUSPECT
+        health.misses = HealthConfig().suspect_misses
+        with pytest.raises(InvariantViolation, match="suspect without faults"):
+            network.check_invariants()
+
+
+#: the inter-router channel :func:`_severable_mesh` can sever
+_SEVERED = "ch:0.2->1.2"
+
+
+def _severable_mesh(window):
+    """An adaptive fat mesh under load 0.8 whose only fault plan is
+    ``window``, with recovery and traced health monitoring installed;
+    returns ``(network, monitor)``."""
+    network, _ = make_mesh_network(routing_mode=RoutingMode.ADAPTIVE)
+    rngs = RngStreams(5)
+    install_faults(network, FaultPlan(down_windows=(window,)), rngs)
+    install_recovery(network, RecoveryConfig(timeout=2048))
+    monitor = install_health(network, HealthConfig(), rngs)
+    monitor.trace = RingBufferSink()
+    attach_workload(network, load=0.8)
+    return network, monitor
 
 
 def _spy_on_steps(monkeypatch):
@@ -441,7 +449,8 @@ def _run_preempting_switch(run, profiler=None, **network_kwargs):
 
 class TestTracedParity:
     """A traced, checked run executes the fused kernels: the stream is
-    the reference stepper's, byte for byte, and no object ``step`` runs."""
+    the reference stepper's, byte for byte, and no object ``step`` or
+    ``deliver_due`` runs, down windows included."""
 
     @pytest.mark.parametrize("case", sorted(_TRACED_CASES))
     def test_traced_checked_run_stays_in_the_kernels(
@@ -457,17 +466,7 @@ class TestTracedParity:
         steps = _spy_on_steps(monkeypatch)
         default = simulate(traced("default.jsonl"))
         assert steps == {"router": 0, "ni": 0}
-        windows = () if experiment.faults is None else (
-            experiment.faults.down_windows
-        )
-        assert bool(deliveries) == bool(windows)
-        assert all(
-            any(
-                window.link == label and window.start <= clock < window.end
-                for window in windows
-            )
-            for label, clock in deliveries
-        )
+        assert deliveries == []
         reference = simulate(traced("reference.jsonl"), loop=run_reference)
         assert steps["router"] > 0 and steps["ni"] > 0
         assert stream_digest(tmp_path / "default.jsonl") == stream_digest(
@@ -478,7 +477,7 @@ class TestTracedParity:
             reference.trace_summary,
             jsonl_path=default.trace_summary["jsonl_path"],
         )
-        if windows:
+        if experiment.faults is not None:
             stats = default.fault_stats
             assert stats["flits_lost"] > 0 and stats["flits_corrupted"] > 0
 

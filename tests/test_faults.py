@@ -76,7 +76,7 @@ class _StubHealth:
     def __init__(self):
         self.calls = []
 
-    def on_ok(self, clock, count=1):
+    def on_ok(self, clock):
         self.calls.append(("ok", clock))
 
     def on_miss(self, clock):

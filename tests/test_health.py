@@ -136,7 +136,8 @@ class TestLinkHealthStateMachine:
         health.on_miss(1)
         health.on_miss(2)
         assert health.state == SUSPECT
-        health.on_ok(5, count=3)
+        for _ in range(3):
+            health.on_ok(5)
         assert health.state == UP
         assert health.misses == 0
 
@@ -158,7 +159,8 @@ class TestLinkHealthStateMachine:
         health.enter_probation()
         assert health.state == PROBATION
         assert ("probation",) in monitor.events
-        health.on_ok(50, count=4)
+        for _ in range(4):
+            health.on_ok(50)
         assert health.state == UP
         assert health.recoveries == 1
         assert health.ttr_total == 40
@@ -186,7 +188,8 @@ class TestLinkHealthStateMachine:
         health, _ = _health(HealthConfig(suspect_misses=1, down_misses=1))
         health.on_miss(5)
         assert health.state == DOWN
-        health.on_ok(6, count=100)  # stragglers already on the wire
+        for _ in range(100):  # stragglers already on the wire
+            health.on_ok(6)
         assert health.state == DOWN
 
     def test_enter_probation_requires_down(self):

@@ -2,6 +2,9 @@
 
 import math
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.experiments.campaign import FigureData, Point
 from repro.experiments.report import (
     figure_to_text,
@@ -9,7 +12,7 @@ from repro.experiments.report import (
     table2_to_text,
     table3_to_text,
 )
-from repro.experiments.tables import Table2Data, Table3Data, Table3Row
+from repro.experiments.tables import Table2Data, Table3Data, Table3Row, table3
 from repro.metrics.collector import RunMetrics
 
 
@@ -89,6 +92,15 @@ class TestTableText:
             latency_us={((80, 20), 0.6): float("nan")},
         )
         assert "-" in table2_to_text(data)
+
+    def test_table3_rejects_a_row_that_breaks_the_identity(self):
+        """A point restored from the result store is checked like a
+        fresh one, by a raise that ``python -O`` keeps."""
+        extra = dict(attempts=10, established=7, dropped=2, offered=8,
+                     abandoned=0)
+        points = {("pcs", 0.9): Point(0.9, _metrics(), extra=extra)}
+        with pytest.raises(SimulationError, match="attempts=10"):
+            table3(points)
 
     def test_table3_sorted_by_load_descending(self):
         data = Table3Data(
