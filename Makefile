@@ -87,8 +87,8 @@ disaster-smoke:   ## switch-kill failover on the k=8 fat tree + butterfly
 		--checkpoint mediaworm-disaster-smoke.jsonl \
 		--json DISASTER_smoke.json
 
-trace-smoke:      ## profiled traced run (invariants on) + JSONL schema validation
-	$(PYTHON) -m repro.experiments.cli trace --preset smoke --profile \
+trace-smoke:      ## traced run (invariants on, phase times) + JSONL schema validation
+	$(PYTHON) -m repro.experiments.cli trace --preset smoke \
 		--trace-out mediaworm-trace-smoke.jsonl
 	$(PYTHON) -m repro.obs mediaworm-trace-smoke.jsonl --digest
 

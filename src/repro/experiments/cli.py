@@ -318,12 +318,6 @@ def _configure_trace(parser) -> None:
         action="store_true",
         help="skip the invariant checker (tracing only)",
     )
-    # not the workload preset (that is --preset here): the loop profiler
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the simulation loop per phase (wall time)",
-    )
 
 
 def _run_trace(args) -> int:
@@ -331,9 +325,9 @@ def _run_trace(args) -> int:
 
     Runs the paper's default single-switch workload once with the
     observability layer installed: a JSONL event stream (optionally
-    filtered by kind), an invariant checker auditing flit conservation
-    and credit consistency, and — with ``--profile`` — per-phase
-    simulation-loop wall-time profiling.
+    filtered by kind) and an invariant checker auditing flit
+    conservation and credit consistency; it closes with where the loop's
+    wall time went, phase by phase.
     """
     from repro.experiments.config import SingleSwitchExperiment
     from repro.experiments.runner import simulate
@@ -356,7 +350,6 @@ def _run_trace(args) -> int:
     experiment = SingleSwitchExperiment(
         load=args.load,
         trace=spec,
-        profile_loop=args.profile,
         **_base_kwargs(get_profile(args.preset)),
     )
     started = time.perf_counter()
@@ -385,9 +378,9 @@ def _run_trace(args) -> int:
             f"chrome trace      {summary['chrome_path']} "
             f"({summary['chrome_events']} events; open in ui.perfetto.dev)"
         )
-    if args.profile:
-        for name, value in sorted(result.metrics.profile.items()):
-            print(f"  {name:22s} {value:.3f}")
+    print(f"loop wall         {result.wall_seconds:.3f}s")
+    for phase, seconds in result.phase_seconds.items():
+        print(f"  {phase:12s} {seconds:.3f}s")
     print(f"[trace completed in {elapsed:.1f}s]")
     return 0
 
@@ -562,7 +555,7 @@ def _commands() -> List[Command]:
         ),
         Command(
             "trace",
-            "one traced run: JSONL event stream, invariants, profiling",
+            "one traced run: JSONL event stream, invariants, phase times",
             _configure_trace,
             _run_trace,
         ),

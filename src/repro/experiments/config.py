@@ -93,9 +93,6 @@ class _BaseExperiment:
     #: optional structured-tracing request (``mediaworm trace``, tests);
     #: None keeps every hook on its zero-overhead path
     trace: Optional[TraceSpec] = None
-    #: profile the simulation loop per phase into ``RunMetrics.profile``
-    #: (wall time only; the simulation itself stays bit-identical)
-    profile_loop: bool = False
     #: optional ``hook(network)`` (e.g. chaos-harness sabotage): runs
     #: after everything is wired so it can schedule mid-run calls or
     #: perturb component state the oracles are expected to catch

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace as dataclasses_replace
+from dataclasses import asdict, dataclass, field, replace as dataclasses_replace
 from typing import Dict, Optional
 
 from repro.core.admission import AdmissionController
@@ -25,7 +25,6 @@ from repro.network.health import install_health
 from repro.network.network import Network
 from repro.obs.chrometrace import write_chrome_trace
 from repro.obs.invariants import InvariantChecker
-from repro.obs.profile import LoopProfiler
 from repro.obs.sinks import (
     CountingSink,
     JsonlTraceSink,
@@ -83,6 +82,10 @@ class ExperimentResult:
     #: host time inside ``Network.run`` plus the conservation audit;
     #: includes the cycle loop's bindings, built lazily at the first run
     wall_seconds: float
+    #: the part of ``wall_seconds`` each phase call of the cycle loop
+    #: took (``events``, ``links``, ``nis``, ``routers``), host time
+    #: outside every digest; all zero on the reference stepper
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: fault/recovery accounting, present only when the experiment
     #: carried a fault plan or a recovery config
     fault_stats: Optional[Dict[str, object]] = None
@@ -90,12 +93,12 @@ class ExperimentResult:
     #: checks run), present only when the experiment carried a TraceSpec
     trace_summary: Optional[Dict[str, object]] = None
     #: cycles the loop executed; ``cycles_run - cycles_executed`` is
-    #: how many it jumped over (None on results recorded before the
-    #: field existed; host-independent but kept out of run digests)
+    #: how many it jumped over (host-independent but kept out of run
+    #: digests; None only on a result built by hand, as test stubs do)
     cycles_executed: Optional[int] = None
     #: host time spent building the run — network, faults/recovery/
-    #: health, workload, tracing — before the first cycle (None on
-    #: results recorded before the field existed; outside every digest)
+    #: health, workload, tracing — before the first cycle (outside
+    #: every digest; None only on a result built by hand)
     setup_seconds: Optional[float] = None
     #: Table 3 accounting (``ConnectionStats``, offered streams
     #: included), present only on a PCS run; checked when the run ends
@@ -317,7 +320,7 @@ def simulate(experiment, loop=None) -> ExperimentResult:
     The experiment supplies its router configuration and its workload
     (a PCS run offers circuits instead of the wormhole mix); everything
     else — the topology cache, faults/recovery/health, tracing, the
-    hook, the loop profiler, the conservation audit — is this one body.
+    hook, the conservation audit — is this one body.
     ``loop`` replaces ``Network.run`` for this one run (see
     :func:`_run_network`); the parity suites, ``mediaworm scale`` and
     the chaos parity twin pass the reference stepper.
@@ -361,10 +364,6 @@ def simulate(experiment, loop=None) -> ExperimentResult:
     harness = _TraceHarness(network, spec) if spec is not None else None
     if experiment.network_hook is not None:
         experiment.network_hook(network)
-    if experiment.profile_loop:
-        profiler = LoopProfiler()
-        network.profiler = profiler
-        collector.attach_profiler(profiler)
     setup = time.perf_counter() - started
     wall = _run_network(experiment, network, loop)
     return ExperimentResult(
@@ -375,6 +374,7 @@ def simulate(experiment, loop=None) -> ExperimentResult:
         flits_injected=network.flits_injected,
         flits_ejected=network.flits_ejected,
         wall_seconds=wall,
+        phase_seconds=dict(network.phase_seconds),
         fault_stats=_fault_stats(network),
         trace_summary=None if harness is None else harness.finish(),
         cycles_executed=network.cycles_executed,

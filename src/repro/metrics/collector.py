@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional
 
 from repro.analysis.jitter import is_jitter_free_point
 from repro.metrics.delivery import FrameDeliveryTracker
@@ -29,15 +28,10 @@ class MetricsCollector:
         self.delivery = FrameDeliveryTracker(warmup=warmup)
         self.latency = LatencyTracker(warmup=warmup)
         self._health_monitor = None
-        self._profiler = None
 
     def attach_health(self, monitor) -> None:
         """Fold a LinkHealthMonitor's counters into snapshots."""
         self._health_monitor = monitor
-
-    def attach_profiler(self, profiler) -> None:
-        """Fold a LoopProfiler's per-phase wall times into snapshots."""
-        self._profiler = profiler
 
     def on_message(self, msg: Message, clock: int) -> None:
         """Network delivery callback."""
@@ -85,9 +79,6 @@ class MetricsCollector:
             ),
             be_latency_std_us=raw_us(self.latency.std_latency),
             be_message_count=self.latency.count,
-            profile=(
-                {} if self._profiler is None else self._profiler.summary()
-            ),
             **health,
         )
 
@@ -114,8 +105,8 @@ class RunMetrics:
     be_latency_us_paper_equivalent: float
     be_latency_std_us: float
     be_message_count: int
-    # Failover counters (defaulted so checkpoints written before the
-    # health monitor existed still decode via RunMetrics(**saved)).
+    # Failover counters, defaulted because a run without a health
+    # monitor passes none (``MetricsCollector.snapshot``).
     link_downs: int = 0
     link_flaps: int = 0
     link_recoveries: int = 0
@@ -125,8 +116,7 @@ class RunMetrics:
     worms_requeued: int = 0
     streams_shed: int = 0
     be_messages_shed: int = 0
-    # Switch-level failover counters (same back-compat rule: defaulted
-    # so checkpoints from before the datacenter disaster layer decode).
+    # Switch-level failover counters, defaulted for the same reason.
     switch_downs: int = 0
     switch_recoveries: int = 0
     mean_switch_time_to_recover_cycles: float = 0.0
@@ -138,10 +128,6 @@ class RunMetrics:
     #: per-host reachability timeline: ``{"cycle", "host", "event"}``
     #: dicts with event "isolated" or "restored", in detection order
     availability: list = field(default_factory=list)
-    #: per-phase simulation-loop wall seconds (LoopProfiler.summary());
-    #: empty unless the run was profiled — wall time is not part of the
-    #: deterministic metric surface, so bench parity checks stay exact
-    profile: Dict[str, float] = field(default_factory=dict)
 
     @property
     def d(self) -> float:

@@ -39,7 +39,7 @@ from repro.router.routeprog import CompiledRouting
 from repro.router.router import WormholeRouter
 from repro.sim.activation import ActivationScheduler
 from repro.sim.events import EventHeap
-from repro.sim.fused import FusedLoop
+from repro.sim.fused import PHASES, FusedLoop
 from repro.sim.gcquiet import gc_quiet
 
 
@@ -67,6 +67,10 @@ class Network:
         #: cycles the loop actually executed; ``clock - cycles_executed``
         #: is the number it jumped over
         self.cycles_executed = 0
+        #: wall seconds the cycle loop spent in each phase call, keyed
+        #: by ``repro.sim.fused.PHASES``; banked with ``cycles_executed``
+        #: (the reference stepper leaves it at zero)
+        self.phase_seconds = dict.fromkeys(PHASES, 0.0)
         self.events = EventHeap()
         self._flits_in_flight = 0
         self.flits_injected = 0
@@ -100,8 +104,6 @@ class Network:
         self.isolated_hosts: "set[int]" = set()
         #: trace sink installed by repro.obs.sinks.install_tracing (purge events)
         self.trace = None
-        #: LoopProfiler installed by the runner (per-phase wall time)
-        self.profiler = None
         self._on_message = on_message
 
         #: this network's private routing state: shares the topology's

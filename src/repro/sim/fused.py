@@ -42,10 +42,11 @@ copy default-bound bindings in and clear its ≈ 40 locals again on
 every call (≈ 0.1 µs per call on CPython 3.11, several calls per
 cycle), or read closure-bound ones through cells.  Each kernel
 visits what its twin visits, in its twin's order, and has one path
-whatever observes the run.  An installed ``LoopProfiler`` wraps the
-phase callables at the same point
-(:meth:`repro.obs.profile.LoopProfiler.wrap`); the sequencer never
-times anything.
+whatever observes the run.  The sequencer stamps ``perf_counter``
+between the phase calls of every executed cycle and banks the four
+sums into ``Network.phase_seconds`` (keys :data:`PHASES`) wherever it
+settles ``Network.cycles_executed``, so every run reports where its
+wall time went without a timed variant of any phase.
 
 State layout
 ------------
@@ -134,6 +135,7 @@ purges resynchronise what they touched through :meth:`resync`.
 from __future__ import annotations
 
 from collections import deque
+from time import perf_counter
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
@@ -144,6 +146,10 @@ from repro.router.buffers import NO_FLITS, acquire_record, release_record
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
 
+#: the four phase calls of a cycle, in call order: the keys of
+#: ``Network.phase_seconds`` and ``ExperimentResult.phase_seconds``
+PHASES = ("events", "links", "nis", "routers")
+
 #: sentinel arrival for idle links — far beyond any simulated horizon
 _FAR = 1 << 62
 
@@ -152,6 +158,12 @@ _FAR = 1 << 62
 #: a one-digit int: its compares keep specialising)
 _INF = float("inf")
 _NO_VC = 1 << 29
+
+
+def _bank(seconds, *spent) -> None:
+    """Add one ``run`` call's per-phase sums into ``seconds``."""
+    for phase, value in zip(PHASES, spent):
+        seconds[phase] += value
 
 
 def _resumable(kernel):
@@ -318,9 +330,9 @@ class FusedLoop:
 
         Per executed cycle: the due events, then the phase kernels
         :meth:`_phases` built for this call — link delivery, NI
-        injection, the router phase — then the watchdog.  While no NI
-        or router is active the clock jumps to the next event or link
-        arrival instead.
+        injection, the router phase — each timed, then the watchdog.
+        While no NI or router is active the clock jumps to the next
+        event or link arrival instead.
         """
         net = self._net
         self.resync(net.links, net.routers)
@@ -336,6 +348,8 @@ class FusedLoop:
         #: executed cycles = clock advance minus the cycles jumped over
         start = clock
         jumped = 0
+        #: wall seconds per phase over this call's executed cycles
+        events_s = links_s = nis_s = routers_s = 0.0
         while clock < until:
             if not (ni_active_set or router_active_set):
                 # Idle-phase jump: earliest scheduled event or link head
@@ -362,6 +376,9 @@ class FusedLoop:
                     net._stall_clock = stall_clock
                     net.clock = clock
                     net.cycles_executed += clock - start - jumped
+                    _bank(
+                        net.phase_seconds, events_s, links_s, nis_s, routers_s
+                    )
                     raise SimulationError(
                         f"active-set tracking lost {net._flits_in_flight} "
                         f"in-flight flits at cycle {clock}: no component "
@@ -383,29 +400,42 @@ class FusedLoop:
                     if clock >= until:
                         break
             net.clock = clock
+            started = perf_counter()
             if heap and heap[0][0] <= clock:
                 fire(clock)
+            fired = perf_counter()
             progress = deliver(clock)
+            delivered = perf_counter()
             inject(clock)
+            injected = perf_counter()
             route(clock)
+            routed = perf_counter()
+            events_s += fired - started
+            links_s += delivered - fired
+            nis_s += injected - delivered
+            routers_s += routed - injected
             if watchdog is not None:
                 if progress or not net._flits_in_flight:
                     stall_clock = clock
                 elif clock - stall_clock >= watchdog:
                     net.cycles_executed += clock + 1 - start - jumped
+                    _bank(
+                        net.phase_seconds, events_s, links_s, nis_s, routers_s
+                    )
                     net._watchdog_fire(clock, stall_clock, watchdog)
             clock += 1
         net._stall_clock = stall_clock
         net.clock = clock
         net.cycles_executed += clock - start - jumped
+        _bank(net.phase_seconds, events_s, links_s, nis_s, routers_s)
 
     def _phases(self):
         """This run's phase callables ``(fire, deliver, inject, route)``.
 
         Reads the trace sink once and picks the router phase once:
         ``WormholeRouter.step`` per router under
-        ``RouterConfig.preemption``, the fused stages otherwise.  A
-        ``LoopProfiler`` installed on the network wraps all four.
+        ``RouterConfig.preemption``, the fused stages otherwise.
+        :meth:`run` times each call, whatever the phase.
         """
         net = self._net
         emit = None if net.trace is None else net.trace.on_event
@@ -413,15 +443,12 @@ class FusedLoop:
             route = self._router_steps()
         else:
             route = self._router_stages(emit)
-        phases = (
+        return (
             net.events.fire_due,
             _resumable(self._delivery(emit)),
             _resumable(self._injection(emit)),
             _resumable(route),
         )
-        if net.profiler is not None:
-            phases = net.profiler.wrap(*phases)
-        return phases
 
     # ------------------------------------------------------------------
     # phase 2: link delivery

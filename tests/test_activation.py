@@ -80,16 +80,16 @@ def _metrics(result):
 
 
 class TestGoldenRuns:
-    """Active-set loop vs the reference stepper, bit-identical."""
+    """The fused loop vs the reference stepper, bit-identical."""
 
     @pytest.mark.parametrize("load", [0.6, 0.9])
-    def test_single_switch_matches_legacy(self, load):
+    def test_single_switch_matches_the_reference(self, load):
         experiment = SingleSwitchExperiment(load=load, mix=(80, 20), **TINY)
-        active = simulate_single_switch(experiment)
-        legacy = simulate_single_switch(experiment, loop=run_reference)
-        assert _metrics(active) == _metrics(legacy)
+        fused = simulate_single_switch(experiment)
+        reference = simulate_single_switch(experiment, loop=run_reference)
+        assert _metrics(fused) == _metrics(reference)
 
-    def test_fat_mesh_with_faults_matches_legacy(self):
+    def test_faulted_fat_mesh_matches_the_reference(self):
         """Faults + recovery + watchdog exercise every wake path."""
         experiment = FatMeshExperiment(
             load=0.7,
@@ -99,10 +99,10 @@ class TestGoldenRuns:
             watchdog_window=200_000,
             **TINY,
         )
-        active = simulate_fat_mesh(experiment)
-        legacy = simulate_fat_mesh(experiment, loop=run_reference)
-        assert _metrics(active) == _metrics(legacy)
-        assert active.fault_stats == legacy.fault_stats
+        fused = simulate_fat_mesh(experiment)
+        reference = simulate_fat_mesh(experiment, loop=run_reference)
+        assert _metrics(fused) == _metrics(reference)
+        assert fused.fault_stats == reference.fault_stats
 
     def test_watchdog_fires_at_identical_cycle(self):
         """A too-tight watchdog must trip both loops at the same cycle."""

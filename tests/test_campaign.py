@@ -80,7 +80,6 @@ METRICS = {
     "mean_delivery_interval_ms": 33.0,
     "mean_switch_time_to_recover_cycles": 0.0,
     "mean_time_to_recovery_cycles": 0.0,
-    "profile": {},
     "reroutes": 0,
     "std_delivery_interval_ms": 0.5,
     "streams_shed": 0,
@@ -193,8 +192,8 @@ def _scale_record(name: str, topology: dict) -> dict:
         "compiles_repeat_run": 0,
         "d_ms": 33.0,
         "deques_held": 2,
-        "digest": "93c47d0404a2399852fe7d9d2aff0325"
-        "d2f6720712a75856c578fa34518e1488",
+        "digest": "0212e54e4fded118e6b708ef73d3d170"
+        "289c415da58bb937cc5723e520471e9b",
         "flits_ejected": 10,
         "flits_injected": 10,
         "identical": True,
@@ -233,8 +232,8 @@ GOLDEN = {
         bad_args=("0.1x", "1.5", "-0.1", "0.01,0.010"),
         bad_values=((1.5,), (0.01, 0.01)),
         keys={
-            ("virtual_clock", 0.005): "FatMeshExperiment-3ef74c55d04d1b0d",
-            ("fifo", 0.005): "FatMeshExperiment-e144b8728b00546e",
+            ("virtual_clock", 0.005): "FatMeshExperiment-19f23154c4f2b928",
+            ("fifo", 0.005): "FatMeshExperiment-5d0966d299680fc9",
         },
         table="""\
 QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)
@@ -256,8 +255,8 @@ fifo               0.005    0.9950   33.000    0.500       7       3         0
         bad_args=("two", "-1", "9", "2,2"),
         bad_values=((9,), (-1,), (2, 2)),
         keys={
-            ("adaptive", 2): "FatMeshExperiment-4c3c8fa873ba1d0a",
-            ("static", 2): "FatMeshExperiment-c5d255d93bfe1685",
+            ("adaptive", 2): "FatMeshExperiment-c08a574e29ea0195",
+            ("static", 2): "FatMeshExperiment-04582fde6915dd87",
         },
         table="""\
 QoS failover under permanent link failures (2x2 fat mesh, 80:20 mix, load 0.6)
@@ -282,12 +281,12 @@ static         2    0.9000       4   33.000    0.500        0       1        2  
         bad_values=(("tsunami",), ("none", "none")),
         # the butterfly has no pods: its series simply omit the rung
         keys={
-            ("fat-tree/adaptive", "none"): "FatTree3Experiment-3dc517dafb6b65b1",
-            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-eb0b0cc61d39c9bf",
-            ("fat-tree/static", "none"): "FatTree3Experiment-7e777259e58459f7",
-            ("fat-tree/static", "pod"): "FatTree3Experiment-fe1007f98a53511b",
-            ("butterfly/adaptive", "none"): "ButterflyExperiment-f56ae2a7245debf8",
-            ("butterfly/static", "none"): "ButterflyExperiment-d19bc246e0a5c2af",
+            ("fat-tree/adaptive", "none"): "FatTree3Experiment-4ea92606b1a1c6eb",
+            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-901521daea072e1e",
+            ("fat-tree/static", "none"): "FatTree3Experiment-6152876aa5ac6c78",
+            ("fat-tree/static", "pod"): "FatTree3Experiment-929dd2532edec2cb",
+            ("butterfly/adaptive", "none"): "ButterflyExperiment-9f46e94417166845",
+            ("butterfly/static", "none"): "ButterflyExperiment-cde305c5ff4e44a7",
         },
         table="""\
 Datacenter failover under switch/domain failures (fat_tree3 k=8 + butterfly, 80:20 mix, load 0.6)
@@ -315,8 +314,8 @@ butterfly/static        none     0.9500    0.9000        0      1234        1   
         bad_args=("ft3-9999", "ft3-16,ft3-16"),
         bad_values=(("ft3-9999",), ("ft3-16", "ft3-16")),
         keys={
-            ("scale", "ft3-16"): "FatTree3Experiment-fef62fa6710cdeb0",
-            ("scale", "bfly-64"): "ButterflyExperiment-a056740ba29932e8",
+            ("scale", "ft3-16"): "FatTree3Experiment-63da59d4e69f8a56",
+            ("scale", "bfly-64"): "ButterflyExperiment-2944ef06903cc82a",
         },
         table="""\
 scale campaign (active / repeat / legacy must be bit-identical)
@@ -941,10 +940,10 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
     records = checkpoint.read_text().split("\n")[:-1]
     done = [json.loads(line)["key"] for line in records]
     keys = {
-        "FatMeshExperiment-1f3022e33e4c4a18": "virtual_clock@0",
-        "FatMeshExperiment-adb2f705882bcac1": "virtual_clock@0.005",
-        "FatMeshExperiment-c06b0089eecafaee": "fifo@0",
-        "FatMeshExperiment-5f3b46309a82e192": "fifo@0.005",
+        "FatMeshExperiment-8b4f84ee7cfd1569": "virtual_clock@0",
+        "FatMeshExperiment-e12988b7d3aa9138": "virtual_clock@0.005",
+        "FatMeshExperiment-0f8d8a6090a2d5a7": "fifo@0",
+        "FatMeshExperiment-e82f3fad5c535f0d": "fifo@0.005",
     }
     assert done and done == list(keys)[: len(done)] and not out_json.exists()
 

@@ -64,7 +64,7 @@ faults   QoS degradation under link faults (fat mesh)
 failover adaptive vs static routing under permanent link failures
 disaster switch/pod failures and datacenter failover on trees
 scale    datacenter-scale campaign (1024-host fat tree, Clos)
-trace    one traced run: JSONL event stream, invariants, profiling
+trace    one traced run: JSONL event stream, invariants, phase times
 chaos    randomized differential fault campaign with scenario shrinking
 topo     inspect a topology and its compiled route program
 """
@@ -122,7 +122,7 @@ class TestCommandTable:
             "scale": dict(profile="default", jobs=1, watchdog=None,
                           point_timeout=None, json=None, checkpoint=None,
                           fresh=False, points=None),
-            "trace": dict(preset="quick", profile=False, load=0.8,
+            "trace": dict(preset="quick", load=0.8,
                           trace_out="mediaworm-trace.jsonl",
                           trace_events=None, chrome=None, no_check=False),
         }

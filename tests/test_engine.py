@@ -6,9 +6,12 @@ scan it is checked against, passed wherever a loop is an argument.
 Every workload family of the tier-1 suite must produce the same
 ``RunMetrics`` (and fault stats, where present) on both.  A traced,
 checked run executes the same kernels as an untraced one and emits the
-reference's event stream byte for byte; only a faulted link's visit
-inside a down window and a preempting router's visit go through an
-object method.
+reference's event stream byte for byte.  Delivery is one flit loop,
+inside a link's down windows too; the kernels' only object calls are
+a faulted link's ``LinkFaultState.fate``, ``Link.apply_fate`` for a
+lost or corrupt flit, and a preempting router's ``step``.  Every run
+of the fused loop times its phase calls into ``phase_seconds``; the
+reference leaves them at zero.
 """
 
 import ast
@@ -22,7 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, InvariantViolation, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockError,
+    InvariantViolation,
+    SimulationError,
+)
 from repro.experiments import runner
 from repro.experiments.config import (
     ButterflyExperiment,
@@ -61,7 +69,6 @@ from repro.network.link import Link
 from repro.network.network import Network
 from repro.network.topology import single_switch
 from repro.obs.events import TraceSpec
-from repro.obs.profile import LoopProfiler
 from repro.obs.sinks import RingBufferSink, install_tracing, stream_digest
 from repro.router.config import RouterConfig, RoutingMode
 from repro.router.flit import TrafficClass
@@ -99,10 +106,9 @@ def _simulate_both(simulate, experiment):
     return simulate(experiment), simulate(experiment, loop=run_reference)
 
 
-class TestArrayEngineParity:
+class TestLoopParity:
     """The default loop is bit-identical to the reference scan on every
-    workload family (the class keeps its name from when the fused loop
-    was the opt-in "array engine")."""
+    workload family."""
 
     @pytest.mark.parametrize(
         "scheduler", ["virtual_clock", "fifo", "round_robin"]
@@ -162,7 +168,7 @@ class TestArrayEngineParity:
         default, legacy = _simulate_both(simulate_fat_mesh, experiment)
         assert _metrics(default) == _metrics(legacy)
 
-    def test_array_matches_legacy_golden_digest(self):
+    def test_near_saturation_switch_matches_the_reference(self):
         """The near-saturation point: every VC contended every cycle."""
         experiment = SingleSwitchExperiment(load=0.9, mix=(80, 20), **TINY)
         default, legacy = _simulate_both(simulate_single_switch, experiment)
@@ -416,7 +422,7 @@ def _dense_ids(records):
     ]
 
 
-def _run_preempting_switch(run, profiler=None, **network_kwargs):
+def _run_preempting_switch(run, **network_kwargs):
     """Two best-effort worms preempted by a third on a bare
     ``preemption`` + ``dynamic_partitioning`` switch, ``run`` as the
     loop; returns the network at cycle 400."""
@@ -427,7 +433,6 @@ def _run_preempting_switch(run, profiler=None, **network_kwargs):
         preemption=True,
         **network_kwargs,
     )
-    network.profiler = profiler
     for src, src_vc in ((0, 0), (2, 1)):
         network.inject_now(
             make_message(
@@ -498,38 +503,15 @@ class TestTracedParity:
         assert build(run_reference) == default
 
 
-#: profiled-run cases, one per router phase: the fused stages on a
-#: clean switch and on a lossy fat mesh under recovery, and
-#: ``WormholeRouter.step`` on a preempting bare network (``None``)
-_PROFILED_CASES = {
-    "single-switch": SingleSwitchExperiment(load=0.5, mix=(80, 20), **TINY),
-    "lossy-fat-mesh": FatMeshExperiment(
-        load=0.7,
-        mix=(80, 20),
-        faults=FaultPlan(flit_loss_prob=0.02),
-        recovery=RecoveryConfig(timeout=4096),
-        watchdog_window=200_000,
-        **TINY,
-    ),
-    "preempting-network": None,
-}
-
-
-def _unprofiled_view(result):
-    """What a run must not change by being profiled: metrics bar the
-    profile, and the fault accounting."""
-    metrics = dataclasses.replace(result.metrics, profile={})
-    return repr(dataclasses.asdict(metrics)), result.fault_stats
-
-
 class TestCallOuts:
     """Inlined kernels and object code sharing one run, one cycle, one
     link mirror: partly faulted fabrics (``Link.apply_fate``), tracing
     installed between runs, and purges and requeues from events."""
 
-    def test_some_links_faulty_mixes_inlined_and_call_out_delivery(self):
-        """Only the inter-router channels lose flits; host links stay
-        on the inlined delivery kernel in the same cycles."""
+    def test_lossy_inter_router_links_beside_clean_host_links(self):
+        """Only the inter-router channels lose flits; the host links
+        carry no fault state, so their flits skip the fate gate in the
+        same delivery loop and the same cycles."""
         experiment = FatMeshExperiment(
             load=0.7,
             mix=(80, 20),
@@ -646,57 +628,6 @@ class TestCallOuts:
         default, legacy = _both_loops(build)
         assert default == legacy
 
-    @pytest.mark.parametrize("case", sorted(_PROFILED_CASES))
-    def test_profiled_run_stays_on_the_loop_and_counts_its_cycles(
-        self, case
-    ):
-        """A profiler wraps each router phase without moving the run:
-        the fused stages (clean and lossy) and the preempting ``step``."""
-        experiment = _PROFILED_CASES[case]
-        if experiment is None:
-
-            def view(run, profiler=None):
-                delivered = []
-                network = _run_preempting_switch(
-                    run,
-                    profiler,
-                    on_message=lambda msg, clock: delivered.append(
-                        (msg.src_node, msg.dst_node, msg.size, clock)
-                    ),
-                )
-                assert network.preemptions >= 1
-                return (
-                    (delivered, network.preemptions, network.flits_ejected),
-                    network.cycles_executed,
-                )
-
-            profiler = LoopProfiler()
-            profiled, cycles = view(Network.run, profiler)
-            plain, plain_cycles = view(Network.run)
-            reference, _ = view(run_reference)
-            profile = profiler.summary()
-        else:
-            result = simulate(
-                dataclasses.replace(experiment, profile_loop=True)
-            )
-            unprofiled = simulate(experiment)
-            profiled, cycles = _unprofiled_view(result), result.cycles_executed
-            plain, plain_cycles = (
-                _unprofiled_view(unprofiled),
-                unprofiled.cycles_executed,
-            )
-            reference = _unprofiled_view(
-                simulate(experiment, loop=run_reference)
-            )
-            profile = result.metrics.profile
-            if experiment.faults is not None:
-                assert result.fault_stats["flits_lost"] > 0
-        assert profiled == plain and cycles == plain_cycles
-        assert profiled == reference
-        assert profile.keys() == LoopProfiler().summary().keys()
-        assert profile["loop_cycles_executed"] == cycles > 0
-        assert profile["loop_routers_s"] > 0
-
 
 class TestCyclesExecuted:
     def test_result_reports_executed_and_jumped_cycles(self):
@@ -720,6 +651,42 @@ class TestCyclesExecuted:
         assert network.cycles_executed == first
         assert network.clock == 100
 
+    def test_phase_seconds_are_banked_with_the_cycles(self):
+        """Each exit that settles ``cycles_executed`` banks the phase
+        sums too: the horizon, a watchdog trip and lost activity."""
+        network = make_network()
+        network.inject_now(make_message(size=4))
+        network.run(50)
+        seconds = dict(network.phase_seconds)
+        assert list(seconds) == ["events", "links", "nis", "routers"]
+        assert min(seconds.values()) >= 0.0 and seconds["routers"] > 0.0
+
+        wedged = make_network()
+        wedged.watchdog_window = 1
+        wedged.inject_now(make_message(size=4))
+        with pytest.raises(DeadlockError):
+            wedged.run(50)
+        assert wedged.cycles_executed == 2
+        assert wedged.phase_seconds["nis"] > 0.0
+
+        lost = make_network()
+        lost.inject_now(make_message(size=4))
+        for index in range(len(lost._ni_list)):
+            lost._ni_sched.deactivate(index)
+        with pytest.raises(SimulationError):
+            lost.run(50)
+        assert set(lost.phase_seconds.values()) == {0.0}
+
+    def test_preempting_router_steps_are_timed(self):
+        """The router phase chosen under preemption (``_router_steps``)
+        is timed like the fused stages; the reference times nothing."""
+        network = _run_preempting_switch(Network.run)
+        assert network.preemptions >= 1
+        assert min(network.phase_seconds.values()) >= 0.0
+        assert network.phase_seconds["routers"] > 0.0
+        reference = _run_preempting_switch(run_reference)
+        assert set(reference.phase_seconds.values()) == {0.0}
+
 
 class TestEngineErrors:
     """The ``engine`` knob is gone; naming an engine anywhere is an error."""
@@ -733,6 +700,16 @@ class TestEngineErrors:
                 main(argv + ["--engine", "array"])
             assert excinfo.value.code == 2
             assert "--engine" in capsys.readouterr().err
+
+    def test_trace_has_no_profile_flag(self, capsys):
+        """Every run times its phases, so ``mediaworm trace --profile``
+        is an argparse error (exit status 2)."""
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--profile"])
+        assert excinfo.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_network_validates_engine_at_construction(self):
         topology = single_switch(4)
@@ -827,9 +804,10 @@ class TestOneLoop:
         network.check_conservation()
 
     def test_run_is_a_short_sequencer_over_named_kernels(self):
-        """``FusedLoop.run`` only sequences the phases; each kernel names
-        its object twin, and neither tests for a profiler or preemption
-        (``_phases`` picks and wraps the phase callables once per run)."""
+        """``FusedLoop.run`` only sequences and times the phases; each
+        kernel names its object twin, and neither tests for a profiler
+        or preemption (``_phases`` picks the phase callables once per
+        run)."""
 
         def names(code):
             found = set(code.co_names)

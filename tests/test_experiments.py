@@ -1,5 +1,7 @@
 """Experiment configurations and runners."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.schedulers import SchedulingPolicy
@@ -9,7 +11,12 @@ from repro.experiments.config import (
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
+from repro.experiments.runner import (
+    simulate,
+    simulate_fat_mesh,
+    simulate_single_switch,
+)
+from repro.sim.reference import run_reference
 
 from conftest import TINY
 
@@ -82,6 +89,18 @@ class TestRunners:
 
     def test_achieved_load_close_to_offered(self, tiny_run):
         assert tiny_run.achieved_load == pytest.approx(0.6, abs=0.05)
+
+    def test_every_run_times_its_phases_outside_the_metrics(self, tiny_run):
+        """The loop's phase split is host time beside ``wall_seconds``,
+        never in ``RunMetrics``; the reference stepper times nothing."""
+        seconds = tiny_run.phase_seconds
+        assert list(seconds) == ["events", "links", "nis", "routers"]
+        assert min(seconds.values()) >= 0.0 and seconds["routers"] > 0.0
+        assert sum(seconds.values()) <= tiny_run.wall_seconds
+        assert "profile" not in dataclasses.asdict(tiny_run.metrics)
+        reference = simulate(tiny_run.experiment, loop=run_reference)
+        assert reference.metrics == tiny_run.metrics
+        assert reference.phase_seconds == dict.fromkeys(seconds, 0.0)
 
     def test_same_seed_reproduces_exactly(self):
         exp = SingleSwitchExperiment(load=0.4, mix=(50, 50), **TINY)

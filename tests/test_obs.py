@@ -1,7 +1,7 @@
 """Unit tests for the observability layer (``repro.obs``).
 
-Sinks, the event schema, the Chrome-trace exporter, the profiler, and
-the :class:`InvariantChecker`'s per-kind checks on synthetic event
+Sinks, the event schema, the Chrome-trace exporter, and the
+:class:`InvariantChecker`'s per-kind checks on synthetic event
 sequences.  Integration against real traffic lives in
 ``test_obs_invariants.py``; the zero-overhead and golden-trace pins in
 ``test_obs_trace.py``.
@@ -24,7 +24,6 @@ from repro.obs.events import (
     validate_event,
 )
 from repro.obs.invariants import InvariantChecker
-from repro.obs.profile import LoopProfiler
 from repro.obs.sinks import (
     CountingSink,
     JsonlTraceSink,
@@ -308,28 +307,6 @@ class TestChromeTrace:
         count = write_chrome_trace(path, self._lifecycle_records())
         loaded = json.loads(path.read_text())
         assert len(loaded["traceEvents"]) == count
-
-
-class TestLoopProfiler:
-    def test_summary_keys_and_total(self):
-        profiler = LoopProfiler()
-        profiler.events_s = 1.0
-        profiler.links_s = 2.0
-        profiler.nis_s = 3.0
-        profiler.routers_s = 4.0
-        profiler.cycles = 7
-        summary = profiler.summary()
-        assert summary["loop_total_s"] == pytest.approx(10.0)
-        assert summary["loop_cycles_executed"] == 7.0
-
-    def test_profiled_run_accumulates_time(self):
-        network = make_network()
-        profiler = LoopProfiler()
-        network.profiler = profiler
-        network.inject_now(make_message(size=4))
-        deliver_all(network)
-        assert profiler.cycles == network.cycles_executed > 0
-        assert profiler.total_s > 0.0
 
 
 def _feed(checker, events):

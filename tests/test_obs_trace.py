@@ -21,7 +21,6 @@ from conftest import TINY
 
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.runner import simulate_single_switch
-from repro.metrics.collector import RunMetrics
 from repro.obs.events import TraceSpec, validate_event
 from repro.obs.sinks import stream_digest
 
@@ -85,24 +84,6 @@ class TestZeroOverhead:
         assert summary["invariant_checks"] > 0
         assert summary["chrome_events"] > 0
 
-    def test_profiled_run_changes_only_the_profile(self, reference_loop):
-        plain = simulate_single_switch(_golden_experiment())
-        profiled = simulate_single_switch(
-            _golden_experiment(profile_loop=True)
-        )
-        plain_dict = dataclasses.asdict(plain.metrics)
-        profiled_dict = dataclasses.asdict(profiled.metrics)
-        profile = profiled_dict.pop("profile")
-        plain_dict.pop("profile")
-        assert plain_dict == profiled_dict
-        if reference_loop:
-            # the reference stepper carries no timers
-            assert profile["loop_total_s"] == 0.0
-            assert profile["loop_cycles_executed"] == 0.0
-        else:
-            assert profile["loop_total_s"] > 0.0
-            assert profile["loop_cycles_executed"] > 0.0
-
 
 class TestTraceFiltering:
     def test_event_filter_limits_the_file_not_the_checker(self, tmp_path):
@@ -131,20 +112,3 @@ class TestTraceFiltering:
                      "sched", "xbar", "link_tx"):
             assert counts[kind] > 0, kind
         assert counts["flit_inject"] >= counts["flit_eject"]
-
-
-class TestRunMetricsCompat:
-    def test_old_checkpoint_dict_still_decodes(self):
-        """Pre-observability RunMetrics dicts lack the profile field."""
-        old = {
-            "mean_delivery_interval_ms": 33.0,
-            "std_delivery_interval_ms": 0.1,
-            "frames_delivered": 10,
-            "interval_count": 9,
-            "be_latency_us": 5.0,
-            "be_latency_us_paper_equivalent": 100.0,
-            "be_latency_std_us": 1.0,
-            "be_message_count": 42,
-        }
-        metrics = RunMetrics(**old)
-        assert metrics.profile == {}

@@ -522,13 +522,13 @@ class TestRowCompiledUpDown:
 
 #: the key of each experiment below, by its off-default shape
 PINNED = {
-    "": "SingleSwitchExperiment-225ee41d5b2fd5ba",
-    "num_ports=4": "SingleSwitchExperiment-fbdda1bb8c3a53eb",
-    "rows=3|fat_width=1": "FatMeshExperiment-11a3d5e44be98b52",
-    "leaves=8|hosts_per_leaf=4": "FatTreeExperiment-89614520eac9c9b3",
-    "k=8|hosts_per_leaf=2|mode=adaptive": "FatTree3Experiment-17f4042cf31ae5c0",
-    "arity=4|levels=2|fat_width=2": "ButterflyExperiment-ad773b71f9f3a6b8",
-    "PCS num_ports=4": "PCSExperiment-835b3c562ce9b7ec",
+    "": "SingleSwitchExperiment-de1febcd0bbba0f2",
+    "num_ports=4": "SingleSwitchExperiment-47e8dc9c82f9afea",
+    "rows=3|fat_width=1": "FatMeshExperiment-c201050a960fbc9a",
+    "leaves=8|hosts_per_leaf=4": "FatTreeExperiment-5dd328da052d2ddd",
+    "k=8|hosts_per_leaf=2|mode=adaptive": "FatTree3Experiment-e2dd67bc236e1200",
+    "arity=4|levels=2|fat_width=2": "ButterflyExperiment-5c9449f2e0775d79",
+    "PCS num_ports=4": "PCSExperiment-9ca5d5db72a95772",
 }
 
 
@@ -569,8 +569,8 @@ class TestTopologyFingerprint:
         ],
     )
     def test_literals_written_into_checkpoints(self, experiment, expected):
-        """Keys are checkpoint keys, so each is pinned: a checkpoint
-        keeps restoring across processes and commits.  The off-default
+        """Keys are result-store keys, so each is pinned: every process
+        computes the same one for an equal experiment.  The off-default
         shape ``expected`` names is what sets a key apart from its
         type's default, and a hook is part of the experiment too."""
         pcs = isinstance(experiment, PCSExperiment)
