@@ -42,10 +42,10 @@ loc-diff:         ## net python lines (added - removed) per src/repro package vs
 				printf "%+7d  %s\n", net[pkg], pkg | "sort -k2"; \
 			close("sort -k2"); printf "%+7d  total vs $(BASE)\n", total }'
 
-coverage:         ## tier-1 suite under the line-coverage gate
+coverage:         ## tier-1 suite under the line-coverage gate, with its 25 slowest tests
 	@$(PYTHON) -c "import pytest_cov" 2>/dev/null \
 		|| { echo "pytest-cov not installed (pip install -e .[dev]); skipping"; exit 0; } \
-		&& $(PYTHON) -m pytest tests/ --cov=repro \
+		&& $(PYTHON) -m pytest tests/ --durations=25 --cov=repro \
 			--cov-report=term-missing:skip-covered \
 			--cov-fail-under=$(COV_MIN)
 

@@ -27,7 +27,6 @@ def bench_ablation_jitter_free_capacity(benchmark, profile):
                     scale=profile.scale,
                     warmup_frames=profile.warmup_frames,
                     measure_frames=profile.measure_frames,
-                    seed=profile.seed,
                 )
             ).metrics
             return metrics.d, metrics.sigma_d

@@ -25,7 +25,6 @@ def _metrics(profile, **overrides):
         scale=profile.scale,
         warmup_frames=profile.warmup_frames,
         measure_frames=profile.measure_frames,
-        seed=profile.seed,
         **overrides,
     )
     return simulate(experiment).metrics

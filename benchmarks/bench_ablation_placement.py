@@ -36,7 +36,6 @@ def bench_ablation_qos_placement(benchmark, profile):
                 scale=profile.scale,
                 warmup_frames=profile.warmup_frames,
                 measure_frames=profile.measure_frames,
-                seed=profile.seed,
             )
             results[placement] = simulate(experiment).metrics
         return results

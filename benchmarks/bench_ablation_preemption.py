@@ -35,7 +35,6 @@ def _run(profile, dynamic: bool, preemption: bool):
         scale=profile.scale,
         warmup_frames=profile.warmup_frames,
         measure_frames=profile.measure_frames,
-        seed=profile.seed,
     )
     collector = MetricsCollector(
         experiment.timebase, warmup=experiment.warmup_cycles

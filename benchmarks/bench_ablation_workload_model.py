@@ -39,7 +39,6 @@ def _run_custom(profile, balanced=True, binding=False, scale=None):
         scale=scale if scale is not None else profile.scale,
         warmup_frames=profile.warmup_frames,
         measure_frames=profile.measure_frames,
-        seed=profile.seed,
     )
     collector = MetricsCollector(
         experiment.timebase, warmup=experiment.warmup_cycles

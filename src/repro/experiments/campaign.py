@@ -54,7 +54,6 @@ class RunProfile:
     scale: float
     warmup_frames: int
     measure_frames: int
-    seed: int = 1
     #: progress watchdog applied to every experiment of the sweep
     #: (None = each sweep's own default; ``mediaworm --watchdog`` sets it)
     watchdog_window: Optional[int] = None
@@ -89,7 +88,6 @@ def _base_kwargs(profile: RunProfile) -> Dict:
         scale=profile.scale,
         warmup_frames=profile.warmup_frames,
         measure_frames=profile.measure_frames,
-        seed=profile.seed,
     )
     if profile.watchdog_window is not None:
         kwargs["watchdog_window"] = profile.watchdog_window

@@ -235,7 +235,7 @@ class PCSExperiment(_BaseExperiment):
 
     ``simulate`` runs it like every other type: ``router_config`` is
     the circuit router and ``build_workload`` offers the circuits.
-    Streams arrive over ``arrival_window_frames`` epochs; a stream whose
+    Streams arrive over the first two frame epochs; a stream whose
     setup probe is NACKed retries after a random backoff, up to
     ``max_retries`` times.  Every failed attempt counts as a *dropped
     connection* (Table 3: attempts = established + dropped).
@@ -248,11 +248,6 @@ class PCSExperiment(_BaseExperiment):
     mix: Tuple[float, float] = (100.0, 0.0)
     num_ports: int = 8
     max_retries: int = 8
-    arrival_window_frames: int = 2
-    #: mean setup-retry backoff, as a fraction of the frame interval
-    backoff_fraction: float = 0.1
-    #: per-hop latency of the setup probe and of the returning ack, cycles
-    setup_hop_cycles: int = 16
 
     #: the knobs a circuit cannot honour, each at the one value it runs
     _CIRCUIT_FIXED: ClassVar[Dict[str, object]] = {
@@ -267,8 +262,6 @@ class PCSExperiment(_BaseExperiment):
         super().__post_init__()
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if not 0 < self.backoff_fraction <= 1:
-            raise ConfigurationError("backoff_fraction must be in (0, 1]")
 
     def router_config(self, num_ports: int) -> RouterConfig:
         """The circuit router: Virtual Clock at each circuit's reserved

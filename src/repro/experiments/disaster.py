@@ -17,15 +17,15 @@ Severity is swept as an escalation ladder:
   butterfly, which the alternate-ancestor overlay survives hostlessly);
 * ``pod`` — pod 0 of the fat tree loses power (fat tree only).
 
-Each severity lowers to a :class:`~repro.faults.DomainDownWindow` (or
-plain link windows) landing at the end of warmup.  The two series per
-topology are the routing modes: ``adaptive`` detects the dead switch
-from link symptoms, applies the precomputed
-:class:`~repro.router.routeprog.UpDownFailover` masks so every
-surviving pair re-steers through alternate ancestors, and sheds the
-sessions of provably isolated hosts; ``static`` keeps the detection
-telemetry but takes no action, so only timeout/retransmission limits
-the damage.
+Each severity lowers to a :class:`~repro.faults.DomainDownWindow` (the
+``link`` rung to two plain link down windows) landing at the end of
+warmup.  The two series per topology are the routing modes:
+``adaptive`` detects the dead switch from link symptoms, applies the
+precomputed :class:`~repro.router.routeprog.UpDownFailover` masks so
+every surviving pair re-steers through alternate ancestors, and sheds
+the sessions of provably isolated hosts; ``static`` keeps the
+detection telemetry but takes no action, so only
+timeout/retransmission limits the damage.
 
 Reported per point: delivered QoS fraction over *reachable* hosts (the
 honest failover score — a dead ToR's hosts are unsavable), hosts
@@ -43,7 +43,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import topology_of
-from repro.faults import DomainDownWindow, FaultPlan, RecoveryConfig
+from repro.faults import (
+    DomainDownWindow,
+    FaultPlan,
+    LinkDownWindow,
+    RecoveryConfig,
+)
 from repro.network.health import HealthConfig
 from repro.router.config import RoutingMode
 
@@ -73,8 +78,10 @@ CAMPAIGN_ARITY = 2
 CAMPAIGN_LEVELS = 3
 
 
-def _first_uplink_domain(topology, onset: int) -> DomainDownWindow:
-    """A ``links:`` domain severing leaf 0's first up-adjacency.
+def _first_uplink_windows(
+    topology, onset: int
+) -> Tuple[LinkDownWindow, ...]:
+    """Permanent down windows severing leaf 0's first up-adjacency.
 
     Both directions die (a severed wire), chosen deterministically as
     the lowest-labelled channel pair between leaf 0 and its first
@@ -88,9 +95,7 @@ def _first_uplink_domain(topology, onset: int) -> DomainDownWindow:
         for src, sp, dst, dp in topology.channels
         if (src, dst) in ((0, parent), (parent, 0))
     )
-    return DomainDownWindow(
-        domain="links:" + ";".join(labels), start=onset
-    )
+    return tuple(LinkDownWindow(label, start=onset) for label in labels)
 
 
 def _severity_plan(base, kind: str, severity: str, onset: int) -> FaultPlan:
@@ -104,7 +109,7 @@ def _severity_plan(base, kind: str, severity: str, onset: int) -> FaultPlan:
         return FaultPlan()
     if severity == "link":
         return FaultPlan(
-            domains=(_first_uplink_domain(topology_of(base), onset),)
+            down_windows=_first_uplink_windows(topology_of(base), onset)
         )
     if severity == "switch":
         if kind == "fat-tree":

@@ -349,8 +349,7 @@ def simulate(experiment, loop=None) -> ExperimentResult:
         monitor = network.health_monitor
         if monitor is not None:
             collector.attach_health(monitor)
-            if monitor.config.shed_best_effort:
-                monitor.bind_besteffort(workload.besteffort)
+            monitor.bind_besteffort(workload.besteffort)
             monitor.bind_admission(_mirror_admission(network, workload))
             # Isolated-host shedding pauses the victims' media sessions.
             monitor.bind_streams(workload.streams)

@@ -16,8 +16,9 @@ Three cooperating pieces:
 * :func:`install_faults` — threads the plan through an assembled
   :class:`~repro.network.network.Network`: every affected
   :class:`~repro.network.link.Link` gets a :class:`LinkFaultState`
-  consulted by its delivery loop, and routers learn which output ports
-  are dead so the load-based fat-link selector avoids them.
+  consulted by its delivery loop and by :meth:`Link.is_available`, so
+  the load-based fat-link selector avoids a dead wire.  A dead port is
+  a permanent down window on its outgoing link.
 * :func:`install_recovery` / :class:`EndToEndTransport` — an optional
   end-to-end checksum + timeout/retransmission protocol at the host
   interfaces.  Wormhole flow control has no per-hop recovery: a lost
@@ -37,9 +38,9 @@ Fault semantics (documented invariants):
 * During a down window every due flit is dropped (a severed wire), and
   :meth:`Link.is_available` reports the link unusable so fat-link
   groups route around it.
-* Corrupted flits are delivered but taint their message; a sink with
-  the end-to-end checksum enabled rejects the tainted message at its
-  tail flit instead of delivering it.
+* Corrupted flits are delivered but taint their message; with the
+  end-to-end transport installed the sink rejects the tainted message
+  at its tail flit instead of delivering it.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class DomainDownWindow:
       three-level fat tree (a pod loses power);
     * ``core-group`` — every top-level switch; ``core-group:<j>``
       narrows to the ``j``-th core group of a three-level fat tree
-      (the cores hanging off spine slot ``j``);
-    * ``links:<pat>[;<pat>...]`` — an arbitrary set of link-label
-      patterns failing as one unit.
+      (the cores hanging off spine slot ``j``).
 
+    Domains name hardware only; a set of wires is a set of
+    :class:`LinkDownWindow` entries in ``FaultPlan.down_windows``.
     Domains are sugar: :func:`expand_domain` lowers each one
     deterministically into plain :class:`LinkDownWindow` entries
     against the concrete topology, so the per-link machinery — and its
@@ -143,18 +144,11 @@ class DomainDownWindow:
 def domain_switches(domain: str, topology) -> FrozenSet[int]:
     """Router ids ``domain`` resolves to on ``topology``.
 
-    ``links:`` domains touch no switch and resolve to an empty set;
-    every other domain kind must name at least one router or the plan
-    is rejected with a :class:`FaultConfigError`.
+    Every domain must name at least one router or the plan is rejected
+    with a :class:`FaultConfigError`.
     """
     extras = topology.extras
     kind, _, arg = domain.partition(":")
-    if kind == "links":
-        if not [p for p in arg.split(";") if p]:
-            raise FaultConfigError(
-                f"domain {domain!r} carries no link patterns"
-            )
-        return frozenset()
     if kind == "switch":
         rid = _domain_index(domain, arg)
         if not 0 <= rid < topology.num_routers:
@@ -209,7 +203,7 @@ def domain_switches(domain: str, topology) -> FrozenSet[int]:
         return frozenset(range(base, base + half))
     raise FaultConfigError(
         f"unknown failure domain {domain!r} (expected 'switch:<rid>', "
-        f"'pod:<p>', 'core-group[:<j>]', or 'links:<pat>[;<pat>...]')"
+        f"'pod:<p>' or 'core-group[:<j>]')"
     )
 
 
@@ -228,33 +222,23 @@ def expand_domain(window: DomainDownWindow, topology) -> Tuple[
 ]:
     """Lower one domain window into concrete per-link down windows.
 
-    Switch-shaped domains sever every channel touching a member router
-    *and* the attachment links of its hosts (a crashed ToR takes its
-    NIs down with it); ``links:`` domains pass their patterns through.
+    Every channel touching a member router dies, *and* the attachment
+    links of its hosts (a crashed ToR takes its NIs down with it).
     Expansion is deterministic — sorted by link label — so sweep
     fingerprints and repro files are stable across runs and platforms.
     """
-    kind, _, arg = window.domain.partition(":")
-    if kind == "links":
-        labels = sorted({p for p in arg.split(";") if p})
-        if not labels:
-            raise FaultConfigError(
-                f"domain {window.domain!r} carries no link patterns"
-            )
-    else:
-        switches = domain_switches(window.domain, topology)
-        collected = set()
-        for src_r, src_p, dst_r, dst_p in topology.channels:
-            if src_r in switches or dst_r in switches:
-                collected.add(f"ch:{src_r}.{src_p}->{dst_r}.{dst_p}")
-        for node, rid, _ in topology.hosts:
-            if rid in switches:
-                collected.add(f"host{node}:inject")
-                collected.add(f"host{node}:eject")
-        labels = sorted(collected)
+    switches = domain_switches(window.domain, topology)
+    labels = set()
+    for src_r, src_p, dst_r, dst_p in topology.channels:
+        if src_r in switches or dst_r in switches:
+            labels.add(f"ch:{src_r}.{src_p}->{dst_r}.{dst_p}")
+    for node, rid, _ in topology.hosts:
+        if rid in switches:
+            labels.add(f"host{node}:inject")
+            labels.add(f"host{node}:eject")
     return tuple(
         LinkDownWindow(link=label, start=window.start, end=window.end)
-        for label in labels
+        for label in sorted(labels)
     )
 
 
@@ -264,10 +248,10 @@ class FaultPlan:
 
     * ``flit_loss_prob`` / ``flit_corrupt_prob`` — per-flit probabilities
       applied at delivery time on every link matching ``links``.
-    * ``down_windows`` — scheduled link outages (severed wires).
-    * ``port_failures`` — ``(router_id, output_port)`` pairs whose
-      outgoing link is dead for the whole run; the router's fat-link
-      selector skips them.
+    * ``down_windows`` — scheduled link outages (severed wires); a
+      window with ``end=None`` is a permanent failure, e.g. the dead
+      port ``LinkDownWindow("ch:0.4->1.4")``, which the oracle fat-link
+      selector skips.
     * ``domains`` — correlated failure domains (switch crashes, pod
       power loss, core-plane outages) expanded into per-link windows at
       install time; see :class:`DomainDownWindow`.
@@ -282,7 +266,6 @@ class FaultPlan:
     flit_corrupt_prob: float = 0.0
     links: str = "*"
     down_windows: Tuple[LinkDownWindow, ...] = ()
-    port_failures: Tuple[Tuple[int, int], ...] = ()
     domains: Tuple[DomainDownWindow, ...] = ()
 
     def __post_init__(self) -> None:
@@ -294,11 +277,6 @@ class FaultPlan:
                 )
         if not self.links:
             raise FaultConfigError("links pattern must be non-empty")
-        for failure in self.port_failures:
-            if len(failure) != 2:
-                raise FaultConfigError(
-                    f"port failure must be (router_id, port), got {failure!r}"
-                )
 
     @property
     def is_zero(self) -> bool:
@@ -307,7 +285,6 @@ class FaultPlan:
             self.flit_loss_prob == 0.0
             and self.flit_corrupt_prob == 0.0
             and not self.down_windows
-            and not self.port_failures
             and not self.domains
         )
 
@@ -419,7 +396,7 @@ class LinkFaultState:
 
 
 class FaultInjector:
-    """The installed fault plan: per-link states plus failed ports.
+    """The installed fault plan: per-link states plus dead switches.
 
     Built by :func:`install_faults`; kept on ``network.fault_injector``
     for introspection (``faults_active``, per-link labels).
@@ -430,8 +407,6 @@ class FaultInjector:
         self.plan = plan
         #: label -> LinkFaultState for every link with attached faults
         self.states: Dict[str, LinkFaultState] = {}
-        #: (router_id, port) pairs marked permanently dead
-        self.failed_ports: Tuple[Tuple[int, int], ...] = ()
         #: router ids crashed by a *permanent* domain window
         self.dead_switches: FrozenSet[int] = frozenset()
         #: per-link windows the plan's domains expanded into
@@ -478,12 +453,11 @@ def install_faults(
     from a configuration mistake.
 
     Raises :class:`FaultConfigError` for windows that match no link,
-    port failures that name unknown hardware, unknown failure domains,
-    or a plan whose *permanent* failures isolate a host no routing mode
-    could ever reach again (a dead host attachment link, or a router
-    left with no surviving route and no detour — e.g. any permanent
-    failure on ``single_switch`` host ports or a thin non-redundant
-    mesh).  On up*/down* fabrics the check runs the alternate-ancestor
+    unknown failure domains, or a plan whose *permanent* failures
+    isolate a host no routing mode could ever reach again (a dead host
+    attachment link, or a router left with no surviving route and no
+    detour — e.g. any permanent failure on ``single_switch`` host ports
+    or a thin non-redundant mesh).  On up*/down* fabrics the check runs the alternate-ancestor
     overlay: a plan survives if masking repairs it, and hosts attached
     to domain-declared dead switches are an accepted sacrifice rather
     than an error.  Returns the installed :class:`FaultInjector`.
@@ -500,31 +474,6 @@ def install_faults(
     injector.domain_windows = tuple(expanded)
     down_windows = tuple(plan.down_windows) + injector.domain_windows
 
-    permanent: Dict[str, List[LinkDownWindow]] = {}
-    failed: List[Tuple[int, int]] = []
-    for router_id, port in plan.port_failures:
-        if not 0 <= router_id < len(network.routers):
-            raise FaultConfigError(
-                f"port failure names unknown router {router_id}"
-            )
-        router = network.routers[router_id]
-        if not 0 <= port < router.config.num_ports:
-            raise FaultConfigError(
-                f"port failure names unknown port {port} on router "
-                f"{router_id}"
-            )
-        link = router.out_links[port]
-        if link is None:
-            raise FaultConfigError(
-                f"router {router_id} port {port} is unwired; cannot fail it"
-            )
-        router.faulted_ports.add(port)
-        permanent.setdefault(link.label, []).append(
-            LinkDownWindow(link=link.label, start=0, end=None)
-        )
-        failed.append((router_id, port))
-    injector.failed_ports = tuple(failed)
-
     labels = {link.label: link for link in network.links}
     for window in down_windows:
         if not any(fnmatchcase(label, window.link) for label in labels):
@@ -538,7 +487,6 @@ def install_faults(
         windows = [
             w for w in down_windows if fnmatchcase(label, w.link)
         ]
-        windows.extend(permanent.get(label, ()))
         hit = probabilistic and fnmatchcase(label, plan.links)
         if not windows and not hit:
             continue
@@ -668,8 +616,8 @@ class RecoveryConfig:
     ``timeout`` is the cycles a message may remain undelivered before
     its remains are purged and it is retransmitted; retransmission
     ``k`` (1-based) is delayed by ``min(backoff_base * 2**(k-1),
-    backoff_cap)`` cycles.  With ``checksum`` enabled, sinks reject
-    messages whose flits were corrupted in transit, triggering the same
+    backoff_cap)`` cycles.  Sinks reject messages whose flits were
+    corrupted in transit (the end-to-end checksum), triggering the same
     retransmission path.
 
     The timeout clock starts when the message's *header flit leaves the
@@ -685,7 +633,6 @@ class RecoveryConfig:
     max_retries: int = 6
     backoff_base: int = 64
     backoff_cap: int = 2048
-    checksum: bool = True
     #: end-to-end delivery deadline in cycles for QoS (CBR/VBR)
     #: messages, measured from the *first* attempt's injection across
     #: the whole retry chain; None disables deadline accounting
@@ -961,15 +908,14 @@ class EndToEndTransport:
 def install_recovery(network, config: RecoveryConfig) -> EndToEndTransport:
     """Attach the end-to-end transport to an assembled network.
 
-    Wires the injection hook (timeout arming) and, when ``checksum`` is
-    enabled, the per-sink corrupt-delivery callback.  Returns the
-    installed :class:`EndToEndTransport`.
+    Wires the injection hook (timeout arming) and the per-sink
+    corrupt-delivery callback (the checksum).  Returns the installed
+    :class:`EndToEndTransport`.
     """
     transport = EndToEndTransport(network, config)
     network.transport = transport
     for ni in network.interfaces.values():
         ni.on_start = transport.on_start
-    if config.checksum:
-        for sink in network.sinks.values():
-            sink.on_corrupt = transport.on_corrupt
+    for sink in network.sinks.values():
+        sink.on_corrupt = transport.on_corrupt
     return transport

@@ -90,8 +90,6 @@ class HealthConfig:
     probe_interval: int = 1024
     probe_cap: int = 16384
     probe_jitter: int = 32
-    #: pause best-effort sources while any monitored link is DOWN
-    shed_best_effort: bool = True
 
     def __post_init__(self) -> None:
         if self.suspect_misses < 1 or self.down_misses < 1:
@@ -518,11 +516,7 @@ class LinkHealthMonitor:
         if self.admission is not None:
             shed = self.admission.degrade(health.channel, 0.0)
             self.streams_shed += len(shed)
-        if (
-            self.config.shed_best_effort
-            and self.be_sources
-            and not self._be_paused
-        ):
+        if self.be_sources and not self._be_paused:
             self._be_paused = True
             for source in self.be_sources:
                 source.pause()

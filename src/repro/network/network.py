@@ -50,7 +50,6 @@ class Network:
         self,
         topology: Topology,
         config: RouterConfig,
-        link_latency: int = DEFAULT_LINK_LATENCY,
         on_message: Optional[Callable[[Message, int], None]] = None,
         watchdog_window: Optional[int] = None,
     ) -> None:
@@ -120,8 +119,8 @@ class Network:
         self.interfaces: Dict[int, HostInterface] = {}
         self.sinks: Dict[int, HostSink] = {}
 
-        self._wire_hosts(link_latency)
-        self._wire_channels(link_latency)
+        self._wire_hosts()
+        self._wire_channels()
         self._check_wiring()
         if config.preemption:
             for router in self.routers:
@@ -162,7 +161,7 @@ class Network:
     # ------------------------------------------------------------------
     # construction
 
-    def _wire_hosts(self, latency: int) -> None:
+    def _wire_hosts(self) -> None:
         depth = self.config.flit_buffer_depth
         for node, rid, port in self.topology.hosts:
             router = self.routers[rid]
@@ -170,7 +169,7 @@ class Network:
             in_link = Link(
                 dest_router=router,
                 dest_port=port,
-                latency=latency,
+                latency=DEFAULT_LINK_LATENCY,
                 label=f"host{node}:inject",
             )
             ni = HostInterface(
@@ -186,7 +185,7 @@ class Network:
                 on_message=self._message_delivered,
                 on_flit=self._flit_ejected,
             )
-            out_link = Link(sink=sink, latency=latency, label=f"host{node}:eject")
+            out_link = Link(sink=sink, latency=DEFAULT_LINK_LATENCY, label=f"host{node}:eject")
             out_link.src_router = router
             out_link.src_port = port
             router.wire_output(port, out_link, host=True)
@@ -197,14 +196,14 @@ class Network:
             self.interfaces[node] = ni
             self.sinks[node] = sink
 
-    def _wire_channels(self, latency: int) -> None:
+    def _wire_channels(self) -> None:
         for src_r, src_p, dst_r, dst_p in self.topology.channels:
             src = self.routers[src_r]
             dst = self.routers[dst_r]
             link = Link(
                 dest_router=dst,
                 dest_port=dst_p,
-                latency=latency,
+                latency=DEFAULT_LINK_LATENCY,
                 label=f"ch:{src_r}.{src_p}->{dst_r}.{dst_p}",
             )
             link.src_router = src

@@ -27,6 +27,13 @@ from repro.pcs.connection import ConnectionManager, ConnectionStats
 from repro.sim.rng import RngStreams
 from repro.traffic.streams import MediaStream, StreamConfig
 
+#: streams arrive uniformly over this many frame intervals
+ARRIVAL_WINDOW_FRAMES = 2
+#: mean setup-retry backoff, as a fraction of the frame interval
+BACKOFF_FRACTION = 0.1
+#: per-hop latency of the setup probe and of the returning ack, cycles
+SETUP_HOP_CYCLES = 16
+
 
 class _OfferedStream:
     """One stream's lifecycle: arrival, setup attempts, data phase."""
@@ -109,7 +116,7 @@ class PCSWorkload:
     def _build_arrivals(self) -> None:
         exp = self.experiment
         interval = self.config.frame_interval_cycles
-        window = max(1, exp.arrival_window_frames * interval)
+        window = max(1, ARRIVAL_WINDOW_FRAMES * interval)
         nodes = self.topology.node_ids
         stats = self.manager.stats
         for node in nodes:
@@ -150,7 +157,7 @@ class PCSWorkload:
             self._handle_nack(offered)
             return
         # Probe out + ack back across the path before data flows.
-        setup_delay = 2 * len(requests) * exp.setup_hop_cycles
+        setup_delay = 2 * len(requests) * SETUP_HOP_CYCLES
         start_time = self.network.clock + setup_delay
         self._start_data_phase(offered, assignment, start_time)
 
@@ -161,7 +168,7 @@ class PCSWorkload:
         offered.retries_left -= 1
         rng = self.rngs.stream(f"pcs/backoff{offered.index}")
         interval = self.config.frame_interval_cycles
-        mean_backoff = max(1.0, self.experiment.backoff_fraction * interval)
+        mean_backoff = max(1.0, BACKOFF_FRACTION * interval)
         delay = max(1, int(rng.expovariate(1.0 / mean_backoff)))
         self.network.schedule_call(
             self.network.clock + delay,

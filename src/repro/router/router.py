@@ -68,9 +68,6 @@ class WormholeRouter:
         self.out_links: List[Optional[object]] = [None] * n
         #: True for ports whose link ejects to a host (set when wired)
         self.is_host_port: List[bool] = [False] * n
-        #: output ports declared dead by a fault plan (repro.faults);
-        #: the load-based fat-link selector routes around them
-        self.faulted_ports: Set[int] = set()
         #: routing-mode flags (see RoutingMode): oracle consults
         #: ground-truth fault windows, adaptive consults the symptom
         #: mask and may detour over the escape VC
@@ -562,8 +559,8 @@ class WormholeRouter:
     def _select_output_port(self, clock: int, ports) -> int:
         """Pick among fat-link candidates by current load (section 3.4).
 
-        Candidates whose output port failed or whose link sits in a
-        fault down window are skipped — the surviving sibling of a fat
+        Candidates whose link sits in a fault down window (a permanent
+        one is a dead port) are skipped — the surviving sibling of a fat
         group absorbs the traffic.  A message whose *only* candidate is
         faulted still takes it (and its flits are lost on the dead
         wire); end-to-end recovery, not routing, owns that case.
@@ -585,7 +582,7 @@ class WormholeRouter:
                     load += 1
             if oracle:
                 link = self.out_links[port]
-                if port in self.faulted_ports or (
+                if (
                     link is not None
                     and link.faults is not None
                     and not link.is_available(clock)

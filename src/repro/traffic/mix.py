@@ -31,6 +31,9 @@ from repro.traffic.besteffort import BestEffortConfig, BestEffortSource
 from repro.traffic.mpeg import FrameSizeModel
 from repro.traffic.streams import MediaStream, StreamConfig
 
+#: best-effort message size in flits (section 4.2.2)
+BE_MESSAGE_SIZE = 20
+
 
 @dataclass(frozen=True)
 class TrafficMix:
@@ -79,10 +82,6 @@ class WorkloadConfig:
     mix: TrafficMix = field(default_factory=lambda: TrafficMix(80, 20))
     rt_class: str = TrafficClass.VBR
     message_size: int = 20
-    frame_interval_ms: float = MPEG2_FRAME_INTERVAL_MS
-    frame_bytes_mean: float = MPEG2_FRAME_BYTES_MEAN
-    frame_bytes_std: float = MPEG2_FRAME_BYTES_STD
-    be_message_size: int = 20
     be_process: str = "deterministic"
     #: per-message header flits on real-time messages, carried on the
     #: wire on top of the frame payload (the Fig. 7 overhead: "1 header
@@ -119,19 +118,19 @@ class WorkloadConfig:
     def frame_interval_cycles(self) -> int:
         """Scaled inter-frame interval in cycles."""
         cycles = self.scale.scale_cycles(
-            self.link.ms_to_cycles(self.frame_interval_ms)
+            self.link.ms_to_cycles(MPEG2_FRAME_INTERVAL_MS)
         )
         return max(1, round(cycles))
 
     @property
     def frame_mean_flits(self) -> float:
         """Scaled mean frame size in flits."""
-        return self.scale.scale_flits(self.link.bytes_to_flits(self.frame_bytes_mean))
+        return self.scale.scale_flits(self.link.bytes_to_flits(MPEG2_FRAME_BYTES_MEAN))
 
     @property
     def frame_std_flits(self) -> float:
         """Scaled frame size standard deviation in flits."""
-        return self.scale.scale_flits(self.link.bytes_to_flits(self.frame_bytes_std))
+        return self.scale.scale_flits(self.link.bytes_to_flits(MPEG2_FRAME_BYTES_STD))
 
     @property
     def stream_fraction(self) -> float:
@@ -254,11 +253,11 @@ def build_workload(
                     src_node=node,
                     dst_nodes=others,
                     vcs=be_vcs,
-                    message_size=config.be_message_size,
+                    message_size=BE_MESSAGE_SIZE,
                     rate_fraction=config.be_load,
                     process=config.be_process,
                     phase=node_rng.randrange(
-                        max(1, int(config.be_message_size / config.be_load))
+                        max(1, int(BE_MESSAGE_SIZE / config.be_load))
                     ),
                 ),
                 rngs.stream(f"node{node}/besteffort"),

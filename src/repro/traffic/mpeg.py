@@ -13,7 +13,6 @@ frame.
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from repro.errors import ConfigurationError
 
@@ -21,12 +20,7 @@ from repro.errors import ConfigurationError
 class FrameSizeModel:
     """Generates per-frame sizes in flits."""
 
-    def __init__(
-        self,
-        mean_flits: float,
-        std_flits: float,
-        sampler: Callable[[random.Random, float, float], float] = None,
-    ) -> None:
+    def __init__(self, mean_flits: float, std_flits: float) -> None:
         if mean_flits < 1:
             raise ConfigurationError(
                 f"mean frame size must be >= 1 flit, got {mean_flits}"
@@ -37,18 +31,16 @@ class FrameSizeModel:
             )
         self.mean_flits = mean_flits
         self.std_flits = std_flits
-        self._sampler = sampler or self._default_sampler
-
-    @staticmethod
-    def _default_sampler(rng: random.Random, mean: float, std: float) -> float:
-        if std == 0:
-            return mean
-        return rng.gauss(mean, std)
 
     def draw(self, rng: random.Random) -> int:
-        """One frame size in whole flits (always >= 1)."""
-        size = self._sampler(rng, self.mean_flits, self.std_flits)
-        return max(1, round(size))
+        """One frame size in whole flits (always >= 1).
+
+        A constant model draws nothing from ``rng``; otherwise one
+        ``rng.gauss`` per frame.
+        """
+        if self.std_flits == 0:
+            return max(1, round(self.mean_flits))
+        return max(1, round(rng.gauss(self.mean_flits, self.std_flits)))
 
     @property
     def is_constant(self) -> bool:

@@ -51,7 +51,8 @@ from repro.experiments.config import (
 from repro.experiments.export import figure_to_dict
 from repro.experiments.figures import PAPER
 from repro.experiments.resilience import ResultStore, code_fingerprint
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, topology_of
+from repro.experiments.scale import SMOKE_POINTS
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.metrics.collector import RunMetrics
 from repro.network.health import HealthConfig
@@ -157,11 +158,16 @@ def simulators(monkeypatch):
     DeadlockError instead of returning a result.  The stub takes the
     ``loop=`` a point body may pass, hands its ``network_hook`` a
     stand-in network, and the body's module reads a frozen clock, so
-    wall-time columns are literal too.
+    wall-time columns are literal too.  A scale point's topology is
+    compiled here, before the stub runs, so its ``compiles`` column
+    reads 0 whatever ran earlier in the process.
     """
 
     def install(spec, fail=None):
         calls = []
+        if spec.name == "scale":
+            for experiment in spec.plan("quick", SMOKE_POINTS).values():
+                topology_of(experiment)
 
         def stub(experiment, loop=None):
             calls.append(experiment)
@@ -232,8 +238,8 @@ GOLDEN = {
         bad_args=("0.1x", "1.5", "-0.1", "0.01,0.010"),
         bad_values=((1.5,), (0.01, 0.01)),
         keys={
-            ("virtual_clock", 0.005): "FatMeshExperiment-19f23154c4f2b928",
-            ("fifo", 0.005): "FatMeshExperiment-5d0966d299680fc9",
+            ("virtual_clock", 0.005): "FatMeshExperiment-c822de2695a6207e",
+            ("fifo", 0.005): "FatMeshExperiment-ebfa6d6b119526cf",
         },
         table="""\
 QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)
@@ -255,8 +261,8 @@ fifo               0.005    0.9950   33.000    0.500       7       3         0
         bad_args=("two", "-1", "9", "2,2"),
         bad_values=((9,), (-1,), (2, 2)),
         keys={
-            ("adaptive", 2): "FatMeshExperiment-c08a574e29ea0195",
-            ("static", 2): "FatMeshExperiment-04582fde6915dd87",
+            ("adaptive", 2): "FatMeshExperiment-16fdf86b9cb3a5dc",
+            ("static", 2): "FatMeshExperiment-ea65491304e7a72c",
         },
         table="""\
 QoS failover under permanent link failures (2x2 fat mesh, 80:20 mix, load 0.6)
@@ -281,12 +287,12 @@ static         2    0.9000       4   33.000    0.500        0       1        2  
         bad_values=(("tsunami",), ("none", "none")),
         # the butterfly has no pods: its series simply omit the rung
         keys={
-            ("fat-tree/adaptive", "none"): "FatTree3Experiment-4ea92606b1a1c6eb",
-            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-901521daea072e1e",
-            ("fat-tree/static", "none"): "FatTree3Experiment-6152876aa5ac6c78",
-            ("fat-tree/static", "pod"): "FatTree3Experiment-929dd2532edec2cb",
-            ("butterfly/adaptive", "none"): "ButterflyExperiment-9f46e94417166845",
-            ("butterfly/static", "none"): "ButterflyExperiment-cde305c5ff4e44a7",
+            ("fat-tree/adaptive", "none"): "FatTree3Experiment-d58fd0a37bcc4b84",
+            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-5e8b1065b798e087",
+            ("fat-tree/static", "none"): "FatTree3Experiment-637ade648f9568c1",
+            ("fat-tree/static", "pod"): "FatTree3Experiment-45a302307ddc01ba",
+            ("butterfly/adaptive", "none"): "ButterflyExperiment-bf20cce40574ac77",
+            ("butterfly/static", "none"): "ButterflyExperiment-feb8c44f81297ab4",
         },
         table="""\
 Datacenter failover under switch/domain failures (fat_tree3 k=8 + butterfly, 80:20 mix, load 0.6)
@@ -940,10 +946,10 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
     records = checkpoint.read_text().split("\n")[:-1]
     done = [json.loads(line)["key"] for line in records]
     keys = {
-        "FatMeshExperiment-8b4f84ee7cfd1569": "virtual_clock@0",
-        "FatMeshExperiment-e12988b7d3aa9138": "virtual_clock@0.005",
-        "FatMeshExperiment-0f8d8a6090a2d5a7": "fifo@0",
-        "FatMeshExperiment-e82f3fad5c535f0d": "fifo@0.005",
+        "FatMeshExperiment-03c1f391f2eaf112": "virtual_clock@0",
+        "FatMeshExperiment-a8cdec6519ea98d0": "virtual_clock@0.005",
+        "FatMeshExperiment-dbf0fcd4852d768f": "fifo@0",
+        "FatMeshExperiment-f282b1c05b65c8b3": "fifo@0.005",
     }
     assert done and done == list(keys)[: len(done)] and not out_json.exists()
 

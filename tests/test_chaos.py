@@ -344,6 +344,10 @@ class TestShrinkAndReplay:
                 lambda doc: doc["scenario"].update(vcs_per_pcc=8),
                 "scenario: unknown field 'vcs_per_pcc'",
             ),
+            (
+                lambda doc: doc["scenario"]["faults"].update(port_failures=[]),
+                "scenario.faults: unknown field 'port_failures'",
+            ),
             (lambda doc: doc.update(scenario=[]), "scenario: expected an object"),
         ],
         ids=[
@@ -354,6 +358,7 @@ class TestShrinkAndReplay:
             "scalar-mix",
             "window-without-link",
             "misspelled-field",
+            "retired-dead-port-spelling",
             "scenario-not-object",
         ],
     )

@@ -21,6 +21,7 @@ from repro.experiments.runner import (
     simulate_butterfly,
     simulate_fat_tree3,
 )
+from repro.experiments.scale import run_digest
 from repro.faults import (
     DomainDownWindow,
     FaultPlan,
@@ -101,13 +102,6 @@ class TestDomainGrammar:
             {18, 19}
         )
 
-    def test_links_domain_passes_patterns_through(self):
-        windows = expand_domain(
-            DomainDownWindow("links:ch:0.2->8.0;host3:inject", start=1),
-            fat_tree3(4),
-        )
-        assert {w.link for w in windows} == {"ch:0.2->8.0", "host3:inject"}
-
     def test_unknown_domain_kinds_rejected(self):
         topology = fat_tree3(4)
         with pytest.raises(FaultConfigError, match="unknown failure domain"):
@@ -118,6 +112,12 @@ class TestDomainGrammar:
             domain_switches("switch:tor", topology)
         with pytest.raises(FaultConfigError, match="unknown pod"):
             domain_switches("pod:7", topology)
+        # domains name hardware only; wires are plain down windows
+        with pytest.raises(FaultConfigError, match="unknown failure domain"):
+            expand_domain(
+                DomainDownWindow("links:ch:0.2->8.0;host3:inject", start=1),
+                topology,
+            )
 
     def test_window_validation(self):
         with pytest.raises(FaultConfigError, match="domain name"):
@@ -490,3 +490,35 @@ class TestRunDisasterCampaign:
             experiment, health=HealthConfig(probe_interval=2048)
         )
         assert experiment_key(changed) != key
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            (
+                RoutingMode.ADAPTIVE,
+                "1b877be3f81fb552ead95d8a1397ec14756fbdb4fd50c5a87b8f31ba2af56967",
+            ),
+            (
+                RoutingMode.STATIC,
+                "c082c12480932845fd0cdd6de86ba9100299f652a5fbdff0e20111af89cf65ea",
+            ),
+        ],
+    )
+    def test_link_rung_is_two_permanent_windows(self, mode, digest):
+        """The ``link`` rung severs leaf 0's first up-adjacency, both
+        directions, as plain down windows; the butterfly run is the one
+        the rung gave when it was spelled as a link-set domain."""
+        experiment = _campaign_experiment(
+            get_profile("smoke"), "butterfly", mode, "link"
+        )
+        plan = experiment.faults
+        assert plan.domains == ()
+        assert [w.link for w in plan.down_windows] == [
+            "ch:0.2->4.0",
+            "ch:4.0->0.2",
+        ]
+        assert all(
+            w.start == experiment.warmup_cycles and w.end is None
+            for w in plan.down_windows
+        )
+        assert run_digest(simulate_butterfly(experiment)) == digest

@@ -10,6 +10,7 @@ from conftest import TINY, make_message, make_network
 from repro.errors import DeadlockError, FaultConfigError
 from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
 from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
+from repro.experiments.scale import run_digest
 from repro.faults import (
     FATE_CORRUPT,
     FATE_LOST,
@@ -102,7 +103,6 @@ class TestFaultPlanValidation:
         assert FaultPlan().is_zero
         assert not FaultPlan(flit_loss_prob=0.1).is_zero
         assert not FaultPlan(down_windows=(LinkDownWindow("x"),)).is_zero
-        assert not FaultPlan(port_failures=((0, 1),)).is_zero
 
     @pytest.mark.parametrize("prob", [-0.1, 1.5])
     def test_probabilities_must_be_in_unit_interval(self, prob):
@@ -144,20 +144,6 @@ class TestFaultPlanValidation:
 
 
 class TestInstallValidation:
-    def test_port_failure_unknown_router(self):
-        net = make_network()
-        with pytest.raises(FaultConfigError):
-            install_faults(
-                net, FaultPlan(port_failures=((99, 0),)), RngStreams(1)
-            )
-
-    def test_port_failure_unknown_port(self):
-        net = make_network(ports=4)
-        with pytest.raises(FaultConfigError):
-            install_faults(
-                net, FaultPlan(port_failures=((0, 17),)), RngStreams(1)
-            )
-
     def test_down_window_must_match_a_link(self):
         net = make_network()
         plan = FaultPlan(down_windows=(LinkDownWindow("no-such-link"),))
@@ -350,11 +336,12 @@ class TestFaultedRuns:
         assert result.metrics.frames_delivered > 0
 
     def test_port_failure_routes_around_dead_fat_link(self):
-        """The fat-link selector must never pick a faulted channel."""
+        """The fat-link selector must never pick a faulted channel: a
+        dead port is a permanent down window on its outgoing link."""
         experiment = FatMeshExperiment(
             load=0.5,
             mix=(80, 20),
-            faults=FaultPlan(port_failures=((0, 4),)),
+            faults=FaultPlan(down_windows=(LinkDownWindow("ch:0.4->1.4"),)),
             **TINY,
         )
         result = simulate_fat_mesh(experiment)
@@ -363,6 +350,10 @@ class TestFaultedRuns:
         assert result.fault_stats["flits_lost"] == 0
         assert "ch:0.4->" in result.fault_stats["faulted_links"][0]
         assert result.metrics.frames_delivered > 0
+        # the run the retired (router, port) spelling gave
+        assert run_digest(result) == (
+            "7e3c592efb02fee19394c2e1fffe6bf948c8427255dc78fb0205ff65620777d1"
+        )
 
     def test_recovery_delivers_despite_one_percent_loss(self):
         """Acceptance: >=99% of messages delivered at 1% flit loss."""
@@ -558,9 +549,3 @@ class TestRecoveryInstallation:
             assert ni.on_start == transport.on_start
         for sink in net.sinks.values():
             assert sink.on_corrupt == transport.on_corrupt
-
-    def test_checksum_disabled_leaves_sinks_alone(self):
-        net = make_network()
-        install_recovery(net, RecoveryConfig(checksum=False))
-        for sink in net.sinks.values():
-            assert sink.on_corrupt is None

@@ -16,7 +16,7 @@ from repro.network.network import Network
 from repro.network.topology import fat_mesh_2x2, single_switch
 from repro.obs.events import TraceSpec
 from repro.pcs.connection import ConnectionManager
-from repro.pcs.workload import PCSWorkload, _OfferedStream
+from repro.pcs.workload import SETUP_HOP_CYCLES, PCSWorkload, _OfferedStream
 from repro.router.config import QosPlacement, RoutingMode
 from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
@@ -202,7 +202,7 @@ class TestSetupLatency:
         # reservation path: source host link + destination host link
         # (no inter-router hop on a single switch); the probe walks it
         # out and the ack walks it back
-        hop = workload.experiment.setup_hop_cycles
+        hop = SETUP_HOP_CYCLES
         assert start == workload.network.clock + 2 * 2 * hop
 
     def test_mesh_path_adds_a_hop_per_channel(self):
@@ -210,7 +210,7 @@ class TestSetupLatency:
         # node 0 (router 0) to node 12 (router 3): 2 inter-router
         # channels + the two host links = 4 reservation hops each way
         start = self._capture_start(workload, 0, 12)
-        hop = workload.experiment.setup_hop_cycles
+        hop = SETUP_HOP_CYCLES
         assert start == workload.network.clock + 2 * 4 * hop
 
     def test_exhausted_source_link_abandons_without_retries(self):

@@ -528,7 +528,7 @@ PINNED = {
     "leaves=8|hosts_per_leaf=4": "FatTreeExperiment-5dd328da052d2ddd",
     "k=8|hosts_per_leaf=2|mode=adaptive": "FatTree3Experiment-e2dd67bc236e1200",
     "arity=4|levels=2|fat_width=2": "ButterflyExperiment-5c9449f2e0775d79",
-    "PCS num_ports=4": "PCSExperiment-9ca5d5db72a95772",
+    "PCS num_ports=4": "PCSExperiment-54553c48ad982669",
 }
 
 

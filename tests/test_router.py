@@ -306,6 +306,10 @@ class TestRouterAudit:
             net.run(30)
 
 
+#: fault state of a dead port: its link is down from cycle 0 for good
+_DEAD = SimpleNamespace(down=lambda clock: True)
+
+
 def _select_as_first_written(router, clock, ports):
     """The section 3.4 rule in its original form: prefilter, then sum.
 
@@ -318,11 +322,8 @@ def _select_as_first_written(router, clock, ports):
         usable = [
             port
             for port in ports
-            if port not in router.faulted_ports
-            and (
-                router.out_links[port] is None
-                or router.out_links[port].is_available(clock)
-            )
+            if router.out_links[port] is None
+            or router.out_links[port].is_available(clock)
         ]
         if usable:
             ports = usable
@@ -370,12 +371,10 @@ class TestFatLinkSelection:
                 link.faults = SimpleNamespace(
                     down=lambda clock: clock >= self.DOWN_FROM
                 )
-        router.faulted_ports.clear()
         if faulty:
-            router.faulted_ports.update(
-                port for port in range(len(router.outputs))
-                if rng.random() < 0.2
-            )
+            for link in router.out_links:
+                if rng.random() < 0.2:
+                    link.faults = _DEAD
 
     @pytest.mark.parametrize("mode", ["oracle", "static", "adaptive"])
     @pytest.mark.parametrize("faulty", [False, True])
@@ -401,9 +400,7 @@ class TestFatLinkSelection:
             ]
             ties += loads.count(min(loads)) > 1
             all_down += faulty and all(
-                port in router.faulted_ports
-                or router.out_links[port].faults is not None
-                for port in ports
+                router.out_links[port].faults is not None for port in ports
             )
         assert ties > 50
         if faulty:
@@ -412,11 +409,11 @@ class TestFatLinkSelection:
     def test_oracle_prefers_a_loaded_survivor_to_an_idle_dead_port(self):
         net = make_network(ports=4, vcs=2, routing_mode="oracle")
         router = net.routers[0]
-        router.faulted_ports.add(1)
+        router.out_links[1].faults = _DEAD
         router.open_output(2)[0].owner = object()
         assert router._select_output_port(0, (1, 2)) == 2
         # ... but a dead port still beats nothing at all
-        router.faulted_ports.add(2)
+        router.out_links[2].faults = _DEAD
         assert router._select_output_port(0, (1, 2)) == 1
 
     def test_fat_pair_splits_a_fat_mesh_run(self):

@@ -39,10 +39,10 @@ LOOPS = {"fused": Network.run, "reference": run_reference}
 
 
 def zero_load_latency(
-    link_latency, hops, size, routing_delay=1, arbitration_delay=1
+    wire_cycles, hops, size, routing_delay=1, arbitration_delay=1
 ):
     """The closed form, one term per stage (module docstring)."""
-    links = link_latency * (hops + 1)
+    links = wire_cycles * (hops + 1)
     routing = hops * routing_delay
     arbitration = hops * arbitration_delay
     output_mux = hops * 1
