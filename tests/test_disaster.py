@@ -112,11 +112,13 @@ class TestDomainGrammar:
             domain_switches("switch:tor", topology)
         with pytest.raises(FaultConfigError, match="unknown pod"):
             domain_switches("pod:7", topology)
+
+    def test_links_domain_is_refused(self):
         # domains name hardware only; wires are plain down windows
         with pytest.raises(FaultConfigError, match="unknown failure domain"):
             expand_domain(
                 DomainDownWindow("links:ch:0.2->8.0;host3:inject", start=1),
-                topology,
+                fat_tree3(4),
             )
 
     def test_window_validation(self):
