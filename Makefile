@@ -92,7 +92,7 @@ trace-smoke:      ## traced run (invariants on, phase times) + JSONL schema vali
 		--trace-out mediaworm-trace-smoke.jsonl
 	$(PYTHON) -m repro.obs mediaworm-trace-smoke.jsonl --digest
 
-chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
+chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest + committed repros replayed
 	$(PYTHON) -m repro.experiments.cli chaos --profile smoke \
 		--count 25 --seed 7 --jobs 2 --fresh \
 		--corpus chaos-smoke-corpus \
@@ -102,6 +102,9 @@ chaos-smoke:      ## seeded 25-scenario chaos campaign + sabotage selftest
 		--corpus chaos-selftest-corpus
 	$(PYTHON) -m repro.experiments.cli chaos \
 		--replay chaos-selftest-corpus/sabotage-credit.json
+	for repro in tests/repros/*.json; do \
+		$(PYTHON) -m repro.experiments.cli chaos --replay $$repro || exit 1; \
+	done
 
 scale-smoke:      ## quick scale points: one digest + VC census on both loops, finite d
 	$(PYTHON) -m repro.experiments.cli scale --profile smoke --jobs 2 --fresh \

@@ -24,8 +24,6 @@ from repro.traffic.mix import build_workload
 
 LOAD = 0.95
 MIX = (90, 10)
-#: kill-and-retransmit backoff for the preemptive configuration
-PREEMPTION_BACKOFF = 64
 
 
 def _run(profile, dynamic: bool, preemption: bool):
@@ -43,7 +41,6 @@ def _run(profile, dynamic: bool, preemption: bool):
         experiment.router_config(experiment.num_ports),
         dynamic_partitioning=dynamic,
         preemption=preemption,
-        preemption_backoff=PREEMPTION_BACKOFF,
     )
     network = Network(
         single_switch(experiment.num_ports),

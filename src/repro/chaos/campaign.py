@@ -27,8 +27,9 @@ longer ``--count`` of the same seed — restores every verdict already
 stored, whether or not the campaign found a failure; another profile or
 ``--point-timeout`` changes the scenarios' content, so they recompute.  Repro
 files are :func:`repro.plain.to_plain` of the scenario, read back by
-:func:`repro.plain.from_plain`, which refuses an unknown field or a
-wrong type with a :class:`~repro.errors.ConfigurationError`.
+:func:`~repro.chaos.scenario.scenario_from_plain`, which refuses an
+unknown field or a wrong type with a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -50,19 +51,21 @@ from repro.chaos.scenario import (
     SABOTAGES,
     Scenario,
     ScenarioSpace,
-    scenario_topology,
+    armed,
+    scenario_from_plain,
 )
 from repro.errors import ChaosFailure, ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Point, empty_metrics, run_plans
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.resilience import ResultStore, wall_clock_limit
-from repro.experiments.runner import simulate
-from repro.faults import expand_domain
-from repro.plain import from_plain, to_plain
+from repro.experiments.runner import simulate, topology_of
+from repro.experiments.topo import TOPOLOGY_KINDS
+from repro.faults import FaultPlan, expand_domain
+from repro.plain import to_plain
 from repro.router.config import RoutingMode
 from repro.sim.reference import run_reference
 
-REPRO_SCHEMA = "mediaworm-chaos-repro-v1"
+REPRO_SCHEMA = "mediaworm-chaos-repro-v2"
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +168,13 @@ def _differential(
             "cycle loop and legacy full-scan loop disagree on metrics",
             "parity",
         )
+    experiment = scenario.experiment
     if (
-        scenario.health is not None
+        experiment.health is not None
         and scenario.is_zero_fault
-        and scenario.routing_mode == RoutingMode.ORACLE
+        and experiment.routing_mode == RoutingMode.ORACLE
     ):
-        bare = _execute(dataclasses.replace(scenario, health=None))
+        bare = _execute(_edited(scenario, health=None))
         if canonical_metrics(bare) != canonical_metrics(result):
             return (
                 "passive health monitoring changed zero-fault metrics",
@@ -183,6 +187,17 @@ def _differential(
 # shrinking
 
 
+def _edited(scenario: Scenario, **changes) -> Scenario:
+    """``scenario`` with its experiment's fields changed; a zero fault
+    plan is stored as no plan, as the generator stores it."""
+    faults = changes.get("faults")
+    if faults is not None and faults.is_zero:
+        changes["faults"] = None
+    return dataclasses.replace(
+        scenario, experiment=dataclasses.replace(scenario.experiment, **changes)
+    )
+
+
 def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
     """Named one-step simplifications, most aggressive first.
 
@@ -190,21 +205,17 @@ def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
     one only when it still fails under the original oracle, so the
     order here is a search heuristic, not a correctness concern.
     """
-    plan = scenario.faults
+    experiment = scenario.experiment
+    plan = experiment.faults or FaultPlan()
     if not plan.is_zero:
-        yield (
-            "drop-faults",
-            dataclasses.replace(
-                scenario, faults=type(plan)(), recovery=None
-            ),
-        )
+        yield "drop-faults", _edited(scenario, faults=None, recovery=None)
     for index in range(len(plan.down_windows)):
         windows = (
             plan.down_windows[:index] + plan.down_windows[index + 1 :]
         )
         yield (
             f"drop-window-{index}",
-            dataclasses.replace(
+            _edited(
                 scenario,
                 faults=dataclasses.replace(plan, down_windows=windows),
             ),
@@ -213,24 +224,21 @@ def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
         rest = plan.domains[:index] + plan.domains[index + 1 :]
         yield (
             f"drop-domain-{index}",
-            dataclasses.replace(
-                scenario,
-                faults=dataclasses.replace(plan, domains=rest),
-            ),
+            _edited(scenario, faults=dataclasses.replace(plan, domains=rest)),
         )
         # demote the correlated fault to its constituent link windows,
         # so the drop-window passes can then bisect down to the one
         # link that actually matters
         try:
             expanded = expand_domain(
-                plan.domains[index], scenario_topology(scenario)
+                plan.domains[index], topology_of(experiment)
             )
         except ConfigurationError:
             expanded = ()
         if expanded:
             yield (
                 f"demote-domain-{index}",
-                dataclasses.replace(
+                _edited(
                     scenario,
                     faults=dataclasses.replace(
                         plan,
@@ -242,7 +250,7 @@ def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
     if plan.flit_corrupt_prob > 0:
         yield (
             "zero-corrupt",
-            dataclasses.replace(
+            _edited(
                 scenario,
                 faults=dataclasses.replace(plan, flit_corrupt_prob=0.0),
             ),
@@ -250,64 +258,61 @@ def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
     if plan.flit_loss_prob > 0:
         yield (
             "zero-loss",
-            dataclasses.replace(
+            _edited(
                 scenario,
                 faults=dataclasses.replace(plan, flit_loss_prob=0.0),
             ),
         )
-    if scenario.topology != "single":
-        # down windows and domains name multi-router channels and
-        # switches, so the single-switch twin drops them with the
-        # topology
-        yield (
-            "shrink-topology",
+    if scenario.kind != "single":
+        # the same experiment on the type-default single switch; down
+        # windows and domains name multi-router channels and switches,
+        # so they go with the fabric
+        shape = type(experiment).shape_fields
+        settings = {
+            f.name: getattr(experiment, f.name)
+            for f in dataclasses.fields(experiment)
+            if f.name not in shape
+        }
+        single = _edited(
             dataclasses.replace(
                 scenario,
-                topology="single",
-                routing_mode=RoutingMode.ORACLE,
-                faults=dataclasses.replace(
-                    plan, down_windows=(), domains=()
-                ),
+                kind="single",
+                experiment=TOPOLOGY_KINDS["single"](**settings),
             ),
+            routing_mode=RoutingMode.ORACLE,
+            faults=dataclasses.replace(plan, down_windows=(), domains=()),
         )
-    if scenario.routing_mode != RoutingMode.ORACLE:
-        yield (
-            "mode-oracle",
-            dataclasses.replace(scenario, routing_mode=RoutingMode.ORACLE),
-        )
+        yield "shrink-topology", single
+    if experiment.routing_mode != RoutingMode.ORACLE:
+        yield "mode-oracle", _edited(scenario, routing_mode=RoutingMode.ORACLE)
     if (
-        scenario.health is not None
-        and scenario.routing_mode == RoutingMode.ORACLE
+        experiment.health is not None
+        and experiment.routing_mode == RoutingMode.ORACLE
     ):
-        yield "no-health", dataclasses.replace(scenario, health=None)
-    if scenario.recovery is not None and plan.is_zero:
-        yield "no-recovery", dataclasses.replace(scenario, recovery=None)
+        yield "no-health", _edited(scenario, health=None)
+    if experiment.recovery is not None and plan.is_zero:
+        yield "no-recovery", _edited(scenario, recovery=None)
     if scenario.sabotage is not None:
         yield "no-sabotage", dataclasses.replace(scenario, sabotage=None)
-    if scenario.measure_frames > 1:
+    if experiment.measure_frames > 1:
         yield (
             "fewer-frames",
-            dataclasses.replace(
-                scenario, measure_frames=scenario.measure_frames // 2
-            ),
+            _edited(scenario, measure_frames=experiment.measure_frames // 2),
         )
-    if scenario.message_size > 8:
-        yield (
-            "smaller-message",
-            dataclasses.replace(scenario, message_size=8),
-        )
-    if scenario.load > 0.2:
+    if experiment.message_size > 8:
+        yield "smaller-message", _edited(scenario, message_size=8)
+    if experiment.load > 0.2:
         yield (
             "halve-load",
-            dataclasses.replace(scenario, load=round(scenario.load / 2, 3)),
+            _edited(scenario, load=round(experiment.load / 2, 3)),
         )
-    if scenario.vcs_per_pc > 4 and scenario.routing_mode == RoutingMode.ORACLE:
-        yield "fewer-vcs", dataclasses.replace(scenario, vcs_per_pc=4)
-    if scenario.topology == "single" and scenario.num_ports > 4:
-        yield (
-            "fewer-ports",
-            dataclasses.replace(scenario, num_ports=4),
-        )
+    if (
+        experiment.vcs_per_pc > 4
+        and experiment.routing_mode == RoutingMode.ORACLE
+    ):
+        yield "fewer-vcs", _edited(scenario, vcs_per_pc=4)
+    if scenario.kind == "single" and experiment.num_ports > 4:
+        yield "fewer-ports", _edited(scenario, num_ports=4)
 
 
 def shrink(
@@ -402,7 +407,7 @@ def load_repro(path: str) -> Tuple[Scenario, dict]:
     if "scenario" not in payload:
         raise ConfigurationError(f"{path}: no 'scenario' block")
     try:
-        scenario = from_plain(Scenario, payload["scenario"], "scenario")
+        scenario = scenario_from_plain(payload["scenario"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return scenario, payload.get("verdict", {})
@@ -557,18 +562,18 @@ def sabotage_scenario(kind: str, seed: int = 7) -> Scenario:
         raise ConfigurationError(
             f"unknown sabotage {kind!r}; known: {sorted(SABOTAGES)}"
         )
-    return Scenario(
-        key=f"sabotage-{kind}",
-        seed=seed,
-        topology="single",
-        num_ports=8,
+    experiment = TOPOLOGY_KINDS["single"](
         vcs_per_pc=8,
         load=0.5,
-        mix=(80.0, 20.0),
-        message_size=20,
         scale=100.0,
         warmup_frames=1,
         measure_frames=2,
+        seed=seed,
+    )
+    return Scenario(
+        key=f"sabotage-{kind}",
+        kind="single",
+        experiment=armed(experiment),
         sabotage=kind,
     )
 

@@ -1,12 +1,11 @@
 """Typed random scenarios for the chaos harness.
 
-A :class:`Scenario` is a complete, JSON-serialisable description of one
-simulation the harness can run, judge, shrink, and replay: topology and
-router configuration, a heterogeneous traffic mix, an optional
-:class:`~repro.faults.FaultPlan` with its recovery transport, health
-monitoring and routing mode, the measurement horizon, and (for harness
-self-tests) a named sabotage hook that deliberately corrupts simulator
-state mid-run.
+A :class:`Scenario` is the experiment one chaos run simulates — any
+experiment type, named by its ``mediaworm topo`` kind, with its fault
+plan, recovery transport, health monitoring, routing mode, progress
+watchdog and invariant checker — plus what only the harness needs: a
+key, a wall-clock budget and (for harness self-tests) a named sabotage
+hook that deliberately corrupts simulator state mid-run.
 
 :class:`ScenarioSpace` is the generator: a seeded draw over all of
 those axes.  Generation is deterministic — the same ``(seed, index)``
@@ -27,19 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.config import (
-    ButterflyExperiment,
-    FatMeshExperiment,
-    FatTree3Experiment,
-    SingleSwitchExperiment,
-)
 from repro.experiments.runner import topology_of
+from repro.experiments.topo import TOPOLOGY_KINDS
 from repro.faults import (
     DomainDownWindow,
     FaultPlan,
@@ -48,34 +42,11 @@ from repro.faults import (
 )
 from repro.network.health import HealthConfig
 from repro.obs.events import TraceSpec
+from repro.plain import from_plain
 from repro.router.config import RoutingMode
 from repro.router.flit import TrafficClass
 
-_SCHEMA = "mediaworm-chaos-scenario-v1"
-
-
-#: scenario topology name -> (experiment type, {its shape field: the
-#: Scenario attribute holding it}); chaos fabrics keep every shape field
-#: not listed (tree / butterfly ``fat_width``) at the type's default
-_TOPOLOGIES: Dict[str, tuple] = {
-    "single": (SingleSwitchExperiment, {"num_ports": "num_ports"}),
-    "mesh": (
-        FatMeshExperiment,
-        {name: name for name in FatMeshExperiment.shape_fields},
-    ),
-    "tree": (
-        FatTree3Experiment,
-        {"k": "tree_k", "hosts_per_leaf": "hosts_per_leaf"},
-    ),
-    "butterfly": (
-        ButterflyExperiment,
-        {
-            "arity": "bfly_arity",
-            "levels": "bfly_levels",
-            "hosts_per_leaf": "hosts_per_leaf",
-        },
-    ),
-}
+_SCHEMA = "mediaworm-chaos-scenario-v2"
 
 
 # ----------------------------------------------------------------------
@@ -131,46 +102,18 @@ SABOTAGES: Dict[str, Callable] = {
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified chaos run (replayable: :func:`repro.plain
-    .to_plain` writes it, :func:`repro.plain.from_plain` reads it)."""
+    .to_plain` writes it, :func:`scenario_from_plain` reads it)."""
 
     key: str
-    seed: int
-    #: "single" (n-port switch), "mesh" (fat mesh), "tree" (3-level
-    #: k-ary fat tree), or "butterfly" (k-ary n-tree)
-    topology: str = "single"
-    num_ports: int = 8
-    rows: int = 2
-    cols: int = 2
-    hosts_per_router: int = 2
-    fat_width: int = 2
-    #: "tree" shape (chaos trees always run at fat_width 1)
-    tree_k: int = 4
-    #: "butterfly" shape
-    bfly_arity: int = 2
-    bfly_levels: int = 3
-    #: hosts per leaf for "tree"/"butterfly"; None = the generator default
-    hosts_per_leaf: Optional[int] = None
-    scheduler: str = SchedulingPolicy.VIRTUAL_CLOCK
-    vcs_per_pc: int = 8
-    load: float = 0.6
-    mix: Tuple[float, float] = (80.0, 20.0)
-    rt_class: str = TrafficClass.VBR
-    message_size: int = 20
-    scale: float = 100.0
-    warmup_frames: int = 1
-    measure_frames: int = 2
-    routing_mode: str = RoutingMode.ORACLE
-    faults: FaultPlan = FaultPlan()
-    recovery: Optional[RecoveryConfig] = None
-    health: Optional[HealthConfig] = None
-    #: progress-watchdog window, in frame intervals (always armed)
-    watchdog_frames: int = 4
+    #: the experiment's ``mediaworm topo`` kind: the key of its type in
+    #: :data:`~repro.experiments.topo.TOPOLOGY_KINDS`
+    kind: str
+    #: the experiment the run simulates, watchdog and checker included
+    experiment: object
     #: per-run wall-clock budget, seconds (hang protection)
     wall_timeout_s: float = 120.0
     #: named state-corruption hook from :data:`SABOTAGES` (self-tests)
     sabotage: Optional[str] = None
-    #: ride an InvariantChecker on every run of this scenario
-    check: bool = True
     #: the repro-file format tag; a file carrying any other is refused
     format: str = _SCHEMA
 
@@ -179,10 +122,11 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown scenario format {self.format!r} (expected {_SCHEMA!r})"
             )
-        if self.topology not in _TOPOLOGIES:
+        if TOPOLOGY_KINDS.get(self.kind) is not type(self.experiment):
             raise ConfigurationError(
-                f"scenario topology must be 'single', 'mesh', 'tree', or "
-                f"'butterfly', got {self.topology!r}"
+                f"scenario kind {self.kind!r} does not name the type of "
+                f"its {type(self.experiment).__name__} (kinds: "
+                f"{', '.join(TOPOLOGY_KINDS)})"
             )
         if self.sabotage is not None and self.sabotage not in SABOTAGES:
             raise ConfigurationError(
@@ -190,78 +134,52 @@ class Scenario:
                 f"known: {sorted(SABOTAGES)}"
             )
 
-    # -- derived properties ---------------------------------------------
-
     @property
     def is_zero_fault(self) -> bool:
         """True when the scenario injects no faults at all."""
-        return self.faults.is_zero
-
-    @property
-    def frame_interval_cycles(self) -> int:
-        """One frame epoch of this scenario's workload, in cycles."""
-        return self.to_experiment().workload_config().frame_interval_cycles
-
-    # -- experiment assembly --------------------------------------------
+        faults = self.experiment.faults
+        return faults is None or faults.is_zero
 
     def to_experiment(self):
-        """Build the runnable experiment this scenario describes.
-
-        The watchdog window and the sabotage cycle are denominated in
-        frame intervals, so they stay proportionate when a shrink pass
-        rescales the workload.
-        """
-        experiment = _shaped(
-            self,
-            load=self.load,
-            mix=tuple(self.mix),
-            scheduler=self.scheduler,
-            rt_class=self.rt_class,
-            vcs_per_pc=self.vcs_per_pc,
-            message_size=self.message_size,
-            scale=self.scale,
-            warmup_frames=self.warmup_frames,
-            measure_frames=self.measure_frames,
-            seed=self.seed,
-            faults=None if self.faults.is_zero else self.faults,
-            recovery=self.recovery,
-            health=self.health,
-            routing_mode=self.routing_mode,
-            trace=TraceSpec(check=self.check) if self.check else None,
-        )
+        """The runnable experiment: the scenario's, with its sabotage
+        hook (if any) due half a frame interval after warmup."""
+        experiment = self.experiment
+        if self.sabotage is None:
+            return experiment
         interval = experiment.workload_config().frame_interval_cycles
-        hook = None
-        if self.sabotage is not None:
-            hook = partial(
-                SABOTAGES[self.sabotage],
-                experiment.warmup_cycles + interval // 2,
-            )
-        return dataclasses.replace(
-            experiment,
-            watchdog_window=self.watchdog_frames * interval,
-            network_hook=hook,
+        hook = partial(
+            SABOTAGES[self.sabotage],
+            experiment.warmup_cycles + interval // 2,
         )
+        return dataclasses.replace(experiment, network_hook=hook)
 
 
-def _shaped(scenario: Scenario, **kwargs):
-    """The scenario's experiment type at the scenario's shape."""
-    cls, shape = _TOPOLOGIES[scenario.topology]
-    shape = {name: getattr(scenario, attr) for name, attr in shape.items()}
-    return cls(**shape, **kwargs)
+def scenario_from_plain(data, path: str = "scenario") -> Scenario:
+    """Rebuild a scenario written by :func:`repro.plain.to_plain`.
 
-
-def scenario_topology(scenario: Scenario):
-    """The concrete topology a multi-router scenario runs on.
-
-    Used by the generator (to enumerate link labels and switch ids)
-    and by the shrinker (to expand a domain fault into its constituent
-    link windows); served from the runner's topology cache.
+    Its ``kind`` names the experiment's type; :func:`~repro.plain
+    .from_plain` then decodes every field as strictly as any other
+    dataclass.
     """
-    if scenario.topology == "single":
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if isinstance(data, dict) and kind not in TOPOLOGY_KINDS:
         raise ConfigurationError(
-            f"scenario topology {scenario.topology!r} has no router fabric"
+            f"{path}.kind: expected one of {', '.join(TOPOLOGY_KINDS)}, "
+            f"got {kind!r}"
         )
-    return topology_of(_shaped(scenario))
+    return from_plain(
+        Scenario, data, path, types={"experiment": TOPOLOGY_KINDS.get(kind)}
+    )
+
+
+def armed(experiment):
+    """``experiment`` as every chaos run simulates it: the progress
+    watchdog armed at four frame intervals and an invariant checker
+    riding the run."""
+    interval = experiment.workload_config().frame_interval_cycles
+    return dataclasses.replace(
+        experiment, watchdog_window=4 * interval, trace=TraceSpec(check=True)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -278,13 +196,21 @@ class ScenarioSpace:
     """
 
     scale: float = 100.0
-    topologies: Tuple[str, ...] = ("single", "mesh", "tree", "butterfly")
+    #: ``mediaworm topo`` kinds drawn
+    topologies: Tuple[str, ...] = ("single", "mesh", "fat_tree3", "butterfly")
+    #: single-switch port counts (a choice is drawn for every kind)
     num_ports_choices: Tuple[int, ...] = (4, 8)
-    mesh_sizes: Tuple[Tuple[int, int], ...] = ((2, 2),)
-    #: "tree" shapes: k of the 3-level fat tree (k=4 -> 16 hosts)
-    tree_k_choices: Tuple[int, ...] = (4,)
-    #: "butterfly" shapes: (arity, levels) of the k-ary n-tree
-    bfly_shapes: Tuple[Tuple[int, int], ...] = ((2, 3), (4, 2))
+    #: kind -> the multi-router shapes drawn for it, each the leading
+    #: values of the type's ``shape_fields`` (the rest keep the type's
+    #: defaults): 2x2 meshes with two hosts per router, k=4 fat trees
+    #: (16 hosts), 2-ary 3-trees and 4-ary 2-trees
+    shapes: Dict[str, Tuple[Tuple[int, ...], ...]] = field(
+        default_factory=lambda: {
+            "mesh": ((2, 2, 2),),
+            "fat_tree3": ((4,),),
+            "butterfly": ((2, 3), (4, 2)),
+        }
+    )
     schedulers: Tuple[str, ...] = (
         SchedulingPolicy.VIRTUAL_CLOCK,
         SchedulingPolicy.FIFO,
@@ -305,12 +231,12 @@ class ScenarioSpace:
     #: of the zero-fault scenarios: fraction run with (passive) health
     #: monitoring, checked bit-identical against an unmonitored twin
     health_fraction: float = 0.5
-    #: of the faulted mesh/tree/butterfly scenarios: fraction run with
+    #: of the faulted multi-router scenarios: fraction run with
     #: the full adaptive-failover stack (symptom-driven rerouting,
     #: switch-level suspicion and degradation)
     adaptive_fraction: float = 0.4
-    #: of the faulted tree/butterfly scenarios: fraction whose outage is
-    #: drawn switch-shaped (a finite :class:`~repro.faults
+    #: of the faulted fat-tree/butterfly scenarios: fraction whose
+    #: outage is drawn switch-shaped (a finite :class:`~repro.faults
     #: .DomainDownWindow` over a whole switch, or a pod on fat trees)
     #: instead of individual link windows
     switch_fault_fraction: float = 0.35
@@ -328,12 +254,13 @@ class ScenarioSpace:
 
     def draw(self, rng: random.Random, key: str) -> Scenario:
         """One scenario, fully determined by ``rng``'s state."""
-        topology = rng.choice(self.topologies)
-        scenario = Scenario(
-            key=key,
-            seed=rng.randrange(1, 2**31),
-            topology=topology,
-            num_ports=rng.choice(self.num_ports_choices),
+        kind = rng.choice(self.topologies)
+        seed = rng.randrange(1, 2**31)
+        # drawn for every kind, as it always was, so that each seed
+        # keeps its scenario stream; only a single switch uses it
+        ports = rng.choice(self.num_ports_choices)
+        settings = dict(
+            seed=seed,
             scheduler=rng.choice(self.schedulers),
             vcs_per_pc=rng.choice(self.vcs_choices),
             load=round(rng.uniform(*self.load_range), 3),
@@ -343,148 +270,110 @@ class ScenarioSpace:
             scale=self.scale,
             warmup_frames=1,
             measure_frames=rng.randint(1, self.max_measure_frames),
+        )
+        shape = (ports,) if kind == "single" else rng.choice(self.shapes[kind])
+        cls = TOPOLOGY_KINDS[kind]
+        experiment = armed(cls(**dict(zip(cls.shape_fields, shape)), **settings))
+        interval = experiment.workload_config().frame_interval_cycles
+        if rng.random() < self.zero_fault_fraction:
+            if rng.random() < self.health_fraction:
+                # passive monitoring, checked by the health-noop oracle
+                experiment = dataclasses.replace(experiment, health=HealthConfig())
+        else:
+            experiment = self._faulted(rng, kind, experiment, interval)
+        return Scenario(
+            key=key,
+            kind=kind,
+            experiment=experiment,
             wall_timeout_s=self.wall_timeout_s,
         )
-        if topology == "mesh":
-            rows, cols = rng.choice(self.mesh_sizes)
-            scenario = dataclasses.replace(scenario, rows=rows, cols=cols)
-        elif topology == "tree":
-            scenario = dataclasses.replace(
-                scenario, tree_k=rng.choice(self.tree_k_choices)
-            )
-        elif topology == "butterfly":
-            arity, levels = rng.choice(self.bfly_shapes)
-            scenario = dataclasses.replace(
-                scenario, bfly_arity=arity, bfly_levels=levels
-            )
-        if rng.random() < self.zero_fault_fraction:
-            return self._finish_zero_fault(rng, scenario)
-        return self._finish_faulted(rng, scenario)
 
-    def _finish_zero_fault(
-        self, rng: random.Random, scenario: Scenario
-    ) -> Scenario:
-        """Optionally add passive health monitoring (no-op oracle)."""
-        if rng.random() < self.health_fraction:
-            scenario = dataclasses.replace(scenario, health=HealthConfig())
-        return scenario
-
-    def _finish_faulted(
-        self, rng: random.Random, scenario: Scenario
-    ) -> Scenario:
+    def _faulted(self, rng: random.Random, kind: str, experiment, interval: int):
         """Attach a fault plan, its recovery transport, and (sometimes)
         the adaptive-failover stack."""
-        adaptive = (
-            scenario.topology in ("mesh", "tree", "butterfly")
-            and rng.random() < self.adaptive_fraction
-        )
-        if adaptive:
+        if kind != "single" and rng.random() < self.adaptive_fraction:
             # the failover stack is validated at 16 VCs (reserved
             # escape VC per class partition needs the headroom)
-            scenario = dataclasses.replace(
-                scenario,
+            experiment = dataclasses.replace(
+                experiment,
                 vcs_per_pc=16,
                 routing_mode=RoutingMode.ADAPTIVE,
                 health=HealthConfig(),
             )
-        interval = scenario.frame_interval_cycles
         loss = round(rng.uniform(*self.loss_range), 5)
         corrupt = round(rng.uniform(*self.corrupt_range), 5)
         domains: Tuple[DomainDownWindow, ...] = ()
+        windows: Tuple[LinkDownWindow, ...] = ()
         if (
-            scenario.topology in ("tree", "butterfly")
+            kind in ("fat_tree3", "butterfly")
             and rng.random() < self.switch_fault_fraction
         ):
-            domains = (self._draw_domain(rng, scenario, interval),)
-            windows: Tuple[LinkDownWindow, ...] = ()
+            domains = (self._draw_domain(rng, kind, experiment, interval),)
         else:
-            windows = self._draw_windows(rng, scenario, interval)
-        plan = FaultPlan(
-            flit_loss_prob=loss,
-            flit_corrupt_prob=corrupt,
-            down_windows=windows,
-            domains=domains,
-        )
+            windows = self._draw_windows(rng, kind, experiment, interval)
         # transport clocks scale with the frame interval, mirroring the
         # fault/failover campaigns; generous retries keep a healthy
         # fabric's losses recoverable inside the watchdog window
-        recovery = RecoveryConfig.scaled(
-            interval, max_retries=8, qos_deadline=4 * interval
-        )
         return dataclasses.replace(
-            scenario, faults=plan, recovery=recovery
+            experiment,
+            faults=FaultPlan(
+                flit_loss_prob=loss,
+                flit_corrupt_prob=corrupt,
+                down_windows=windows,
+                domains=domains,
+            ),
+            recovery=RecoveryConfig.scaled(
+                interval, max_retries=8, qos_deadline=4 * interval
+            ),
         )
+
+    def _outage(self, rng: random.Random, experiment, interval: int) -> Tuple[int, int]:
+        """``(start, end)`` of one finite outage: it ends within half a
+        frame interval, so no generated plan isolates a host for good."""
+        start = rng.randrange(0, max(1, experiment.total_cycles - interval // 2))
+        duration = rng.randint(max(1, interval // 8), max(2, interval // 2))
+        return start, start + duration
 
     def _draw_windows(
-        self, rng: random.Random, scenario: Scenario, interval: int
+        self, rng: random.Random, kind: str, experiment, interval: int
     ) -> Tuple[LinkDownWindow, ...]:
-        """0..max finite down windows over concrete link labels.
-
-        Windows are bounded to half a frame interval and always end, so
-        no generated plan can permanently isolate a host.
-        """
+        """0..max finite down windows over concrete link labels."""
         count = rng.randint(0, self.max_down_windows)
         if count == 0:
             return ()
-        labels = self._link_labels(scenario)
-        horizon = (
-            scenario.warmup_frames + scenario.measure_frames
-        ) * interval
+        topology = topology_of(experiment)
+        if kind == "single":
+            labels = [
+                f"host{node}:{half}"
+                for node in range(topology.num_hosts)
+                for half in ("inject", "eject")
+            ]
+        else:
+            labels = [
+                f"ch:{src}.{sp}->{dst}.{dp}"
+                for src, sp, dst, dp in topology.channels
+            ]
         windows: List[LinkDownWindow] = []
         for _ in range(count):
-            start = rng.randrange(0, max(1, horizon - interval // 2))
-            duration = rng.randint(
-                max(1, interval // 8), max(2, interval // 2)
-            )
-            windows.append(
-                LinkDownWindow(
-                    link=rng.choice(labels),
-                    start=start,
-                    end=start + duration,
-                )
-            )
+            start, end = self._outage(rng, experiment, interval)
+            windows.append(LinkDownWindow(link=rng.choice(labels), start=start, end=end))
         return tuple(windows)
 
     def _draw_domain(
-        self, rng: random.Random, scenario: Scenario, interval: int
+        self, rng: random.Random, kind: str, experiment, interval: int
     ) -> DomainDownWindow:
-        """One finite switch-shaped outage on a tree/butterfly fabric.
-
-        Mirrors :meth:`_draw_windows`' bounds — the outage always ends
-        within half a frame interval, so the recovery transport can
-        repair the damage and no host stays isolated (which keeps
-        :func:`~repro.faults.install_faults` accepting every plan).
-        Fat trees occasionally lose a whole pod instead of one switch.
-        """
-        topology = scenario_topology(scenario)
-        horizon = (
-            scenario.warmup_frames + scenario.measure_frames
-        ) * interval
-        start = rng.randrange(0, max(1, horizon - interval // 2))
-        duration = rng.randint(
-            max(1, interval // 8), max(2, interval // 2)
-        )
-        if scenario.topology == "tree" and rng.random() < 0.25:
-            domain = f"pod:{rng.randrange(scenario.tree_k)}"
+        """One finite switch-shaped outage on a tree/butterfly fabric
+        (bounded like :meth:`_draw_windows`' windows, so the recovery
+        transport can repair the damage).  Fat trees occasionally lose
+        a whole pod instead of one switch."""
+        topology = topology_of(experiment)
+        start, end = self._outage(rng, experiment, interval)
+        if kind == "fat_tree3" and rng.random() < 0.25:
+            # a k-ary fat tree has k pods
+            domain = f"pod:{rng.randrange(topology.extras['k'])}"
         else:
             domain = f"switch:{rng.randrange(topology.num_routers)}"
-        return DomainDownWindow(
-            domain=domain, start=start, end=start + duration
-        )
-
-    def _link_labels(self, scenario: Scenario) -> List[str]:
-        """Concrete link labels a down window may sever."""
-        if scenario.topology == "single":
-            return [
-                f"host{node}:{half}"
-                for node in range(scenario.num_ports)
-                for half in ("inject", "eject")
-            ]
-        topology = scenario_topology(scenario)
-        return [
-            f"ch:{src}.{sp}->{dst}.{dp}"
-            for src, sp, dst, dp in topology.channels
-        ]
+        return DomainDownWindow(domain=domain, start=start, end=end)
 
 
 def generate(

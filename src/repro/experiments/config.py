@@ -73,8 +73,6 @@ class _BaseExperiment:
     dynamic_partitioning: bool = False
     #: round-robin (balanced) stream destinations vs i.i.d. draws
     balanced_destinations: bool = True
-    #: best-effort inter-arrival process: "deterministic" or "poisson"
-    be_process: str = "deterministic"
     #: optional fault-injection plan; a zero plan (or None) leaves the
     #: run bit-identical to a fault-free simulation
     faults: Optional[FaultPlan] = None
@@ -136,7 +134,6 @@ class _BaseExperiment:
             message_size=self.message_size,
             header_flits=self.header_flits,
             balanced_destinations=self.balanced_destinations,
-            be_process=self.be_process,
         )
 
     def router_config(self, num_ports: int) -> RouterConfig:

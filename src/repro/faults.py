@@ -409,8 +409,6 @@ class FaultInjector:
         self.states: Dict[str, LinkFaultState] = {}
         #: router ids crashed by a *permanent* domain window
         self.dead_switches: FrozenSet[int] = frozenset()
-        #: per-link windows the plan's domains expanded into
-        self.domain_windows: Tuple[LinkDownWindow, ...] = ()
         #: hosts the plan knowingly cuts off (attached to dead
         #: switches); their sessions are shed, not routed around
         self.sacrificed_hosts: FrozenSet[int] = frozenset()
@@ -471,8 +469,7 @@ def install_faults(
         if dwin.end is None:
             dead_switches |= domain_switches(dwin.domain, network.topology)
     injector.dead_switches = frozenset(dead_switches)
-    injector.domain_windows = tuple(expanded)
-    down_windows = tuple(plan.down_windows) + injector.domain_windows
+    down_windows = tuple(plan.down_windows) + tuple(expanded)
 
     labels = {link.label: link for link in network.links}
     for window in down_windows:

@@ -8,8 +8,6 @@ real-time traffic holding the link.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.metrics.stats import RunningStats
 from repro.router.flit import Message
 
@@ -17,10 +15,8 @@ from repro.router.flit import Message
 class LatencyTracker:
     """Aggregates end-to-end best-effort message latency."""
 
-    def __init__(self, warmup: int = 0, keep_samples: bool = True) -> None:
+    def __init__(self, warmup: int = 0) -> None:
         self.warmup = warmup
-        self.keep_samples = keep_samples
-        self.samples: List[float] = []
         self._stats = RunningStats()
 
     def on_message(self, msg: Message, clock: int) -> None:
@@ -29,10 +25,7 @@ class LatencyTracker:
             return
         if msg.inject_time < 0:
             return
-        latency = float(clock - msg.inject_time)
-        self._stats.add(latency)
-        if self.keep_samples:
-            self.samples.append(latency)
+        self._stats.add(float(clock - msg.inject_time))
 
     @property
     def mean_latency(self) -> float:

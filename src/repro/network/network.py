@@ -33,7 +33,7 @@ from repro.network.interface import HostInterface, HostSink
 from repro.network.link import DEFAULT_LINK_LATENCY, Link
 from repro.network.topology import Topology
 from repro.router.buffers import NO_FLITS
-from repro.router.config import RouterConfig
+from repro.router.config import PREEMPTION_BACKOFF, RouterConfig
 from repro.router.flit import Message
 from repro.router.routeprog import CompiledRouting
 from repro.router.router import WormholeRouter
@@ -81,8 +81,6 @@ class Network:
         self.flits_corrupted = 0
         self.messages_delivered = 0
         self.preemptions = 0
-        #: cycles a preempted message waits before retransmission
-        self.preemption_backoff = config.preemption_backoff
         #: progress watchdog: raise DeadlockError when no flit is
         #: delivered for this many cycles while flits are in flight
         #: (None disables the check)
@@ -341,7 +339,7 @@ class Network:
         self.kill_message(msg)
         clone = msg.clone()
         self.events.schedule(
-            self.clock + self.preemption_backoff,
+            self.clock + PREEMPTION_BACKOFF,
             lambda m=clone: self.inject_now(m),
         )
 

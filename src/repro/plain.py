@@ -7,7 +7,7 @@ declared once and a file on disk can hold nothing the class does not
 declare.  Decoding is strict: an unknown key, a missing required
 field, a value of the wrong type or a non-object where a dataclass
 belongs raises :class:`~repro.errors.ConfigurationError` naming the
-field's path (``scenario.faults.down_windows[0]``).  A missing key
+field's path (``scenario.experiment.faults.down_windows[0]``).  A missing key
 takes the field's default, so a file written before a field existed
 still loads.  Every object is built through ``cls(**kwargs)``, so each
 class's ``__post_init__`` validation still runs.
@@ -37,10 +37,15 @@ def to_plain(obj):
     raise ConfigurationError(f"cannot write a {type(obj).__name__} as plain data")
 
 
-def from_plain(cls, data, path: str = ""):
+def from_plain(cls, data, path: str = "", types=None):
     """Rebuild a ``cls`` written by :func:`to_plain`; errors name the
-    field by its path under ``path`` (default: the class name)."""
-    return _decode(cls, data, path or cls.__name__)
+    field by its path under ``path`` (default: the class name).
+
+    ``types`` maps a field of ``cls`` to the type to decode it as, for
+    a field whose type another field names (a chaos scenario's
+    experiment, named by its kind).
+    """
+    return _decode_dataclass(cls, data, path or cls.__name__, types)
 
 
 def _decode(tp, value, path: str):
@@ -72,7 +77,7 @@ def _decode(tp, value, path: str):
     raise ConfigurationError(f"{path}: cannot decode a {tp!r} field")
 
 
-def _decode_dataclass(cls, data, path: str):
+def _decode_dataclass(cls, data, path: str, types=None):
     if not isinstance(data, dict):
         raise _wrong(path, "an object", data)
     declared = {f.name: f for f in dataclasses.fields(cls) if f.init}
@@ -82,7 +87,7 @@ def _decode_dataclass(cls, data, path: str):
             f"{path}: unknown field{'s' if len(unknown) > 1 else ''} "
             f"{', '.join(map(repr, unknown))}"
         )
-    hints = get_type_hints(cls)
+    hints = {**get_type_hints(cls), **(types or {})}
     kwargs = {}
     for name, f in declared.items():
         if name in data:

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
+
+
+#: flits each output VC stages between the crossbar and its link
+OUTPUT_BUFFER_DEPTH = 2
+
+#: cycles a preempted message waits before its retransmission is
+#: injected again (kill-and-retransmit backoff)
+PREEMPTION_BACKOFF = 64
 
 
 class QosPlacement:
@@ -93,7 +101,6 @@ class RouterConfig:
     num_ports: int = 8
     vcs_per_pc: int = 16
     flit_buffer_depth: int = 8
-    output_buffer_depth: int = 2
     crossbar: str = CrossbarKind.MULTIPLEXED
     qos_policy: str = SchedulingPolicy.VIRTUAL_CLOCK
     qos_placement: str = QosPlacement.AUTO
@@ -113,11 +120,9 @@ class RouterConfig:
     #: when True, a real-time header that finds every real-time VC busy
     #: may preempt a best-effort message that borrowed one (kill and
     #: retransmit) — the paper's future-work item for dynamic mixes;
-    #: meaningful together with ``dynamic_partitioning``
+    #: meaningful together with ``dynamic_partitioning``; the victim
+    #: is re-injected after :data:`PREEMPTION_BACKOFF` cycles
     preemption: bool = False
-    #: cycles a preempted message waits before its retransmission is
-    #: injected again (kill-and-retransmit backoff)
-    preemption_backoff: int = 64
     #: how port selection reacts to link failures (see RoutingMode)
     routing_mode: str = RoutingMode.ORACLE
 
@@ -131,10 +136,6 @@ class RouterConfig:
         if self.flit_buffer_depth < 1:
             raise ConfigurationError(
                 f"flit_buffer_depth must be >= 1, got {self.flit_buffer_depth}"
-            )
-        if self.output_buffer_depth < 1:
-            raise ConfigurationError(
-                f"output_buffer_depth must be >= 1, got {self.output_buffer_depth}"
             )
         if self.crossbar not in CrossbarKind.ALL:
             raise ConfigurationError(
@@ -159,11 +160,6 @@ class RouterConfig:
             )
         if self.routing_delay < 0 or self.arbitration_delay < 0:
             raise ConfigurationError("pipeline delays must be non-negative")
-        if not 1 <= self.preemption_backoff <= 1_000_000:
-            raise ConfigurationError(
-                f"preemption_backoff must be in [1, 1_000_000] cycles, "
-                f"got {self.preemption_backoff}"
-            )
         if self.routing_mode not in RoutingMode.ALL:
             raise ConfigurationError(
                 f"routing_mode must be one of {RoutingMode.ALL}, "

@@ -38,7 +38,12 @@ from repro.core.schedulers import (
 )
 from repro.errors import FlowControlError
 from repro.router.buffers import NO_FLITS, InputVC, OutputVC
-from repro.router.config import CrossbarKind, RouterConfig, RoutingMode
+from repro.router.config import (
+    OUTPUT_BUFFER_DEPTH,
+    CrossbarKind,
+    RouterConfig,
+    RoutingMode,
+)
 from repro.router.flit import Message
 from repro.router.routeprog import RouterRouteView
 
@@ -162,10 +167,9 @@ class WormholeRouter:
         ovcs = self.outputs[port]
         if ovcs:
             return ovcs
-        config = self.config
-        depth = config.output_buffer_depth
         ovcs.extend(
-            OutputVC(port, v, depth) for v in range(config.vcs_per_pc)
+            OutputVC(port, v, OUTPUT_BUFFER_DEPTH)
+            for v in range(self.config.vcs_per_pc)
         )
         self._out_active[port] = set()
         link = self.out_links[port]

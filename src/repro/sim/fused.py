@@ -143,7 +143,7 @@ from repro.errors import FlowControlError, SimulationError
 from repro.faults import FATE_OK
 from repro.network.health import UP
 from repro.router.buffers import NO_FLITS, acquire_record, release_record
-from repro.router.config import RoutingMode
+from repro.router.config import OUTPUT_BUFFER_DEPTH, RoutingMode
 from repro.router.flit import TrafficClass
 
 #: the four phase calls of a cycle, in call order: the keys of
@@ -202,9 +202,6 @@ class FusedLoop:
         self._dyn_part = config.dynamic_partitioning
         self._be_bind = config.be_dst_vc_binding
         self._adaptive = config.routing_mode == RoutingMode.ADAPTIVE
-        #: one RouterConfig serves every router, so the output staging
-        #: capacity is a network-wide constant the kernels can hoist
-        self._out_cap = config.output_buffer_depth
 
         # The tuples below bind only containers both code paths mutate
         # in place and immutable tables.  What object code *reassigns* —
@@ -1030,7 +1027,7 @@ class FusedLoop:
         in_rr = in_policy == SchedulingPolicy.ROUND_ROBIN
         multiplexed = self._multiplexed
         out_vc = self._out_vc
-        out_cap = self._out_cap
+        out_cap = OUTPUT_BUFFER_DEPTH
         while True:
             clock, rid, router = yield
             (inputs, out_active, out_ports, in_ports, sendable_sets,

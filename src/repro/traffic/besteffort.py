@@ -6,10 +6,6 @@ source and destination VCs are drawn uniformly over the VCs allocated
 to the best-effort class.  Best-effort messages carry the "infinite"
 Vtick, so a Virtual Clock scheduler always defers them to real-time
 flits.
-
-An optional Poisson mode replaces the constant spacing with exponential
-inter-arrivals at the same mean rate (used by robustness studies; the
-paper's experiments use the constant-rate process).
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ class BestEffortConfig:
     message_size: int
     #: fraction of the input link's bandwidth this source offers
     rate_fraction: float
-    #: "deterministic" (constant spacing) or "poisson"
-    process: str = "deterministic"
     phase: int = 0
 
     def __post_init__(self) -> None:
@@ -49,10 +43,6 @@ class BestEffortConfig:
         if not 0 < self.rate_fraction <= 1:
             raise ConfigurationError(
                 f"rate fraction must be in (0, 1], got {self.rate_fraction}"
-            )
-        if self.process not in ("deterministic", "poisson"):
-            raise ConfigurationError(
-                f"process must be deterministic or poisson, got {self.process!r}"
             )
         if self.phase < 0:
             raise ConfigurationError(f"phase must be >= 0, got {self.phase}")
@@ -83,12 +73,6 @@ class BestEffortSource:
         self._next_time = float(network.clock + self.config.phase)
         network.schedule_call(int(self._next_time), self._emit)
 
-    def _interval(self) -> float:
-        mean = self.config.mean_interval
-        if self.config.process == "poisson":
-            return self.rng.expovariate(1.0 / mean)
-        return mean
-
     def pause(self) -> None:
         """Shed offered load: emissions are counted, not injected."""
         self.paused = True
@@ -106,7 +90,7 @@ class BestEffortSource:
             # its own schedule, but shed the message itself.
             self.messages_shed += 1
             self._next_time = max(self._next_time, float(network.clock))
-            self._next_time += self._interval()
+            self._next_time += cfg.mean_interval
             network.schedule_call(
                 max(network.clock + 1, int(self._next_time)), self._emit
             )
@@ -126,7 +110,7 @@ class BestEffortSource:
         # Track fractional spacing exactly so the long-run rate matches
         # the configured fraction even for non-integer intervals.
         self._next_time = max(self._next_time, float(network.clock))
-        self._next_time += self._interval()
+        self._next_time += cfg.mean_interval
         network.schedule_call(
             max(network.clock + 1, int(self._next_time)), self._emit
         )

@@ -82,7 +82,6 @@ class WorkloadConfig:
     mix: TrafficMix = field(default_factory=lambda: TrafficMix(80, 20))
     rt_class: str = TrafficClass.VBR
     message_size: int = 20
-    be_process: str = "deterministic"
     #: per-message header flits on real-time messages, carried on the
     #: wire on top of the frame payload (the Fig. 7 overhead: "1 header
     #: flit in a message size of 20 flits consumes 5% of the stream
@@ -255,7 +254,6 @@ def build_workload(
                     vcs=be_vcs,
                     message_size=BE_MESSAGE_SIZE,
                     rate_fraction=config.be_load,
-                    process=config.be_process,
                     phase=node_rng.randrange(
                         max(1, int(BE_MESSAGE_SIZE / config.be_load))
                     ),

@@ -238,8 +238,8 @@ GOLDEN = {
         bad_args=("0.1x", "1.5", "-0.1", "0.01,0.010"),
         bad_values=((1.5,), (0.01, 0.01)),
         keys={
-            ("virtual_clock", 0.005): "FatMeshExperiment-c822de2695a6207e",
-            ("fifo", 0.005): "FatMeshExperiment-ebfa6d6b119526cf",
+            ("virtual_clock", 0.005): "FatMeshExperiment-8b0fa79185758ad5",
+            ("fifo", 0.005): "FatMeshExperiment-193245481629b97f",
         },
         table="""\
 QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)
@@ -261,8 +261,8 @@ fifo               0.005    0.9950   33.000    0.500       7       3         0
         bad_args=("two", "-1", "9", "2,2"),
         bad_values=((9,), (-1,), (2, 2)),
         keys={
-            ("adaptive", 2): "FatMeshExperiment-16fdf86b9cb3a5dc",
-            ("static", 2): "FatMeshExperiment-ea65491304e7a72c",
+            ("adaptive", 2): "FatMeshExperiment-b8f9d9824126dc20",
+            ("static", 2): "FatMeshExperiment-f1f3755ae73f6704",
         },
         table="""\
 QoS failover under permanent link failures (2x2 fat mesh, 80:20 mix, load 0.6)
@@ -287,12 +287,12 @@ static         2    0.9000       4   33.000    0.500        0       1        2  
         bad_values=(("tsunami",), ("none", "none")),
         # the butterfly has no pods: its series simply omit the rung
         keys={
-            ("fat-tree/adaptive", "none"): "FatTree3Experiment-d58fd0a37bcc4b84",
-            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-5e8b1065b798e087",
-            ("fat-tree/static", "none"): "FatTree3Experiment-637ade648f9568c1",
-            ("fat-tree/static", "pod"): "FatTree3Experiment-45a302307ddc01ba",
-            ("butterfly/adaptive", "none"): "ButterflyExperiment-bf20cce40574ac77",
-            ("butterfly/static", "none"): "ButterflyExperiment-feb8c44f81297ab4",
+            ("fat-tree/adaptive", "none"): "FatTree3Experiment-8847a1f00a72f081",
+            ("fat-tree/adaptive", "pod"): "FatTree3Experiment-365319313d480872",
+            ("fat-tree/static", "none"): "FatTree3Experiment-1ed4a6cf30a16f74",
+            ("fat-tree/static", "pod"): "FatTree3Experiment-ba5068978791f4fe",
+            ("butterfly/adaptive", "none"): "ButterflyExperiment-2a5125b79df6319d",
+            ("butterfly/static", "none"): "ButterflyExperiment-75ba53c69abd9917",
         },
         table="""\
 Datacenter failover under switch/domain failures (fat_tree3 k=8 + butterfly, 80:20 mix, load 0.6)
@@ -320,8 +320,8 @@ butterfly/static        none     0.9500    0.9000        0      1234        1   
         bad_args=("ft3-9999", "ft3-16,ft3-16"),
         bad_values=(("ft3-9999",), ("ft3-16", "ft3-16")),
         keys={
-            ("scale", "ft3-16"): "FatTree3Experiment-63da59d4e69f8a56",
-            ("scale", "bfly-64"): "ButterflyExperiment-2944ef06903cc82a",
+            ("scale", "ft3-16"): "FatTree3Experiment-dbe46a429630c8c5",
+            ("scale", "bfly-64"): "ButterflyExperiment-8b1401f5107ee8b0",
         },
         table="""\
 scale campaign (active / repeat / legacy must be bit-identical)
@@ -946,10 +946,10 @@ def test_sigkill_and_resume(tmp_path, monkeypatch, capsys):
     records = checkpoint.read_text().split("\n")[:-1]
     done = [json.loads(line)["key"] for line in records]
     keys = {
-        "FatMeshExperiment-03c1f391f2eaf112": "virtual_clock@0",
-        "FatMeshExperiment-a8cdec6519ea98d0": "virtual_clock@0.005",
-        "FatMeshExperiment-dbf0fcd4852d768f": "fifo@0",
-        "FatMeshExperiment-f282b1c05b65c8b3": "fifo@0.005",
+        "FatMeshExperiment-986453a66c20d9fc": "virtual_clock@0",
+        "FatMeshExperiment-54a7dfa9a23c6a48": "virtual_clock@0.005",
+        "FatMeshExperiment-1920347de5639161": "fifo@0",
+        "FatMeshExperiment-4dbac1b04540ae58": "fifo@0.005",
     }
     assert done and done == list(keys)[: len(done)] and not out_json.exists()
 

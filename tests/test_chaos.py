@@ -23,7 +23,13 @@ from repro.chaos.campaign import (
     write_repro,
 )
 from repro.chaos.oracles import ORACLES, check_accounting, classify_error
-from repro.chaos.scenario import Scenario, ScenarioSpace, generate
+from repro.chaos.scenario import (
+    Scenario,
+    ScenarioSpace,
+    armed,
+    generate,
+    scenario_from_plain,
+)
 from repro.errors import (
     ChaosFailure,
     ConfigurationError,
@@ -44,20 +50,25 @@ from repro.experiments.campaign import (
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.resilience import ResultStore
 from repro.faults import FaultPlan, LinkDownWindow
-from repro.plain import from_plain, to_plain
+from repro.plain import to_plain
 
 # small-and-fast variants for unit tests; the smoke campaign covers the
 # full default space
 TINY_SCENARIO = Scenario(
     key="tiny",
-    seed=7,
-    topology="single",
-    num_ports=4,
-    vcs_per_pc=4,
-    load=0.5,
-    mix=(80.0, 20.0),
-    message_size=8,
-    measure_frames=1,
+    kind="single",
+    experiment=armed(
+        SingleSwitchExperiment(
+            num_ports=4,
+            vcs_per_pc=4,
+            load=0.5,
+            message_size=8,
+            scale=100.0,
+            warmup_frames=1,
+            measure_frames=1,
+            seed=7,
+        )
+    ),
 )
 
 TINY_SPACE = ScenarioSpace(
@@ -92,7 +103,7 @@ class TestGeneration:
     def test_roundtrips_through_json(self):
         for scenario in generate(ScenarioSpace(), 7, 10):
             wire = json.loads(json.dumps(to_plain(scenario)))
-            assert from_plain(Scenario, wire) == scenario
+            assert scenario_from_plain(wire) == scenario
 
     def test_faulted_scenarios_are_well_formed(self):
         space = dataclasses.replace(TINY_SPACE, zero_fault_fraction=0.0)
@@ -101,16 +112,18 @@ class TestGeneration:
         for scenario in scenarios:
             # generator invariants: recovery transport always attached,
             # down windows always finite
-            assert scenario.recovery is not None
-            for window in scenario.faults.down_windows:
+            assert scenario.experiment.recovery is not None
+            for window in scenario.experiment.faults.down_windows:
                 assert window.end > window.start
             # the plan addresses real links: experiment assembly (which
             # validates against the topology at run time) must not balk
             scenario.to_experiment()
 
     def test_bad_topology_rejected(self):
-        with pytest.raises(ConfigurationError, match="topology"):
-            dataclasses.replace(TINY_SCENARIO, topology="torus")
+        # the kind must name the experiment's own type
+        for kind in ("torus", "mesh"):
+            with pytest.raises(ConfigurationError, match="kind"):
+                dataclasses.replace(TINY_SCENARIO, kind=kind)
 
     def test_unknown_sabotage_rejected(self):
         with pytest.raises(ConfigurationError, match="sabotage"):
@@ -120,7 +133,7 @@ class TestGeneration:
         data = to_plain(TINY_SCENARIO)
         data["format"] = "mediaworm-chaos-scenario-v999"
         with pytest.raises(ConfigurationError, match="format"):
-            from_plain(Scenario, data)
+            scenario_from_plain(data)
 
     def test_experiment_carries_watchdog_and_checker(self):
         experiment = TINY_SCENARIO.to_experiment()
@@ -323,36 +336,69 @@ class TestShrinkAndReplay:
         with pytest.raises(ConfigurationError, match="format"):
             load_repro(str(path))
 
+    def test_load_repro_refuses_a_v1_file(self, tmp_path):
+        """A v1 file spelled the experiment's settings as scenario
+        fields; no reader for it is kept."""
+        path = tmp_path / "v1.json"
+        v1 = {
+            "format": "mediaworm-chaos-repro-v1",
+            "scenario": {"key": "old", "seed": 7, "topology": "tree", "tree_k": 4},
+            "verdict": {"status": "pass"},
+        }
+        path.write_text(json.dumps(v1))
+        with pytest.raises(ConfigurationError, match="mediaworm-chaos-repro-v1"):
+            load_repro(str(path))
+
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda doc: doc.pop("scenario"), "no 'scenario' block"),
-            (lambda doc: doc["scenario"].pop("seed"), "missing required field 'seed'"),
-            (lambda doc: doc["scenario"].update(seed="abc"), "scenario.seed: expected int"),
+            (lambda doc: doc["scenario"].pop("key"), "missing required field 'key'"),
             (
-                lambda doc: doc["scenario"].update(health={"suspect_mises": 3}),
-                "scenario.health: unknown field 'suspect_mises'",
+                lambda doc: doc["scenario"]["experiment"].update(seed="abc"),
+                "scenario.experiment.seed: expected int",
             ),
-            (lambda doc: doc["scenario"].update(mix=5), "scenario.mix: expected a list"),
             (
-                lambda doc: doc["scenario"]["faults"].update(
-                    down_windows=[{"start": 0, "end": 10}]
+                lambda doc: doc["scenario"]["experiment"].update(
+                    health={"suspect_mises": 3}
                 ),
-                r"scenario\.faults\.down_windows\[0\]: missing required field 'link'",
+                "scenario.experiment.health: unknown field 'suspect_mises'",
             ),
             (
-                lambda doc: doc["scenario"].update(vcs_per_pcc=8),
-                "scenario: unknown field 'vcs_per_pcc'",
+                lambda doc: doc["scenario"]["experiment"].update(mix=5),
+                "scenario.experiment.mix: expected a list",
             ),
             (
-                lambda doc: doc["scenario"]["faults"].update(port_failures=[]),
-                "scenario.faults: unknown field 'port_failures'",
+                lambda doc: doc["scenario"]["experiment"].update(
+                    faults={"down_windows": [{"start": 0, "end": 10}]}
+                ),
+                r"scenario\.experiment\.faults\.down_windows\[0\]: "
+                "missing required field 'link'",
+            ),
+            (
+                lambda doc: doc["scenario"]["experiment"].update(vcs_per_pcc=8),
+                "scenario.experiment: unknown field 'vcs_per_pcc'",
+            ),
+            (
+                lambda doc: doc["scenario"]["experiment"].update(
+                    faults={"port_failures": []}
+                ),
+                "scenario.experiment.faults: unknown field 'port_failures'",
             ),
             (lambda doc: doc.update(scenario=[]), "scenario: expected an object"),
+            (
+                lambda doc: doc["scenario"].update(kind="tree"),
+                "scenario.kind: expected one of single, mesh, fat_tree, "
+                "fat_tree3, butterfly, got 'tree'",
+            ),
+            (
+                lambda doc: doc["scenario"]["experiment"].update(k=4),
+                "scenario.experiment: unknown field 'k'",
+            ),
         ],
         ids=[
             "no-scenario",
-            "no-seed",
+            "no-key",
             "seed-not-int",
             "misspelled-health-key",
             "scalar-mix",
@@ -360,6 +406,8 @@ class TestShrinkAndReplay:
             "misspelled-field",
             "retired-dead-port-spelling",
             "scenario-not-object",
+            "retired-tree-kind",
+            "shape-field-of-another-kind",
         ],
     )
     def test_load_repro_refuses_a_malformed_file(self, edit, message, tmp_path):
@@ -381,20 +429,26 @@ class TestShrinkAndReplay:
 
     def test_repro_scenario_block_is_the_plain_scenario(self, tmp_path):
         """What a repro file holds is ``to_plain`` of its scenario, and a
-        legacy file missing later fields takes their defaults."""
+        file missing later fields takes their defaults."""
         scenario = dataclasses.replace(
             TINY_SCENARIO,
-            faults=FaultPlan(down_windows=(LinkDownWindow("host0:inject", 5, 9),)),
+            experiment=dataclasses.replace(
+                TINY_SCENARIO.experiment,
+                faults=FaultPlan(down_windows=(LinkDownWindow("host0:inject", 5, 9),)),
+            ),
         )
         verdict = {"status": "pass", "oracle": None, "detail": None, "digest": None}
         path = write_repro(str(tmp_path), scenario, verdict)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert doc["scenario"] == to_plain(scenario)
-        assert doc["scenario"]["format"] == "mediaworm-chaos-scenario-v1"
-        for name in ("tree_k", "hosts_per_leaf", "format"):
+        assert doc["scenario"]["format"] == "mediaworm-chaos-scenario-v2"
+        assert doc["scenario"]["kind"] == "single"
+        for name in ("sabotage", "wall_timeout_s", "format"):
             del doc["scenario"][name]
-        del doc["scenario"]["faults"]["domains"]
+        for name in ("header_flits", "network_hook"):
+            del doc["scenario"]["experiment"][name]
+        del doc["scenario"]["experiment"]["faults"]["domains"]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert load_repro(path)[0] == scenario

@@ -22,7 +22,7 @@ class TestRouterConfig:
             dict(num_ports=0),
             dict(vcs_per_pc=0),
             dict(flit_buffer_depth=0),
-            dict(output_buffer_depth=0),
+            dict(qos_placement="crossbar"),
             dict(crossbar="mesh"),
             dict(qos_policy="edf"),
             dict(rt_vc_count=17),

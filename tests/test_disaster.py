@@ -14,6 +14,7 @@ from repro.experiments.disaster import (
     CAMPAIGN,
     CAMPAIGN_MODES,
     CAMPAIGN_TOPOLOGIES,
+    DEFAULT_SEVERITIES,
     _campaign_experiment,
 )
 from repro.experiments.runner import (
@@ -416,12 +417,14 @@ class TestDisasterAcceptance:
 
 
 def _severity(experiment) -> str:
-    """The rung a point's fault plan lowers."""
+    """The rung a point's fault plan lowers: ``link`` is two down
+    windows, ``switch`` and ``pod`` one domain of that kind."""
     plan = experiment.faults
     if plan.is_zero:
         return "none"
-    kind = plan.domains[0].domain.partition(":")[0]
-    return {"links": "link", "switch": "switch"}.get(kind, "pod")
+    if not plan.domains:
+        return "link"
+    return plan.domains[0].domain.partition(":")[0]
 
 
 def _fake_result(experiment):
@@ -458,21 +461,24 @@ class TestRunDisasterCampaign:
 
     def test_series_shape_and_butterfly_skips_pod(self, monkeypatch):
         monkeypatch.setattr(campaign, "simulate", _fake_result)
-        fig = CAMPAIGN.run("quick", ("none", "switch", "pod"))
+        fig = CAMPAIGN.run("quick")
         assert fig.figure_id == "disaster"
         assert set(fig.series) == {
             f"{kind}/{mode}"
             for kind in CAMPAIGN_TOPOLOGIES
             for mode in CAMPAIGN_MODES
         }
-        assert [p.x for p in fig.series["fat-tree/adaptive"]] == [
-            "none", "switch", "pod",
-        ]
+        assert [p.x for p in fig.series["fat-tree/adaptive"]] == list(
+            DEFAULT_SEVERITIES
+        )
         # the butterfly has no pods; its series simply omits the rung
         assert [p.x for p in fig.series["butterfly/static"]] == [
-            "none", "switch",
+            "none", "link", "switch",
         ]
-        assert fig.series["fat-tree/static"][1].extra["qos_abandoned"] == 5
+        rows = {p.x: p.extra for p in fig.series["fat-tree/static"]}
+        assert rows["link"]["qos_abandoned"] == 5
+        isolated = {x: row["health"]["hosts_isolated"] for x, row in rows.items()}
+        assert isolated == {"none": 0, "link": 0, "switch": 2, "pod": 0}
         text = CAMPAIGN.render(fig)
         assert "reach frac" in text and "isolated" in text
         assert "fat-tree/adaptive" in text and "butterfly/static" in text

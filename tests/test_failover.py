@@ -57,7 +57,7 @@ class TestSweepFingerprint:
         """A key is a pure function of the experiment's fields, pinned
         here: every process computes the same one."""
         assert experiment_key(FatMeshExperiment()) == (
-            "FatMeshExperiment-228d0d24a57974b9"
+            "FatMeshExperiment-4eac9fb08ee49553"
         )
 
     def test_fault_sweep_keys_change_with_non_default_knobs(self):

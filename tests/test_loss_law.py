@@ -13,16 +13,21 @@ truncated at ``R + 1``:
   ``R`` is large.
 
 On the single switch every route is the host link in and the host link
-out (``m = 2``), and best-effort messages are 20 flits.  Each check
-allows three binomial (or geometric-mean) standard deviations of the
-run's own message count; the seed is fixed, so each row is also a pin.
+out (``m = 2``).  On the 2x2 fat mesh with one host per router a route
+also crosses one router-to-router link to a neighbour (``m = 3``) or two
+to the diagonal router (``m = 4``); there the expected retransmissions
+are each route length's ``1 / q_m - 1``, weighted by its share of the
+originals.  Best-effort messages are 20 flits.  Each check allows three
+binomial (or geometric-mean) standard deviations of the run's own
+message count; the seed is fixed, so each row is also a pin.
 """
 
 import math
+from collections import Counter, deque
 
 import pytest
 
-from repro.experiments.config import SingleSwitchExperiment
+from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
 from repro.experiments.runner import simulate
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.traffic.mix import BE_MESSAGE_SIZE
@@ -30,9 +35,10 @@ from repro.traffic.mix import BE_MESSAGE_SIZE
 LINKS_CROSSED = 2
 
 
-def run(loss_prob, max_retries):
+def run(loss_prob, max_retries, cls=SingleSwitchExperiment, **shape):
     """Fault and transport accounting of one lossy best-effort run."""
-    experiment = SingleSwitchExperiment(
+    experiment = cls(
+        **shape,
         load=0.3,
         mix=(0, 100),
         scheduler="fifo",
@@ -51,9 +57,9 @@ def run(loss_prob, max_retries):
     return stats
 
 
-def survival(loss_prob):
+def survival(loss_prob, links=LINKS_CROSSED):
     """``q``: the chance one attempt crosses every link intact."""
-    return (1 - loss_prob) ** (BE_MESSAGE_SIZE * LINKS_CROSSED)
+    return (1 - loss_prob) ** (BE_MESSAGE_SIZE * links)
 
 
 @pytest.mark.parametrize("max_retries", [0, 1, 2])
@@ -76,4 +82,74 @@ def test_retransmissions_per_original():
     sigma = math.sqrt((1 - q) / q**2 / stats["originals"])
     measured = stats["retransmissions"] / stats["originals"]
     assert abs(measured - expected) <= 3 * sigma, (measured, expected, sigma)
+    assert stats["abandoned"] == 0
+
+
+class RouteCensus:
+    """Network hook counting originals by the links their route crosses:
+    the host link in, the router hops (breadth-first over the fabric's
+    channels) and the host link out."""
+
+    def __init__(self):
+        self.originals = Counter()
+
+    def __call__(self, network):
+        topology = network.topology
+        neighbours = {}
+        for src, _, dst, _ in topology.channels:
+            neighbours.setdefault(src, set()).add(dst)
+        router_of = {node: rid for node, rid, _ in topology.hosts}
+        transport = network.transport
+        track = transport.on_inject
+
+        def on_inject(msg):
+            # a retransmission is tracked already: count what the
+            # transport counts as a new original
+            before = transport.stats.originals
+            track(msg)
+            if transport.stats.originals > before:
+                hops = _hops(
+                    neighbours, router_of[msg.src_node], router_of[msg.dst_node]
+                )
+                self.originals[2 + hops] += 1
+
+        transport.on_inject = on_inject
+
+
+def _hops(neighbours, src, dst):
+    """Router-to-router links on a shortest path from ``src`` to ``dst``."""
+    depth = {src: 0}
+    frontier = deque([src])
+    while frontier:
+        rid = frontier.popleft()
+        for nxt in neighbours.get(rid, ()):
+            if nxt not in depth:
+                depth[nxt] = depth[rid] + 1
+                frontier.append(nxt)
+    return depth[dst]
+
+
+def test_retransmissions_per_original_on_the_fat_mesh():
+    loss_prob, max_retries = 0.005, 30
+    census = RouteCensus()
+    stats = run(
+        loss_prob,
+        max_retries,
+        cls=FatMeshExperiment,
+        hosts_per_router=1,
+        network_hook=census,
+    )
+    originals = census.originals
+    assert set(originals) == {3, 4}
+    assert sum(originals.values()) == stats["originals"]
+    # each original's retransmissions are geometric in its own q_m
+    q = {m: survival(loss_prob, m) for m in originals}
+    expected = sum(n * (1 / q[m] - 1) for m, n in originals.items())
+    variance = sum(n * (1 - q[m]) / q[m] ** 2 for m, n in originals.items())
+    total = stats["originals"]
+    measured = stats["retransmissions"] / total
+    sigma = math.sqrt(variance) / total
+    assert abs(measured - expected / total) <= 3 * sigma, (
+        measured, expected / total, sigma,
+    )
     assert stats["abandoned"] == 0

@@ -128,12 +128,6 @@ class TestLatencyTracker:
         assert math.isnan(tracker.mean_latency)
         assert math.isnan(tracker.std_latency)
 
-    def test_samples_kept_optionally(self):
-        tracker = LatencyTracker(keep_samples=False)
-        self._delivered(tracker, 0, 10)
-        assert tracker.samples == []
-        assert tracker.count == 1
-
 
 class TestMetricsCollector:
     def test_dispatch_by_class(self):

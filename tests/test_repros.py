@@ -39,7 +39,10 @@ def test_corpus_is_nonempty():
 @pytest.mark.parametrize("path", CORPUS, ids=IDS)
 def test_corpus_entries_ride_the_invariant_checker(path):
     scenario, recorded = load_repro(path)
-    assert scenario.check, f"{path}: corpus scenarios must set check=True"
+    trace = scenario.experiment.trace
+    assert trace is not None and trace.check, (
+        f"{path}: corpus scenarios must set trace.check=True"
+    )
     assert recorded.get("status") in ("pass", "fail")
 
 

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.network.network import Network
 from repro.router.flit import TrafficClass
 from repro.sim.rng import RngStreams
 from repro.traffic.besteffort import BestEffortConfig, BestEffortSource
@@ -165,7 +164,6 @@ def _be_config(**overrides):
         vcs=[0, 1],
         message_size=4,
         rate_fraction=0.2,
-        process="deterministic",
         phase=0,
     )
     defaults.update(overrides)
@@ -197,15 +195,6 @@ class TestBestEffortSource:
             assert msg.dst_node in (1, 2, 3)
             assert msg.src_vc in (0, 1)
 
-    def test_poisson_rate_matches_deterministic(self):
-        net = make_network()
-        source = BestEffortSource(
-            _be_config(process="poisson"), RngStreams(1).stream("be")
-        )
-        source.start(net)
-        net.run(10_000)
-        assert source.messages_emitted == pytest.approx(500, rel=0.15)
-
     def test_destinations_cover_all_nodes(self):
         net = make_network()
         seen = set()
@@ -229,7 +218,7 @@ class TestBestEffortSource:
             dict(message_size=0),
             dict(rate_fraction=0.0),
             dict(rate_fraction=1.5),
-            dict(process="burst"),
+            dict(rate_fraction=float("nan")),
             dict(phase=-1),
         ],
     )
