@@ -12,8 +12,8 @@ wall-clock span.
 That is the only loop a network owns.  The full scan it must stay
 bit-identical to lives outside, as a function of a network
 (:func:`repro.sim.reference.run_reference`; see
-``docs/simulator-internals.md`` and the parity suite in
-``tests/test_engine.py``).
+``docs/simulator-internals.md`` and the parity matrix in
+``tests/test_parity.py``).
 """
 
 from __future__ import annotations

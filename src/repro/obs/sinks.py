@@ -12,7 +12,7 @@ read ``Network.trace`` once per run and test a local at each of their
 sites instead.  Tracing observes only; it never
 touches an RNG or mutates simulation state, so a traced run's
 :class:`~repro.metrics.collector.RunMetrics` are bit-identical to an
-untraced one (pinned by ``tests/test_obs_trace.py``).
+untraced one (pinned by ``tests/test_parity.py``).
 
 Event-kind filtering lives in the recording sinks (``events=`` on
 :class:`JsonlTraceSink` / :class:`RingBufferSink`), not in the emission

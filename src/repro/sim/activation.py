@@ -31,8 +31,8 @@ order the full scan iterates them (:meth:`register` hands them out in
 registration order).  :meth:`due` returns ids in ascending order, so an
 active-set run visits components in exactly the full-scan order,
 restricted to the non-no-op subset — which is what makes active-set
-runs bit-identical to the reference stepper (the golden-run regression
-in ``tests/test_activation.py`` pins this).
+runs bit-identical to the reference stepper (the parity matrix in
+``tests/test_parity.py`` pins this).
 
 Spurious wakes are harmless by construction: a component stepped with
 nothing due no-ops exactly as it does under the full scan (the step

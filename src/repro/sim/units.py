@@ -25,10 +25,6 @@ MPEG2_FRAME_BYTES_MEAN = 16666
 MPEG2_FRAME_BYTES_STD = 3333
 MPEG2_FRAME_INTERVAL_MS = 33.0
 
-#: Nominal jitter-free delivery interval (ms) implied by the workload:
-#: one frame every 33 ms, i.e. 30 frames/sec at MPEG-2 rates.
-NOMINAL_DELIVERY_INTERVAL_MS = MPEG2_FRAME_INTERVAL_MS
-
 
 @dataclass(frozen=True)
 class LinkSpec:

@@ -1,15 +1,23 @@
-"""Shared fixtures: tiny networks and workloads that run in milliseconds."""
+"""Shared fixtures: tiny networks and workloads that run in milliseconds,
+and the session's one memo of simulated experiments."""
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from typing import Optional
 
 import pytest
 
 from repro.core.schedulers import SchedulingPolicy
+from repro.errors import SimulationError
+from repro.experiments.campaign import experiment_key
 from repro.experiments.config import SingleSwitchExperiment
-from repro.experiments.runner import simulate_single_switch
+from repro.experiments.runner import simulate
+from repro.network.interface import HostInterface
+from repro.network.link import Link
 from repro.network.network import Network
+from repro.router.router import WormholeRouter
 from repro.network.topology import fat_mesh, single_switch
 from repro.router.config import RouterConfig
 from repro.router.flit import Message, TrafficClass
@@ -169,18 +177,121 @@ def with_sweep(spec, *values):
     return dataclasses.replace(spec, axis=axis)
 
 
-@pytest.fixture(scope="session")
-def tiny_run():
-    """One cached tiny single-switch run shared by read-only assertions."""
-    experiment = SingleSwitchExperiment(load=0.6, mix=(80, 20), **TINY)
-    return simulate_single_switch(experiment)
+#: the golden single switch: the tiny run most claims are made about
+GOLDEN = SingleSwitchExperiment(load=0.6, mix=(80, 20), **TINY)
+
+
+@dataclasses.dataclass
+class Run:
+    """One simulated (experiment, loop) and what it did outside its
+    result: the object calls the loop made and, on a faulted fabric,
+    each link's fault RNG state and broken worms when it ended."""
+
+    _result: object
+    #: the ``SimulationError`` the run raised instead of a result
+    error: Optional[Exception]
+    #: ``"Link.apply_fate"`` and, on the fused loop, each of
+    #: :data:`OBJECT_STEPS` -> call count
+    calls: Counter
+    #: the fates ``Link.apply_fate`` applied on host eject links
+    eject_fates: set
+    #: faulted link label -> (hash of its fault RNG state, broken worm
+    #: count); worm ids come from a process-global counter
+    link_states: dict
+
+    @property
+    def result(self):
+        """The run's ``ExperimentResult``; raises what the run raised."""
+        if self.error is not None:
+            raise self.error
+        return self._result
+
+
+#: the object methods the fused kernels never call; the reference
+#: stepper calls them per component per cycle, so only fused runs count
+#: them (counting costs a reference run ≈ 20 %)
+OBJECT_STEPS = ((Link, "deliver_due"), (WormholeRouter, "step"), (HostInterface, "step"))
+_FUSED = Network.run
+
+
+def count_calls(mp, calls, cls, name, record=None):
+    """Patch ``cls.name`` through ``mp`` to count its calls into
+    ``calls["Cls.name"]`` (and hand their arguments to ``record``)."""
+    method = getattr(cls, name)
+
+    def spy(self, *args):
+        calls[f"{cls.__name__}.{name}"] += 1
+        if record is not None:
+            record(self, *args)
+        return method(self, *args)
+
+    mp.setattr(cls, name, spy)
+
+
+def _run_once(experiment, loop, trace_prefix) -> Run:
+    """``simulate(experiment, loop=loop)`` with its object calls
+    counted and its fault state read off at the end; a trace's files
+    are written under ``trace_prefix``."""
+    assert experiment.network_hook is None, "a hook acts per run: not memoised"
+    calls, eject_fates, networks = Counter(), set(), []
+    trace = experiment.trace
+    if trace is not None:
+        trace = dataclasses.replace(
+            trace,
+            path=trace.path and f"{trace_prefix}-{trace.path}",
+            chrome_path=trace.chrome_path and f"{trace_prefix}-{trace.chrome_path}",
+        )
+
+    def eject_fate(link, clock, msg, flit_index, vc_index, fate, down):
+        if link.label.endswith(":eject"):
+            eject_fates.add(fate)
+
+    run = dataclasses.replace(experiment, trace=trace, network_hook=networks.append)
+    result = error = None
+    with pytest.MonkeyPatch.context() as mp:
+        count_calls(mp, calls, Link, "apply_fate", eject_fate)
+        if (loop or Network.run) is _FUSED:
+            for cls, name in OBJECT_STEPS:
+                count_calls(mp, calls, cls, name)
+        try:
+            # portable: a live workload would keep its network alive
+            result = simulate(run, loop=loop).portable()
+            result.experiment = experiment
+        except SimulationError as exc:
+            error = exc
+    injector = networks[0].fault_injector
+    link_states = {
+        label: (hash(state.rng.getstate()), len(state.broken))
+        for label, state in (injector.states.items() if injector else ())
+    }
+    return Run(result, error, calls, eject_fates, link_states)
 
 
 @pytest.fixture(scope="session")
-def tiny_loaded_run():
-    """A near-saturation tiny run (shared, read-only)."""
-    experiment = SingleSwitchExperiment(load=0.9, mix=(80, 20), **TINY)
-    return simulate_single_switch(experiment)
+def simulated(tmp_path_factory):
+    """``simulated(experiment, loop=None) -> Run``: each (experiment,
+    loop) pair runs once per session; ``loop=None`` is whatever
+    ``Network.run`` is then (the ``reference_loop`` fixture's too).  A
+    traced experiment names its files by base name: they land in one
+    session directory, one set per pair."""
+    runs = {}
+    traces = tmp_path_factory.mktemp("traces")
+
+    def simulated(experiment, loop=None) -> Run:
+        used = loop if loop is not None else Network.run
+        key = (experiment_key(experiment), used)
+        if key not in runs:
+            prefix = traces / f"{key[0]}-{used.__name__}"
+            runs[key] = _run_once(experiment, loop, prefix)
+        return runs[key]
+
+    return simulated
+
+
+@pytest.fixture(scope="session")
+def tiny_run(simulated):
+    """The golden tiny single-switch run, shared by read-only assertions."""
+    return simulated(GOLDEN).result
 
 
 @pytest.fixture

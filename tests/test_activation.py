@@ -1,17 +1,29 @@
-"""The activation scheduler and the active-set/reference golden runs."""
+"""The activation scheduler and the active-set/reference golden runs
+(cells of ``tests/test_parity.py``, read off the session memo)."""
 
 import dataclasses
 
 import pytest
 
-from repro.errors import DeadlockError
-from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
-from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
-from repro.faults import FaultPlan, RecoveryConfig
+from conftest import TINY
+
+from repro.experiments.config import SingleSwitchExperiment
 from repro.sim.activation import ActivationScheduler
 from repro.sim.reference import run_reference
 
-TINY = dict(scale=100.0, warmup_frames=1, measure_frames=2, seed=7)
+
+class TestGoldenRuns:
+    """The fused loop vs the reference stepper, bit-identical."""
+
+    @pytest.mark.parametrize("load", [0.6, 0.9])
+    def test_single_switch_matches_the_reference(self, simulated, load):
+        # the matrix's golden and saturated cells: one run per loop
+        experiment = SingleSwitchExperiment(load=load, mix=(80, 20), **TINY)
+        fused = simulated(experiment).result
+        reference = simulated(experiment, run_reference).result
+        assert dataclasses.asdict(fused.metrics) == dataclasses.asdict(
+            reference.metrics
+        )
 
 
 class TestActivationScheduler:
@@ -73,46 +85,3 @@ class TestActivationScheduler:
         assert sched.next_time() == 10
         list(sched.due(10))
         assert sched.next_time() is None
-
-
-def _metrics(result):
-    return dataclasses.asdict(result.metrics)
-
-
-class TestGoldenRuns:
-    """The fused loop vs the reference stepper, bit-identical."""
-
-    @pytest.mark.parametrize("load", [0.6, 0.9])
-    def test_single_switch_matches_the_reference(self, load):
-        experiment = SingleSwitchExperiment(load=load, mix=(80, 20), **TINY)
-        fused = simulate_single_switch(experiment)
-        reference = simulate_single_switch(experiment, loop=run_reference)
-        assert _metrics(fused) == _metrics(reference)
-
-    def test_faulted_fat_mesh_matches_the_reference(self):
-        """Faults + recovery + watchdog exercise every wake path."""
-        experiment = FatMeshExperiment(
-            load=0.7,
-            mix=(80, 20),
-            faults=FaultPlan(flit_loss_prob=0.01),
-            recovery=RecoveryConfig(timeout=2048, max_retries=4),
-            watchdog_window=200_000,
-            **TINY,
-        )
-        fused = simulate_fat_mesh(experiment)
-        reference = simulate_fat_mesh(experiment, loop=run_reference)
-        assert _metrics(fused) == _metrics(reference)
-        assert fused.fault_stats == reference.fault_stats
-
-    def test_watchdog_fires_at_identical_cycle(self):
-        """A too-tight watchdog must trip both loops at the same cycle."""
-        experiment = SingleSwitchExperiment(
-            load=0.8, mix=(80, 20), watchdog_window=1, **TINY
-        )
-        with pytest.raises(DeadlockError) as active_err:
-            simulate_single_switch(experiment)
-        with pytest.raises(DeadlockError) as legacy_err:
-            simulate_single_switch(experiment, loop=run_reference)
-        active_line = str(active_err.value).splitlines()[0]
-        legacy_line = str(legacy_err.value).splitlines()[0]
-        assert active_line == legacy_line

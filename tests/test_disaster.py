@@ -5,11 +5,12 @@ import dataclasses
 import pytest
 
 from conftest import TINY
+from test_parity import CELLS
 
 from repro.errors import FaultConfigError
 from repro.experiments import campaign
 from repro.experiments.campaign import experiment_key, get_profile
-from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
+from repro.experiments.config import FatTree3Experiment
 from repro.experiments.disaster import (
     CAMPAIGN,
     CAMPAIGN_MODES,
@@ -312,40 +313,26 @@ def _tree_disaster(mode, k=4, severity="switch:0", **overrides):
 
 
 class TestZeroSwitchFaultParity:
-    """Switch-level monitoring must not perturb a healthy tree run."""
+    """Switch-level monitoring must not perturb a healthy tree run (the
+    adaptive tree and its monitored twin are cells of the parity
+    matrix, read off the session memo)."""
 
     @pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
-    def test_fat_tree_bit_identical(self, reference_loop):
+    def test_fat_tree_bit_identical(self, simulated, reference_loop):
         # adaptive mode in both twins: the monitored run has the whole
         # switch-failover machinery armed, and with zero faults it must
         # never fire
-        base = FatTree3Experiment(
-            k=4, load=0.6, mix=(80, 20), vcs_per_pc=16,
-            routing_mode=RoutingMode.ADAPTIVE, **TINY,
-        )
-        plain = simulate_fat_tree3(base)
-        monitored = simulate_fat_tree3(
-            dataclasses.replace(base, health=HealthConfig())
-        )
+        plain = simulated(CELLS["tree-adaptive"]).result
+        monitored = simulated(CELLS["tree-adaptive-monitored"]).result
         assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
             monitored.metrics
         )
         assert plain.flits_injected == monitored.flits_injected
+        assert plain.flits_ejected == monitored.flits_ejected
+        assert plain.cycles_run == monitored.cycles_run
         health = monitored.fault_stats["health"]
         assert health["switch_downs"] == 0
         assert health["hosts_isolated"] == 0
-
-    def test_butterfly_bit_identical(self):
-        base = ButterflyExperiment(
-            arity=2, levels=3, load=0.6, mix=(80, 20), **TINY
-        )
-        plain = simulate_butterfly(base)
-        monitored = simulate_butterfly(
-            dataclasses.replace(base, health=HealthConfig())
-        )
-        assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
-            monitored.metrics
-        )
 
 
 class TestAvailabilityAccounting:

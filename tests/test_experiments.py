@@ -11,12 +11,7 @@ from repro.experiments.config import (
     PCSExperiment,
     SingleSwitchExperiment,
 )
-from repro.experiments.runner import (
-    simulate,
-    simulate_fat_mesh,
-    simulate_single_switch,
-)
-from repro.sim.reference import run_reference
+from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
 
 from conftest import TINY
 
@@ -92,32 +87,26 @@ class TestRunners:
 
     def test_every_run_times_its_phases_outside_the_metrics(self, tiny_run):
         """The loop's phase split is host time beside ``wall_seconds``,
-        never in ``RunMetrics``; the reference stepper times nothing."""
+        never in ``RunMetrics`` (that the reference stepper times
+        nothing is a property of the parity matrix)."""
         seconds = tiny_run.phase_seconds
         assert list(seconds) == ["events", "links", "nis", "routers"]
         assert min(seconds.values()) >= 0.0 and seconds["routers"] > 0.0
         assert sum(seconds.values()) <= tiny_run.wall_seconds
         assert "profile" not in dataclasses.asdict(tiny_run.metrics)
-        reference = simulate(tiny_run.experiment, loop=run_reference)
-        assert reference.metrics == tiny_run.metrics
-        assert reference.phase_seconds == dict.fromkeys(seconds, 0.0)
 
-    def test_same_seed_reproduces_exactly(self):
+    def test_same_seed_reproduces_exactly(self, simulated):
         exp = SingleSwitchExperiment(load=0.4, mix=(50, 50), **TINY)
-        a = simulate_single_switch(exp)
+        a = simulated(exp).result
+        # a second run of the same experiment, on purpose
         b = simulate_single_switch(exp)
         assert a.metrics == b.metrics
         assert a.flits_injected == b.flits_injected
 
-    def test_different_seed_changes_details(self):
-        base = dict(TINY)
-        a = simulate_single_switch(
-            SingleSwitchExperiment(load=0.4, mix=(50, 50), **base)
-        )
-        base["seed"] = 99
-        b = simulate_single_switch(
-            SingleSwitchExperiment(load=0.4, mix=(50, 50), **base)
-        )
+    def test_different_seed_changes_details(self, simulated):
+        exp = SingleSwitchExperiment(load=0.4, mix=(50, 50), **TINY)
+        a = simulated(exp).result
+        b = simulated(dataclasses.replace(exp, seed=99)).result
         assert a.flits_injected != b.flits_injected or a.metrics != b.metrics
 
     def test_fat_mesh_runner(self):

@@ -1,7 +1,6 @@
 """Fault injection, recovery transport, and the progress watchdog."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -275,25 +274,6 @@ class TestFaultyLinkDelivery:
         assert state.broken
         link.purge_message(msg)
         assert not state.broken
-
-
-class TestZeroFaultDeterminism:
-    def test_zero_plan_is_bit_identical_to_no_plan(self):
-        """The determinism regression the fault substreams guarantee."""
-        base = SingleSwitchExperiment(load=0.6, mix=(80, 20), **TINY)
-        with_plan = dataclasses.replace(
-            base, faults=FaultPlan(), recovery=None
-        )
-        plain = simulate_single_switch(base)
-        planned = simulate_single_switch(with_plan)
-        assert json.dumps(
-            dataclasses.asdict(plain.metrics), sort_keys=True
-        ) == json.dumps(dataclasses.asdict(planned.metrics), sort_keys=True)
-        assert plain.flits_injected == planned.flits_injected
-        assert plain.flits_ejected == planned.flits_ejected
-        assert plain.fault_stats is None
-        assert planned.fault_stats is not None
-        assert planned.fault_stats["flits_lost"] == 0
 
 
 class TestFaultedRuns:

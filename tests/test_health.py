@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import TINY, make_mesh_network, make_message, make_network
+from test_parity import CELLS
 
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError, FaultConfigError
@@ -200,34 +201,23 @@ class TestLinkHealthStateMachine:
 
 
 class TestZeroFaultParity:
-    """Monitoring alone must not perturb a fault-free run, on either loop."""
+    """Monitoring alone must not perturb a fault-free run, on either loop
+    (the golden switch and its monitored twin are cells of the parity
+    matrix, read off the session memo)."""
 
     @pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
-    def test_single_switch_bit_identical(self, reference_loop):
-        base = SingleSwitchExperiment(load=0.7, mix=(80, 20), **TINY)
-        plain = simulate_single_switch(base)
-        monitored = simulate_single_switch(
-            dataclasses.replace(base, health=HealthConfig())
-        )
+    def test_single_switch_bit_identical(self, simulated, reference_loop):
+        plain = simulated(CELLS["golden"]).result
+        monitored = simulated(CELLS["golden-monitored"]).result
         assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
             monitored.metrics
         )
         assert plain.flits_injected == monitored.flits_injected
         assert plain.flits_ejected == monitored.flits_ejected
+        assert plain.cycles_run == monitored.cycles_run
         health = monitored.fault_stats["health"]
         assert health["link_downs"] == 0
         assert health["streams_shed"] == 0
-
-    def test_fat_mesh_bit_identical(self):
-        base = FatMeshExperiment(load=0.6, mix=(80, 20), **TINY)
-        plain = simulate_fat_mesh(base)
-        monitored = simulate_fat_mesh(
-            dataclasses.replace(base, health=HealthConfig())
-        )
-        assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
-            monitored.metrics
-        )
-        assert plain.flits_injected == monitored.flits_injected
 
 
 def _failover_experiment(mode, severity=8):

@@ -20,6 +20,18 @@ are each route length's ``1 / q_m - 1``, weighted by its share of the
 originals.  Best-effort messages are 20 flits.  Each check allows three
 binomial (or geometric-mean) standard deviations of the run's own
 message count; the seed is fixed, so each row is also a pin.
+
+Corruption follows ``LinkFaultState.fate``'s draw order: a flit draws
+loss (``p``) and, only if it survived, corruption (``c``); a corrupted
+flit travels on and draws again on the next link; a broken worm's later
+flits draw nothing.  So with ``n = S * m`` crossings an attempt arrives
+clean with probability ``q = ((1 - p) * (1 - c)) ** n``, corrupted (the
+sink's checksum rejects it and the transport resends it without a
+purge) with ``q_corrupt = (1 - p) ** n - q``, and loses a flit
+otherwise.  For large ``R`` the corrupt deliveries per original are
+geometric, mean ``q_corrupt / q`` and variance
+``q_corrupt * (q + q_corrupt) / q**2``, and the retransmissions per
+original are ``1 / q - 1`` with the joint ``q``.
 """
 
 import math
@@ -35,8 +47,8 @@ from repro.traffic.mix import BE_MESSAGE_SIZE
 LINKS_CROSSED = 2
 
 
-def run(loss_prob, max_retries, cls=SingleSwitchExperiment, **shape):
-    """Fault and transport accounting of one lossy best-effort run."""
+def run(loss_prob, max_retries, cls=SingleSwitchExperiment, corrupt_prob=0.0, **shape):
+    """Fault and transport accounting of one faulty best-effort run."""
     experiment = cls(
         **shape,
         load=0.3,
@@ -47,13 +59,16 @@ def run(loss_prob, max_retries, cls=SingleSwitchExperiment, **shape):
         warmup_frames=1,
         measure_frames=2,
         seed=1,
-        faults=FaultPlan(flit_loss_prob=loss_prob),
+        faults=FaultPlan(flit_loss_prob=loss_prob, flit_corrupt_prob=corrupt_prob),
         recovery=RecoveryConfig(timeout=4000, max_retries=max_retries),
     )
     stats = simulate(experiment).fault_stats
-    # every loss was caught at the link, none waited for the timeout
+    # every loss was caught at the link and every corruption at the
+    # sink, none waited for the timeout
     assert stats["timeouts"] == 0
-    assert stats["loss_kills"] == stats["flits_lost"] > 0
+    assert stats["loss_kills"] == stats["flits_lost"]
+    assert (stats["flits_lost"] > 0) == (loss_prob > 0)
+    assert (stats["corrupt_detected"] > 0) == (corrupt_prob > 0)
     return stats
 
 
@@ -152,4 +167,24 @@ def test_retransmissions_per_original_on_the_fat_mesh():
     assert abs(measured - expected / total) <= 3 * sigma, (
         measured, expected / total, sigma,
     )
+    assert stats["abandoned"] == 0
+
+
+
+@pytest.mark.parametrize("loss_prob, corrupt_prob", [(0.0, 0.005), (0.003, 0.003)])
+def test_corrupt_deliveries_per_original(loss_prob, corrupt_prob):
+    stats = run(loss_prob, 30, corrupt_prob=corrupt_prob)
+    crossings = BE_MESSAGE_SIZE * LINKS_CROSSED
+    q = ((1 - loss_prob) * (1 - corrupt_prob)) ** crossings
+    q_corrupt = (1 - loss_prob) ** crossings - q
+    originals = stats["originals"]
+    # every failed attempt was retried once, whichever way it failed
+    assert stats["retransmissions"] == stats["loss_kills"] + stats["corrupt_detected"]
+    for count, expected, variance in (
+        ("corrupt_detected", q_corrupt / q, q_corrupt * (q + q_corrupt) / q**2),
+        ("retransmissions", 1 / q - 1, (1 - q) / q**2),
+    ):
+        measured = stats[count] / originals
+        sigma = math.sqrt(variance / originals)
+        assert abs(measured - expected) <= 3 * sigma, (count, measured, expected, sigma)
     assert stats["abandoned"] == 0

@@ -7,7 +7,8 @@ adaptive-failover stack — is re-run here with an
 :class:`~repro.obs.invariants.InvariantChecker` riding the event stream, so flit
 conservation, monotone worm progress, and credit consistency are
 asserted on real traffic rather than toy fixtures, on both the
-active-set loop and the reference stepper.
+active-set loop and the reference stepper.  Runs come from the session
+memo (``simulated`` in ``conftest.py``): one run per experiment and loop.
 
 A run passes simply by completing: the checker raises
 :class:`~repro.errors.InvariantViolation` mid-run on the first
@@ -25,7 +26,6 @@ from conftest import TINY
 from repro.core.schedulers import SchedulingPolicy
 from repro.experiments.config import FatMeshExperiment, SingleSwitchExperiment
 from repro.experiments.failover import _fat_pair_windows
-from repro.experiments.runner import simulate_fat_mesh, simulate_single_switch
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.network.health import HealthConfig
 from repro.obs.events import TraceSpec
@@ -56,22 +56,22 @@ class TestWorkloadMixesUnderChecker:
             (TrafficClass.VBR, (50, 50)),   # best-effort heavy
         ],
     )
-    def test_mix(self, reference_loop, rt_class, mix):
+    def test_mix(self, simulated, reference_loop, rt_class, mix):
         experiment = SingleSwitchExperiment(
             load=0.7, mix=mix, rt_class=rt_class, trace=CHECK, **TINY
         )
-        _checked(simulate_single_switch(experiment))
+        _checked(simulated(experiment).result)
 
     @pytest.mark.parametrize(
         "crossbar", [CrossbarKind.MULTIPLEXED, CrossbarKind.FULL]
     )
-    def test_crossbar_kinds(self, reference_loop, crossbar):
+    def test_crossbar_kinds(self, simulated, reference_loop, crossbar):
         experiment = SingleSwitchExperiment(
             load=0.7, mix=(80, 20), crossbar=crossbar, trace=CHECK, **TINY
         )
-        _checked(simulate_single_switch(experiment))
+        _checked(simulated(experiment).result)
 
-    def test_fifo_multiplexing(self, reference_loop):
+    def test_fifo_multiplexing(self, simulated, reference_loop):
         experiment = SingleSwitchExperiment(
             load=0.7,
             mix=(80, 20),
@@ -79,27 +79,27 @@ class TestWorkloadMixesUnderChecker:
             trace=CHECK,
             **TINY,
         )
-        _checked(simulate_single_switch(experiment))
+        _checked(simulated(experiment).result)
 
 
 @pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestFatMeshUnderChecker:
-    def test_fat_mesh_mix(self, reference_loop):
+    def test_fat_mesh_mix(self, simulated, reference_loop):
         experiment = FatMeshExperiment(
             load=0.6, mix=(80, 20), trace=CHECK, **TINY
         )
-        _checked(simulate_fat_mesh(experiment))
+        _checked(simulated(experiment).result)
 
 
 class TestSaturationUnderChecker:
-    def test_overloaded_switch_conserves_flits(self):
+    def test_overloaded_switch_conserves_flits(self, simulated):
         """Past saturation, blocked worms must still account exactly."""
         experiment = SingleSwitchExperiment(
             load=0.96, mix=(80, 20), trace=CHECK, **TINY
         )
-        _checked(simulate_single_switch(experiment))
+        _checked(simulated(experiment).result)
 
-    def test_full_crossbar_near_saturation(self):
+    def test_full_crossbar_near_saturation(self, simulated):
         experiment = SingleSwitchExperiment(
             load=0.9,
             mix=(80, 20),
@@ -107,7 +107,7 @@ class TestSaturationUnderChecker:
             trace=CHECK,
             **TINY,
         )
-        _checked(simulate_single_switch(experiment))
+        _checked(simulated(experiment).result)
 
 
 def _faulted_experiment(**overrides):
@@ -130,8 +130,10 @@ def _faulted_experiment(**overrides):
 
 @pytest.mark.parametrize("reference_loop", [False, True], indirect=True)
 class TestFaultedRunsUnderChecker:
-    def test_losses_and_retransmissions_balance_the_ledger(self, reference_loop):
-        result = _checked(simulate_single_switch(_faulted_experiment()))
+    def test_losses_and_retransmissions_balance_the_ledger(
+        self, simulated, reference_loop
+    ):
+        result = _checked(simulated(_faulted_experiment()).result)
         counts = result.trace_summary["counts"]
         # the fault machinery actually fired, so the checker audited
         # lost/purged/retransmitted flits, not just the clean lifecycle
@@ -139,7 +141,7 @@ class TestFaultedRunsUnderChecker:
         assert counts.get("retransmit", 0) > 0
         assert counts.get("purge", 0) > 0
 
-    def test_adaptive_failover_under_checker(self, reference_loop):
+    def test_adaptive_failover_under_checker(self, simulated, reference_loop):
         """Permanent fat-pair failures + detours + requeues, audited."""
         base = FatMeshExperiment(
             load=0.6, mix=(80, 20),
@@ -161,7 +163,7 @@ class TestFaultedRunsUnderChecker:
             routing_mode=RoutingMode.ADAPTIVE,
             trace=CHECK,
         )
-        result = _checked(simulate_fat_mesh(experiment))
+        result = _checked(simulated(experiment).result)
         counts = result.trace_summary["counts"]
         assert counts.get("health", 0) > 0
         assert result.fault_stats["health"]["link_downs"] > 0

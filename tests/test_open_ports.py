@@ -99,6 +99,20 @@ def _run(experiment, loop=None, hook=None):
     return result, networks.pop()
 
 
+@pytest.fixture(scope="module")
+def plain():
+    """``plain(name, loop=None)``: ``(result, network)`` of the
+    experiment's unhooked run, each (name, loop) run once per module."""
+    runs = {}
+
+    def plain(name, loop=None):
+        if (name, loop) not in runs:
+            runs[name, loop] = _run(EXPERIMENTS[name], loop=loop)
+        return runs[name, loop]
+
+    return plain
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS)
 class TestOpenOnUse:
     def test_a_fresh_network_holds_no_router_vcs(self, name):
@@ -111,7 +125,9 @@ class TestOpenOnUse:
         assert in_use == 0
         assert total == 2 * topology.num_routers * topology.ports_per_router * 4
 
-    def test_open_ports_are_the_routed_and_injected_ones_on_both_loops(self, name):
+    def test_open_ports_are_the_routed_and_injected_ones_on_both_loops(
+        self, plain, name
+    ):
         experiment = EXPERIMENTS[name]
         routes = _Routes()
         _, traced = _run(experiment, hook=lambda net: install_tracing(net, routes))
@@ -128,12 +144,13 @@ class TestOpenOnUse:
         assert opened == expected
         assert traced.built_vcs() == BUILT[name]
         for loop in (None, run_reference):
-            assert _open_ports(_run(experiment, loop=loop)[1]) == opened
+            assert _open_ports(plain(name, loop)[1]) == opened
 
-    def test_opening_every_port_before_cycle_0_changes_nothing(self, name):
-        experiment = EXPERIMENTS[name]
-        lazy, lazy_net = _run(experiment)
-        eager, eager_net = _run(experiment, hook=_open_everything)
+    def test_opening_every_port_before_cycle_0_changes_nothing(
+        self, plain, name
+    ):
+        lazy, lazy_net = plain(name)
+        eager, eager_net = _run(EXPERIMENTS[name], hook=_open_everything)
         assert eager_net.built_vcs() == eager_net.buffered_vcs()[1]
         assert lazy_net.built_vcs() == BUILT[name]
         assert run_digest(eager) == run_digest(lazy)

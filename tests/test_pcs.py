@@ -8,7 +8,6 @@ from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import PCSExperiment
 from repro.experiments.runner import simulate
-from repro.experiments.scale import run_digest
 from repro.faults import FaultPlan, RecoveryConfig
 from repro.metrics.collector import MetricsCollector
 from repro.network.health import HealthConfig
@@ -18,7 +17,6 @@ from repro.obs.events import TraceSpec
 from repro.pcs.connection import ConnectionManager
 from repro.pcs.workload import SETUP_HOP_CYCLES, PCSWorkload, _OfferedStream
 from repro.router.config import QosPlacement, RoutingMode
-from repro.sim.reference import run_reference
 from repro.sim.rng import RngStreams
 
 A, B, C = ("in", 0), ("out", 1), ("out", 2)
@@ -345,15 +343,6 @@ class TestPCSRunnerFeatures:
         summary = result.trace_summary
         assert summary["events"] > 0
         assert summary["invariant_checks"] > 0
-
-    @pytest.mark.parametrize("load, drops", [(0.1, False), (0.9, True)])
-    def test_reference_loop_parity(self, load, drops):
-        experiment = PCSExperiment(load=load, **TINY_PCS)
-        fused = simulate(experiment)
-        reference = simulate(experiment, loop=run_reference)
-        assert (fused.connections.dropped > 0) == drops
-        assert run_digest(reference) == run_digest(fused)
-        assert reference.connections == fused.connections
 
 
 class TestPCSOnFatMesh:

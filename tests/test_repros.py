@@ -9,7 +9,10 @@ this suite pins three things at once:
 * scenarios that passed keep passing (no behavioural regression);
 * their metrics digests are bit-stable (determinism regression);
 * both the fused active-set loop and the full-scan reference stepper
-  (the ``reference_loop`` fixture) reproduce the identical digest.
+  reproduce the identical digest (the ``reference_loop`` fixture); no
+  corpus scenario is sabotaged, so each replay also runs the chaos
+  ``parity`` twin on the reference stepper and passes only if the two
+  agree.
 
 ``corrupt-credit-audit.json`` deserves a note: it is the minimal
 scenario (chaos campaign seed 7, scenario s024) that exposed the
@@ -48,6 +51,9 @@ def test_corpus_entries_ride_the_invariant_checker(path):
 
 @pytest.mark.parametrize("path", CORPUS, ids=IDS)
 def test_replays_on_fused_loop(path):
+    scenario, _ = load_repro(path)
+    # no sabotage: the replay's parity twin compares the loops
+    assert scenario.sabotage is None
     ok, message, _ = replay(path)
     assert ok, f"{path}: {message}"
 
