@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint loc loc-diff coverage bench bench-default perf perf-test repro all-smoke faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
+.PHONY: install test lint loc loc-diff coverage import-time bench bench-default perf perf-test repro all-smoke faults-smoke failover-smoke disaster-smoke trace-smoke chaos-smoke scale-smoke scale examples clean
 
 # the ref `make loc-diff` compares the working tree against
 BASE ?= origin/main
@@ -48,6 +48,9 @@ coverage:         ## tier-1 suite under the line-coverage gate, with its 25 slow
 		&& $(PYTHON) -m pytest tests/ --durations=25 --cov=repro \
 			--cov-report=term-missing:skip-covered \
 			--cov-fail-under=$(COV_MIN)
+
+import-time:      ## import cost of the experiment API: best of 8 fresh interpreters, cold + warm bytecode cache, top 15 of -X importtime (log only)
+	$(PYTHON) benchmarks/import_time.py
 
 bench:            ## quick-profile benchmarks (shape checks)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

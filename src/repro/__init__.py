@@ -32,7 +32,7 @@ from repro.experiments.config import (
     SingleSwitchExperiment,
 )
 from repro.experiments.runner import simulate
-from repro.faults import FaultPlan, RecoveryConfig
+from repro.faultplan import FaultPlan, RecoveryConfig
 from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
 from repro.network.topology import single_switch

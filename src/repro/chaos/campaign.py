@@ -56,8 +56,8 @@ from repro.chaos.scenario import (
 )
 from repro.errors import ChaosFailure, ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Point, empty_metrics, run_plans
-from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.resilience import ResultStore, wall_clock_limit
+from repro.experiments.parallel import ParallelSweepExecutor, wall_clock_limit
+from repro.experiments.resilience import ResultStore
 from repro.experiments.runner import simulate, topology_of
 from repro.experiments.topo import TOPOLOGY_KINDS
 from repro.faults import FaultPlan, expand_domain

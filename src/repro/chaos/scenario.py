@@ -34,13 +34,13 @@ from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.runner import topology_of
 from repro.experiments.topo import TOPOLOGY_KINDS
-from repro.faults import (
+from repro.faultplan import (
     DomainDownWindow,
     FaultPlan,
     LinkDownWindow,
     RecoveryConfig,
 )
-from repro.network.health import HealthConfig
+from repro.network.healthconfig import HealthConfig
 from repro.obs.events import TraceSpec
 from repro.plain import from_plain
 from repro.router.config import RoutingMode

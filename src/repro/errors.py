@@ -67,7 +67,7 @@ class PointTimeoutError(SimulationError):
     """A sweep point exceeded its wall-clock budget.
 
     Raised from inside the point's own worker (SIGALRM-based, see
-    :func:`repro.experiments.resilience.wall_clock_limit`), so a hung
+    :func:`repro.experiments.parallel.wall_clock_limit`), so a hung
     simulation interrupts itself instead of stalling the campaign.
     """
 

@@ -17,8 +17,8 @@ from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan, RecoveryConfig
-from repro.network.health import HealthConfig
+from repro.faultplan import FaultPlan, RecoveryConfig
+from repro.network.healthconfig import HealthConfig
 from repro.network.topology import (
     butterfly,
     fat_mesh,
@@ -27,7 +27,6 @@ from repro.network.topology import (
     single_switch,
 )
 from repro.obs.events import TraceSpec
-from repro.pcs.workload import PCSWorkload
 from repro.router.config import (
     CrossbarKind,
     QosPlacement,
@@ -285,6 +284,9 @@ class PCSExperiment(_BaseExperiment):
             arbitration_delay=0,
         )
 
-    def build_workload(self, network, rngs) -> PCSWorkload:
+    def build_workload(self, network, rngs):
         """Offer the circuits: arrivals, probes and data phases."""
+        # the circuit machinery (repro.pcs): only a PCS run compiles it
+        from repro.pcs.workload import PCSWorkload
+
         return PCSWorkload(network, self, rngs)

@@ -17,7 +17,7 @@ Severity is swept as an escalation ladder:
   butterfly, which the alternate-ancestor overlay survives hostlessly);
 * ``pod`` — pod 0 of the fat tree loses power (fat tree only).
 
-Each severity lowers to a :class:`~repro.faults.DomainDownWindow` (the
+Each severity lowers to a :class:`~repro.faultplan.DomainDownWindow` (the
 ``link`` rung to two plain link down windows) landing at the end of
 warmup.  The two series per topology are the routing modes:
 ``adaptive`` detects the dead switch from link symptoms, applies the
@@ -43,13 +43,13 @@ from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.runner import topology_of
-from repro.faults import (
+from repro.faultplan import (
     DomainDownWindow,
     FaultPlan,
     LinkDownWindow,
     RecoveryConfig,
 )
-from repro.network.health import HealthConfig
+from repro.network.healthconfig import HealthConfig
 from repro.router.config import RoutingMode
 
 #: escalation ladder swept by ``mediaworm disaster``

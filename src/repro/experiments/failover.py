@@ -34,8 +34,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import FatMeshExperiment
 from repro.experiments.runner import topology_of
-from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
-from repro.network.health import HealthConfig
+from repro.faultplan import FaultPlan, LinkDownWindow, RecoveryConfig
+from repro.network.healthconfig import HealthConfig
 from repro.router.config import RoutingMode
 
 #: failed fat pairs swept by ``mediaworm failover`` (the 2x2 fat mesh

@@ -4,7 +4,7 @@ The paper evaluates MediaWorm on a fault-free fabric.  This sweep asks
 the robustness question the original evaluation leaves open: how do the
 two schedulers (Virtual Clock vs FIFO) degrade when the fat-mesh links
 start dropping flits?  Each point runs the 2x2 fat mesh at a fixed load
-and mix with a :class:`~repro.faults.FaultPlan` injecting per-flit loss
+and mix with a :class:`~repro.faultplan.FaultPlan` injecting per-flit loss
 at the given rate, the end-to-end recovery transport picking up the
 pieces, and the progress watchdog bounding wedged runs.
 
@@ -21,7 +21,7 @@ from repro.core.schedulers import SchedulingPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import Axis, Campaign, Column, _base_kwargs
 from repro.experiments.config import FatMeshExperiment
-from repro.faults import FaultPlan, RecoveryConfig
+from repro.faultplan import FaultPlan, RecoveryConfig
 
 #: per-flit loss probabilities swept by ``mediaworm faults``
 DEFAULT_FAULT_RATES = (0.0, 0.001, 0.005, 0.01, 0.02)

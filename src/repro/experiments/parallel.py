@@ -35,11 +35,13 @@ so downstream code sees the same shapes regardless of job count.
 
 from __future__ import annotations
 
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.resilience import wall_clock_limit
+from repro.errors import ConfigurationError, PointTimeoutError, SimulationError
 
 #: worker-pool crashes one sweep survives; the next one raises
 POOL_CRASHES = 2
@@ -59,6 +61,41 @@ class SweepTask:
     key: str
     runner: Callable
     experiment: object
+
+
+@contextmanager
+def wall_clock_limit(seconds: Optional[float]):
+    """Bound a block of code to ``seconds`` of wall-clock time.
+
+    Raises :class:`~repro.errors.PointTimeoutError` when the limit
+    fires, turning a hung simulation into an ordinary failed point.
+    Implemented with ``SIGALRM``/``setitimer``, so it only arms on
+    platforms that have it and only from a main thread (every sweep
+    worker's task runs in its worker process's main thread); anywhere
+    else the block runs unbounded rather than failing to start.
+    ``None`` or a non-positive limit disables the guard.
+    """
+    if (
+        seconds is None
+        or seconds <= 0
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def _fire(signum, frame):
+        raise PointTimeoutError(
+            f"wall-clock limit of {seconds:g}s exceeded"
+        )
+
+    previous = signal.signal(signal.SIGALRM, _fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _run_task(task: SweepTask, point_timeout: Optional[float] = None):

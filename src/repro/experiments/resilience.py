@@ -1,18 +1,13 @@
-"""Sweep resilience: a result store and a per-point wall-clock limit.
+"""Sweep resilience: the result store.
 
-Long sweeps (``mediaworm all``, fault campaigns) should survive two
-kinds of trouble:
-
-* **the process dying** — every completed point is appended to a
-  :class:`ResultStore`, one JSON line each, so a rerun restores what
-  is stored instead of recomputing it.  The store is never cleared, so
-  a rerun of the same sweep, a widened axis or another sweep command
-  with overlapping points simulates only what it lacks;
-* **a single point hanging** — :func:`wall_clock_limit` turns it into a
-  :class:`~repro.errors.PointTimeoutError`, a failed point like a
-  deadlock.  A failed point is never rerun under another seed: the
-  campaign records it as a ``FAILED`` row (see
-  :func:`~repro.experiments.campaign.run_plans`).
+Long sweeps (``mediaworm all``, fault campaigns) should survive the
+process dying: every completed point is appended to a
+:class:`ResultStore`, one JSON line each, so a rerun restores what is
+stored instead of recomputing it.  The store is never cleared, so a
+rerun of the same sweep, a widened axis or another sweep command with
+overlapping points simulates only what it lacks.  (A single point
+hanging is the executor's business:
+:func:`repro.experiments.parallel.wall_clock_limit`.)
 """
 
 from __future__ import annotations
@@ -21,51 +16,11 @@ import hashlib
 import json
 import logging
 import os
-import signal
-import threading
-from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.errors import PointTimeoutError
-
 logger = logging.getLogger(__name__)
-
-
-@contextmanager
-def wall_clock_limit(seconds: Optional[float]):
-    """Bound a block of code to ``seconds`` of wall-clock time.
-
-    Raises :class:`~repro.errors.PointTimeoutError` when the limit
-    fires, turning a hung simulation into an ordinary failed point.
-    Implemented with ``SIGALRM``/``setitimer``, so it only arms on
-    platforms that have it and only from a main thread (every sweep
-    worker's task runs in its worker process's main thread); anywhere
-    else the block runs unbounded rather than failing to start.
-    ``None`` or a non-positive limit disables the guard.
-    """
-    if (
-        seconds is None
-        or seconds <= 0
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _fire(signum, frame):
-        raise PointTimeoutError(
-            f"wall-clock limit of {seconds:g}s exceeded"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @lru_cache(maxsize=None)

@@ -15,26 +15,17 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace as dataclasses_replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError
-from repro.faults import install_faults, install_recovery
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.network.health import install_health
 from repro.network.network import Network
-from repro.obs.chrometrace import write_chrome_trace
-from repro.obs.invariants import InvariantChecker
-from repro.obs.sinks import (
-    CountingSink,
-    JsonlTraceSink,
-    MultiSink,
-    RingBufferSink,
-    install_tracing,
-)
-from repro.pcs.connection import ConnectionStats
 from repro.sim.gcquiet import gc_quiet
 from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:
+    from repro.pcs.connection import ConnectionStats
 
 
 @dataclass(frozen=True)
@@ -203,11 +194,18 @@ def _install_extras(experiment, network: Network, rngs: RngStreams) -> None:
     Shares the workload's ``RngStreams`` so fault substreams derive from
     the same master seed without perturbing any traffic substream.
     """
-    if experiment.faults is not None:
-        install_faults(network, experiment.faults, rngs)
-    if experiment.recovery is not None:
-        install_recovery(network, experiment.recovery)
+    if experiment.faults is not None or experiment.recovery is not None:
+        # fault + transport machinery (repro.faults): a plain run never compiles it
+        from repro.faults import install_faults, install_recovery
+
+        if experiment.faults is not None:
+            install_faults(network, experiment.faults, rngs)
+        if experiment.recovery is not None:
+            install_recovery(network, experiment.recovery)
     if experiment.health is not None:
+        # the health monitor (repro.network.health): likewise
+        from repro.network.health import install_health
+
         install_health(network, experiment.health, rngs)
 
 
@@ -273,6 +271,16 @@ class _TraceHarness:
     """
 
     def __init__(self, network, spec) -> None:
+        # the sinks (repro.obs.sinks, + json): an untraced run never compiles
+        # them; the checker and the Chrome writer load where they are used
+        from repro.obs.sinks import (
+            CountingSink,
+            JsonlTraceSink,
+            MultiSink,
+            RingBufferSink,
+            install_tracing,
+        )
+
         self.spec = spec
         self.network = network
         self.counter = CountingSink()
@@ -287,6 +295,8 @@ class _TraceHarness:
             self._ring = RingBufferSink()
             sinks.append(self._ring)
         if spec.check:
+            from repro.obs.invariants import InvariantChecker
+
             self.checker = InvariantChecker(network)
             sinks.append(self.checker)
         install_tracing(
@@ -307,6 +317,8 @@ class _TraceHarness:
             summary["jsonl_path"] = self.spec.path
             summary["jsonl_records"] = self.jsonl.records_written
         if self._ring is not None:
+            from repro.obs.chrometrace import write_chrome_trace
+
             summary["chrome_path"] = self.spec.chrome_path
             summary["chrome_events"] = write_chrome_trace(
                 self.spec.chrome_path, self._ring.records

@@ -14,7 +14,7 @@ from collections import deque
 from typing import Deque, Tuple
 
 from repro.errors import FlowControlError
-from repro.faults import FATE_LOST, FATE_OK
+from repro.faultplan import FATE_LOST, FATE_OK
 from repro.router.buffers import NO_FLITS
 from repro.router.flit import Message
 

@@ -28,7 +28,7 @@ from repro.errors import (
     PortCountError,
     SimulationError,
 )
-from repro.network.health import UP
+from repro.network.healthconfig import UP
 from repro.network.interface import HostInterface, HostSink
 from repro.network.link import DEFAULT_LINK_LATENCY, Link
 from repro.network.topology import Topology

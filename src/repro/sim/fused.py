@@ -140,8 +140,8 @@ from time import perf_counter
 from repro.core.schedulers import SchedulingPolicy
 from repro.core.virtual_clock import BEST_EFFORT_VTICK
 from repro.errors import FlowControlError, SimulationError
-from repro.faults import FATE_OK
-from repro.network.health import UP
+from repro.faultplan import FATE_OK
+from repro.network.healthconfig import UP
 from repro.router.buffers import NO_FLITS, acquire_record, release_record
 from repro.router.config import OUTPUT_BUFFER_DEPTH, RoutingMode
 from repro.router.flit import TrafficClass

@@ -295,6 +295,19 @@ def tiny_run(simulated):
 
 
 @pytest.fixture
+def memo_simulate(monkeypatch, simulated):
+    """Route the default point body's ``simulate`` through the session
+    memo: a CLI or ``spec.run`` test starts from an empty result store,
+    so without it every test re-simulates the points it shares with the
+    others.  A point that raised raises again."""
+    from repro.experiments import campaign
+
+    monkeypatch.setattr(
+        campaign, "simulate", lambda experiment: simulated(experiment).result
+    )
+
+
+@pytest.fixture
 def counted_simulate(monkeypatch):
     """Stub the ``simulate`` of the default point body; returns the
     experiments it was called with, in order.  Every run measures the

@@ -12,6 +12,9 @@ from repro.experiments.figures import PAPER
 
 TINY = RunProfile("tiny2", scale=100.0, warmup_frames=1, measure_frames=2)
 
+#: each point simulates once per session, however many tests print it
+pytestmark = pytest.mark.usefixtures("memo_simulate")
+
 
 @pytest.fixture(autouse=True)
 def tiny_profile(monkeypatch):

@@ -621,26 +621,83 @@ class TestOneLoop:
         assert importers == ["chaos/campaign.py", "experiments/scale.py"]
 
     def test_run_path_never_imports_numpy(self):
-        """The loop is plain Python: numpy's ~11 MiB stays out of every
-        simulation process (fresh interpreter, so other tests' imports
-        do not count)."""
+        """A plain run imports only the run path (fresh interpreter, so
+        other tests' imports do not count): the loop is plain Python, so
+        numpy's ~11 MiB stays out of every simulation process, and each
+        optional subsystem's machinery — faults, health, tracing, PCS,
+        the result store — loads only at the site that installs it."""
         probe = (
             "import sys\n"
+            "import repro.experiments.parallel\n"
             "from repro.experiments.config import SingleSwitchExperiment\n"
             "from repro.experiments.runner import simulate_single_switch\n"
             "simulate_single_switch(SingleSwitchExperiment(\n"
             "    load=0.5, mix=(80, 20), scale=100.0,\n"
             "    warmup_frames=1, measure_frames=2))\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            f"print(sorted(set({_OPTIONAL_MODULES!r}) & set(sys.modules)))\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={"PYTHONPATH": str(SRC), "PATH": ""},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        assert _fresh_interpreter(probe) == "[]"
+
+    def test_an_observed_faulted_run_loads_the_machinery(self, tmp_path):
+        """The other side of the lazy imports: a fat-mesh run with
+        faults, recovery, health and a JSONL + checked trace reaches
+        every install site, so each deferred import resolves."""
+        probe = (
+            "import sys\n"
+            "from repro.experiments.config import FatMeshExperiment\n"
+            "from repro.experiments.runner import simulate\n"
+            "from repro.faultplan import FaultPlan, RecoveryConfig\n"
+            "from repro.network.healthconfig import HealthConfig\n"
+            "from repro.obs.events import TraceSpec\n"
+            "result = simulate(FatMeshExperiment(\n"
+            "    load=0.3, scale=100.0, warmup_frames=1, measure_frames=1,\n"
+            "    faults=FaultPlan(flit_loss_prob=0.001),\n"
+            "    recovery=RecoveryConfig(timeout=4096),\n"
+            "    health=HealthConfig(), routing_mode='adaptive',\n"
+            "    trace=TraceSpec(path=sys.argv[1], check=True)))\n"
+            "assert result.trace_summary['invariant_checks'] > 0\n"
+            "print(sorted(set(sys.argv[2:]) - set(sys.modules)))\n"
         )
-        assert done.returncode == 0, done.stderr
+        machinery = (
+            "repro.faults",
+            "repro.network.health",
+            "repro.obs.sinks",
+            "repro.obs.invariants",
+            "json",
+        )
+        trace = str(tmp_path / "trace.jsonl")
+        assert _fresh_interpreter(probe, trace, *machinery) == "[]"
+
+
+#: what a plain run (no faults, recovery, health, trace or PCS, no
+#: result store) never imports
+_OPTIONAL_MODULES = (
+    "numpy",
+    "json",
+    "logging",
+    "repro.faults",
+    "repro.network.health",
+    "repro.obs.sinks",
+    "repro.obs.invariants",
+    "repro.obs.chrometrace",
+    "repro.pcs.workload",
+    "repro.pcs.connection",
+    "repro.experiments.resilience",
+)
+
+
+def _fresh_interpreter(probe: str, *args: str) -> str:
+    """Run ``probe`` in a new interpreter on ``src`` (writing no
+    bytecode cache into it); its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env={"PYTHONPATH": str(SRC), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 _PER_KIND_NAMES = (

@@ -111,7 +111,7 @@ class TestFileIo:
         with pytest.raises(ConfigurationError):
             save_result(tmp_path / "x.json", object())
 
-    def test_cli_json_flag(self, tmp_path, monkeypatch):
+    def test_cli_json_flag(self, tmp_path, monkeypatch, memo_simulate):
         import repro.experiments.cli as cli
         from repro.experiments.campaign import PROFILES, RunProfile
         from repro.experiments.figures import FIG3, PAPER

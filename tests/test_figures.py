@@ -27,6 +27,9 @@ from repro.experiments.figures import (
 #: one-point sweeps at a very coarse scale: structure tests, not physics
 TINY = RunProfile("tiny", scale=80.0, warmup_frames=1, measure_frames=2)
 
+#: each point simulates once per session, however many tests read it
+pytestmark = pytest.mark.usefixtures("memo_simulate")
+
 
 class TestProfiles:
     def test_registry_contains_standard_profiles(self):

@@ -308,6 +308,15 @@ class TestChromeTrace:
         loaded = json.loads(path.read_text())
         assert len(loaded["traceEvents"]) == count
 
+    def test_write_chrome_trace_writes_the_compact_dumps(self, tmp_path):
+        """The file is exactly the compact ``json.dumps`` of the
+        timeline (one C-encoder call, no pretty-printing)."""
+        records = self._lifecycle_records()
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, records)
+        expected = json.dumps(chrome_trace(records), separators=(",", ":"))
+        assert path.read_text(encoding="utf-8") == expected
+
 
 def _feed(checker, events):
     for kind, cycle, fields in events:

@@ -28,11 +28,8 @@ from repro.experiments.campaign import (
     experiment_key,
     point_to_dict,
 )
-from repro.experiments.resilience import (
-    ResultStore,
-    code_fingerprint,
-    wall_clock_limit,
-)
+from repro.experiments.parallel import wall_clock_limit
+from repro.experiments.resilience import ResultStore, code_fingerprint
 
 RESILIENCE_LOGGER = "repro.experiments.resilience"
 
