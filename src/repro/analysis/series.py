@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 
 def dominates(
@@ -30,26 +30,6 @@ def dominates(
         if a > b + slack:
             return False
     return compared > 0
-
-
-def crossover_x(
-    series_a: Sequence,
-    series_b: Sequence,
-    key: Callable = lambda p: p.sigma_d,
-) -> Optional[float]:
-    """Smallest shared x where ``key(a)`` first exceeds ``key(b)``.
-
-    Returns ``None`` when series A stays at or below series B across the
-    sweep (no crossover).
-    """
-    b_by_x = {p.x: p for p in series_b}
-    for point in sorted(series_a, key=lambda p: p.x):
-        other = b_by_x.get(point.x)
-        if other is None:
-            continue
-        if key(point) > key(other):
-            return point.x
-    return None
 
 
 def monotonic_tail(

@@ -607,35 +607,30 @@ class WormholeRouter:
     def _arbitrate_output_vc(
         self, clock: int, port: int, msg: Message, escape_only: bool = False
     ) -> Optional[OutputVC]:
-        """Grant a free output VC on ``port`` to ``msg``, if any.
+        """Grant an output VC on ``port`` to ``msg``, if any.
 
         The destination VC chosen by the stream (section 4.2.1) is
         binding at the final hop (the host port); elsewhere any free VC
         in the message's class partition may be used.  With dynamic
         partitioning enabled, best-effort messages may also borrow a
-        free real-time VC when their own partition is exhausted.
+        free real-time VC when their own partition is exhausted.  A
+        real-time header of a preempting router that finds none takes
+        the VC :meth:`_preempt_borrower` frees.
         """
+        ovc = self._free_output_vc(port, msg, escape_only)
+        if ovc is None and self.config.preemption and msg.is_real_time and not escape_only:
+            ovc = self._preempt_borrower(port, msg)
+        if ovc is not None:
+            ovc.grant(clock, msg)
+        return ovc
+
+    def _free_output_vc(self, port: int, msg: Message, escape_only: bool) -> Optional[OutputVC]:
+        """The unowned output VC of ``port`` that ``msg`` may take, if any."""
         ovcs = self.outputs[port]
         if self.is_host_port[port] and msg.dst_vc is not None:
             ovc = ovcs[msg.dst_vc]
             if ovc.is_free:
-                ovc.grant(clock, msg)
                 return ovc
-            # A real-time message blocked on its bound VC by a
-            # best-effort *borrower* (dynamic partitioning) may preempt
-            # it — this is the dominant preemption case, since stream
-            # traffic always binds its destination VC.
-            if (
-                self.config.preemption
-                and msg.is_real_time
-                and self.on_preempt is not None
-                and ovc.owner is not None
-                and not ovc.owner.is_real_time
-            ):
-                self.on_preempt(ovc.owner)
-                if ovc.is_free:
-                    ovc.grant(clock, msg)
-                    return ovc
             # Real-time streams keep connection semantics: every message
             # of the stream uses the stream's destination VC, so they
             # serialise there (the paper's streams-per-VC capacity).
@@ -646,35 +641,54 @@ class WormholeRouter:
             if msg.is_real_time or self.config.be_dst_vc_binding:
                 return None
         for index in self._part[port][msg.is_real_time][escape_only]:
-            ovc = ovcs[index]
-            if ovc.owner is None:
-                ovc.grant(clock, msg)
-                return ovc
-        if escape_only:
-            # A detoured worm waits for its escape VC; borrowing or
-            # preempting a normal VC would defeat the reservation.
-            return None
-        if self.config.dynamic_partitioning and not msg.is_real_time:
-            for index in self._part[port][True][False]:
-                ovc = ovcs[index]
-                if ovc.owner is None:
-                    ovc.grant(clock, msg)
-                    return ovc
-        if (
-            self.config.preemption
-            and msg.is_real_time
-            and self.on_preempt is not None
+            if ovcs[index].owner is None:
+                return ovcs[index]
+        # A detoured worm waits for its escape VC; borrowing or
+        # preempting a normal VC would defeat the reservation.
+        if self.config.dynamic_partitioning and not (
+            msg.is_real_time or escape_only
         ):
-            victim = self._find_preemption_victim(port)
-            if victim is not None:
-                # the hook kills the victim network-wide (dropping its
-                # remaining flits everywhere) and schedules a retransmit
-                self.on_preempt(victim)
-                for index in self._part[port][True][False]:
-                    ovc = ovcs[index]
-                    if ovc.owner is None:
-                        ovc.grant(clock, msg)
-                        return ovc
+            for index in self._part[port][True][False]:
+                if ovcs[index].owner is None:
+                    return ovcs[index]
+        return None
+
+    def _preempt_borrower(self, port: int, msg: Message) -> Optional[OutputVC]:
+        """Kill a best-effort borrower for real-time ``msg`` on ``port``;
+        the output VC ``msg`` takes afterwards, or None (nothing killed).
+
+        The one kill rule, called by :meth:`_arbitrate_output_vc` and
+        the fused loop's stage 2/3 for a real-time, non-detoured header
+        of a preempting router that found no VC it may take.
+
+        * A header bound to its destination VC on a host port may kill
+          only that VC's owner, and takes that VC.  Stream traffic
+          always binds its destination VC, so this is the dominant case.
+        * Otherwise the victim is the first best-effort owner of a
+          real-time VC of the port (dynamic partitioning lets
+          best-effort borrow them), and the header takes the first free
+          VC of the port's real-time partition after the kill.
+
+        ``on_preempt`` kills the victim network-wide (dropping its
+        remaining flits everywhere) and schedules its retransmission,
+        which frees the victim's VC here.
+        """
+        ovcs = self.outputs[port]
+        if self.is_host_port[port] and msg.dst_vc is not None:
+            owned = takes = (msg.dst_vc,)
+        else:
+            owned = self._class_vcs[True]
+            takes = self._part[port][True][False]
+        for index in owned:
+            victim = ovcs[index].owner
+            if victim is not None and not victim.is_real_time:
+                break
+        else:
+            return None
+        self.on_preempt(victim)
+        for index in takes:
+            if ovcs[index].owner is None:
+                return ovcs[index]
         return None
 
     # ------------------------------------------------------------------
@@ -724,17 +738,9 @@ class WormholeRouter:
                             self._work -= 1
         return dropped
 
-    #: hook(msg) -> None installed by the network to kill & retransmit
-    #: a preemption victim; None disables preemption at arbitration
+    #: hook(msg) -> None installed by a network whose config sets
+    #: ``preemption``: kills and retransmits a preemption victim
     on_preempt: Optional[Callable[[Message], None]] = None
-
-    def _find_preemption_victim(self, port: int) -> Optional[Message]:
-        """A best-effort message squatting on a real-time VC, if any."""
-        for index in self._class_vcs[True]:
-            owner = self.outputs[port][index].owner
-            if owner is not None and not owner.is_real_time:
-                return owner
-        return None
 
     # ------------------------------------------------------------------
     # introspection / audit helpers

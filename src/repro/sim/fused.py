@@ -32,8 +32,8 @@ with the reference stepper):
    (:meth:`FusedLoop._stage4`, ``_stage4_crossbar``), stages 2/3
    (:meth:`FusedLoop._stage23`, ``_stage23_route_arbitrate``).
 
-:meth:`FusedLoop._phases` starts the kernels once per ``run()`` call
-and chooses the router phase there.  A kernel is a generator: it binds
+:meth:`FusedLoop._phases` starts the kernels once per ``run()`` call;
+every run has the same phases.  A kernel is a generator: it binds
 that call's state — the trace sink, the fault bindings, the tables
 below — as plain locals, then loops on ``yield``, and its ``send`` is
 the phase callable (:func:`_resumable`).  A phase call thus resumes a
@@ -82,6 +82,18 @@ rounds that follow re-queue it on one compare, in its turn — rotation
 order and ``_arb_rotate`` are those of the full attempt.  A new front
 message or a re-route (``route_port`` -1) takes the full path again.
 
+The memo also holds for a real-time header of a preempting network
+(``RouterConfig.preemption``), which may kill a best-effort *borrower*
+of a real-time VC (``WormholeRouter._preempt_borrower``).  Its attempt
+fails only when the VCs it could kill for — its bound VC, or every
+real-time VC of the port — are all owned by real-time traffic (a
+best-effort worm never owns the real-time escape VC).  Only a release
+hands an owned VC to a new owner, so no best-effort message can take
+one of those VCs until a VC of the port is released, and every release
+bumps the epoch: stage 5's tail release, or :meth:`resync` after a
+kill.  Only the free-port shortcut is off in a preempting network: a
+port whose VCs are all owned may still hold a borrower to kill.
+
 A flit FIFO holds a deque only while a worm uses it, and is the shared
 ``buffers.NO_FLITS`` otherwise: the inlined header arrival and grant
 allocate an input / output VC's deques (one identity test per message
@@ -110,22 +122,17 @@ index)``, the rank being the head stamp or, for round-robin, ``index
 object code the loop calls (``Link.apply_fate``,
 ``Network.kill_message``, the transport, the health monitor).  The loop honours no per-instance or
 subclass override of a router method;
-:func:`repro.sim.reference.run_reference` does.  Adaptive routing
-stays inline: stage 2/3 asks the router's mask-aware
-``_adaptive_candidates`` for the port group and applies the escape-VC
-partition rule.
+:func:`repro.sim.reference.run_reference` does.  Rules with one
+implementation stay router methods that stage 2/3 calls: the
+mask-aware ``_adaptive_candidates`` for adaptive routing (the kernel
+applies the escape-VC partition rule), and ``_preempt_borrower``, the
+preemption kill, for a real-time header of a preempting network that
+finds no VC.
 
-Two visits go through an object method, both by design:
-
-* a lost or corrupted flit goes through ``Link.apply_fate``, the one
-  implementation of loss/corruption handling (the delivery kernel's
-  fate gate, inside a link's down windows as outside them);
-* with ``RouterConfig.preemption`` set, the router phase chosen at
-  entry (:meth:`FusedLoop._router_steps`) is ``WormholeRouter.step``
-  on every due router.  Inlining the kill would need stage 2/3's
-  release-epoch memo and free-port shortcut to be bypassed for
-  preempting headers: new branches in the hottest kernel for a feature
-  that only ``bench_ablation_preemption`` and two test modules use.
+One visit goes through an object method by design: a lost or
+corrupted flit goes through ``Link.apply_fate``, the one
+implementation of loss/corruption handling (the delivery kernel's
+fate gate, inside a link's down windows as outside them).
 
 Cold events stay on object code by construction: event callbacks
 (injection, transport teardown) run the ordinary network API, and
@@ -201,6 +208,7 @@ class FusedLoop:
             self._out_policy = router0._out_policy.policy
         self._dyn_part = config.dynamic_partitioning
         self._be_bind = config.be_dst_vc_binding
+        self._preempt = config.preemption
         self._adaptive = config.routing_mode == RoutingMode.ADAPTIVE
 
         # The tuples below bind only containers both code paths mutate
@@ -290,8 +298,8 @@ class FusedLoop:
         That is the head mirror with the link active set (exactly the
         links whose wire holds flits), the free output-VC counts and
         the release epochs.  Every run starts with all of them (object
-        code may have moved flits since the last one, and a router
-        driven through its ``step`` keeps neither count nor epoch);
+        code may have moved flits since the last one, and the reference
+        stepper keeps neither count nor epoch);
         ``Network.kill_message`` passes what its purge touched, whose
         wires it edited and output VCs it released behind the kernels'
         back.
@@ -429,22 +437,16 @@ class FusedLoop:
     def _phases(self):
         """This run's phase callables ``(fire, deliver, inject, route)``.
 
-        Reads the trace sink once and picks the router phase once:
-        ``WormholeRouter.step`` per router under
-        ``RouterConfig.preemption``, the fused stages otherwise.
-        :meth:`run` times each call, whatever the phase.
+        Reads the trace sink once; every run has the same three
+        kernels, and :meth:`run` times each call.
         """
         net = self._net
         emit = None if net.trace is None else net.trace.on_event
-        if net.config.preemption:
-            route = self._router_steps()
-        else:
-            route = self._router_stages(emit)
         return (
             net.events.fire_due,
             _resumable(self._delivery(emit)),
             _resumable(self._injection(emit)),
-            _resumable(route),
+            _resumable(self._router_stages(emit)),
         )
 
     # ------------------------------------------------------------------
@@ -820,23 +822,6 @@ class FusedLoop:
     # ------------------------------------------------------------------
     # phase 4: routers
 
-    def _router_steps(self):
-        """The router phase of a preempting network, ``route(clock)``.
-
-        ``WormholeRouter.step`` on every due router, ascending id: the
-        stage kernels below leave the preempting kills to the object
-        code (see the module docstring).
-        """
-        router_sched = self._net._router_sched
-        routers = self._net.routers
-        router_due = router_sched.due
-        router_deactivate = router_sched.deactivate
-        while True:
-            clock = yield
-            for rid in router_due(clock):
-                if not routers[rid].step(clock):
-                    router_deactivate(rid)
-
     def _router_stages(self, emit):
         """The router phase, ``route(clock)``: every due router,
         ascending id, through :meth:`_stage5`, :meth:`_stage4` and
@@ -1193,7 +1178,10 @@ class FusedLoop:
         header with ``OutputVC.grant`` inlined — plus the free-port
         shortcut and the release-epoch memo of the module docstring's
         state layout.  The port's first header opens it
-        (``WormholeRouter.open_output``).
+        (``WormholeRouter.open_output``); a real-time header of a
+        preempting network that finds no VC calls
+        ``WormholeRouter._preempt_borrower``, whose kill resyncs this
+        router through ``Network.kill_message`` before the grant.
         """
         free_out = self._free_out
         release_epoch = self._release_epoch
@@ -1207,6 +1195,7 @@ class FusedLoop:
         arb_delay = self._arb_delay
         dyn_part = self._dyn_part
         be_bind = self._be_bind
+        preempt = self._preempt
         adaptive = self._adaptive
         #: Message.is_real_time inlined: membership in the RT classes
         rt_classes = TrafficClass.REAL_TIME
@@ -1266,10 +1255,11 @@ class FusedLoop:
                                 "out": port,
                             },
                         )
-                if not free_ports[port]:
+                if not free_ports[port] and not preempt:
                     # Every output VC is owned: the bound-VC check and
                     # both partition scans can only come up empty, so
-                    # the attempt blocks.
+                    # the attempt blocks.  (A preempting network's full
+                    # port may still hold a borrower to kill.)
                     vc.wait_epoch = epochs[port]
                     still_waiting.append(vc)
                     continue
@@ -1283,6 +1273,12 @@ class FusedLoop:
                         bound = ovcs[msg.dst_vc]
                         if bound.owner is None:
                             ovc = bound
+                        elif preempt and real_time:
+                            ovc = router._preempt_borrower(port, msg)
+                            if ovc is None:
+                                vc.wait_epoch = epochs[port]
+                                still_waiting.append(vc)
+                                continue
                         elif real_time or be_bind:
                             vc.wait_epoch = epochs[port]
                             still_waiting.append(vc)
@@ -1303,6 +1299,8 @@ class FusedLoop:
                                 if candidate.owner is None:
                                     ovc = candidate
                                     break
+                        elif preempt and real_time and not escape:
+                            ovc = router._preempt_borrower(port, msg)
                 if ovc is None:
                     vc.wait_epoch = epochs[port]
                     still_waiting.append(vc)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.analysis.jitter import is_jitter_free_point, max_jitter_free_load
-from repro.analysis.series import crossover_x, dominates, monotonic_tail
+from repro.analysis.series import dominates, monotonic_tail
 
 
 @dataclass
@@ -84,18 +84,6 @@ class TestDominates:
         a = [P(0.5, 33, float("nan")), P(0.6, 33, 0.1)]
         b = [P(0.5, 33, 0.0), P(0.6, 33, 0.2)]
         assert dominates(a, b)
-
-
-class TestCrossover:
-    def test_finds_first_exceedance(self):
-        a = [P(0.6, 33, 0.1), P(0.8, 33, 0.5), P(0.9, 34, 6.0)]
-        b = [P(0.6, 33, 0.2), P(0.8, 33, 0.6), P(0.9, 33, 0.7)]
-        assert crossover_x(a, b) == 0.9
-
-    def test_none_without_crossover(self):
-        a = [P(0.6, 33, 0.1)]
-        b = [P(0.6, 33, 0.2)]
-        assert crossover_x(a, b) is None
 
 
 class TestMonotonicTail:

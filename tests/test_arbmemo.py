@@ -8,6 +8,8 @@ no memo) and compares cycle-level state — grant cycles, the rotation
 counter, the arbitration worklist's order.
 """
 
+import pytest
+
 from conftest import (
     attach_workload,
     make_mesh_network,
@@ -17,6 +19,7 @@ from conftest import (
 from repro.network.network import Network
 from repro.obs.sinks import RingBufferSink, install_tracing, uninstall_tracing
 from repro.router.config import RoutingMode
+from repro.router.flit import TrafficClass
 from repro.sim.reference import run_reference
 
 
@@ -205,3 +208,129 @@ def test_a_new_front_message_never_inherits_a_verdict():
     default, reference = _both_loops(build)
     assert default == reference
     assert min(default) > 0
+
+
+def _be_message(**kwargs):
+    return make_message(
+        vtick=1e12, traffic_class=TrafficClass.BEST_EFFORT, dst_vc=None,
+        **kwargs,
+    )
+
+
+def _preempting_port(run, script, watched):
+    """An 8-port ``preemption`` + ``dynamic_partitioning`` switch with
+    two real-time VCs and no best-effort partition, fed ``script`` —
+    ``(cycle, message)`` pairs, all to host 1 — and driven by ``run``
+    to cycle 900.  Returns, per cycle 0..899 (read by events inside the
+    one ``run`` call): the ``watched`` message's routed port and
+    granted VC, the owners' classes on output port 1, the arbitration
+    state and (fused loop only) the memo hits; then the preemptions
+    and every delivery time."""
+    network = make_network(
+        ports=8, vcs=2, rt_vc_count=2, dynamic_partitioning=True,
+        preemption=True,
+    )
+    for cycle, msg in script:
+        network.schedule_message(cycle, msg)
+    router = network.routers[0]
+    seen, hits = [], []
+
+    def watch():
+        vc = next(
+            (
+                vc for vcs in router.inputs for vc in vcs
+                if vc.msg is watched
+            ),
+            None,
+        )
+        granted = None if vc is None else vc.route_vc
+        seen.append(
+            (
+                network.clock,
+                None if vc is None else vc.route_port,
+                None if granted is None else (granted.port, granted.index),
+                [
+                    None if ovc.owner is None else ovc.owner.traffic_class
+                    for ovc in router.outputs[1]
+                ],
+                _arb_state(network),
+            )
+        )
+        if network._loop is not None:
+            hits.append(_memo_hits(network))
+
+    for cycle in range(900):
+        network.schedule_call(cycle, watch)
+    run(network, 900)
+    network.check_invariants()
+    network.check_conservation()
+    times = [msg.deliver_time for _, msg in script]
+    return seen, hits, network.preemptions, times
+
+
+def _grant_cycle(seen):
+    return next(cycle for cycle, _, granted, _, _ in seen if granted)
+
+
+@pytest.mark.parametrize("dst_vc", [None, 0], ids=["partition", "bound"])
+def test_a_full_port_still_lets_a_real_time_header_kill_its_borrower(dst_vc):
+    """Port 1's two VCs are both owned, one by a real-time worm and one
+    (VC 0) by a best-effort borrower: the free-port shortcut must not
+    block the real-time header that arrives, which kills the borrower
+    and is granted its VC on the reference stepper's cycle — from the
+    partition scan, or bound to that VC."""
+
+    def build(run):
+        rt = make_message(src=3, dst=1, size=6, dst_vc=dst_vc)
+        script = [
+            (0, make_message(src=0, dst=1, size=400, dst_vc=None)),
+            (0, _be_message(src=2, dst=1, size=400)),
+            (30, rt),
+        ]
+        seen, hits, preemptions, times = _preempting_port(run, script, rt)
+        return seen, preemptions, times
+
+    default, reference = _both_loops(build)
+    assert default == reference
+    seen, preemptions, times = default
+    granted = _grant_cycle(seen)
+    state = {cycle: (port, owners) for cycle, port, _, owners, _ in seen}
+    # routed and granted in one stage 2/3 pass, which began with both
+    # VCs of port 1 owned, one by the borrower
+    port, owners = state[granted - 1]
+    assert port == -1
+    assert owners == [TrafficClass.BEST_EFFORT, TrafficClass.VBR]
+    assert seen[granted][2] == (1, 0)
+    assert preemptions == 1
+    assert times[-1] > 0
+
+
+def test_a_failed_real_time_header_retries_when_a_vc_is_released():
+    """Both VCs of port 1 are owned by real-time worms when a real-time
+    header is routed there: its attempt fails, the fused loop re-queues
+    it on the memo, and it is granted when the shorter worm's tail
+    releases a VC — on the reference stepper's cycle, with the same
+    worklist every cycle.  A best-effort header waits on the same port
+    and borrows the released VC first, in the same pass: the retry
+    kills it."""
+
+    def build(run):
+        rt = make_message(src=3, dst=1, size=6, dst_vc=None)
+        script = [
+            (0, make_message(src=0, dst=1, size=300, dst_vc=None)),
+            (0, make_message(src=2, dst=1, size=600, dst_vc=None)),
+            (20, _be_message(src=4, dst=1, size=300)),
+            (30, rt),
+        ]
+        seen, hits, preemptions, times = _preempting_port(run, script, rt)
+        return seen, hits, preemptions, times
+
+    default, reference = _both_loops(build)
+    assert default[0] == reference[0]
+    assert default[2:] == reference[2:]
+    seen, hits, preemptions, times = default
+    assert max(hits) >= 1, "no header waited on a stored verdict"
+    routed = min(cycle for cycle, port, *_ in seen if port == 1)
+    assert _grant_cycle(seen) > routed + 100
+    assert preemptions == 1
+    assert times[-1] > 0

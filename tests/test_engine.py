@@ -9,7 +9,8 @@ hand-driven networks that need a live network between runs (down
 windows, purges, requeues, preemption).  Delivery is one flit loop,
 inside a link's down windows too; the kernels' only object calls are
 a faulted link's ``LinkFaultState.fate``, ``Link.apply_fate`` for a
-lost or corrupt flit, and a preempting router's ``step``.  Every run
+lost or corrupt flit, and the router rules stage 2/3 shares with the
+object code (adaptive candidates, the preemption kill).  Every run
 of the fused loop times its phase calls into ``phase_seconds``; the
 reference leaves them at zero.
 """
@@ -281,12 +282,13 @@ def _run_preempting_switch(run, **network_kwargs):
 
 
 class TestTracedParity:
-    """A traced preempting switch: the one router feature outside the
-    fused kernels (traced experiments are ``tests/test_parity.py``'s)."""
+    """A traced preempting switch on the stage kernels (traced
+    experiments are ``tests/test_parity.py``'s)."""
 
-    def test_preemption_still_steps_every_router(self, monkeypatch):
-        """``RouterConfig.preemption`` is the one router feature the
-        kernels leave to ``WormholeRouter.step``, traced or not."""
+    def test_preemption_steps_no_component(self, monkeypatch):
+        """A preempting ``Network.run`` kills in stage 2/3 and calls no
+        ``WormholeRouter.step`` or ``HostInterface.step``, traced or
+        not; its stream is the reference stepper's."""
 
         def build(run):
             sink = RingBufferSink()
@@ -295,8 +297,10 @@ class TestTracedParity:
 
         steps = _spy_on_steps(monkeypatch)
         default = build(Network.run)
-        assert steps["router"] > 0 and steps["ni"] == 0
-        assert default[0] >= 1
+        assert steps == {"router": 0, "ni": 0}
+        untraced = _run_preempting_switch(Network.run)
+        assert steps == {"router": 0, "ni": 0}
+        assert untraced.preemptions == default[0] >= 1
         assert {"purge", "xbar"} <= {kind for kind, _, _ in default[1]}
         assert build(run_reference) == default
 
@@ -432,9 +436,9 @@ class TestCyclesExecuted:
             lost.run(50)
         assert set(lost.phase_seconds.values()) == {0.0}
 
-    def test_preempting_router_steps_are_timed(self):
-        """The router phase chosen under preemption (``_router_steps``)
-        is timed like the fused stages; the reference times nothing."""
+    def test_preempting_router_stages_are_timed(self):
+        """A preempting run's router phase is the stage kernels, timed
+        like any other run's; the reference times nothing."""
         network = _run_preempting_switch(Network.run)
         assert network.preemptions >= 1
         assert min(network.phase_seconds.values()) >= 0.0
@@ -496,9 +500,9 @@ class TestOneLoop:
 
     def test_run_is_a_short_sequencer_over_named_kernels(self):
         """``FusedLoop.run`` only sequences and times the phases; each
-        kernel names its object twin, and neither tests for a profiler
-        or preemption (``_phases`` picks the phase callables once per
-        run)."""
+        kernel names its object twin, none tests for a profiler, and
+        ``_phases`` starts the same kernels for every run: it reads the
+        trace sink and chooses no router phase."""
 
         def names(code):
             found = set(code.co_names)
@@ -512,7 +516,6 @@ class TestOneLoop:
             "_delivery": ("Link.deliver_due", "accept_flit", "HostSink.eject"),
             "_injection": ("HostInterface.step",),
             "_router_stages": ("WormholeRouter.step",),
-            "_router_steps": ("WormholeRouter.step",),
             "_stage5": ("WormholeRouter._stage5_output",),
             "_stage4": ("WormholeRouter._stage4_crossbar",),
             "_stage23": ("WormholeRouter._stage23_route_arbitrate",),
@@ -521,7 +524,19 @@ class TestOneLoop:
             kernel = getattr(FusedLoop, name)
             assert all(method in kernel.__doc__ for method in twin), name
         for function in [FusedLoop.run] + [getattr(FusedLoop, n) for n in twins]:
-            assert not {"profiler", "preemption"} & names(function.__code__)
+            assert "profiler" not in names(function.__code__)
+        phases = ast.parse(inspect.getsource(FusedLoop._phases).lstrip())
+        branches = [
+            ast.unparse(node.test)
+            for node in ast.walk(phases)
+            if isinstance(node, (ast.If, ast.IfExp))
+        ]
+        assert branches == ["net.trace is None"]
+        kernels = {
+            name for name in names(FusedLoop._phases.__code__)
+            if name in vars(FusedLoop)
+        }
+        assert kernels == {"_delivery", "_injection", "_router_stages"}
 
     def test_observing_a_run_never_forks_a_kernel(self):
         """The trace sink is tested only as ``emit is not None`` guards

@@ -89,6 +89,16 @@ class TestFrameDeliveryTracker:
         # only the 200->300 interval completes after warmup
         assert tracker.intervals == [100.0]
 
+    def test_a_frame_completing_at_the_warmup_cycle_records_its_interval(self):
+        """The warm-up horizon is the first measured cycle: a frame that
+        completes at exactly ``warmup`` records its interval, one that
+        completes the cycle before does not."""
+        tracker = FrameDeliveryTracker(warmup=250)
+        for frame, t in enumerate((100, 249, 250)):
+            tracker.on_message(_rt_message(1, frame), t)
+        assert tracker.intervals == [1.0]
+        assert tracker.interval_count == 1
+
     def test_no_intervals_is_nan(self):
         tracker = FrameDeliveryTracker()
         assert math.isnan(tracker.mean_interval)

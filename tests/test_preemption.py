@@ -9,10 +9,21 @@ VC busy kills a borrowing best-effort message (its remaining flits are
 purged network-wide) and the victim is retransmitted after a backoff.
 """
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.config import SingleSwitchExperiment
+from repro.metrics.collector import MetricsCollector
+from repro.network.network import Network
+from repro.network.topology import single_switch
+from repro.obs.sinks import TraceSink, install_tracing
 from repro.router.flit import Message, TrafficClass
+from repro.sim.reference import run_reference
+from repro.sim.rng import RngStreams
+from repro.traffic.mix import build_workload
 
 from conftest import deliver_all, make_message, make_network
 
@@ -192,3 +203,81 @@ class TestPreemption:
         net.run(5000)
         assert net.flits_in_flight == 0
         net.check_conservation()
+
+
+class _DenseDigest(TraceSink):
+    """SHA-256 of the event stream, message ids densified by first
+    appearance (ids come from a process-global counter)."""
+
+    def __init__(self) -> None:
+        self._ids = {}
+        self.digest = hashlib.sha256()
+        self.events = 0
+
+    def on_event(self, kind, cycle, fields):
+        ids = self._ids
+        dense = sorted(
+            (key, ids.setdefault(value, len(ids)) if key == "msg" else value)
+            for key, value in fields.items()
+        )
+        self.digest.update(repr((kind, cycle, dense)).encode())
+        self.events += 1
+
+    def close(self) -> None:
+        pass
+
+
+def _ablation_point(run, traced):
+    """``bench_ablation_preemption``'s preempting arm (dynamic
+    partitioning + preemption, load 0.95, mix 90:10) at scale 160 with
+    1 + 2 frames, driven by ``run``."""
+    experiment = SingleSwitchExperiment(
+        load=0.95, mix=(90, 10), scale=160.0, warmup_frames=1,
+        measure_frames=2,
+    )
+    collector = MetricsCollector(
+        experiment.timebase, warmup=experiment.warmup_cycles
+    )
+    config = replace(
+        experiment.router_config(experiment.num_ports),
+        dynamic_partitioning=True,
+        preemption=True,
+    )
+    network = Network(
+        single_switch(experiment.num_ports),
+        config,
+        on_message=collector.on_message,
+    )
+    build_workload(
+        network, experiment.workload_config(), RngStreams(experiment.seed)
+    )
+    sink = install_tracing(network, _DenseDigest()) if traced else None
+    run(network, experiment.total_cycles)
+    network.check_conservation()
+    network.check_invariants()
+    stream = None if sink is None else (sink.events, sink.digest.hexdigest())
+    return (
+        collector.snapshot(),
+        network.preemptions,
+        network.flits_dropped,
+        network.flits_ejected,
+        stream,
+    )
+
+
+class TestAblationPointParity:
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_kernels_match_the_reference(self, traced):
+        """The kill runs in the stage 2/3 kernel: at the ablation's
+        operating point ``Network.run`` and ``run_reference`` agree on
+        the metrics, every preemption, every dropped flit and (traced)
+        the event stream."""
+        default = _ablation_point(Network.run, traced)
+        reference = _ablation_point(run_reference, traced)
+        assert default == reference
+        snapshot, preemptions, dropped, _, stream = default
+        # both loops share the kill rule, so pin what it did
+        assert (preemptions, dropped) == (47, 609)
+        assert snapshot.frames_delivered > 0
+        if traced:
+            assert stream[0] > 0
